@@ -89,7 +89,7 @@ fn bench(c: &mut Criterion) {
     });
 
     // Monitoring the fig. 8 call mix through the sharded engine
-    // (VIDS_SHARDS knob; see pool_scaling for the full 1/2/4/8 series).
+    // (VIDS_SHARDS knob).
     let shards = vids_bench::shards_knob();
     let batch = vids_bench::synth_call_batch(120, 30);
     c.bench_function(&format!("fig8/monitor_call_mix_{shards}_shards"), |b| {

@@ -5,8 +5,8 @@
 //! but the offline analogue of its deployment path: `vids replay` over a
 //! capture is how this engine audits recorded traffic, so the datagrams/s
 //! through the full decode path is the number that bounds capture-audit
-//! turnaround. Compare against `pool_scaling`'s in-process pps to read
-//! off what the wire decode itself costs.
+//! turnaround. Compare against `hot_path_alloc`'s in-process pool rows to
+//! read off what the wire decode itself costs.
 
 use std::sync::Once;
 use std::time::Instant;

@@ -5,7 +5,7 @@
 //! published) and each group's machines are independent of every other
 //! group's. That independence is exactly a sharding invariant, so the pool
 //! hash-partitions the fact base across `Config::shards` private [`Vids`]
-//! engines and drains them on scoped threads:
+//! engines:
 //!
 //! * **SIP call traffic** is pinned to `hash(Call-ID) % shards`.
 //! * **RTP** is routed through a pool-owned media-coordinate → shard index
@@ -16,49 +16,40 @@
 //!   pinned by `hash(dst_ip)`, and **registration machines** by
 //!   `hash(address-of-record)`.
 //!
-//! Ingestion is batch-oriented: [`VidsPool::process_batch`] classifies the
-//! batch in parallel, routes sequentially (the only globally ordered step),
-//! drains every shard concurrently, and then merges shard output on a
+//! Ingestion is batch-oriented, and every entry point is the same pass over
+//! one private routing core (`route_pass`): at most one idle-timer sweep
+//! per batch (the single engine re-checks the interval on every packet),
+//! then — per datagram, in packet order, the only globally ordered step —
+//! the cost charge, the monotonic clock clamp, and `route_one`, which pins
+//! each protocol-role part to its shard. Shard output is merged on a
 //! deterministic key — `(packet index, phase, sweep scope, emission seq)` —
 //! so the alert sequence is byte-identical whatever the shard count,
-//! including a 1-shard pool vs. a plain [`Vids`]. Idle-timer sweeps are
-//! amortized to at most one per batch instead of the single engine's
-//! per-packet interval check.
+//! including a 1-shard pool vs. a plain [`Vids`].
 //!
-//! Parallel phases run on a **persistent worker runtime** (one long-lived
-//! thread per shard, spawned at construction): a batch handoff publishes a
-//! job descriptor into the worker's mailbox cell and unparks it — no thread
-//! creation, no queue allocation, no channel. Workers write into
-//! preallocated per-shard buffers whose capacity is reused across batches,
-//! so the steady-state handoff path does not allocate. The pool thread
-//! works too (it drains the busiest shard while workers drain the rest),
-//! and blocks until every published job completes, which is what keeps the
-//! raw pointers inside a job valid and the output merge deterministic: by
-//! merge time all shard output is back on one thread, ordered by key. See
-//! DESIGN.md §7d for the mailbox protocol and panic/shutdown semantics.
-//!
-//! For live ingestion there is a second, pipelined runtime: receiver
-//! threads pre-compute each datagram's routing hashes ([`route_hint`],
-//! carried by [`PreRouted`]) and a [`VidsPool::with_pipeline`] session
-//! publishes whole batches as *epochs* into per-shard bounded rings drained
-//! by persistent shard workers — the coordinator overlaps routing batch
-//! `k+1` with the shards draining batch `k`, instead of blocking at a
-//! barrier inside every batch. Alerts still merge in epoch order on the
-//! same deterministic key, so the output is byte-identical to calling
-//! [`VidsPool::process_wire_batch`] with the same batches. See DESIGN.md
-//! §7i for the epoch-ring protocol and why the *residual* routing pass
-//! (media index, monotonic clamp, dedup) stays sequential on the
-//! coordinator.
+//! Synchronous calls ([`VidsPool::process_batch`],
+//! [`VidsPool::process_wire_batch`], the federated trio) ingest each routed
+//! part in place on the calling thread; a pool spawns no thread at
+//! construction. The one threaded runtime is the **epoch ring** of a
+//! [`VidsPool::with_pipeline`] session: receiver threads pre-compute each
+//! datagram's routing hashes ([`route_hint`], carried by [`PreRouted`]),
+//! [`PipelineIngress::submit`] runs the same core but *queues* the routed
+//! parts, and publishes each batch as an *epoch* into per-shard bounded
+//! rings drained by one scoped worker per shard — the coordinator overlaps
+//! routing batch `k+1` with the shards draining batch `k`. Alerts merge in
+//! epoch order on the same key, so the output is byte-identical to calling
+//! [`VidsPool::process_wire_batch`] with the same batches. The ring's
+//! decisions live in the [`lane`] seam, which the `vids-harness` model
+//! checker drives through every interleaving; see DESIGN.md §7a.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::cmp::Ordering;
 use std::collections::{HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, Thread};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use vids_efsm::{sym, Event, Sym};
@@ -76,13 +67,6 @@ use crate::factbase::FactBaseStats;
 use crate::monitor::Monitor;
 use crate::sink::AlertSink;
 
-/// Below this many routed parts a batch is drained on the calling thread;
-/// spawning scoped threads costs more than it saves.
-const PARALLEL_DRAIN_THRESHOLD: usize = 64;
-
-/// Below this many packets classification stays on the calling thread.
-const PARALLEL_CLASSIFY_THRESHOLD: usize = 256;
-
 /// Merge key: (packet index, phase, sweep scope, per-sink emission seq).
 ///
 /// Phases order the parts of one packet the way the single engine would have
@@ -98,14 +82,6 @@ type MergeKey = (usize, u8, Sym, u32);
 
 /// One shard-pinned routed part, stamped with packet index and clamped time.
 type Routed = (usize, u64, Part);
-
-/// Merge order: `(packet idx, phase, scope text, emission seq)`. The scope
-/// symbol must be compared by its string — see [`MergeKey`].
-fn merge_cmp(a: &(MergeKey, Alert), b: &(MergeKey, Alert)) -> Ordering {
-    let (ai, ap, a_scope, a_seq) = &a.0;
-    let (bi, bp, b_scope, b_seq) = &b.0;
-    (ai, ap, a_scope.as_str(), a_seq).cmp(&(bi, bp, b_scope.as_str(), b_seq))
-}
 
 /// FNV-1a: a fixed, platform-independent hash so call→shard placement is
 /// deterministic (std's `RandomState` would randomize it per process).
@@ -131,7 +107,7 @@ fn shard_from_hash(hash: u64, shards: usize) -> usize {
 
 /// A sink that tags every alert with the merge key of the part being drained.
 struct TaggedSink<'a> {
-    out: &'a mut Vec<(MergeKey, Alert)>,
+    out: &'a mut Vec<FedAlert>,
     idx: usize,
     phase: u8,
     /// Sweep mode: scope alerts by their Call-ID so the merge reproduces the
@@ -141,7 +117,7 @@ struct TaggedSink<'a> {
 }
 
 impl<'a> TaggedSink<'a> {
-    fn packet(out: &'a mut Vec<(MergeKey, Alert)>, idx: usize, phase: u8) -> Self {
+    fn packet(out: &'a mut Vec<FedAlert>, idx: usize, phase: u8) -> Self {
         TaggedSink {
             out,
             idx,
@@ -151,7 +127,7 @@ impl<'a> TaggedSink<'a> {
         }
     }
 
-    fn sweep(out: &'a mut Vec<(MergeKey, Alert)>) -> Self {
+    fn sweep(out: &'a mut Vec<FedAlert>) -> Self {
         TaggedSink {
             out,
             idx: 0,
@@ -175,8 +151,8 @@ impl AlertSink for TaggedSink<'_> {
         } else {
             sym::EMPTY
         };
-        self.out
-            .push(((self.idx, self.phase, scope, self.seq), alert));
+        let key = (self.idx, self.phase, scope, self.seq);
+        self.out.push(FedAlert { key, alert });
         self.seq += 1;
     }
 }
@@ -260,20 +236,27 @@ pub fn route_hint(c: &Classified) -> RouteHint {
                 }
             }
         }
-        Classified::Rtp { event } => {
-            // The media-coordinate fallback hash (see `route_one`): used
-            // only when no call negotiated these coordinates, which the
-            // coordinator decides at its media-index probe.
-            let ip = event.sym_arg(sym::DST_IP).unwrap_or_default();
-            let port = event.uint_arg(sym::DST_PORT).unwrap_or(0);
-            let mut h = fnv1a(ip.as_str().as_bytes());
-            for byte in port.to_le_bytes() {
-                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            RouteHint { call: h, flood: 0 }
-        }
+        // Used only when no call negotiated these coordinates, which the
+        // coordinator decides at its media-index probe.
+        Classified::Rtp { event } => RouteHint {
+            call: media_hash(event),
+            flood: 0,
+        },
         Classified::Malformed { .. } | Classified::Ignored => RouteHint::default(),
     }
+}
+
+/// The media-coordinate fallback hash: where RTP that no call negotiated is
+/// routed, so any shard count flags the same packet as unassociated exactly
+/// once.
+fn media_hash(event: &Event) -> u64 {
+    let ip = event.sym_arg(sym::DST_IP).unwrap_or_default();
+    let port = event.uint_arg(sym::DST_PORT).unwrap_or(0);
+    let mut h = fnv1a(ip.as_str().as_bytes());
+    for byte in port.to_le_bytes() {
+        h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 impl RouteHint {
@@ -342,11 +325,12 @@ pub struct FedEvent {
     pub mask: PartMask,
 }
 
-/// A key-tagged alert exported by a federated batch. The key is the same
-/// deterministic merge key the pool uses internally, built on the *global*
-/// packet index, so the gateway can sort alerts from every node with
-/// [`FedAlert::merge_order`] and obtain the single pool's byte-identical
-/// alert sequence.
+/// A key-tagged alert: what every shard drain produces, and what a
+/// federated batch exports. The key is the pool's deterministic merge key —
+/// built on the *global* packet index on the federated path — so sorting
+/// with [`FedAlert::merge_order`] yields the single engine's byte-identical
+/// alert sequence whether the alerts came from the shards of one pool or
+/// from every node of a cluster.
 #[derive(Debug, Clone)]
 pub struct FedAlert {
     key: MergeKey,
@@ -356,8 +340,8 @@ pub struct FedAlert {
 
 impl FedAlert {
     /// The deterministic merge order — `(packet idx, phase, scope text,
-    /// emission seq)`, comparing the scope symbol by its string exactly as
-    /// the in-pool merge does.
+    /// emission seq)`. The scope symbol must be compared by its string —
+    /// see [`MergeKey`].
     pub fn merge_order(a: &FedAlert, b: &FedAlert) -> Ordering {
         let (ai, ap, a_scope, a_seq) = &a.key;
         let (bi, bp, b_scope, b_seq) = &b.key;
@@ -365,10 +349,11 @@ impl FedAlert {
     }
 }
 
-/// An unassociated SIP response detected by one federation member, to be
-/// counted by whichever member owns the destination IP — the cross-node
-/// generalization of the pool's deferred DRDoS phase. The gateway sorts
-/// all nodes' misses by `idx` and feeds each to
+/// An unassociated SIP response detected on the call-owning shard, to be
+/// counted on whichever shard — or, in a federation, whichever member —
+/// owns the destination IP: the deferred DRDoS phase. Inside one pool the
+/// misses of a batch are applied after the drain in packet order; a cluster
+/// gateway sorts all nodes' misses by `idx` and feeds each to
 /// [`VidsPool::apply_federated_misses`] on the owning node.
 #[derive(Debug, Clone, Copy)]
 pub struct FedMiss {
@@ -391,6 +376,44 @@ pub struct FedOutput {
     pub misses: Vec<FedMiss>,
 }
 
+/// One classified datagram as the routing core takes it, whichever entry
+/// point it came through.
+struct CoreEvent {
+    /// What the merge keys are built on: the position in the batch, or the
+    /// gateway's global index.
+    idx: usize,
+    classified: Classified,
+    /// Receive time, to be clamped monotonic.
+    at_ms: u64,
+    /// Receiver-computed routing hashes, when a receiver computed them.
+    hint: Option<RouteHint>,
+    mask: PartMask,
+}
+
+impl CoreEvent {
+    /// Every part of the datagram at position `idx` of a self-contained
+    /// batch — what each non-federated entry point feeds the core.
+    fn whole(idx: usize, classified: Classified, at: SimTime, hint: Option<RouteHint>) -> Self {
+        CoreEvent {
+            idx,
+            classified,
+            at_ms: at.as_millis(),
+            hint,
+            mask: PartMask::ALL,
+        }
+    }
+}
+
+/// Who keeps the batch-level books around a pass of the routing core.
+#[derive(Clone, Copy)]
+enum Books {
+    /// This pool: batch telemetry and the sweep count are recorded here.
+    Pool,
+    /// A cluster gateway, which records them exactly once per *global*
+    /// batch so the merged cluster snapshot equals the single pool's.
+    Gateway,
+}
+
 /// One shard-pinned part of a routed packet.
 enum Part {
     Register(Event),
@@ -406,314 +429,6 @@ enum Part {
         dst_ip: u32,
     },
     Rtp(Event),
-}
-
-/// An unassociated SIP response detected on the call-owning shard, to be
-/// counted on the destination-owning shard after the parallel drain.
-#[derive(Clone, Copy)]
-struct Miss {
-    idx: usize,
-    t: u64,
-    dst_ip: u32,
-    src_ip: Sym,
-}
-
-/// The mailbox protocol's state word and transition functions, split out so
-/// the `vids-harness` exhaustive interleaving checker exercises *these*
-/// definitions, not a transcription that could drift from the code. The
-/// worker side of the protocol ([`worker_loop`]) calls
-/// [`mailbox::worker_observe`] / [`mailbox::worker_publish`] verbatim; the
-/// coordinator side's steps (arm pending → write job → publish → wait) are
-/// modeled against the constants here. Hidden: this is a verification seam,
-/// not API.
-#[doc(hidden)]
-pub mod mailbox {
-    /// Mailbox is empty; the pool thread owns the cell's buffers.
-    pub const IDLE: u32 = 0;
-    /// A job is published; the worker owns the cell's buffers.
-    pub const HAS_WORK: u32 = 1;
-    /// The runtime is being dropped; the worker must exit its loop.
-    pub const SHUTDOWN: u32 = 2;
-    /// A job panicked; its payload is parked in the cell.
-    pub const POISONED: u32 = 3;
-
-    /// What a worker does after observing the state word.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum WorkerStep {
-        /// Take ownership of the mailbox and run the job.
-        Run,
-        /// Leave the worker loop (runtime shutdown).
-        Exit,
-        /// Nothing to do: spin, then park.
-        Wait,
-    }
-
-    /// The worker-side decision on an observed state word.
-    #[inline]
-    pub fn worker_observe(state: u32) -> WorkerStep {
-        match state {
-            HAS_WORK => WorkerStep::Run,
-            SHUTDOWN => WorkerStep::Exit,
-            _ => WorkerStep::Wait,
-        }
-    }
-
-    /// The state word a worker publishes after finishing a job, handing the
-    /// mailbox back to the pool thread.
-    #[inline]
-    pub fn worker_publish(panicked: bool) -> u32 {
-        if panicked {
-            POISONED
-        } else {
-            IDLE
-        }
-    }
-}
-
-use mailbox::{HAS_WORK, IDLE, POISONED, SHUTDOWN};
-
-/// Spins before a worker parks, covering back-to-back phase handoffs of one
-/// batch without a syscall round-trip.
-const SPIN_LIMIT: u32 = 64;
-
-/// A unit of work published to one worker.
-///
-/// The raw pointers keep the handoff allocation-free; they are valid for
-/// the whole job because the pool thread blocks in [`WorkerRuntime::wait`]
-/// before the borrows they were derived from end, and no two concurrent
-/// jobs reference the same shard engine.
-enum Job {
-    Idle,
-    /// Drain the cell's routed `queue` through the shard engine.
-    Drain {
-        engine: *mut Vids,
-    },
-    /// `force_maintain` the shard engine at `now_ms`.
-    Sweep {
-        engine: *mut Vids,
-        now_ms: u64,
-    },
-    /// Classify `packets[offset..offset + len]` into the cell's buffer.
-    Classify {
-        base: *const Packet,
-        offset: usize,
-        len: usize,
-    },
-    /// Test hook: panic inside the job to exercise poisoning.
-    #[cfg(test)]
-    Panic,
-}
-
-/// One worker's mailbox: the pending job plus reusable input/output buffers
-/// whose capacity persists across batches.
-struct ShardData {
-    queue: Vec<Routed>,
-    tagged: Vec<(MergeKey, Alert)>,
-    misses: Vec<Miss>,
-    classified: Vec<Classified>,
-    job: Job,
-}
-
-struct ShardCell {
-    /// [`IDLE`] / [`HAS_WORK`] / [`SHUTDOWN`] / [`POISONED`].
-    state: AtomicU32,
-    data: UnsafeCell<ShardData>,
-    /// Payload of a job that panicked, re-thrown on the pool thread.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-// SAFETY: `data` is owned by exactly one thread at a time. The worker owns
-// it between observing HAS_WORK (Acquire) and publishing IDLE/POISONED
-// (Release); the pool thread owns it otherwise, and only touches it while
-// no job is pending. The raw pointers inside `Job` are dereferenced only
-// during that worker-owned window, while the pool thread is blocked (or
-// working a disjoint shard), keeping their referents alive and unaliased.
-unsafe impl Send for ShardCell {}
-unsafe impl Sync for ShardCell {}
-
-/// State shared between the pool thread and its workers.
-struct Shared {
-    cells: Vec<ShardCell>,
-    /// Jobs published but not yet completed in the current phase.
-    pending: AtomicUsize,
-    /// The pool thread blocked in `wait()`, unparked when `pending` drains.
-    coordinator: Mutex<Option<Thread>>,
-    /// Workers currently parked (exported as [`Gauge::WorkerParked`]).
-    parked: AtomicU64,
-    /// Workers that have finished thread startup and entered their loop.
-    /// `spawn` blocks on this so the one-time startup allocations the std
-    /// runtime makes on a new thread can never bleed into a caller's
-    /// steady-state window (the allocation budget counts every thread).
-    started: AtomicUsize,
-}
-
-/// The persistent worker threads plus their shared mailboxes. Spawned once
-/// at pool construction for multi-shard pools; dropped (joining every
-/// worker) with the pool.
-struct WorkerRuntime {
-    shared: Arc<Shared>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl WorkerRuntime {
-    fn spawn(n: usize) -> Self {
-        let shared = Arc::new(Shared {
-            cells: (0..n)
-                .map(|_| ShardCell {
-                    state: AtomicU32::new(IDLE),
-                    data: UnsafeCell::new(ShardData {
-                        queue: Vec::new(),
-                        tagged: Vec::new(),
-                        misses: Vec::new(),
-                        classified: Vec::new(),
-                        job: Job::Idle,
-                    }),
-                    panic: Mutex::new(None),
-                })
-                .collect(),
-            pending: AtomicUsize::new(0),
-            coordinator: Mutex::new(None),
-            parked: AtomicU64::new(0),
-            started: AtomicUsize::new(0),
-        });
-        let handles = (0..n)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("vids-shard-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-                    .expect("spawn shard worker")
-            })
-            .collect();
-        while shared.started.load(Acquire) < n {
-            thread::yield_now();
-        }
-        WorkerRuntime { shared, handles }
-    }
-
-    /// The cell's mailbox. Dereference only while the owning side holds the
-    /// cell (see the `ShardCell` safety note).
-    fn data_ptr(&self, i: usize) -> *mut ShardData {
-        self.shared.cells[i].data.get()
-    }
-
-    /// Registers the pool thread for wakeup and arms the pending count with
-    /// the number of jobs the phase will publish. Storing the full count
-    /// *before* the first publish means an instantly-finishing worker
-    /// cannot drive `pending` to zero early.
-    fn begin(&self, jobs: usize) {
-        *self.shared.coordinator.lock().unwrap() = Some(thread::current());
-        self.shared.pending.store(jobs, Release);
-    }
-
-    /// Hands the already-written job in cell `i` to its worker.
-    fn publish(&self, i: usize) {
-        self.shared.cells[i].state.store(HAS_WORK, Release);
-        self.handles[i].thread().unpark();
-    }
-
-    /// Blocks until every published job of the phase has completed. The
-    /// Acquire load pairs with each worker's Release decrement, so on
-    /// return all worker writes (engine state, output buffers) are visible.
-    fn wait(&self) {
-        while self.shared.pending.load(Acquire) != 0 {
-            thread::park();
-        }
-        *self.shared.coordinator.lock().unwrap() = None;
-    }
-
-    /// Re-throws a panic captured on a worker. The runtime stays poisoned:
-    /// later calls panic again instead of deadlocking on a dead shard.
-    fn check_poison(&self) {
-        for cell in &self.shared.cells {
-            if cell.state.load(Acquire) == POISONED {
-                match cell.panic.lock().unwrap().take() {
-                    Some(payload) => panic::resume_unwind(payload),
-                    None => panic!("shard worker previously panicked"),
-                }
-            }
-        }
-    }
-}
-
-impl Drop for WorkerRuntime {
-    fn drop(&mut self) {
-        for cell in &self.shared.cells {
-            cell.state.store(SHUTDOWN, Release);
-        }
-        for handle in &self.handles {
-            handle.thread().unpark();
-        }
-        for handle in self.handles.drain(..) {
-            // A worker that panicked parked its payload in the cell and
-            // kept running its loop; never double-panic out of drop.
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, index: usize) {
-    let cell = &shared.cells[index];
-    shared.started.fetch_add(1, Release);
-    loop {
-        let mut spins = 0u32;
-        loop {
-            match mailbox::worker_observe(cell.state.load(Acquire)) {
-                mailbox::WorkerStep::Run => break,
-                mailbox::WorkerStep::Exit => return,
-                mailbox::WorkerStep::Wait => {}
-            }
-            if spins < SPIN_LIMIT {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                shared.parked.fetch_add(1, Relaxed);
-                thread::park();
-                shared.parked.fetch_sub(1, Relaxed);
-            }
-        }
-        // SAFETY: observing HAS_WORK (Acquire) transferred the mailbox to
-        // this worker; it is handed back by the Release store below.
-        let data = unsafe { &mut *cell.data.get() };
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_job(data)));
-        let panicked = outcome.is_err();
-        if let Err(payload) = outcome {
-            *cell.panic.lock().unwrap() = Some(payload);
-        }
-        cell.state.store(mailbox::worker_publish(panicked), Release);
-        if shared.pending.fetch_sub(1, AcqRel) == 1 {
-            // Last job of the phase: wake the pool thread.
-            if let Some(coordinator) = shared.coordinator.lock().unwrap().as_ref() {
-                coordinator.unpark();
-            }
-        }
-    }
-}
-
-fn run_job(data: &mut ShardData) {
-    match std::mem::replace(&mut data.job, Job::Idle) {
-        Job::Idle => {}
-        Job::Drain { engine } => {
-            // SAFETY: the pool thread keeps the engine alive and unaliased
-            // for the duration of the job (see `ShardCell`).
-            let engine = unsafe { &mut *engine };
-            drain_one(engine, &mut data.queue, &mut data.tagged, &mut data.misses);
-        }
-        Job::Sweep { engine, now_ms } => {
-            // SAFETY: as above.
-            let engine = unsafe { &mut *engine };
-            let mut sink = TaggedSink::sweep(&mut data.tagged);
-            engine.force_maintain(now_ms, &mut sink);
-        }
-        Job::Classify { base, offset, len } => {
-            // SAFETY: the batch slice outlives the phase (see `ShardCell`).
-            let packets = unsafe { std::slice::from_raw_parts(base.add(offset), len) };
-            data.classified.clear();
-            data.classified.extend(packets.iter().map(classify));
-        }
-        #[cfg(test)]
-        Job::Panic => panic!("injected shard worker panic"),
-    }
 }
 
 /// The sharded analysis engine. Construct with a [`Config`] whose `shards`
@@ -733,8 +448,9 @@ pub struct VidsPool {
     cost: CostModel,
     cpu: CpuAccount,
     alerts: Vec<Alert>,
-    /// Dedup for pool-level (shardless) alerts, i.e. malformed traffic.
-    dedup: HashSet<(String, String)>,
+    /// Dedup for pool-level (shardless) alerts, i.e. malformed traffic:
+    /// `(reason, protocol)`, both static, so asking costs no allocation.
+    dedup: HashSet<(&'static str, &'static str)>,
     /// Counters for traffic that never reaches a shard.
     extra: VidsCounters,
     last_sweep_ms: u64,
@@ -742,28 +458,17 @@ pub struct VidsPool {
     /// non-decreasing time, so a late-stamped packet is processed at the
     /// batch high-water mark, exactly as a single engine would see it.
     last_packet_ms: u64,
-    /// Hardware threads available at construction. On a single-core host
-    /// every parallel path degrades to the sequential one — same output
-    /// (the merge is deterministic either way), none of the thread
-    /// overhead.
-    workers: usize,
     /// Telemetry registry when enabled: one slab per shard (wired into the
     /// shard engines) plus a pool-level slab for batch/merge metrics.
     telemetry: Option<Arc<Registry>>,
-    /// Reusable per-shard routing queues. Their capacity shuttles between
-    /// here and the worker mailboxes (a handoff swaps `Vec`s), so
-    /// steady-state routing allocates nothing.
+    /// Reusable per-shard routing queues, filled only by a pipeline
+    /// session. Their capacity shuttles between here and the ring slots (a
+    /// publish swaps `Vec`s), so steady-state routing allocates nothing.
     queues: Vec<Vec<Routed>>,
-    /// Reusable classification output for the whole batch, in packet order.
-    classified: Vec<Classified>,
-    /// Reusable merge buffer of `(key, alert)` pairs for the current batch.
-    scratch_tagged: Vec<(MergeKey, Alert)>,
+    /// Reusable merge buffer of key-tagged alerts for the current batch.
+    scratch_tagged: Vec<FedAlert>,
     /// Reusable buffer of deferred DRDoS response misses.
-    scratch_misses: Vec<Miss>,
-    /// Persistent worker threads; `None` for single-shard pools, which
-    /// always drain inline. Workers hold no engine references while idle,
-    /// so drop order relative to `shards` is immaterial.
-    runtime: Option<WorkerRuntime>,
+    scratch_misses: Vec<FedMiss>,
 }
 
 impl VidsPool {
@@ -774,7 +479,9 @@ impl VidsPool {
 
     /// Creates a pool with an explicit cost model. The pool charges the
     /// per-packet CPU cost once, centrally, at routing time; shard-internal
-    /// accounting stays zero.
+    /// accounting stays zero. Spawns no thread: the only threads a pool
+    /// ever runs are the scoped workers of a [`VidsPool::with_pipeline`]
+    /// session.
     pub fn with_cost(config: Config, cost: CostModel) -> Self {
         let n = config.shards.max(1);
         VidsPool {
@@ -788,17 +495,10 @@ impl VidsPool {
             extra: VidsCounters::default(),
             last_sweep_ms: 0,
             last_packet_ms: 0,
-            workers: thread::available_parallelism().map_or(1, |p| p.get()),
             telemetry: None,
             queues: (0..n).map(|_| Vec::new()).collect(),
-            classified: Vec::new(),
             scratch_tagged: Vec::new(),
             scratch_misses: Vec::new(),
-            // Workers are spawned even on a single-core host (they just
-            // stay parked there): whether a batch is handed off or drained
-            // inline is a per-batch decision, and the panic/shutdown
-            // machinery behaves identically everywhere.
-            runtime: (n > 1).then(|| WorkerRuntime::spawn(n)),
         }
     }
 
@@ -833,11 +533,6 @@ impl VidsPool {
         registry
             .pool()
             .set_gauge(Gauge::MemoryBytes, index_bytes as u64);
-        if let Some(rt) = &self.runtime {
-            registry
-                .pool()
-                .set_gauge(Gauge::WorkerParked, rt.shared.parked.load(Relaxed));
-        }
         Some(registry.snapshot(now.as_millis()))
     }
 
@@ -926,88 +621,29 @@ impl VidsPool {
 
     /// Processes a batch of packets, pushing alerts into `sink` (they are
     /// also appended to the persistent log readable via
-    /// [`VidsPool::alerts`]).
-    ///
-    /// Pipeline: one amortized idle-timer sweep per batch, parallel
-    /// classification, sequential shard routing, parallel shard drains,
-    /// deferred DRDoS counting, deterministic merge.
+    /// [`VidsPool::alerts`]). Classifies each packet, then takes exactly
+    /// the wire path: [`CostModel::cpu_for`] and
+    /// [`CostModel::cpu_for_classified`] charge the same, so the two calls
+    /// differ only in who ran the classifier.
     pub fn process_batch<S: AlertSink + ?Sized>(
         &mut self,
         packets: &[Packet],
         now: SimTime,
         sink: &mut S,
     ) {
-        if let Some(rt) = &self.runtime {
-            rt.check_poison();
-        }
-        let now_ms = now.as_millis();
-        let mut tagged = std::mem::take(&mut self.scratch_tagged);
-
-        if let Some(reg) = &self.telemetry {
-            reg.pool().inc(Counter::BatchesIngested);
-            reg.pool()
-                .add(Counter::PacketsIngested, packets.len() as u64);
-            reg.pool().record(HistId::BatchSize, packets.len() as u64);
-        }
-
-        // Phase 0: at most one sweep per batch (the single engine re-checks
-        // the interval on every packet; the pool amortizes that to one
-        // barrier here, keyed ahead of every packet of the batch).
-        if now_ms.saturating_sub(self.last_sweep_ms) >= SWEEP_INTERVAL_MS {
-            self.last_sweep_ms = now_ms;
-            // The batch-level sweep is counted once here, on the pool slab:
-            // per-shard force_maintain does not count, so the total is the
-            // same whatever the shard count.
-            if let Some(reg) = &self.telemetry {
-                reg.pool().inc(Counter::TimerSweeps);
-            }
-            self.sweep_shards(now_ms, &mut tagged);
-        }
-
-        // Phase 1: classify — pure per-packet work, fanned out to the
-        // workers for big batches — into the reusable `classified` buffer.
-        self.classify_batch(packets);
-
-        // Phase 2: route. The only sequential pass over the batch: assigns
-        // monotonic per-packet times, charges the cost model, publishes
-        // media coordinates to the routing index, and queues shard-pinned
-        // parts. Malformed/ignored traffic is consumed here — it has no
-        // call, destination or media key to shard by.
-        let mut queues = std::mem::take(&mut self.queues);
-        let mut classified = std::mem::take(&mut self.classified);
-        let mut misses = std::mem::take(&mut self.scratch_misses);
-        let direct = self.direct_dispatch(packets.len());
-        for (idx, (packet, c)) in packets.iter().zip(classified.drain(..)).enumerate() {
-            self.cpu.charge(self.cost.cpu_for(packet));
-            let t = now_ms
-                .max(packet.sent_at.as_millis())
-                .max(self.last_packet_ms);
-            self.last_packet_ms = t;
-            self.route_one(
-                idx,
-                t,
-                c,
-                None,
-                PartMask::ALL,
-                direct,
-                &mut queues,
-                &mut tagged,
-                &mut misses,
-            );
-        }
-        self.classified = classified;
-
-        // Phases 3–5: drain, deferred DRDoS counting, deterministic merge.
-        self.drain_and_merge(queues, tagged, misses, sink);
+        let events = packets
+            .iter()
+            .enumerate()
+            .map(|(idx, p)| CoreEvent::whole(idx, classify(p), p.sent_at, None));
+        self.ingest_inline(events, now, sink);
     }
 
     /// Processes a batch of wire-classified datagrams, pushing alerts into
     /// `sink`. This is the live-ingestion twin of [`VidsPool::process_batch`]:
     /// the receiver threads already classified each datagram straight off
-    /// the socket buffer ([`crate::classify::classify_wire`]), so the pool
-    /// skips the classification fan-out and goes straight to routing. The
-    /// events are drained out of `events`, leaving its capacity to be
-    /// recycled by the caller.
+    /// the socket buffer ([`crate::classify::classify_wire`]). The events
+    /// are drained out of `events`, leaving its capacity to be recycled by
+    /// the caller.
     ///
     /// Given the same traffic, alerts and counters are byte-identical to
     /// the in-process path — the replay differential tests enforce it.
@@ -1017,55 +653,40 @@ impl VidsPool {
         now: SimTime,
         sink: &mut S,
     ) {
-        if let Some(rt) = &self.runtime {
-            rt.check_poison();
-        }
-        let now_ms = now.as_millis();
+        let events = events
+            .drain(..)
+            .enumerate()
+            .map(|(idx, ev)| CoreEvent::whole(idx, ev.classified, ev.at, None));
+        self.ingest_inline(events, now, sink);
+    }
+
+    /// Every self-contained synchronous batch: one in-place pass of the
+    /// routing core, the deferred DRDoS counts, the merge.
+    fn ingest_inline<S: AlertSink + ?Sized>(
+        &mut self,
+        events: impl ExactSizeIterator<Item = CoreEvent>,
+        now: SimTime,
+        sink: &mut S,
+    ) {
         let mut tagged = std::mem::take(&mut self.scratch_tagged);
-
-        if let Some(reg) = &self.telemetry {
-            reg.pool().inc(Counter::BatchesIngested);
-            reg.pool()
-                .add(Counter::PacketsIngested, events.len() as u64);
-            reg.pool().record(HistId::BatchSize, events.len() as u64);
-        }
-
-        // Phase 0: at most one sweep per batch, exactly as in
-        // `process_batch`.
-        if now_ms.saturating_sub(self.last_sweep_ms) >= SWEEP_INTERVAL_MS {
-            self.last_sweep_ms = now_ms;
-            if let Some(reg) = &self.telemetry {
-                reg.pool().inc(Counter::TimerSweeps);
-            }
-            self.sweep_shards(now_ms, &mut tagged);
-        }
-
-        // Phases 1+2 fused: classification already happened on the wire,
-        // so the only per-datagram work left is the sequential routing
-        // pass. The cost model charges by what the datagram claimed to be,
-        // matching `cpu_for` on the equivalent `Packet`.
-        let mut queues = std::mem::take(&mut self.queues);
         let mut misses = std::mem::take(&mut self.scratch_misses);
-        let direct = self.direct_dispatch(events.len());
-        for (idx, ev) in events.drain(..).enumerate() {
-            self.cpu
-                .charge(self.cost.cpu_for_classified(&ev.classified));
-            let t = now_ms.max(ev.at.as_millis()).max(self.last_packet_ms);
-            self.last_packet_ms = t;
-            self.route_one(
-                idx,
-                t,
-                ev.classified,
-                None,
-                PartMask::ALL,
-                direct,
-                &mut queues,
-                &mut tagged,
-                &mut misses,
-            );
-        }
-
-        self.drain_and_merge(queues, tagged, misses, sink);
+        self.route_pass(
+            events,
+            now.as_millis(),
+            Books::Pool,
+            None,
+            &mut tagged,
+            &mut misses,
+        );
+        // Deferred DRDoS reflection counting. The call-owning shard only
+        // *detects* the miss; the count belongs to the destination's shard.
+        // In-place ingestion found the misses in packet order, and they are
+        // delivered with their original packet times.
+        self.apply_misses(&misses, &mut tagged);
+        misses.clear();
+        self.scratch_misses = misses;
+        self.merge_into(&mut tagged, sink);
+        self.scratch_tagged = tagged;
     }
 
     /// Processes this member's share of one *global* batch in a cluster
@@ -1094,92 +715,33 @@ impl VidsPool {
         events: &mut Vec<FedEvent>,
         now: SimTime,
     ) -> FedOutput {
-        if let Some(rt) = &self.runtime {
-            rt.check_poison();
-        }
-        let now_ms = now.as_millis();
-        let mut tagged = std::mem::take(&mut self.scratch_tagged);
-
-        // Phase 0: the same once-per-batch sweep rule as every other path.
-        if now_ms.saturating_sub(self.last_sweep_ms) >= SWEEP_INTERVAL_MS {
-            self.last_sweep_ms = now_ms;
-            self.sweep_shards(now_ms, &mut tagged);
-        }
-
-        let mut queues = std::mem::take(&mut self.queues);
-        let mut misses = std::mem::take(&mut self.scratch_misses);
-        let direct = self.direct_dispatch(events.len());
-        for ev in events.drain(..) {
-            // CPU is charged on the call-owning node only, so a SIP INVITE
-            // split across two nodes costs the federation what it costs a
-            // single pool.
-            if ev.mask.call {
-                self.cpu
-                    .charge(self.cost.cpu_for_classified(&ev.classified));
-            }
-            // `t_ms` is already clamped against the global batch order;
-            // track the local high-water mark only for `tick` consistency.
-            self.last_packet_ms = self.last_packet_ms.max(ev.t_ms);
-            self.route_one(
-                ev.idx,
-                ev.t_ms,
-                ev.classified,
-                None,
-                ev.mask,
-                direct,
-                &mut queues,
-                &mut tagged,
-                &mut misses,
-            );
-        }
-
-        self.drain_shards(&mut queues, &mut tagged, &mut misses);
-        self.queues = queues;
-
-        let fed_misses = misses
-            .drain(..)
-            .map(|m| FedMiss {
-                idx: m.idx,
-                t_ms: m.t,
-                dst_ip: m.dst_ip,
-                src_ip: m.src_ip,
-            })
-            .collect();
-        self.scratch_misses = misses;
-
-        let alerts = tagged
-            .drain(..)
-            .map(|(key, alert)| FedAlert { key, alert })
-            .collect();
-        self.scratch_tagged = tagged;
-        FedOutput {
-            alerts,
-            misses: fed_misses,
-        }
+        let mut out = FedOutput::default();
+        let events = events.drain(..).map(|ev| CoreEvent {
+            idx: ev.idx,
+            classified: ev.classified,
+            at_ms: ev.t_ms,
+            hint: None,
+            mask: ev.mask,
+        });
+        self.route_pass(
+            events,
+            now.as_millis(),
+            Books::Gateway,
+            None,
+            &mut out.alerts,
+            &mut out.misses,
+        );
+        out
     }
 
     /// Applies DRDoS misses this pool's destinations own — the federated
-    /// spelling of the deferred phase 4 in [`VidsPool::process_batch`].
-    /// The gateway must pass misses in ascending global `idx` order,
-    /// merged across every node that exported some.
+    /// spelling of the deferred counting phase of the synchronous batch
+    /// calls. The gateway must pass misses in ascending global `idx`
+    /// order, merged across every node that exported some.
     pub fn apply_federated_misses(&mut self, misses: &[FedMiss]) -> Vec<FedAlert> {
-        let mut tagged = std::mem::take(&mut self.scratch_tagged);
-        for miss in misses {
-            let shard = self.shard_of(&miss.dst_ip.to_le_bytes());
-            let mut tsink = TaggedSink::packet(&mut tagged, miss.idx, 3);
-            self.shards[shard].ingest_response_flood(
-                miss.dst_ip,
-                miss.src_ip,
-                miss.t_ms,
-                &mut tsink,
-            );
-        }
-        let out = tagged
-            .drain(..)
-            .map(|(key, alert)| FedAlert { key, alert })
-            .collect();
-        self.scratch_tagged = tagged;
-        out
+        let mut tagged = Vec::new();
+        self.apply_misses(misses, &mut tagged);
+        tagged
     }
 
     /// The federated spelling of [`VidsPool::tick`]: advances idle timers
@@ -1188,22 +750,23 @@ impl VidsPool {
     /// The gateway calls this on every node with the same `now` and counts
     /// the sweep once.
     pub fn federated_tick(&mut self, now: SimTime) -> Vec<FedAlert> {
-        if let Some(rt) = &self.runtime {
-            rt.check_poison();
+        let mut tagged = Vec::new();
+        if now.as_millis() >= SWEEP_INTERVAL_MS {
+            self.sweep(now.as_millis(), Books::Gateway, &mut tagged);
         }
-        let now_ms = now.as_millis();
-        if now_ms < SWEEP_INTERVAL_MS {
-            return Vec::new(); // mirror Vids::tick's interval gate from time zero
-        }
-        self.last_sweep_ms = now_ms;
+        tagged
+    }
+
+    /// Advances idle timers and evicts finished calls on every shard,
+    /// pushing timer-driven alerts into `sink` in deterministic order.
+    pub fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
         let mut tagged = std::mem::take(&mut self.scratch_tagged);
-        self.sweep_shards(now_ms, &mut tagged);
-        let out = tagged
-            .drain(..)
-            .map(|(key, alert)| FedAlert { key, alert })
-            .collect();
+        // Mirror Vids::tick's interval gate from time zero.
+        if now.as_millis() >= SWEEP_INTERVAL_MS {
+            self.sweep(now.as_millis(), Books::Pool, &mut tagged);
+        }
+        self.merge_into(&mut tagged, sink);
         self.scratch_tagged = tagged;
-        out
     }
 
     /// Whether any call on any shard currently has these media coordinates
@@ -1219,53 +782,96 @@ impl VidsPool {
             .any(|s| s.factbase().media_lookup(ip, port).is_some())
     }
 
-    /// Whether this batch should bypass the shard queues and ingest parts
-    /// during the routing pass. True whenever the drain phase would run on
-    /// the calling thread anyway: no worker runtime, a single hardware
-    /// thread, a single shard, or a batch too small to amortize a handoff.
-    fn direct_dispatch(&self, batch_len: usize) -> bool {
-        self.runtime.is_none()
-            || self.workers == 1
-            || self.shards.len() == 1
-            || batch_len < PARALLEL_DRAIN_THRESHOLD
+    /// Whether a batch clocked at `now_ms` opens with an idle-timer sweep.
+    fn sweep_due(&self, now_ms: u64) -> bool {
+        now_ms.saturating_sub(self.last_sweep_ms) >= SWEEP_INTERVAL_MS
     }
 
-    /// Phase 2 body shared by the packet, wire batch and pipeline paths:
-    /// assigns one routed part per protocol role, publishes media
-    /// coordinates, and consumes malformed/ignored traffic (it has no call,
-    /// destination or media key to shard by).
+    /// The one routing core behind every entry point. Phases, in order:
     ///
-    /// With `direct` set the part skips the shard queue and is ingested
-    /// right here: the batch was going to drain on this thread anyway
-    /// (single worker, single shard, or below the parallel threshold), so
-    /// queueing would only add two ~500-byte `Event` moves per packet.
+    /// 0. batch telemetry, and at most one idle-timer sweep per batch (the
+    ///    single engine re-checks the interval on every packet; the pool
+    ///    amortizes that to one pass here, keyed ahead of every packet);
+    /// 1. per datagram, in packet order — the only globally ordered step —
+    ///    the cost-model charge and the monotonic clock clamp;
+    /// 2. [`VidsPool::route_one`]: one routed part per protocol role, each
+    ///    ingested in place (`queues` is `None`: every synchronous call,
+    ///    filling `tagged` and `misses`) or queued for its shard's ring
+    ///    lane (`Some`: a pipeline session, whose workers fill the slots'
+    ///    own buffers instead).
+    ///
+    /// What happens to `tagged` and `misses` afterwards — apply and merge,
+    /// export to a gateway, or park until the epoch is harvested — is the
+    /// caller's, as is quiescing a pipeline before a due sweep.
+    fn route_pass(
+        &mut self,
+        events: impl ExactSizeIterator<Item = CoreEvent>,
+        now_ms: u64,
+        books: Books,
+        mut queues: Option<&mut [Vec<Routed>]>,
+        tagged: &mut Vec<FedAlert>,
+        misses: &mut Vec<FedMiss>,
+    ) {
+        if let (Books::Pool, Some(reg)) = (books, &self.telemetry) {
+            let len = events.len() as u64;
+            reg.pool().inc(Counter::BatchesIngested);
+            reg.pool().add(Counter::PacketsIngested, len);
+            reg.pool().record(HistId::BatchSize, len);
+        }
+        if self.sweep_due(now_ms) {
+            self.sweep(now_ms, books, tagged);
+        }
+        for ev in events {
+            // The cost model charges by what the datagram claimed to be,
+            // and with the call part only: a SIP INVITE a gateway split
+            // across two nodes costs the federation what it costs one pool.
+            if ev.mask.call {
+                self.cpu
+                    .charge(self.cost.cpu_for_classified(&ev.classified));
+            }
+            // A no-op on times a gateway already clamped across the global
+            // batch order (they are ≥ `now_ms` and ≥ every earlier one).
+            let t = now_ms.max(ev.at_ms).max(self.last_packet_ms);
+            self.last_packet_ms = t;
+            self.route_one(ev, t, queues.as_deref_mut(), tagged, misses);
+        }
+    }
+
+    /// Phase 2 of the core: assigns one routed part per protocol role,
+    /// publishes media coordinates to the routing index, and consumes
+    /// malformed/ignored traffic (it has no call, destination or media key
+    /// to shard by).
+    ///
+    /// Each part goes onto its shard's queue when the caller has queues (a
+    /// pipeline session: the engines belong to the ring workers while
+    /// epochs are in flight) and straight into the shard engine otherwise.
     /// Per-shard event order is identical either way — routing is the
     /// sequential packet-order pass — and the merge keys make the final
     /// alert order independent of the choice.
     ///
-    /// A `hint` carries the FNV-1a key hashes pre-computed on a receiver
+    /// `ev.hint` carries the FNV-1a key hashes pre-computed on a receiver
     /// thread ([`route_hint`]); without one the hashes are computed here,
-    /// lazily, exactly as before. Both spellings place every part on the
-    /// same shard.
-    ///
-    /// `mask` selects which protocol-role parts to ingest — always
+    /// lazily. Both spellings place every part on the same shard.
+    /// `ev.mask` selects which protocol-role parts to ingest — always
     /// [`PartMask::ALL`] except on the federated path, where the gateway
     /// may have placed a packet's call and flood parts on different nodes.
-    #[allow(clippy::too_many_arguments)]
     fn route_one(
         &mut self,
-        idx: usize,
+        ev: CoreEvent,
         t: u64,
-        c: Classified,
-        hint: Option<RouteHint>,
-        mask: PartMask,
-        direct: bool,
-        queues: &mut [Vec<Routed>],
-        tagged: &mut Vec<(MergeKey, Alert)>,
-        misses: &mut Vec<Miss>,
+        mut queues: Option<&mut [Vec<Routed>]>,
+        tagged: &mut Vec<FedAlert>,
+        misses: &mut Vec<FedMiss>,
     ) {
         let n = self.shards.len();
-        match c {
+        let CoreEvent {
+            idx, hint, mask, ..
+        } = ev;
+        let mut place = |shards: &mut [Vids], shard: usize, part: Part| match &mut queues {
+            Some(queues) => queues[shard].push((idx, t, part)),
+            None => ingest_part(&mut shards[shard], idx, t, part, tagged, misses),
+        };
+        match ev.classified {
             Classified::Sip {
                 call_id,
                 event,
@@ -1284,12 +890,7 @@ impl VidsPool {
                             self.shard_of(aor.as_bytes())
                         }
                     };
-                    let part = Part::Register(event);
-                    if direct {
-                        ingest_part(&mut self.shards[shard], idx, t, part, tagged, misses);
-                    } else {
-                        queues[shard].push((idx, t, part));
-                    }
+                    place(&mut self.shards, shard, Part::Register(event));
                     return;
                 }
                 if mask.flood && event.name == sym::SIP_INVITE {
@@ -1301,11 +902,7 @@ impl VidsPool {
                         event: event.clone(),
                         dst_ip,
                     };
-                    if direct {
-                        ingest_part(&mut self.shards[flood_shard], idx, t, part, tagged, misses);
-                    } else {
-                        queues[flood_shard].push((idx, t, part));
-                    }
+                    place(&mut self.shards, flood_shard, part);
                 }
                 if !mask.call {
                     return;
@@ -1328,11 +925,7 @@ impl VidsPool {
                     is_request,
                     dst_ip,
                 };
-                if direct {
-                    ingest_part(&mut self.shards[shard], idx, t, part, tagged, misses);
-                } else {
-                    queues[shard].push((idx, t, part));
-                }
+                place(&mut self.shards, shard, part);
             }
             Classified::Rtp { event } if mask.call => {
                 let shard = if n == 1 {
@@ -1347,41 +940,18 @@ impl VidsPool {
                             // No call negotiated these coordinates: route by
                             // their hash so any shard count flags the same
                             // packet as unassociated exactly once.
-                            if let Some(h) = hint {
-                                return shard_from_hash(h.call, n);
-                            }
-                            let mut h = fnv1a(ip.as_str().as_bytes());
-                            for byte in port.to_le_bytes() {
-                                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-                            }
-                            (h % n as u64) as usize
+                            let hash = hint.map_or_else(|| media_hash(&event), |h| h.call);
+                            shard_from_hash(hash, n)
                         })
                 };
-                if direct {
-                    ingest_part(
-                        &mut self.shards[shard],
-                        idx,
-                        t,
-                        Part::Rtp(event),
-                        tagged,
-                        misses,
-                    );
-                } else {
-                    queues[shard].push((idx, t, Part::Rtp(event)));
-                }
+                place(&mut self.shards, shard, Part::Rtp(event));
             }
             Classified::Malformed { protocol, reason } if mask.call => {
                 self.extra.malformed += 1;
                 if let Some(reg) = &self.telemetry {
                     reg.pool().inc(Counter::Malformed);
                 }
-                self.pool_raise(
-                    tagged,
-                    idx,
-                    t,
-                    format!("malformed-{}", protocol.to_ascii_lowercase()),
-                    reason.to_owned(),
-                );
+                self.pool_raise(tagged, idx, t, protocol, reason);
             }
             Classified::Ignored if mask.call => {
                 self.extra.ignored += 1;
@@ -1394,72 +964,32 @@ impl VidsPool {
         }
     }
 
-    /// Phases 3–5 shared by the packet and wire batch paths.
-    fn drain_and_merge<S: AlertSink + ?Sized>(
-        &mut self,
-        mut queues: Vec<Vec<Routed>>,
-        mut tagged: Vec<(MergeKey, Alert)>,
-        mut misses: Vec<Miss>,
-        sink: &mut S,
-    ) {
-        // Phase 3: drain every shard's queue — on the persistent workers
-        // when the batch is big enough, inline otherwise. Direct-dispatch
-        // batches arrive with empty queues and this pass is a no-op.
-        self.drain_shards(&mut queues, &mut tagged, &mut misses);
-        self.queues = queues;
-
-        // Phase 4: deferred DRDoS reflection counting. The call-owning shard
-        // only *detects* the miss; the count belongs to the destination's
-        // shard, which may have been busy during the drain. Delivered in
-        // packet order with original packet times — flood networks are only
-        // touched in this phase and at routing-queue drain, both
-        // time-monotonic.
-        misses.sort_unstable_by_key(|m| m.idx);
-        for miss in misses.drain(..) {
+    /// The deferred DRDoS phase: counts each unassociated response on the
+    /// shard owning its destination IP. `misses` must be in packet order —
+    /// the flood networks need non-decreasing time.
+    fn apply_misses(&mut self, misses: &[FedMiss], tagged: &mut Vec<FedAlert>) {
+        for miss in misses {
             let shard = self.shard_of(&miss.dst_ip.to_le_bytes());
-            let mut tsink = TaggedSink::packet(&mut tagged, miss.idx, 3);
-            self.shards[shard].ingest_response_flood(miss.dst_ip, miss.src_ip, miss.t, &mut tsink);
+            count_miss(&mut self.shards[shard], miss, tagged);
         }
-        self.scratch_misses = misses;
+    }
 
-        // Phase 5: merge. The key makes this order independent of shard
-        // count and thread scheduling.
+    /// The merge, and the epilogue of every path that emits: sorts the
+    /// batch's (or epoch's) key-tagged alerts, appends them to the log and
+    /// hands them to `sink`, leaving `tagged` empty. The key makes this
+    /// order independent of shard count and thread scheduling.
+    fn merge_into<S: AlertSink + ?Sized>(&mut self, tagged: &mut Vec<FedAlert>, sink: &mut S) {
         let merge_started = self.telemetry.as_ref().map(|_| Instant::now());
-        tagged.sort_unstable_by(merge_cmp);
-        for (_key, alert) in tagged.drain(..) {
-            self.alerts.push(alert.clone());
-            sink.accept(alert);
+        tagged.sort_unstable_by(FedAlert::merge_order);
+        for fed in tagged.drain(..) {
+            self.alerts.push(fed.alert.clone());
+            sink.accept(fed.alert);
         }
-        self.scratch_tagged = tagged;
         if let (Some(reg), Some(started)) = (&self.telemetry, merge_started) {
             let nanos = started.elapsed().as_nanos() as u64;
             reg.pool().add(Counter::MergeNanos, nanos);
             reg.pool().record(HistId::MergeNanos, nanos);
         }
-    }
-
-    /// Advances idle timers and evicts finished calls on every shard,
-    /// pushing timer-driven alerts into `sink` in deterministic order.
-    pub fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
-        if let Some(rt) = &self.runtime {
-            rt.check_poison();
-        }
-        let now_ms = now.as_millis();
-        if now_ms < SWEEP_INTERVAL_MS {
-            return; // mirror Vids::tick's interval gate from time zero
-        }
-        self.last_sweep_ms = now_ms;
-        if let Some(reg) = &self.telemetry {
-            reg.pool().inc(Counter::TimerSweeps);
-        }
-        let mut tagged = std::mem::take(&mut self.scratch_tagged);
-        self.sweep_shards(now_ms, &mut tagged);
-        tagged.sort_unstable_by(merge_cmp);
-        for (_key, alert) in tagged.drain(..) {
-            self.alerts.push(alert.clone());
-            sink.accept(alert);
-        }
-        self.scratch_tagged = tagged;
     }
 
     fn shard_of(&self, bytes: &[u8]) -> usize {
@@ -1469,17 +999,19 @@ impl VidsPool {
         shard_from_hash(fnv1a(bytes), self.shards.len())
     }
 
-    /// Pool-level alert with the single engine's dedup semantics for
-    /// call-less alerts (scope = detail text).
+    /// Pool-level alert for malformed traffic, with the single engine's
+    /// dedup semantics for call-less alerts (scope = detail text). A repeat
+    /// — the cheapest thing an attacker can send — returns before anything
+    /// is formatted or allocated.
     fn pool_raise(
         &mut self,
-        tagged: &mut Vec<(MergeKey, Alert)>,
+        tagged: &mut Vec<FedAlert>,
         idx: usize,
         t: u64,
-        label: String,
-        detail: String,
+        protocol: &'static str,
+        reason: &'static str,
     ) {
-        if !self.dedup.insert((detail.clone(), label.clone())) {
+        if !self.dedup.insert((reason, protocol)) {
             return;
         }
         if let Some(reg) = &self.telemetry {
@@ -1488,173 +1020,30 @@ impl VidsPool {
         let alert = Alert {
             time_ms: t,
             kind: AlertKind::Deviation,
-            label,
+            label: format!("malformed-{}", protocol.to_ascii_lowercase()),
             call_id: None,
             machine: "classifier".to_owned(),
-            detail,
+            detail: reason.to_owned(),
             trace: Vec::new(),
         };
-        tagged.push(((idx, 2, sym::EMPTY, 0), alert));
+        let key = (idx, 2, sym::EMPTY, 0);
+        tagged.push(FedAlert { key, alert });
     }
 
-    /// Classifies the batch into `self.classified` (packet order). Big
-    /// batches are chunked across the workers; the pool thread classifies
-    /// chunk 0 itself while they run.
-    fn classify_batch(&mut self, packets: &[Packet]) {
-        self.classified.clear();
-        let threads = self.shards.len().min(self.workers);
-        let parallel =
-            self.runtime.is_some() && threads > 1 && packets.len() >= PARALLEL_CLASSIFY_THRESHOLD;
-        if !parallel {
-            self.classified.extend(packets.iter().map(classify));
-            return;
+    /// One idle-timer sweep of every shard at `now_ms`, on the calling
+    /// thread (sweeps are interval-gated and O(expiring) on the shards'
+    /// time wheels); a pipeline session quiesces its ring first. Alerts are
+    /// tagged ahead of every packet of the batch and scoped by Call-ID.
+    fn sweep(&mut self, now_ms: u64, books: Books, tagged: &mut Vec<FedAlert>) {
+        self.last_sweep_ms = now_ms;
+        // Counted once, on the pool slab: per-shard force_maintain does not
+        // count, so the total is the same whatever the shard count.
+        if let (Books::Pool, Some(reg)) = (books, &self.telemetry) {
+            reg.pool().inc(Counter::TimerSweeps);
         }
-        let rt = self.runtime.as_ref().unwrap();
-        let chunk = packets.len().div_ceil(threads);
-        let base = packets.as_ptr();
-        let jobs = (1..threads).filter(|j| j * chunk < packets.len()).count();
-        rt.begin(jobs);
-        for j in 1..threads {
-            let offset = j * chunk;
-            if offset >= packets.len() {
-                break;
-            }
-            // SAFETY: workers are idle (no job pending), so the pool
-            // thread owns every mailbox.
-            let data = unsafe { &mut *rt.data_ptr(j) };
-            data.job = Job::Classify {
-                base,
-                offset,
-                len: chunk.min(packets.len() - offset),
-            };
-            rt.publish(j);
-        }
-        self.classified
-            .extend(packets[..chunk.min(packets.len())].iter().map(classify));
-        rt.wait();
-        rt.check_poison();
-        if let Some(reg) = &self.telemetry {
-            reg.pool().add(Counter::BatchHandoffs, jobs as u64);
-        }
-        for j in 1..threads {
-            if j * chunk >= packets.len() {
-                break;
-            }
-            // SAFETY: `wait` returned, so every mailbox is back with us.
-            let data = unsafe { &mut *rt.data_ptr(j) };
-            self.classified.append(&mut data.classified);
-        }
-    }
-
-    /// Drains every shard's routed queue. Small batches run inline; big
-    /// ones are handed to the workers, with the busiest queue kept on the
-    /// pool thread (the coordinator works instead of idling, and it is one
-    /// fewer handoff).
-    fn drain_shards(
-        &mut self,
-        queues: &mut [Vec<Routed>],
-        tagged: &mut Vec<(MergeKey, Alert)>,
-        misses: &mut Vec<Miss>,
-    ) {
-        let n = self.shards.len();
-        let total: usize = queues.iter().map(Vec::len).sum();
-        let parallel = self.runtime.is_some()
-            && self.workers > 1
-            && n > 1
-            && total >= PARALLEL_DRAIN_THRESHOLD;
-        if !parallel {
-            for (shard, queue) in self.shards.iter_mut().zip(queues.iter_mut()) {
-                drain_one(shard, queue, tagged, misses);
-            }
-            return;
-        }
-        let rt = self.runtime.as_ref().unwrap();
-        let busiest = (0..n).max_by_key(|&i| queues[i].len()).unwrap_or(0);
-        let engines: *mut Vids = self.shards.as_mut_ptr();
-        let jobs = queues
-            .iter()
-            .enumerate()
-            .filter(|(i, q)| *i != busiest && !q.is_empty())
-            .count();
-        rt.begin(jobs);
-        for (i, queue) in queues.iter_mut().enumerate() {
-            if i == busiest || queue.is_empty() {
-                continue;
-            }
-            // SAFETY: workers are idle, so the pool thread owns the
-            // mailbox; the engine pointer is disjoint per job and outlives
-            // the phase (we block in `wait` below).
-            let data = unsafe { &mut *rt.data_ptr(i) };
-            std::mem::swap(&mut data.queue, queue);
-            data.job = Job::Drain {
-                engine: unsafe { engines.add(i) },
-            };
-            rt.publish(i);
-        }
-        // SAFETY: `busiest` is published to no worker, so this &mut is the
-        // only reference to that engine.
-        let own = unsafe { &mut *engines.add(busiest) };
-        drain_one(own, &mut queues[busiest], tagged, misses);
-        rt.wait();
-        rt.check_poison();
-        if let Some(reg) = &self.telemetry {
-            reg.pool().add(Counter::BatchHandoffs, jobs as u64);
-        }
-        for (i, queue) in queues.iter_mut().enumerate() {
-            if i == busiest {
-                continue;
-            }
-            // SAFETY: `wait` returned; the mailboxes are back with us.
-            // Cells that got no job have empty buffers, so gathering from
-            // everyone is uniform and a no-op for them.
-            let data = unsafe { &mut *rt.data_ptr(i) };
-            tagged.append(&mut data.tagged);
-            misses.append(&mut data.misses);
-            // Swap the (drained) queue buffer back so the next batch's
-            // routing reuses its capacity.
-            std::mem::swap(&mut data.queue, queue);
-        }
-    }
-
-    fn sweep_shards(&mut self, now_ms: u64, tagged: &mut Vec<(MergeKey, Alert)>) {
-        let n = self.shards.len();
-        let parallel = self.runtime.is_some() && self.workers > 1 && n > 1;
-        if !parallel {
-            for shard in &mut self.shards {
-                let mut sink = TaggedSink::sweep(tagged);
-                shard.force_maintain(now_ms, &mut sink);
-            }
-        } else {
-            let rt = self.runtime.as_ref().unwrap();
-            let engines: *mut Vids = self.shards.as_mut_ptr();
-            rt.begin(n - 1);
-            for i in 1..n {
-                // SAFETY: as in `drain_shards` — idle workers, disjoint
-                // engine per job, pool thread blocks before the phase ends.
-                let data = unsafe { &mut *rt.data_ptr(i) };
-                data.job = Job::Sweep {
-                    engine: unsafe { engines.add(i) },
-                    now_ms,
-                };
-                rt.publish(i);
-            }
-            {
-                // Shard 0 sweeps on the pool thread meanwhile.
-                // SAFETY: published to no worker.
-                let own = unsafe { &mut *engines };
-                let mut sink = TaggedSink::sweep(tagged);
-                own.force_maintain(now_ms, &mut sink);
-            }
-            rt.wait();
-            rt.check_poison();
-            if let Some(reg) = &self.telemetry {
-                reg.pool().add(Counter::BatchHandoffs, (n - 1) as u64);
-            }
-            for i in 1..n {
-                // SAFETY: `wait` returned; the mailboxes are back with us.
-                let data = unsafe { &mut *rt.data_ptr(i) };
-                tagged.append(&mut data.tagged);
-            }
+        for shard in &mut self.shards {
+            let mut sink = TaggedSink::sweep(tagged);
+            shard.force_maintain(now_ms, &mut sink);
         }
         // Drop routing entries for media the shards just evicted, keeping
         // the pool index in lock-step with the per-shard media indexes.
@@ -1678,13 +1067,10 @@ impl VidsPool {
     /// Output is byte-identical to feeding the same batches through
     /// [`VidsPool::process_wire_batch`]: alerts merge per epoch on the same
     /// deterministic key, cross-shard DRDoS misses apply in packet order,
-    /// and sweeps run on the same batch-clock rule. Workers join when the
-    /// closure returns (or unwinds); anything left unflushed is merged into
-    /// the pool's alert log on the way out.
+    /// and sweeps run on the same batch-clock rule. Workers are joined when
+    /// the closure returns (or unwinds); anything left unflushed is merged
+    /// into the pool's alert log on the way out.
     pub fn with_pipeline<R>(&mut self, f: impl FnOnce(&mut PipelineIngress<'_, '_>) -> R) -> R {
-        if let Some(rt) = &self.runtime {
-            rt.check_poison();
-        }
         let n = self.shards.len();
         let shared = PipelineShared {
             lanes: (0..n).map(|_| Lane::new()).collect(),
@@ -1692,21 +1078,24 @@ impl VidsPool {
             stop: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             panic: Mutex::new(None),
-            #[cfg(test)]
             panic_epoch: AtomicU64::new(u64::MAX),
         };
         thread::scope(|scope| {
+            // Workers exit once `stop` is set and every published epoch is
+            // processed. The guard sets it and joins them even when `f`
+            // unwinds, so no session thread outlives this call.
+            let mut session = SessionGuard {
+                shared: &shared,
+                workers: Vec::with_capacity(n),
+            };
             for i in 0..n {
                 let shared = &shared;
-                thread::Builder::new()
+                let worker = thread::Builder::new()
                     .name(format!("vids-pipe-{i}"))
                     .spawn_scoped(scope, move || pipeline_worker(shared, i))
                     .expect("spawn pipeline worker");
+                session.workers.push(worker);
             }
-            // Workers exit once `stop` is set and every published epoch is
-            // processed. The guard sets it even when `f` unwinds, so the
-            // scope's implicit join cannot deadlock.
-            let _stop = StopGuard(&shared);
             let mut ingress = PipelineIngress {
                 pool: self,
                 shared: &shared,
@@ -1724,54 +1113,19 @@ impl VidsPool {
             result
         })
     }
-
-    /// Test hook: pretends the host has `workers` hardware threads so the
-    /// handoff paths are exercised even on a single-core CI box.
-    #[cfg(test)]
-    fn force_workers(&mut self, workers: usize) {
-        self.workers = workers;
-    }
-
-    /// Test hook: runs a panicking job on one worker to exercise poison
-    /// propagation end to end.
-    #[cfg(test)]
-    fn inject_worker_panic(&mut self, shard: usize) {
-        let rt = self.runtime.as_ref().expect("multi-shard pool has workers");
-        rt.check_poison();
-        // SAFETY: no job in flight; the pool thread owns the mailbox.
-        let data = unsafe { &mut *rt.data_ptr(shard) };
-        data.job = Job::Panic;
-        rt.begin(1);
-        rt.publish(shard);
-        rt.wait();
-        rt.check_poison();
-    }
-}
-
-/// Drains one shard's routed queue (leaving its capacity in place) through
-/// the shard engine, on the pool thread or a worker.
-fn drain_one(
-    vids: &mut Vids,
-    queue: &mut Vec<Routed>,
-    alerts: &mut Vec<(MergeKey, Alert)>,
-    misses: &mut Vec<Miss>,
-) {
-    for (idx, t, part) in queue.drain(..) {
-        ingest_part(vids, idx, t, part, alerts, misses);
-    }
 }
 
 /// Delivers one routed part to its shard engine, tagging every alert with
-/// its merge key. Shared by the queued drain path and the direct-dispatch
-/// routing pass; per-shard order is the same under both because routing is
+/// its merge key. Shared by the in-place routing pass and the ring workers'
+/// queue drain; per-shard order is the same under both because routing is
 /// the sequential packet-order pass.
 fn ingest_part(
     vids: &mut Vids,
     idx: usize,
     t: u64,
     part: Part,
-    alerts: &mut Vec<(MergeKey, Alert)>,
-    misses: &mut Vec<Miss>,
+    alerts: &mut Vec<FedAlert>,
+    misses: &mut Vec<FedMiss>,
 ) {
     match part {
         Part::Register(event) => {
@@ -1793,9 +1147,9 @@ fn ingest_part(
             if let Some(miss) =
                 vids.ingest_call_event(call_id, event, is_initial_invite, is_request, t, &mut sink)
             {
-                misses.push(Miss {
+                misses.push(FedMiss {
                     idx,
-                    t,
+                    t_ms: t,
                     dst_ip,
                     src_ip: miss.src_ip,
                 });
@@ -1808,16 +1162,113 @@ fn ingest_part(
     }
 }
 
+/// Counts one unassociated response on the engine owning its destination:
+/// the deferred DRDoS phase (merge phase 3) for one miss.
+fn count_miss(engine: &mut Vids, miss: &FedMiss, tagged: &mut Vec<FedAlert>) {
+    let mut sink = TaggedSink::packet(tagged, miss.idx, 3);
+    engine.ingest_response_flood(miss.dst_ip, miss.src_ip, miss.t_ms, &mut sink);
+}
+
+/// The epoch ring's decisions as pure functions of the lane counters, split
+/// out so the `vids-harness` exhaustive interleaving checker exercises
+/// *these* definitions, not a transcription that could drift from the code:
+/// the ring worker and the coordinator's `submit`/harvest call them
+/// verbatim. Hidden: this is a verification seam, not API.
+///
+/// A lane carries three monotone epoch counts — `tail` (published),
+/// `drained` (queue consumed, miss list frozen) and `applied` (finished) —
+/// and slot `epoch % depth` has a single owner at every instant: the
+/// coordinator until `tail` passes `epoch` and again once `applied` has, the
+/// lane's worker in between, with the slot's miss list read-shared by every
+/// worker from `drained` until the harvest.
+#[doc(hidden)]
+pub mod lane {
+    /// What a waiting thread does after looking at the counters.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Step {
+        /// The awaited condition holds: proceed.
+        Go,
+        /// The session is being torn down: stop waiting and leave.
+        Quit,
+        /// Neither yet: back off and look again.
+        Wait,
+    }
+
+    /// The ring slot an epoch lives in.
+    #[inline]
+    pub fn slot(epoch: u64, depth: u64) -> usize {
+        (epoch % depth) as usize
+    }
+
+    /// The coordinator may publish epoch `next` iff fewer than `depth`
+    /// epochs are unharvested — the slot's previous tenant, epoch
+    /// `next - depth`, has been harvested and is the coordinator's again.
+    #[inline]
+    pub fn may_publish(next: u64, harvested: u64, depth: u64) -> bool {
+        next - harvested < depth
+    }
+
+    /// A worker waiting for `epoch`: it may drain iff `tail > epoch`. A
+    /// poisoned session winds down at once; `stop` is honored only while
+    /// nothing is published, so a published epoch is always completed and
+    /// the coordinator can flush deterministically before shutting down.
+    #[inline]
+    pub fn worker_observe(poisoned: bool, tail: u64, stop: bool, epoch: u64) -> Step {
+        if poisoned {
+            Step::Quit
+        } else if tail > epoch {
+            Step::Go
+        } else if stop {
+            Step::Quit
+        } else {
+            Step::Wait
+        }
+    }
+
+    /// A worker at the cross-lane barrier of `epoch`, looking at one peer:
+    /// the peer's miss list is frozen and readable iff its `drained >
+    /// epoch`. `torn_down` — a peer died, or the coordinator abandoned the
+    /// session mid-epoch — means the peer may never get there.
+    #[inline]
+    pub fn barrier_observe(peer_drained: u64, epoch: u64, torn_down: bool) -> Step {
+        if peer_drained > epoch {
+            Step::Go
+        } else if torn_down {
+            Step::Quit
+        } else {
+            Step::Wait
+        }
+    }
+
+    /// The coordinator waiting to harvest `epoch`, looking at one lane: the
+    /// slot is the coordinator's again iff the lane's `applied > epoch`.
+    #[inline]
+    pub fn harvest_observe(applied: u64, epoch: u64, poisoned: bool) -> Step {
+        if applied > epoch {
+            Step::Go
+        } else if poisoned {
+            Step::Quit
+        } else {
+            Step::Wait
+        }
+    }
+}
+
+use lane::Step;
+
 /// How many epochs (published batches) a pipeline lane can hold before the
 /// coordinator must wait for the shard workers. Power of two; deep enough
 /// to ride out one slow shard, shallow enough that a stalled worker
 /// backpressures receivers instead of buffering unbounded work.
 const EPOCH_RING_DEPTH: u64 = 4;
 
-/// Backoff for the pipeline's wait loops: spin briefly (covering the
-/// epoch-to-epoch handoff), then sleep-poll. Nobody unparks anybody — a
-/// bounded timed park cannot miss a wakeup, and the added worst-case
-/// latency is invisible next to a batch of traffic.
+/// Spins before a waiting thread sleep-polls, covering the epoch-to-epoch
+/// handoff without a syscall round-trip.
+const SPIN_LIMIT: u32 = 64;
+
+/// Backoff for the pipeline's wait loops: spin briefly, then sleep-poll.
+/// Nobody unparks anybody — a bounded timed park cannot miss a wakeup, and
+/// the added worst-case latency is invisible next to a batch of traffic.
 const PIPELINE_PARK: Duration = Duration::from_micros(100);
 
 #[inline]
@@ -1837,18 +1288,15 @@ struct EpochSlot {
     /// coordinator, drained (emptied) by the lane's worker.
     queue: Vec<Routed>,
     /// Key-tagged alerts the drain produced; collected at harvest.
-    tagged: Vec<(MergeKey, Alert)>,
+    tagged: Vec<FedAlert>,
     /// Cross-shard DRDoS misses this shard *detected*; frozen after the
     /// drain so every worker can read every lane's list, cleared at
     /// harvest.
-    misses: Vec<Miss>,
+    misses: Vec<FedMiss>,
 }
 
-/// One shard's bounded epoch ring. The three counters are monotone epoch
-/// counts, so slot `e % EPOCH_RING_DEPTH` has a single owner at every
-/// instant: the coordinator before `tail` passes `e` and after harvest,
-/// the worker in between (with the `misses` field read-shared between
-/// `drained` and harvest).
+/// One shard's bounded epoch ring; see [`lane`] for the counters' meaning
+/// and the slot-ownership rule they encode.
 struct Lane {
     slots: [UnsafeCell<EpochSlot>; EPOCH_RING_DEPTH as usize],
     /// Epochs published to this lane's worker.
@@ -1871,7 +1319,7 @@ impl Lane {
 }
 
 // SAFETY: slot ownership follows the lane counters as documented on
-// `Lane`; every handoff is a Release store observed by an Acquire load.
+// `lane`; every handoff is a Release store observed by an Acquire load.
 unsafe impl Send for Lane {}
 unsafe impl Sync for Lane {}
 
@@ -1889,18 +1337,27 @@ struct PipelineShared {
     poisoned: AtomicBool,
     /// First captured panic payload, rethrown on the coordinator.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Test hook: worker 0 panics when it reaches this epoch.
-    #[cfg(test)]
+    /// Fault injection: worker 0 panics when it reaches this epoch (see
+    /// [`PipelineIngress::inject_worker_panic`]).
     panic_epoch: AtomicU64,
 }
 
-/// Sets `stop` on drop, so scoped workers exit (and the scope's implicit
-/// join returns) even when the coordinator unwinds.
-struct StopGuard<'a>(&'a PipelineShared);
+/// Ends a session on drop: sets `stop` and joins the workers, so they are
+/// gone when [`VidsPool::with_pipeline`] returns — also when the
+/// coordinator unwinds.
+struct SessionGuard<'scope, 'sh> {
+    shared: &'sh PipelineShared,
+    workers: Vec<thread::ScopedJoinHandle<'scope, ()>>,
+}
 
-impl Drop for StopGuard<'_> {
+impl Drop for SessionGuard<'_, '_> {
     fn drop(&mut self) {
-        self.0.stop.store(true, Release);
+        self.shared.stop.store(true, Release);
+        for worker in self.workers.drain(..) {
+            // A worker catches its own panics and parks the payload for
+            // the coordinator; never double-panic out of drop.
+            let _ = worker.join();
+        }
     }
 }
 
@@ -1910,28 +1367,21 @@ impl Drop for StopGuard<'_> {
 fn pipeline_worker(shared: &PipelineShared, index: usize) {
     let lane = &shared.lanes[index];
     let n = shared.lanes.len();
-    let mut scratch: Vec<Miss> = Vec::new();
+    let mut scratch: Vec<FedMiss> = Vec::new();
     let mut epoch = 0u64;
     loop {
-        // Wait for the coordinator to publish this epoch. `stop` is only
-        // honored here: a published epoch is always completed, so the
-        // coordinator can flush deterministically before shutting down.
         let mut spins = 0u32;
         loop {
-            if shared.poisoned.load(Acquire) {
-                return;
+            let poisoned = shared.poisoned.load(Acquire);
+            let tail = lane.tail.load(Acquire);
+            match lane::worker_observe(poisoned, tail, shared.stop.load(Acquire), epoch) {
+                Step::Go => break,
+                Step::Quit => return,
+                Step::Wait => pipeline_backoff(&mut spins),
             }
-            if lane.tail.load(Acquire) > epoch {
-                break;
-            }
-            if shared.stop.load(Acquire) {
-                return;
-            }
-            pipeline_backoff(&mut spins);
         }
-        let slot = (epoch % EPOCH_RING_DEPTH) as usize;
+        let slot = lane::slot(epoch, EPOCH_RING_DEPTH);
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(test)]
             if index == 0 && shared.panic_epoch.load(Relaxed) == epoch {
                 panic!("injected pipeline worker panic");
             }
@@ -1943,7 +1393,9 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
             // pointer is (re-)derived by the coordinator and published
             // before the epochs that use it.
             let engine = unsafe { &mut *(shared.engines.load(Acquire) as *mut Vids).add(index) };
-            drain_one(engine, &mut data.queue, &mut data.tagged, &mut data.misses);
+            for (idx, t, part) in data.queue.drain(..) {
+                ingest_part(engine, idx, t, part, &mut data.tagged, &mut data.misses);
+            }
             lane.drained.store(epoch + 1, Release);
             // Barrier: wait for every lane to finish draining this epoch.
             // From each peer's `drained` store to the coordinator's
@@ -1951,24 +1403,26 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
             // all.
             for peer in &shared.lanes {
                 let mut spins = 0u32;
-                while peer.drained.load(Acquire) <= epoch {
-                    if shared.poisoned.load(Acquire) || shared.stop.load(Acquire) {
-                        // A peer died or the coordinator abandoned the
-                        // session mid-epoch; neither happens on the normal
-                        // flush-then-stop path.
-                        panic!("pipeline torn down during epoch barrier");
+                loop {
+                    let drained = peer.drained.load(Acquire);
+                    let torn_down = shared.poisoned.load(Acquire) || shared.stop.load(Acquire);
+                    match lane::barrier_observe(drained, epoch, torn_down) {
+                        Step::Go => break,
+                        // Neither happens on the normal flush-then-stop
+                        // path.
+                        Step::Quit => panic!("pipeline torn down during epoch barrier"),
+                        Step::Wait => pipeline_backoff(&mut spins),
                     }
-                    pipeline_backoff(&mut spins);
                 }
             }
-            // Phase 4, shard-local: this destination shard's share of the
-            // deferred DRDoS counts, in packet order. Sorting the global
-            // miss list by idx and filtering to one shard (the sequential
-            // path) yields the same per-engine sequence as filtering then
-            // sorting here.
+            // The deferred DRDoS phase, shard-local: this destination
+            // shard's share of the counts, in packet order. Sorting the
+            // global miss list by idx and filtering to one shard (the
+            // synchronous path) yields the same per-engine sequence as
+            // filtering then sorting here.
             scratch.clear();
             for (j, peer) in shared.lanes.iter().enumerate() {
-                let misses: &[Miss] = if j == index {
+                let misses: &[FedMiss] = if j == index {
                     &data.misses
                 } else {
                     // SAFETY: frozen read-only window, see the barrier
@@ -1983,8 +1437,7 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
             }
             scratch.sort_unstable_by_key(|m| m.idx);
             for m in &scratch {
-                let mut tsink = TaggedSink::packet(&mut data.tagged, m.idx, 3);
-                engine.ingest_response_flood(m.dst_ip, m.src_ip, m.t, &mut tsink);
+                count_miss(engine, m, &mut data.tagged);
             }
         }));
         match outcome {
@@ -1993,7 +1446,7 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
                 epoch += 1;
             }
             Err(payload) => {
-                let mut first = shared.panic.lock().unwrap();
+                let mut first = shared.panic.lock().expect("panic slot never poisoned");
                 if first.is_none() {
                     *first = Some(payload);
                 }
@@ -2021,9 +1474,9 @@ pub struct PipelineIngress<'pool, 'sh> {
     harvested: u64,
     /// Coordinator-side tagged alerts (sweeps, malformed) per published
     /// but unharvested epoch; front = oldest.
-    coord: VecDeque<Vec<(MergeKey, Alert)>>,
+    coord: VecDeque<Vec<FedAlert>>,
     /// Recycled coordinator alert buffers.
-    spare: Vec<Vec<(MergeKey, Alert)>>,
+    spare: Vec<Vec<FedAlert>>,
     /// `pool.shards` was used directly while quiesced; re-derive the
     /// engines pointer before publishing the next epoch.
     refresh_engines: bool,
@@ -2036,54 +1489,58 @@ impl PipelineIngress<'_, '_> {
     }
 
     /// Rethrows a worker panic on the coordinator. The session is torn
-    /// down by the unwind: the stop guard releases the workers and the
-    /// scope joins them.
-    fn check_poison(&self) {
-        if self.shared.poisoned.load(Acquire) {
-            match self.shared.panic.lock().unwrap().take() {
-                Some(payload) => panic::resume_unwind(payload),
-                None => panic!("pipeline worker previously panicked"),
-            }
+    /// down by the unwind: the session guard stops and joins the workers.
+    fn rethrow(&self) -> ! {
+        let payload = self.shared.panic.lock().ok().and_then(|mut p| p.take());
+        match payload {
+            Some(payload) => panic::resume_unwind(payload),
+            None => panic!("pipeline worker previously panicked"),
         }
     }
 
-    /// Publishes one batch of pre-routed events as an epoch. Runs the
-    /// residual sequential routing pass (cost charge, monotonic clamp,
-    /// media index, malformed dedup) and hands the per-shard queues to the
-    /// workers; returns without waiting for the drains unless the rings
-    /// are full. Same batch-clock semantics as
-    /// [`VidsPool::process_wire_batch`]: `now` should be the batch's first
-    /// receive timestamp.
+    /// Publishes one batch of pre-routed events as an epoch: runs the
+    /// routing core with the receiver-computed hashes, queueing each part
+    /// for its shard's lane, and hands the queues to the workers; returns
+    /// without waiting for the drains unless the rings are full. Same
+    /// batch-clock semantics as [`VidsPool::process_wire_batch`]: `now`
+    /// should be the batch's first receive timestamp.
     pub fn submit<S: AlertSink + ?Sized>(
         &mut self,
         events: &mut Vec<PreRouted>,
         now: SimTime,
         sink: &mut S,
     ) {
-        self.check_poison();
-        let now_ms = now.as_millis();
-        if let Some(reg) = &self.pool.telemetry {
-            reg.pool().inc(Counter::BatchesIngested);
-            reg.pool()
-                .add(Counter::PacketsIngested, events.len() as u64);
-            reg.pool().record(HistId::BatchSize, events.len() as u64);
+        if self.shared.poisoned.load(Acquire) {
+            self.rethrow();
         }
-
-        let mut coord_tagged = self.spare.pop().unwrap_or_default();
-
-        // Phase 0: at most one sweep per batch, on the same clock rule as
-        // the synchronous paths. Sweeps read and mutate every shard, so
-        // the pipeline quiesces first — they are interval-gated, so this
+        let now_ms = now.as_millis();
+        // A sweep reads and mutates every shard, so the ring quiesces
+        // before the core runs one — they are interval-gated, so this
         // barrier is rare by construction.
-        if now_ms.saturating_sub(self.pool.last_sweep_ms) >= SWEEP_INTERVAL_MS {
+        if self.pool.sweep_due(now_ms) {
             self.flush(sink);
-            self.pool.last_sweep_ms = now_ms;
-            if let Some(reg) = &self.pool.telemetry {
-                reg.pool().inc(Counter::TimerSweeps);
-            }
-            self.pool.sweep_shards(now_ms, &mut coord_tagged);
             self.refresh_engines = true;
         }
+
+        // The coordinator's own alerts for this epoch: sweep, malformed.
+        let mut coord_tagged = self.spare.pop().unwrap_or_default();
+        let mut queues = std::mem::take(&mut self.pool.queues);
+        let mut misses = std::mem::take(&mut self.pool.scratch_misses);
+        let routed = events
+            .drain(..)
+            .enumerate()
+            .map(|(idx, ev)| CoreEvent::whole(idx, ev.classified, ev.at, Some(ev.hint)));
+        self.pool.route_pass(
+            routed,
+            now_ms,
+            Books::Pool,
+            Some(&mut queues),
+            &mut coord_tagged,
+            &mut misses,
+        );
+        debug_assert!(misses.is_empty(), "queued routing produces no misses");
+        self.pool.scratch_misses = misses;
+
         if self.refresh_engines {
             debug_assert_eq!(
                 self.next_epoch, self.harvested,
@@ -2095,35 +1552,9 @@ impl PipelineIngress<'_, '_> {
             self.refresh_engines = false;
         }
 
-        // Phase 2: the residual sequential routing pass, using the
-        // receiver-computed hashes. Always queued (never direct): the
-        // engines belong to the workers while epochs are in flight.
-        let mut queues = std::mem::take(&mut self.pool.queues);
-        let mut misses = std::mem::take(&mut self.pool.scratch_misses);
-        for (idx, ev) in events.drain(..).enumerate() {
-            self.pool
-                .cpu
-                .charge(self.pool.cost.cpu_for_classified(&ev.classified));
-            let t = now_ms.max(ev.at.as_millis()).max(self.pool.last_packet_ms);
-            self.pool.last_packet_ms = t;
-            self.pool.route_one(
-                idx,
-                t,
-                ev.classified,
-                Some(ev.hint),
-                PartMask::ALL,
-                false,
-                &mut queues,
-                &mut coord_tagged,
-                &mut misses,
-            );
-        }
-        debug_assert!(misses.is_empty(), "queued routing produces no misses");
-        self.pool.scratch_misses = misses;
-
         // Backpressure: when the rings are full, merge the oldest epoch
         // (blocking on its workers) before publishing this one.
-        while self.in_flight() >= EPOCH_RING_DEPTH {
+        while !lane::may_publish(self.next_epoch, self.harvested, EPOCH_RING_DEPTH) {
             if let Some(reg) = &self.pool.telemetry {
                 reg.pool().inc(Counter::PipelineStalls);
             }
@@ -2134,11 +1565,12 @@ impl PipelineIngress<'_, '_> {
         // empty queues, so the lane counters advance in lock-step and the
         // workers' cross-lane barrier lines up.
         let e = self.next_epoch;
-        let slot = (e % EPOCH_RING_DEPTH) as usize;
+        let slot = lane::slot(e, EPOCH_RING_DEPTH);
         for (lane, queue) in self.shared.lanes.iter().zip(queues.iter_mut()) {
-            // SAFETY: epoch `e - EPOCH_RING_DEPTH` is harvested (enforced
-            // above), so the coordinator owns this slot; the Release store
-            // below hands it to the worker.
+            // SAFETY: `may_publish` held above, so epoch `e -
+            // EPOCH_RING_DEPTH` is harvested and the coordinator owns this
+            // slot; the Release store below hands it to the worker, after
+            // the slot is written.
             let data = unsafe { &mut *lane.slots[slot].get() };
             debug_assert!(data.queue.is_empty());
             std::mem::swap(&mut data.queue, queue);
@@ -2154,21 +1586,24 @@ impl PipelineIngress<'_, '_> {
 
     /// Merges the oldest in-flight epoch: waits for every worker to finish
     /// it, gathers the tagged alerts from all lanes plus the coordinator's
-    /// own, sorts on the merge key, and emits — exactly the phase-5 merge
-    /// of the synchronous paths, per epoch.
+    /// own, and emits them through the pool's merge — exactly the merge of
+    /// the synchronous paths, per epoch.
     fn harvest_one<S: AlertSink + ?Sized>(&mut self, sink: &mut S) {
         debug_assert!(self.harvested < self.next_epoch);
         let e = self.harvested;
         for lane in &self.shared.lanes {
             let mut spins = 0u32;
-            while lane.applied.load(Acquire) <= e {
-                self.check_poison();
-                pipeline_backoff(&mut spins);
+            loop {
+                let applied = lane.applied.load(Acquire);
+                match lane::harvest_observe(applied, e, self.shared.poisoned.load(Acquire)) {
+                    Step::Go => break,
+                    Step::Quit => self.rethrow(),
+                    Step::Wait => pipeline_backoff(&mut spins),
+                }
             }
         }
-        let merge_started = self.pool.telemetry.as_ref().map(|_| Instant::now());
         let mut tagged = self.coord.pop_front().unwrap_or_default();
-        let slot = (e % EPOCH_RING_DEPTH) as usize;
+        let slot = lane::slot(e, EPOCH_RING_DEPTH);
         for lane in &self.shared.lanes {
             // SAFETY: every lane's `applied` passed `e` (Acquire above),
             // handing the epoch's slots back to the coordinator.
@@ -2177,25 +1612,18 @@ impl PipelineIngress<'_, '_> {
             tagged.append(&mut data.tagged);
             data.misses.clear();
         }
-        tagged.sort_unstable_by(merge_cmp);
-        for (_key, alert) in tagged.drain(..) {
-            self.pool.alerts.push(alert.clone());
-            sink.accept(alert);
-        }
+        self.pool.merge_into(&mut tagged, sink);
         self.spare.push(tagged);
         self.harvested = e + 1;
-        if let (Some(reg), Some(started)) = (&self.pool.telemetry, merge_started) {
-            let nanos = started.elapsed().as_nanos() as u64;
-            reg.pool().add(Counter::MergeNanos, nanos);
-            reg.pool().record(HistId::MergeNanos, nanos);
-        }
     }
 
     /// Merges every in-flight epoch, emitting alerts into `sink`. On
     /// return the pipeline is quiescent: workers are idle and every alert
     /// submitted so far has been emitted.
     pub fn flush<S: AlertSink + ?Sized>(&mut self, sink: &mut S) {
-        self.check_poison();
+        if self.shared.poisoned.load(Acquire) {
+            self.rethrow();
+        }
         while self.harvested < self.next_epoch {
             self.harvest_one(sink);
         }
@@ -2228,10 +1656,10 @@ impl PipelineIngress<'_, '_> {
         &*self.pool
     }
 
-    /// Test hook: makes pipeline worker 0 panic when it reaches the next
-    /// epoch to be published.
-    #[cfg(test)]
-    fn inject_panic_next_epoch(&self) {
+    /// Fault injection for tests of the panic contract: makes pipeline
+    /// worker 0 panic when it reaches the next epoch to be published.
+    #[doc(hidden)]
+    pub fn inject_worker_panic(&self) {
         self.shared.panic_epoch.store(self.next_epoch, Relaxed);
     }
 }
@@ -2470,68 +1898,6 @@ mod tests {
         assert!(Config::builder().shards(0).build().is_err());
     }
 
-    /// A batch big enough to cross both handoff thresholds, with calls,
-    /// media, floods and strays spread across shards.
-    fn big_trace() -> Vec<Packet> {
-        let mut packets = Vec::new();
-        for i in 0..300u64 {
-            let inv = invite(&format!("big-{i:03}"));
-            let mut p = pkt(CALLER, CALLEE, Payload::Sip(inv.to_string()));
-            p.sent_at = SimTime::from_millis(i);
-            packets.push(p);
-        }
-        packets
-    }
-
-    #[test]
-    fn worker_handoff_matches_inline_drain() {
-        let packets = big_trace();
-        // Forced to hand off to the persistent workers (even on a 1-core
-        // host, where the default path would drain inline)...
-        let mut threaded = VidsPool::new(shards(4));
-        threaded.force_workers(4);
-        let mut threaded_sink = CollectSink::new();
-        threaded.process_batch(&packets, SimTime::ZERO, &mut threaded_sink);
-        threaded.tick(SimTime::from_secs(30), &mut threaded_sink);
-        // ...versus forced inline on the same shard count.
-        let mut inline = VidsPool::new(shards(4));
-        inline.force_workers(1);
-        let mut inline_sink = CollectSink::new();
-        inline.process_batch(&packets, SimTime::ZERO, &mut inline_sink);
-        inline.tick(SimTime::from_secs(30), &mut inline_sink);
-        assert_eq!(threaded_sink.alerts(), inline_sink.alerts());
-        assert_eq!(threaded.counters(), inline.counters());
-        assert_eq!(threaded.monitored_calls(), inline.monitored_calls());
-    }
-
-    #[test]
-    fn worker_panic_propagates_and_drop_joins() {
-        // Silence the injected panic's default backtrace print; restore
-        // the hook afterwards.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let mut pool = VidsPool::new(shards(4));
-        let first = std::panic::catch_unwind(AssertUnwindSafe(|| pool.inject_worker_panic(2)));
-        assert!(first.is_err(), "worker panic must surface on the caller");
-        // The pool is poisoned: the next API call re-raises instead of
-        // deadlocking on the dead worker.
-        let second = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.process_batch(&[], SimTime::ZERO, &mut NullSink);
-        }));
-        assert!(second.is_err(), "poisoned pool must keep failing loudly");
-        std::panic::set_hook(prev);
-        // Dropping the poisoned pool must join every worker, not hang.
-        drop(pool);
-    }
-
-    #[test]
-    fn pool_drop_joins_workers_after_traffic() {
-        let mut pool = VidsPool::new(shards(4));
-        pool.force_workers(4);
-        pool.process_batch(&big_trace(), SimTime::ZERO, &mut NullSink);
-        drop(pool); // joins 4 parked workers; must not hang or leak
-    }
-
     /// A wire trace with calls, negotiated media, in-call and stray RTP, a
     /// REGISTER, floods, ghosts and junk — timestamps crossing several
     /// sweep intervals so multi-batch runs exercise the batch-clock sweep
@@ -2671,7 +2037,6 @@ mod tests {
         let events = pipeline_trace();
         let pool = VidsPool::new(shards(8));
         let mut sip = 0usize;
-        let mut rtp = 0usize;
         for ev in &events {
             let hint = route_hint(&ev.classified);
             match &ev.classified {
@@ -2696,20 +2061,13 @@ mod tests {
                         );
                     }
                 }
-                Classified::Rtp { event } => {
-                    rtp += 1;
-                    let ip = event.sym_arg(sym::DST_IP).unwrap_or_default();
-                    let port = event.uint_arg(sym::DST_PORT).unwrap_or(0);
-                    let mut h = fnv1a(ip.as_str().as_bytes());
-                    for byte in port.to_le_bytes() {
-                        h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-                    }
-                    assert_eq!(hint.call, h, "RTP fallback hash diverged");
-                }
+                // One spelling only: `route_hint` and `route_one` share
+                // `media_hash`.
+                Classified::Rtp { .. } => {}
                 _ => assert_eq!(hint, RouteHint::default()),
             }
         }
-        assert!(sip > 0 && rtp > 0, "trace must cover both protocols");
+        assert!(sip > 0, "trace must cover SIP");
     }
 
     #[test]
@@ -2761,7 +2119,7 @@ mod tests {
         let mut pool = VidsPool::new(shards(4));
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.with_pipeline(|p| {
-                p.inject_panic_next_epoch();
+                p.inject_worker_panic();
                 let mut batch: Vec<PreRouted> = events
                     .iter()
                     .map(|e| PreRouted::new(e.classified.clone(), e.at))
@@ -2772,8 +2130,8 @@ mod tests {
         }));
         std::panic::set_hook(prev);
         assert!(outcome.is_err(), "worker panic must surface on the caller");
-        // The scoped session joined its workers on the way out; the pool
-        // (and its mailbox runtime) is still usable and droppable.
+        // The session joined its workers on the way out; the pool is still
+        // usable and droppable.
         pool.process_batch(&[], SimTime::ZERO, &mut NullSink);
         drop(pool);
     }

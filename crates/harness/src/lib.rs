@@ -13,12 +13,13 @@
 //!   and case flips, LF-only endings, hostile `Content-Length`, and
 //!   sequence/timestamp extremes around the 16-/32-bit wrap points.
 //! * [`model`] — a **miniature exhaustive interleaving checker** over a
-//!   shrunken model of the `vids_core::pool` mailbox protocol
-//!   (`IDLE/HAS_WORK/SHUTDOWN/POISONED`), enumerating *every*
-//!   coordinator/worker step interleaving and asserting no lost wakeup, no
-//!   double ownership of a shard buffer, and that shutdown always joins.
-//!   The worker-side transition functions are imported from
-//!   `vids_core::pool::mailbox` — the model checks the shipped decision
+//!   shrunken model of the `vids_core::pool` epoch-ring protocol (per-lane
+//!   `tail`/`drained`/`applied` counters over `UnsafeCell` slots),
+//!   enumerating *every* coordinator/worker step interleaving and asserting
+//!   single slot ownership, frozen miss lists at the cross-lane barrier,
+//!   and that a session always stops and joins — also over a panicking
+//!   worker or an abandoned session. The wait decisions are imported from
+//!   `vids_core::pool::lane` — the model checks the shipped decision
 //!   logic, not a transcription.
 //! * [`record_bridge`] — loads flight-recorder `.vdump` forensic dumps
 //!   as fuzz corpus seeds (real wire bytes that provably drove the
@@ -28,7 +29,7 @@
 //!   (`fuzz_wire`), differential oracles (`differential` — parse→Display→
 //!   parse round-trips, plain-vs-pooled-engine equality at 1/4/8 shards,
 //!   telemetry-on/off detection equality), the model checker
-//!   (`mailbox_model`), and one regression per bug the harness was built to
+//!   (`lane_model`), and one regression per bug the harness was built to
 //!   catch (`regressions`).
 //!
 //! Budgets: every fuzz loop runs [`fuzz_iterations`] cases — 10 000 by

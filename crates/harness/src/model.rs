@@ -1,169 +1,183 @@
-//! Exhaustive interleaving checker for the pool's mailbox protocol.
+//! Exhaustive interleaving checker for the pool's epoch-ring protocol.
 //!
-//! `vids_core::pool` hands batches to persistent shard workers through a
-//! lock-free mailbox: a per-cell `AtomicU32` state word
-//! (`IDLE`/`HAS_WORK`/`SHUTDOWN`/`POISONED`), a `pending` job counter, and
-//! park/unpark wakeups. Its correctness argument lives in comments; this
-//! module turns the argument into a checked artifact. The protocol is
-//! shrunk to a finite model — worker program counters, the coordinator's
-//! phase script (register → arm → write/publish per job → wait → gather →
-//! shutdown), park tokens, and an explicit buffer-ownership ledger — and
-//! **every** interleaving of coordinator and worker steps is enumerated by
-//! depth-first search with memoization.
+//! `vids_core::pool` has one threaded runtime: a `with_pipeline` session
+//! publishes each batch as an *epoch* into per-shard lanes — a ring of
+//! `UnsafeCell` slots guarded by three monotone counters (`tail`,
+//! `drained`, `applied`) — drained by one worker per lane, with a
+//! cross-lane barrier before the workers read each other's miss lists. Its
+//! safety argument lives in `// SAFETY:` comments; this module turns the
+//! argument into a checked artifact. The protocol is shrunk to a finite
+//! world — worker program counters, the coordinator's script (room? →
+//! harvest | write slot → store tail, per lane → … → flush → stop → join)
+//! and an explicit slot-ownership ledger — and **every** interleaving of
+//! coordinator and worker steps is enumerated by depth-first search with
+//! memoization.
 //!
-//! The worker's decision logic is not transcribed: each modeled worker step
-//! calls [`vids_core::pool::mailbox::worker_observe`] and
-//! [`vids_core::pool::mailbox::worker_publish`], the same functions
-//! `worker_loop` executes, so if those drift the model drifts with them.
+//! The decisions are not transcribed: every modeled wait calls the
+//! [`vids_core::pool::lane`] function the real `pipeline_worker`, `submit`
+//! and `harvest_one` call, so if those drift the model drifts with them.
 //!
 //! Checked invariants:
 //!
-//! * **no lost wakeup / no hang** — every reachable state either has an
-//!   enabled step or is the terminal "coordinator done, all workers
-//!   joined" state (deadlock detection subsumes lost-wakeup detection,
-//!   because a missed unpark strands a parked thread with no enabled step);
-//! * **single buffer ownership** — the coordinator only touches a cell's
-//!   buffers while it holds them (write-before-publish, gather-after-wait),
-//!   and a worker only between observing `HAS_WORK` and publishing back;
-//! * **no pending underflow** — a worker never decrements `pending` past
-//!   zero (the reason `begin` arms the count *before* the first publish);
-//! * **shutdown always joins** — including when a job panicked and left its
-//!   cell `POISONED`.
+//! * **single slot ownership** — the coordinator writes or gathers a slot
+//!   only while it holds it, never over an unharvested epoch; a worker
+//!   drains and appends only between `tail` passing the epoch and its own
+//!   `applied` store;
+//! * **frozen miss lists** — a worker reads a peer's miss list only between
+//!   that peer's `drained` store and the harvest;
+//! * **no hang** — every reachable state has an enabled step or is the
+//!   terminal "session guard dropped, every worker joined" state. The ring
+//!   sleep-polls instead of parking, so a blocked thread is simply one whose
+//!   awaited condition does not hold; this covers a panicking worker
+//!   (poison, rethrow) and a coordinator that abandons the session with
+//!   epochs in flight.
 //!
 //! The model assumes sequentially consistent interleavings; it checks the
-//! protocol logic, not the `Acquire`/`Release` fence placement. Injectable
-//! bugs ([`Bugs`]) exist so the test suite can prove the checker *fails*
-//! when the protocol is broken in each historically tempting way.
+//! protocol logic, not the `Acquire`/`Release` placement. Injectable bugs
+//! ([`Bugs`]) exist so the test suite can prove the checker *fails* when the
+//! protocol is broken in each tempting way.
 
 use std::collections::HashMap;
 
-use vids_core::pool::mailbox::{self, WorkerStep, HAS_WORK, IDLE, POISONED, SHUTDOWN};
+use vids_core::pool::lane::{self, Step};
+
+/// Most lanes a world may have: the state space is exponential in this.
+pub const MAX_LANES: usize = 3;
+/// Deepest ring a world may have.
+pub const MAX_DEPTH: usize = 2;
 
 /// Model configuration: the shrunken world the checker exhausts.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
-    /// Worker threads (model cells). Keep ≤ 3: the state space is
-    /// exponential in this.
-    pub workers: usize,
-    /// Jobs published per phase, to cells `0..jobs`. Must be ≤ `workers`.
-    pub jobs: usize,
-    /// Batch phases the coordinator runs before dropping the runtime.
-    pub phases: usize,
-    /// Make this job index panic in phase 0, exercising the `POISONED`
-    /// path (publish-back, coordinator re-throw, shutdown over poison).
-    pub panic_job: Option<usize>,
+    /// Lanes (shards, workers); at most [`MAX_LANES`].
+    pub lanes: usize,
+    /// Ring slots per lane; at most [`MAX_DEPTH`].
+    pub depth: u64,
+    /// Epochs the coordinator submits before flushing and stopping.
+    pub epochs: u64,
+    /// What goes wrong, if anything.
+    pub fault: Fault,
     /// Injected protocol bugs — all `false` for the real protocol.
     pub bugs: Bugs,
 }
 
-/// Deliberate protocol mutations. Each one models a bug class the real
-/// implementation defends against; the checker must reject every one.
+/// The abnormal exits the session must survive without hanging or racing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Normal session: submit, flush, stop, join.
+    None,
+    /// This lane's worker panics on reaching this epoch (the poison path:
+    /// peers wind down, the coordinator rethrows).
+    WorkerPanics { lane: usize, epoch: u64 },
+    /// The coordinator unwinds out of the session — no flush — when `epoch`
+    /// has been published to `lanes` lanes (0 = between submits).
+    Abandon { epoch: u64, lanes: usize },
+}
+
+/// Deliberate protocol mutations, each a way of calling the real seam
+/// functions wrongly; the checker must reject every one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Bugs {
-    /// `unpark` wakes only a currently-parked thread instead of banking a
-    /// token. The real `Thread::unpark` banks; without it, an unpark that
-    /// races ahead of the park is lost.
-    pub drop_park_token: bool,
-    /// Publish `HAS_WORK` before writing the job into the cell.
-    pub publish_before_write: bool,
-    /// Arm `pending` after the publishes instead of before the first one:
-    /// an instantly-finishing worker then decrements from zero.
-    pub arm_after_publish: bool,
-    /// Store `SHUTDOWN` on drop but skip the unparks.
-    pub skip_shutdown_unpark: bool,
+    /// Store `tail` before the slot's queue is written.
+    pub tail_before_write: bool,
+    /// Harvest once `drained` (not `applied`) has passed the epoch.
+    pub harvest_on_drained: bool,
+    /// Test the ring for room against `depth + 1`.
+    pub ring_full_off_by_one: bool,
+    /// Read the peers' miss lists without the barrier.
+    pub skip_barrier: bool,
 }
 
 impl Config {
-    /// The real protocol at a given size.
-    pub fn correct(workers: usize, jobs: usize, phases: usize) -> Config {
+    /// The real protocol, fault-free, at a given size.
+    pub fn correct(lanes: usize, depth: u64, epochs: u64) -> Config {
         Config {
-            workers,
-            jobs,
-            phases,
-            panic_job: None,
+            lanes,
+            depth,
+            epochs,
+            fault: Fault::None,
             bugs: Bugs::default(),
         }
     }
 }
 
-/// Who may touch a cell's buffers right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Who may touch a slot's buffers right now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 enum Owner {
+    #[default]
     Coordinator,
     Worker,
 }
 
-/// A worker's program counter, mirroring `worker_loop`'s structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The ledger entry for one ring slot; initially free and the coordinator's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+struct Slot {
+    owner: Owner,
+    /// The epoch whose routed work or unharvested output the slot holds.
+    holds: Option<u64>,
+    /// That epoch's miss list is complete and may be read by any worker.
+    frozen: bool,
+}
+
+/// A worker's program counter, mirroring `pipeline_worker`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 enum WorkerPc {
-    /// Loading the state word and deciding via `mailbox::worker_observe`.
-    Check,
-    /// Observed nothing to do; about to call `park`. This is the
-    /// load-to-park window the park token must cover: an unpark landing
-    /// here must not be lost.
-    ParkDecided,
-    /// Parked; runnable only once its token is banked.
-    Parked,
-    /// Inside `run_job` (buffers must be worker-owned for the duration).
-    Running,
-    /// About to store `mailbox::worker_publish(..)` back to the cell.
-    Publish,
-    /// About to `fetch_sub` the pending counter.
-    Decrement,
-    /// Drained the counter to zero; about to unpark the coordinator.
-    Notify,
-    /// Left the loop (observed `SHUTDOWN`).
+    /// Waiting on `lane::worker_observe`.
+    #[default]
+    Observe,
+    /// Draining the slot's queue into its alert and miss lists.
+    Drain,
+    /// About to store `drained`, freezing the miss list.
+    StoreDrained,
+    /// At the barrier, waiting on this peer via `lane::barrier_observe`.
+    Barrier(usize),
+    /// Reading every lane's miss list, appending to the own slot.
+    Apply,
+    /// About to store `applied`, returning the slot.
+    StoreApplied,
+    /// Returned from the worker function.
     Exited,
 }
 
-/// The coordinator's program counter: the phase script of
-/// `classify_batch`/`drain_shards`, then `WorkerRuntime::drop`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The coordinator's program counter: `submit` per epoch, the final
+/// `flush`, then the session guard's drop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 enum CoordPc {
-    /// `begin`: register for wakeup.
-    Register { phase: usize },
-    /// `begin`: arm `pending` with the job count.
-    Arm { phase: usize },
-    /// Write job `job` into its cell's buffers.
-    Write { phase: usize, job: usize },
-    /// Store `HAS_WORK` and unpark the worker.
-    Publish { phase: usize, job: usize },
-    /// `wait`: load `pending`, return or decide to park.
-    WaitCheck { phase: usize },
-    /// `wait`: saw `pending != 0`; about to call `park` (the load-to-park
-    /// window a racing final decrement must not slip through).
-    WaitPark { phase: usize },
-    /// `wait`: parked until a token is banked.
-    WaitParked { phase: usize },
-    /// `wait` epilogue: deregister.
-    Unregister { phase: usize },
-    /// `check_poison`: scan cells for `POISONED`.
-    CheckPoison { phase: usize },
-    /// Read job `job`'s outputs back out of the cell.
-    Gather { phase: usize, job: usize },
-    /// Drop: store `SHUTDOWN` into cell `cell`.
-    ShutdownStore { cell: usize },
-    /// Drop: unpark worker `cell`.
-    ShutdownUnpark { cell: usize },
-    /// Drop: join worker `cell` (enabled once it exited).
-    Join { cell: usize },
-    /// Runtime fully dropped.
+    /// Top of `submit` (of `flush` once every epoch is published): rethrow
+    /// on poison, else publish, harvest for room, or finish.
+    #[default]
+    Pump,
+    /// `harvest_one`: waiting on this lane via `lane::harvest_observe`.
+    HarvestWait(usize),
+    /// `harvest_one`: taking the epoch's slots back from every lane.
+    Gather,
+    /// Publish: writing this lane's slot.
+    Write(usize),
+    /// Publish: storing this lane's `tail`.
+    Tail(usize),
+    /// Guard drop: storing `stop`.
+    Stop,
+    /// Guard drop: joining this lane's worker (enabled once it exited).
+    Join(usize),
+    /// `with_pipeline` returned (or finished unwinding).
     Done,
 }
 
-/// One global state of the model.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// One global state of the model; the default is a session's start. Unused
+/// lanes keep their initial values. A worker's current epoch is its lane's
+/// `applied` count.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 struct State {
-    cells: Vec<u32>,
-    owner: Vec<Owner>,
-    /// Whether the job written into each cell will panic when run.
-    job_panics: Vec<bool>,
-    pending: usize,
-    coord_registered: bool,
-    coord_token: bool,
-    worker_token: Vec<bool>,
-    workers: Vec<WorkerPc>,
+    tail: [u64; MAX_LANES],
+    drained: [u64; MAX_LANES],
+    applied: [u64; MAX_LANES],
+    stop: bool,
+    poisoned: bool,
+    slots: [[Slot; MAX_DEPTH]; MAX_LANES],
+    workers: [WorkerPc; MAX_LANES],
     coord: CoordPc,
+    next: u64,
+    harvested: u64,
 }
 
 /// A protocol violation, with the interleaving that reached it.
@@ -178,49 +192,40 @@ pub struct Violation {
 /// The invariant classes the checker enforces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ViolationKind {
-    /// Two parties could touch one cell's buffers at once.
-    DoubleOwnership {
-        /// The offending cell.
-        cell: usize,
+    /// A slot was touched by a thread that does not hold it, or written
+    /// over an epoch nobody harvested.
+    SlotRace {
+        /// The offending lane.
+        lane: usize,
         /// Which access collided.
         access: &'static str,
     },
-    /// A worker decremented `pending` when it was already zero.
-    PendingUnderflow,
-    /// A job was gathered without having run to completion.
-    IncompleteJob {
-        /// The offending cell.
-        cell: usize,
+    /// A worker read a miss list that was not frozen for its epoch.
+    UnfrozenMisses {
+        /// The reading worker.
+        reader: usize,
+        /// The lane whose list it read.
+        peer: usize,
     },
-    /// A non-terminal state with no enabled step: a lost wakeup or a
-    /// shutdown that never joins.
+    /// A non-terminal state with no enabled step: a wait nobody will ever
+    /// satisfy, or a shutdown that never joins.
     Deadlock {
         /// Human-readable summary of the stuck state.
         state: String,
     },
 }
 
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "mailbox protocol violation: {:?}", self.kind)?;
-        writeln!(f, "interleaving ({} steps):", self.trace.len())?;
-        for step in &self.trace {
-            writeln!(f, "  {step}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Exhaustive-search statistics.
+/// One step taken: who moved, from which program counter.
 #[derive(Debug, Clone, Copy)]
-pub struct Stats {
-    /// Distinct states visited.
-    pub states: usize,
-    /// Transitions taken (including into already-visited states).
-    pub transitions: usize,
+enum Move {
+    Coord(CoordPc),
+    Worker(usize, WorkerPc),
 }
 
-/// Enumerates every interleaving of `config` and checks all invariants.
+type Outcome = Result<State, ViolationKind>;
+
+/// Enumerates every interleaving of `config` and checks all invariants,
+/// returning the number of distinct states visited.
 ///
 /// # Errors
 ///
@@ -228,37 +233,36 @@ pub struct Stats {
 ///
 /// # Panics
 ///
-/// Panics if `config.jobs > config.workers` (jobs address cells).
-pub fn explore(config: Config) -> Result<Stats, Violation> {
-    assert!(config.jobs <= config.workers, "jobs address worker cells");
-    let init = State {
-        cells: vec![IDLE; config.workers],
-        owner: vec![Owner::Coordinator; config.workers],
-        job_panics: vec![false; config.workers],
-        pending: 0,
-        coord_registered: false,
-        coord_token: false,
-        worker_token: vec![false; config.workers],
-        workers: vec![WorkerPc::Check; config.workers],
-        coord: CoordPc::Register { phase: 0 },
-    };
+/// Panics if the world is larger than [`MAX_LANES`] × [`MAX_DEPTH`].
+pub fn explore(config: Config) -> Result<usize, Violation> {
+    assert!((1..=MAX_LANES).contains(&config.lanes), "lane count");
+    assert!((1..=MAX_DEPTH as u64).contains(&config.depth), "ring depth");
+    let init = State::default();
 
     // Iterative DFS with a parent map so a violation can print the exact
     // interleaving that produced it.
     let mut index: HashMap<State, usize> = HashMap::new();
-    let mut parents: Vec<(usize, String)> = Vec::new(); // (parent idx, step label)
-    let mut states: Vec<State> = Vec::new();
-    let mut stack: Vec<usize> = Vec::new();
-    index.insert(init.clone(), 0);
-    states.push(init);
-    parents.push((usize::MAX, String::new()));
-    stack.push(0);
-    let mut transitions = 0usize;
+    let mut parents: Vec<(usize, Move)> = vec![(usize::MAX, Move::Coord(CoordPc::Pump))];
+    let mut states: Vec<State> = vec![init.clone()];
+    let mut stack: Vec<usize> = vec![0];
+    index.insert(init, 0);
 
     while let Some(at) = stack.pop() {
         let state = states[at].clone();
-        let steps = enabled_steps(&config, &state);
-        if steps.is_empty() && !is_terminal(&state) {
+        let mut steps: Vec<(Move, Outcome)> = Vec::new();
+        if let Some(outcome) = coordinator_step(&config, &state) {
+            steps.push((Move::Coord(state.coord), outcome));
+        }
+        for i in 0..config.lanes {
+            if let Some(outcome) = worker_step(&config, &state, i) {
+                steps.push((Move::Worker(i, state.workers[i]), outcome));
+            }
+        }
+        let terminal = state.coord == CoordPc::Done
+            && state.workers[..config.lanes]
+                .iter()
+                .all(|&w| w == WorkerPc::Exited);
+        if steps.is_empty() && !terminal {
             return Err(Violation {
                 kind: ViolationKind::Deadlock {
                     state: format!("{state:?}"),
@@ -266,13 +270,12 @@ pub fn explore(config: Config) -> Result<Stats, Violation> {
                 trace: trace_to(&parents, at),
             });
         }
-        for (label, outcome) in steps {
-            transitions += 1;
+        for (step, outcome) in steps {
             let next = match outcome {
                 Ok(next) => next,
                 Err(kind) => {
                     let mut trace = trace_to(&parents, at);
-                    trace.push(label);
+                    trace.push(render(&step));
                     return Err(Violation { kind, trace });
                 }
             };
@@ -280,380 +283,210 @@ pub fn explore(config: Config) -> Result<Stats, Violation> {
                 let id = states.len();
                 index.insert(next.clone(), id);
                 states.push(next);
-                parents.push((at, label));
+                parents.push((at, step));
                 stack.push(id);
             }
         }
     }
-    Ok(Stats {
-        states: states.len(),
-        transitions,
-    })
+    Ok(states.len())
 }
 
-fn is_terminal(s: &State) -> bool {
-    s.coord == CoordPc::Done && s.workers.iter().all(|&w| w == WorkerPc::Exited)
+fn render(step: &Move) -> String {
+    match step {
+        Move::Coord(pc) => format!("coord: {pc:?}"),
+        Move::Worker(i, pc) => format!("worker {i}: {pc:?}"),
+    }
 }
 
-fn trace_to(parents: &[(usize, String)], mut at: usize) -> Vec<String> {
+fn trace_to(parents: &[(usize, Move)], mut at: usize) -> Vec<String> {
     let mut out = Vec::new();
     while at != 0 {
-        let (parent, label) = &parents[at];
-        out.push(label.clone());
+        let (parent, step) = &parents[at];
+        out.push(render(step));
         at = *parent;
     }
     out.reverse();
     out
 }
 
-type StepOutcome = Result<State, ViolationKind>;
-
-/// All steps enabled in `s`, as `(label, outcome)` pairs.
-fn enabled_steps(config: &Config, s: &State) -> Vec<(String, StepOutcome)> {
-    let mut steps = Vec::new();
-    if let Some((label, outcome)) = coordinator_step(config, s) {
-        steps.push((label, outcome));
-    }
-    for i in 0..config.workers {
-        if let Some((label, outcome)) = worker_step(config, s, i) {
-            steps.push((label, outcome));
-        }
-    }
-    steps
-}
-
-/// Banks an unpark for worker `i`, honoring the `drop_park_token` bug.
-fn unpark_worker(config: &Config, s: &mut State, i: usize) {
-    if !config.bugs.drop_park_token || s.workers[i] == WorkerPc::Parked {
-        s.worker_token[i] = true;
-    }
-}
-
-/// Banks an unpark for the coordinator, honoring the `drop_park_token` bug.
-fn unpark_coordinator(config: &Config, s: &mut State) {
-    if !config.bugs.drop_park_token || matches!(s.coord, CoordPc::WaitParked { .. }) {
-        s.coord_token = true;
-    }
-}
-
-/// The coordinator script's next label after finishing job setup for
-/// `phase`: the next write/publish pair, or the arm/wait that follows.
-fn after_job_setup(config: &Config, phase: usize, next_job: usize) -> CoordPc {
-    if next_job < config.jobs {
-        if config.bugs.publish_before_write {
-            CoordPc::Publish {
-                phase,
-                job: next_job,
-            }
-        } else {
-            CoordPc::Write {
-                phase,
-                job: next_job,
-            }
-        }
-    } else if config.bugs.arm_after_publish {
-        CoordPc::Arm { phase }
-    } else {
-        CoordPc::WaitCheck { phase }
-    }
-}
-
-fn coordinator_step(config: &Config, s: &State) -> Option<(String, StepOutcome)> {
+/// The coordinator's next step from `s`; `None` when it is blocked (a wait
+/// whose condition does not hold, a join on a running worker) or done.
+fn coordinator_step(config: &Config, s: &State) -> Option<Outcome> {
     let mut n = s.clone();
-    let (label, outcome): (String, StepOutcome) = match s.coord {
-        CoordPc::Register { phase } => {
-            n.coord_registered = true;
-            n.coord = if config.bugs.arm_after_publish {
-                after_job_setup(config, phase, 0)
+    let last_lane = config.lanes - 1;
+    // The two halves of publishing one lane, in the (possibly bugged) order.
+    type Half = fn(usize) -> CoordPc;
+    let (first, second): (Half, Half) = if config.bugs.tail_before_write {
+        (CoordPc::Tail, CoordPc::Write)
+    } else {
+        (CoordPc::Write, CoordPc::Tail)
+    };
+    let after_half = |pc: CoordPc, l: usize, n: &mut State| {
+        n.coord = if pc == first(l) {
+            second(l)
+        } else if l < last_lane {
+            first(l + 1)
+        } else {
+            n.next += 1;
+            CoordPc::Pump
+        };
+    };
+    match s.coord {
+        CoordPc::Pump => {
+            let depth = config.depth + u64::from(config.bugs.ring_full_off_by_one);
+            n.coord = if s.poisoned {
+                CoordPc::Stop // `rethrow` unwinds into the guard's drop
+            } else if s.next < config.epochs {
+                if lane::may_publish(s.next, s.harvested, depth) {
+                    first(0)
+                } else {
+                    CoordPc::HarvestWait(0)
+                }
+            } else if s.harvested < s.next {
+                CoordPc::HarvestWait(0)
             } else {
-                CoordPc::Arm { phase }
+                CoordPc::Stop
             };
-            (format!("coord: register (phase {phase})"), Ok(n))
         }
-        CoordPc::Arm { phase } => {
-            n.pending = config.jobs;
-            n.coord = if config.bugs.arm_after_publish {
-                CoordPc::WaitCheck { phase }
+        CoordPc::HarvestWait(l) => {
+            let counter = if config.bugs.harvest_on_drained {
+                s.drained[l]
             } else {
-                after_job_setup(config, phase, 0)
+                s.applied[l]
             };
-            (format!("coord: arm pending={} ", config.jobs), Ok(n))
-        }
-        CoordPc::Write { phase, job } => {
-            let label = format!("coord: write job {job} (phase {phase})");
-            if s.owner[job] != Owner::Coordinator {
-                return Some((
-                    label,
-                    Err(ViolationKind::DoubleOwnership {
-                        cell: job,
-                        access: "coordinator wrote a cell it does not own",
-                    }),
-                ));
-            }
-            n.job_panics[job] = phase == 0 && config.panic_job == Some(job);
-            n.coord = if config.bugs.publish_before_write {
-                // Bug ordering: this write trails its publish.
-                after_job_setup(config, phase, job + 1)
-            } else {
-                CoordPc::Publish { phase, job }
+            n.coord = match lane::harvest_observe(counter, s.harvested, s.poisoned) {
+                Step::Go if l < last_lane => CoordPc::HarvestWait(l + 1),
+                Step::Go => CoordPc::Gather,
+                Step::Quit => CoordPc::Stop,
+                Step::Wait => return None,
             };
-            (label, Ok(n))
         }
-        CoordPc::Publish { phase, job } => {
-            n.cells[job] = HAS_WORK;
-            n.owner[job] = Owner::Worker;
-            unpark_worker(config, &mut n, job);
-            n.coord = if config.bugs.publish_before_write {
-                CoordPc::Write { phase, job }
-            } else {
-                after_job_setup(config, phase, job + 1)
-            };
-            (format!("coord: publish job {job} (phase {phase})"), Ok(n))
-        }
-        CoordPc::WaitCheck { phase } => {
-            if s.pending == 0 {
-                n.coord = CoordPc::Unregister { phase };
-                (format!("coord: wait sees pending=0 (phase {phase})"), Ok(n))
-            } else {
-                n.coord = CoordPc::WaitPark { phase };
-                (
-                    format!("coord: wait sees pending={} (phase {phase})", s.pending),
-                    Ok(n),
-                )
+        CoordPc::Gather => {
+            let slot = lane::slot(s.harvested, config.depth);
+            for l in 0..config.lanes {
+                let cell = &mut n.slots[l][slot];
+                if cell.owner != Owner::Coordinator || cell.holds != Some(s.harvested) {
+                    return Some(Err(ViolationKind::SlotRace {
+                        lane: l,
+                        access: "coordinator gathered a slot it does not hold",
+                    }));
+                }
+                cell.holds = None;
+                cell.frozen = false;
             }
+            n.harvested += 1;
+            n.coord = CoordPc::Pump;
         }
-        CoordPc::WaitPark { phase } => {
-            if s.coord_token {
-                n.coord_token = false;
-                n.coord = CoordPc::WaitCheck { phase };
-                (
-                    format!("coord: park consumes banked token (phase {phase})"),
-                    Ok(n),
-                )
-            } else {
-                n.coord = CoordPc::WaitParked { phase };
-                (format!("coord: parks (phase {phase})"), Ok(n))
+        CoordPc::Write(l) | CoordPc::Tail(l)
+            if config.fault
+                == (Fault::Abandon {
+                    epoch: s.next,
+                    lanes: l,
+                })
+                && s.coord == first(l) =>
+        {
+            n.coord = CoordPc::Stop;
+        }
+        CoordPc::Write(l) => {
+            let cell = &mut n.slots[l][lane::slot(s.next, config.depth)];
+            if cell.owner != Owner::Coordinator || cell.holds.is_some() {
+                return Some(Err(ViolationKind::SlotRace {
+                    lane: l,
+                    access: "coordinator wrote a slot it does not hold, or an unharvested one",
+                }));
             }
+            cell.holds = Some(s.next);
+            after_half(s.coord, l, &mut n);
         }
-        CoordPc::WaitParked { phase } => {
-            if !s.coord_token {
-                return None; // blocked until a worker unparks us
+        CoordPc::Tail(l) => {
+            n.tail[l] = s.next + 1;
+            n.slots[l][lane::slot(s.next, config.depth)].owner = Owner::Worker;
+            after_half(s.coord, l, &mut n);
+        }
+        CoordPc::Stop => {
+            n.stop = true;
+            n.coord = CoordPc::Join(0);
+        }
+        CoordPc::Join(l) => {
+            if s.workers[l] != WorkerPc::Exited {
+                return None;
             }
-            n.coord_token = false;
-            n.coord = CoordPc::WaitCheck { phase };
-            (format!("coord: unparked (phase {phase})"), Ok(n))
-        }
-        CoordPc::Unregister { phase } => {
-            n.coord_registered = false;
-            n.coord = CoordPc::CheckPoison { phase };
-            (format!("coord: unregister (phase {phase})"), Ok(n))
-        }
-        CoordPc::CheckPoison { phase } => {
-            if s.cells.contains(&POISONED) {
-                // The re-thrown panic unwinds into WorkerRuntime::drop.
-                n.coord = CoordPc::ShutdownStore { cell: 0 };
-                (
-                    format!("coord: poison found, unwinding to drop (phase {phase})"),
-                    Ok(n),
-                )
-            } else {
-                n.coord = next_gather(config, phase, 0);
-                (format!("coord: no poison (phase {phase})"), Ok(n))
-            }
-        }
-        CoordPc::Gather { phase, job } => {
-            let label = format!("coord: gather job {job} (phase {phase})");
-            if s.owner[job] != Owner::Coordinator {
-                return Some((
-                    label,
-                    Err(ViolationKind::DoubleOwnership {
-                        cell: job,
-                        access: "coordinator gathered a cell it does not own",
-                    }),
-                ));
-            }
-            if s.cells[job] != IDLE {
-                return Some((label, Err(ViolationKind::IncompleteJob { cell: job })));
-            }
-            n.coord = next_gather(config, phase, job + 1);
-            (label, Ok(n))
-        }
-        CoordPc::ShutdownStore { cell } => {
-            n.cells[cell] = SHUTDOWN;
-            n.coord = if cell + 1 < config.workers {
-                CoordPc::ShutdownStore { cell: cell + 1 }
-            } else if config.bugs.skip_shutdown_unpark {
-                CoordPc::Join { cell: 0 }
-            } else {
-                CoordPc::ShutdownUnpark { cell: 0 }
-            };
-            (format!("coord: store SHUTDOWN to cell {cell}"), Ok(n))
-        }
-        CoordPc::ShutdownUnpark { cell } => {
-            unpark_worker(config, &mut n, cell);
-            n.coord = if cell + 1 < config.workers {
-                CoordPc::ShutdownUnpark { cell: cell + 1 }
-            } else {
-                CoordPc::Join { cell: 0 }
-            };
-            (format!("coord: shutdown-unpark worker {cell}"), Ok(n))
-        }
-        CoordPc::Join { cell } => {
-            if s.workers[cell] != WorkerPc::Exited {
-                return None; // join blocks until the worker exits
-            }
-            n.coord = if cell + 1 < config.workers {
-                CoordPc::Join { cell: cell + 1 }
+            n.coord = if l < last_lane {
+                CoordPc::Join(l + 1)
             } else {
                 CoordPc::Done
             };
-            (format!("coord: joined worker {cell}"), Ok(n))
         }
         CoordPc::Done => return None,
-    };
-    Some((label, outcome))
-}
-
-/// After gathering `job` jobs of `phase`: the next gather, the next phase,
-/// or the drop sequence.
-fn next_gather(config: &Config, phase: usize, job: usize) -> CoordPc {
-    if job < config.jobs {
-        CoordPc::Gather { phase, job }
-    } else if phase + 1 < config.phases {
-        CoordPc::Register { phase: phase + 1 }
-    } else {
-        CoordPc::ShutdownStore { cell: 0 }
     }
+    Some(Ok(n))
 }
 
-fn worker_step(config: &Config, s: &State, i: usize) -> Option<(String, StepOutcome)> {
+/// Worker `i`'s next step from `s`; `None` when it is blocked or has exited.
+fn worker_step(config: &Config, s: &State, i: usize) -> Option<Outcome> {
     let mut n = s.clone();
-    let (label, outcome): (String, StepOutcome) = match s.workers[i] {
-        WorkerPc::Check => {
-            // The real decision function, not a transcription of it.
-            match mailbox::worker_observe(s.cells[i]) {
-                WorkerStep::Run => {
-                    if s.owner[i] != Owner::Worker {
-                        return Some((
-                            format!("worker {i}: observed HAS_WORK"),
-                            Err(ViolationKind::DoubleOwnership {
-                                cell: i,
-                                access: "worker ran a job in a cell it does not own",
-                            }),
-                        ));
-                    }
-                    n.workers[i] = WorkerPc::Running;
-                    (format!("worker {i}: observed HAS_WORK, running"), Ok(n))
-                }
-                WorkerStep::Exit => {
-                    n.workers[i] = WorkerPc::Exited;
-                    (format!("worker {i}: observed SHUTDOWN, exiting"), Ok(n))
-                }
-                WorkerStep::Wait => {
-                    n.workers[i] = WorkerPc::ParkDecided;
-                    (format!("worker {i}: observed no work"), Ok(n))
-                }
-            }
-        }
-        WorkerPc::ParkDecided => {
-            if s.worker_token[i] {
-                n.worker_token[i] = false;
-                n.workers[i] = WorkerPc::Check;
-                (format!("worker {i}: park consumes banked token"), Ok(n))
+    let epoch = s.applied[i];
+    let slot = lane::slot(epoch, config.depth);
+    let holds_slot = |s: &State| {
+        let cell = s.slots[i][slot];
+        cell.owner == Owner::Worker && cell.holds == Some(epoch)
+    };
+    let race = |access| Some(Err(ViolationKind::SlotRace { lane: i, access }));
+    n.workers[i] = match s.workers[i] {
+        WorkerPc::Observe => match lane::worker_observe(s.poisoned, s.tail[i], s.stop, epoch) {
+            Step::Go => WorkerPc::Drain,
+            Step::Quit => WorkerPc::Exited,
+            Step::Wait => return None,
+        },
+        WorkerPc::Drain => {
+            let panics = Fault::WorkerPanics { lane: i, epoch };
+            if config.fault == panics {
+                n.poisoned = true;
+                WorkerPc::Exited
+            } else if !holds_slot(s) {
+                return race("worker drained a slot it does not hold");
             } else {
-                n.workers[i] = WorkerPc::Parked;
-                (format!("worker {i}: parks"), Ok(n))
+                WorkerPc::StoreDrained
             }
         }
-        WorkerPc::Parked => {
-            if !s.worker_token[i] {
-                return None; // blocked until an unpark banks a token
-            }
-            n.worker_token[i] = false;
-            n.workers[i] = WorkerPc::Check;
-            (format!("worker {i}: unparked"), Ok(n))
-        }
-        WorkerPc::Running => {
-            if s.owner[i] != Owner::Worker {
-                return Some((
-                    format!("worker {i}: run_job"),
-                    Err(ViolationKind::DoubleOwnership {
-                        cell: i,
-                        access: "cell buffers changed hands mid-job",
-                    }),
-                ));
-            }
-            n.workers[i] = WorkerPc::Publish;
-            let verb = if s.job_panics[i] {
-                "panics"
+        WorkerPc::StoreDrained => {
+            n.drained[i] = epoch + 1;
+            n.slots[i][slot].frozen = true;
+            if config.bugs.skip_barrier {
+                WorkerPc::Apply
             } else {
-                "finishes"
-            };
-            (format!("worker {i}: run_job {verb}"), Ok(n))
-        }
-        WorkerPc::Publish => {
-            // The real publish function decides IDLE vs POISONED.
-            n.cells[i] = mailbox::worker_publish(s.job_panics[i]);
-            n.owner[i] = Owner::Coordinator;
-            n.workers[i] = WorkerPc::Decrement;
-            (format!("worker {i}: publishes {}", n.cells[i]), Ok(n))
-        }
-        WorkerPc::Decrement => {
-            if s.pending == 0 {
-                return Some((
-                    format!("worker {i}: fetch_sub pending"),
-                    Err(ViolationKind::PendingUnderflow),
-                ));
+                WorkerPc::Barrier(0)
             }
-            n.pending -= 1;
-            n.workers[i] = if n.pending == 0 {
-                WorkerPc::Notify
-            } else {
-                WorkerPc::Check
-            };
-            (
-                format!("worker {i}: pending {} -> {}", s.pending, n.pending),
-                Ok(n),
-            )
         }
-        WorkerPc::Notify => {
-            if s.coord_registered {
-                unpark_coordinator(config, &mut n);
+        WorkerPc::Barrier(peer) => {
+            match lane::barrier_observe(s.drained[peer], epoch, s.poisoned || s.stop) {
+                Step::Go if peer + 1 < config.lanes => WorkerPc::Barrier(peer + 1),
+                Step::Go => WorkerPc::Apply,
+                Step::Quit => {
+                    n.poisoned = true; // the barrier panic is caught like any other
+                    WorkerPc::Exited
+                }
+                Step::Wait => return None,
             }
-            n.workers[i] = WorkerPc::Check;
-            (format!("worker {i}: unparks coordinator"), Ok(n))
+        }
+        WorkerPc::Apply => {
+            if !holds_slot(s) {
+                return race("slot changed hands while its worker was appending");
+            }
+            for peer in 0..config.lanes {
+                let cell = s.slots[peer][slot];
+                if cell.holds != Some(epoch) || !cell.frozen {
+                    return Some(Err(ViolationKind::UnfrozenMisses { reader: i, peer }));
+                }
+            }
+            WorkerPc::StoreApplied
+        }
+        WorkerPc::StoreApplied => {
+            n.applied[i] = epoch + 1;
+            n.slots[i][slot].owner = Owner::Coordinator;
+            WorkerPc::Observe
         }
         WorkerPc::Exited => return None,
     };
-    Some((label, outcome))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smallest_world_passes() {
-        let stats = explore(Config::correct(1, 1, 1)).expect("1 worker, 1 job, 1 phase");
-        assert!(stats.states > 10);
-    }
-
-    #[test]
-    fn zero_jobs_passes() {
-        explore(Config::correct(2, 0, 1)).expect("empty phase still joins");
-    }
-
-    #[test]
-    fn dropped_park_token_is_a_lost_wakeup() {
-        let config = Config {
-            bugs: Bugs {
-                drop_park_token: true,
-                ..Bugs::default()
-            },
-            ..Config::correct(1, 1, 1)
-        };
-        let violation = explore(config).expect_err("unpark without token banking");
-        assert!(matches!(violation.kind, ViolationKind::Deadlock { .. }));
-        assert!(!violation.trace.is_empty());
-    }
+    Some(Ok(n))
 }

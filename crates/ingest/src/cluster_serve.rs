@@ -1,15 +1,12 @@
-//! The federated serve pipeline: receiver threads feeding a
-//! [`Cluster`] gateway instead of a single pool.
+//! The federated serve pipeline: the one receiver/coordinator loop of
+//! [`crate::server`] driving a [`Cluster`] gateway instead of a single
+//! pool's pipeline session.
 //!
-//! Same thread layout as [`crate::server`] — one receiver thread per
-//! socket, batches over a crossbeam channel, the caller's thread as
-//! coordinator — but each datagram is classified into a
-//! [`ClusterEvent`] carrying its IPv4 source (the tenant-mapping key),
-//! and the coordinator drives [`Cluster::process_batch`], which scatters
-//! every batch across the per-tenant, per-node pools and merges the
-//! alerts back deterministically.
-//!
-//! Differences from the single-pool path, on purpose:
+//! Each datagram is classified into a [`ClusterEvent`] carrying its IPv4
+//! source (the tenant-mapping key), and the coordinator drives
+//! [`Cluster::process_batch`], which scatters every batch across the
+//! per-tenant, per-node pools and merges the alerts back
+//! deterministically. Differences from the single-pool path, on purpose:
 //!
 //! * No shard-worker pipeline inside the coordinator: the cluster gateway
 //!   is itself the fan-out layer, and each node pool runs its batch
@@ -22,28 +19,62 @@
 //!   default tenant's drop accounting (they are dropped either way — the
 //!   engine models IPv4 only).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::atomic::AtomicBool;
 
-use crossbeam::channel;
 use vids_cluster::{Cluster, ClusterEvent};
+use vids_core::classify::Classified;
+use vids_core::pool::VidsPool;
 use vids_core::sink::AlertSink;
-use vids_core::telemetry::Counter;
+use vids_core::telemetry::ShardSlab;
 use vids_netsim::time::SimTime;
 
-use crate::batch::Batcher;
-use crate::demux::{classify_datagram, WireClass};
-use crate::server::{ServeOptions, ServeReport};
+use crate::datagram::Datagram;
+use crate::server::{serve_engine, ServeEngine, ServeOptions, ServeReport};
 use crate::source::IngestError;
-use crate::udp::{UdpPool, UdpSource};
+use crate::udp::UdpPool;
 
-/// Socket-side counters, updated by receivers, read by the coordinator.
-#[derive(Default)]
-struct IngestStats {
-    rx: AtomicU64,
-    dropped: AtomicU64,
-    unknown: AtomicU64,
-    ipv6: AtomicU64,
+impl ServeEngine for Cluster {
+    type Event = ClusterEvent;
+
+    fn event(classified: Classified, d: &Datagram<'_>) -> ClusterEvent {
+        // The IPv4 source selects the tenant; plain v6 has none and falls
+        // to the default tenant (the datagram is a drop anyway).
+        let src_ip = d.engine_addrs().map(|(src, _)| src.ip).unwrap_or(0);
+        ClusterEvent {
+            classified,
+            at: d.at,
+            src_ip,
+        }
+    }
+
+    fn at(event: &ClusterEvent) -> SimTime {
+        event.at
+    }
+
+    fn submit<S: AlertSink + ?Sized>(
+        &mut self,
+        events: &mut Vec<ClusterEvent>,
+        now: SimTime,
+        sink: &mut S,
+    ) {
+        self.process_batch(events, now, sink);
+    }
+
+    fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
+        Cluster::tick(self, now, sink);
+    }
+
+    fn in_flight(&self) -> u64 {
+        0 // every node pool ingests its share inline
+    }
+
+    fn slab(&self) -> Option<&ShardSlab> {
+        self.telemetry_slab()
+    }
+
+    fn quiesced_pool<S: AlertSink + ?Sized>(&mut self, _sink: &mut S) -> Option<&VidsPool> {
+        None // a federation has no single pool for the recorder to dump
+    }
 }
 
 /// Binds the receiver loops to `cluster` and serves until `stop` is set.
@@ -57,167 +88,5 @@ pub fn serve_cluster_on<S: AlertSink + ?Sized>(
     stop: &AtomicBool,
     sink: &mut S,
 ) -> Result<ServeReport, IngestError> {
-    let epoch = Instant::now();
-    let sources = udp.into_sources(epoch, opts.read_timeout);
-
-    let stats = IngestStats::default();
-    let (batch_tx, batch_rx) = channel::unbounded::<Vec<ClusterEvent>>();
-    let (recycle_tx, recycle_rx) = channel::unbounded::<Vec<ClusterEvent>>();
-    let recycle_rx = std::sync::Mutex::new(recycle_rx);
-
-    let report = std::thread::scope(|scope| {
-        for source in sources {
-            let tx = batch_tx.clone();
-            let recycle = &recycle_rx;
-            let stats = &stats;
-            let opts = *opts;
-            scope.spawn(move || receiver_loop(source, tx, recycle, stats, &opts, stop));
-        }
-        drop(batch_tx);
-        coordinator_loop(cluster, &batch_rx, &recycle_tx, &stats, opts, epoch, sink)
-    });
-    Ok(report)
-}
-
-fn receiver_loop(
-    mut source: UdpSource,
-    tx: channel::Sender<Vec<ClusterEvent>>,
-    recycle: &std::sync::Mutex<channel::Receiver<Vec<ClusterEvent>>>,
-    stats: &IngestStats,
-    opts: &ServeOptions,
-    stop: &AtomicBool,
-) {
-    let mut batcher = Batcher::new(opts.flush_packets, opts.flush_interval.as_nanos() as u64);
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let mut due = false;
-        let polled = source.poll_batch(&mut |d| {
-            let (class, classified) = classify_datagram(&d);
-            stats.rx.fetch_add(1, Ordering::Relaxed);
-            if class == WireClass::Unknown {
-                stats.unknown.fetch_add(1, Ordering::Relaxed);
-            } else if class == WireClass::Ipv6 {
-                stats.ipv6.fetch_add(1, Ordering::Relaxed);
-            }
-            // The IPv4 source selects the tenant; plain v6 has none and
-            // falls to the default tenant (the datagram is a drop anyway).
-            let src_ip = d.engine_addrs().map(|(src, _)| src.ip).unwrap_or(0);
-            due |= batcher.push(ClusterEvent {
-                classified,
-                at: d.at,
-                src_ip,
-            });
-        });
-        match polled {
-            Ok(0) => due = batcher.overdue(Instant::now()),
-            Ok(_) => {}
-            Err(_) => break,
-        }
-        if due {
-            flush(&mut batcher, &tx, recycle, stats);
-        }
-    }
-    if !batcher.is_empty() {
-        flush(&mut batcher, &tx, recycle, stats);
-    }
-}
-
-fn flush(
-    batcher: &mut Batcher<ClusterEvent>,
-    tx: &channel::Sender<Vec<ClusterEvent>>,
-    recycle: &std::sync::Mutex<channel::Receiver<Vec<ClusterEvent>>>,
-    stats: &IngestStats,
-) {
-    let spare = recycle
-        .lock()
-        .map(|rx| rx.try_recv().unwrap_or_default())
-        .unwrap_or_default();
-    let batch = batcher.take(spare);
-    let len = batch.len() as u64;
-    if tx.send(batch).is_err() {
-        stats.dropped.fetch_add(len, Ordering::Relaxed);
-    }
-}
-
-fn coordinator_loop<S: AlertSink + ?Sized>(
-    cluster: &mut Cluster,
-    batch_rx: &channel::Receiver<Vec<ClusterEvent>>,
-    recycle_tx: &channel::Sender<Vec<ClusterEvent>>,
-    stats: &IngestStats,
-    opts: &ServeOptions,
-    epoch: Instant,
-    sink: &mut S,
-) -> ServeReport {
-    let mut batches = 0u64;
-    let mut published = ServeReport::default();
-    let mut last_tick = Instant::now();
-    loop {
-        match batch_rx.recv_timeout(opts.tick_interval) {
-            Ok(mut events) => {
-                // The batch clock is the batch's first receive time, as in
-                // the single-pool path: the gateway clamps later events up
-                // to it, preserving intra-batch timing for the window
-                // machines.
-                let now = events.first().map(|e| e.at).unwrap_or_else(|| wall(epoch));
-                cluster.process_batch(&mut events, now, sink);
-                batches += 1;
-                let _ = recycle_tx.send(events);
-            }
-            Err(channel::RecvTimeoutError::Timeout) => {}
-            Err(channel::RecvTimeoutError::Disconnected) => break,
-        }
-        let now = Instant::now();
-        if now.duration_since(last_tick) >= opts.tick_interval {
-            last_tick = now;
-            cluster.tick(wall(epoch), sink);
-        }
-        publish(stats, cluster, batches, &mut published);
-    }
-    // All receivers flushed and exited; one final sweep fires any pending
-    // timers on every node.
-    let ended_at = wall(epoch);
-    cluster.tick(ended_at, sink);
-    publish(stats, cluster, batches, &mut published);
-    ServeReport {
-        ended_at,
-        ..published
-    }
-}
-
-fn wall(epoch: Instant) -> SimTime {
-    SimTime::from_nanos(epoch.elapsed().as_nanos() as u64)
-}
-
-/// Mirrors the socket-side counters into the cluster's gateway slab as
-/// deltas, the cluster twin of the single-pool publish step.
-fn publish(stats: &IngestStats, cluster: &Cluster, batches: u64, published: &mut ServeReport) {
-    let now = ServeReport {
-        datagrams_rx: stats.rx.load(Ordering::Relaxed),
-        datagrams_dropped: stats.dropped.load(Ordering::Relaxed),
-        demux_unknown: stats.unknown.load(Ordering::Relaxed),
-        datagrams_ipv6: stats.ipv6.load(Ordering::Relaxed),
-        batches,
-        ended_at: published.ended_at,
-    };
-    if let Some(slab) = cluster.telemetry_slab() {
-        slab.add(
-            Counter::DatagramsRx,
-            now.datagrams_rx - published.datagrams_rx,
-        );
-        slab.add(
-            Counter::DatagramsDropped,
-            now.datagrams_dropped - published.datagrams_dropped,
-        );
-        slab.add(
-            Counter::DemuxUnknown,
-            now.demux_unknown - published.demux_unknown,
-        );
-        slab.add(
-            Counter::DatagramsIpv6,
-            now.datagrams_ipv6 - published.datagrams_ipv6,
-        );
-    }
-    *published = now;
+    Ok(serve_engine(cluster, udp, opts, stop, None, sink))
 }

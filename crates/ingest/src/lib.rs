@@ -19,9 +19,8 @@
 //!   and shard-route datagrams, the coordinator drives the engine's
 //!   epoch-ring pipeline, with graceful shutdown and on-demand
 //!   `SIGUSR1` ring snapshots.
-//! * [`cluster_serve`] — the federated variant: the same receiver layout
-//!   feeding a `vids-cluster` gateway (`vids serve --nodes N
-//!   --tenants FILE`).
+//! * [`cluster_serve`] — the federated variant: the same loop driving a
+//!   `vids-cluster` gateway (`vids serve --nodes N --tenants FILE`).
 //! * [`replay`] — `vids replay`: run a capture through the identical
 //!   pipeline at full speed, deterministically; `replay_pcap_parallel`
 //!   classifies on N threads and re-sequences batches so the output

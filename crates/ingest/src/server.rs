@@ -18,11 +18,17 @@
 //! coordinator therefore never touches payload bytes: it runs only the
 //! residual sequential pass (cost charge, clamp, media index) and
 //! publishes each batch as an epoch on the pool's per-shard rings
-//! ([`vids_core::pool::VidsPool::with_pipeline`]), where persistent shard
+//! ([`vids_core::pool::VidsPool::with_pipeline`]), where the session's shard
 //! workers drain it concurrently with the next batch's arrival. Alerts
 //! still reach the sink in the engine's deterministic merge order,
 //! epoch by epoch. Batch `Vec`s cycle back to the receivers through a
 //! recycle channel; steady state allocates nothing per datagram.
+//!
+//! This is the only receiver/coordinator loop in the crate: it is generic
+//! over a small private engine trait ([`ServeEngine`]), and
+//! [`crate::cluster_serve`] plugs a `Cluster` gateway into the same
+//! threads, channels, flush policy and counters — there the engine fans
+//! out across nodes itself and nothing is ever in flight.
 //!
 //! Shutdown: set the stop flag (the CLI wires SIGINT to
 //! [`stop_flag_on_sigint`]). Receivers flush their partial batch and
@@ -42,14 +48,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
+use vids_core::classify::Classified;
 use vids_core::config::Config;
 use vids_core::pool::{PipelineIngress, PreRouted, VidsPool};
 use vids_core::sink::AlertSink;
-use vids_core::telemetry::{Counter, Gauge, Registry};
+use vids_core::telemetry::{Counter, Gauge, Registry, ShardSlab};
 use vids_netsim::time::SimTime;
 use vids_record::LaneRecorder;
 
 use crate::batch::Batcher;
+use crate::datagram::Datagram;
 use crate::demux::{classify_datagram, WireClass};
 use crate::record_tap::{recorded_class, ServeRecorder};
 use crate::source::IngestError;
@@ -124,6 +132,84 @@ struct IngestStats {
     backlog: Vec<AtomicU64>,
 }
 
+/// What the one receiver/coordinator loop needs from the engine behind
+/// it: how a receiver turns a classified datagram into the engine's event,
+/// and how the coordinator feeds, ticks and observes it. Implemented for a
+/// pipeline session over one pool (here) and for a
+/// [`vids_cluster::Cluster`] gateway ([`crate::cluster_serve`]).
+pub(crate) trait ServeEngine {
+    /// The unit receivers batch and the coordinator submits.
+    type Event: Send;
+
+    /// Receiver side: stamps one classified datagram.
+    fn event(classified: Classified, d: &Datagram<'_>) -> Self::Event;
+    /// The event's receive time (the first one is the batch clock).
+    fn at(event: &Self::Event) -> SimTime;
+    /// Ingests one batch, draining `events`.
+    fn submit<S: AlertSink + ?Sized>(
+        &mut self,
+        events: &mut Vec<Self::Event>,
+        now: SimTime,
+        sink: &mut S,
+    );
+    /// Runs the timer sweep; afterwards nothing is in flight.
+    fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S);
+    /// Batches submitted but not yet merged.
+    fn in_flight(&self) -> u64;
+    /// Where the socket-side counters are mirrored, when telemetry is on.
+    fn slab(&self) -> Option<&ShardSlab>;
+    /// Quiesces the engine and lends the single pool the flight recorder
+    /// dumps from; `None` for an engine the recorder does not cover.
+    fn quiesced_pool<S: AlertSink + ?Sized>(&mut self, sink: &mut S) -> Option<&VidsPool>;
+}
+
+/// A pipeline session over one pool, plus the registry slab the caller of
+/// [`serve_on`] asked the socket-side counters to be mirrored into.
+struct Piped<'a, 'pool, 'sh> {
+    ingress: &'a mut PipelineIngress<'pool, 'sh>,
+    slab: Option<&'a ShardSlab>,
+}
+
+impl ServeEngine for Piped<'_, '_, '_> {
+    type Event = PreRouted;
+
+    fn event(classified: Classified, d: &Datagram<'_>) -> PreRouted {
+        // The receiver-side routing step: the shard hashes are computed
+        // here, off the coordinator.
+        PreRouted::new(classified, d.at)
+    }
+
+    fn at(event: &PreRouted) -> SimTime {
+        event.at
+    }
+
+    fn submit<S: AlertSink + ?Sized>(
+        &mut self,
+        events: &mut Vec<PreRouted>,
+        now: SimTime,
+        sink: &mut S,
+    ) {
+        self.ingress.submit(events, now, sink);
+    }
+
+    fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
+        self.ingress.tick(now, sink);
+    }
+
+    fn in_flight(&self) -> u64 {
+        self.ingress.in_flight()
+    }
+
+    fn slab(&self) -> Option<&ShardSlab> {
+        self.slab
+    }
+
+    fn quiesced_pool<S: AlertSink + ?Sized>(&mut self, sink: &mut S) -> Option<&VidsPool> {
+        self.ingress.flush(sink);
+        Some(self.ingress.pool())
+    }
+}
+
 /// Binds `opts.receivers` sockets to `listen` and runs the serve loop
 /// until `stop` becomes true. Blocks the calling thread; alerts stream
 /// into `sink` in deterministic merge order.
@@ -151,18 +237,40 @@ pub fn serve_on<S: AlertSink + ?Sized>(
     recorder: Option<&mut ServeRecorder<'_>>,
     sink: &mut S,
 ) -> Result<ServeReport, IngestError> {
+    let slab = telemetry.map(Registry::pool);
+    Ok(pool.with_pipeline(|ingress| {
+        serve_engine(
+            &mut Piped { ingress, slab },
+            udp,
+            opts,
+            stop,
+            recorder,
+            sink,
+        )
+    }))
+}
+
+/// The one serve loop: a receiver thread per socket batching `E::Event`s
+/// over a channel, the calling thread as coordinator driving `engine`.
+pub(crate) fn serve_engine<E: ServeEngine, S: AlertSink + ?Sized>(
+    engine: &mut E,
+    udp: UdpPool,
+    opts: &ServeOptions,
+    stop: &AtomicBool,
+    recorder: Option<&mut ServeRecorder<'_>>,
+    sink: &mut S,
+) -> ServeReport {
     let mode = udp.mode();
     let epoch = Instant::now();
     let sources = udp.into_sources(epoch, opts.read_timeout);
-    let single_receiver = mode == PoolMode::Single;
-    debug_assert!(!single_receiver || sources.len() == 1);
+    debug_assert!(mode != PoolMode::Single || sources.len() == 1);
 
     let stats = IngestStats {
         backlog: (0..sources.len()).map(|_| AtomicU64::new(0)).collect(),
         ..Default::default()
     };
-    let (batch_tx, batch_rx) = channel::unbounded::<Vec<PreRouted>>();
-    let (recycle_tx, recycle_rx) = channel::unbounded::<Vec<PreRouted>>();
+    let (batch_tx, batch_rx) = channel::unbounded::<Vec<E::Event>>();
+    let (recycle_tx, recycle_rx) = channel::unbounded::<Vec<E::Event>>();
     // The vendored channel's receiver is single-consumer; the recycle
     // side is shared across receiver threads through a mutex (one lock
     // per batch flush, not per datagram).
@@ -182,34 +290,32 @@ pub fn serve_on<S: AlertSink + ?Sized>(
             let recycle = &recycle_rx;
             let stats = &stats;
             let opts = *opts;
-            scope
-                .spawn(move || receiver_loop(source, i, tx, recycle, stats, &opts, stop, lane_rec));
+            scope.spawn(move || {
+                receiver_loop::<E>(source, i, tx, recycle, stats, &opts, stop, lane_rec)
+            });
         }
         // The receivers hold the only senders now; `Disconnected` on the
         // batch channel therefore means every receiver has flushed and
         // exited.
         drop(batch_tx);
 
-        pool.with_pipeline(|p| {
-            coordinator_loop(
-                p,
-                &batch_rx,
-                &recycle_tx,
-                &stats,
-                opts,
-                telemetry,
-                epoch,
-                lane_rec.map(|rec| (rec, dump_dir)),
-                &mut dump_log,
-                sink,
-            )
-        })
+        coordinator_loop(
+            engine,
+            &batch_rx,
+            &recycle_tx,
+            &stats,
+            opts,
+            epoch,
+            lane_rec.map(|rec| (rec, dump_dir)),
+            &mut dump_log,
+            sink,
+        )
     });
     if let Some(r) = recorder {
         r.written.extend(dump_log.written);
         r.io_errors += dump_log.io_errors;
     }
-    Ok(report)
+    report
 }
 
 /// Dump outcomes the coordinator accumulates during a session.
@@ -220,11 +326,11 @@ struct DumpLog {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn receiver_loop(
+fn receiver_loop<E: ServeEngine>(
     mut source: UdpSource,
     index: usize,
-    tx: channel::Sender<Vec<PreRouted>>,
-    recycle: &std::sync::Mutex<channel::Receiver<Vec<PreRouted>>>,
+    tx: channel::Sender<Vec<E::Event>>,
+    recycle: &std::sync::Mutex<channel::Receiver<Vec<E::Event>>>,
     stats: &IngestStats,
     opts: &ServeOptions,
     stop: &AtomicBool,
@@ -244,9 +350,9 @@ fn receiver_loop(
         }
         let mut due = false;
         let polled = source.poll_batch(&mut |d| {
-            // The receiver-side hot path: demux + classify + route-hash,
-            // all allocation-free for media traffic, then one push into
-            // the preallocated batch.
+            // The receiver-side hot path: demux + classify + the engine's
+            // event stamp, all allocation-free for media traffic, then one
+            // push into the preallocated batch.
             let (class, classified) = classify_datagram(&d);
             if let Some(rec) = recorder {
                 rec.record(index, d.at, d.src, d.dst, recorded_class(class), d.payload);
@@ -257,7 +363,7 @@ fn receiver_loop(
             } else if class == WireClass::Ipv6 {
                 stats.ipv6.fetch_add(1, Ordering::Relaxed);
             }
-            due |= batcher.push(PreRouted::new(classified, d.at));
+            due |= batcher.push(E::event(classified, &d));
         });
         match polled {
             Ok(0) => due = batcher.overdue(Instant::now()),
@@ -276,10 +382,10 @@ fn receiver_loop(
     stats.backlog[index].store(0, Ordering::Relaxed);
 }
 
-fn flush(
-    batcher: &mut Batcher<PreRouted>,
-    tx: &channel::Sender<Vec<PreRouted>>,
-    recycle: &std::sync::Mutex<channel::Receiver<Vec<PreRouted>>>,
+fn flush<T>(
+    batcher: &mut Batcher<T>,
+    tx: &channel::Sender<Vec<T>>,
+    recycle: &std::sync::Mutex<channel::Receiver<Vec<T>>>,
     stats: &IngestStats,
 ) {
     let spare = recycle
@@ -294,13 +400,12 @@ fn flush(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn coordinator_loop<S: AlertSink + ?Sized>(
-    p: &mut PipelineIngress<'_, '_>,
-    batch_rx: &channel::Receiver<Vec<PreRouted>>,
-    recycle_tx: &channel::Sender<Vec<PreRouted>>,
+fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
+    engine: &mut E,
+    batch_rx: &channel::Receiver<Vec<E::Event>>,
+    recycle_tx: &channel::Sender<Vec<E::Event>>,
     stats: &IngestStats,
     opts: &ServeOptions,
-    telemetry: Option<&Registry>,
     epoch: Instant,
     recorder: Option<(&LaneRecorder, Option<&Path>)>,
     dump_log: &mut DumpLog,
@@ -318,8 +423,8 @@ fn coordinator_loop<S: AlertSink + ?Sized>(
                 // the current wall clock): the engine clamps events up to
                 // the clock, and a later clock would flatten the
                 // intra-batch timing the window machines count on.
-                let now = events.first().map(|e| e.at).unwrap_or_else(|| wall(epoch));
-                p.submit(&mut events, now, sink);
+                let now = events.first().map(E::at).unwrap_or_else(|| wall(epoch));
+                engine.submit(&mut events, now, sink);
                 if let Some((rec, _)) = recorder {
                     rec.mark_batch();
                 }
@@ -332,34 +437,40 @@ fn coordinator_loop<S: AlertSink + ?Sized>(
         let now = Instant::now();
         if now.duration_since(last_tick) >= opts.tick_interval {
             last_tick = now;
-            // The tick flushes every in-flight epoch, so the pool is
-            // quiescent right after — the only point where dumps can
-            // read shard state without racing the workers.
-            p.tick(wall(epoch), sink);
-            dump_new_alerts(p, recorder, &mut alerts_dumped, dump_log);
+            // The tick leaves the engine quiescent — the only point where
+            // dumps can read shard state without racing the workers.
+            engine.tick(wall(epoch), sink);
+            dump_new_alerts(engine, recorder, &mut alerts_dumped, dump_log, sink);
         }
         if let Some(flag) = opts.snapshot_flag {
             // Swap-and-clear even with no recorder, so a stale request
             // does not fire the first dump of a later session.
             if flag.swap(false, Ordering::Relaxed) {
                 if let Some((rec, Some(dir))) = recorder {
-                    p.flush(sink);
-                    match rec.dump_snapshot(p.pool(), dir, wall(epoch)) {
-                        Ok(Some(path)) => dump_log.written.push(path),
-                        Ok(None) => {} // dump cap reached
-                        Err(_) => dump_log.io_errors += 1,
+                    if let Some(pool) = engine.quiesced_pool(sink) {
+                        match rec.dump_snapshot(pool, dir, wall(epoch)) {
+                            Ok(Some(path)) => dump_log.written.push(path),
+                            Ok(None) => {} // dump cap reached
+                            Err(_) => dump_log.io_errors += 1,
+                        }
                     }
                 }
             }
         }
-        publish(stats, telemetry, batches, &mut published, p.in_flight());
+        publish(
+            stats,
+            engine.slab(),
+            batches,
+            &mut published,
+            engine.in_flight(),
+        );
     }
     // All receivers flushed and exited; every batch has been submitted.
-    // One final tick drains the rings and fires any pending timers.
+    // One final tick drains what is in flight and fires any pending timers.
     let ended_at = wall(epoch);
-    p.tick(ended_at, sink);
-    dump_new_alerts(p, recorder, &mut alerts_dumped, dump_log);
-    publish(stats, telemetry, batches, &mut published, 0);
+    engine.tick(ended_at, sink);
+    dump_new_alerts(engine, recorder, &mut alerts_dumped, dump_log, sink);
+    publish(stats, engine.slab(), batches, &mut published, 0);
     ServeReport {
         ended_at,
         ..published
@@ -367,16 +478,19 @@ fn coordinator_loop<S: AlertSink + ?Sized>(
 }
 
 /// Dumps the window for any alerts raised since the last quiesce point.
-/// Must be called with the pipeline flushed (right after a tick). A
-/// failed dump write is counted, not fatal.
-fn dump_new_alerts(
-    p: &mut PipelineIngress<'_, '_>,
+/// Called right after a tick, so quiescing again is free. A failed dump
+/// write is counted, not fatal.
+fn dump_new_alerts<E: ServeEngine, S: AlertSink + ?Sized>(
+    engine: &mut E,
     recorder: Option<(&LaneRecorder, Option<&Path>)>,
     alerts_dumped: &mut usize,
     dump_log: &mut DumpLog,
+    sink: &mut S,
 ) {
     let Some((rec, dir)) = recorder else { return };
-    let pool = p.pool();
+    let Some(pool) = engine.quiesced_pool(sink) else {
+        return;
+    };
     let alerts = pool.alerts();
     if alerts.len() <= *alerts_dumped {
         return;
@@ -397,12 +511,12 @@ fn wall(epoch: Instant) -> SimTime {
     SimTime::from_nanos(epoch.elapsed().as_nanos() as u64)
 }
 
-/// Mirrors the ingest-side counters into telemetry as deltas, so the
-/// pool slab's `datagrams_rx` / `demux_unknown` / `datagrams_dropped`
+/// Mirrors the ingest-side counters into the engine's telemetry slab as
+/// deltas, so its `datagrams_rx` / `demux_unknown` / `datagrams_dropped`
 /// counters and the `socket_backlog` gauge stay current.
 fn publish(
     stats: &IngestStats,
-    telemetry: Option<&Registry>,
+    slab: Option<&ShardSlab>,
     batches: u64,
     published: &mut ServeReport,
     in_flight: u64,
@@ -415,8 +529,7 @@ fn publish(
         batches,
         ended_at: published.ended_at,
     };
-    if let Some(reg) = telemetry {
-        let slab = reg.pool();
+    if let Some(slab) = slab {
         slab.add(
             Counter::DatagramsRx,
             now.datagrams_rx - published.datagrams_rx,
@@ -444,26 +557,68 @@ fn publish(
     *published = now;
 }
 
+/// `SIGINT` is 2 on every Unix.
+const SIGINT: Option<i32> = if cfg!(unix) { Some(2) } else { None };
+
+/// `SIGUSR1` is not portable: 10 on Linux, 30 on macOS and the BSDs (where
+/// 10 is `SIGBUS`), and left un-wired where this crate does not know it.
+const SIGUSR1: Option<i32> = if cfg!(any(target_os = "linux", target_os = "android")) {
+    Some(10)
+} else if cfg!(any(
+    target_os = "macos",
+    target_os = "ios",
+    target_os = "freebsd",
+    target_os = "netbsd",
+    target_os = "openbsd",
+    target_os = "dragonfly"
+)) {
+    Some(30)
+} else {
+    None
+};
+
+/// Installs a handler for `sig` that sets `flag`; a no-op for a signal the
+/// target does not have. Safe to call more than once; the last flag
+/// registered for a signal wins.
+fn flag_on_signal(sig: Option<i32>, flag: &'static AtomicBool) {
+    #[cfg(unix)]
+    if let Some(sig) = sig {
+        use std::sync::atomic::AtomicPtr;
+
+        /// The flag each signal number raises, written before its handler
+        /// is installed.
+        static FLAGS: [AtomicPtr<AtomicBool>; 32] =
+            [const { AtomicPtr::new(std::ptr::null_mut()) }; 32];
+
+        extern "C" fn raise(sig: i32) {
+            let flag = FLAGS[sig as usize].load(Ordering::Acquire);
+            // SAFETY: the only non-null pointers ever stored come from
+            // `&'static AtomicBool`s.
+            if let Some(flag) = unsafe { flag.as_ref() } {
+                flag.store(true, Ordering::Relaxed);
+            }
+        }
+        extern "C" {
+            fn signal(sig: i32, handler: extern "C" fn(i32)) -> usize;
+        }
+        FLAGS[sig as usize].store(std::ptr::from_ref(flag).cast_mut(), Ordering::Release);
+        // SAFETY: the handler only loads and stores atomics, which is
+        // async-signal-safe, and is installed after its table entry is
+        // set.
+        unsafe {
+            signal(sig, raise);
+        }
+    }
+    #[cfg(not(unix))]
+    let _ = (sig, flag);
+}
+
 /// Installs a SIGINT handler that sets a process-wide stop flag, and
 /// returns the flag. Safe to call more than once. On non-Unix targets
 /// the flag is returned un-wired (Ctrl-C terminates the process).
 pub fn stop_flag_on_sigint() -> &'static AtomicBool {
     static STOP: AtomicBool = AtomicBool::new(false);
-    #[cfg(unix)]
-    {
-        extern "C" fn on_sigint(_sig: i32) {
-            STOP.store(true, Ordering::Relaxed);
-        }
-        extern "C" {
-            fn signal(sig: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        // SAFETY: the handler only stores to a static atomic, which is
-        // async-signal-safe.
-        unsafe {
-            signal(SIGINT, on_sigint);
-        }
-    }
+    flag_on_signal(SIGINT, &STOP);
     &STOP
 }
 
@@ -471,23 +626,10 @@ pub fn stop_flag_on_sigint() -> &'static AtomicBool {
 /// flag, and returns the flag; wire it into
 /// [`ServeOptions::snapshot_flag`] so `kill -USR1 $(pidof vids)` dumps
 /// the live recorder rings as a `.vdump`. Safe to call more than once.
-/// On non-Unix targets the flag is returned un-wired.
+/// On targets whose `SIGUSR1` number this crate does not know the flag is
+/// returned un-wired.
 pub fn dump_flag_on_sigusr1() -> &'static AtomicBool {
     static DUMP: AtomicBool = AtomicBool::new(false);
-    #[cfg(unix)]
-    {
-        extern "C" fn on_sigusr1(_sig: i32) {
-            DUMP.store(true, Ordering::Relaxed);
-        }
-        extern "C" {
-            fn signal(sig: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        const SIGUSR1: i32 = 10;
-        // SAFETY: the handler only stores to a static atomic, which is
-        // async-signal-safe.
-        unsafe {
-            signal(SIGUSR1, on_sigusr1);
-        }
-    }
+    flag_on_signal(SIGUSR1, &DUMP);
     &DUMP
 }

@@ -46,9 +46,6 @@ pub enum Counter {
     AlertsNondeterminism,
     /// Nanoseconds spent in the pool's deterministic merge (wall clock).
     MergeNanos,
-    /// Batch descriptors handed to persistent shard workers (one per worker
-    /// woken per batch; zero when the pool drains inline).
-    BatchHandoffs,
     /// Datagrams received from a wire source (socket or pcap replay).
     DatagramsRx,
     /// Datagrams the ingestion tier dropped before classification (socket
@@ -75,7 +72,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counter slots; sizes the slab arrays.
-    pub const COUNT: usize = 27;
+    pub const COUNT: usize = 26;
 
     /// Every variant, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -97,7 +94,6 @@ impl Counter {
         Counter::AlertsDeviation,
         Counter::AlertsNondeterminism,
         Counter::MergeNanos,
-        Counter::BatchHandoffs,
         Counter::DatagramsRx,
         Counter::DatagramsDropped,
         Counter::DemuxUnknown,
@@ -129,7 +125,6 @@ impl Counter {
             Counter::AlertsDeviation => "alerts_deviation",
             Counter::AlertsNondeterminism => "alerts_nondeterminism",
             Counter::MergeNanos => "merge_nanos",
-            Counter::BatchHandoffs => "batch_handoffs",
             Counter::DatagramsRx => "datagrams_rx",
             Counter::DatagramsDropped => "datagrams_dropped",
             Counter::DemuxUnknown => "demux_unknown",
@@ -147,10 +142,8 @@ impl Counter {
     /// [`crate::Snapshot::deterministic`] zeroes the non-deterministic
     /// slots so snapshots can be compared for shard-count invariance.
     pub fn is_deterministic(self) -> bool {
-        // Handoffs depend on the host's hardware-thread count (a single-core
-        // box drains inline and never hands a batch to a worker), so the
-        // slot is zeroed alongside the wall-clock ones. Ingestion drops
-        // depend on socket buffering and OS scheduling. Recorder slots
+        // Ingestion drops depend on socket buffering and OS scheduling, so
+        // the slot is zeroed alongside the wall-clock ones. Recorder slots
         // depend on ring sizing and how traffic interleaves across
         // receiver threads, not on the trace alone. Pipeline stalls depend
         // on how fast the shard workers drain relative to the coordinator,
@@ -158,7 +151,6 @@ impl Counter {
         !matches!(
             self,
             Counter::MergeNanos
-                | Counter::BatchHandoffs
                 | Counter::DatagramsDropped
                 | Counter::DumpsWritten
                 | Counter::RingOverwrites
@@ -176,8 +168,6 @@ pub enum Gauge {
     /// Estimated resident bytes of the fact base (plus media index for the
     /// pool-level slab).
     MemoryBytes,
-    /// Persistent shard workers currently parked waiting for a batch.
-    WorkerParked,
     /// Bytes queued in the live receive sockets at snapshot time (0 when
     /// not serving or when the platform cannot report it).
     SocketBacklog,
@@ -191,13 +181,12 @@ pub enum Gauge {
 
 impl Gauge {
     /// Number of gauge slots; sizes the slab arrays.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// Every variant, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
         Gauge::LiveCalls,
         Gauge::MemoryBytes,
-        Gauge::WorkerParked,
         Gauge::SocketBacklog,
         Gauge::RingBytes,
         Gauge::PipelineDepth,
@@ -208,7 +197,6 @@ impl Gauge {
         match self {
             Gauge::LiveCalls => "live_calls",
             Gauge::MemoryBytes => "memory_bytes",
-            Gauge::WorkerParked => "worker_parked",
             Gauge::SocketBacklog => "socket_backlog",
             Gauge::RingBytes => "ring_bytes",
             Gauge::PipelineDepth => "pipeline_depth",
@@ -219,18 +207,13 @@ impl Gauge {
     /// distinct calls publish identical media coordinates, each owning
     /// shard keeps its own media-index entry, so the merged byte count
     /// varies with the shard count even though detection does not. The
-    /// parked-worker gauge depends on the host's hardware threads; the
-    /// socket backlog on OS buffering; the recorder's live byte count on
-    /// ring sizing and receiver interleaving; the pipeline depth on how
-    /// far the shard workers lag the coordinator at sample time.
+    /// socket backlog depends on OS buffering; the recorder's live byte
+    /// count on ring sizing and receiver interleaving; the pipeline depth
+    /// on how far the shard workers lag the coordinator at sample time.
     pub fn is_deterministic(self) -> bool {
         !matches!(
             self,
-            Gauge::MemoryBytes
-                | Gauge::WorkerParked
-                | Gauge::SocketBacklog
-                | Gauge::RingBytes
-                | Gauge::PipelineDepth
+            Gauge::MemoryBytes | Gauge::SocketBacklog | Gauge::RingBytes | Gauge::PipelineDepth
         )
     }
 }
@@ -290,12 +273,10 @@ mod tests {
     #[test]
     fn wall_clock_slots_are_flagged() {
         assert!(!Counter::MergeNanos.is_deterministic());
-        assert!(!Counter::BatchHandoffs.is_deterministic());
         assert!(!Counter::DatagramsDropped.is_deterministic());
         assert!(!Counter::DumpsWritten.is_deterministic());
         assert!(!Counter::RingOverwrites.is_deterministic());
         assert!(!Counter::PipelineStalls.is_deterministic());
-        assert!(!Gauge::WorkerParked.is_deterministic());
         assert!(!Gauge::RingBytes.is_deterministic());
         assert!(!Gauge::PipelineDepth.is_deterministic());
         assert!(Counter::Transitions.is_deterministic());

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
-for bench in parser_throughput pool_scaling hot_path_alloc pcap_replay cluster_gateway; do
+for bench in parser_throughput hot_path_alloc pcap_replay cluster_gateway; do
     echo "==> cargo bench --bench $bench"
     cargo bench --offline -p vids-bench --bench "$bench" | tee -a "$out"
 done

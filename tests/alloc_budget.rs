@@ -9,9 +9,12 @@
 //!
 //! * a warm in-dialog SIP packet costs at most 4 allocations,
 //! * a warm in-profile RTP packet costs 0 allocations,
-//! * a warm `VidsPool` batch costs 0 allocations: the persistent worker
-//!   runtime reuses the pool's queue/classify/merge buffers across
-//!   batches, so steady-state ingest never touches the allocator.
+//! * a warm `VidsPool` batch costs 0 allocations: every synchronous batch
+//!   ingests its routed parts in place and reuses the pool's merge
+//!   buffers across batches, so steady-state ingest never touches the
+//!   allocator,
+//! * an already-seen malformed datagram costs 0 allocations: the pool's
+//!   malformed-alert dedup asks before it formats anything.
 //!
 //! Everything lives in a single `#[test]` because the counter is global:
 //! the default multi-threaded test runner would otherwise interleave
@@ -82,10 +85,10 @@ const CALLEE: Address = Address::new(10, 2, 0, 10, 5060);
 /// Documented per-packet budget for a warm in-dialog SIP message.
 const SIP_BUDGET: u64 = 4;
 
-/// Documented budget for a warm pool batch. The persistent worker runtime
-/// swaps pre-sized buffers between the pool and its shard mailboxes, so a
-/// steady-state batch allocates nothing (before the runtime this was a
-/// constant 7 per batch).
+/// Documented budget for a warm pool batch. A synchronous batch never
+/// queues: each routed part is ingested in place on the calling thread, and
+/// the tagged-alert and miss buffers are the pool's own, reused across
+/// batches — so a steady-state batch allocates nothing.
 const POOL_BATCH_BUDGET: u64 = 0;
 
 fn pkt(src: Address, dst: Address, payload: Payload) -> Packet {
@@ -359,5 +362,42 @@ fn warm_packets_meet_the_allocation_budget() {
         });
         eprintln!("warm SIP receiver route path: {n} allocations");
         assert_eq!(n, 0, "warm SIP classify+route made {n} allocations");
+    }
+
+    // ---- repeated malformed datagrams: the cheapest thing to send -------
+    // The first sight of a (protocol, reason) pair raises one deviation
+    // alert; every repeat must be dropped by the dedup set before any
+    // label or detail string is built.
+    {
+        use vids::core::classify::{classify_wire, WireProto};
+        use vids::core::pool::WireEvent;
+
+        let junk = |at: u64| -> Vec<WireEvent> {
+            let sip = classify_wire(WireProto::Sip, b"garbage", CALLER, CALLEE);
+            let rtp = classify_wire(WireProto::Rtp, &[0u8; 3], CALLER, CALLEE);
+            [sip, rtp]
+                .into_iter()
+                .cycle()
+                .take(16)
+                .map(|classified| WireEvent {
+                    classified,
+                    at: SimTime::from_millis(at),
+                })
+                .collect()
+        };
+        let config = Config::builder().shards(4).build().unwrap();
+        let mut pool = VidsPool::new(config);
+        let mut sink = CollectSink::new();
+        pool.process_wire_batch(&mut junk(0), SimTime::ZERO, &mut sink);
+        assert_eq!(sink.alerts().len(), 2, "one alert per malformed protocol");
+
+        let mut repeat = junk(5);
+        let n = count_allocs(|| {
+            pool.process_wire_batch(&mut repeat, SimTime::from_millis(5), &mut sink)
+        });
+        eprintln!("16 already-seen malformed datagrams: {n} allocations");
+        assert_eq!(n, 0, "repeated malformed datagrams made {n} allocations");
+        assert_eq!(sink.alerts().len(), 2, "repeats raise nothing new");
+        assert_eq!(pool.counters().malformed, 32);
     }
 }

@@ -125,7 +125,10 @@ fn classify_rtp_bytes(bytes: &[u8], src: Address, dst: Address) -> Classified {
 /// Interns the dotted-quad text of a numeric ip, with a thread-local cache
 /// keyed on the `u32` so the steady-state path neither formats, hashes a
 /// string, nor takes any lock. The interner dedups across threads, so each
-/// worker's cache converges on the same `Sym` for the same address.
+/// worker's cache converges on the same `Sym` for the same address. A miss
+/// writes the text into a stack buffer: a flood from spoofed sources misses
+/// on every new address, and the interner's own copy is the only
+/// allocation that should cost.
 pub fn ip_sym(ip: u32) -> Sym {
     thread_local! {
         static CACHE: RefCell<FxHashMap<u32, Sym>> =
@@ -135,8 +138,22 @@ pub fn ip_sym(ip: u32) -> Sym {
         if let Some(&s) = cache.borrow().get(&ip) {
             return s;
         }
-        let [a, b, c, d] = ip.to_be_bytes();
-        let s = Sym::intern(&format!("{a}.{b}.{c}.{d}"));
+        let mut text = [0u8; 15];
+        let mut len = 0;
+        for (i, octet) in ip.to_be_bytes().into_iter().enumerate() {
+            if i > 0 {
+                text[len] = b'.';
+                len += 1;
+            }
+            for place in [100, 10, 1] {
+                if octet >= place || place == 1 {
+                    text[len] = b'0' + octet / place % 10;
+                    len += 1;
+                }
+            }
+        }
+        let text = std::str::from_utf8(&text[..len]).expect("digits and dots are ASCII");
+        let s = Sym::intern(text);
         cache.borrow_mut().insert(ip, s);
         s
     })
@@ -206,9 +223,10 @@ fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Classified {
         event = event.with_uint(sym::STATUS, status.as_u16() as u64);
     }
 
+    let is_register = view.method() == Some(Method::Register);
     // REGISTER: arguments for the registration-monitoring machine. AORs
     // are interned like Call-IDs; the format! is off the steady-state path.
-    if view.method() == Some(Method::Register) {
+    if is_register {
         if let Some(to) = view.to {
             let aor = format!("{}@{}", to.user().unwrap_or(""), to.host());
             event = event.with_sym(sym::AOR, Sym::intern(&aor));
@@ -219,8 +237,12 @@ fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Classified {
         event = event.with_uint(sym::EXPIRES, view.expires.map_or(3_600, u64::from));
     }
 
-    // SDP bodies feed the RTP machine's media coordinates.
-    if view.content_type == Some(vids_sdp::MIME_TYPE) {
+    // SDP bodies feed the RTP machine's media coordinates. A REGISTER is
+    // no part of a call — its event goes to the registration machine alone
+    // — so a body on one is not scanned; that also keeps the widest
+    // argument vector this function builds (an answer with SDP: the nine
+    // response arguments plus these four) at `EVENT_ARGS_INLINE`.
+    if !is_register && view.content_type == Some(vids_sdp::MIME_TYPE) {
         if let Some(sdp) = scan_sdp(view.body) {
             event = event
                 .with_bool(sym::HAS_SDP, true)
@@ -458,6 +480,40 @@ mod tests {
     }
 
     #[test]
+    fn register_with_a_body_stays_inside_the_inline_argument_vector() {
+        use vids_efsm::value::EVENT_ARGS_INLINE;
+        use vids_sip::headers::{CSeq, Header, NameAddr, Via};
+        let aor = SipUri::new("roamer", "b.example.com");
+        let sdp = SessionDescription::audio_offer("x", "10.0.0.20", 20_000, &[Codec::G729]);
+        let mut req = Request::new(
+            vids_sip::Method::Register,
+            SipUri::host_only("b.example.com"),
+        );
+        req.headers
+            .push(Header::Via(Via::udp("10.0.0.20", 5060, "z9hG4bK-r")));
+        req.headers
+            .push(Header::From(NameAddr::new(aor.clone()).with_tag("t")));
+        req.headers.push(Header::To(NameAddr::new(aor)));
+        req.headers.push(Header::CallId("reg-sdp".to_owned()));
+        req.headers
+            .push(Header::CSeq(CSeq::new(1, vids_sip::Method::Register)));
+        req.headers.push(Header::Contact(NameAddr::new(SipUri::new(
+            "roamer",
+            "10.0.0.20",
+        ))));
+        req.headers.push(Header::Expires(600));
+        let req = req.with_body(vids_sdp::MIME_TYPE, sdp.to_string());
+        let Classified::Sip { event, .. } = classify(&packet(Payload::Sip(req.to_string()))) else {
+            panic!("expected SIP");
+        };
+        // The widest REGISTER: eight common arguments plus its own three.
+        assert_eq!(event.args.len(), 11);
+        assert!(!event.bool_arg("has_sdp"), "a REGISTER body is not scanned");
+        assert!(event.args.len() <= EVENT_ARGS_INLINE);
+        assert_eq!(event.args.heap_bytes(), 0);
+    }
+
+    #[test]
     fn register_without_expires_defaults_to_3600() {
         use vids_sip::headers::{Header, NameAddr};
         let aor = SipUri::new("u", "b.example.com");
@@ -529,5 +585,16 @@ mod tests {
         let addr = Address::new(192, 168, 7, 9, 0);
         assert_eq!(ip_sym(addr.ip).as_str(), addr.ip_string());
         assert_eq!(ip_sym(addr.ip), ip_sym(addr.ip));
+        // Every digit count per octet, and both ends of the range.
+        for octets in [
+            [0, 0, 0, 0],
+            [255, 255, 255, 255],
+            [1, 20, 100, 109],
+            [10, 0, 200, 9],
+        ] {
+            let [a, b, c, d] = octets;
+            let addr = Address::new(a, b, c, d, 0);
+            assert_eq!(ip_sym(addr.ip).as_str(), format!("{a}.{b}.{c}.{d}"));
+        }
     }
 }

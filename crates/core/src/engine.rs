@@ -73,27 +73,103 @@ pub(crate) struct ResponseMiss {
     pub src_ip: Sym,
 }
 
-/// An alert scope that renders only on the suspicious (cold) path. The
-/// clean warm path carries this enum by value — never the `format!` the
-/// flood/registration scopes used to pay per packet.
-#[derive(Clone, Copy)]
-enum Scope<'a> {
-    /// A call-scoped delivery: the Call-ID text.
-    Call(&'a str),
+/// The scope of a machine delivery: which call, registration or
+/// destination the network belongs to. Carried by value on the clean warm
+/// path; rendered only once an alert about it is known to be new.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Scope {
+    /// A call-scoped delivery, rendered as the Call-ID text.
+    Call(Sym),
     /// A registration delivery, rendered `aor:<aor>`.
     Aor(Sym),
     /// A destination-pinned flood delivery, rendered `dst:<ip-word>`.
     Dst(u32),
 }
 
-impl fmt::Display for Scope<'_> {
+impl Scope {
+    /// The symbol transitions of this scope are tagged with in the
+    /// telemetry ring.
+    fn sym(self) -> Sym {
+        match self {
+            Scope::Call(sym) | Scope::Aor(sym) => sym,
+            Scope::Dst(ip) => ip_sym(ip),
+        }
+    }
+}
+
+impl fmt::Display for Scope {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Scope::Call(id) => f.write_str(id),
+            Scope::Call(id) => f.write_str(id.as_str()),
             Scope::Aor(aor) => write!(f, "aor:{aor}"),
             Scope::Dst(ip) => write!(f, "dst:{ip}"),
         }
     }
+}
+
+/// What an alert is about: the first half of a dedup key. The rule is the
+/// one the alert log has always followed — an alert is keyed by its
+/// Call-ID when it has one and by its detail text otherwise, together with
+/// its label — but held as the structure the text would be rendered from,
+/// so asking "already raised?" formats nothing.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum Subject {
+    /// A machine scope (detail `scope <scope>`, or the Call-ID itself).
+    Scope(Scope),
+    /// Media coordinates no call negotiated (`unassociated-rtp`).
+    Media { ip: Sym, port: u64 },
+    /// A static parser diagnosis (`malformed-*`).
+    Reason(&'static str),
+    /// A deviating event rendered on a scope that is not a call: free text
+    /// with no structure to key on. Cold — no shipped machine reaches it.
+    Text(String),
+}
+
+/// An alert label before it is text: the second half of a dedup key.
+/// `Display` renders exactly the label the alert carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Label {
+    /// A machine's attack-state label, interned when its definition was
+    /// built.
+    Attack(Sym),
+    /// `deviation:<event>`.
+    Deviation(Sym),
+    /// `nondeterministic-machine`.
+    Nondeterminism,
+    /// `unassociated-request:<event>`.
+    UnassociatedRequest(Sym),
+    /// `unassociated-rtp`.
+    UnassociatedRtp,
+    /// `malformed-<protocol, lower case>`.
+    Malformed(&'static str),
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Attack(label) => f.write_str(label.as_str()),
+            Label::Deviation(event) => write!(f, "deviation:{event}"),
+            Label::Nondeterminism => f.write_str("nondeterministic-machine"),
+            Label::UnassociatedRequest(event) => write!(f, "unassociated-request:{event}"),
+            Label::UnassociatedRtp => f.write_str("unassociated-rtp"),
+            Label::Malformed(protocol) => {
+                write!(f, "malformed-{}", protocol.to_ascii_lowercase())
+            }
+        }
+    }
+}
+
+/// Something the engine found, before it is known to be new. The key
+/// halves are values; the text is borrowed and rendered only once the
+/// dedup set has said this is a first sight.
+struct Finding<'a> {
+    subject: Subject,
+    label: Label,
+    time_ms: u64,
+    kind: AlertKind,
+    call_id: Option<Sym>,
+    machine: &'a str,
+    detail: &'a dyn fmt::Display,
 }
 
 /// The engine's telemetry attachment: one shard slab plus a transition
@@ -152,7 +228,7 @@ pub struct Vids {
     cost: CostModel,
     factbase: FactBase,
     alerts: Vec<Alert>,
-    dedup: HashSet<(String, String)>,
+    dedup: HashSet<(Subject, Label)>,
     counters: VidsCounters,
     cpu: CpuAccount,
     last_sweep_ms: u64,
@@ -353,7 +429,7 @@ impl Vids {
                     return;
                 }
                 if event.name == sym::SIP_INVITE {
-                    self.ingest_invite_flood(event.clone(), dst_ip, now_ms, sink);
+                    self.ingest_invite_flood(dst_ip, now_ms, sink);
                 }
                 if let Some(miss) = self.ingest_call_event(
                     call_id,
@@ -393,33 +469,33 @@ impl Vids {
             tel: self.telemetry.as_mut(),
             scope: aor,
         };
-        let target = self.factbase.solo_machine();
         let net = self.factbase.registration_mut(aor);
         net.advance_time_observed(now_ms, &mut obs);
-        let outcome = net.deliver_observed(target, event, now_ms, &mut obs);
-        self.absorb(outcome, Scope::Aor(aor), aor, now_ms, None, sink);
+        let outcome = net.deliver_observed(event, now_ms, &mut obs);
+        self.absorb(outcome, Scope::Aor(aor), now_ms, sink);
     }
 
     /// Fig. 4: every INVITE also feeds the per-destination flooding
     /// detector, attack or not. This is the destination-pinned part of an
-    /// INVITE; [`Vids::ingest_call_event`] is the call-pinned part.
+    /// INVITE; [`Vids::ingest_call_event`] is the call-pinned part. The
+    /// window counter reads no argument of the INVITE — it counts arrivals
+    /// per destination — so this part takes the destination and the time,
+    /// not the event.
     pub(crate) fn ingest_invite_flood<S: AlertSink + ?Sized>(
         &mut self,
-        event: Event,
         dst_ip: u32,
         now_ms: u64,
         sink: &mut S,
     ) {
-        let scope = ip_sym(dst_ip);
+        let scope = Scope::Dst(dst_ip);
         let mut obs = RingObserver {
             tel: self.telemetry.as_mut(),
-            scope,
+            scope: scope.sym(),
         };
-        let target = self.factbase.solo_machine();
         let net = self.factbase.invite_flood_mut(dst_ip);
         net.advance_time_observed(now_ms, &mut obs);
-        let outcome = net.deliver_observed(target, event, now_ms, &mut obs);
-        self.absorb(outcome, Scope::Dst(dst_ip), scope, now_ms, None, sink);
+        let outcome = net.deliver_observed(Event::data(sym::SIP_INVITE), now_ms, &mut obs);
+        self.absorb(outcome, scope, now_ms, sink);
     }
 
     /// The call-pinned part of a non-REGISTER SIP packet: delivery to the
@@ -471,39 +547,32 @@ impl Vids {
             } else {
                 NetworkOutcome::default()
             };
-            let delivered = record
-                .network
-                .deliver_observed(sip, event, now_ms, &mut obs);
-            outcome.alerts.extend(delivered.alerts);
-            outcome.deviations.extend(delivered.deviations);
-            outcome.nondeterministic |= delivered.nondeterministic;
-            outcome.transitions += delivered.transitions;
-            outcome.sync_deliveries += delivered.sync_deliveries;
+            outcome.merge(
+                record
+                    .network
+                    .deliver_observed(sip, event, now_ms, &mut obs),
+            );
             self.factbase.refresh_media_index_idx(idx);
             // The delivery may have armed/fired timers or changed finality:
             // re-file the call under its next wake deadline.
             self.factbase.reindex_idx(idx);
-            self.absorb(
-                outcome,
-                Scope::Call(call_id.as_str()),
-                call_id,
-                now_ms,
-                Some(call_id.as_str()),
-                sink,
-            );
+            self.absorb(outcome, Scope::Call(call_id), now_ms, sink);
         } else if is_request {
             // A non-dialog-forming request for an unknown call:
             // a specification anomaly worth an alert.
             self.counters.unassociated_sip_requests += 1;
             self.tel_inc(Counter::UnassociatedSipRequests);
             self.raise(
-                now_ms,
-                AlertKind::Deviation,
-                format!("unassociated-request:{}", event.name),
-                Some(call_id.as_str().to_owned()),
-                "engine",
-                format!("request for unmonitored call {call_id}"),
-                self.render_trace(call_id),
+                Finding {
+                    subject: Subject::Scope(Scope::Call(call_id)),
+                    label: Label::UnassociatedRequest(event.name),
+                    time_ms: now_ms,
+                    kind: AlertKind::Deviation,
+                    call_id: Some(call_id),
+                    machine: "engine",
+                    detail: &format_args!("request for unmonitored call {call_id}"),
+                },
+                |vids| vids.render_trace(call_id),
                 sink,
             );
         } else {
@@ -527,17 +596,16 @@ impl Vids {
         now_ms: u64,
         sink: &mut S,
     ) {
-        let scope = ip_sym(dst_ip);
+        let scope = Scope::Dst(dst_ip);
         let mut obs = RingObserver {
             tel: self.telemetry.as_mut(),
-            scope,
+            scope: scope.sym(),
         };
-        let target = self.factbase.solo_machine();
         let net = self.factbase.response_flood_mut(dst_ip);
         net.advance_time_observed(now_ms, &mut obs);
         let synthetic = Event::data(sym::SIP_RESPONSE_UNASSOCIATED).with_sym(sym::SRC_IP, src_ip);
-        let outcome = net.deliver_observed(target, synthetic, now_ms, &mut obs);
-        self.absorb(outcome, Scope::Dst(dst_ip), scope, now_ms, None, sink);
+        let outcome = net.deliver_observed(synthetic, now_ms, &mut obs);
+        self.absorb(outcome, scope, now_ms, sink);
     }
 
     /// An RTP packet: grouped with its call via the media index published
@@ -568,38 +636,34 @@ impl Vids {
                 } else {
                     NetworkOutcome::default()
                 };
-                let delivered = record
-                    .network
-                    .deliver_observed(rtp, event, now_ms, &mut obs);
-                outcome.alerts.extend(delivered.alerts);
-                outcome.deviations.extend(delivered.deviations);
-                outcome.nondeterministic |= delivered.nondeterministic;
-                outcome.transitions += delivered.transitions;
-                outcome.sync_deliveries += delivered.sync_deliveries;
+                outcome.merge(
+                    record
+                        .network
+                        .deliver_observed(rtp, event, now_ms, &mut obs),
+                );
                 // Warm RTP packets take the active→active self-loop, which
                 // re-arms nothing — this reindex is then a no-op compare,
                 // keeping the warm path allocation-free.
                 self.factbase.reindex_idx(idx);
-                self.absorb(
-                    outcome,
-                    Scope::Call(call_id.as_str()),
-                    call_id,
-                    now_ms,
-                    Some(call_id.as_str()),
-                    sink,
-                );
+                self.absorb(outcome, Scope::Call(call_id), now_ms, sink);
             }
             None => {
                 self.counters.unassociated_rtp += 1;
                 self.tel_inc(Counter::UnassociatedRtp);
                 self.raise(
-                    now_ms,
-                    AlertKind::Deviation,
-                    "unassociated-rtp".to_owned(),
-                    None,
-                    "engine",
-                    format!("RTP to {dst_ip}:{dst_port} outside any session"),
-                    Vec::new(),
+                    Finding {
+                        subject: Subject::Media {
+                            ip: dst_ip,
+                            port: dst_port,
+                        },
+                        label: Label::UnassociatedRtp,
+                        time_ms: now_ms,
+                        kind: AlertKind::Deviation,
+                        call_id: None,
+                        machine: "engine",
+                        detail: &format_args!("RTP to {dst_ip}:{dst_port} outside any session"),
+                    },
+                    |_| Vec::new(),
                     sink,
                 );
             }
@@ -617,13 +681,16 @@ impl Vids {
         self.counters.malformed += 1;
         self.tel_inc(Counter::Malformed);
         self.raise(
-            now_ms,
-            AlertKind::Deviation,
-            format!("malformed-{}", protocol.to_ascii_lowercase()),
-            None,
-            "classifier",
-            reason.to_owned(),
-            Vec::new(),
+            Finding {
+                subject: Subject::Reason(reason),
+                label: Label::Malformed(protocol),
+                time_ms: now_ms,
+                kind: AlertKind::Deviation,
+                call_id: None,
+                machine: "classifier",
+                detail: &reason,
+            },
+            |_| Vec::new(),
             sink,
         );
     }
@@ -666,106 +733,123 @@ impl Vids {
             let record = self.factbase.record_mut(idx);
             let outcome = record.network.advance_time_observed(now_ms, &mut obs);
             if outcome.transitions > 0 || outcome.is_suspicious() {
-                self.absorb(
-                    outcome,
-                    Scope::Call(id.as_str()),
-                    id,
-                    now_ms,
-                    Some(id.as_str()),
-                    sink,
-                );
+                self.absorb(outcome, Scope::Call(id), now_ms, sink);
             }
         }
         let evicted = self.factbase.sweep_due(&due, now_ms);
         self.tel_add(Counter::CallsEvicted, evicted.len() as u64);
     }
 
-    /// Converts a network outcome into deduplicated alerts. `scope_sym` is
-    /// the interned form of the scope, used to pull the scope's transition
-    /// history out of the telemetry ring for alert forensics. `scope` is
-    /// rendered only past the clean-path early return, so the per-packet
-    /// call sites never pay its formatting.
+    /// Converts a network outcome into deduplicated alerts.
     fn absorb<S: AlertSink + ?Sized>(
         &mut self,
         outcome: NetworkOutcome,
-        scope: Scope<'_>,
-        scope_sym: Sym,
+        scope: Scope,
         now_ms: u64,
-        call_id: Option<&str>,
         sink: &mut S,
     ) {
         self.tel_add(Counter::SyncDeliveries, outcome.sync_deliveries as u64);
         if !outcome.is_suspicious() && !outcome.nondeterministic {
-            return; // the common clean path: no trace rendering, no allocs
+            return; // the common clean path
         }
-        let trace = self.render_trace(scope_sym);
+        let call_id = match scope {
+            Scope::Call(id) => Some(id),
+            Scope::Aor(_) | Scope::Dst(_) => None,
+        };
+        // The scope's transition history out of the telemetry ring, for
+        // alert forensics: rendered at most once, for the first alert of
+        // this outcome that turns out to be new (the ring does not move
+        // while they are raised).
+        let mut history: Option<Vec<String>> = None;
+        let mut trace = |vids: &Self| {
+            history
+                .get_or_insert_with(|| vids.render_trace(scope.sym()))
+                .clone()
+        };
         for a in outcome.alerts {
             self.raise(
-                a.time_ms, // keep machine time
-                AlertKind::Attack,
-                a.label,
-                call_id.map(str::to_owned),
-                &a.machine,
-                format!("scope {scope}"),
-                trace.clone(),
+                Finding {
+                    subject: Subject::Scope(scope),
+                    label: Label::Attack(a.label),
+                    time_ms: a.time_ms, // keep machine time
+                    kind: AlertKind::Attack,
+                    call_id,
+                    machine: a.machine.as_str(),
+                    detail: &format_args!("scope {scope}"),
+                },
+                &mut trace,
                 sink,
             );
         }
         for d in outcome.deviations {
+            // Keyed by Call-ID when there is one; a call-less scope falls
+            // back to its detail, the rendered event.
+            let subject = match call_id {
+                Some(_) => Subject::Scope(scope),
+                None => Subject::Text(d.event.to_string()),
+            };
             self.raise(
-                d.time_ms,
-                AlertKind::Deviation,
-                format!("deviation:{}", d.event.name),
-                call_id.map(str::to_owned),
-                &d.machine,
-                d.event.to_string(),
-                trace.clone(),
+                Finding {
+                    subject,
+                    label: Label::Deviation(d.event.name),
+                    time_ms: d.time_ms,
+                    kind: AlertKind::Deviation,
+                    call_id,
+                    machine: d.machine.as_str(),
+                    detail: &d.event,
+                },
+                &mut trace,
                 sink,
             );
         }
         if outcome.nondeterministic {
             self.raise(
-                now_ms,
-                AlertKind::Nondeterminism,
-                "nondeterministic-machine".to_owned(),
-                call_id.map(str::to_owned),
-                "engine",
-                format!("scope {scope}"),
-                trace,
+                Finding {
+                    subject: Subject::Scope(scope),
+                    label: Label::Nondeterminism,
+                    time_ms: now_ms,
+                    kind: AlertKind::Nondeterminism,
+                    call_id,
+                    machine: "engine",
+                    detail: &format_args!("scope {scope}"),
+                },
+                &mut trace,
                 sink,
             );
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Raises an alert unless the same `(subject, label)` was raised
+    /// before. Ask, then format: label, detail, Call-ID and trace are built
+    /// only after the dedup set has said the finding is new, so a repeated
+    /// detection — the 120 000th INVITE of a flood re-entering
+    /// `FLOOD_DETECTED` — costs one hash probe. The set is probed before it
+    /// is inserted into because `HashSet::insert` may grow the table before
+    /// it looks, and a repeat must never reach the allocator.
     fn raise<S: AlertSink + ?Sized>(
         &mut self,
-        time_ms: u64,
-        kind: AlertKind,
-        label: String,
-        call_id: Option<String>,
-        machine: &str,
-        detail: String,
-        trace: Vec<String>,
+        finding: Finding<'_>,
+        trace: impl FnOnce(&Self) -> Vec<String>,
         sink: &mut S,
     ) {
-        let scope = call_id.clone().unwrap_or_else(|| detail.clone());
-        if !self.dedup.insert((scope, label.clone())) {
+        let key = (finding.subject, finding.label);
+        if self.dedup.contains(&key) {
             return;
         }
-        self.tel_inc(match kind {
+        self.dedup.insert(key);
+        self.tel_inc(match finding.kind {
             AlertKind::Attack => Counter::AlertsAttack,
             AlertKind::Deviation => Counter::AlertsDeviation,
             AlertKind::Nondeterminism => Counter::AlertsNondeterminism,
         });
         let alert = Alert {
-            time_ms,
-            kind,
-            label,
-            call_id,
-            machine: machine.to_owned(),
-            detail,
-            trace,
+            time_ms: finding.time_ms,
+            kind: finding.kind,
+            label: finding.label.to_string(),
+            call_id: finding.call_id.map(String::from),
+            machine: finding.machine.to_owned(),
+            detail: finding.detail.to_string(),
+            trace: trace(self),
         };
         self.alerts.push(alert.clone());
         sink.accept(alert);

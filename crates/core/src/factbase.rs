@@ -7,13 +7,20 @@
 //! beside them. Calls whose machines all reached final states are evicted
 //! after a grace period (§7.3), keeping memory proportional to *ongoing*
 //! calls only.
+//!
+//! Every record — a call, a destination's flood counter, an AOR's
+//! registration — is one slot of a chunked slab and owns no heap block of
+//! its own: creating one writes a slot, and the allocator is touched only
+//! when a slab or an index grows.
 
 use std::collections::BTreeMap;
+use std::hash::Hash;
+use std::mem::size_of;
 use std::sync::Arc;
 
 use vids_efsm::machine::MachineDef;
-use vids_efsm::network::{MachineId, Network};
-use vids_efsm::{sym, Sym, SymKey};
+use vids_efsm::network::{MachineId, Network, SoloNetwork};
+use vids_efsm::{sym, InlineVec, Sym, SymKey};
 use vids_scan::fxhash::FxHashMap;
 
 use crate::config::Config;
@@ -30,6 +37,129 @@ const WHEEL_BUCKET_MS: u64 = 100;
 /// Sentinel bucket for "not indexed in the wheel".
 const NO_BUCKET: u64 = u64::MAX;
 
+/// Slots per slab chunk. A slab grows by one chunk of this many slots and
+/// never moves a slot once written: under a flood of new calls the
+/// allocator sees one ~62 KiB request per 64 calls and requested bytes
+/// track live state, where one doubling `Vec` re-requests everything it
+/// holds at every growth step.
+const CHUNK_SLOTS: usize = 64;
+
+/// A keyed slab: a hash index from key to a dense slot number, and the
+/// slots themselves in fixed-size chunks. Fx-hashed: the keys are interned
+/// symbols or ip words, not attacker-chosen strings — HashDoS pressure
+/// lands on the interner's own SipHash table, never here.
+///
+/// A slot number is valid until its record is removed; freed numbers are
+/// reused, so a side table that stores one must be scrubbed or
+/// stamp-checked when the record goes (the media index and the expiry
+/// wheel are).
+struct Table<K, T> {
+    index: FxHashMap<K, u32>,
+    chunks: Vec<Vec<Option<T>>>,
+    free: Vec<u32>,
+}
+
+impl<K: Hash + Eq + Copy, T> Table<K, T> {
+    fn new() -> Self {
+        Table {
+            index: FxHashMap::default(),
+            chunks: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    #[inline]
+    fn slot_of(&self, key: K) -> Option<u32> {
+        self.index.get(&key).copied()
+    }
+
+    #[inline]
+    fn get(&self, slot: u32) -> Option<&T> {
+        let slot = slot as usize;
+        self.chunks
+            .get(slot / CHUNK_SLOTS)?
+            .get(slot % CHUNK_SLOTS)?
+            .as_ref()
+    }
+
+    /// The storage cell behind a slot number, occupied or not.
+    #[inline]
+    fn cell_mut(&mut self, slot: u32) -> Option<&mut Option<T>> {
+        let slot = slot as usize;
+        self.chunks
+            .get_mut(slot / CHUNK_SLOTS)?
+            .get_mut(slot % CHUNK_SLOTS)
+    }
+
+    #[inline]
+    fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
+        self.cell_mut(slot)?.as_mut()
+    }
+
+    /// Files `value` under `key`, which must not be present.
+    fn insert(&mut self, key: K, value: T) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                *self.cell_mut(slot).expect("a freed slot exists") = Some(value);
+                slot
+            }
+            None => {
+                if self
+                    .chunks
+                    .last()
+                    .is_none_or(|chunk| chunk.len() == CHUNK_SLOTS)
+                {
+                    self.chunks.push(Vec::with_capacity(CHUNK_SLOTS));
+                }
+                let base = (self.chunks.len() - 1) * CHUNK_SLOTS;
+                let chunk = self.chunks.last_mut().expect("a chunk with room");
+                chunk.push(Some(value));
+                (base + chunk.len() - 1) as u32
+            }
+        };
+        let previous = self.index.insert(key, slot);
+        debug_assert!(previous.is_none(), "key filed twice");
+        slot
+    }
+
+    fn remove(&mut self, key: K) -> Option<T> {
+        let slot = self.index.remove(&key)?;
+        self.free.push(slot);
+        self.cell_mut(slot)?.take()
+    }
+
+    fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> T) -> &mut T {
+        let slot = match self.slot_of(key) {
+            Some(slot) => slot,
+            None => self.insert(key, make()),
+        };
+        self.get_mut(slot).expect("slot just resolved")
+    }
+
+    fn values(&self) -> impl Iterator<Item = &T> {
+        self.chunks.iter().flatten().flatten()
+    }
+
+    /// What the live records cost: their slots, whatever heap `heap_of`
+    /// says each owns, and their index entries. Reserved-but-unused room
+    /// (a chunk's tail, freed slots, hash-table slack) is not charged.
+    fn memory_bytes(&self, heap_of: impl Fn(&T) -> usize) -> usize {
+        self.len() * size_of::<Option<T>>()
+            + self.values().map(heap_of).sum::<usize>()
+            + index_bytes(&self.index)
+    }
+}
+
+/// Bytes a hash index spends on its entries: the pair plus hashbrown's
+/// control byte.
+pub(crate) fn index_bytes<K, V>(index: &FxHashMap<K, V>) -> usize {
+    index.len() * (size_of::<(K, V)>() + 1)
+}
+
 /// Dense slab index naming one monitored call. The engine's hot paths
 /// resolve a Call-ID (or media coordinates) to a `CallIdx` once and then
 /// touch the call's slot by direct indexing — no further hashing. An index
@@ -40,18 +170,17 @@ const NO_BUCKET: u64 = u64::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CallIdx(u32);
 
-impl CallIdx {
-    #[inline]
-    fn i(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// One occupied slab slot: the call's id plus its record.
+/// One occupied call slot: the call's id plus its record. This *is* the
+/// call's state — the network inside it keeps machines, variables and
+/// timers inline, so a half-open call owns no heap block.
 struct Slot {
     id: Sym,
     record: CallRecord,
 }
+
+// Sizes are facts (§7.3 argues capacity from the per-call cost): the next
+// field someone adds to a call has to argue with this number.
+const _: () = assert!(size_of::<Slot>() <= 1024);
 
 /// One monitored call: its EFSM network plus bookkeeping.
 pub struct CallRecord {
@@ -67,15 +196,15 @@ pub struct CallRecord {
     wheel_bucket: u64,
     /// The network's earliest armed timer deadline (`u64::MAX` when none),
     /// cached by [`FactBase::reindex_idx`] so per-packet ingest can skip
-    /// `advance_time` without scanning the timer maps. Engine paths that
+    /// `advance_time` without scanning the timers. Engine paths that
     /// deliver events reindex afterwards, keeping this coherent; code that
     /// drives `record.network` directly must not rely on it.
     pub(crate) next_timer_ms: u64,
-    /// The media-index keys this call has published (at most one per
-    /// endpoint in practice). Eviction removes exactly these entries —
-    /// after checking they still point at this slot — instead of scanning
-    /// the whole index.
-    media_keys: Vec<(Sym, u64)>,
+    /// The media-index keys this call has published: one per endpoint
+    /// inline, more (a re-INVITE that moved the media) on the heap.
+    /// Eviction removes exactly these entries — after checking they still
+    /// point at this slot — instead of scanning the whole index.
+    media_keys: InlineVec<(Sym, u64), 2>,
 }
 
 /// Aggregate fact-base statistics.
@@ -98,23 +227,17 @@ pub struct FactBase {
     invite_flood_def: Arc<MachineDef>,
     response_flood_def: Arc<MachineDef>,
     registration_def: Arc<MachineDef>,
-    /// Call-ID → slab index. Fx-hashed: the keys are interned symbols (a
-    /// `u32` each), not attacker-chosen strings — HashDoS pressure lands on
-    /// the interner's own SipHash table, never here.
-    calls: FxHashMap<Sym, CallIdx>,
-    /// The call slots themselves. Dense and index-stable: a call keeps its
-    /// slot for its whole life, so the hot paths re-touch the same cache
-    /// lines instead of re-probing a hash table per packet.
-    slab: Vec<Option<Slot>>,
-    /// Vacated slab indices awaiting reuse.
-    free: Vec<CallIdx>,
+    /// Call-ID → call slot. Dense and index-stable: a call keeps its slot
+    /// for its whole life, so the hot paths re-touch the same cache lines
+    /// instead of re-probing a hash table per packet.
+    calls: Table<Sym, Slot>,
     /// `(media ip, media port) -> call slot`, rebuilt from the call-global
     /// variables the SIP machine publishes. Interned keys: probing on the
     /// RTP hot path is a couple of word hashes, never a string allocation.
     media_index: FxHashMap<(Sym, u64), CallIdx>,
-    invite_flood: FxHashMap<u32, Network>,
-    response_flood: FxHashMap<u32, Network>,
-    registrations: FxHashMap<Sym, Network>,
+    invite_flood: Table<u32, SoloNetwork>,
+    response_flood: Table<u32, SoloNetwork>,
+    registrations: Table<Sym, SoloNetwork>,
     /// Coarse time-wheel over call wake deadlines (armed timers, pending
     /// eviction stamps, grace-period expiries): bucket → call slots filed
     /// there. A sweep visits only the calls whose bucket fell due, so a
@@ -126,46 +249,37 @@ pub struct FactBase {
     sip_machine: MachineId,
     /// The RTP machine's id inside every per-call network.
     rtp_machine: MachineId,
-    /// The sole machine's id inside every single-machine network (flood,
-    /// response-flood, registration).
-    solo_machine: MachineId,
     stats: FactBaseStats,
 }
 
 impl FactBase {
     /// Creates a fact base with the machine definitions built once and
     /// shared by every call (this sharing is what keeps per-call memory at
-    /// the tens-of-bytes level of §7.3).
+    /// the level of §7.3).
     pub fn new(config: Config) -> Self {
         let sip_def = Arc::new(sip_call_machine(&config));
         let rtp_def = Arc::new(rtp_session_machine(&config));
-        let invite_flood_def = Arc::new(invite_flood_machine(&config));
-        // Machine ids are positional: capture them from throwaway networks
+        // Machine ids are positional: capture them from a throwaway network
         // built exactly like the real ones, so the engine never resolves a
         // machine by name on the per-packet path.
         let mut proto = Network::new();
         let sip_machine = proto.add_machine(Arc::clone(&sip_def));
         let rtp_machine = proto.add_machine(Arc::clone(&rtp_def));
-        let mut solo_proto = Network::new();
-        let solo_machine = solo_proto.add_machine(Arc::clone(&invite_flood_def));
         FactBase {
             sip_def,
             rtp_def,
-            invite_flood_def,
+            invite_flood_def: Arc::new(invite_flood_machine(&config)),
             response_flood_def: Arc::new(response_flood_machine(&config)),
             registration_def: Arc::new(registration_machine()),
             config,
-            calls: FxHashMap::default(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            calls: Table::new(),
             media_index: FxHashMap::default(),
-            invite_flood: FxHashMap::default(),
-            response_flood: FxHashMap::default(),
-            registrations: FxHashMap::default(),
+            invite_flood: Table::new(),
+            response_flood: Table::new(),
+            registrations: Table::new(),
             wheel: BTreeMap::new(),
             sip_machine,
             rtp_machine,
-            solo_machine,
             stats: FactBaseStats::default(),
         }
     }
@@ -178,11 +292,6 @@ impl FactBase {
     /// The RTP machine's id in every per-call network.
     pub(crate) fn rtp_machine(&self) -> MachineId {
         self.rtp_machine
-    }
-
-    /// The sole machine's id in every flood / registration network.
-    pub(crate) fn solo_machine(&self) -> MachineId {
-        self.solo_machine
     }
 
     /// The number of currently monitored calls.
@@ -199,19 +308,19 @@ impl FactBase {
     /// path.
     #[inline]
     pub(crate) fn call_idx(&self, call_id: Sym) -> Option<CallIdx> {
-        self.calls.get(&call_id).copied()
+        self.calls.slot_of(call_id).map(CallIdx)
     }
 
     /// The Call-ID filed in a live slot.
     #[inline]
     pub(crate) fn id_of(&self, idx: CallIdx) -> Sym {
-        self.slab[idx.i()].as_ref().expect("live call slot").id
+        self.calls.get(idx.0).expect("live call slot").id
     }
 
     /// Direct record access by slab index.
     #[inline]
     pub(crate) fn record_mut(&mut self, idx: CallIdx) -> &mut CallRecord {
-        &mut self.slab[idx.i()].as_mut().expect("live call slot").record
+        &mut self.calls.get_mut(idx.0).expect("live call slot").record
     }
 
     /// Access a monitored call. Accepts a `Sym` or a raw `&str`; a string
@@ -225,12 +334,12 @@ impl FactBase {
     /// Shared access (introspection in tests and examples).
     pub fn call(&self, call_id: impl SymKey) -> Option<&CallRecord> {
         let idx = self.call_idx(call_id.find_sym()?)?;
-        Some(&self.slab[idx.i()].as_ref()?.record)
+        Some(&self.calls.get(idx.0)?.record)
     }
 
     /// Call-IDs currently monitored (unordered).
     pub fn call_ids(&self) -> impl Iterator<Item = Sym> + '_ {
-        self.calls.keys().copied()
+        self.calls.index.keys().copied()
     }
 
     /// Instantiates the per-call machine network for a new call, returning
@@ -238,8 +347,8 @@ impl FactBase {
     pub(crate) fn create_call_idx(&mut self, call_id: impl SymKey, now_ms: u64) -> CallIdx {
         let call_id = call_id.to_sym();
         self.stats.calls_created += 1;
-        let idx = match self.calls.get(&call_id) {
-            Some(&idx) => idx,
+        let idx = match self.call_idx(call_id) {
+            Some(idx) => idx,
             None => {
                 let mut network = Network::new();
                 network.add_machine(Arc::clone(&self.sip_def));
@@ -255,21 +364,10 @@ impl FactBase {
                         final_since_ms: None,
                         wheel_bucket: NO_BUCKET,
                         next_timer_ms: u64::MAX,
-                        media_keys: Vec::new(),
+                        media_keys: InlineVec::new(),
                     },
                 };
-                let idx = match self.free.pop() {
-                    Some(idx) => {
-                        self.slab[idx.i()] = Some(slot);
-                        idx
-                    }
-                    None => {
-                        self.slab.push(Some(slot));
-                        CallIdx((self.slab.len() - 1) as u32)
-                    }
-                };
-                self.calls.insert(call_id, idx);
-                idx
+                CallIdx(self.calls.insert(call_id, slot))
             }
         };
         self.stats.peak_concurrent = self.stats.peak_concurrent.max(self.calls.len());
@@ -305,7 +403,7 @@ impl FactBase {
     /// reads are keyed by pre-seeded symbols, so the warm no-change case is
     /// four inline `VarMap` probes and two equality checks.
     pub(crate) fn refresh_media_index_idx(&mut self, idx: CallIdx) {
-        let slot = self.slab[idx.i()].as_mut().expect("live call slot");
+        let slot = self.calls.get_mut(idx.0).expect("live call slot");
         let globals = slot.record.network.globals();
         let published = [
             (
@@ -344,34 +442,25 @@ impl FactBase {
 
     /// The per-destination INVITE-flood machine (Fig. 4), created on first
     /// use.
-    pub fn invite_flood_mut(&mut self, dst_ip: u32) -> &mut Network {
-        let def = Arc::clone(&self.invite_flood_def);
-        self.invite_flood.entry(dst_ip).or_insert_with(|| {
-            let mut n = Network::new();
-            n.add_machine(def);
-            n
-        })
+    pub fn invite_flood_mut(&mut self, dst_ip: u32) -> &mut SoloNetwork {
+        let def = &self.invite_flood_def;
+        self.invite_flood
+            .get_or_insert_with(dst_ip, || SoloNetwork::new(Arc::clone(def)))
     }
 
     /// The per-destination response-flood machine (DRDoS), created on first
     /// use.
-    pub fn response_flood_mut(&mut self, dst_ip: u32) -> &mut Network {
-        let def = Arc::clone(&self.response_flood_def);
-        self.response_flood.entry(dst_ip).or_insert_with(|| {
-            let mut n = Network::new();
-            n.add_machine(def);
-            n
-        })
+    pub fn response_flood_mut(&mut self, dst_ip: u32) -> &mut SoloNetwork {
+        let def = &self.response_flood_def;
+        self.response_flood
+            .get_or_insert_with(dst_ip, || SoloNetwork::new(Arc::clone(def)))
     }
 
     /// The per-AOR registration machine (extension), created on first use.
-    pub fn registration_mut(&mut self, aor: impl SymKey) -> &mut Network {
-        let def = Arc::clone(&self.registration_def);
-        self.registrations.entry(aor.to_sym()).or_insert_with(|| {
-            let mut n = Network::new();
-            n.add_machine(def);
-            n
-        })
+    pub fn registration_mut(&mut self, aor: impl SymKey) -> &mut SoloNetwork {
+        let def = &self.registration_def;
+        self.registrations
+            .get_or_insert_with(aor.to_sym(), || SoloNetwork::new(Arc::clone(def)))
     }
 
     /// Re-files a call under its next wake deadline: the earliest armed
@@ -387,7 +476,7 @@ impl FactBase {
     /// matches the record.
     pub(crate) fn reindex_idx(&mut self, idx: CallIdx) {
         let delay = self.config.eviction_delay.as_millis();
-        let record = &mut self.slab[idx.i()].as_mut().expect("live call slot").record;
+        let record = &mut self.calls.get_mut(idx.0).expect("live call slot").record;
         let timer = record.network.next_timer_deadline();
         record.next_timer_ms = timer.unwrap_or(u64::MAX);
         let finality = if record.network.all_final() {
@@ -434,7 +523,7 @@ impl FactBase {
             }
             let idxs = self.wheel.remove(&bucket).unwrap_or_default();
             for idx in idxs {
-                if let Some(slot) = self.slab[idx.i()].as_mut() {
+                if let Some(slot) = self.calls.get_mut(idx.0) {
                     // Entries orphaned by reindexing (or left behind by an
                     // evicted call whose slot was reused) are stale; the
                     // live filing is the one the record points back at.
@@ -462,7 +551,7 @@ impl FactBase {
         let delay = self.config.eviction_delay.as_millis();
         let mut expired = Vec::new();
         for &idx in due {
-            let Some(slot) = self.slab[idx.i()].as_mut() else {
+            let Some(slot) = self.calls.get_mut(idx.0) else {
                 continue;
             };
             let record = &mut slot.record;
@@ -480,8 +569,7 @@ impl FactBase {
         }
         let mut evicted = Vec::with_capacity(expired.len());
         for idx in expired {
-            let slot = self.slab[idx.i()].take().expect("live call slot");
-            self.calls.remove(&slot.id);
+            let slot = self.calls.remove(self.id_of(idx)).expect("live call slot");
             for key in &slot.record.media_keys {
                 // A later call may have republished the same coordinates;
                 // only entries still pointing at this slot are ours to drop.
@@ -489,7 +577,6 @@ impl FactBase {
                     self.media_index.remove(key);
                 }
             }
-            self.free.push(idx);
             self.stats.calls_evicted += 1;
             evicted.push(slot.id);
         }
@@ -506,34 +593,29 @@ impl FactBase {
         self.sweep_due(&due, now_ms)
     }
 
-    /// Total fact-base memory attributable to per-call state (E5): the
-    /// configurations `(s, v̄)`, globals, queues and timers of every call
-    /// network plus the media-index entries. Machine definitions are
-    /// shared and excluded, exactly as the paper argues in §7.3.
+    /// Fact-base memory attributable to monitored state (E5, the
+    /// `memory_bytes` gauge): every live call, flood-counter and
+    /// registration slot at its `size_of`, any heap a record spilled to,
+    /// and the entries of the indexes that find them (Call-ID, media
+    /// coordinates, expiry wheel). Machine definitions are shared and
+    /// excluded, exactly as the paper argues in §7.3; so is the interner,
+    /// which holds the text of every Call-ID, tag and address and is
+    /// accounted by its own metric.
     pub fn memory_bytes(&self) -> usize {
-        let calls: usize = self
-            .slab
-            .iter()
-            .flatten()
-            .map(|slot| slot.id.as_str().len() + slot.record.network.memory_bytes() + 32)
-            .sum();
-        let index: usize = self
-            .media_index
-            .iter()
-            .map(|((ip, _), &idx)| ip.as_str().len() + 8 + self.id_of(idx).as_str().len())
-            .sum();
-        let floods: usize = self
-            .invite_flood
+        let calls = self.calls.memory_bytes(|slot| {
+            slot.record.network.heap_bytes() + slot.record.media_keys.heap_bytes()
+        });
+        let wheel: usize = self
+            .wheel
             .values()
-            .chain(self.response_flood.values())
-            .map(|n| n.memory_bytes() + 8)
+            .map(|filed| size_of::<(u64, Vec<CallIdx>)>() + filed.len() * size_of::<CallIdx>())
             .sum();
-        let registrations: usize = self
-            .registrations
-            .iter()
-            .map(|(aor, n)| aor.as_str().len() + n.memory_bytes())
-            .sum();
-        calls + index + floods + registrations
+        calls
+            + index_bytes(&self.media_index)
+            + wheel
+            + self.invite_flood.memory_bytes(SoloNetwork::heap_bytes)
+            + self.response_flood.memory_bytes(SoloNetwork::heap_bytes)
+            + self.registrations.memory_bytes(SoloNetwork::heap_bytes)
     }
 }
 
@@ -671,11 +753,11 @@ mod tests {
     #[test]
     fn flood_machines_are_per_destination() {
         let mut fb = FactBase::new(Config::default());
-        let a = fb.invite_flood_mut(1) as *const Network;
-        let b = fb.invite_flood_mut(2) as *const Network;
+        let a = fb.invite_flood_mut(1) as *const SoloNetwork;
+        let b = fb.invite_flood_mut(2) as *const SoloNetwork;
         assert_ne!(a, b);
         // Re-fetch returns the same machine.
-        let a2 = fb.invite_flood_mut(1) as *const Network;
+        let a2 = fb.invite_flood_mut(1) as *const SoloNetwork;
         assert_eq!(a, a2);
     }
 }

@@ -15,8 +15,10 @@
 //! re-registering or moving) stay legitimate.
 
 use vids_efsm::machine::{ActionCtx, MachineDef, PredicateCtx};
+use vids_efsm::sym;
 
 use crate::alert::labels;
+use crate::machines::arg_or_empty;
 
 /// Name of the per-AOR registration machine.
 pub const REGISTER_MACHINE: &str = "register";
@@ -31,8 +33,8 @@ fn is_deregister(ctx: &PredicateCtx<'_>) -> bool {
 }
 
 fn store_binding(ctx: &mut ActionCtx<'_>) {
-    let src = ctx.event.str_arg("src_ip").unwrap_or("").to_owned();
-    let contact = ctx.event.str_arg("contact_ip").unwrap_or("").to_owned();
+    let src = arg_or_empty(ctx.event, sym::SRC_IP);
+    let contact = arg_or_empty(ctx.event, sym::CONTACT_IP);
     ctx.locals.set("l_owner_ip", src);
     ctx.locals.set("l_contact_ip", contact);
 }

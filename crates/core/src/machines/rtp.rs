@@ -468,7 +468,7 @@ mod tests {
             // All within one 1-second window, small gaps.
             let out = net.deliver(id, rtp_packet(CALLER_IP, 7, 100 + i, i * 80, 18), i);
             if let Some(a) = out.alerts.first() {
-                alerted = Some((i, a.label.clone()));
+                alerted = Some((i, a.label));
                 break;
             }
         }

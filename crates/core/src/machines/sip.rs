@@ -8,12 +8,12 @@
 
 use vids_efsm::machine::{ActionCtx, MachineDef, PredicateCtx};
 use vids_efsm::value::Value;
-use vids_efsm::{sym, Event, Sym};
+use vids_efsm::{sym, Event};
 
 use crate::alert::labels;
 use crate::config::Config;
 use crate::machines::{
-    DELTA_BYE, DELTA_OPEN, DELTA_REOPEN, DELTA_UPDATE, RTP_MACHINE, SIP_MACHINE,
+    arg_or_empty, DELTA_BYE, DELTA_OPEN, DELTA_REOPEN, DELTA_UPDATE, RTP_MACHINE, SIP_MACHINE,
 };
 
 /// Timer name for the teardown/failure linger.
@@ -22,12 +22,6 @@ pub const TIMER_LINGER: &str = "T_linger";
 /// The empty string as a `Value`, the default for absent textual args.
 /// Compares equal to both `Str("")` and `Sym("")`.
 static EMPTY_VAL: Value = Value::Sym(sym::EMPTY);
-
-/// Copies a textual argument out of the event (cheap for interned args,
-/// which is everything the classifier produces), defaulting to `""`.
-fn arg_or_empty(ev: &Event, name: Sym) -> Value {
-    ev.arg(name).cloned().unwrap_or(Value::Sym(sym::EMPTY))
-}
 
 fn store_invite_vars(ctx: &mut ActionCtx<'_>) {
     // Local variables (Fig. 2: Call-ID, branch, tags, endpoints).

@@ -417,8 +417,9 @@ enum Books {
 /// One shard-pinned part of a routed packet.
 enum Part {
     Register(Event),
+    /// The Fig. 4 window counter reads no argument of the INVITE, so its
+    /// part is the destination alone (the time rides beside every part).
     InviteFlood {
-        event: Event,
         dst_ip: u32,
     },
     Call {
@@ -594,12 +595,7 @@ impl VidsPool {
     /// media routing index.
     pub fn memory_bytes(&self) -> usize {
         let shard_bytes: usize = self.shards.iter().map(Vids::memory_bytes).sum();
-        let index_bytes: usize = self
-            .media_to_shard
-            .keys()
-            .map(|(ip, _)| ip.as_str().len() + std::mem::size_of::<((Sym, u64), usize)>())
-            .sum();
-        shard_bytes + index_bytes
+        shard_bytes + crate::factbase::index_bytes(&self.media_to_shard)
     }
 
     /// CPU busy time accumulated by the central cost account.
@@ -898,11 +894,7 @@ impl VidsPool {
                         Some(h) => shard_from_hash(h.flood, n),
                         None => self.shard_of(&dst_ip.to_le_bytes()),
                     };
-                    let part = Part::InviteFlood {
-                        event: event.clone(),
-                        dst_ip,
-                    };
-                    place(&mut self.shards, flood_shard, part);
+                    place(&mut self.shards, flood_shard, Part::InviteFlood { dst_ip });
                 }
                 if !mask.call {
                     return;
@@ -1132,9 +1124,9 @@ fn ingest_part(
             let mut sink = TaggedSink::packet(alerts, idx, 2);
             vids.ingest_register(event, t, &mut sink);
         }
-        Part::InviteFlood { event, dst_ip } => {
+        Part::InviteFlood { dst_ip } => {
             let mut sink = TaggedSink::packet(alerts, idx, 1);
-            vids.ingest_invite_flood(event, dst_ip, t, &mut sink);
+            vids.ingest_invite_flood(dst_ip, t, &mut sink);
         }
         Part::Call {
             call_id,

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::intern::{Sym, SymKey};
-use crate::value::{Value, VarMap};
+use crate::value::{Value, VarMap, EVENT_ARGS_INLINE};
 
 /// How an event reached the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -29,6 +29,10 @@ impl fmt::Display for EventKind {
     }
 }
 
+/// An event's argument vector `x̄`: a [`VarMap`] sized so that nothing the
+/// classifier builds spills to the heap.
+pub type Args = VarMap<EVENT_ARGS_INLINE>;
+
 /// An input event: a name plus an argument vector `x̄`.
 ///
 /// Arguments are named values, mirroring the paper's use of fields like
@@ -43,7 +47,7 @@ pub struct Event {
     /// How the event arrived.
     pub kind: EventKind,
     /// The argument vector `x̄`.
-    pub args: VarMap,
+    pub args: Args,
 }
 
 impl Event {
@@ -52,7 +56,7 @@ impl Event {
         Event {
             name: name.into(),
             kind: EventKind::Data,
-            args: VarMap::new(),
+            args: Args::default(),
         }
     }
 
@@ -61,7 +65,7 @@ impl Event {
         Event {
             name: name.into(),
             kind: EventKind::Sync,
-            args: VarMap::new(),
+            args: Args::default(),
         }
     }
 
@@ -70,7 +74,7 @@ impl Event {
         Event {
             name: name.into(),
             kind: EventKind::Timer,
-            args: VarMap::new(),
+            args: Args::default(),
         }
     }
 

@@ -13,8 +13,9 @@ pub struct StepOutcome {
     /// The transition taken, as `(from, to, label)`. `None` if no transition
     /// accepted the event.
     pub taken: Option<(StateId, StateId, Option<Sym>)>,
-    /// Set when the machine entered an attack state: the state's label.
-    pub attack: Option<String>,
+    /// Set when the machine entered an attack state: the state's label,
+    /// interned when the definition was built.
+    pub attack: Option<Sym>,
     /// Set when the event matched no transition and the machine's policy is
     /// [`UnmatchedPolicy::Deviation`]: the offending event, cloned.
     pub deviation: Option<Event>,
@@ -82,7 +83,7 @@ impl MachineInstance {
 
     /// Whether the instance sits in an attack state.
     pub fn is_attack(&self, def: &MachineDef) -> bool {
-        def.attack_label(self.state).is_some()
+        def.attack_sym(self.state).is_some()
     }
 
     /// How many events this instance has processed.
@@ -90,10 +91,16 @@ impl MachineInstance {
         self.steps
     }
 
-    /// Approximate per-instance memory footprint in bytes (configuration
-    /// `(s, v̄)` only — the definition is shared). Used for E5.
+    /// Heap bytes the instance owns beyond its own `size_of` (its locals'
+    /// spill; zero for every shipped machine).
+    pub fn heap_bytes(&self) -> usize {
+        self.locals.heap_bytes()
+    }
+
+    /// Per-instance memory footprint in bytes (configuration `(s, v̄)`
+    /// only — the definition is shared). Used for E5.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.locals.memory_bytes()
+        std::mem::size_of::<Self>() + self.heap_bytes()
     }
 
     /// Feeds one event at monitor time 0 with the given globals.
@@ -158,22 +165,20 @@ impl MachineInstance {
         match chosen {
             Some(idx) => {
                 let t = def.transition(idx);
-                let mut effects = Effects::default();
                 if let Some(action) = &t.action {
                     let mut ctx = ActionCtx {
                         event,
                         locals: &mut self.locals,
                         globals,
                         now_ms,
-                        effects: &mut effects,
+                        effects: &mut outcome.effects,
                     };
                     action(&mut ctx);
                 }
                 let from = self.state;
                 self.state = t.to;
                 outcome.taken = Some((from, t.to, t.label));
-                outcome.attack = def.attack_label(t.to).map(str::to_owned);
-                outcome.effects = effects;
+                outcome.attack = def.attack_sym(t.to);
             }
             None => {
                 // Stale timers are never a deviation: a timer armed for a
@@ -234,7 +239,7 @@ mod tests {
         let o2 = m.step(&def, &ev, &mut globals);
         assert!(o2.attack.is_none());
         let o3 = m.step(&def, &ev, &mut globals);
-        assert_eq!(o3.attack.as_deref(), Some("flood"));
+        assert_eq!(o3.attack.map(Sym::as_str), Some("flood"));
         assert!(m.is_attack(&def));
         assert_eq!(m.steps(), 3);
     }
@@ -250,7 +255,7 @@ mod tests {
         // Threshold 2: the second packet goes straight to ATTACK, not the
         // self-loop — and only one predicate may hold.
         assert!(!o.nondeterministic);
-        assert_eq!(o.attack.as_deref(), Some("flood"));
+        assert_eq!(o.attack.map(Sym::as_str), Some("flood"));
     }
 
     #[test]
@@ -344,8 +349,12 @@ mod tests {
         let def = counter_machine(5);
         let mut m = MachineInstance::new(&def);
         let empty = m.memory_bytes();
+        // An interned value sits in the inline slot the instance already
+        // paid for; only an owned string adds bytes.
+        m.locals_mut().set("l_seen", "interned-text");
+        assert_eq!(m.memory_bytes(), empty);
         m.locals_mut()
-            .set("g_call_id", "a-long-call-identifier@example.com");
+            .set("g_call_id", "a-long-call-identifier@example.com".to_owned());
         assert!(m.memory_bytes() > empty);
     }
 }

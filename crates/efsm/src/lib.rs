@@ -18,7 +18,8 @@
 //! * [`instance::MachineInstance`] — a running configuration `(s, v̄)`.
 //! * [`network::Network`] — communicating EFSMs: the output of one machine
 //!   feeds the FIFO input queue of another, and queued synchronization
-//!   events have **higher priority than data packet events** (§4.2).
+//!   events have **higher priority than data packet events** (§4.2);
+//!   [`network::SoloNetwork`] is the one-machine shape of it.
 //! * [`trace::Trace`] — a replayable record of every transition taken.
 //!
 //! ```
@@ -54,10 +55,12 @@ pub mod trace;
 pub mod value;
 
 pub use analysis::{attack_paths, AttackPath};
-pub use event::{Event, EventKind};
+pub use event::{Args, Event, EventKind};
 pub use instance::{MachineInstance, StepOutcome};
 pub use intern::{sym, Sym, SymKey};
 pub use machine::{BuildError, MachineDef, StateId};
-pub use network::{MachineId, Network, NetworkOutcome, NoopObserver, TransitionObserver};
+pub use network::{
+    MachineId, Network, NetworkOutcome, NoopObserver, SoloNetwork, TransitionObserver,
+};
 pub use trace::{Trace, TraceEntry};
 pub use value::{InlineVec, Value, VarMap};

@@ -108,7 +108,9 @@ impl fmt::Debug for Transition {
 pub(crate) struct StateInfo {
     pub(crate) name: String,
     pub(crate) is_final: bool,
-    pub(crate) attack_label: Option<String>,
+    /// Interned when the state is marked, so entering it hands the label
+    /// on as a handle instead of copying text.
+    pub(crate) attack_label: Option<Sym>,
 }
 
 /// What the machine does with an event no transition accepts.
@@ -230,7 +232,7 @@ impl MachineDef {
 
     /// Annotates a state as an attack state (`s_attack`): entering it raises
     /// an alert carrying `label`.
-    pub fn mark_attack(&mut self, state: StateId, label: impl Into<String>) {
+    pub fn mark_attack(&mut self, state: StateId, label: impl Into<Sym>) {
         self.states[state.0].attack_label = Some(label.into());
     }
 
@@ -345,8 +347,13 @@ impl MachineDef {
     }
 
     /// The attack label of a state, if it is an attack state.
-    pub fn attack_label(&self, state: StateId) -> Option<&str> {
-        self.states[state.0].attack_label.as_deref()
+    pub fn attack_label(&self, state: StateId) -> Option<&'static str> {
+        self.attack_sym(state).map(Sym::as_str)
+    }
+
+    /// The attack label of a state as an interned symbol.
+    pub fn attack_sym(&self, state: StateId) -> Option<Sym> {
+        self.states[state.0].attack_label
     }
 
     /// Looks up a state id by name (test and tooling convenience).

@@ -3,11 +3,18 @@
 //!
 //! Processing rule, verbatim from the paper: "The synchronization events
 //! waiting in a FIFO queue have higher priority than the data packet
-//! events." Before and after any data event is delivered, every queued δ
-//! event is drained (which can cascade: a sync delivery may emit further
-//! sync events).
+//! events." Every δ event a step emits is delivered — cascades included —
+//! before the entry point that caused it returns, so by the time the next
+//! data event arrives nothing is waiting: the FIFO is scratch of one
+//! delivery, not state of the call.
+//!
+//! Two shapes own machines. A [`Network`] is a call: two machines inline
+//! (more spill to the heap), the globals they share, their armed timers.
+//! A [`SoloNetwork`] is one machine that has no peer — a per-destination
+//! flood counter, a per-AOR registration — and pays for neither a second
+//! machine nor globals. Both run the same stepping code over borrowed
+//! pieces and own no heap block for the machines this repository ships.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,7 +23,7 @@ use crate::instance::MachineInstance;
 use crate::intern::Sym;
 use crate::machine::MachineDef;
 use crate::trace::{Trace, TraceEntry};
-use crate::value::VarMap;
+use crate::value::{InlineVec, VarMap};
 
 /// Index of a machine within its [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,15 +35,16 @@ impl fmt::Display for MachineId {
     }
 }
 
-/// An alert raised when some machine entered an attack state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An alert raised when some machine entered an attack state. Both names
+/// are interned handles: raising one copies twenty-four bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AttackAlert {
     /// Monitor time of the detection.
     pub time_ms: u64,
     /// Which machine detected it.
-    pub machine: String,
+    pub machine: Sym,
     /// The attack state's label.
-    pub label: String,
+    pub label: Sym,
 }
 
 impl fmt::Display for AttackAlert {
@@ -50,12 +58,12 @@ impl fmt::Display for AttackAlert {
 }
 
 /// A specification deviation: an event no transition accepted.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Deviation {
     /// Monitor time of the deviation.
     pub time_ms: u64,
     /// Which machine rejected the event.
-    pub machine: String,
+    pub machine: Sym,
     /// The offending event.
     pub event: Event,
 }
@@ -70,18 +78,20 @@ impl fmt::Display for Deviation {
     }
 }
 
-/// Aggregated results of one network step (and its sync cascade).
+/// Aggregated results of one network step (and its sync cascade). The
+/// first alert and the first deviation are held inline; a step that finds
+/// more than one of either is the only one that allocates for them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NetworkOutcome {
     /// Attack states entered, in order.
-    pub alerts: Vec<AttackAlert>,
+    pub alerts: InlineVec<AttackAlert, 1>,
     /// Specification deviations observed, in order.
-    pub deviations: Vec<Deviation>,
+    pub deviations: InlineVec<Deviation, 1>,
     /// Whether any step had multiple enabled transitions.
     pub nondeterministic: bool,
     /// Total transitions taken across all machines.
     pub transitions: usize,
-    /// δ synchronization events popped off the FIFO queues and delivered.
+    /// δ synchronization events delivered.
     pub sync_deliveries: usize,
 }
 
@@ -91,7 +101,9 @@ impl NetworkOutcome {
         !self.alerts.is_empty() || !self.deviations.is_empty()
     }
 
-    fn merge(&mut self, other: NetworkOutcome) {
+    /// Appends what a later step observed (a timer sweep followed by a
+    /// delivery is reported as one outcome).
+    pub fn merge(&mut self, other: NetworkOutcome) {
         self.alerts.extend(other.alerts);
         self.deviations.extend(other.deviations);
         self.nondeterministic |= other.nondeterministic;
@@ -129,78 +141,363 @@ impl TransitionObserver for NoopObserver {
     fn on_transition(&mut self, _: u64, _: Sym, _: Sym, _: Sym, _: Sym, _: Option<Sym>) {}
 }
 
+/// One machine of a network: the shared definition and this network's
+/// configuration `(s, v̄)` of it.
+struct Machine {
+    def: Arc<MachineDef>,
+    instance: MachineInstance,
+}
+
+impl Machine {
+    fn new(def: Arc<MachineDef>) -> Self {
+        Machine {
+            instance: MachineInstance::new(&def),
+            def,
+        }
+    }
+}
+
+/// A network's machines: inline up to the two a call has, on the heap
+/// beyond that (nothing shipped builds a third; the builder API allows
+/// it). The size difference between the variants is the point: boxing
+/// the pair would put every call's machines back on the heap.
+#[derive(Default)]
+#[allow(clippy::large_enum_variant)]
+enum Machines {
+    #[default]
+    Empty,
+    One(Machine),
+    Two([Machine; 2]),
+    Many(Vec<Machine>),
+}
+
+impl Machines {
+    fn as_slice(&self) -> &[Machine] {
+        match self {
+            Machines::Empty => &[],
+            Machines::One(m) => std::slice::from_ref(m),
+            Machines::Two(pair) => pair,
+            Machines::Many(all) => all,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Machine] {
+        match self {
+            Machines::Empty => &mut [],
+            Machines::One(m) => std::slice::from_mut(m),
+            Machines::Two(pair) => pair,
+            Machines::Many(all) => all,
+        }
+    }
+
+    fn push(&mut self, machine: Machine) {
+        *self = match std::mem::take(self) {
+            Machines::Empty => Machines::One(machine),
+            Machines::One(a) => Machines::Two([a, machine]),
+            Machines::Two([a, b]) => Machines::Many(vec![a, b, machine]),
+            Machines::Many(mut all) => {
+                all.push(machine);
+                Machines::Many(all)
+            }
+        };
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let spill = match self {
+            Machines::Many(all) => all.capacity() * std::mem::size_of::<Machine>(),
+            _ => 0,
+        };
+        let instances: usize = self
+            .as_slice()
+            .iter()
+            .map(|m| m.instance.heap_bytes())
+            .sum();
+        spill + instances
+    }
+}
+
+/// One armed timer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Timer {
+    deadline: u64,
+    name: Sym,
+    machine: u32,
+}
+
+/// Every armed timer of one network: four inline (a call arms at most
+/// three at once — the SIP linger, the RTP drain window and the RTP rate
+/// window), more on the heap.
+///
+/// Firing order is part of the contract (alert order depends on it):
+/// earliest deadline first; on a tie the lower machine index, then the
+/// lower timer symbol.
+#[derive(Default)]
+struct Timers(InlineVec<Timer, 4>);
+
+impl Timers {
+    fn position(&self, machine: usize, name: Sym) -> Option<usize> {
+        self.0
+            .iter()
+            .position(|t| t.machine as usize == machine && t.name == name)
+    }
+
+    /// Arms `name` on `machine`, replacing its deadline if already armed.
+    fn arm(&mut self, machine: usize, name: Sym, deadline: u64) {
+        match self.position(machine, name) {
+            Some(i) => self.0[i].deadline = deadline,
+            None => self.0.push(Timer {
+                deadline,
+                name,
+                machine: machine as u32,
+            }),
+        }
+    }
+
+    fn cancel(&mut self, machine: usize, name: Sym) {
+        if let Some(i) = self.position(machine, name) {
+            self.0.remove(i);
+        }
+    }
+
+    fn next_deadline(&self) -> Option<u64> {
+        self.0.iter().map(|t| t.deadline).min()
+    }
+
+    /// Disarms and returns the next timer due at or before `now_ms`.
+    fn pop_due(&mut self, now_ms: u64) -> Option<Timer> {
+        let (i, _) = self
+            .0
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.deadline <= now_ms)
+            .min_by_key(|(_, t)| (t.deadline, t.machine, t.name))?;
+        Some(self.0.remove(i))
+    }
+}
+
+/// A δ event emitted by a step and not yet delivered.
+struct Queued {
+    dest: usize,
+    seq: u32,
+    event: Event,
+}
+
+/// The δ FIFOs of one delivery, as one pool: `pop` hands out the oldest
+/// event of the lowest-numbered machine that has any, which is what one
+/// FIFO per destination machine drained in machine order gives. Two
+/// events wait inline — one action sends at most two today, and each is
+/// delivered before the next step emits more — so the pool lives on the
+/// stack of the delivery that fills it, and setting it up writes two
+/// `None`s.
+#[derive(Default)]
+struct Pending {
+    next_seq: u32,
+    inline: [Option<Queued>; 2],
+    spill: Vec<Option<Queued>>,
+}
+
+impl Pending {
+    fn push(&mut self, dest: usize, event: Event) {
+        let queued = Some(Queued {
+            dest,
+            seq: self.next_seq,
+            event,
+        });
+        self.next_seq += 1;
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = queued,
+            None => self.spill.push(queued),
+        }
+    }
+
+    fn pop(&mut self) -> Option<(usize, Event)> {
+        let queued = self
+            .inline
+            .iter_mut()
+            .chain(&mut self.spill)
+            .filter(|slot| slot.is_some())
+            .min_by_key(|slot| slot.as_ref().map(|q| (q.dest, q.seq)))?
+            .take()?;
+        Some((queued.dest, queued.event))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.inline.iter().chain(&self.spill).all(Option::is_none)
+    }
+}
+
+/// One entry-point call in flight: the pieces borrowed from whichever
+/// shape owns them, the δ events still to deliver, and what was observed
+/// so far.
+struct Run<'a> {
+    machines: &'a mut [Machine],
+    globals: &'a mut VarMap,
+    timers: &'a mut Timers,
+    trace: Option<&'a mut Trace>,
+    sync_enabled: bool,
+    obs: &'a mut dyn TransitionObserver,
+    pending: Pending,
+    outcome: NetworkOutcome,
+}
+
+impl Run<'_> {
+    /// A data event, then the sync cascade it triggers.
+    fn deliver(mut self, target: usize, event: &Event, now_ms: u64) -> NetworkOutcome {
+        self.step(target, event, now_ms);
+        self.drain(now_ms);
+        self.finish()
+    }
+
+    /// Every timer due at or before `now_ms`, each at its own deadline and
+    /// followed by its sync cascade.
+    fn advance(mut self, now_ms: u64) -> NetworkOutcome {
+        while let Some(timer) = self.timers.pop_due(now_ms) {
+            let event = Event::timer(timer.name);
+            self.step(timer.machine as usize, &event, timer.deadline);
+            self.drain(timer.deadline);
+        }
+        self.finish()
+    }
+
+    fn finish(self) -> NetworkOutcome {
+        debug_assert!(
+            self.pending.is_empty(),
+            "every δ event is delivered before an entry point returns"
+        );
+        self.outcome
+    }
+
+    fn drain(&mut self, now_ms: u64) {
+        while let Some((dest, event)) = self.pending.pop() {
+            self.outcome.sync_deliveries += 1;
+            self.step(dest, &event, now_ms);
+        }
+    }
+
+    fn step(&mut self, target: usize, event: &Event, now_ms: u64) {
+        // Split borrows: the definition is read-only while the instance and
+        // globals mutate, so no per-step `Arc` refcount traffic is needed.
+        let Machine { def, instance } = &mut self.machines[target];
+        let step = instance.step_at(def, event, self.globals, now_ms);
+        let machine = def.name_sym();
+
+        self.outcome.nondeterministic |= step.nondeterministic;
+        if let Some((from, to, label)) = step.taken {
+            self.outcome.transitions += 1;
+            self.obs.on_transition(
+                now_ms,
+                machine,
+                event.name,
+                def.state_sym(from),
+                def.state_sym(to),
+                label,
+            );
+            if let Some(trace) = &mut self.trace {
+                trace.push(TraceEntry {
+                    time_ms: now_ms,
+                    machine: def.name().to_owned(),
+                    event: event.to_string(),
+                    from: def.state_name(from).to_owned(),
+                    to: def.state_name(to).to_owned(),
+                    label: label.map(String::from),
+                });
+            }
+        }
+        if let Some(label) = step.attack {
+            self.outcome.alerts.push(AttackAlert {
+                time_ms: now_ms,
+                machine,
+                label,
+            });
+        }
+        if let Some(event) = step.deviation {
+            self.outcome.deviations.push(Deviation {
+                time_ms: now_ms,
+                machine,
+                event,
+            });
+        }
+
+        // Apply requested effects.
+        for (timer, delay) in step.effects.timers_set {
+            self.timers.arm(target, timer, now_ms + delay);
+        }
+        for timer in step.effects.timers_cancelled {
+            self.timers.cancel(target, timer);
+        }
+        if self.sync_enabled {
+            for (dest_name, sync_event) in step.effects.sync_out {
+                if let Some(dest) = position_of(self.machines, dest_name) {
+                    self.pending.push(dest, sync_event);
+                }
+                // Unknown destination: dropped. The builder of the protocol
+                // machines controls both sides, so this only happens in the
+                // sync-disabled ablation or a misconfigured scenario.
+            }
+        }
+    }
+}
+
+fn position_of(machines: &[Machine], name: Sym) -> Option<usize> {
+    machines.iter().position(|m| m.def.name_sym() == name)
+}
+
 /// A network of communicating EFSM instances for one monitored call.
 ///
 /// Definitions are shared (`Arc`) across all concurrent calls; per-call
-/// state is just each instance's configuration, the global variables, the
-/// queues and the armed timers.
+/// state is each instance's configuration, the global variables and the
+/// armed timers — all inline in this value for a two-machine call, so a
+/// call record that embeds a `Network` is one flat block of memory.
+#[derive(Default)]
 pub struct Network {
-    defs: Vec<Arc<MachineDef>>,
-    instances: Vec<MachineInstance>,
+    machines: Machines,
     globals: VarMap,
-    sync_queues: Vec<VecDeque<Event>>,
-    timers: Vec<BTreeMap<Sym, u64>>,
-    trace: Option<Trace>,
-    /// Ablation switch (experiment E8): when false, δ messages are dropped
-    /// instead of enqueued, turning the cross-protocol monitor into a set of
-    /// isolated single-protocol machines.
-    sync_enabled: bool,
+    timers: Timers,
+    /// Debugging aid; boxed so the networks that never trace pay one word.
+    trace: Option<Box<Trace>>,
+    /// Ablation switch (experiment E8): when true, δ messages are dropped
+    /// instead of delivered, turning the cross-protocol monitor into a set
+    /// of isolated single-protocol machines.
+    sync_disabled: bool,
 }
 
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
-            .field("machines", &self.defs.len())
+            .field("machines", &self.machines.as_slice().len())
             .field("globals", &self.globals.len())
-            .field("sync_enabled", &self.sync_enabled)
+            .field("sync_enabled", &!self.sync_disabled)
             .finish()
-    }
-}
-
-impl Default for Network {
-    fn default() -> Self {
-        Network::new()
     }
 }
 
 impl Network {
     /// Creates an empty network with synchronization enabled and no tracing.
     pub fn new() -> Self {
-        Network {
-            defs: Vec::new(),
-            instances: Vec::new(),
-            globals: VarMap::new(),
-            sync_queues: Vec::new(),
-            timers: Vec::new(),
-            trace: None,
-            sync_enabled: true,
-        }
+        Network::default()
     }
 
     /// Enables transition tracing.
     pub fn enable_trace(&mut self) {
         if self.trace.is_none() {
-            self.trace = Some(Trace::new());
+            self.trace = Some(Box::default());
         }
     }
 
     /// The recorded trace, if tracing is enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.trace.as_deref()
     }
 
     /// Disables the synchronization channels (ablation experiment E8).
     pub fn disable_sync(&mut self) {
-        self.sync_enabled = false;
+        self.sync_disabled = true;
     }
 
     /// Adds a machine instance running `def`.
     pub fn add_machine(&mut self, def: Arc<MachineDef>) -> MachineId {
-        self.instances.push(MachineInstance::new(&def));
-        self.defs.push(def);
-        self.sync_queues.push(VecDeque::new());
-        self.timers.push(BTreeMap::new());
-        MachineId(self.instances.len() - 1)
+        self.machines.push(Machine::new(def));
+        MachineId(self.machines.as_slice().len() - 1)
     }
 
     /// Finds a machine by its definition name.
@@ -212,34 +509,31 @@ impl Network {
     /// Finds a machine by its interned name (allocation- and compare-free
     /// routing on the hot path: a `u32` scan over at most a few machines).
     pub fn machine_by_sym(&self, name: Sym) -> Option<MachineId> {
-        self.defs
-            .iter()
-            .position(|d| d.name_sym() == name)
-            .map(MachineId)
+        position_of(self.machines.as_slice(), name).map(MachineId)
     }
 
     /// The instance for a machine id.
     pub fn instance(&self, id: MachineId) -> &MachineInstance {
-        &self.instances[id.0]
+        &self.machines.as_slice()[id.0].instance
     }
 
     /// Mutable instance access (hosts seed initial locals through this).
     pub fn instance_mut(&mut self, id: MachineId) -> &mut MachineInstance {
-        &mut self.instances[id.0]
+        &mut self.machines.as_mut_slice()[id.0].instance
     }
 
     /// The definition for a machine id.
     pub fn definition(&self, id: MachineId) -> &MachineDef {
-        &self.defs[id.0]
+        &self.machines.as_slice()[id.0].def
     }
 
     /// Every machine of the network with its definition, in the order the
     /// machines were added (forensic snapshots walk this).
     pub fn machines(&self) -> impl Iterator<Item = (&MachineDef, &MachineInstance)> {
-        self.defs
+        self.machines
+            .as_slice()
             .iter()
-            .map(|d| d.as_ref())
-            .zip(self.instances.iter())
+            .map(|m| (m.def.as_ref(), &m.instance))
     }
 
     /// Call-global shared variables.
@@ -255,39 +549,40 @@ impl Network {
     /// Whether every machine sits in a final state (the call completed and
     /// the fact base may evict this network).
     pub fn all_final(&self) -> bool {
-        self.instances
-            .iter()
-            .zip(&self.defs)
-            .all(|(m, d)| m.is_final(d))
+        self.machines().all(|(d, m)| m.is_final(d))
     }
 
     /// Whether any machine sits in an attack state.
     pub fn any_attack(&self) -> bool {
-        self.instances
-            .iter()
-            .zip(&self.defs)
-            .any(|(m, d)| m.is_attack(d))
+        self.machines().any(|(d, m)| m.is_attack(d))
     }
 
-    /// Approximate per-call memory footprint (configurations, globals,
-    /// queues and timers; definitions are shared and excluded). E5.
+    /// Heap bytes this network owns beyond its own `size_of`: machines
+    /// past the second, timers past the fourth and variable maps that
+    /// outgrew their inline capacity. Zero for a call running the shipped
+    /// machines. The debugging [`Trace`] is not charged.
+    pub fn heap_bytes(&self) -> usize {
+        self.machines.heap_bytes() + self.globals.heap_bytes() + self.timers.0.heap_bytes()
+    }
+
+    /// Per-call memory footprint (configurations, globals and timers;
+    /// definitions are shared and excluded): this value plus
+    /// [`Network::heap_bytes`]. E5.
     pub fn memory_bytes(&self) -> usize {
-        let instances: usize = self.instances.iter().map(|m| m.memory_bytes()).sum();
-        let queues: usize = self
-            .sync_queues
-            .iter()
-            .map(|q| {
-                q.iter()
-                    .map(|e| e.args.memory_bytes() + 8 + 8)
-                    .sum::<usize>()
-            })
-            .sum();
-        let timers: usize = self
-            .timers
-            .iter()
-            .map(|t| t.len() * (std::mem::size_of::<Sym>() + 8))
-            .sum();
-        instances + queues + timers + self.globals.memory_bytes()
+        std::mem::size_of::<Self>() + self.heap_bytes()
+    }
+
+    fn run<'a>(&'a mut self, obs: &'a mut dyn TransitionObserver) -> Run<'a> {
+        Run {
+            machines: self.machines.as_mut_slice(),
+            globals: &mut self.globals,
+            timers: &mut self.timers,
+            trace: self.trace.as_deref_mut(),
+            sync_enabled: !self.sync_disabled,
+            obs,
+            pending: Pending::default(),
+            outcome: NetworkOutcome::default(),
+        }
     }
 
     /// Delivers a data-packet event to `target` at time `now_ms`, then drains
@@ -305,17 +600,12 @@ impl Network {
         now_ms: u64,
         obs: &mut dyn TransitionObserver,
     ) -> NetworkOutcome {
-        let mut outcome = NetworkOutcome::default();
-        // Rule: queued sync events go first.
-        outcome.merge(self.drain_sync(now_ms, obs));
-        outcome.merge(self.step_one(target, &event, now_ms, obs));
-        outcome.merge(self.drain_sync(now_ms, obs));
-        outcome
+        self.run(obs).deliver(target.0, &event, now_ms)
     }
 
     /// The earliest armed timer deadline across all machines, if any.
     pub fn next_timer_deadline(&self) -> Option<u64> {
-        self.timers.iter().flat_map(|t| t.values()).min().copied()
+        self.timers.next_deadline()
     }
 
     /// Fires every timer due at or before `now_ms`, delivering expirations as
@@ -331,121 +621,97 @@ impl Network {
         now_ms: u64,
         obs: &mut dyn TransitionObserver,
     ) -> NetworkOutcome {
-        let mut outcome = NetworkOutcome::default();
-        loop {
-            // Earliest due timer across machines, for deterministic order.
-            let mut due: Option<(usize, Sym, u64)> = None;
-            for (i, timers) in self.timers.iter().enumerate() {
-                for (name, deadline) in timers {
-                    if *deadline <= now_ms
-                        && due.as_ref().is_none_or(|(_, _, best)| *deadline < *best)
-                    {
-                        due = Some((i, *name, *deadline));
-                    }
-                }
-            }
-            let Some((machine, name, deadline)) = due else {
-                break;
-            };
-            self.timers[machine].remove(&name);
-            let event = Event::timer(name);
-            outcome.merge(self.step_one(MachineId(machine), &event, deadline, obs));
-            outcome.merge(self.drain_sync(deadline, obs));
+        self.run(obs).advance(now_ms)
+    }
+}
+
+/// One machine with its timers and no peer: the per-destination flood
+/// counters and the per-AOR registration machine. It steps exactly as a
+/// one-machine [`Network`] does, but is a third of the size — there is no
+/// second machine slot and no globals. A solo machine has nobody to share
+/// globals with: its actions see an empty set, and what they write there is
+/// dropped when the step ends.
+pub struct SoloNetwork {
+    machine: Machine,
+    timers: Timers,
+}
+
+impl fmt::Debug for SoloNetwork {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SoloNetwork")
+            .field("machine", &self.machine.def.name())
+            .field("state", &self.machine.instance.state())
+            .finish()
+    }
+}
+
+impl SoloNetwork {
+    /// Creates the machine at its definition's initial state.
+    pub fn new(def: Arc<MachineDef>) -> Self {
+        SoloNetwork {
+            machine: Machine::new(def),
+            timers: Timers::default(),
         }
-        outcome
     }
 
-    fn drain_sync(&mut self, now_ms: u64, obs: &mut dyn TransitionObserver) -> NetworkOutcome {
-        let mut outcome = NetworkOutcome::default();
-        while let Some(machine) = self.sync_queues.iter().position(|q| !q.is_empty()) {
-            let event = self.sync_queues[machine].pop_front().unwrap();
-            outcome.sync_deliveries += 1;
-            outcome.merge(self.step_one(MachineId(machine), &event, now_ms, obs));
-        }
-        outcome
+    /// The machine's configuration.
+    pub fn instance(&self) -> &MachineInstance {
+        &self.machine.instance
     }
 
-    fn step_one(
+    /// The machine's definition.
+    pub fn definition(&self) -> &MachineDef {
+        &self.machine.def
+    }
+
+    /// The earliest armed timer deadline, if any.
+    pub fn next_timer_deadline(&self) -> Option<u64> {
+        self.timers.next_deadline()
+    }
+
+    /// Heap bytes owned beyond `size_of` (zero for the shipped machines).
+    pub fn heap_bytes(&self) -> usize {
+        self.machine.instance.heap_bytes() + self.timers.0.heap_bytes()
+    }
+
+    fn run<R>(&mut self, obs: &mut dyn TransitionObserver, f: impl FnOnce(Run<'_>) -> R) -> R {
+        f(Run {
+            machines: std::slice::from_mut(&mut self.machine),
+            globals: &mut VarMap::new(),
+            timers: &mut self.timers,
+            trace: None,
+            sync_enabled: true,
+            obs,
+            pending: Pending::default(),
+            outcome: NetworkOutcome::default(),
+        })
+    }
+
+    /// Delivers a data-packet event, as [`Network::deliver_observed`].
+    pub fn deliver_observed(
         &mut self,
-        target: MachineId,
-        event: &Event,
+        event: Event,
         now_ms: u64,
         obs: &mut dyn TransitionObserver,
     ) -> NetworkOutcome {
-        // Split borrows: the definition is read-only while the instance and
-        // globals mutate, so no per-step `Arc` refcount traffic is needed.
-        let Network {
-            defs,
-            instances,
-            globals,
-            sync_queues,
-            timers,
-            trace,
-            sync_enabled,
-        } = self;
-        let def = &defs[target.0];
-        let step = instances[target.0].step_at(def, event, globals, now_ms);
+        self.run(obs, |run| run.deliver(0, &event, now_ms))
+    }
 
-        let mut outcome = NetworkOutcome {
-            nondeterministic: step.nondeterministic,
-            ..NetworkOutcome::default()
-        };
-        if let Some((from, to, label)) = step.taken {
-            outcome.transitions = 1;
-            obs.on_transition(
-                now_ms,
-                def.name_sym(),
-                event.name,
-                def.state_sym(from),
-                def.state_sym(to),
-                label,
-            );
-            if let Some(trace) = trace {
-                trace.push(TraceEntry {
-                    time_ms: now_ms,
-                    machine: def.name().to_owned(),
-                    event: event.to_string(),
-                    from: def.state_name(from).to_owned(),
-                    to: def.state_name(to).to_owned(),
-                    label: label.map(String::from),
-                });
-            }
-        }
-        if let Some(label) = step.attack {
-            outcome.alerts.push(AttackAlert {
-                time_ms: now_ms,
-                machine: def.name().to_owned(),
-                label,
-            });
-        }
-        if let Some(event) = step.deviation {
-            outcome.deviations.push(Deviation {
-                time_ms: now_ms,
-                machine: def.name().to_owned(),
-                event,
-            });
-        }
-
-        // Apply requested effects.
-        for (timer, delay) in step.effects.timers_set {
-            timers[target.0].insert(timer, now_ms + delay);
-        }
-        for timer in step.effects.timers_cancelled {
-            timers[target.0].remove(&timer);
-        }
-        if *sync_enabled {
-            for (dest_name, sync_event) in step.effects.sync_out {
-                if let Some(dest) = defs.iter().position(|d| d.name_sym() == dest_name) {
-                    sync_queues[dest].push_back(sync_event);
-                }
-                // Unknown destination: dropped. The builder of the protocol
-                // machines controls both sides, so this only happens in the
-                // sync-disabled ablation or a misconfigured scenario.
-            }
-        }
-        outcome
+    /// Fires every due timer, as [`Network::advance_time_observed`].
+    pub fn advance_time_observed(
+        &mut self,
+        now_ms: u64,
+        obs: &mut dyn TransitionObserver,
+    ) -> NetworkOutcome {
+        self.run(obs, |run| run.advance(now_ms))
     }
 }
+
+// Sizes are facts: a fact base holds one of these per monitored call or
+// destination, so a field added here has to argue with a number. The call
+// slot that embeds a `Network` is pinned where it is defined
+// (`vids-core::factbase`).
+const _: () = assert!(std::mem::size_of::<SoloNetwork>() <= 512);
 
 #[cfg(test)]
 mod tests {
@@ -633,5 +899,172 @@ mod tests {
         assert_eq!(o.transitions, 3);
         assert!(o.deviations.is_empty(), "out-of-order sync would deviate");
         assert_eq!(net.instance(r).state_name(net.definition(r)), "R2");
+    }
+
+    /// Records `(machine, event)` for every transition, in order.
+    #[derive(Default)]
+    struct Steps(Vec<(String, String)>);
+
+    impl TransitionObserver for Steps {
+        fn on_transition(
+            &mut self,
+            _: u64,
+            machine: Sym,
+            event: Sym,
+            _: Sym,
+            _: Sym,
+            _: Option<Sym>,
+        ) {
+            self.0
+                .push((machine.as_str().to_owned(), event.as_str().to_owned()));
+        }
+    }
+
+    /// A one-state machine that accepts `events` as self-loops.
+    fn sink_machine(name: &str, events: &[&str]) -> MachineDef {
+        let mut def = MachineDef::new(name);
+        let s = def.add_state("S");
+        for e in events {
+            def.add_transition(s, *e, s);
+        }
+        def
+    }
+
+    #[test]
+    fn cascade_drains_lowest_machine_first_and_fifo_within_it() {
+        // a --go--> sends c1 to c, then b1 to b; b on b1 sends c2 to c.
+        // One FIFO per destination drained in machine order: b1 goes
+        // first (lower index), its c2 queues behind c1, and c sees c1, c2.
+        let mut a = sink_machine("a", &[]);
+        let s = a.state_by_name("S").unwrap();
+        a.add_transition(s, "go", s).action(|ctx| {
+            ctx.send_sync("c", Event::sync("c1"));
+            ctx.send_sync("b", Event::sync("b1"));
+        });
+        let mut b = sink_machine("b", &[]);
+        let s = b.state_by_name("S").unwrap();
+        b.add_transition(s, "b1", s)
+            .action(|ctx| ctx.send_sync("c", Event::sync("c2")));
+        let c = sink_machine("c", &["c1", "c2", "data"]);
+
+        let mut net = Network::new();
+        let ia = net.add_machine(Arc::new(a.build().unwrap()));
+        net.add_machine(Arc::new(b.build().unwrap()));
+        let ic = net.add_machine(Arc::new(c.build().unwrap()));
+
+        let mut steps = Steps::default();
+        let o = net.deliver_observed(ia, Event::data("go"), 0, &mut steps);
+        let order: Vec<(&str, &str)> = steps
+            .0
+            .iter()
+            .map(|(m, e)| (m.as_str(), e.as_str()))
+            .collect();
+        assert_eq!(order, [("a", "go"), ("b", "b1"), ("c", "c1"), ("c", "c2")]);
+        assert_eq!(o.sync_deliveries, 3);
+        assert_eq!(o.transitions, 4);
+        assert!(!o.is_suspicious());
+        // Nothing is left waiting for the next data event.
+        let o = net.deliver(ic, Event::data("data"), 1);
+        assert_eq!(o.sync_deliveries, 0);
+        assert_eq!(o.transitions, 1);
+    }
+
+    #[test]
+    fn more_syncs_than_wait_inline_keep_their_order() {
+        let mut tx = sink_machine("tx", &[]);
+        let s = tx.state_by_name("S").unwrap();
+        tx.add_transition(s, "go", s).action(|ctx| {
+            for name in ["s0", "s1", "s2", "s3", "s4"] {
+                ctx.send_sync("rx", Event::sync(name));
+            }
+        });
+        let mut rx = MachineDef::new("rx");
+        let states: Vec<_> = (0..6).map(|i| rx.add_state(format!("R{i}"))).collect();
+        for (i, name) in ["s0", "s1", "s2", "s3", "s4"].into_iter().enumerate() {
+            rx.add_transition(states[i], name, states[i + 1]);
+        }
+        let mut net = Network::new();
+        let t = net.add_machine(Arc::new(tx.build().unwrap()));
+        let r = net.add_machine(Arc::new(rx.build().unwrap()));
+        let o = net.deliver(t, Event::data("go"), 0);
+        assert!(o.deviations.is_empty(), "out-of-order sync would deviate");
+        assert_eq!(o.sync_deliveries, 5);
+        assert_eq!(net.instance(r).state_name(net.definition(r)), "R5");
+    }
+
+    #[test]
+    fn third_machine_and_fifth_timer_spill_and_keep_working() {
+        let timers = ["T0", "T1", "T2", "T3", "T4", "T5"];
+        let mk = |name: &str| {
+            let mut def = sink_machine(name, &timers);
+            let s = def.state_by_name("S").unwrap();
+            def.add_transition(s, "arm", s).action(|ctx| {
+                // Deadlines descend with the timer index: T5 fires first.
+                for (i, t) in ["T0", "T1", "T2", "T3", "T4", "T5"].into_iter().enumerate() {
+                    ctx.set_timer(t, 60 - 10 * i as u64);
+                }
+            });
+            Arc::new(def.build().unwrap())
+        };
+        let mut net = Network::new();
+        let ids: Vec<_> = ["m0", "m1", "m2"]
+            .into_iter()
+            .map(|n| net.add_machine(mk(n)))
+            .collect();
+        assert_eq!(net.heap_bytes(), 3 * std::mem::size_of::<Machine>());
+        assert_eq!(net.machine_by_name("m2"), Some(ids[2]));
+        net.deliver(ids[2], Event::data("arm"), 0);
+        assert!(net.heap_bytes() > 3 * std::mem::size_of::<Machine>());
+        assert_eq!(net.next_timer_deadline(), Some(10));
+
+        let mut steps = Steps::default();
+        let o = net.advance_time_observed(35, &mut steps);
+        assert_eq!(o.transitions, 3);
+        let fired: Vec<&str> = steps.0.iter().map(|(_, e)| e.as_str()).collect();
+        assert_eq!(fired, ["T5", "T4", "T3"]);
+        assert_eq!(net.next_timer_deadline(), Some(40));
+        assert_eq!(net.advance_time(1_000).transitions, 3);
+        assert_eq!(net.next_timer_deadline(), None);
+    }
+
+    #[test]
+    fn solo_network_steps_like_a_one_machine_network() {
+        let def = || {
+            let mut def = MachineDef::new("ctr");
+            let idle = def.add_state("IDLE");
+            let counting = def.add_state("COUNTING");
+            let attack = def.add_state("ATTACK");
+            def.mark_attack(attack, "burst");
+            def.add_transition(idle, "pkt", counting).action(|ctx| {
+                ctx.locals.set("n", 1u64);
+                ctx.set_timer("W", 100);
+            });
+            def.add_transition(counting, "pkt", counting)
+                .predicate(|ctx| ctx.locals.uint("n").unwrap_or(0) < 3)
+                .action(|ctx| {
+                    ctx.locals.increment("n");
+                });
+            def.add_transition(counting, "pkt", attack)
+                .predicate(|ctx| ctx.locals.uint("n").unwrap_or(0) >= 3);
+            def.add_transition(counting, "W", idle);
+            def.add_transition(attack, "*", attack);
+            Arc::new(def.build().unwrap())
+        };
+        let mut net = Network::new();
+        let id = net.add_machine(def());
+        let mut solo = SoloNetwork::new(def());
+        // Two packets, the window expires, then a burst of five: the
+        // fourth of the burst enters ATTACK and the fifth re-enters it.
+        for t in [0, 10, 200, 201, 202, 203, 204] {
+            let mut want = net.advance_time(t);
+            want.merge(net.deliver(id, Event::data("pkt"), t));
+            let mut got = solo.advance_time_observed(t, &mut NoopObserver);
+            got.merge(solo.deliver_observed(Event::data("pkt"), t, &mut NoopObserver));
+            assert_eq!(got, want, "at {t} ms");
+            assert_eq!(solo.instance().state(), net.instance(id).state());
+            assert_eq!(solo.next_timer_deadline(), net.next_timer_deadline());
+        }
+        assert!(solo.instance().is_attack(solo.definition()));
+        assert_eq!(solo.heap_bytes(), 0);
     }
 }

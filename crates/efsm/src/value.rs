@@ -1,13 +1,12 @@
 //! State-variable values `v̄` and their domains `D`.
 //!
 //! `VarMap` is the storage behind machine-local (`l_*`) and call-global
-//! (`g_*`) variables and behind every event's argument vector. It used to
-//! be a `BTreeMap<String, Value>` — a heap-allocated key per `set()`, a
-//! node allocation per entry, and byte-wise string compares per probe. It
-//! is now a sorted inline array of `(Sym, Value)` pairs ([`InlineVec`])
-//! that spills to the heap only past [`VARMAP_INLINE`] entries: typical
-//! argument vectors never touch the allocator, and lookups are a binary
-//! search over `u32` symbol ids.
+//! (`g_*`) variables and behind every event's argument vector: a sorted
+//! inline array of `(Sym, Value)` pairs that spills to the heap only past
+//! its const-generic inline capacity. The state-variable maps inside a
+//! call record and the argument vectors the classifier builds never reach
+//! it, so they never touch the allocator, and lookups are a scan over
+//! `u32` symbol ids.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -81,18 +80,20 @@ impl Value {
         }
     }
 
-    /// Approximate in-memory footprint in bytes, used by the paper's §7.3
-    /// per-call memory accounting. A `Str` costs its `String` header plus
-    /// heap *capacity* (`len` alone undercounted by at least the 24-byte
-    /// header); a `Sym` is a 4-byte handle whose text lives in the shared
-    /// interner.
-    pub fn memory_bytes(&self) -> usize {
+    /// Heap bytes this value owns: the capacity of an owned `Str`, zero
+    /// for everything else (a `Sym` is a 4-byte handle whose text lives in
+    /// the shared interner).
+    pub fn heap_bytes(&self) -> usize {
         match self {
-            Value::Int(_) | Value::Uint(_) => 8,
-            Value::Bool(_) => 1,
-            Value::Str(s) => mem::size_of::<String>() + s.capacity(),
-            Value::Sym(_) => 4,
+            Value::Str(s) => s.capacity(),
+            _ => 0,
         }
+    }
+
+    /// In-memory footprint in bytes, used by the paper's §7.3 per-call
+    /// memory accounting: the value itself plus [`Value::heap_bytes`].
+    pub fn memory_bytes(&self) -> usize {
+        mem::size_of::<Self>() + self.heap_bytes()
     }
 
     fn rank(&self) -> u8 {
@@ -225,6 +226,8 @@ impl From<bool> for Value {
 
 /// A vector that stores its first `N` elements inline and spills to a
 /// heap `Vec` only past that. `T: Default` fills unused inline slots.
+/// Dereferences to the slice of its live elements, whichever place they
+/// are in.
 #[derive(Clone)]
 pub struct InlineVec<T, const N: usize> {
     len: usize,
@@ -244,16 +247,6 @@ impl<T: Default, const N: usize> InlineVec<T, N> {
 
     fn is_spilled(&self) -> bool {
         !self.spill.is_empty()
-    }
-
-    /// Number of live elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The live elements as a slice, regardless of representation.
@@ -334,11 +327,6 @@ impl<T: Default, const N: usize> InlineVec<T, N> {
         self.len = 0;
     }
 
-    /// Iterates over the live elements.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.as_slice().iter()
-    }
-
     /// Heap bytes owned by the container itself (zero while inline).
     pub fn heap_bytes(&self) -> usize {
         self.spill.capacity() * mem::size_of::<T>()
@@ -377,27 +365,33 @@ impl<T: PartialEq + Default, const N: usize, const M: usize> PartialEq<[T; M]> f
     }
 }
 
-impl<T: Default, const N: usize> std::ops::Index<usize> for InlineVec<T, N> {
-    type Output = T;
+impl<T: Default, const N: usize> std::ops::Deref for InlineVec<T, N> {
+    type Target = [T];
 
-    fn index(&self, index: usize) -> &T {
-        &self.as_slice()[index]
+    fn deref(&self) -> &[T] {
+        self.as_slice()
     }
 }
 
-impl<T: Default, const N: usize> std::ops::IndexMut<usize> for InlineVec<T, N> {
-    fn index_mut(&mut self, index: usize) -> &mut T {
-        &mut self.as_mut_slice()[index]
+impl<T: Default, const N: usize> std::ops::DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        self.as_mut_slice()
     }
 }
 
 impl<T: Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut v = InlineVec::new();
-        for item in iter {
-            v.push(item);
-        }
+        v.extend(iter);
         v
+    }
+}
+
+impl<T: Default, const N: usize> Extend<T> for InlineVec<T, N> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for item in iter {
+            self.push(item);
+        }
     }
 }
 
@@ -437,38 +431,95 @@ impl<'a, T: Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     }
 }
 
-/// Inline capacity of a [`VarMap`]: covers every classifier-produced
-/// argument vector except INVITE/answer events carrying SDP (13 entries),
-/// which spill once during call setup — never in steady state.
-pub const VARMAP_INLINE: usize = 12;
+/// Inline capacity of a state-variable [`VarMap`] (a machine's locals, a
+/// call's globals): the widest set a shipped machine keeps is the RTP
+/// machine's eight per-direction cursors. Three such maps sit inline in
+/// every call slot, so this constant is most of what a monitored call
+/// costs (§7.3).
+pub const VARMAP_INLINE: usize = 8;
 
-/// A named collection of state variables, sorted by symbol id.
+/// Inline capacity of an event's argument vector: the widest vector the
+/// classifier builds (an INVITE answer carrying SDP — `status` on top of
+/// the INVITE's twelve), so no event it produces ever spills.
+pub const EVENT_ARGS_INLINE: usize = 13;
+
+/// The heap half of a [`VarMap`] that outgrew its inline capacity: every
+/// entry moves here at once, so a map is read from one place or the other,
+/// never both. Boxed so the map that never spills pays one word for it.
+#[derive(Debug, Clone, Default)]
+struct Spill {
+    keys: Vec<Sym>,
+    vals: Vec<Value>,
+}
+
+/// A named collection of state variables, sorted by symbol id, holding its
+/// first `N` entries inline.
 ///
 /// By convention (mirroring the paper's Fig. 2) local variable names start
 /// with `l_` and global (call-shared) names with `g_`, though the map does
 /// not enforce this. Keys accept either `&str` or [`Sym`] (via
 /// [`SymKey`]): writes intern the name, reads only *look up* — probing
 /// for a name nobody ever interned is allocation-free and grows nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VarMap {
+///
+/// `VarMap` without a parameter is the state-variable size
+/// ([`VARMAP_INLINE`]); event argument vectors are
+/// `VarMap<EVENT_ARGS_INLINE>` ([`crate::event::Args`]).
+#[derive(Clone)]
+pub struct VarMap<const N: usize = VARMAP_INLINE> {
+    len: u32,
     /// Sorted symbol ids, split from the values so a probe scans a dense
-    /// `u32` array (48 bytes inline — one cache line) instead of striding
-    /// across 40-byte `(Sym, Value)` pairs.
-    keys: InlineVec<Sym, VARMAP_INLINE>,
-    vals: InlineVec<Value, VARMAP_INLINE>,
+    /// `u32` array instead of striding across 28-byte `(Sym, Value)` pairs.
+    keys: [Sym; N],
+    vals: [Value; N],
+    spill: Option<Box<Spill>>,
 }
 
 impl VarMap {
-    /// Creates an empty map (no heap allocation).
+    /// Creates an empty state-variable map (no heap allocation). Other
+    /// capacities start from [`Default::default`].
     pub fn new() -> Self {
         VarMap::default()
+    }
+}
+
+impl<const N: usize> Default for VarMap<N> {
+    fn default() -> Self {
+        VarMap {
+            len: 0,
+            keys: [Sym::default(); N],
+            vals: std::array::from_fn(|_| Value::default()),
+            spill: None,
+        }
+    }
+}
+
+impl<const N: usize> VarMap<N> {
+    fn keys(&self) -> &[Sym] {
+        match &self.spill {
+            Some(s) => &s.keys,
+            None => &self.keys[..self.len as usize],
+        }
+    }
+
+    fn vals(&self) -> &[Value] {
+        match &self.spill {
+            Some(s) => &s.vals,
+            None => &self.vals[..self.len as usize],
+        }
+    }
+
+    fn val_mut(&mut self, i: usize) -> &mut Value {
+        match &mut self.spill {
+            Some(s) => &mut s.vals[i],
+            None => &mut self.vals[..self.len as usize][i],
+        }
     }
 
     fn position(&self, sym: Sym) -> Result<usize, usize> {
         // Linear early-exit scan: at the map's size (≤ ~15 entries) this
         // beats binary search — the ids are contiguous and the loop is
         // predictable.
-        let keys = self.keys.as_slice();
+        let keys = self.keys();
         let id = sym.id();
         let mut i = 0;
         while i < keys.len() && keys[i].id() < id {
@@ -481,15 +532,38 @@ impl VarMap {
         }
     }
 
+    fn insert_at(&mut self, i: usize, sym: Sym, value: Value) {
+        let len = self.len as usize;
+        if self.spill.is_none() && len == N {
+            let mut spill = Spill {
+                keys: Vec::with_capacity(N + 1),
+                vals: Vec::with_capacity(N + 1),
+            };
+            spill.keys.extend_from_slice(&self.keys);
+            spill.vals.extend(self.vals.iter_mut().map(mem::take));
+            self.spill = Some(Box::new(spill));
+        }
+        match &mut self.spill {
+            Some(s) => {
+                s.keys.insert(i, sym);
+                s.vals.insert(i, value);
+            }
+            None => {
+                self.keys[i..=len].rotate_right(1);
+                self.keys[i] = sym;
+                self.vals[i..=len].rotate_right(1);
+                self.vals[i] = value;
+            }
+        }
+        self.len += 1;
+    }
+
     /// Sets a variable, replacing any existing value.
     pub fn set(&mut self, name: impl SymKey, value: impl Into<Value>) {
         let sym = name.to_sym();
         match self.position(sym) {
-            Ok(i) => self.vals.as_mut_slice()[i] = value.into(),
-            Err(i) => {
-                self.keys.insert(i, sym);
-                self.vals.insert(i, value.into());
-            }
+            Ok(i) => *self.val_mut(i) = value.into(),
+            Err(i) => self.insert_at(i, sym, value.into()),
         }
     }
 
@@ -497,7 +571,7 @@ impl VarMap {
     pub fn get(&self, name: impl SymKey) -> Option<&Value> {
         let sym = name.find_sym()?;
         let i = self.position(sym).ok()?;
-        Some(&self.vals.as_slice()[i])
+        Some(&self.vals()[i])
     }
 
     /// Unsigned integer shortcut; `None` if absent or a different type.
@@ -525,12 +599,25 @@ impl VarMap {
         self.get(name).and_then(Value::as_bool).unwrap_or(false)
     }
 
-    /// Removes a variable, returning its value.
+    /// Removes a variable, returning its value. A spilled map stays
+    /// spilled.
     pub fn remove(&mut self, name: impl SymKey) -> Option<Value> {
         let sym = name.find_sym()?;
         let i = self.position(sym).ok()?;
-        self.keys.remove(i);
-        Some(self.vals.remove(i))
+        let len = self.len as usize;
+        self.len -= 1;
+        Some(match &mut self.spill {
+            Some(s) => {
+                s.keys.remove(i);
+                s.vals.remove(i)
+            }
+            None => {
+                let value = mem::take(&mut self.vals[i]);
+                self.keys[i..len].rotate_left(1);
+                self.vals[i..len].rotate_left(1);
+                value
+            }
+        })
     }
 
     /// Increments a `Uint` counter by 1, creating it at 1 if absent, and
@@ -539,14 +626,13 @@ impl VarMap {
         let sym = name.to_sym();
         match self.position(sym) {
             Ok(i) => {
-                let slot = &mut self.vals.as_mut_slice()[i];
+                let slot = self.val_mut(i);
                 let next = slot.as_uint().unwrap_or(0) + 1;
                 *slot = Value::Uint(next);
                 next
             }
             Err(i) => {
-                self.keys.insert(i, sym);
-                self.vals.insert(i, Value::Uint(1));
+                self.insert_at(i, sym, Value::Uint(1));
                 1
             }
         }
@@ -554,44 +640,63 @@ impl VarMap {
 
     /// Number of variables.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len as usize
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
     }
 
     /// Iterates over `(name, value)` pairs in symbol-id order (pre-seeded
     /// names first, then dynamic names in first-interned order).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.keys
-            .iter()
-            .zip(self.vals.iter())
-            .map(|(s, v)| (s.as_str(), v))
+        self.iter_syms().map(|(s, v)| (s.as_str(), v))
     }
 
     /// Iterates over `(symbol, value)` pairs in symbol-id order.
     pub fn iter_syms(&self) -> impl Iterator<Item = (Sym, &Value)> {
-        self.keys.iter().zip(self.vals.iter()).map(|(s, v)| (*s, v))
+        self.keys().iter().copied().zip(self.vals())
     }
 
-    /// Approximate memory footprint: entry handles plus values plus any
-    /// spill-heap. Backs the §7.3 per-call memory cost evaluation (E5).
-    /// Interned names are shared process-wide and counted at handle size.
+    /// Heap bytes this map owns beyond its own `size_of`: the spill block
+    /// and vectors once it outgrew `N` entries, plus the capacity of any
+    /// owned-string value. Zero for the maps the shipped machines and the
+    /// classifier build. Interned names live in the shared interner and
+    /// are not charged here.
+    pub fn heap_bytes(&self) -> usize {
+        let spill = self.spill.as_ref().map_or(0, |s| {
+            mem::size_of::<Spill>()
+                + s.keys.capacity() * mem::size_of::<Sym>()
+                + s.vals.capacity() * mem::size_of::<Value>()
+        });
+        spill + self.vals().iter().map(Value::heap_bytes).sum::<usize>()
+    }
+
+    /// In-memory footprint: the map itself plus [`VarMap::heap_bytes`].
+    /// Backs the §7.3 per-call memory cost evaluation (E5).
     pub fn memory_bytes(&self) -> usize {
-        let entries: usize = self
-            .vals
-            .iter()
-            .map(|v| mem::size_of::<Sym>() + v.memory_bytes() + 16)
-            .sum();
-        entries + self.keys.heap_bytes() + self.vals.heap_bytes()
+        mem::size_of::<Self>() + self.heap_bytes()
     }
 }
 
-impl FromIterator<(Sym, Value)> for VarMap {
+impl<const N: usize> fmt::Debug for VarMap<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter_syms()).finish()
+    }
+}
+
+impl<const N: usize, const M: usize> PartialEq<VarMap<M>> for VarMap<N> {
+    fn eq(&self, other: &VarMap<M>) -> bool {
+        self.keys() == other.keys() && self.vals() == other.vals()
+    }
+}
+
+impl<const N: usize> Eq for VarMap<N> {}
+
+impl<const N: usize> FromIterator<(Sym, Value)> for VarMap<N> {
     fn from_iter<I: IntoIterator<Item = (Sym, Value)>>(iter: I) -> Self {
-        let mut map = VarMap::new();
+        let mut map = VarMap::default();
         for (name, value) in iter {
             map.set(name, value);
         }
@@ -599,9 +704,9 @@ impl FromIterator<(Sym, Value)> for VarMap {
     }
 }
 
-impl FromIterator<(String, Value)> for VarMap {
+impl<const N: usize> FromIterator<(String, Value)> for VarMap<N> {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        let mut map = VarMap::new();
+        let mut map = VarMap::default();
         for (name, value) in iter {
             map.set(&name, value);
         }

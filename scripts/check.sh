@@ -56,11 +56,17 @@ cargo clippy --offline -p vids-scan -p vids-sip -p vids-efsm -p vids-telemetry -
     -D clippy::redundant_clone \
     -D clippy::inefficient_to_string
 
-# Allocation budget: the slab'd fact base (dense CallIdx slots, FxHash
-# maps) must keep the warm per-packet path at zero allocations with
-# telemetry recording enabled.
-echo "==> alloc budget (slab warm path, telemetry on)"
+# Allocation budget: the warm per-packet path with telemetry recording
+# enabled, call set-up and a whole call life on flat slab slots, a flood
+# INVITE past detection and repeated strays — all at zero allocations —
+# and no classifier event spilling its argument vector.
+echo "==> alloc budget (warm path, call set-up, repeated alerts)"
 cargo test --offline --test alloc_budget -q
+
+# The memory meter against an allocator that tracks live bytes: 4 000
+# calls, `memory_bytes()` within 15 % of what the process holds for them.
+echo "==> memory meter (memory_bytes vs live allocator bytes)"
+cargo test --offline --test memory_meter -q
 
 # Flight-recorder budget: the ring tap on the ingest hot path must be
 # allocation-free at steady state — including ring wrap/eviction — with
@@ -108,5 +114,37 @@ cargo test --offline --test pool_determinism -q \
 # threads x 1/4/8 shards (including recorder ring layout).
 echo "==> replay differential (sequential + parallel drivers)"
 cargo test --offline --test replay_differential -q
+
+# Count gate (ROADMAP 6a): the benchmark's own allocation counts and peak
+# RSS on the two workloads that create state, through the command
+# BENCHMARK.json declares, against the ceilings committed in
+# scripts/perf_ceilings.txt (the measured value plus the metric's bound).
+# The counts come from the benchmark's allocator and repeat exactly run to
+# run, so this gate cannot flake; peak RSS holds to a fraction of its bound.
+perf_gate() {
+    workload="$1"
+    echo "==> perf count gate ($workload)"
+    result="$(cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+        --workload "$workload" --seconds 20 --trace 0 | tail -n 1)"
+    case "$result" in
+    *'"correct": true'*) ;;
+    *)
+        echo "$workload: the run is not correct: $result" >&2
+        exit 1
+        ;;
+    esac
+    while read -r gated metric ceiling; do
+        [ "$gated" = "$workload" ] || continue
+        value="$(printf '%s\n' "$result" |
+            sed -n "s/.*\"$metric\": {\"value\": \([0-9.eE+-]*\).*/\1/p")"
+        if ! awk -v v="$value" -v c="$ceiling" 'BEGIN { exit !(v != "" && v + 0 <= c + 0) }'; then
+            echo "$workload: $metric = ${value:-missing} exceeds its ceiling $ceiling" >&2
+            exit 1
+        fi
+        echo "    $metric $value <= $ceiling"
+    done <scripts/perf_ceilings.txt
+}
+perf_gate invite_flood
+perf_gate signaling_churn
 
 echo "OK"

@@ -14,7 +14,17 @@
 //!   buffers across batches, so steady-state ingest never touches the
 //!   allocator,
 //! * an already-seen malformed datagram costs 0 allocations: the pool's
-//!   malformed-alert dedup asks before it formats anything.
+//!   malformed-alert dedup asks before it formats anything,
+//! * with the packet's own strings interned beforehand (the interner is
+//!   the classifier's cost, priced elsewhere) the engine makes 0
+//!   allocations to set a call up, to carry it through
+//!   180/200/ACK/media/BYE/200 — δ cascade and timer arms included — to
+//!   take a fresh INVITE to a destination already flagged as flooded, and
+//!   to see unassociated RTP to coordinates it already reported: a call
+//!   record is one slab slot that owns no heap block, and the dedup set is
+//!   asked before any alert text is built,
+//! * no event the classifier builds from the mixed adversarial trace
+//!   spills its argument vector.
 //!
 //! Everything lives in a single `#[test]` because the counter is global:
 //! the default multi-threaded test runner would otherwise interleave
@@ -23,6 +33,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+mod common;
+
+use vids::core::classify::{classify, Classified};
 use vids::core::config::Config;
 use vids::core::engine::Vids;
 use vids::core::pool::VidsPool;
@@ -102,7 +115,11 @@ fn pkt(src: Address, dst: Address, payload: Payload) -> Packet {
 }
 
 fn invite(call_id: &str) -> Request {
-    let sdp = SessionDescription::audio_offer("alice", "10.1.0.10", 20_000, &[Codec::G729]);
+    invite_offering(call_id, 20_000)
+}
+
+fn invite_offering(call_id: &str, media_port: u16) -> Request {
+    let sdp = SessionDescription::audio_offer("alice", "10.1.0.10", media_port, &[Codec::G729]);
     Request::invite(
         &SipUri::new("alice", "a.example.com"),
         &SipUri::new("bob", "b.example.com"),
@@ -149,6 +166,48 @@ fn stale_ringing(call_id: &str) -> Packet {
         .response(StatusCode::RINGING)
         .with_to_tag("tt");
     pkt(CALLEE, CALLER, Payload::Sip(ringing.to_string()))
+}
+
+/// One whole call, every packet inside the first sweep window: INVITE+SDP,
+/// 180, 200+SDP, ACK, first media, BYE, 200. Call `k` offers and answers on
+/// its own media ports, so every call adds its own media-index entries.
+fn call_life(call_id: &str, k: u16, t0: u64) -> Vec<(Packet, u64)> {
+    let (caller_port, callee_port) = (21_000 + 2 * k, 31_000 + 2 * k);
+    let inv = invite_offering(call_id, caller_port);
+    let ringing = inv.response(StatusCode::RINGING).with_to_tag("tt");
+    let answer = SessionDescription::audio_offer("bob", "10.2.0.10", callee_port, &[Codec::G729]);
+    let ok = inv
+        .response(StatusCode::OK)
+        .with_to_tag("tt")
+        .with_body(vids::sdp::MIME_TYPE, answer.to_string());
+    let ack = Request::in_dialog(Method::Ack, &inv, 1, Some("tt"));
+    let media = RtpPacket::new(18, 100, 800, 7).with_payload(vec![0; 10]);
+    let bye = Request::in_dialog(Method::Bye, &inv, 2, Some("tt"));
+    let bye_ok = bye.response(StatusCode::OK);
+    let sip = |src, dst, text: String| pkt(src, dst, Payload::Sip(text));
+    vec![
+        (sip(CALLER, CALLEE, inv.to_string()), t0),
+        (sip(CALLEE, CALLER, ringing.to_string()), t0 + 1),
+        (sip(CALLEE, CALLER, ok.to_string()), t0 + 2),
+        (sip(CALLER, CALLEE, ack.to_string()), t0 + 3),
+        (
+            pkt(
+                CALLER.with_port(caller_port),
+                CALLEE.with_port(callee_port),
+                Payload::Rtp(media.to_bytes()),
+            ),
+            t0 + 4,
+        ),
+        (sip(CALLER, CALLEE, bye.to_string()), t0 + 5),
+        (sip(CALLEE, CALLER, bye_ok.to_string()), t0 + 6),
+    ]
+}
+
+/// Interns every string `packet` carries (Call-ID, tags, branch, SDP
+/// address) and warms the classifier's address cache, so a measurement
+/// that follows counts the engine alone.
+fn intern_strings_of(packet: &Packet) {
+    drop(classify(packet));
 }
 
 #[test]
@@ -399,5 +458,122 @@ fn warm_packets_meet_the_allocation_budget() {
         assert_eq!(n, 0, "repeated malformed datagrams made {n} allocations");
         assert_eq!(sink.alerts().len(), 2, "repeats raise nothing new");
         assert_eq!(pool.counters().malformed, 32);
+    }
+
+    // ---- call set-up and a whole call life: the engine alone -------------
+    // A call record is one slab slot; machines, variables, timers and media
+    // keys sit inline in it and the δ queue is scratch of the delivery. So
+    // once the tables have room — twenty earlier calls leave every hash
+    // index (28 entries before it grows) and wheel bucket (32) with room to
+    // spare, and the slab chunk holds 64 — nothing below may allocate. The
+    // flood threshold is lifted: this is one caller dialling one callee.
+    {
+        let config = Config::builder()
+            .invite_flood_threshold(1_000)
+            .build()
+            .unwrap();
+        let mut vids = Vids::new(config);
+        let mut sink = CollectSink::new();
+        for k in 0..20u16 {
+            let setup = &call_life(&format!("budget-warm-{k}"), k, 0)[0];
+            vids.process(&setup.0, SimTime::from_millis(setup.1), &mut sink);
+        }
+        // The same life a few milliseconds earlier, so every expiry-wheel
+        // bucket the measured call files itself under already exists.
+        for (packet, t) in call_life("budget-life-a", 20, 10) {
+            vids.process(&packet, SimTime::from_millis(t), &mut sink);
+        }
+        let life = call_life("budget-life-b", 21, 20);
+        life.iter()
+            .for_each(|(packet, _)| intern_strings_of(packet));
+        let mut life = life.iter();
+
+        let (packet, t) = life.next().unwrap();
+        let n = count_allocs(|| vids.process(packet, SimTime::from_millis(*t), &mut sink));
+        eprintln!("INVITE+SDP creating a call: {n} allocations");
+        assert_eq!(n, 0, "creating a call made {n} allocations");
+        assert_eq!(vids.monitored_calls(), 22);
+
+        let n = count_allocs(|| {
+            for (packet, t) in life {
+                vids.process(packet, SimTime::from_millis(*t), &mut sink);
+            }
+        });
+        eprintln!("180/200/ACK/RTP/BYE/200 of that call: {n} allocations");
+        assert_eq!(n, 0, "the rest of the call's life made {n} allocations");
+        assert_eq!(vids.counters().unassociated_rtp, 0, "media found its call");
+        assert!(
+            sink.alerts().is_empty(),
+            "budget traffic must be clean: {:?}",
+            sink.alerts()
+        );
+    }
+
+    // ---- the flood itself: a fresh INVITE to a flagged destination -------
+    // Under the Fig. 4 attack every INVITE re-enters FLOOD_DETECTED. The
+    // network reports it each time; the engine asks its dedup set before it
+    // builds any text, so what the 25th INVITE costs is its call slot.
+    {
+        let mut vids = Vids::new(Config::default());
+        let mut sink = CollectSink::new();
+        for k in 0..24u16 {
+            let inv = invite_offering(&format!("budget-flood-{k}"), 22_000 + 2 * k);
+            let packet = pkt(CALLER, CALLEE, Payload::Sip(inv.to_string()));
+            vids.process(&packet, SimTime::from_millis(1), &mut sink);
+        }
+        assert_eq!(sink.alerts().len(), 1, "the destination is flagged once");
+
+        let inv = invite_offering("budget-flood-fresh", 22_100);
+        let packet = pkt(CALLER, CALLEE, Payload::Sip(inv.to_string()));
+        intern_strings_of(&packet);
+        let n = count_allocs(|| vids.process(&packet, SimTime::from_millis(2), &mut sink));
+        eprintln!("fresh INVITE to a flagged destination: {n} allocations");
+        assert_eq!(n, 0, "a flood INVITE past detection made {n} allocations");
+        assert_eq!(vids.monitored_calls(), 25);
+        assert_eq!(sink.alerts().len(), 1, "repeats raise nothing new");
+
+        // ---- repeated unassociated RTP to the same coordinates ----------
+        let stray = |seq: u16| {
+            let media = RtpPacket::new(18, seq, 800, 9).with_payload(vec![0; 10]);
+            pkt(
+                CALLER.with_port(40_000),
+                CALLEE.with_port(40_002),
+                Payload::Rtp(media.to_bytes()),
+            )
+        };
+        vids.process(&stray(1), SimTime::from_millis(3), &mut sink);
+        assert_eq!(sink.alerts().len(), 2, "first stray packet is reported");
+        let again = stray(2);
+        let n = count_allocs(|| vids.process(&again, SimTime::from_millis(4), &mut sink));
+        eprintln!("repeated unassociated RTP: {n} allocations");
+        assert_eq!(n, 0, "an already-reported stray made {n} allocations");
+        assert_eq!(sink.alerts().len(), 2);
+        assert_eq!(vids.counters().unassociated_rtp, 2);
+    }
+
+    // ---- no event the classifier builds spills ---------------------------
+    // `EVENT_ARGS_INLINE` is sized for the widest argument vector
+    // `sip_event` / `rtp_event` build; the mixed trace holds every message
+    // shape the suites produce, REGISTER included, and the widest of them
+    // (an answer carrying SDP) must fill the vector exactly.
+    {
+        use vids::efsm::value::EVENT_ARGS_INLINE;
+
+        let mut widest = 0;
+        for (packet, _) in common::mixed_trace() {
+            let event = match classify(&packet) {
+                Classified::Sip { event, .. } | Classified::Rtp { event } => event,
+                Classified::Malformed { .. } | Classified::Ignored => continue,
+            };
+            assert_eq!(
+                event.args.heap_bytes(),
+                0,
+                "{} spilled its {} arguments",
+                event.name,
+                event.args.len()
+            );
+            widest = widest.max(event.args.len());
+        }
+        assert_eq!(widest, EVENT_ARGS_INLINE);
     }
 }

@@ -228,3 +228,34 @@ fn definitions_are_shared_across_call_networks() {
     let per_call: usize = nets.iter().map(|n| n.memory_bytes()).sum::<usize>() / nets.len();
     assert!(per_call < 1_024, "fresh per-call state {per_call} B");
 }
+
+/// Fig. 4: once `pck_counter` passes N inside T1 the machine sits in
+/// `FLOOD_DETECTED` and every further INVITE re-enters it through
+/// `attack --*--> attack`. The network reports each entry — one
+/// `AttackAlert` per delivery — and leaves it to the engine's dedup set to
+/// tell the administrator once: suppression is the engine's decision, not
+/// something the machines hide.
+#[test]
+fn fig4_flood_machine_reports_every_re_entry() {
+    use vids::core::alert::labels;
+    use vids::core::machines::flood::invite_flood_machine;
+
+    let config = Config::default();
+    let mut net = Network::new();
+    let flood = net.add_machine(Arc::new(invite_flood_machine(&config)));
+    for i in 0..config.invite_flood_n {
+        let out = net.deliver(flood, Event::data("SIP.INVITE"), i);
+        assert!(out.alerts.is_empty(), "INVITE {i} is under the threshold");
+    }
+    for i in 0..50 {
+        let now = config.invite_flood_n + i;
+        let out = net.deliver(flood, Event::data("SIP.INVITE"), now);
+        assert_eq!(out.alerts.len(), 1, "INVITE {i} past the threshold");
+        assert_eq!(out.alerts[0].label, labels::INVITE_FLOOD);
+        assert_eq!(out.alerts[0].machine, "flood");
+        assert_eq!(out.alerts[0].time_ms, now);
+        assert_eq!(out.transitions, 1);
+    }
+    let state = net.instance(flood).state_name(net.definition(flood));
+    assert_eq!(state, "FLOOD_DETECTED");
+}

@@ -490,3 +490,135 @@ mod varmap_model {
         }
     }
 }
+
+/// The order in which a network fires its due timers is part of its
+/// contract — alert order depends on it: earliest deadline first; on a tie
+/// the lower machine index, then the lower timer symbol. The reference
+/// model keeps one `BTreeMap<Sym, u64>` per machine and scans them in
+/// machine order for the strictly earliest deadline, which is how
+/// `Network` stored and fired timers before they moved inline. Three
+/// machines and six timer names cross both spill boundaries (two machines,
+/// four timers); one timer re-arms another when it fires, so arming during
+/// a sweep is covered too.
+mod timer_order {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    use proptest::prelude::*;
+    use vids::efsm::{Event, MachineDef, Network, Sym, TransitionObserver};
+
+    const MACHINES: [&str; 3] = ["pm0", "pm1", "pm2"];
+    const TIMERS: [&str; 6] = ["pt_T0", "pt_T1", "pt_T2", "pt_T3", "pt_T4", "pt_T5"];
+    /// When `pt_T0` fires it (re-)arms `pt_T1` this far past its deadline.
+    const REARM_MS: u64 = 7;
+
+    fn machine(name: &str) -> Arc<MachineDef> {
+        let mut def = MachineDef::new(name);
+        let s = def.add_state("S");
+        def.add_transition(s, "arm", s).action(|ctx| {
+            let timer = ctx.event.sym_arg("timer").unwrap();
+            ctx.set_timer(timer, ctx.event.uint_arg("delay").unwrap());
+        });
+        def.add_transition(s, "cancel", s).action(|ctx| {
+            let timer = ctx.event.sym_arg("timer").unwrap();
+            ctx.cancel_timer(timer);
+        });
+        def.add_transition(s, TIMERS[0], s)
+            .action(|ctx| ctx.set_timer(TIMERS[1], REARM_MS));
+        for timer in &TIMERS[1..] {
+            def.add_transition(s, *timer, s);
+        }
+        Arc::new(def.build().unwrap())
+    }
+
+    /// `(fired at, machine index, timer)` for every timer transition.
+    #[derive(Default)]
+    struct Fired(Vec<(u64, usize, Sym)>);
+
+    impl TransitionObserver for Fired {
+        fn on_transition(
+            &mut self,
+            time_ms: u64,
+            machine: Sym,
+            event: Sym,
+            _: Sym,
+            _: Sym,
+            _: Option<Sym>,
+        ) {
+            let machine = MACHINES.iter().position(|m| machine == *m).unwrap();
+            self.0.push((time_ms, machine, event));
+        }
+    }
+
+    #[derive(Default)]
+    struct Model {
+        timers: [BTreeMap<Sym, u64>; 3],
+    }
+
+    impl Model {
+        fn advance(&mut self, now_ms: u64) -> Vec<(u64, usize, Sym)> {
+            let mut fired = Vec::new();
+            loop {
+                let mut due: Option<(usize, Sym, u64)> = None;
+                for (i, timers) in self.timers.iter().enumerate() {
+                    for (name, deadline) in timers {
+                        if *deadline <= now_ms && due.is_none_or(|(_, _, best)| *deadline < best) {
+                            due = Some((i, *name, *deadline));
+                        }
+                    }
+                }
+                let Some((machine, name, deadline)) = due else {
+                    return fired;
+                };
+                self.timers[machine].remove(&name);
+                fired.push((deadline, machine, name));
+                if name == TIMERS[0] {
+                    self.timers[machine].insert(Sym::intern(TIMERS[1]), deadline + REARM_MS);
+                }
+            }
+        }
+
+        fn next_deadline(&self) -> Option<u64> {
+            self.timers.iter().flat_map(|t| t.values()).min().copied()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn inline_timers_fire_in_the_reference_order(
+            ops in proptest::collection::vec((0u8..4, 0usize..3, 0usize..6, 0u64..40), 0..80)
+        ) {
+            let mut net = Network::new();
+            let ids: Vec<_> = MACHINES.iter().map(|m| net.add_machine(machine(m))).collect();
+            let mut model = Model::default();
+            let mut now = 0u64;
+            for (kind, m, t, amount) in ops {
+                let timer = Sym::intern(TIMERS[t]);
+                match kind {
+                    0 | 1 => {
+                        // Small delays on a slow clock: ties are common.
+                        let arm = Event::data("arm").with_sym("timer", timer).with_uint("delay", amount / 4);
+                        net.deliver(ids[m], arm, now);
+                        model.timers[m].insert(timer, now + amount / 4);
+                    }
+                    2 => {
+                        net.deliver(ids[m], Event::data("cancel").with_sym("timer", timer), now);
+                        model.timers[m].remove(&timer);
+                    }
+                    _ => {
+                        now += amount / 2;
+                        let mut fired = Fired::default();
+                        net.advance_time_observed(now, &mut fired);
+                        prop_assert_eq!(fired.0, model.advance(now));
+                    }
+                }
+                prop_assert_eq!(net.next_timer_deadline(), model.next_deadline());
+            }
+            // Flush: everything still armed fires, in order, and nothing is left.
+            let mut fired = Fired::default();
+            net.advance_time_observed(u64::MAX / 2, &mut fired);
+            prop_assert_eq!(fired.0, model.advance(u64::MAX / 2));
+            prop_assert_eq!(net.next_timer_deadline(), None);
+        }
+    }
+}

@@ -13,13 +13,19 @@
 //! This is the engine's interning boundary: SIP fields are borrowed as
 //! `&str` slices straight out of the datagram (via [`vids_sip::view`]),
 //! interned exactly once, and everything downstream — fact base, shard
-//! router, EFSM predicates — keys on the resulting copyable [`Sym`]s. A
-//! steady-state packet whose strings have been seen before allocates
-//! nothing here.
+//! router, EFSM predicates — keys on the resulting copyable [`Sym`]s.
+//! Interned text is kept for the life of the process, so this is also
+//! where wire strings are *bounded*: every one goes through
+//! [`Sym::try_intern`], and a message carrying an identifier the interner
+//! refuses (longer than [`vids_efsm::intern::MAX_SYMBOL_LEN`] bytes, or
+//! new to a full table) is [`Classified::Malformed`] — flagged, counted,
+//! never tracked. A packet allocates nothing here, whether its strings
+//! have been seen before or not.
 
 use std::cell::RefCell;
+use std::net::Ipv4Addr;
 
-use vids_efsm::intern::sym;
+use vids_efsm::intern::{sym, InternError, MAX_SYMBOL_LEN};
 use vids_efsm::{Event, Sym};
 use vids_netsim::packet::{Address, Packet, Payload, UDP_IP_OVERHEAD};
 use vids_rtp::packet::{ParseRtpError, RtpHeader};
@@ -59,6 +65,9 @@ pub enum Classified {
     /// Traffic vids does not monitor (raw background payloads).
     Ignored,
 }
+
+// Sizes are facts: one of these crosses the shard hand-off per datagram.
+const _: () = assert!(std::mem::size_of::<Classified>() <= 304);
 
 /// Classifies one packet into an EFSM event.
 pub fn classify(packet: &Packet) -> Classified {
@@ -101,42 +110,44 @@ pub fn classify_wire(proto: WireProto, payload: &[u8], src: Address, dst: Addres
 }
 
 fn classify_sip_text(text: &str, src: Address, dst: Address) -> Classified {
-    match parse_view(text) {
-        Ok(view) => sip_event(&view, src, dst),
-        Err(e) => Classified::Malformed {
+    parse_view(text)
+        .map_err(|e| e.reason())
+        .and_then(|view| sip_event(&view, src, dst).map_err(InternError::reason))
+        .unwrap_or_else(|reason| Classified::Malformed {
             protocol: "SIP",
-            reason: e.reason(),
-        },
-    }
+            reason,
+        })
 }
 
 fn classify_rtp_bytes(bytes: &[u8], src: Address, dst: Address) -> Classified {
-    match RtpHeader::parse(bytes) {
-        Ok(header) => Classified::Rtp {
-            event: rtp_event(&header, src, dst, (bytes.len() + UDP_IP_OVERHEAD) as u64),
-        },
-        Err(e) => Classified::Malformed {
-            protocol: "RTP",
-            reason: rtp_reason(e),
-        },
-    }
+    let wire_bytes = (bytes.len() + UDP_IP_OVERHEAD) as u64;
+    RtpHeader::parse(bytes)
+        .map_err(rtp_reason)
+        .and_then(|header| rtp_event(&header, src, dst, wire_bytes).map_err(InternError::reason))
+        .map_or_else(
+            |reason| Classified::Malformed {
+                protocol: "RTP",
+                reason,
+            },
+            |event| Classified::Rtp { event },
+        )
 }
 
 /// Interns the dotted-quad text of a numeric ip, with a thread-local cache
 /// keyed on the `u32` so the steady-state path neither formats, hashes a
 /// string, nor takes any lock. The interner dedups across threads, so each
 /// worker's cache converges on the same `Sym` for the same address. A miss
-/// writes the text into a stack buffer: a flood from spoofed sources misses
-/// on every new address, and the interner's own copy is the only
-/// allocation that should cost.
-pub fn ip_sym(ip: u32) -> Sym {
+/// writes the text into a stack buffer — a flood from spoofed sources
+/// misses on every new address — and fails only when the address is new
+/// to a full symbol table.
+pub fn ip_sym(ip: u32) -> Result<Sym, InternError> {
     thread_local! {
         static CACHE: RefCell<FxHashMap<u32, Sym>> =
             RefCell::new(FxHashMap::with_capacity_and_hasher(64, Default::default()));
     }
     CACHE.with(|cache| {
         if let Some(&s) = cache.borrow().get(&ip) {
-            return s;
+            return Ok(s);
         }
         let mut text = [0u8; 15];
         let mut len = 0;
@@ -153,9 +164,9 @@ pub fn ip_sym(ip: u32) -> Sym {
             }
         }
         let text = std::str::from_utf8(&text[..len]).expect("digits and dots are ASCII");
-        let s = Sym::intern(text);
+        let s = Sym::try_intern(text)?;
         cache.borrow_mut().insert(ip, s);
-        s
+        Ok(s)
     })
 }
 
@@ -178,6 +189,25 @@ pub fn method_event_sym(method: Method) -> Sym {
     }
 }
 
+/// The pre-seeded CSeq method argument value: the method's wire token.
+pub fn cseq_method_sym(method: Method) -> Sym {
+    match method {
+        Method::Invite => sym::METHOD_INVITE,
+        Method::Ack => sym::METHOD_ACK,
+        Method::Bye => sym::METHOD_BYE,
+        Method::Cancel => sym::METHOD_CANCEL,
+        Method::Register => sym::METHOD_REGISTER,
+        Method::Options => sym::METHOD_OPTIONS,
+        Method::Info => sym::METHOD_INFO,
+        Method::Update => sym::METHOD_UPDATE,
+        Method::Prack => sym::METHOD_PRACK,
+        Method::Subscribe => sym::METHOD_SUBSCRIBE,
+        Method::Notify => sym::METHOD_NOTIFY,
+        Method::Refer => sym::METHOD_REFER,
+        Method::MessageMethod => sym::METHOD_MESSAGE,
+    }
+}
+
 fn rtp_reason(e: ParseRtpError) -> &'static str {
     match e {
         ParseRtpError::TooShort { .. } => "RTP packet too short",
@@ -187,8 +217,28 @@ fn rtp_reason(e: ParseRtpError) -> &'static str {
     }
 }
 
-fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Classified {
-    let call_id = Sym::intern(view.call_id);
+/// An absent tag or branch is the empty symbol; a present one is interned.
+fn intern_or_empty(text: Option<&str>) -> Result<Sym, InternError> {
+    text.map_or(Ok(sym::EMPTY), Sym::try_intern)
+}
+
+/// Interns `user@host`, assembled on the stack: an address-of-record too
+/// long to be a symbol is refused before anything is built from it.
+fn aor_sym(user: &str, host: &str) -> Result<Sym, InternError> {
+    let mut buf = [0u8; MAX_SYMBOL_LEN];
+    let at = user.len();
+    let len = at + 1 + host.len();
+    if len > MAX_SYMBOL_LEN {
+        return Err(InternError::TooLong);
+    }
+    buf[..at].copy_from_slice(user.as_bytes());
+    buf[at] = b'@';
+    buf[at + 1..len].copy_from_slice(host.as_bytes());
+    Sym::try_intern(std::str::from_utf8(&buf[..len]).expect("two strs joined by an ASCII byte"))
+}
+
+fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Result<Classified, InternError> {
+    let call_id = Sym::try_intern(view.call_id)?;
     let name = match view.start {
         StartLine::Request { method, .. } => method_event_sym(method),
         StartLine::Response { status } => {
@@ -205,19 +255,19 @@ fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Classified {
     };
     let to_tag = view.to.and_then(|t| t.tag);
     let mut event = Event::data(name)
-        .with_sym(sym::SRC_IP, ip_sym(src.ip))
-        .with_sym(sym::DST_IP, ip_sym(dst.ip))
+        .with_sym(sym::SRC_IP, ip_sym(src.ip)?)
+        .with_sym(sym::DST_IP, ip_sym(dst.ip)?)
         .with_sym(sym::CALL_ID, call_id)
         .with_sym(
             sym::FROM_TAG,
-            Sym::intern(view.from.and_then(|f| f.tag).unwrap_or("")),
+            intern_or_empty(view.from.and_then(|f| f.tag))?,
         )
-        .with_sym(sym::TO_TAG, Sym::intern(to_tag.unwrap_or("")))
-        .with_sym(sym::BRANCH, Sym::intern(view.branch.unwrap_or("")));
+        .with_sym(sym::TO_TAG, intern_or_empty(to_tag)?)
+        .with_sym(sym::BRANCH, intern_or_empty(view.branch)?);
     if let Some((seq, method)) = view.cseq {
         event = event
             .with_uint(sym::CSEQ, seq as u64)
-            .with_sym(sym::CSEQ_METHOD, Sym::intern(method.as_str()));
+            .with_sym(sym::CSEQ_METHOD, cseq_method_sym(method));
     }
     if let Some(status) = view.status() {
         event = event.with_uint(sym::STATUS, status.as_u16() as u64);
@@ -225,14 +275,13 @@ fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Classified {
 
     let is_register = view.method() == Some(Method::Register);
     // REGISTER: arguments for the registration-monitoring machine. AORs
-    // are interned like Call-IDs; the format! is off the steady-state path.
+    // are interned like Call-IDs.
     if is_register {
         if let Some(to) = view.to {
-            let aor = format!("{}@{}", to.user().unwrap_or(""), to.host());
-            event = event.with_sym(sym::AOR, Sym::intern(&aor));
+            event = event.with_sym(sym::AOR, aor_sym(to.user().unwrap_or(""), to.host())?);
         }
         if let Some(contact) = view.contact {
-            event = event.with_sym(sym::CONTACT_IP, Sym::intern(contact.host()));
+            event = event.with_sym(sym::CONTACT_IP, Sym::try_intern(contact.host())?);
         }
         event = event.with_uint(sym::EXPIRES, view.expires.map_or(3_600, u64::from));
     }
@@ -244,9 +293,10 @@ fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Classified {
     // response arguments plus these four) at `EVENT_ARGS_INLINE`.
     if !is_register && view.content_type == Some(vids_sdp::MIME_TYPE) {
         if let Some(sdp) = scan_sdp(view.body) {
+            let sdp_ip = sdp.ip.map_or(Ok(sym::EMPTY), |ip| ip_sym(ip.into()))?;
             event = event
                 .with_bool(sym::HAS_SDP, true)
-                .with_sym(sym::SDP_IP, Sym::intern(sdp.ip))
+                .with_sym(sym::SDP_IP, sdp_ip)
                 .with_uint(sym::SDP_PORT, sdp.port);
             if let Some(pt) = sdp.pt {
                 event = event.with_uint(sym::SDP_PT, pt);
@@ -255,17 +305,20 @@ fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Classified {
     }
 
     let is_initial_invite = view.method() == Some(Method::Invite) && to_tag.is_none();
-    Classified::Sip {
+    Ok(Classified::Sip {
         call_id,
         event,
         is_initial_invite,
         is_request: view.is_request(),
         dst_ip: dst.ip,
-    }
+    })
 }
 
-struct SdpScan<'a> {
-    ip: &'a str,
+struct SdpScan {
+    /// The media address, if it is a dotted quad. Media is followed by
+    /// numeric address, so any other (a host name, nothing at all) is an
+    /// address no RTP packet can match, and is never interned.
+    ip: Option<Ipv4Addr>,
     port: u64,
     pt: Option<u64>,
 }
@@ -274,7 +327,7 @@ struct SdpScan<'a> {
 /// `m=audio` section, borrowing slices instead of building a
 /// [`vids_sdp::SessionDescription`]. Session-level `c=` wins over the
 /// origin address, matching `SessionDescription::media_addr`.
-fn scan_sdp(body: &str) -> Option<SdpScan<'_>> {
+fn scan_sdp(body: &str) -> Option<SdpScan> {
     let mut origin = "";
     let mut connection = "";
     for line in body.lines() {
@@ -298,7 +351,7 @@ fn scan_sdp(body: &str) -> Option<SdpScan<'_>> {
                 connection
             };
             return Some(SdpScan {
-                ip,
+                ip: ip.parse().ok(),
                 port: port as u64,
                 pt,
             });
@@ -307,19 +360,24 @@ fn scan_sdp(body: &str) -> Option<SdpScan<'_>> {
     None
 }
 
-fn rtp_event(header: &RtpHeader, src: Address, dst: Address, wire_bytes: u64) -> Event {
+fn rtp_event(
+    header: &RtpHeader,
+    src: Address,
+    dst: Address,
+    wire_bytes: u64,
+) -> Result<Event, InternError> {
     // Arguments in ascending pre-seeded symbol-id order, so every sorted
     // VarMap insert is an append rather than a probe-and-shift.
-    Event::data(sym::RTP_PACKET)
-        .with_sym(sym::SRC_IP, ip_sym(src.ip))
-        .with_sym(sym::DST_IP, ip_sym(dst.ip))
+    Ok(Event::data(sym::RTP_PACKET)
+        .with_sym(sym::SRC_IP, ip_sym(src.ip)?)
+        .with_sym(sym::DST_IP, ip_sym(dst.ip)?)
         .with_uint(sym::SRC_PORT, src.port as u64)
         .with_uint(sym::DST_PORT, dst.port as u64)
         .with_uint(sym::SSRC, header.ssrc as u64)
         .with_uint(sym::SEQ, header.sequence_number as u64)
         .with_uint(sym::TS, header.timestamp as u64)
         .with_uint(sym::PT, header.payload_type as u64)
-        .with_uint(sym::SIZE, wire_bytes)
+        .with_uint(sym::SIZE, wire_bytes))
 }
 
 #[cfg(test)]
@@ -582,6 +640,7 @@ mod tests {
 
     #[test]
     fn ip_sym_is_stable_and_matches_dotted_quad() {
+        let ip_sym = |ip| ip_sym(ip).expect("the table has room");
         let addr = Address::new(192, 168, 7, 9, 0);
         assert_eq!(ip_sym(addr.ip).as_str(), addr.ip_string());
         assert_eq!(ip_sym(addr.ip), ip_sym(addr.ip));
@@ -595,6 +654,164 @@ mod tests {
             let [a, b, c, d] = octets;
             let addr = Address::new(a, b, c, d, 0);
             assert_eq!(ip_sym(addr.ip).as_str(), format!("{a}.{b}.{c}.{d}"));
+        }
+    }
+
+    #[test]
+    fn cseq_method_sym_is_the_wire_token_of_every_method() {
+        for m in Method::ALL {
+            assert_eq!(cseq_method_sym(m).as_str(), m.as_str());
+            assert!(cseq_method_sym(m).is_preseeded());
+        }
+    }
+
+    /// An INVITE whose Call-ID, From-tag and Via branch are the given
+    /// strings, as wire text.
+    fn invite_text(call_id: &str, from_tag: &str, branch: &str) -> String {
+        format!(
+            "INVITE sip:bob@b.example.com SIP/2.0\r\n\
+             Via: SIP/2.0/UDP 10.1.0.10:5060;branch={branch}\r\n\
+             From: <sip:alice@a.example.com>;tag={from_tag}\r\n\
+             To: <sip:bob@b.example.com>\r\n\
+             Call-ID: {call_id}\r\n\
+             CSeq: 1 INVITE\r\n\
+             Content-Length: 0\r\n\r\n"
+        )
+    }
+
+    #[test]
+    fn an_identifier_past_the_symbol_bound_is_malformed_and_never_interned() {
+        let src = Address::new(10, 1, 0, 10, 5060);
+        let dst = Address::new(10, 2, 0, 10, 5060);
+        let classify = |text: String| classify_wire(WireProto::Sip, text.as_bytes(), src, dst);
+        let fill = |c: char, len: usize| c.to_string().repeat(len);
+
+        // At the bound every field still classifies.
+        let at_bound = classify(invite_text(
+            &fill('c', MAX_SYMBOL_LEN),
+            &fill('t', MAX_SYMBOL_LEN),
+            &fill('b', MAX_SYMBOL_LEN),
+        ));
+        let Classified::Sip { call_id, event, .. } = at_bound else {
+            panic!("255-byte identifiers must classify, got {at_bound:?}");
+        };
+        assert_eq!(call_id.as_str().len(), MAX_SYMBOL_LEN);
+        assert_eq!(
+            event.str_arg("from_tag").map(str::len),
+            Some(MAX_SYMBOL_LEN)
+        );
+        assert_eq!(event.str_arg("branch").map(str::len), Some(MAX_SYMBOL_LEN));
+
+        // One byte more in any of them: malformed, and the long string is
+        // not kept. Other tests intern concurrently, so that is checked by
+        // lookup here and by count in `tests/alloc_budget.rs`, which is
+        // alone in its process.
+        let long = MAX_SYMBOL_LEN + 1;
+        for (n, (call_id, tag, branch)) in [
+            (
+                fill('C', long),
+                "bound-tag-0".to_owned(),
+                "bound-br-0".to_owned(),
+            ),
+            (
+                "bound-cid-1".to_owned(),
+                fill('T', long),
+                "bound-br-1".to_owned(),
+            ),
+            (
+                "bound-cid-2".to_owned(),
+                "bound-tag-2".to_owned(),
+                fill('B', long),
+            ),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_eq!(
+                classify(invite_text(&call_id, &tag, &branch)),
+                Classified::Malformed {
+                    protocol: "SIP",
+                    reason: InternError::TooLong.reason(),
+                },
+                "case {n}"
+            );
+            for text in [&call_id, &tag, &branch] {
+                if text.len() > MAX_SYMBOL_LEN {
+                    assert_eq!(Sym::lookup(text), None, "case {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_over_long_aor_or_contact_is_malformed() {
+        let src = Address::new(10, 1, 0, 10, 5060);
+        let dst = Address::new(10, 2, 0, 10, 5060);
+        let register = |user: &str, contact_host: &str| {
+            let text = format!(
+                "REGISTER sip:b.example.com SIP/2.0\r\n\
+                 To: <sip:{user}@b.example.com>\r\n\
+                 Call-ID: reg-bound\r\n\
+                 Contact: <sip:{user}@{contact_host}>\r\n\
+                 Content-Length: 0\r\n\r\n"
+            );
+            classify_wire(WireProto::Sip, text.as_bytes(), src, dst)
+        };
+        assert!(matches!(
+            register("roamer", "10.0.0.20"),
+            Classified::Sip { .. }
+        ));
+        // `user@b.example.com` is 14 bytes longer than `user`.
+        for classified in [
+            register(&"u".repeat(MAX_SYMBOL_LEN - 13), "10.0.0.20"),
+            register("roamer", &"h".repeat(MAX_SYMBOL_LEN + 1)),
+        ] {
+            assert_eq!(
+                classified,
+                Classified::Malformed {
+                    protocol: "SIP",
+                    reason: "identifier longer than 255 bytes",
+                }
+            );
+        }
+        let Classified::Sip { event, .. } = register(&"u".repeat(MAX_SYMBOL_LEN - 14), "10.0.0.20")
+        else {
+            panic!("a 255-byte AOR must classify");
+        };
+        assert_eq!(event.str_arg("aor").map(str::len), Some(MAX_SYMBOL_LEN));
+    }
+
+    #[test]
+    fn only_a_dotted_quad_sdp_address_becomes_a_symbol() {
+        let src = Address::new(10, 1, 0, 10, 5060);
+        let dst = Address::new(10, 2, 0, 10, 5060);
+        let sdp_ip_for = |address: &str| {
+            let body = format!(
+                "v=0\r\no=alice 1 1 IN IP4 {address}\r\ns=-\r\nc=IN IP4 {address}\r\n\
+                 t=0 0\r\nm=audio 20000 RTP/AVP 18\r\n"
+            );
+            let text = format!(
+                "INVITE sip:bob@b.example.com SIP/2.0\r\n\
+                 Call-ID: sdp-addr\r\n\
+                 Content-Type: application/sdp\r\n\
+                 Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let Classified::Sip { event, .. } =
+                classify_wire(WireProto::Sip, text.as_bytes(), src, dst)
+            else {
+                panic!("expected SIP");
+            };
+            assert!(event.bool_arg("has_sdp"));
+            assert_eq!(event.uint_arg("sdp_port"), Some(20_000));
+            event.sym_arg("sdp_ip")
+        };
+        assert_eq!(sdp_ip_for("10.1.0.10"), ip_sym(src.ip).ok());
+        // A host name (or a quad no RTP packet's address renders as) is
+        // never interned: the media address is unknown.
+        for address in ["sdp-addr-host.example.com", "010.1.0.10", "10.1.0"] {
+            assert_eq!(sdp_ip_for(address), Some(sym::EMPTY), "{address}");
+            assert_eq!(Sym::lookup(address), None, "{address}");
         }
     }
 }

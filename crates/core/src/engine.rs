@@ -88,11 +88,12 @@ enum Scope {
 
 impl Scope {
     /// The symbol transitions of this scope are tagged with in the
-    /// telemetry ring.
+    /// telemetry ring: a forensic tag, never a key, so a destination the
+    /// full symbol table has no text for is tagged with the empty symbol.
     fn sym(self) -> Sym {
         match self {
             Scope::Call(sym) | Scope::Aor(sym) => sym,
-            Scope::Dst(ip) => ip_sym(ip),
+            Scope::Dst(ip) => ip_sym(ip).unwrap_or(sym::EMPTY),
         }
     }
 }

@@ -180,7 +180,7 @@ struct Slot {
 
 // Sizes are facts (§7.3 argues capacity from the per-call cost): the next
 // field someone adds to a call has to argue with this number.
-const _: () = assert!(size_of::<Slot>() <= 1024);
+const _: () = assert!(size_of::<Slot>() <= 832);
 
 /// One monitored call: its EFSM network plus bookkeeping.
 pub struct CallRecord {

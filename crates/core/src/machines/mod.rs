@@ -18,11 +18,10 @@ pub mod sip;
 use vids_efsm::value::Value;
 use vids_efsm::{sym, Event, Sym};
 
-/// Copies a textual argument out of the event (a handle copy for interned
-/// arguments, which is everything the classifier produces), defaulting to
-/// `""`. State variables stored this way stay inline in the call record.
+/// Copies a textual argument out of the event (text is always an interned
+/// handle), defaulting to `""`.
 pub(crate) fn arg_or_empty(ev: &Event, name: Sym) -> Value {
-    ev.arg(name).cloned().unwrap_or(Value::Sym(sym::EMPTY))
+    ev.arg(name).copied().unwrap_or(Value::Sym(sym::EMPTY))
 }
 
 /// Machine name of the SIP machine inside a call network (δ address).

@@ -47,10 +47,9 @@ const REV: DirVars = DirVars {
 
 /// The direction of a media packet relative to the negotiated endpoints.
 ///
-/// Symbol-keyed reads plus `Value` comparison (an O(1) id compare when
-/// both sides are interned, a byte compare otherwise): this runs inside
-/// every RTP transition predicate, so it must not hash a name string or
-/// take the interner lock.
+/// Symbol-keyed reads plus `Value` comparison (an O(1) id compare): this
+/// runs inside every RTP transition predicate, so it must not hash a name
+/// string or take the interner lock.
 fn direction_of(event: &Event, globals: &VarMap) -> Option<DirVars> {
     let src = event.arg(sym::SRC_IP)?;
     if *src == Value::Sym(sym::EMPTY) {

@@ -20,7 +20,6 @@ use crate::machines::{
 pub const TIMER_LINGER: &str = "T_linger";
 
 /// The empty string as a `Value`, the default for absent textual args.
-/// Compares equal to both `Str("")` and `Sym("")`.
 static EMPTY_VAL: Value = Value::Sym(sym::EMPTY);
 
 fn store_invite_vars(ctx: &mut ActionCtx<'_>) {
@@ -81,7 +80,7 @@ fn to_tag_empty(ctx: &PredicateCtx<'_>) -> bool {
 /// Whether the event's From/To tags identify the monitored dialog, in
 /// either direction. Early in the dialog the To tag may still be unknown
 /// to the monitor; an empty stored tag matches anything. `Value`
-/// comparisons here are O(1) symbol-id compares for interned tags.
+/// comparisons here are O(1) symbol-id compares.
 fn tags_consistent(ctx: &PredicateCtx<'_>) -> bool {
     let from = ctx.event.arg(sym::FROM_TAG).unwrap_or(&EMPTY_VAL);
     let to = ctx.event.arg(sym::TO_TAG).unwrap_or(&EMPTY_VAL);

@@ -50,6 +50,10 @@ pub struct Event {
     pub args: Args,
 }
 
+// Sizes are facts: an event is built, moved and queued per packet, and most
+// of it is the inline argument vector.
+const _: () = assert!(std::mem::size_of::<Event>() <= 288);
+
 impl Event {
     /// Creates a data-packet event with no arguments yet.
     pub fn data(name: impl Into<Sym>) -> Self {

@@ -345,16 +345,18 @@ mod tests {
     }
 
     #[test]
-    fn memory_footprint_reflects_variables() {
+    fn memory_footprint_ignores_variable_values() {
         let def = counter_machine(5);
         let mut m = MachineInstance::new(&def);
         let empty = m.memory_bytes();
-        // An interned value sits in the inline slot the instance already
-        // paid for; only an owned string adds bytes.
+        // A value sits in the inline slot the instance already paid for,
+        // and text is interned whether it arrives as `&str` or `String`:
+        // no value adds heap bytes.
         m.locals_mut().set("l_seen", "interned-text");
         assert_eq!(m.memory_bytes(), empty);
         m.locals_mut()
             .set("g_call_id", "a-long-call-identifier@example.com".to_owned());
-        assert!(m.memory_bytes() > empty);
+        assert_eq!(m.memory_bytes(), empty);
+        assert_eq!(m.heap_bytes(), 0);
     }
 }

@@ -2,11 +2,9 @@
 //! lives on.
 //!
 //! Every per-packet structure in the engine — event names, argument names,
-//! timer names, machine names, Call-IDs — used to be an owned `String`,
-//! which meant a heap allocation (and a re-hash of the bytes) every time a
-//! packet crossed a layer. [`Sym`] replaces those with an index into a
-//! process-global interner: comparing two symbols is a `u32` compare,
-//! hashing one hashes four bytes, and copying one is free.
+//! timer names, machine names, Call-IDs — is keyed by a [`Sym`], an index
+//! into a process-global interner: comparing two symbols is a `u32`
+//! compare, hashing one hashes four bytes, and copying one is free.
 //!
 //! The interning boundary is the packet classifier: wire strings are
 //! borrowed as `&str` slices out of the raw datagram, interned once, and
@@ -16,15 +14,36 @@
 //! path never takes the interner's write lock; see [`sym`] for the
 //! compile-time constants.
 //!
-//! Dynamic strings (Call-IDs, tags, AORs) are leaked into the interner for
-//! the life of the process. That is a deliberate trade-off: the monitor's
-//! working set is bounded by the calls it watches, and the alternative —
-//! reference-counted symbols — would put an atomic on every event copy.
-//! A long-lived deployment facing unbounded unique Call-IDs would want an
-//! epoch-based reclaim pass; that is future work, documented in DESIGN.md.
+//! Storage is three append-only structures, none of which owns a heap
+//! object per symbol:
+//!
+//! * **text** lives in 64 KiB byte slabs; a miss copies the string onto
+//!   the tail of the current slab, so a new symbol costs an allocator
+//!   call once per ≈ 3 000 strings;
+//! * **id → text** is the lock-free chunk table behind [`Sym::as_str`]
+//!   (64 lazily-allocated chunks of 2^16 `&'static str` slots);
+//! * **text → id** is a `HashSet` of 4-byte ids that borrow as the text
+//!   they name, hashed with std's keyed SipHash because the keys are
+//!   attacker-chosen, behind one `RwLock`.
+//!
+//! Two limits make the table's worst case a number instead of the
+//! attacker's choice. A symbol is at most [`MAX_SYMBOL_LEN`] bytes, and
+//! the table holds at most 4 194 304 symbols ([`InternStats::capacity`]);
+//! [`Sym::try_intern`] reports either as an [`InternError`], which the
+//! classifier turns into a counted `malformed` verdict. At capacity,
+//! strings already interned keep resolving, so calls the monitor already
+//! tracks stay monitored and only new-call admission is shed. [`stats`]
+//! shows the table filling.
+//!
+//! Symbols are never reclaimed: [`Sym::as_str`] hands out `&'static str`,
+//! and alert dedup keys, the telemetry ring and the media indexes hold
+//! symbols with no lifetime contract (DESIGN.md §7b lists the holders a
+//! reclaim pass would have to account for first).
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{OnceLock, RwLock};
 
@@ -138,6 +157,14 @@ pub(crate) const SEEDS: &[&str] = &[
     "SIP.NOTIFY",
     "SIP.REFER",
     "SIP.MESSAGE",
+    // Extension-method CSeq values (the six RFC 3261 ones are above).
+    "INFO",
+    "UPDATE",
+    "PRACK",
+    "SUBSCRIBE",
+    "NOTIFY",
+    "REFER",
+    "MESSAGE",
 ];
 
 /// Compile-time `&str` equality (stable-const: byte compare).
@@ -310,22 +337,158 @@ pub mod sym {
 
     /// `"INVITE"` (CSeq method value).
     pub const METHOD_INVITE: Sym = seed("INVITE");
-    /// `"CANCEL"` (CSeq method value).
-    pub const METHOD_CANCEL: Sym = seed("CANCEL");
+    /// `"ACK"` (CSeq method value).
+    pub const METHOD_ACK: Sym = seed("ACK");
     /// `"BYE"` (CSeq method value).
     pub const METHOD_BYE: Sym = seed("BYE");
+    /// `"CANCEL"` (CSeq method value).
+    pub const METHOD_CANCEL: Sym = seed("CANCEL");
+    /// `"REGISTER"` (CSeq method value).
+    pub const METHOD_REGISTER: Sym = seed("REGISTER");
+    /// `"OPTIONS"` (CSeq method value).
+    pub const METHOD_OPTIONS: Sym = seed("OPTIONS");
+    /// `"INFO"` (CSeq method value).
+    pub const METHOD_INFO: Sym = seed("INFO");
+    /// `"UPDATE"` (CSeq method value).
+    pub const METHOD_UPDATE: Sym = seed("UPDATE");
+    /// `"PRACK"` (CSeq method value).
+    pub const METHOD_PRACK: Sym = seed("PRACK");
+    /// `"SUBSCRIBE"` (CSeq method value).
+    pub const METHOD_SUBSCRIBE: Sym = seed("SUBSCRIBE");
+    /// `"NOTIFY"` (CSeq method value).
+    pub const METHOD_NOTIFY: Sym = seed("NOTIFY");
+    /// `"REFER"` (CSeq method value).
+    pub const METHOD_REFER: Sym = seed("REFER");
+    /// `"MESSAGE"` (CSeq method value).
+    pub const METHOD_MESSAGE: Sym = seed("MESSAGE");
 }
 
+/// The longest string the interner keeps, in bytes. Interned text is never
+/// freed, so what one datagram can pin must be a small constant rather than
+/// the 64 KiB a UDP payload may carry; no identifier a SIP stack generates
+/// comes near it.
+pub const MAX_SYMBOL_LEN: usize = 255;
+
+/// The most symbols the interner holds (pre-seeded ones included): the
+/// size of the id → text chunk table.
+const CAPACITY: usize = CHUNK_COUNT * CHUNK_SIZE;
+
+/// Why [`Sym::try_intern`] refused a string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InternError {
+    /// The string is longer than [`MAX_SYMBOL_LEN`] bytes.
+    TooLong,
+    /// The table already holds [`InternStats::capacity`] symbols.
+    Full,
+}
+
+impl InternError {
+    /// A static diagnosis, usable as a `malformed` alert reason.
+    pub fn reason(self) -> &'static str {
+        match self {
+            InternError::TooLong => "identifier longer than 255 bytes",
+            InternError::Full => "symbol table full",
+        }
+    }
+}
+
+impl fmt::Display for InternError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.reason())
+    }
+}
+
+impl std::error::Error for InternError {}
+
+/// How full the interner is; see [`stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InternStats {
+    /// Symbols interned so far, pre-seeded ones included.
+    pub symbols: usize,
+    /// The most the table can hold.
+    pub capacity: usize,
+    /// Bytes of symbol text held in the slabs.
+    pub text_bytes: usize,
+}
+
+/// A snapshot of the interner's fill level, so an operator sees the table
+/// filling before [`InternError::Full`] starts shedding new calls.
+pub fn stats() -> InternStats {
+    let inner = interner().read().expect("interner lock poisoned");
+    InternStats {
+        symbols: inner.next as usize,
+        capacity: CAPACITY,
+        text_bytes: inner.text_bytes,
+    }
+}
+
+/// An index entry: a symbol id that borrows, hashes and compares as the
+/// text it names, so the set is probed with a plain `&str` while an entry
+/// costs four bytes. The text is read through the lock-free chunk table,
+/// which is why a name is always published there before its id enters the
+/// set.
+struct ById(u32);
+
+impl Borrow<str> for ById {
+    fn borrow(&self) -> &str {
+        Sym(self.0).as_str()
+    }
+}
+
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Borrow::<str>::borrow(self).hash(state);
+    }
+}
+
+impl PartialEq for ById {
+    fn eq(&self, other: &Self) -> bool {
+        // The interner dedups: one id per text.
+        self.0 == other.0
+    }
+}
+
+impl Eq for ById {}
+
+/// Bytes obtained from the allocator at a time for symbol text.
+const SLAB_LEN: usize = 64 * 1024;
+
 struct Inner {
-    map: HashMap<&'static str, u32>,
-    names: Vec<&'static str>,
+    /// text → id. Default `RandomState`: the keys are attacker-chosen.
+    index: HashSet<ById>,
+    /// The id the next new symbol gets.
+    next: u32,
+    /// The unused tail of the current text slab.
+    tail: &'static mut [u8],
+    text_bytes: usize,
+}
+
+impl Inner {
+    fn find(&self, text: &str) -> Option<Sym> {
+        self.index.get(text).map(|entry| Sym(entry.0))
+    }
+
+    /// Copies `text` (at most [`MAX_SYMBOL_LEN`] bytes) onto the current
+    /// slab. A slab whose tail is too short is abandoned, losing less than
+    /// `MAX_SYMBOL_LEN` bytes of it.
+    fn store(&mut self, text: &str) -> &'static str {
+        if self.tail.len() < text.len() {
+            self.tail = Box::leak(vec![0u8; SLAB_LEN].into_boxed_slice());
+        }
+        let (head, tail) = std::mem::take(&mut self.tail).split_at_mut(text.len());
+        self.tail = tail;
+        head.copy_from_slice(text.as_bytes());
+        self.text_bytes += text.len();
+        std::str::from_utf8(head).expect("bytes copied from a str")
+    }
 }
 
 /// Id→name resolution is hot enough (every `Value::as_str` comparison,
-/// every alert/dedup key) that taking the interner's read lock per call
-/// shows up in profiles. Names therefore also live in this append-only
-/// chunked table, readable with a single atomic load: 64 lazily-allocated
-/// chunks of 2^16 slots bound the interner at ~4M symbols.
+/// every alert/dedup key, every index probe) that taking the interner's
+/// read lock per call shows up in profiles. Names therefore live in this
+/// append-only chunked table, readable with a single atomic load: 64
+/// lazily-allocated chunks of 2^16 slots bound the interner at
+/// `CAPACITY` symbols.
 const CHUNK_BITS: u32 = 16;
 const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
 const CHUNK_COUNT: usize = 64;
@@ -339,7 +502,7 @@ fn new_chunk() -> *mut &'static str {
     Box::into_raw(chunk.into_boxed_slice()).cast::<&'static str>()
 }
 
-/// Records `name` at slot `id` in the chunk table.
+/// Records `name` at slot `id` (below `CAPACITY`) in the chunk table.
 ///
 /// Callers must hold the interner's write lock (or be inside the one-time
 /// init), so there is never more than one writer. A fresh chunk has its
@@ -348,7 +511,6 @@ fn new_chunk() -> *mut &'static str {
 fn publish_name(id: u32, name: &'static str) {
     let chunk_idx = (id >> CHUNK_BITS) as usize;
     let slot = (id as usize) & (CHUNK_SIZE - 1);
-    assert!(chunk_idx < CHUNK_COUNT, "interner overflow");
     let chunk = NAME_CHUNKS[chunk_idx].load(Ordering::Acquire);
     if chunk.is_null() {
         let fresh = new_chunk();
@@ -360,7 +522,7 @@ fn publish_name(id: u32, name: &'static str) {
         // SAFETY: in-bounds slot of a live chunk; exclusive write access
         // is guaranteed by the interner's write lock. Readers only touch
         // this slot via a `Sym` carrying this id, and every channel that
-        // hands out the id (the return below, the map under the lock, a
+        // hands out the id (the return below, the index under the lock, a
         // cross-thread transfer of the handle) establishes happens-before
         // with this write.
         unsafe { chunk.add(slot).write(name) };
@@ -370,44 +532,69 @@ fn publish_name(id: u32, name: &'static str) {
 fn interner() -> &'static RwLock<Inner> {
     static INTERNER: OnceLock<RwLock<Inner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
-        let mut map = HashMap::with_capacity(SEEDS.len() * 4);
-        let mut names = Vec::with_capacity(SEEDS.len() * 4);
-        for (i, s) in SEEDS.iter().enumerate() {
-            map.insert(*s, i as u32);
-            names.push(*s);
-        }
-        // Seed chunk 0 completely before publishing its pointer: a reader
-        // that skips the `OnceLock` fence because it sees a non-null chunk
-        // must never see a half-seeded table.
+        // Seed chunk 0 completely and publish it before any id enters the
+        // index: a reader that skips the `OnceLock` fence because it sees
+        // a non-null chunk must never see a half-seeded table, and the
+        // index reads names back through `Sym::as_str`, which would
+        // re-enter this initialiser on a null chunk.
         let seeded = new_chunk();
         for (i, s) in SEEDS.iter().enumerate() {
             // SAFETY: `seeded` is a fresh, unshared chunk; SEEDS fits.
             unsafe { seeded.add(i).write(s) };
         }
         NAME_CHUNKS[0].store(seeded, Ordering::Release);
-        RwLock::new(Inner { map, names })
+        let mut index = HashSet::with_capacity(SEEDS.len() * 4);
+        for i in 0..SEEDS.len() {
+            index.insert(ById(i as u32));
+        }
+        RwLock::new(Inner {
+            index,
+            next: SEEDS.len() as u32,
+            tail: &mut [],
+            text_bytes: 0,
+        })
     })
 }
 
 impl Sym {
-    /// Interns `text`, allocating a slot on first sight. Pre-seeded and
-    /// previously-seen strings only take the read lock.
+    /// Interns a program-chosen name, allocating a slot on first sight.
+    /// Pre-seeded and previously-seen strings only take the read lock.
+    ///
+    /// # Panics
+    ///
+    /// When [`Sym::try_intern`] would fail: names the program picks are
+    /// short and few, so either limit is a bug. Strings from outside the
+    /// program go through `try_intern`.
     pub fn intern(text: &str) -> Sym {
+        Sym::try_intern(text).expect("program-chosen names are short and few")
+    }
+
+    /// Interns `text` unless it is longer than [`MAX_SYMBOL_LEN`] or the
+    /// table is full and has never seen it. The entry point for strings
+    /// an attacker chooses: a miss costs no allocator call beyond the
+    /// amortised growth of the slabs, the index and the chunk table.
+    pub fn try_intern(text: &str) -> Result<Sym, InternError> {
+        if text.len() > MAX_SYMBOL_LEN {
+            return Err(InternError::TooLong);
+        }
         let lock = interner();
-        if let Some(&id) = lock.read().unwrap().map.get(text) {
-            return Sym(id);
+        if let Some(sym) = lock.read().expect("interner lock poisoned").find(text) {
+            return Ok(sym);
         }
-        let mut inner = lock.write().unwrap();
+        let mut inner = lock.write().expect("interner lock poisoned");
         // Double-check: another thread may have interned it between locks.
-        if let Some(&id) = inner.map.get(text) {
-            return Sym(id);
+        if let Some(sym) = inner.find(text) {
+            return Ok(sym);
         }
-        let leaked: &'static str = Box::leak(text.to_owned().into_boxed_str());
-        let id = u32::try_from(inner.names.len()).expect("interner overflow");
-        publish_name(id, leaked);
-        inner.names.push(leaked);
-        inner.map.insert(leaked, id);
-        Sym(id)
+        let id = inner.next;
+        if id as usize >= CAPACITY {
+            return Err(InternError::Full);
+        }
+        let stored = inner.store(text);
+        publish_name(id, stored);
+        inner.index.insert(ById(id));
+        inner.next = id + 1;
+        Ok(Sym(id))
     }
 
     /// Looks up `text` without interning it: `None` means the string has
@@ -415,7 +602,10 @@ impl Sym {
     /// paths (`VarMap::get`, fact-base queries) stay allocation-free on
     /// misses.
     pub fn lookup(text: &str) -> Option<Sym> {
-        interner().read().unwrap().map.get(text).map(|&id| Sym(id))
+        interner()
+            .read()
+            .expect("interner lock poisoned")
+            .find(text)
     }
 
     /// The interned text. `'static` because interner entries are never
@@ -564,6 +754,28 @@ mod tests {
         assert_eq!(sym::RTP_PACKET.as_str(), "RTP.Packet");
         assert_eq!(sym::PCK_COUNTER.as_str(), "pck_counter");
         assert!(sym::SIP_INVITE.is_preseeded());
+    }
+
+    #[test]
+    fn every_seed_resolves_through_lookup_to_its_slot() {
+        for (i, seed) in SEEDS.iter().enumerate() {
+            assert_eq!(Sym::lookup(seed), Some(Sym(i as u32)), "{seed:?}");
+            assert_eq!(Sym(i as u32).as_str(), *seed);
+        }
+    }
+
+    #[test]
+    fn over_long_text_is_refused_and_never_looked_up_as_present() {
+        let at_bound = "b".repeat(MAX_SYMBOL_LEN);
+        assert_eq!(Sym::try_intern(&at_bound).map(Sym::as_str), Ok(&*at_bound));
+        let too_long = "l".repeat(MAX_SYMBOL_LEN + 1);
+        assert_eq!(Sym::try_intern(&too_long), Err(InternError::TooLong));
+        assert_eq!(Sym::lookup(&too_long), None);
+        assert_eq!(
+            InternError::TooLong.to_string(),
+            "identifier longer than 255 bytes"
+        );
+        assert_eq!(InternError::Full.reason(), "symbol table full");
     }
 
     #[test]

@@ -711,7 +711,7 @@ impl SoloNetwork {
 // destination, so a field added here has to argue with a number. The call
 // slot that embeds a `Network` is pinned where it is defined
 // (`vids-core::factbase`).
-const _: () = assert!(std::mem::size_of::<SoloNetwork>() <= 512);
+const _: () = assert!(std::mem::size_of::<SoloNetwork>() <= 320);
 
 #[cfg(test)]
 mod tests {

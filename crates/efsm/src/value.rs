@@ -9,7 +9,6 @@
 //! `u32` symbol ids.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::mem;
 
 use crate::intern::{Sym, SymKey};
@@ -17,24 +16,25 @@ use crate::intern::{Sym, SymKey};
 /// A value a state variable or event argument can take.
 ///
 /// The paper's Definition 1 leaves domains abstract; in a VoIP monitor the
-/// variables are addresses, identifiers, counters and timestamps. `Str`
-/// owns its bytes; `Sym` is an interned handle (what the classifier
-/// produces for wire strings such as Call-IDs and tags). The two compare,
-/// order and hash as the same logical string, so consumers never care
-/// which one a producer chose.
-#[derive(Debug, Clone)]
+/// variables are addresses, identifiers, counters and timestamps. Text is
+/// always an interned [`Sym`] handle (what the classifier produces for wire
+/// strings such as Call-IDs and tags), so a value is 16 bytes, `Copy`, and
+/// owns no heap: every record, event and argument vector built from values
+/// is plain data with no drop glue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Value {
     /// Signed integer (sequence deltas, gaps).
     Int(i64),
     /// Unsigned integer (counters, ports, timestamps in ms/ticks).
     Uint(u64),
-    /// Owned text.
-    Str(String),
     /// Interned text (Call-IDs, tags, addresses — see [`crate::intern`]).
+    /// The interner dedups, so equality is an O(1) id compare.
     Sym(Sym),
     /// Boolean flag.
     Bool(bool),
 }
+
+const _: () = assert!(mem::size_of::<Value>() == 16);
 
 impl Value {
     /// The contained unsigned integer, if this is a `Uint`.
@@ -53,21 +53,15 @@ impl Value {
         }
     }
 
-    /// The contained text, if this is textual (either representation).
+    /// The contained text, if this is a `Sym`.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(v) => Some(v),
-            Value::Sym(v) => Some(v.as_str()),
-            _ => None,
-        }
+        self.as_sym().map(Sym::as_str)
     }
 
-    /// The contained text as an interned symbol, if textual. `Str` is
-    /// looked up without interning.
+    /// The contained symbol, if this is a `Sym`.
     pub fn as_sym(&self) -> Option<Sym> {
         match self {
             Value::Sym(v) => Some(*v),
-            Value::Str(v) => Sym::lookup(v),
             _ => None,
         }
     }
@@ -80,27 +74,11 @@ impl Value {
         }
     }
 
-    /// Heap bytes this value owns: the capacity of an owned `Str`, zero
-    /// for everything else (a `Sym` is a 4-byte handle whose text lives in
-    /// the shared interner).
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            Value::Str(s) => s.capacity(),
-            _ => 0,
-        }
-    }
-
-    /// In-memory footprint in bytes, used by the paper's §7.3 per-call
-    /// memory accounting: the value itself plus [`Value::heap_bytes`].
-    pub fn memory_bytes(&self) -> usize {
-        mem::size_of::<Self>() + self.heap_bytes()
-    }
-
     fn rank(&self) -> u8 {
         match self {
             Value::Int(_) => 0,
             Value::Uint(_) => 1,
-            Value::Str(_) | Value::Sym(_) => 2,
+            Value::Sym(_) => 2,
             Value::Bool(_) => 3,
         }
     }
@@ -112,29 +90,15 @@ impl Default for Value {
     }
 }
 
-impl PartialEq for Value {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Uint(a), Value::Uint(b)) => a == b,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            // The interner dedups, so symbol ids compare in O(1).
-            (Value::Sym(a), Value::Sym(b)) => a == b,
-            // Str and Sym are the same logical string.
-            (a, b) if a.rank() == 2 && b.rank() == 2 => a.as_str() == b.as_str(),
-            _ => false,
-        }
-    }
-}
-
-impl Eq for Value {}
-
 impl PartialOrd for Value {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
+/// Within a variant, the natural order — text order for `Sym`, not id
+/// order, so sorting does not depend on interning order; across variants,
+/// declaration order.
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         match (self, other) {
@@ -142,21 +106,8 @@ impl Ord for Value {
             (Value::Uint(a), Value::Uint(b)) => a.cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Sym(a), Value::Sym(b)) if a == b => std::cmp::Ordering::Equal,
-            (a, b) if a.rank() == 2 && b.rank() == 2 => a.as_str().cmp(&b.as_str()),
+            (Value::Sym(a), Value::Sym(b)) => a.as_str().cmp(b.as_str()),
             (a, b) => a.rank().cmp(&b.rank()),
-        }
-    }
-}
-
-impl Hash for Value {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.rank().hash(state);
-        match self {
-            Value::Int(v) => v.hash(state),
-            Value::Uint(v) => v.hash(state),
-            Value::Bool(v) => v.hash(state),
-            // Must hash identically for Str and Sym since they compare equal.
-            Value::Str(_) | Value::Sym(_) => self.as_str().hash(state),
         }
     }
 }
@@ -166,7 +117,6 @@ impl fmt::Display for Value {
         match self {
             Value::Int(v) => write!(f, "{v}"),
             Value::Uint(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "{v:?}"),
             Value::Sym(v) => write!(f, "{:?}", v.as_str()),
             Value::Bool(v) => write!(f, "{v}"),
         }
@@ -197,18 +147,19 @@ impl From<u16> for Value {
     }
 }
 
+/// Interns the text ([`Sym::intern`]): it is kept for the life of the
+/// process, so this conversion is for names the program chooses. Strings
+/// from the wire go through [`Sym::try_intern`] at the classifier.
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        // Interning here makes even naive `set(name, text)` call sites
-        // allocation-free once the string has been seen; compares equal
-        // to `Value::Str` of the same text.
         Value::Sym(Sym::intern(v))
     }
 }
 
+/// Interns the text, exactly like `From<&str>`; the `String` is dropped.
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::from(v.as_str())
     }
 }
 
@@ -468,7 +419,7 @@ struct Spill {
 pub struct VarMap<const N: usize = VARMAP_INLINE> {
     len: u32,
     /// Sorted symbol ids, split from the values so a probe scans a dense
-    /// `u32` array instead of striding across 28-byte `(Sym, Value)` pairs.
+    /// `u32` array instead of striding across 24-byte `(Sym, Value)` pairs.
     keys: [Sym; N],
     vals: [Value; N],
     spill: Option<Box<Spill>>,
@@ -487,7 +438,7 @@ impl<const N: usize> Default for VarMap<N> {
         VarMap {
             len: 0,
             keys: [Sym::default(); N],
-            vals: std::array::from_fn(|_| Value::default()),
+            vals: [Value::Bool(false); N],
             spill: None,
         }
     }
@@ -540,7 +491,7 @@ impl<const N: usize> VarMap<N> {
                 vals: Vec::with_capacity(N + 1),
             };
             spill.keys.extend_from_slice(&self.keys);
-            spill.vals.extend(self.vals.iter_mut().map(mem::take));
+            spill.vals.extend_from_slice(&self.vals);
             self.spill = Some(Box::new(spill));
         }
         match &mut self.spill {
@@ -584,12 +535,12 @@ impl<const N: usize> VarMap<N> {
         self.get(name).and_then(Value::as_int)
     }
 
-    /// String shortcut (matches both `Str` and `Sym` values).
+    /// String shortcut: the text of a `Sym` value.
     pub fn str(&self, name: impl SymKey) -> Option<&str> {
         self.get(name).and_then(Value::as_str)
     }
 
-    /// Interned-symbol shortcut for textual values.
+    /// Interned-symbol shortcut.
     pub fn sym(&self, name: impl SymKey) -> Option<Sym> {
         self.get(name).and_then(Value::as_sym)
     }
@@ -612,7 +563,7 @@ impl<const N: usize> VarMap<N> {
                 s.vals.remove(i)
             }
             None => {
-                let value = mem::take(&mut self.vals[i]);
+                let value = self.vals[i];
                 self.keys[i..len].rotate_left(1);
                 self.vals[i..len].rotate_left(1);
                 value
@@ -660,17 +611,16 @@ impl<const N: usize> VarMap<N> {
     }
 
     /// Heap bytes this map owns beyond its own `size_of`: the spill block
-    /// and vectors once it outgrew `N` entries, plus the capacity of any
-    /// owned-string value. Zero for the maps the shipped machines and the
-    /// classifier build. Interned names live in the shared interner and
-    /// are not charged here.
+    /// and vectors once it outgrew `N` entries (no value owns heap). Zero
+    /// for the maps the shipped machines and the classifier build.
+    /// Interned names and texts live in the shared interner and are not
+    /// charged here.
     pub fn heap_bytes(&self) -> usize {
-        let spill = self.spill.as_ref().map_or(0, |s| {
+        self.spill.as_ref().map_or(0, |s| {
             mem::size_of::<Spill>()
                 + s.keys.capacity() * mem::size_of::<Sym>()
                 + s.vals.capacity() * mem::size_of::<Value>()
-        });
-        spill + self.vals().iter().map(Value::heap_bytes).sum::<usize>()
+        })
     }
 
     /// In-memory footprint: the map itself plus [`VarMap::heap_bytes`].
@@ -762,44 +712,78 @@ mod tests {
     }
 
     #[test]
-    fn memory_accounting_scales_with_content() {
+    fn memory_accounting_ignores_content() {
         let mut small = VarMap::new();
         small.set("a", 1u64);
         let mut big = VarMap::new();
-        // Owned strings are charged header + capacity; `len` alone
-        // undercounted by at least the 24-byte String header.
+        // Text is interned whichever way it arrives: a `String` value adds
+        // nothing to the map that holds it.
         big.set(
             "a",
             "a-rather-long-call-identifier@host.example.com".to_owned(),
         );
-        assert!(big.memory_bytes() > small.memory_bytes());
-        assert!(Value::Str(String::new()).memory_bytes() >= mem::size_of::<String>());
+        assert_eq!(big.memory_bytes(), small.memory_bytes());
+        assert_eq!(big.heap_bytes(), 0);
     }
 
     #[test]
     fn value_conversions() {
         assert_eq!(Value::from(5u32), Value::Uint(5));
         assert_eq!(Value::from(5u16), Value::Uint(5));
-        assert_eq!(Value::from("x"), Value::Str("x".into()));
+        assert_eq!(Value::from("x"), Value::Sym(Sym::intern("x")));
+        assert_eq!(Value::from("x".to_owned()), Value::from("x"));
         assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::from(-1i64), Value::Int(-1));
     }
 
     #[test]
-    fn str_and_sym_are_one_logical_string() {
+    fn string_str_and_sym_conversions_are_one_value() {
         use std::collections::hash_map::DefaultHasher;
-        let a = Value::Str("same-text".into());
-        let b = Value::Sym(Sym::intern("same-text"));
-        assert_eq!(a, b);
-        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
+        use std::hash::{Hash, Hasher};
+        let a = Value::from("same-text".to_owned());
+        let b = Value::from("same-text");
+        let c = Value::Sym(Sym::intern("same-text"));
         let hash = |v: &Value| {
             let mut h = DefaultHasher::new();
             v.hash(&mut h);
             h.finish()
         };
-        assert_eq!(hash(&a), hash(&b));
-        assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(b.as_sym(), a.as_sym());
+        for other in [b, c] {
+            assert_eq!(a, other);
+            assert_eq!(a.cmp(&other), std::cmp::Ordering::Equal);
+            assert_eq!(hash(&a), hash(&other));
+            assert_eq!(a.to_string(), other.to_string());
+            assert_eq!(a.as_sym(), other.as_sym());
+        }
+        assert_eq!(a.as_str(), Some("same-text"));
+        assert_eq!(a.to_string(), "\"same-text\"");
+    }
+
+    #[test]
+    fn symbols_order_by_text_not_by_interning_order() {
+        let later = Value::from("value-order-b");
+        let earlier = Value::from("value-order-a");
+        assert!(earlier.as_sym().unwrap().id() > later.as_sym().unwrap().id());
+        assert!(earlier < later);
+        // Across variants: Int < Uint < Sym < Bool.
+        let mut mixed = [
+            Value::Bool(false),
+            later,
+            Value::Uint(0),
+            earlier,
+            Value::Int(9),
+        ];
+        mixed.sort();
+        assert_eq!(
+            mixed,
+            [
+                Value::Int(9),
+                Value::Uint(0),
+                earlier,
+                later,
+                Value::Bool(false)
+            ]
+        );
     }
 
     #[test]

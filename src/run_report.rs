@@ -12,6 +12,7 @@ use vids_core::alert::Alert;
 use vids_core::engine::VidsCounters;
 use vids_core::report::AlertReport;
 use vids_core::telemetry::Snapshot;
+use vids_efsm::intern::{self, InternStats};
 use vids_ingest::replay::ReplayReport;
 use vids_ingest::server::ServeReport;
 use vids_netsim::time::SimTime;
@@ -40,6 +41,9 @@ pub struct RunSummary {
     pub span: SimTime,
     /// Wall-clock seconds spent, when throughput is meaningful.
     pub wall_secs: Option<f64>,
+    /// How full the process-wide symbol table is at the end of the run:
+    /// symbols are never freed, and a full table sheds new calls.
+    pub symbols: InternStats,
 }
 
 impl RunSummary {
@@ -53,6 +57,7 @@ impl RunSummary {
             batches: report.batches,
             span: report.ended_at,
             wall_secs: None,
+            symbols: intern::stats(),
         }
     }
 
@@ -66,10 +71,12 @@ impl RunSummary {
             batches: report.batches,
             span: report.last_at,
             wall_secs: Some(wall_secs),
+            symbols: intern::stats(),
         }
     }
 
-    /// The drain line, plus a throughput line when wall time was measured.
+    /// The drain line, a throughput line when wall time was measured, and
+    /// the symbol table's fill level.
     pub fn render(&self) -> String {
         // The engine is IPv4-only; v6 traffic is dropped at classify time
         // but must never vanish silently, so the drain line calls it out
@@ -104,6 +111,12 @@ impl RunSummary {
                 ));
             }
         }
+        out.push_str(&format!(
+            "\nsymbols {} of {} ({:.1} MiB)",
+            self.symbols.symbols,
+            self.symbols.capacity,
+            self.symbols.text_bytes as f64 / (1024.0 * 1024.0)
+        ));
         out
     }
 }
@@ -162,6 +175,12 @@ pub fn write_telemetry(path: &str, series: &[Snapshot]) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    const SYMBOLS: InternStats = InternStats {
+        symbols: 1_200,
+        capacity: 4_194_304,
+        text_bytes: 3 * 512 * 1024,
+    };
+
     #[test]
     fn serve_summary_keeps_the_historical_wording() {
         let s = RunSummary {
@@ -173,10 +192,12 @@ mod tests {
             batches: 4,
             span: SimTime::from_millis(2_500),
             wall_secs: None,
+            symbols: SYMBOLS,
         };
         assert_eq!(
             s.render(),
-            "drained: 30 datagrams (1 unknown, 2 dropped) in 4 batches over 2.5 s"
+            "drained: 30 datagrams (1 unknown, 2 dropped) in 4 batches over 2.5 s\n\
+             symbols 1200 of 4194304 (1.5 MiB)"
         );
     }
 
@@ -191,10 +212,11 @@ mod tests {
             batches: 4,
             span: SimTime::from_millis(2_500),
             wall_secs: None,
+            symbols: SYMBOLS,
         };
         assert_eq!(
-            s.render(),
-            "drained: 30 datagrams (1 unknown, 5 ipv6, 2 dropped) in 4 batches over 2.5 s"
+            s.render().lines().next(),
+            Some("drained: 30 datagrams (1 unknown, 5 ipv6, 2 dropped) in 4 batches over 2.5 s")
         );
         let r = RunSummary {
             kind: RunKind::Replay,
@@ -217,12 +239,14 @@ mod tests {
             batches: 8,
             span: SimTime::from_millis(1_500),
             wall_secs: Some(0.5),
+            symbols: SYMBOLS,
         };
         let text = s.render();
         assert!(text.starts_with(
             "replayed 1000 datagrams (0 unknown) in 8 batches; capture spans 1.500 s"
         ));
         assert!(text.contains("throughput: 2000 pps over 0.500 s"));
+        assert!(text.ends_with("\nsymbols 1200 of 4194304 (1.5 MiB)"));
         // Zero wall time suppresses the division.
         let degenerate = RunSummary {
             wall_secs: Some(0.0),

@@ -23,6 +23,10 @@
 //!   to see unassociated RTP to coordinates it already reported: a call
 //!   record is one slab slot that owns no heap block, and the dedup set is
 //!   asked before any alert text is built,
+//! * the classifier makes no allocation per string it has never seen —
+//!   1 000 INVITEs carrying 4 000 fresh strings cost the interner's table
+//!   growth, a dozen allocations at most — and none to refuse an
+//!   over-long one,
 //! * no event the classifier builds from the mixed adversarial trace
 //!   spills its argument vector.
 //!
@@ -421,6 +425,71 @@ fn warm_packets_meet_the_allocation_budget() {
         });
         eprintln!("warm SIP receiver route path: {n} allocations");
         assert_eq!(n, 0, "warm SIP classify+route made {n} allocations");
+    }
+
+    // ---- strings the monitor has never seen: the classifier alone --------
+    // A new Call-ID, tag, branch or address is copied onto the interner's
+    // current text slab and indexed by id, so what 1 000 INVITEs from 1 000
+    // sources carrying 4 000 fresh strings cost is table growth alone: two
+    // 64 KiB slabs, three doublings of the interner's index (≈ 300 → 4 300
+    // entries) and four of this thread's address cache (64 → 1 000) — 9
+    // here, where one `Box<str>` per string used to make it ≥ 3 000. A
+    // Call-ID past the symbol bound costs nothing and leaves no symbol.
+    {
+        use vids::core::classify::{classify_wire, WireProto};
+        use vids::efsm::intern;
+
+        let fresh: Vec<(Address, String)> = (0..1_000u32)
+            .map(|k| {
+                let src = Address::new(10, 7, (k >> 8) as u8, k as u8, 5060);
+                let ip = src.ip_string();
+                let body = format!(
+                    "v=0\r\no=alice 1 1 IN IP4 {ip}\r\ns=-\r\nc=IN IP4 {ip}\r\n\
+                     t=0 0\r\nm=audio 20000 RTP/AVP 18\r\n"
+                );
+                let text = format!(
+                    "INVITE sip:bob@b.example.com SIP/2.0\r\n\
+                     Via: SIP/2.0/UDP {ip}:5060;branch=z9hG4bK-fresh-{k}\r\n\
+                     From: <sip:alice@a.example.com>;tag=fresh-tag-{k}\r\n\
+                     To: <sip:bob@b.example.com>\r\n\
+                     Call-ID: fresh-call-{k}@{ip}\r\n\
+                     CSeq: 1 INVITE\r\n\
+                     Content-Type: application/sdp\r\n\
+                     Content-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                (src, text)
+            })
+            .collect();
+        let before = intern::stats().symbols;
+        let n = count_allocs(|| {
+            for (src, text) in &fresh {
+                let classified = classify_wire(WireProto::Sip, text.as_bytes(), *src, CALLEE);
+                assert!(matches!(classified, Classified::Sip { .. }));
+            }
+        });
+        eprintln!("1000 INVITE+SDP with 4000 never-seen strings: {n} allocations");
+        assert_eq!(intern::stats().symbols - before, 4_000);
+        assert!(n <= 12, "classifying fresh strings made {n} allocations");
+
+        let long = fresh[0].1.replace("fresh-call-0", &"x".repeat(256));
+        let before = intern::stats().symbols;
+        let n = count_allocs(|| {
+            let classified = classify_wire(WireProto::Sip, long.as_bytes(), fresh[0].0, CALLEE);
+            assert!(matches!(
+                classified,
+                Classified::Malformed {
+                    protocol: "SIP",
+                    ..
+                }
+            ));
+        });
+        eprintln!("INVITE with a 265-byte Call-ID: {n} allocations");
+        assert_eq!(
+            n, 0,
+            "refusing an over-long identifier made {n} allocations"
+        );
+        assert_eq!(intern::stats().symbols, before, "and it left no symbol");
     }
 
     // ---- repeated malformed datagrams: the cheapest thing to send -------

@@ -8,7 +8,8 @@
 //! two must agree within 15 %. Every string the traffic carries is interned
 //! before the baseline is taken (the interner is priced by its own
 //! metrics), and the traffic is clean, so what stays allocated afterwards
-//! is the fact base.
+//! is the fact base. The interner is then priced with the same allocator:
+//! a fresh symbol may hold no more than 80 live bytes.
 //!
 //! A test binary of its own: the allocator is process-global.
 
@@ -19,6 +20,7 @@ use vids::core::classify::classify;
 use vids::core::config::Config;
 use vids::core::engine::Vids;
 use vids::core::sink::CollectSink;
+use vids::efsm::{intern, Sym};
 use vids::netsim::packet::{Address, Packet, Payload};
 use vids::netsim::time::SimTime;
 use vids::rtp::packet::RtpPacket;
@@ -140,5 +142,31 @@ fn memory_bytes_agrees_with_the_allocator() {
     assert!(
         (0.85..=1.15).contains(&ratio),
         "memory_bytes() reads {metered} B where the allocator holds {live} B (ratio {ratio:.3})"
+    );
+
+    // What the meter leaves out — the interner — has a price of its own: a
+    // symbol is its text on a slab, a 16-byte slot in the name table and a
+    // 4-byte index entry, with no heap object per string.
+    const FRESH: usize = 50_000;
+    let fresh: Vec<String> = (0..FRESH)
+        .map(|i| format!("meter-new-{i:08}@host.example.com"))
+        .collect();
+    assert!(fresh.iter().all(|s| s.len() == 35));
+    let symbols = intern::stats();
+    let before = LIVE.load(Ordering::SeqCst);
+    for text in &fresh {
+        Sym::intern(text);
+    }
+    let live = (LIVE.load(Ordering::SeqCst) - before) as usize;
+    let grown = intern::stats();
+    assert_eq!(grown.symbols - symbols.symbols, FRESH);
+    assert_eq!(grown.text_bytes - symbols.text_bytes, FRESH * 35);
+    eprintln!(
+        "{FRESH} fresh 35-byte symbols: {} live B each",
+        live / FRESH
+    );
+    assert!(
+        live <= FRESH * 80,
+        "{FRESH} symbols of 35 bytes hold {live} B"
     );
 }

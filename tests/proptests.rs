@@ -460,13 +460,12 @@ mod varmap_model {
                         model.insert(name, Value::Uint(val));
                     }
                     1 => {
+                        // `&str` and `String` intern to the same value.
                         let s = format!("v{}", val % 50);
                         map.set(name, s.as_str());
-                        model.insert(name, Value::Str(s));
+                        model.insert(name, Value::from(s));
                     }
                     2 => {
-                        // Str and Sym compare as the same logical string, so
-                        // the removed values match across representations.
                         let got = map.remove(name);
                         let want = model.remove(name);
                         prop_assert_eq!(got, want);
@@ -487,6 +486,70 @@ mod varmap_model {
             let flat: BTreeMap<&str, &Value> = map.iter().collect();
             let model_ref: BTreeMap<&str, &Value> = model.iter().map(|(k, v)| (*k, v)).collect();
             prop_assert_eq!(flat, model_ref);
+        }
+    }
+}
+
+/// The interner stores text on byte slabs and indexes it by id; whatever
+/// the bytes — any length up to the 255-byte bound, multi-byte UTF-8
+/// anywhere, so copies end at every offset of a slab — a symbol gives its
+/// text back, interning is idempotent, a lookup never interns, and ids
+/// only grow. Other tests intern concurrently, so ids are checked for
+/// order here and for density in `crates/efsm/tests/interner.rs`.
+mod interner {
+    use proptest::prelude::*;
+    use vids::efsm::intern::{InternError, MAX_SYMBOL_LEN};
+    use vids::efsm::Sym;
+
+    /// The longest prefix of `text` that is at most `max` bytes.
+    fn prefix(text: &str, max: usize) -> &str {
+        let mut end = text.len().min(max);
+        while !text.is_char_boundary(end) {
+            end -= 1;
+        }
+        &text[..end]
+    }
+
+    proptest! {
+        #[test]
+        fn symbols_round_trip_whatever_the_bytes(
+            texts in proptest::collection::vec("[a-z0-9@.:;=é√世🎉 -]{0,255}", 1..12)
+        ) {
+            let mut last_fresh_id = None;
+            for text in &texts {
+                let text = prefix(text, MAX_SYMBOL_LEN);
+                let probe = format!("{text}\u{1}never-interned");
+                prop_assert_eq!(Sym::lookup(&probe), None);
+
+                let known = Sym::lookup(text);
+                let sym = Sym::intern(text);
+                prop_assert_eq!(sym.as_str(), text);
+                prop_assert_eq!(Sym::intern(text), sym);
+                prop_assert_eq!(Sym::try_intern(text), Ok(sym));
+                prop_assert_eq!(Sym::lookup(text), Some(sym));
+                match known {
+                    Some(earlier) => prop_assert_eq!(earlier, sym),
+                    None => {
+                        prop_assert!(!sym.is_preseeded());
+                        prop_assert!(last_fresh_id < Some(sym.id()));
+                        last_fresh_id = Some(sym.id());
+                    }
+                }
+                // The failed lookup interned nothing.
+                prop_assert_eq!(Sym::lookup(&probe), None);
+            }
+        }
+
+        #[test]
+        fn text_past_the_bound_is_refused(
+            text in "[a-zé世]{256,300}"
+        ) {
+            prop_assert!(text.len() > MAX_SYMBOL_LEN);
+            prop_assert_eq!(Sym::try_intern(&text), Err(InternError::TooLong));
+            prop_assert_eq!(Sym::lookup(&text), None);
+            // Its longest admissible prefix is an ordinary symbol.
+            let head = prefix(&text, MAX_SYMBOL_LEN);
+            prop_assert_eq!(Sym::try_intern(head).map(Sym::as_str), Ok(head));
         }
     }
 }

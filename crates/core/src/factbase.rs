@@ -13,6 +13,7 @@
 //! its own: creating one writes a slot, and the allocator is touched only
 //! when a slab or an index grows.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::hash::Hash;
 use std::mem::size_of;
@@ -28,6 +29,7 @@ use crate::machines::flood::{invite_flood_machine, response_flood_machine};
 use crate::machines::register::registration_machine;
 use crate::machines::rtp::rtp_session_machine;
 use crate::machines::sip::sip_call_machine;
+use crate::machines::CallGlobals;
 
 /// Width of one expiry-wheel bucket. Matches the engine's sweep interval:
 /// a sweep pops every bucket at or before `now`, so a finer wheel would
@@ -170,6 +172,104 @@ pub(crate) fn index_bytes<K, V>(index: &FxHashMap<K, V>) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CallIdx(u32);
 
+/// One entry of the expiry wheel: a call slot filed under a bucket, and
+/// the next filing of the same bucket ([`NO_FILING`] ends the list).
+#[derive(Clone, Copy)]
+struct Filing {
+    idx: CallIdx,
+    next: u32,
+}
+
+/// End of a bucket's list of filings, and of the free list.
+const NO_FILING: u32 = u32::MAX;
+
+/// Coarse time-wheel over call wake deadlines (armed timers, pending
+/// eviction stamps, grace-period expiries). A sweep visits only the calls
+/// whose bucket fell due, so a sweep over N idle calls costs O(expiring),
+/// not O(N log N).
+///
+/// Every bucket is a list threaded through one slab of filings, and a
+/// drained bucket hands its filings back to a free list that the next
+/// filing — in whichever bucket — takes from. So steady churn, which opens
+/// and drains a bucket every 100 ms, never reaches the allocator once the
+/// slab has grown to the wheel's usual depth, and the slab never holds much
+/// more than twice the most filings ever live at once: a bucket owns no
+/// storage of its own that could outgrow what it holds.
+#[derive(Default)]
+struct Wheel {
+    /// Bucket → its first and last filing.
+    buckets: BTreeMap<u64, (u32, u32)>,
+    filings: Vec<Filing>,
+    /// First free filing, the rest chained through `next`.
+    free: u32,
+    /// Filings in some bucket's list.
+    filed: usize,
+}
+
+impl Wheel {
+    fn new() -> Self {
+        Wheel {
+            free: NO_FILING,
+            ..Wheel::default()
+        }
+    }
+
+    fn file(&mut self, bucket: u64, idx: CallIdx) {
+        let filing = Filing {
+            idx,
+            next: NO_FILING,
+        };
+        let at = match self.free {
+            NO_FILING => {
+                self.filings.push(filing);
+                (self.filings.len() - 1) as u32
+            }
+            at => {
+                self.free = self.filings[at as usize].next;
+                self.filings[at as usize] = filing;
+                at
+            }
+        };
+        self.filed += 1;
+        match self.buckets.entry(bucket) {
+            Entry::Vacant(open) => {
+                open.insert((at, at));
+            }
+            Entry::Occupied(mut list) => {
+                let last = &mut list.get_mut().1;
+                self.filings[*last as usize].next = at;
+                *last = at;
+            }
+        }
+    }
+
+    /// Removes every bucket at or before `horizon`, earliest first, hands
+    /// each call filed there to `visit` with its bucket, and frees the
+    /// filings.
+    fn drain_due(&mut self, horizon: u64, mut visit: impl FnMut(u64, CallIdx)) {
+        while let Some(due) = self.buckets.first_entry().filter(|b| *b.key() <= horizon) {
+            let (bucket, (first, last)) = due.remove_entry();
+            let mut at = first;
+            loop {
+                let filing = self.filings[at as usize];
+                visit(bucket, filing.idx);
+                self.filed -= 1;
+                if at == last {
+                    break;
+                }
+                at = filing.next;
+            }
+            self.filings[last as usize].next = self.free;
+            self.free = first;
+        }
+    }
+
+    /// What the wheel costs: its buckets and the filings in them.
+    fn memory_bytes(&self) -> usize {
+        self.buckets.len() * size_of::<(u64, (u32, u32))>() + self.filed * size_of::<Filing>()
+    }
+}
+
 /// One occupied call slot: the call's id plus its record. This *is* the
 /// call's state — the network inside it keeps machines, variables and
 /// timers inline, so a half-open call owns no heap block.
@@ -180,7 +280,7 @@ struct Slot {
 
 // Sizes are facts (§7.3 argues capacity from the per-call cost): the next
 // field someone adds to a call has to argue with this number.
-const _: () = assert!(size_of::<Slot>() <= 832);
+const _: () = assert!(size_of::<Slot>() <= 408);
 
 /// One monitored call: its EFSM network plus bookkeeping.
 pub struct CallRecord {
@@ -222,8 +322,11 @@ pub struct FactBaseStats {
 /// flood machines.
 pub struct FactBase {
     config: Config,
-    sip_def: Arc<MachineDef>,
-    rtp_def: Arc<MachineDef>,
+    /// Every call's network starts as a copy of this one: the SIP and RTP
+    /// machines at their initial states, sharing one definition list.
+    call_proto: Network,
+    /// Handles of the call globals the media index reads.
+    call_globals: CallGlobals,
     invite_flood_def: Arc<MachineDef>,
     response_flood_def: Arc<MachineDef>,
     registration_def: Arc<MachineDef>,
@@ -238,15 +341,8 @@ pub struct FactBase {
     invite_flood: Table<u32, SoloNetwork>,
     response_flood: Table<u32, SoloNetwork>,
     registrations: Table<Sym, SoloNetwork>,
-    /// Coarse time-wheel over call wake deadlines (armed timers, pending
-    /// eviction stamps, grace-period expiries): bucket → call slots filed
-    /// there. A sweep visits only the calls whose bucket fell due, so a
-    /// sweep over N idle calls costs O(expiring), not O(N log N).
-    wheel: BTreeMap<u64, Vec<CallIdx>>,
-    /// Bucket lists a sweep emptied, reused for the next new bucket: steady
-    /// churn opens and drains a bucket every 100 ms, and none of that
-    /// reaches the allocator once the wheel has reached its usual depth.
-    spare_buckets: Vec<Vec<CallIdx>>,
+    /// Call wake deadlines, by 100 ms bucket.
+    wheel: Wheel,
     /// The due calls of the sweep in progress: lent out by
     /// [`FactBase::due_calls`], handed back to [`FactBase::sweep_due`].
     due: Vec<CallIdx>,
@@ -266,17 +362,18 @@ impl FactBase {
     /// shared by every call (this sharing is what keeps per-call memory at
     /// the level of §7.3).
     pub fn new(config: Config) -> Self {
-        let sip_def = Arc::new(sip_call_machine(&config));
-        let rtp_def = Arc::new(rtp_session_machine(&config));
-        // Machine ids are positional: capture them from a throwaway network
-        // built exactly like the real ones, so the engine never resolves a
-        // machine by name on the per-packet path.
-        let mut proto = Network::new();
-        let sip_machine = proto.add_machine(Arc::clone(&sip_def));
-        let rtp_machine = proto.add_machine(Arc::clone(&rtp_def));
+        // Machine ids are positional and every call network is a copy of
+        // the prototype, so the engine never resolves a machine by name on
+        // the per-packet path.
+        let mut call_proto = Network::new();
+        let sip_machine = call_proto.add_machine(Arc::new(sip_call_machine(&config)));
+        let rtp_machine = call_proto.add_machine(Arc::new(rtp_session_machine(&config)));
+        if !config.cross_protocol_sync {
+            call_proto.disable_sync();
+        }
         FactBase {
-            sip_def,
-            rtp_def,
+            call_proto,
+            call_globals: CallGlobals::declare().1,
             invite_flood_def: Arc::new(invite_flood_machine(&config)),
             response_flood_def: Arc::new(response_flood_machine(&config)),
             registration_def: Arc::new(registration_machine()),
@@ -286,8 +383,7 @@ impl FactBase {
             invite_flood: Table::new(),
             response_flood: Table::new(),
             registrations: Table::new(),
-            wheel: BTreeMap::new(),
-            spare_buckets: Vec::new(),
+            wheel: Wheel::new(),
             due: Vec::new(),
             evicted: Vec::new(),
             sip_machine,
@@ -362,16 +458,10 @@ impl FactBase {
         let idx = match self.call_idx(call_id) {
             Some(idx) => idx,
             None => {
-                let mut network = Network::new();
-                network.add_machine(Arc::clone(&self.sip_def));
-                network.add_machine(Arc::clone(&self.rtp_def));
-                if !self.config.cross_protocol_sync {
-                    network.disable_sync();
-                }
                 let slot = Slot {
                     id: call_id,
                     record: CallRecord {
-                        network,
+                        network: self.call_proto.clone(),
                         created_ms: now_ms,
                         final_since_ms: None,
                         wheel_bucket: NO_BUCKET,
@@ -391,19 +481,9 @@ impl FactBase {
         let record = self.record_mut(idx);
         if record.wheel_bucket != bucket {
             record.wheel_bucket = bucket;
-            self.file(bucket, idx);
+            self.wheel.file(bucket, idx);
         }
         idx
-    }
-
-    /// Files a call slot under a wheel bucket, opening the bucket on a
-    /// spare list when it is new.
-    fn file(&mut self, bucket: u64, idx: CallIdx) {
-        let spare = &mut self.spare_buckets;
-        self.wheel
-            .entry(bucket)
-            .or_insert_with(|| spare.pop().unwrap_or_default())
-            .push(idx);
     }
 
     /// Instantiates the per-call machine network for a new call.
@@ -421,20 +501,20 @@ impl FactBase {
         }
     }
 
-    /// [`FactBase::refresh_media_index`] by slab index. The global-variable
-    /// reads are keyed by pre-seeded symbols, so the warm no-change case is
-    /// four inline `VarMap` probes and two equality checks.
+    /// [`FactBase::refresh_media_index`] by slab index. The global
+    /// variables are read through their handles, so the warm no-change case
+    /// is four slot reads and two equality checks.
     pub(crate) fn refresh_media_index_idx(&mut self, idx: CallIdx) {
         let slot = self.calls.get_mut(idx.0).expect("live call slot");
-        let globals = slot.record.network.globals();
+        let (net, sip, g) = (&slot.record.network, self.sip_machine, self.call_globals);
         let published = [
             (
-                globals.sym(sym::G_CALLER_MEDIA_IP),
-                globals.uint(sym::G_CALLER_MEDIA_PORT),
+                net.get(sip, g.caller_media_ip),
+                net.get(sip, g.caller_media_port),
             ),
             (
-                globals.sym(sym::G_CALLEE_MEDIA_IP),
-                globals.uint(sym::G_CALLEE_MEDIA_PORT),
+                net.get(sip, g.callee_media_ip),
+                net.get(sip, g.callee_media_port),
             ),
         ];
         for (ip, port) in published {
@@ -528,7 +608,7 @@ impl FactBase {
         }
         record.wheel_bucket = bucket;
         if bucket != NO_BUCKET {
-            self.file(bucket, idx);
+            self.wheel.file(bucket, idx);
         }
     }
 
@@ -540,26 +620,19 @@ impl FactBase {
     pub(crate) fn due_calls(&mut self, now_ms: u64) -> Vec<CallIdx> {
         let mut due = std::mem::take(&mut self.due);
         let horizon = now_ms / WHEEL_BUCKET_MS;
-        while let Some(filed) = self.wheel.first_entry() {
-            if *filed.key() > horizon {
-                break;
-            }
-            let (bucket, mut idxs) = filed.remove_entry();
-            for idx in idxs.drain(..) {
-                if let Some(slot) = self.calls.get_mut(idx.0) {
-                    // Entries orphaned by reindexing (or left behind by an
-                    // evicted call whose slot was reused) are stale; the
-                    // live filing is the one the record points back at.
-                    // This also deduplicates a call re-filed into the same
-                    // bucket twice.
-                    if slot.record.wheel_bucket == bucket {
-                        slot.record.wheel_bucket = NO_BUCKET;
-                        due.push(idx);
-                    }
+        let calls = &mut self.calls;
+        self.wheel.drain_due(horizon, |bucket, idx| {
+            if let Some(slot) = calls.get_mut(idx.0) {
+                // Entries orphaned by reindexing (or left behind by an
+                // evicted call whose slot was reused) are stale; the live
+                // filing is the one the record points back at. This also
+                // deduplicates a call re-filed into the same bucket twice.
+                if slot.record.wheel_bucket == bucket {
+                    slot.record.wheel_bucket = NO_BUCKET;
+                    due.push(idx);
                 }
             }
-            self.spare_buckets.push(idxs);
-        }
+        });
         // Text order, not slot order: slot and interner ids depend on
         // arrival interleaving, so only the string is deterministic across
         // runs.
@@ -635,14 +708,9 @@ impl FactBase {
         let calls = self.calls.memory_bytes(|slot| {
             slot.record.network.heap_bytes() + slot.record.media_keys.heap_bytes()
         });
-        let wheel: usize = self
-            .wheel
-            .values()
-            .map(|filed| size_of::<(u64, Vec<CallIdx>)>() + filed.len() * size_of::<CallIdx>())
-            .sum();
         calls
             + index_bytes(&self.media_index)
-            + wheel
+            + self.wheel.memory_bytes()
             + self.invite_flood.memory_bytes(SoloNetwork::heap_bytes)
             + self.response_flood.memory_bytes(SoloNetwork::heap_bytes)
             + self.registrations.memory_bytes(SoloNetwork::heap_bytes)
@@ -777,6 +845,93 @@ mod tests {
         assert!(
             (100..4_000).contains(&per_call),
             "per-call memory {per_call} B"
+        );
+    }
+
+    /// Drives calls through the fact base the way the engine does, up to
+    /// `until_ms`: one new call a millisecond (`calls` in all), each
+    /// answered at once and torn down a varying 0–2 s later, and a sweep
+    /// every 100 ms that fires the timers of the calls due and evicts the
+    /// finished ones.
+    fn churn(fb: &mut FactBase, calls: u64, until_ms: u64) {
+        let sip = fb.sip_machine();
+        let answer = || {
+            Event::data("SIP.2xx")
+                .with_str("cseq_method", "INVITE")
+                .with_str("to_tag", "tt")
+                .with_bool("has_sdp", true)
+                .with_str("sdp_ip", "10.2.0.10")
+                .with_uint("sdp_port", 30_000)
+        };
+        let bye = || {
+            Event::data("SIP.BYE")
+                .with_str("from_tag", "ft")
+                .with_str("to_tag", "tt")
+                .with_str("cseq_method", "BYE")
+        };
+        let bye_ok = || Event::data("SIP.2xx").with_str("cseq_method", "BYE");
+        // (time, call, step): INVITE and answer, then BYE and its 200.
+        let mut schedule: Vec<(u64, u64, u8)> = (0..calls)
+            .flat_map(|k| {
+                let hold = k * 7_919 % 2_000;
+                [(k, k, 0), (k + 1 + hold, k, 1)]
+            })
+            .collect();
+        schedule.sort_unstable();
+        let mut ids = Vec::new();
+        let mut last_sweep = 0;
+        for (now, k, step) in schedule.into_iter().take_while(|&(t, ..)| t < until_ms) {
+            while last_sweep + 100 <= now {
+                last_sweep += 100;
+                let due = fb.due_calls(last_sweep);
+                for &idx in &due {
+                    fb.record_mut(idx).network.advance_time(last_sweep);
+                }
+                fb.sweep_due(due, last_sweep);
+            }
+            let idx = if step == 0 {
+                let idx = fb.create_call_idx(format!("churn-{k}").as_str(), now);
+                ids.push(fb.id_of(idx));
+                let net = &mut fb.record_mut(idx).network;
+                net.deliver(sip, invite_event(), now);
+                net.deliver(sip, answer(), now);
+                idx
+            } else {
+                let idx = fb.call_idx(ids[k as usize]).expect("call still monitored");
+                let net = &mut fb.record_mut(idx).network;
+                net.deliver(sip, bye(), now);
+                net.deliver(sip, bye_ok(), now);
+                idx
+            };
+            fb.reindex_idx(idx);
+        }
+    }
+
+    #[test]
+    fn wheel_capacity_tracks_what_is_filed() {
+        let mut fb = FactBase::new(Config::default());
+        churn(&mut fb, 20_000, 15_000);
+        assert!(fb.stats().calls_evicted > 5_000, "{:?}", fb.stats());
+        let wheel = &fb.wheel;
+        let mut largest = 0;
+        for &(first, last) in wheel.buckets.values() {
+            let (mut at, mut len) = (first, 1);
+            while at != last {
+                at = wheel.filings[at as usize].next;
+                len += 1;
+            }
+            largest = largest.max(len);
+        }
+        // The slab doubles as it grows and takes back every drained
+        // filing, so it holds at most twice the most filings ever live at
+        // once; on churn that high-water mark is about one bucket above
+        // what is filed now (measured: 8 192 for 5 380 filed, largest
+        // bucket 240).
+        let capacity = wheel.filings.capacity();
+        assert!(
+            capacity <= 2 * wheel.filed + largest,
+            "{capacity} filings of capacity for {} filed (largest bucket {largest})",
+            wheel.filed
         );
     }
 

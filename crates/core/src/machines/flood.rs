@@ -12,6 +12,7 @@
 //! with responses that belong to no monitored call.
 
 use vids_efsm::machine::MachineDef;
+use vids_efsm::{sym, Var};
 
 use crate::alert::labels;
 use crate::config::Config;
@@ -30,6 +31,7 @@ pub fn window_counter_machine(
     label: &str,
 ) -> MachineDef {
     let mut def = MachineDef::new(machine_name);
+    let counter: Var<u64> = def.local(sym::PCK_COUNTER);
     let init = def.add_state("INIT");
     let counting = def.add_state("PACKET_RCVD");
     let attack = def.add_state("FLOOD_DETECTED");
@@ -38,29 +40,27 @@ pub fn window_counter_machine(
     // First event: start the counter and the T1 window.
     def.add_transition(init, event_name, counting)
         .action(move |ctx| {
-            ctx.locals.set("pck_counter", 1u64);
+            ctx.set(counter, 1);
             ctx.set_timer(TIMER_T1, window_ms);
         })
         .label("window opened");
 
     // Within the window and under the threshold: count.
     def.add_transition(counting, event_name, counting)
-        .predicate(move |ctx| ctx.locals.uint("pck_counter").unwrap_or(0) < n)
-        .action(|ctx| {
-            ctx.locals.increment("pck_counter");
+        .predicate(move |ctx| ctx.get(counter).unwrap_or(0) < n)
+        .action(move |ctx| {
+            ctx.increment(counter);
         })
         .label("counting");
 
     // Threshold crossed within the window: attack.
     def.add_transition(counting, event_name, attack)
-        .predicate(move |ctx| ctx.locals.uint("pck_counter").unwrap_or(0) + 1 > n)
+        .predicate(move |ctx| ctx.get(counter).unwrap_or(0) + 1 > n)
         .label("threshold N exceeded within T1");
 
     // Window expired: back to INIT (the next event re-opens it).
     def.add_transition(counting, TIMER_T1, init)
-        .action(|ctx| {
-            ctx.locals.set("pck_counter", 0u64);
-        })
+        .action(move |ctx| ctx.set(counter, 0))
         .label("window expired");
 
     // After detection: absorb (re-arming happens when the engine resets

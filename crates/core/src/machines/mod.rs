@@ -15,13 +15,41 @@ pub mod register;
 pub mod rtp;
 pub mod sip;
 
-use vids_efsm::value::Value;
-use vids_efsm::{sym, Event, Sym};
+use std::sync::Arc;
 
-/// Copies a textual argument out of the event (text is always an interned
-/// handle), defaulting to `""`.
-pub(crate) fn arg_or_empty(ev: &Event, name: Sym) -> Value {
-    ev.arg(name).copied().unwrap_or(Value::Sym(sym::EMPTY))
+use vids_efsm::{sym, Event, Schema, Sym, Var};
+
+/// A textual argument of the event (text is always an interned handle),
+/// defaulting to `""`.
+pub(crate) fn sym_or_empty(ev: &Event, name: Sym) -> Sym {
+    ev.sym_arg(name).unwrap_or(sym::EMPTY)
+}
+
+/// The call globals (Fig. 2's `v.g_…`): the media coordinates and codec the
+/// SIP machine publishes from SDP and the RTP machine checks every packet
+/// against. Declared here, once, and shared by both definitions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CallGlobals {
+    pub(crate) caller_media_ip: Var<Sym>,
+    pub(crate) caller_media_port: Var<u64>,
+    pub(crate) callee_media_ip: Var<Sym>,
+    pub(crate) callee_media_port: Var<u64>,
+    pub(crate) codec_pt: Var<u64>,
+}
+
+impl CallGlobals {
+    /// The schema and its handles.
+    pub(crate) fn declare() -> (Arc<Schema>, CallGlobals) {
+        let mut schema = Schema::globals();
+        let globals = CallGlobals {
+            caller_media_ip: schema.declare(sym::G_CALLER_MEDIA_IP),
+            caller_media_port: schema.declare(sym::G_CALLER_MEDIA_PORT),
+            callee_media_ip: schema.declare(sym::G_CALLEE_MEDIA_IP),
+            callee_media_port: schema.declare(sym::G_CALLEE_MEDIA_PORT),
+            codec_pt: schema.declare(sym::G_CODEC_PT),
+        };
+        (Arc::new(schema), globals)
+    }
 }
 
 /// Machine name of the SIP machine inside a call network (δ address).

@@ -15,33 +15,41 @@
 //! re-registering or moving) stay legitimate.
 
 use vids_efsm::machine::{ActionCtx, MachineDef, PredicateCtx};
-use vids_efsm::sym;
+use vids_efsm::{sym, Sym, Var};
 
 use crate::alert::labels;
-use crate::machines::arg_or_empty;
+use crate::machines::sym_or_empty;
 
 /// Name of the per-AOR registration machine.
 pub const REGISTER_MACHINE: &str = "register";
 
-fn same_owner(ctx: &PredicateCtx<'_>) -> bool {
-    let src = ctx.event.str_arg("src_ip").unwrap_or("");
-    ctx.locals.str("l_owner_ip") == Some(src)
+/// The binding an AOR's machine keeps.
+#[derive(Debug, Clone, Copy)]
+struct Binding {
+    owner_ip: Var<Sym>,
+    contact_ip: Var<Sym>,
+}
+
+fn same_owner(ctx: &PredicateCtx<'_>, b: Binding) -> bool {
+    ctx.get(b.owner_ip) == Some(sym_or_empty(ctx.event, sym::SRC_IP))
 }
 
 fn is_deregister(ctx: &PredicateCtx<'_>) -> bool {
-    ctx.event.uint_arg("expires") == Some(0)
+    ctx.event.uint_arg(sym::EXPIRES) == Some(0)
 }
 
-fn store_binding(ctx: &mut ActionCtx<'_>) {
-    let src = arg_or_empty(ctx.event, sym::SRC_IP);
-    let contact = arg_or_empty(ctx.event, sym::CONTACT_IP);
-    ctx.locals.set("l_owner_ip", src);
-    ctx.locals.set("l_contact_ip", contact);
+fn store_binding(ctx: &mut ActionCtx<'_>, b: Binding) {
+    ctx.set(b.owner_ip, sym_or_empty(ctx.event, sym::SRC_IP));
+    ctx.set(b.contact_ip, sym_or_empty(ctx.event, sym::CONTACT_IP));
 }
 
 /// Builds the per-AOR registration machine.
 pub fn registration_machine() -> MachineDef {
     let mut def = MachineDef::new(REGISTER_MACHINE);
+    let b = Binding {
+        owner_ip: def.local("l_owner_ip"),
+        contact_ip: def.local("l_contact_ip"),
+    };
     let init = def.add_state("UNBOUND");
     let bound = def.add_state("BOUND");
     let hijack = def.add_state("REGISTRATION_HIJACK_DETECTED");
@@ -51,7 +59,7 @@ pub fn registration_machine() -> MachineDef {
     // First registration binds the AOR and records its owner.
     def.add_transition(init, "SIP.REGISTER", bound)
         .predicate(|ctx| !is_deregister(ctx))
-        .action(store_binding)
+        .action(move |ctx| store_binding(ctx, b))
         .label("AOR bound");
     // De-register while unbound: harmless no-op.
     def.add_transition(init, "SIP.REGISTER", init)
@@ -60,20 +68,20 @@ pub fn registration_machine() -> MachineDef {
 
     // Refresh or legitimate move: same source may do anything.
     def.add_transition(bound, "SIP.REGISTER", bound)
-        .predicate(|ctx| same_owner(ctx) && !is_deregister(ctx))
-        .action(store_binding)
+        .predicate(move |ctx| same_owner(ctx, b) && !is_deregister(ctx))
+        .action(move |ctx| store_binding(ctx, b))
         .label("binding refreshed by owner");
     def.add_transition(bound, "SIP.REGISTER", init)
-        .predicate(|ctx| same_owner(ctx) && is_deregister(ctx))
-        .action(|ctx| {
-            ctx.locals.remove("l_owner_ip");
-            ctx.locals.remove("l_contact_ip");
+        .predicate(move |ctx| same_owner(ctx, b) && is_deregister(ctx))
+        .action(move |ctx| {
+            ctx.remove(b.owner_ip);
+            ctx.remove(b.contact_ip);
         })
         .label("owner de-registered");
 
     // Foreign source rebinding or unbinding the AOR: the hijack.
     def.add_transition(bound, "SIP.REGISTER", hijack)
-        .predicate(|ctx| !same_owner(ctx))
+        .predicate(move |ctx| !same_owner(ctx, b))
         .label("binding changed by foreign source");
 
     def.add_transition(hijack, "*", hijack);

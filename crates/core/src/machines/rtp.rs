@@ -9,56 +9,52 @@
 //! after `T` expires is the BYE-DoS / billing-fraud signature.
 
 use vids_efsm::machine::{ActionCtx, MachineDef, PredicateCtx};
-use vids_efsm::value::{Value, VarMap};
-use vids_efsm::{sym, Event, Sym};
+use vids_efsm::{sym, Event, Sym, Var};
 
 use crate::alert::labels;
 use crate::config::Config;
-use crate::machines::{DELTA_BYE, DELTA_OPEN, DELTA_REOPEN, DELTA_UPDATE, RTP_MACHINE};
+use crate::machines::{
+    CallGlobals, DELTA_BYE, DELTA_OPEN, DELTA_REOPEN, DELTA_UPDATE, RTP_MACHINE,
+};
 
 /// Timer name for the in-flight drain window (Fig. 5's `T`).
 pub const TIMER_T: &str = "T_inflight";
 /// Timer name for the rate-counting window.
 pub const TIMER_WINDOW: &str = "T_window";
 
-/// Per-direction local-variable names, resolved to pre-seeded symbols so
-/// the per-packet classify/update path never formats a key string.
+/// One direction's stream cursor: the locals the machine keeps per
+/// direction of a call's media.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DirVars {
-    ssrc: Sym,
-    seq: Sym,
-    ts: Sym,
-    count: Sym,
+    ssrc: Var<u64>,
+    seq: Var<u64>,
+    ts: Var<u64>,
+    count: Var<u64>,
 }
 
-const FWD: DirVars = DirVars {
-    ssrc: sym::L_FWD_SSRC,
-    seq: sym::L_FWD_SEQ,
-    ts: sym::L_FWD_TS,
-    count: sym::L_FWD_COUNT,
-};
-
-const REV: DirVars = DirVars {
-    ssrc: sym::L_REV_SSRC,
-    seq: sym::L_REV_SEQ,
-    ts: sym::L_REV_TS,
-    count: sym::L_REV_COUNT,
-};
+/// The RTP machine's variables: a cursor per direction and the call
+/// globals the SIP machine publishes.
+#[derive(Debug, Clone, Copy)]
+struct RtpVars {
+    fwd: DirVars,
+    rev: DirVars,
+    g: CallGlobals,
+}
 
 /// The direction of a media packet relative to the negotiated endpoints.
 ///
-/// Symbol-keyed reads plus `Value` comparison (an O(1) id compare): this
-/// runs inside every RTP transition predicate, so it must not hash a name
-/// string or take the interner lock.
-fn direction_of(event: &Event, globals: &VarMap) -> Option<DirVars> {
-    let src = event.arg(sym::SRC_IP)?;
-    if *src == Value::Sym(sym::EMPTY) {
+/// Symbol compares against slot reads: this runs inside every RTP
+/// transition predicate, so it must not hash a name string or take the
+/// interner lock.
+fn direction_of(ctx: &PredicateCtx<'_>, v: RtpVars) -> Option<DirVars> {
+    let src = ctx.event.sym_arg(sym::SRC_IP)?;
+    if src == sym::EMPTY {
         return None;
     }
-    if globals.get(sym::G_CALLER_MEDIA_IP) == Some(src) {
-        Some(FWD)
-    } else if globals.get(sym::G_CALLEE_MEDIA_IP) == Some(src) {
-        Some(REV)
+    if ctx.get(v.g.caller_media_ip) == Some(src) {
+        Some(v.fwd)
+    } else if ctx.get(v.g.callee_media_ip) == Some(src) {
+        Some(v.rev)
     } else {
         None
     }
@@ -66,19 +62,19 @@ fn direction_of(event: &Event, globals: &VarMap) -> Option<DirVars> {
 
 /// Direction for paths where the predicate already ruled out a foreign
 /// source: caller-side is FWD, anything else is REV.
-fn dir_or_rev(event: &Event, globals: &VarMap) -> DirVars {
+fn dir_or_rev(event: &Event, caller_media_ip: Option<Sym>, v: RtpVars) -> DirVars {
     let caller = event
-        .arg(sym::SRC_IP)
-        .is_some_and(|src| globals.get(sym::G_CALLER_MEDIA_IP) == Some(src));
+        .sym_arg(sym::SRC_IP)
+        .is_some_and(|src| caller_media_ip == Some(src));
     if caller {
-        FWD
+        v.fwd
     } else {
-        REV
+        v.rev
     }
 }
 
-fn payload_type_ok(ctx: &PredicateCtx<'_>) -> bool {
-    match ctx.globals.uint(sym::G_CODEC_PT) {
+fn payload_type_ok(ctx: &PredicateCtx<'_>, v: RtpVars) -> bool {
+    match ctx.get(v.g.codec_pt) {
         Some(pt) if pt != 255 => ctx.event.uint_arg(sym::PT) == Some(pt),
         // No codec negotiated (SDP-less signaling): accept any.
         _ => true,
@@ -87,10 +83,7 @@ fn payload_type_ok(ctx: &PredicateCtx<'_>) -> bool {
 
 /// Per-direction stream knowledge: `(ssrc, seq, ts)` if initialized.
 fn known_stream(ctx: &PredicateCtx<'_>, dir: DirVars) -> Option<(u64, u64, u64)> {
-    let ssrc = ctx.locals.uint(dir.ssrc)?;
-    let seq = ctx.locals.uint(dir.seq)?;
-    let ts = ctx.locals.uint(dir.ts)?;
-    Some((ssrc, seq, ts))
+    Some((ctx.get(dir.ssrc)?, ctx.get(dir.seq)?, ctx.get(dir.ts)?))
 }
 
 /// 16-bit serial-arithmetic gap between stored and incoming sequence.
@@ -120,11 +113,16 @@ enum PacketClass {
     ForeignSource,
 }
 
-fn classify_packet(ctx: &PredicateCtx<'_>, seq_thresh: i64, ts_thresh: i64) -> PacketClass {
-    let Some(dir) = direction_of(ctx.event, ctx.globals) else {
+fn classify_packet(
+    ctx: &PredicateCtx<'_>,
+    v: RtpVars,
+    seq_thresh: i64,
+    ts_thresh: i64,
+) -> PacketClass {
+    let Some(dir) = direction_of(ctx, v) else {
         return PacketClass::ForeignSource;
     };
-    if !payload_type_ok(ctx) {
+    if !payload_type_ok(ctx, v) {
         return PacketClass::CodecViolation;
     }
     let ssrc = ctx.event.uint_arg(sym::SSRC).unwrap_or(0);
@@ -147,20 +145,18 @@ fn classify_packet(ctx: &PredicateCtx<'_>, seq_thresh: i64, ts_thresh: i64) -> P
     }
 }
 
-fn update_stream_vars(ctx: &mut ActionCtx<'_>) {
-    let dir = dir_or_rev(ctx.event, ctx.globals);
-    let ssrc = ctx.event.uint_arg(sym::SSRC).unwrap_or(0);
-    let seq = ctx.event.uint_arg(sym::SEQ).unwrap_or(0);
-    let ts = ctx.event.uint_arg(sym::TS).unwrap_or(0);
-    ctx.locals.set(dir.ssrc, ssrc);
-    ctx.locals.set(dir.seq, seq);
-    ctx.locals.set(dir.ts, ts);
-    ctx.locals.increment(dir.count);
+fn update_stream_vars(ctx: &mut ActionCtx<'_>, v: RtpVars) {
+    let dir = dir_or_rev(ctx.event, ctx.get(v.g.caller_media_ip), v);
+    let ev = ctx.event;
+    ctx.set(dir.ssrc, ev.uint_arg(sym::SSRC).unwrap_or(0));
+    ctx.set(dir.seq, ev.uint_arg(sym::SEQ).unwrap_or(0));
+    ctx.set(dir.ts, ev.uint_arg(sym::TS).unwrap_or(0));
+    ctx.increment(dir.count);
 }
 
-fn window_count_next(ctx: &PredicateCtx<'_>) -> u64 {
-    let dir = dir_or_rev(ctx.event, ctx.globals);
-    ctx.locals.uint(dir.count).unwrap_or(0) + 1
+fn window_count_next(ctx: &PredicateCtx<'_>, v: RtpVars) -> u64 {
+    let dir = dir_or_rev(ctx.event, ctx.get(v.g.caller_media_ip), v);
+    ctx.get(dir.count).unwrap_or(0) + 1
 }
 
 /// Builds the RTP session machine.
@@ -172,6 +168,28 @@ pub fn rtp_session_machine(config: &Config) -> MachineDef {
     let window_ms = config.rtp_flood_window.as_millis();
 
     let mut def = MachineDef::new(RTP_MACHINE);
+    let (globals, g) = CallGlobals::declare();
+    def.share_globals(&globals);
+    let mut cursor = |ssrc, seq, ts, count| DirVars {
+        ssrc: def.local(ssrc),
+        seq: def.local(seq),
+        ts: def.local(ts),
+        count: def.local(count),
+    };
+    let fwd = cursor(
+        sym::L_FWD_SSRC,
+        sym::L_FWD_SEQ,
+        sym::L_FWD_TS,
+        sym::L_FWD_COUNT,
+    );
+    let rev = cursor(
+        sym::L_REV_SSRC,
+        sym::L_REV_SEQ,
+        sym::L_REV_TS,
+        sym::L_REV_COUNT,
+    );
+    let v = RtpVars { fwd, rev, g };
+    let class = move |ctx: &PredicateCtx<'_>| classify_packet(ctx, v, seq_thresh, ts_thresh);
     let init = def.add_state("INIT");
     let open = def.add_state("RTP_OPEN");
     let active = def.add_state("RTP_RCVD");
@@ -205,71 +223,61 @@ pub fn rtp_session_machine(config: &Config) -> MachineDef {
     def.add_transition(open, "RTP.Packet", active)
         .predicate(move |ctx| {
             matches!(
-                classify_packet(ctx, seq_thresh, ts_thresh),
+                class(ctx),
                 PacketClass::Normal | PacketClass::FirstOfDirection
             )
         })
         .action(move |ctx| {
-            update_stream_vars(ctx);
+            update_stream_vars(ctx, v);
             ctx.set_timer(TIMER_WINDOW, window_ms);
         })
         .label("first media packet");
     def.add_transition(open, "RTP.Packet", codec)
-        .predicate(move |ctx| {
-            classify_packet(ctx, seq_thresh, ts_thresh) == PacketClass::CodecViolation
-        });
+        .predicate(move |ctx| class(ctx) == PacketClass::CodecViolation);
     def.add_transition(open, "RTP.Packet", foreign)
-        .predicate(move |ctx| {
-            classify_packet(ctx, seq_thresh, ts_thresh) == PacketClass::ForeignSource
-        });
+        .predicate(move |ctx| class(ctx) == PacketClass::ForeignSource);
 
     // ---- RTP_RCVD (active session) ---------------------------------------
     def.add_transition(active, "RTP.Packet", active)
         .predicate(move |ctx| {
             matches!(
-                classify_packet(ctx, seq_thresh, ts_thresh),
+                class(ctx),
                 PacketClass::Normal | PacketClass::FirstOfDirection
-            ) && window_count_next(ctx) <= flood_max
+            ) && window_count_next(ctx, v) <= flood_max
         })
-        .action(update_stream_vars)
+        .action(move |ctx| update_stream_vars(ctx, v))
         .label("in-profile media");
     def.add_transition(active, "RTP.Packet", flood)
         .predicate(move |ctx| {
             matches!(
-                classify_packet(ctx, seq_thresh, ts_thresh),
+                class(ctx),
                 PacketClass::Normal | PacketClass::FirstOfDirection
-            ) && window_count_next(ctx) > flood_max
+            ) && window_count_next(ctx, v) > flood_max
         })
         .label("rate budget exceeded");
     def.add_transition(active, "RTP.Packet", spam)
-        .predicate(move |ctx| classify_packet(ctx, seq_thresh, ts_thresh) == PacketClass::SpamGap)
+        .predicate(move |ctx| class(ctx) == PacketClass::SpamGap)
         .label("sequence/timestamp discontinuity");
     def.add_transition(active, "RTP.Packet", unknown_ssrc)
-        .predicate(move |ctx| {
-            classify_packet(ctx, seq_thresh, ts_thresh) == PacketClass::UnknownSsrc
-        });
+        .predicate(move |ctx| class(ctx) == PacketClass::UnknownSsrc);
     def.add_transition(active, "RTP.Packet", codec)
-        .predicate(move |ctx| {
-            classify_packet(ctx, seq_thresh, ts_thresh) == PacketClass::CodecViolation
-        });
+        .predicate(move |ctx| class(ctx) == PacketClass::CodecViolation);
     def.add_transition(active, "RTP.Packet", foreign)
-        .predicate(move |ctx| {
-            classify_packet(ctx, seq_thresh, ts_thresh) == PacketClass::ForeignSource
-        });
+        .predicate(move |ctx| class(ctx) == PacketClass::ForeignSource);
     def.add_transition(active, TIMER_WINDOW, active)
         .action(move |ctx| {
-            ctx.locals.set(sym::L_FWD_COUNT, 0u64);
-            ctx.locals.set(sym::L_REV_COUNT, 0u64);
+            ctx.set(fwd.count, 0);
+            ctx.set(rev.count, 0);
             ctx.set_timer(TIMER_WINDOW, window_ms);
         })
         .label("rate window reset");
     def.add_transition(active, DELTA_UPDATE, active)
-        .action(|ctx| {
+        .action(move |ctx| {
             // Re-INVITE moved the media: forget per-direction stream state.
-            for dir in [FWD, REV] {
-                ctx.locals.remove(dir.ssrc);
-                ctx.locals.remove(dir.seq);
-                ctx.locals.remove(dir.ts);
+            for dir in [fwd, rev] {
+                ctx.remove(dir.ssrc);
+                ctx.remove(dir.seq);
+                ctx.remove(dir.ts);
             }
         })
         .label("media coordinates updated");
@@ -282,14 +290,10 @@ pub fn rtp_session_machine(config: &Config) -> MachineDef {
 
     // ---- RTP_CLOSING (Fig. 5's intermediate state) -----------------------
     def.add_transition(closing, "RTP.Packet", closing)
-        .predicate(move |ctx| {
-            classify_packet(ctx, seq_thresh, ts_thresh) != PacketClass::ForeignSource
-        })
+        .predicate(move |ctx| class(ctx) != PacketClass::ForeignSource)
         .label("in-flight packet within T");
     def.add_transition(closing, "RTP.Packet", foreign)
-        .predicate(move |ctx| {
-            classify_packet(ctx, seq_thresh, ts_thresh) == PacketClass::ForeignSource
-        });
+        .predicate(move |ctx| class(ctx) == PacketClass::ForeignSource);
     def.add_transition(closing, TIMER_T, closed)
         .label("drain window expired");
     def.add_transition(closing, DELTA_REOPEN, active)
@@ -335,11 +339,12 @@ mod tests {
         let mut net = Network::new();
         let id = net.add_machine(def);
         // Globals the SIP machine would have published.
-        net.globals_mut().set("g_caller_media_ip", CALLER_IP);
-        net.globals_mut().set("g_caller_media_port", 20_000u64);
-        net.globals_mut().set("g_callee_media_ip", CALLEE_IP);
-        net.globals_mut().set("g_callee_media_port", 30_000u64);
-        net.globals_mut().set("g_codec_pt", 18u64);
+        let (_, g) = CallGlobals::declare();
+        net.set(id, g.caller_media_ip, Sym::intern(CALLER_IP));
+        net.set(id, g.caller_media_port, 20_000);
+        net.set(id, g.callee_media_ip, Sym::intern(CALLEE_IP));
+        net.set(id, g.callee_media_port, 30_000);
+        net.set(id, g.codec_pt, 18);
         (net, id)
     }
 

@@ -7,54 +7,61 @@
 //! perspective: it observes both directions of the perimeter traffic.
 
 use vids_efsm::machine::{ActionCtx, MachineDef, PredicateCtx};
-use vids_efsm::value::Value;
-use vids_efsm::{sym, Event};
+use vids_efsm::{sym, Event, Sym, Value, Var};
 
 use crate::alert::labels;
 use crate::config::Config;
 use crate::machines::{
-    arg_or_empty, DELTA_BYE, DELTA_OPEN, DELTA_REOPEN, DELTA_UPDATE, RTP_MACHINE, SIP_MACHINE,
+    sym_or_empty, CallGlobals, DELTA_BYE, DELTA_OPEN, DELTA_REOPEN, DELTA_UPDATE, RTP_MACHINE,
+    SIP_MACHINE,
 };
 
 /// Timer name for the teardown/failure linger.
 pub const TIMER_LINGER: &str = "T_linger";
 
-/// The empty string as a `Value`, the default for absent textual args.
-static EMPTY_VAL: Value = Value::Sym(sym::EMPTY);
+/// The SIP machine's variables: its locals (Fig. 2: Call-ID, branch, tags,
+/// endpoints) and the call globals it publishes.
+#[derive(Debug, Clone, Copy)]
+struct SipVars {
+    call_id: Var<Sym>,
+    branch: Var<Sym>,
+    from_tag: Var<Sym>,
+    to_tag: Var<Sym>,
+    caller_ip: Var<Sym>,
+    callee_ip: Var<Sym>,
+    g: CallGlobals,
+}
 
-fn store_invite_vars(ctx: &mut ActionCtx<'_>) {
-    // Local variables (Fig. 2: Call-ID, branch, tags, endpoints).
+fn store_invite_vars(ctx: &mut ActionCtx<'_>, v: SipVars) {
     let ev = ctx.event;
-    ctx.locals
-        .set(sym::L_CALL_ID, arg_or_empty(ev, sym::CALL_ID));
-    ctx.locals.set(sym::L_BRANCH, arg_or_empty(ev, sym::BRANCH));
-    ctx.locals
-        .set(sym::L_FROM_TAG, arg_or_empty(ev, sym::FROM_TAG));
-    ctx.locals
-        .set(sym::L_CALLER_IP, arg_or_empty(ev, sym::SRC_IP));
-    ctx.locals
-        .set(sym::L_CALLEE_IP, arg_or_empty(ev, sym::DST_IP));
+    ctx.set(v.call_id, sym_or_empty(ev, sym::CALL_ID));
+    ctx.set(v.branch, sym_or_empty(ev, sym::BRANCH));
+    ctx.set(v.from_tag, sym_or_empty(ev, sym::FROM_TAG));
+    ctx.set(v.caller_ip, sym_or_empty(ev, sym::SRC_IP));
+    ctx.set(v.callee_ip, sym_or_empty(ev, sym::DST_IP));
     // Global variables: the caller's offered media coordinates.
     if ev.bool_arg(sym::HAS_SDP) {
-        ctx.globals
-            .set(sym::G_CALLER_MEDIA_IP, arg_or_empty(ev, sym::SDP_IP));
-        ctx.globals.set(
-            sym::G_CALLER_MEDIA_PORT,
-            ev.uint_arg(sym::SDP_PORT).unwrap_or(0),
-        );
-        ctx.globals
-            .set(sym::G_CODEC_PT, ev.uint_arg(sym::SDP_PT).unwrap_or(255));
+        publish_caller_media(ctx, v);
+        ctx.set(v.g.codec_pt, ev.uint_arg(sym::SDP_PT).unwrap_or(255));
     }
 }
 
-fn store_answer_vars(ctx: &mut ActionCtx<'_>) {
+fn publish_caller_media(ctx: &mut ActionCtx<'_>, v: SipVars) {
     let ev = ctx.event;
-    ctx.locals.set(sym::L_TO_TAG, arg_or_empty(ev, sym::TO_TAG));
+    ctx.set(v.g.caller_media_ip, sym_or_empty(ev, sym::SDP_IP));
+    ctx.set(
+        v.g.caller_media_port,
+        ev.uint_arg(sym::SDP_PORT).unwrap_or(0),
+    );
+}
+
+fn store_answer_vars(ctx: &mut ActionCtx<'_>, v: SipVars) {
+    let ev = ctx.event;
+    ctx.set(v.to_tag, sym_or_empty(ev, sym::TO_TAG));
     if ev.bool_arg(sym::HAS_SDP) {
-        ctx.globals
-            .set(sym::G_CALLEE_MEDIA_IP, arg_or_empty(ev, sym::SDP_IP));
-        ctx.globals.set(
-            sym::G_CALLEE_MEDIA_PORT,
+        ctx.set(v.g.callee_media_ip, sym_or_empty(ev, sym::SDP_IP));
+        ctx.set(
+            v.g.callee_media_port,
             ev.uint_arg(sym::SDP_PORT).unwrap_or(0),
         );
     }
@@ -74,19 +81,21 @@ fn is_bye_cseq(ctx: &PredicateCtx<'_>) -> bool {
 
 /// Whether the event's To tag is absent or empty (initial-INVITE shape).
 fn to_tag_empty(ctx: &PredicateCtx<'_>) -> bool {
-    ctx.event.arg(sym::TO_TAG).is_none_or(|v| *v == EMPTY_VAL)
+    ctx.event
+        .arg(sym::TO_TAG)
+        .is_none_or(|tag| *tag == Value::Sym(sym::EMPTY))
 }
 
 /// Whether the event's From/To tags identify the monitored dialog, in
 /// either direction. Early in the dialog the To tag may still be unknown
-/// to the monitor; an empty stored tag matches anything. `Value`
-/// comparisons here are O(1) symbol-id compares.
-fn tags_consistent(ctx: &PredicateCtx<'_>) -> bool {
-    let from = ctx.event.arg(sym::FROM_TAG).unwrap_or(&EMPTY_VAL);
-    let to = ctx.event.arg(sym::TO_TAG).unwrap_or(&EMPTY_VAL);
-    let l_from = ctx.locals.get(sym::L_FROM_TAG).unwrap_or(&EMPTY_VAL);
-    let l_to = ctx.locals.get(sym::L_TO_TAG).unwrap_or(&EMPTY_VAL);
-    let m = |a: &Value, b: &Value| *a == EMPTY_VAL || *b == EMPTY_VAL || a == b;
+/// to the monitor; an empty stored tag matches anything. Symbol
+/// comparisons are O(1) id compares.
+fn tags_consistent(ctx: &PredicateCtx<'_>, v: SipVars) -> bool {
+    let from = sym_or_empty(ctx.event, sym::FROM_TAG);
+    let to = sym_or_empty(ctx.event, sym::TO_TAG);
+    let l_from = ctx.get(v.from_tag).unwrap_or(sym::EMPTY);
+    let l_to = ctx.get(v.to_tag).unwrap_or(sym::EMPTY);
+    let m = |a: Sym, b: Sym| a == sym::EMPTY || b == sym::EMPTY || a == b;
     (m(l_from, from) && m(l_to, to)) || (m(l_from, to) && m(l_to, from))
 }
 
@@ -95,26 +104,30 @@ fn tags_consistent(ctx: &PredicateCtx<'_>) -> bool {
 /// The comparison uses the media addresses the parties themselves declared
 /// in earlier SDP bodies (the call-global variables) — *not* the packet's
 /// source/destination, which at the monitoring point are proxy hops.
-fn sdp_on_dialog_parties(ctx: &PredicateCtx<'_>) -> bool {
+fn sdp_on_dialog_parties(ctx: &PredicateCtx<'_>, v: SipVars) -> bool {
     if !ctx.event.bool_arg(sym::HAS_SDP) {
         return true;
     }
-    let sdp_ip = ctx.event.arg(sym::SDP_IP).unwrap_or(&EMPTY_VAL);
-    let caller = ctx
-        .globals
-        .get(sym::G_CALLER_MEDIA_IP)
-        .unwrap_or(&EMPTY_VAL);
-    let callee = ctx
-        .globals
-        .get(sym::G_CALLEE_MEDIA_IP)
-        .unwrap_or(&EMPTY_VAL);
-    sdp_ip == caller || sdp_ip == callee
+    let sdp_ip = sym_or_empty(ctx.event, sym::SDP_IP);
+    let declared = |ip: Var<Sym>| ctx.get(ip).unwrap_or(sym::EMPTY);
+    sdp_ip == declared(v.g.caller_media_ip) || sdp_ip == declared(v.g.callee_media_ip)
 }
 
 /// Builds the SIP call machine.
 pub fn sip_call_machine(config: &Config) -> MachineDef {
     let linger_ms = config.teardown_linger.as_millis();
     let mut def = MachineDef::new(SIP_MACHINE);
+    let (globals, g) = CallGlobals::declare();
+    def.share_globals(&globals);
+    let v = SipVars {
+        call_id: def.local(sym::L_CALL_ID),
+        branch: def.local(sym::L_BRANCH),
+        from_tag: def.local(sym::L_FROM_TAG),
+        to_tag: def.local(sym::L_TO_TAG),
+        caller_ip: def.local(sym::L_CALLER_IP),
+        callee_ip: def.local(sym::L_CALLEE_IP),
+        g,
+    };
 
     let init = def.add_state("INIT");
     let invite_rcvd = def.add_state("INVITE_RCVD");
@@ -136,8 +149,8 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
     // ---- INIT ----------------------------------------------------------
     def.add_transition(init, "SIP.INVITE", invite_rcvd)
         .predicate(to_tag_empty)
-        .action(|ctx| {
-            store_invite_vars(ctx);
+        .action(move |ctx| {
+            store_invite_vars(ctx, v);
             ctx.send_sync(RTP_MACHINE, Event::sync(DELTA_OPEN));
         })
         .label("call setup request");
@@ -147,17 +160,17 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         .predicate(to_tag_empty)
         .label("INVITE retransmission");
     def.add_transition(invite_rcvd, "SIP.1xx", proceeding)
-        .action(|ctx| {
-            let tag = arg_or_empty(ctx.event, sym::TO_TAG);
-            if tag != EMPTY_VAL {
-                ctx.locals.set(sym::L_TO_TAG, tag);
+        .action(move |ctx| {
+            let tag = sym_or_empty(ctx.event, sym::TO_TAG);
+            if tag != sym::EMPTY {
+                ctx.set(v.to_tag, tag);
             }
         })
         .label("ringing");
     def.add_transition(invite_rcvd, "SIP.2xx", established)
         .predicate(is_invite_cseq)
-        .action(|ctx| {
-            store_answer_vars(ctx);
+        .action(move |ctx| {
+            store_answer_vars(ctx, v);
             ctx.send_sync(RTP_MACHINE, Event::sync(DELTA_UPDATE));
         })
         .label("answered without ringing");
@@ -169,10 +182,10 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         })
         .label("call rejected");
     def.add_transition(invite_rcvd, "SIP.CANCEL", cancelling)
-        .predicate(tags_consistent)
+        .predicate(move |ctx| tags_consistent(ctx, v))
         .label("setup cancelled");
     def.add_transition(invite_rcvd, "SIP.CANCEL", spoofed_cancel)
-        .predicate(|ctx| !tags_consistent(ctx))
+        .predicate(move |ctx| !tags_consistent(ctx, v))
         .label("CANCEL with foreign dialog tags");
 
     // ---- PROCEEDING ----------------------------------------------------
@@ -183,8 +196,8 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         .label("INVITE retransmission");
     def.add_transition(proceeding, "SIP.2xx", established)
         .predicate(is_invite_cseq)
-        .action(|ctx| {
-            store_answer_vars(ctx);
+        .action(move |ctx| {
+            store_answer_vars(ctx, v);
             ctx.send_sync(RTP_MACHINE, Event::sync(DELTA_UPDATE));
         })
         .label("call answered");
@@ -196,10 +209,10 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         })
         .label("call rejected");
     def.add_transition(proceeding, "SIP.CANCEL", cancelling)
-        .predicate(tags_consistent)
+        .predicate(move |ctx| tags_consistent(ctx, v))
         .label("setup cancelled");
     def.add_transition(proceeding, "SIP.CANCEL", spoofed_cancel)
-        .predicate(|ctx| !tags_consistent(ctx))
+        .predicate(move |ctx| !tags_consistent(ctx, v))
         .label("CANCEL with foreign dialog tags");
 
     // ---- CANCELLING ----------------------------------------------------
@@ -228,40 +241,38 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         .label("stale provisional");
     // Legitimate re-INVITE: dialog tags match and media stays on parties.
     def.add_transition(established, "SIP.INVITE", established)
-        .predicate(|ctx| !to_tag_empty(ctx) && tags_consistent(ctx) && sdp_on_dialog_parties(ctx))
-        .action(|ctx| {
-            let ev = ctx.event;
-            if ev.bool_arg(sym::HAS_SDP) {
+        .predicate(move |ctx| {
+            !to_tag_empty(ctx) && tags_consistent(ctx, v) && sdp_on_dialog_parties(ctx, v)
+        })
+        .action(move |ctx| {
+            if ctx.event.bool_arg(sym::HAS_SDP) {
                 // The media may move within the parties: refresh globals.
-                ctx.globals
-                    .set(sym::G_CALLER_MEDIA_IP, arg_or_empty(ev, sym::SDP_IP));
-                ctx.globals.set(
-                    sym::G_CALLER_MEDIA_PORT,
-                    ev.uint_arg(sym::SDP_PORT).unwrap_or(0),
-                );
+                publish_caller_media(ctx, v);
                 ctx.send_sync(RTP_MACHINE, Event::sync(DELTA_UPDATE));
             }
         })
         .label("re-INVITE within dialog");
     // Hijack: in-dialog INVITE pushing media off the negotiated parties.
     def.add_transition(established, "SIP.INVITE", hijack)
-        .predicate(|ctx| !to_tag_empty(ctx) && tags_consistent(ctx) && !sdp_on_dialog_parties(ctx))
+        .predicate(move |ctx| {
+            !to_tag_empty(ctx) && tags_consistent(ctx, v) && !sdp_on_dialog_parties(ctx, v)
+        })
         .label("re-INVITE redirects media off-dialog");
     // Hijack: in-dialog INVITE with tags that never belonged to the dialog.
     def.add_transition(established, "SIP.INVITE", hijack)
-        .predicate(|ctx| !to_tag_empty(ctx) && !tags_consistent(ctx))
+        .predicate(move |ctx| !to_tag_empty(ctx) && !tags_consistent(ctx, v))
         .label("re-INVITE with foreign dialog tags");
     // BYE with consistent tags: normal teardown begins. The RTP machine is
     // synchronized *before* the transition (Fig. 5).
     def.add_transition(established, "SIP.BYE", teardown)
-        .predicate(tags_consistent)
+        .predicate(move |ctx| tags_consistent(ctx, v))
         .action(|ctx| {
             ctx.send_sync(RTP_MACHINE, Event::sync(DELTA_BYE));
             ctx.set_timer(TIMER_LINGER, 8_000);
         })
         .label("call tear-down begins");
     def.add_transition(established, "SIP.BYE", spoofed_bye)
-        .predicate(|ctx| !tags_consistent(ctx))
+        .predicate(move |ctx| !tags_consistent(ctx, v))
         .label("BYE with foreign dialog tags");
     // CANCEL after establishment is never legitimate (§3.1: "a CANCEL is
     // for an outstanding INVITE").
@@ -270,7 +281,7 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
 
     // ---- CALL_TEARDOWN -------------------------------------------------
     def.add_transition(teardown, "SIP.BYE", teardown)
-        .predicate(tags_consistent)
+        .predicate(move |ctx| tags_consistent(ctx, v))
         .label("BYE retransmission");
     def.add_transition(teardown, "SIP.2xx", terminated)
         .predicate(is_bye_cseq)

@@ -521,17 +521,14 @@ impl VidsPool {
     /// A snapshot of the pool's registry at monitor time `now`, when
     /// telemetry is enabled. Refreshes the per-shard gauges (live calls,
     /// fact-base memory) and the pool slab's routing-index memory gauge
-    /// before copying.
+    /// before copying; the pool gauge plus the shard gauges is
+    /// [`VidsPool::memory_bytes`].
     pub fn telemetry_snapshot(&self, now: SimTime) -> Option<Snapshot> {
         let registry = self.telemetry.as_ref()?;
         for shard in &self.shards {
             shard.refresh_telemetry_gauges();
         }
-        let index_bytes: usize = self
-            .media_to_shard
-            .keys()
-            .map(|(ip, _)| ip.as_str().len() + std::mem::size_of::<((Sym, u64), usize)>())
-            .sum();
+        let index_bytes = crate::factbase::index_bytes(&self.media_to_shard);
         registry
             .pool()
             .set_gauge(Gauge::MemoryBytes, index_bytes as u64);
@@ -1837,6 +1834,44 @@ mod tests {
             }
         }
         assert!(!reference.unwrap().is_empty());
+    }
+
+    #[test]
+    fn memory_gauges_add_up_to_memory_bytes() {
+        for n in [1usize, 4] {
+            let mut pool = VidsPool::new(shards(n));
+            pool.enable_telemetry(16);
+            let mut batch = Vec::new();
+            for i in 0..8u16 {
+                let inv = invite(&format!("gauge-{i}"));
+                let answer = SessionDescription::audio_offer(
+                    "bob",
+                    "10.2.0.10",
+                    30_000 + 2 * i,
+                    &[Codec::G729],
+                );
+                let ok = inv
+                    .response(StatusCode::OK)
+                    .with_to_tag("tt")
+                    .with_body(vids_sdp::MIME_TYPE, answer.to_string());
+                batch.push(pkt(CALLER, CALLEE, Payload::Sip(inv.to_string())));
+                batch.push(pkt(CALLEE, CALLER, Payload::Sip(ok.to_string())));
+            }
+            pool.process_batch(&batch, SimTime::ZERO, &mut NullSink);
+            let snap = pool.telemetry_snapshot(SimTime::ZERO).unwrap();
+            let routing = snap.pool.gauge(Gauge::MemoryBytes);
+            let shards: u64 = snap
+                .shards
+                .iter()
+                .map(|s| s.gauge(Gauge::MemoryBytes))
+                .sum();
+            assert_eq!(routing + shards, pool.memory_bytes() as u64, "{n} shards");
+            assert_eq!(
+                routing > 0,
+                n > 1,
+                "only a sharded pool keeps a routing index"
+            );
+        }
     }
 
     #[test]

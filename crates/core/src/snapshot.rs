@@ -4,14 +4,15 @@
 //! triggering call's EFSM state — per-machine current state and local
 //! variables plus the call-global variables — as plain strings, so the
 //! dump stays self-describing without the reader needing the machine
-//! definitions. Variables are rendered through [`Value`]'s `Display` and
-//! sorted by name: the underlying `VarMap` iterates in insertion order,
-//! which is deterministic for one run but not a stable wire format.
+//! definitions. Each variable that holds a value is rendered by name from
+//! its machine's schema, through [`Value`]'s `Display`, and sorted by name:
+//! the frame stores variables in declaration order, which is a detail of
+//! the machine definitions and not a stable wire format.
 //!
 //! [`Value`]: vids_efsm::value::Value
 
 use vids_efsm::network::Network;
-use vids_efsm::value::VarMap;
+use vids_efsm::Vars;
 
 /// One machine of a call network, frozen at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,10 +43,10 @@ impl CallSnapshot {
             call_id: call_id.to_owned(),
             machines: network
                 .machines()
-                .map(|(def, inst)| MachineSnapshot {
+                .map(|(def, inst, locals)| MachineSnapshot {
                     name: def.name().to_owned(),
                     state: inst.state_name(def).to_owned(),
-                    locals: sorted_vars(inst.locals()),
+                    locals: sorted_vars(locals),
                 })
                 .collect(),
             globals: sorted_vars(network.globals()),
@@ -53,7 +54,7 @@ impl CallSnapshot {
     }
 }
 
-fn sorted_vars(vars: &VarMap) -> Vec<(String, String)> {
+fn sorted_vars(vars: Vars<'_>) -> Vec<(String, String)> {
     let mut out: Vec<(String, String)> = vars
         .iter()
         .map(|(k, v)| (k.to_owned(), v.to_string()))
@@ -67,18 +68,25 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use vids_efsm::machine::MachineDef;
+    use vids_efsm::{Schema, Var};
 
     #[test]
     fn snapshot_renders_states_and_sorted_vars() {
+        let mut globals = Schema::globals();
+        let g: Var<bool> = globals.declare("g");
         let mut b = MachineDef::new("toy");
+        b.share_globals(&Arc::new(globals));
+        let zeta: Var<u64> = b.local("zeta");
+        let alpha: Var<u64> = b.local("alpha");
+        let _never_set: Var<u64> = b.local("beta");
         let s = b.add_state("idle");
         b.mark_final(s);
         let def = Arc::new(b.build().unwrap());
         let mut net = Network::new();
         let id = net.add_machine(def);
-        net.instance_mut(id).locals_mut().set("zeta", 9u64);
-        net.instance_mut(id).locals_mut().set("alpha", 1u64);
-        net.globals_mut().set("g", true);
+        net.set(id, zeta, 9);
+        net.set(id, alpha, 1);
+        net.set(id, g, true);
 
         let snap = CallSnapshot::of_network("call-1", &net);
         assert_eq!(snap.call_id, "call-1");
@@ -90,7 +98,11 @@ mod tests {
             .iter()
             .map(|(k, _)| k.as_str())
             .collect();
-        assert_eq!(names, ["alpha", "zeta"], "locals sorted by name");
-        assert_eq!(snap.globals.len(), 1);
+        assert_eq!(
+            names,
+            ["alpha", "zeta"],
+            "locals sorted by name; absent ones left out"
+        );
+        assert_eq!(snap.globals, [("g".to_owned(), "true".to_owned())]);
     }
 }

@@ -13,6 +13,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::machine::{MachineDef, StateId};
+use crate::vars::Schema;
 
 /// One hop of an attack pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,11 +67,11 @@ pub fn attack_paths(def: &MachineDef) -> Vec<AttackPath> {
     let mut out = Vec::new();
     let start = def.initial_state();
     // Depth-first enumeration of simple paths.
-    let mut stack: Vec<(StateId, Vec<PathStep>, BTreeSet<usize>)> =
-        vec![(start, Vec::new(), BTreeSet::from([start.0]))];
+    let mut stack: Vec<(StateId, Vec<PathStep>, BTreeSet<StateId>)> =
+        vec![(start, Vec::new(), BTreeSet::from([start]))];
     while let Some((state, path, visited)) = stack.pop() {
         for (_, t) in def.transitions_from(state) {
-            if t.to == state || visited.contains(&t.to.0) {
+            if t.to == state || visited.contains(&t.to) {
                 continue;
             }
             let mut steps = path.clone();
@@ -89,7 +90,7 @@ pub fn attack_paths(def: &MachineDef) -> Vec<AttackPath> {
                 continue;
             }
             let mut v = visited.clone();
-            v.insert(t.to.0);
+            v.insert(t.to);
             stack.push((t.to, steps, v));
         }
     }
@@ -115,8 +116,7 @@ pub fn reachable_states(def: &MachineDef) -> BTreeSet<StateId> {
 /// specification machine, surfaced by lint tests.
 pub fn unreachable_states(def: &MachineDef) -> Vec<String> {
     let reachable = reachable_states(def);
-    (0..def.state_count())
-        .map(StateId)
+    def.states()
         .filter(|s| !reachable.contains(s))
         .map(|s| def.state_name(s).to_owned())
         .collect()
@@ -124,13 +124,28 @@ pub fn unreachable_states(def: &MachineDef) -> Vec<String> {
 
 /// Renders the machine as a Graphviz DOT digraph: the initial state gets a
 /// double border, final states grey fill, attack states red fill, and
-/// transitions carry their event name (plus label when present).
+/// transitions carry their event name (plus label when present). The
+/// variable vector `v̄` — every declared local and shared global with its
+/// type — is the graph's label.
 pub fn to_dot(def: &MachineDef) -> String {
     let mut out = String::new();
     out.push_str(&format!("digraph \"{}\" {{\n", def.name()));
     out.push_str("  rankdir=LR;\n  node [shape=box, style=rounded];\n");
-    for i in 0..def.state_count() {
-        let s = StateId(i);
+    let vars = |schema: &Schema| {
+        let decls: Vec<String> = schema
+            .iter()
+            .map(|(name, kind)| format!("{name}: {kind}"))
+            .collect();
+        decls.join(", ")
+    };
+    if !def.locals().is_empty() || !def.globals().is_empty() {
+        out.push_str(&format!(
+            "  label=\"locals ({}) globals ({})\";\n",
+            vars(def.locals()),
+            vars(def.globals())
+        ));
+    }
+    for s in def.states() {
         let name = def.state_name(s);
         let mut attrs = Vec::new();
         if s == def.initial_state() {
@@ -147,8 +162,7 @@ pub fn to_dot(def: &MachineDef) -> String {
         }
         out.push_str(&format!("  \"{name}\" [{}];\n", attrs.join(", ")));
     }
-    for i in 0..def.state_count() {
-        let s = StateId(i);
+    for s in def.states() {
         for (_, t) in def.transitions_from(s) {
             let mut label = t.event_name.as_str().to_owned();
             if let Some(l) = t.label {
@@ -246,5 +260,12 @@ mod tests {
         assert!(dot.contains("\"MID\" -> \"ATTACK\""));
         assert!(dot.contains("label=\"b\\nstrike\""));
         assert!(dot.trim_end().ends_with("}"));
+        assert!(!dot.contains("label=\"locals"), "no variables, no vector");
+
+        let mut with_vars = MachineDef::new("v");
+        let _: crate::vars::Var<u64> = with_vars.local("l_count");
+        with_vars.add_state("A");
+        let dot = to_dot(&with_vars.build().unwrap());
+        assert!(dot.contains("label=\"locals (l_count: uint) globals ()\";"));
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 use crate::event::{Event, EventKind};
 use crate::intern::{sym, Sym};
 use crate::machine::{ActionCtx, Effects, MachineDef, PredicateCtx, StateId, UnmatchedPolicy};
-use crate::value::VarMap;
+use crate::vars::Slots;
 
 /// The result of feeding one event to a machine instance.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -34,25 +34,26 @@ impl StepOutcome {
     }
 }
 
-/// A running instance of a [`MachineDef`]: current state and local variables.
+/// A running instance of a [`MachineDef`]: its control state `s`.
 ///
 /// The definition is passed into each call rather than stored, so one
-/// definition (built once at startup) serves every concurrent call — this is
-/// what keeps the paper's per-call memory cost at tens of bytes (§7.3).
-#[derive(Debug, Clone)]
+/// definition (built once at startup) serves every concurrent call, and the
+/// variables `v̄` live in the frame of the network that runs the instance —
+/// together the two keep a monitored call at the paper's few hundred bytes
+/// (§7.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MachineInstance {
     state: StateId,
-    locals: VarMap,
-    steps: u64,
 }
+
+// Sizes are facts: a call holds one instance per machine.
+const _: () = assert!(std::mem::size_of::<MachineInstance>() == 2);
 
 impl MachineInstance {
     /// Creates an instance at the definition's initial state.
     pub fn new(def: &MachineDef) -> Self {
         MachineInstance {
             state: def.initial_state(),
-            locals: VarMap::new(),
-            steps: 0,
         }
     }
 
@@ -66,16 +67,6 @@ impl MachineInstance {
         def.state_name(self.state)
     }
 
-    /// The machine-local variables.
-    pub fn locals(&self) -> &VarMap {
-        &self.locals
-    }
-
-    /// Mutable access to locals (used by hosts to seed initial context).
-    pub fn locals_mut(&mut self) -> &mut VarMap {
-        &mut self.locals
-    }
-
     /// Whether the instance sits in a final state.
     pub fn is_final(&self, def: &MachineDef) -> bool {
         def.is_final_state(self.state)
@@ -86,54 +77,29 @@ impl MachineInstance {
         def.attack_sym(self.state).is_some()
     }
 
-    /// How many events this instance has processed.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Heap bytes the instance owns beyond its own `size_of` (its locals'
-    /// spill; zero for every shipped machine).
-    pub fn heap_bytes(&self) -> usize {
-        self.locals.heap_bytes()
-    }
-
-    /// Per-instance memory footprint in bytes (configuration `(s, v̄)`
-    /// only — the definition is shared). Used for E5.
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.heap_bytes()
-    }
-
-    /// Feeds one event at monitor time 0 with the given globals.
-    /// Convenience for single-machine uses; networks call
-    /// [`MachineInstance::step_at`].
-    pub fn step(&mut self, def: &MachineDef, event: &Event, globals: &mut VarMap) -> StepOutcome {
-        self.step_at(def, event, globals, 0)
-    }
-
-    /// Feeds one event at monitor time `now_ms`.
+    /// Feeds one event at monitor time `now_ms`, with `vars` the machine's
+    /// view of its network's frame.
     ///
     /// Transition selection: among transitions out of the current state whose
     /// event name matches (exactly, or `"*"`), the first whose predicate
     /// holds is taken. If several hold, [`StepOutcome::nondeterministic`] is
     /// set (the paper requires mutually disjoint predicates; the engine
     /// surfaces violations instead of hiding them).
-    pub fn step_at(
+    pub(crate) fn step_at(
         &mut self,
         def: &MachineDef,
         event: &Event,
-        globals: &mut VarMap,
+        vars: &mut Slots<'_>,
         now_ms: u64,
     ) -> StepOutcome {
-        self.steps += 1;
         let mut outcome = StepOutcome::default();
 
         let mut chosen: Option<usize> = None;
         {
             let ctx = PredicateCtx {
                 event,
-                locals: &self.locals,
-                globals,
                 now_ms,
+                vars: vars.read(),
             };
             // A machine that declared disjoint predicates stops at the
             // first enabled transition in release builds; otherwise every
@@ -168,9 +134,8 @@ impl MachineInstance {
                 if let Some(action) = &t.action {
                     let mut ctx = ActionCtx {
                         event,
-                        locals: &mut self.locals,
-                        globals,
                         now_ms,
+                        vars: vars.reborrow(),
                         effects: &mut outcome.effects,
                     };
                     action(&mut ctx);
@@ -196,62 +161,85 @@ impl MachineInstance {
 
 impl fmt::Display for MachineInstance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "state={} vars={}", self.state, self.locals.len())
+        write!(f, "state={}", self.state)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::machine::MachineDef;
+    use crate::vars::{Frame, Schema, Var};
+
+    /// One machine over a frame of its own, the way a one-machine network
+    /// runs it.
+    struct Solo {
+        def: MachineDef,
+        m: MachineInstance,
+        frame: Frame<4>,
+    }
+
+    impl Solo {
+        fn new(def: MachineDef) -> Self {
+            Solo {
+                m: MachineInstance::new(&def),
+                frame: Frame::new(def.globals().len() + def.locals().len()),
+                def,
+            }
+        }
+
+        fn step(&mut self, event: &Event) -> StepOutcome {
+            let base = self.def.globals().len();
+            self.m
+                .step_at(&self.def, event, &mut self.frame.slots(base), 0)
+        }
+    }
 
     fn counter_machine(threshold: u64) -> MachineDef {
         // INIT --pkt--> COUNTING --pkt[count<N]--> COUNTING (self loop)
         //                        --pkt[count>=N]--> ATTACK
         let mut def = MachineDef::new("ctr");
+        let count: Var<u64> = def.local("count");
         let init = def.add_state("INIT");
         let counting = def.add_state("COUNTING");
         let attack = def.add_state("ATTACK");
         def.mark_attack(attack, "flood");
-        def.add_transition(init, "pkt", counting).action(|ctx| {
-            ctx.locals.set("count", 1u64);
-        });
+        def.add_transition(init, "pkt", counting)
+            .action(move |ctx| ctx.set(count, 1));
         def.add_transition(counting, "pkt", counting)
-            .predicate(move |ctx| ctx.locals.uint("count").unwrap_or(0) + 1 < threshold)
-            .action(|ctx| {
-                ctx.locals.increment("count");
+            .predicate(move |ctx| ctx.get(count).unwrap_or(0) + 1 < threshold)
+            .action(move |ctx| {
+                ctx.increment(count);
             });
         def.add_transition(counting, "pkt", attack)
-            .predicate(move |ctx| ctx.locals.uint("count").unwrap_or(0) + 1 >= threshold);
+            .predicate(move |ctx| ctx.get(count).unwrap_or(0) + 1 >= threshold);
         def.build().unwrap()
     }
 
     #[test]
     fn walks_to_attack_state_at_threshold() {
-        let def = counter_machine(3);
-        let mut m = MachineInstance::new(&def);
-        let mut globals = VarMap::new();
+        let mut m = Solo::new(counter_machine(3));
         let ev = Event::data("pkt");
 
-        let o1 = m.step(&def, &ev, &mut globals);
+        let o1 = m.step(&ev);
         assert!(o1.transitioned());
         assert!(o1.attack.is_none());
-        let o2 = m.step(&def, &ev, &mut globals);
+        let o2 = m.step(&ev);
         assert!(o2.attack.is_none());
-        let o3 = m.step(&def, &ev, &mut globals);
+        let o3 = m.step(&ev);
         assert_eq!(o3.attack.map(Sym::as_str), Some("flood"));
-        assert!(m.is_attack(&def));
-        assert_eq!(m.steps(), 3);
+        assert!(m.m.is_attack(&m.def));
+        assert_eq!(m.frame.scope(m.def.locals(), 0).uint("count"), Some(2));
     }
 
     #[test]
     fn predicates_select_among_same_event() {
-        let def = counter_machine(2);
-        let mut m = MachineInstance::new(&def);
-        let mut globals = VarMap::new();
+        let mut m = Solo::new(counter_machine(2));
         let ev = Event::data("pkt");
-        m.step(&def, &ev, &mut globals);
-        let o = m.step(&def, &ev, &mut globals);
+        m.step(&ev);
+        let o = m.step(&ev);
         // Threshold 2: the second packet goes straight to ATTACK, not the
         // self-loop — and only one predicate may hold.
         assert!(!o.nondeterministic);
@@ -260,10 +248,8 @@ mod tests {
 
     #[test]
     fn unmatched_event_is_deviation_by_default() {
-        let def = counter_machine(3);
-        let mut m = MachineInstance::new(&def);
-        let mut globals = VarMap::new();
-        let o = m.step(&def, &Event::data("unexpected"), &mut globals);
+        let mut m = Solo::new(counter_machine(3));
+        let o = m.step(&Event::data("unexpected"));
         assert!(!o.transitioned());
         assert_eq!(
             o.deviation.as_ref().map(|e| e.name.as_str()),
@@ -273,10 +259,8 @@ mod tests {
 
     #[test]
     fn unmatched_timer_is_not_a_deviation() {
-        let def = counter_machine(3);
-        let mut m = MachineInstance::new(&def);
-        let mut globals = VarMap::new();
-        let o = m.step(&def, &Event::timer("T1"), &mut globals);
+        let mut m = Solo::new(counter_machine(3));
+        let o = m.step(&Event::timer("T1"));
         assert!(!o.transitioned());
         assert!(o.deviation.is_none());
     }
@@ -287,9 +271,8 @@ mod tests {
         let a = def.add_state("A");
         def.add_transition(a, "x", a);
         def.set_unmatched_policy(UnmatchedPolicy::Ignore);
-        let def = def.build().unwrap();
-        let mut m = MachineInstance::new(&def);
-        let o = m.step(&def, &Event::data("y"), &mut VarMap::new());
+        let mut m = Solo::new(def.build().unwrap());
+        let o = m.step(&Event::data("y"));
         assert!(o.deviation.is_none());
     }
 
@@ -301,12 +284,11 @@ mod tests {
         let c = def.add_state("C");
         def.add_transition(a, "x", b); // no predicate = true
         def.add_transition(a, "x", c); // also true -> overlap
-        let def = def.build().unwrap();
-        let mut m = MachineInstance::new(&def);
-        let o = m.step(&def, &Event::data("x"), &mut VarMap::new());
+        let mut m = Solo::new(def.build().unwrap());
+        let o = m.step(&Event::data("x"));
         assert!(o.nondeterministic);
         // First transition in definition order wins.
-        assert_eq!(m.state(), b);
+        assert_eq!(m.m.state(), b);
     }
 
     #[test]
@@ -315,48 +297,31 @@ mod tests {
         let a = def.add_state("A");
         let b = def.add_state("B");
         def.add_transition(a, "*", b);
-        let def = def.build().unwrap();
-        let mut m = MachineInstance::new(&def);
-        assert!(m
-            .step(&def, &Event::data("whatever"), &mut VarMap::new())
-            .transitioned());
+        let mut m = Solo::new(def.build().unwrap());
+        assert!(m.step(&Event::data("whatever")).transitioned());
     }
 
     #[test]
     fn actions_access_globals_and_request_effects() {
+        let mut globals = Schema::globals();
+        let media_port: Var<u64> = globals.declare("g_media_port");
         let mut def = MachineDef::new("m");
+        def.share_globals(&Arc::new(globals));
         let a = def.add_state("A");
         let b = def.add_state("B");
-        def.add_transition(a, "go", b).action(|ctx| {
-            ctx.globals.set("g_media_port", 49170u64);
+        def.add_transition(a, "go", b).action(move |ctx| {
+            ctx.set(media_port, 49170);
             ctx.send_sync("rtp", Event::sync("δ"));
             ctx.set_timer("T", 500);
             ctx.cancel_timer("T1");
         });
-        let def = def.build().unwrap();
-        let mut m = MachineInstance::new(&def);
-        let mut globals = VarMap::new();
-        let o = m.step(&def, &Event::data("go"), &mut globals);
+        let mut m = Solo::new(def.build().unwrap());
+        let o = m.step(&Event::data("go"));
+        let globals = m.frame.scope(m.def.globals(), 0);
         assert_eq!(globals.uint("g_media_port"), Some(49170));
         assert_eq!(o.effects.sync_out.len(), 1);
         assert_eq!(o.effects.sync_out[0].0, "rtp");
         assert_eq!(o.effects.timers_set, [(Sym::intern("T"), 500)]);
         assert_eq!(o.effects.timers_cancelled, [Sym::intern("T1")]);
-    }
-
-    #[test]
-    fn memory_footprint_ignores_variable_values() {
-        let def = counter_machine(5);
-        let mut m = MachineInstance::new(&def);
-        let empty = m.memory_bytes();
-        // A value sits in the inline slot the instance already paid for,
-        // and text is interned whether it arrives as `&str` or `String`:
-        // no value adds heap bytes.
-        m.locals_mut().set("l_seen", "interned-text");
-        assert_eq!(m.memory_bytes(), empty);
-        m.locals_mut()
-            .set("g_call_id", "a-long-call-identifier@example.com".to_owned());
-        assert_eq!(m.memory_bytes(), empty);
-        assert_eq!(m.heap_bytes(), 0);
     }
 }

@@ -604,8 +604,8 @@ impl Sym {
 
     /// Looks up `text` without interning it: `None` means the string has
     /// never been seen, so no keyed collection can contain it. Lets read
-    /// paths (`VarMap::get`, fact-base queries) stay allocation-free on
-    /// misses.
+    /// paths (argument and variable reads by name, fact-base queries) stay
+    /// allocation-free on misses.
     pub fn lookup(text: &str) -> Option<Sym> {
         interner()
             .read()
@@ -634,6 +634,12 @@ impl Sym {
     /// symbols have the same index in every process.
     pub fn id(self) -> u32 {
         self.0
+    }
+
+    /// The symbol behind an id [`Sym::id`] returned (a state variable
+    /// stores its symbol as the id).
+    pub(crate) fn from_id(id: u32) -> Sym {
+        Sym(id)
     }
 
     /// Whether this symbol was pre-seeded (compile-time constant) rather

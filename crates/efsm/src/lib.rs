@@ -8,10 +8,13 @@
 //!
 //! The crate provides:
 //!
-//! * [`value::Value`] / [`value::VarMap`] — state variables `v̄` and their
-//!   domains, split into machine-local (`v.l_…`) and call-global (`v.g_…`)
-//!   scopes exactly as in the paper's Fig. 2.
+//! * [`value::Value`] — the domains `D` of variables and event arguments.
+//! * [`vars`] — state variables `v̄` as a vector: declared once per
+//!   definition, machine-local (`v.l_…`) or call-global (`v.g_…`) exactly as
+//!   in the paper's Fig. 2, read and written through typed [`vars::Var`]
+//!   handles, stored positionally in one frame per network.
 //! * [`event::Event`] — input alphabet Σ: data-packet events (`c?event(x̄)`),
+//!   whose arguments `x̄` are a small map by name ([`value::VarMap`]),
 //!   internal synchronization events (δ), and timer expirations.
 //! * [`machine::MachineDef`] — a declarative builder for deterministic
 //!   EFSMs, with states annotated as *final* or *attack* states.
@@ -23,26 +26,30 @@
 //! * [`trace::Trace`] — a replayable record of every transition taken.
 //!
 //! ```
+//! use std::sync::Arc;
 //! use vids_efsm::machine::MachineDef;
+//! use vids_efsm::network::Network;
 //! use vids_efsm::event::Event;
-//! use vids_efsm::instance::MachineInstance;
 //!
 //! let mut def = MachineDef::new("toy");
+//! let count = def.local::<u64>("l_count");
 //! let init = def.add_state("INIT");
 //! let done = def.add_state("DONE");
 //! def.mark_final(done);
 //! def.add_transition(init, "go", done)
 //!     .predicate(|ctx| ctx.event.uint_arg("n").unwrap_or(0) > 0)
-//!     .action(|ctx| {
+//!     .action(move |ctx| {
 //!         let n = ctx.event.uint_arg("n").unwrap();
-//!         ctx.locals.set("l_count", n);
+//!         ctx.set(count, n);
 //!     });
-//! let def = def.build().unwrap();
 //!
-//! let mut m = MachineInstance::new(&def);
-//! let outcome = m.step(&def, &Event::data("go").with_uint("n", 3), &mut Default::default());
-//! assert!(outcome.transitioned());
-//! assert!(m.is_final(&def));
+//! let mut net = Network::new();
+//! let toy = net.add_machine(Arc::new(def.build().unwrap()));
+//! let outcome = net.deliver(toy, Event::data("go").with_uint("n", 3), 0);
+//! assert_eq!(outcome.transitions, 1);
+//! assert!(net.all_final());
+//! assert_eq!(net.get(toy, count), Some(3));
+//! assert_eq!(net.locals(toy).uint("l_count"), Some(3));
 //! ```
 
 pub mod analysis;
@@ -53,6 +60,7 @@ pub mod machine;
 pub mod network;
 pub mod trace;
 pub mod value;
+pub mod vars;
 
 pub use analysis::{attack_paths, AttackPath};
 pub use event::{Args, Event, EventKind};
@@ -64,3 +72,4 @@ pub use network::{
 };
 pub use trace::{Trace, TraceEntry};
 pub use value::{InlineVec, Value, VarMap};
+pub use vars::{Schema, Var, VarKind, VarType, Vars};

@@ -5,11 +5,18 @@ use std::sync::Arc;
 
 use crate::event::Event;
 use crate::intern::Sym;
-use crate::value::{InlineVec, VarMap};
+use crate::value::InlineVec;
+use crate::vars::{Schema, Slots, SlotsRef, Var, VarType, MAX_VARS, NO_VARS};
 
 /// Index of a state within its [`MachineDef`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StateId(pub(crate) usize);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+pub struct StateId(pub(crate) u16);
+
+impl StateId {
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 impl fmt::Display for StateId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -22,12 +29,17 @@ impl fmt::Display for StateId {
 pub struct PredicateCtx<'a> {
     /// The input event and its argument vector `x̄`.
     pub event: &'a Event,
-    /// Machine-local state variables (`v.l_…`).
-    pub locals: &'a VarMap,
-    /// Call-global state variables shared with co-operating machines (`v.g_…`).
-    pub globals: &'a VarMap,
     /// Monitor wall-clock time in milliseconds.
     pub now_ms: u64,
+    pub(crate) vars: SlotsRef<'a>,
+}
+
+impl PredicateCtx<'_> {
+    /// A state variable — one of the machine's locals (`v.l_…`) or a global
+    /// it shares with co-operating machines (`v.g_…`); `None` while absent.
+    pub fn get<T: VarType>(&self, var: Var<T>) -> Option<T> {
+        self.vars.get(var)
+    }
 }
 
 /// Side effects an update action can request besides mutating variables.
@@ -50,16 +62,36 @@ pub struct Effects {
 pub struct ActionCtx<'a> {
     /// The input event and its argument vector `x̄`.
     pub event: &'a Event,
-    /// Machine-local state variables.
-    pub locals: &'a mut VarMap,
-    /// Call-global state variables.
-    pub globals: &'a mut VarMap,
     /// Monitor wall-clock time in milliseconds.
     pub now_ms: u64,
+    pub(crate) vars: Slots<'a>,
     pub(crate) effects: &'a mut Effects,
 }
 
 impl ActionCtx<'_> {
+    /// A state variable, as [`PredicateCtx::get`].
+    pub fn get<T: VarType>(&self, var: Var<T>) -> Option<T> {
+        self.vars.read().get(var)
+    }
+
+    /// Sets a state variable.
+    pub fn set<T: VarType>(&mut self, var: Var<T>, value: T) {
+        self.vars.set(var, value);
+    }
+
+    /// Makes a state variable absent again, returning what it held.
+    pub fn remove<T: VarType>(&mut self, var: Var<T>) -> Option<T> {
+        self.vars.remove(var)
+    }
+
+    /// Increments a counter by 1 — from 0 when absent — and returns the
+    /// new value. The paper's `pck_counter`.
+    pub fn increment(&mut self, var: Var<u64>) -> u64 {
+        let next = self.get(var).unwrap_or(0) + 1;
+        self.set(var, next);
+        next
+    }
+
     /// Emits a synchronization message `c!δ(x̄)` to the named co-operating
     /// machine. Delivery goes through the network's FIFO queue.
     pub fn send_sync(&mut self, target_machine: impl Into<Sym>, event: Event) {
@@ -132,6 +164,10 @@ pub enum UnmatchedPolicy {
 /// [`MachineDef::build`]; run it with [`crate::instance::MachineInstance`].
 pub struct MachineDef {
     name: Sym,
+    /// The machine's local variables, in slot order.
+    locals: Schema,
+    /// The globals it shares with the other machines of its network.
+    globals: Option<Arc<Schema>>,
     states: Vec<StateInfo>,
     /// Interned state names, populated by [`MachineDef::build`] so the
     /// observer hook can report transitions without allocating.
@@ -192,6 +228,8 @@ impl MachineDef {
     pub fn new(name: impl Into<Sym>) -> Self {
         MachineDef {
             name: name.into(),
+            locals: Schema::locals(),
+            globals: None,
             states: Vec::new(),
             state_syms: Vec::new(),
             transitions: Vec::new(),
@@ -213,27 +251,60 @@ impl MachineDef {
         self.name
     }
 
+    /// Declares a machine-local variable (`v.l_…`) of type `T` and returns
+    /// its handle. Every instance of the machine keeps one slot for it;
+    /// predicates and actions read and write it through the handle.
+    pub fn local<T: VarType>(&mut self, name: impl Into<Sym>) -> Var<T> {
+        self.locals.declare(name)
+    }
+
+    /// Shares a schema of globals (`v.g_…`) with this machine: its
+    /// predicates and actions reach them through the schema's handles, and
+    /// every machine of one network must share the same schema.
+    pub fn share_globals(&mut self, globals: &Arc<Schema>) {
+        self.globals = Some(Arc::clone(globals));
+    }
+
+    /// The machine's local variables.
+    pub fn locals(&self) -> &Schema {
+        &self.locals
+    }
+
+    /// The globals the machine shares (empty when it shares none).
+    pub fn globals(&self) -> &Schema {
+        self.globals.as_deref().unwrap_or(&NO_VARS)
+    }
+
+    pub(crate) fn shared_globals(&self) -> Option<&Arc<Schema>> {
+        self.globals.as_ref()
+    }
+
     /// Adds a state and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Past 65 536 states.
     pub fn add_state(&mut self, name: impl Into<String>) -> StateId {
+        let id = u16::try_from(self.states.len()).expect("a machine has at most 65 536 states");
         self.states.push(StateInfo {
             name: name.into(),
             is_final: false,
             attack_label: None,
         });
         self.outgoing.push(Vec::new());
-        StateId(self.states.len() - 1)
+        StateId(id)
     }
 
     /// Marks a state as final: a call whose machines all sit in final states
     /// is complete and its instance is evicted from the fact base.
     pub fn mark_final(&mut self, state: StateId) {
-        self.states[state.0].is_final = true;
+        self.states[state.index()].is_final = true;
     }
 
     /// Annotates a state as an attack state (`s_attack`): entering it raises
     /// an alert carrying `label`.
     pub fn mark_attack(&mut self, state: StateId, label: impl Into<Sym>) {
-        self.states[state.0].attack_label = Some(label.into());
+        self.states[state.index()].attack_label = Some(label.into());
     }
 
     /// Sets the policy for events no transition accepts.
@@ -282,7 +353,7 @@ impl MachineDef {
         });
         // A `from` belonging to another machine has no slot here; leave it
         // unindexed so `build` can reject it as a dangling transition.
-        if let Some(out) = self.outgoing.get_mut(from.0) {
+        if let Some(out) = self.outgoing.get_mut(from.index()) {
             out.push((self.transitions.len() - 1) as u32);
         }
         TransitionBuilder {
@@ -298,14 +369,29 @@ impl MachineDef {
     /// * [`BuildError::DanglingTransition`] — a transition references a
     ///   state id from another machine (impossible through the safe API but
     ///   checked for defense in depth).
+    /// * [`BuildError::DuplicateVariable`] — a local or a global declared
+    ///   twice.
+    /// * [`BuildError::ShadowedGlobal`] — a local named like a global.
+    /// * [`BuildError::TooManyVariables`] — more than [`MAX_VARS`] locals
+    ///   and globals together.
     pub fn build(mut self) -> Result<MachineDef, BuildError> {
         if self.states.is_empty() {
             return Err(BuildError::NoStates);
         }
         for (i, t) in self.transitions.iter().enumerate() {
-            if t.from.0 >= self.states.len() || t.to.0 >= self.states.len() {
+            if t.from.index() >= self.states.len() || t.to.index() >= self.states.len() {
                 return Err(BuildError::DanglingTransition { index: i });
             }
+        }
+        let globals = self.globals();
+        if let Some(name) = self.locals.duplicate().or_else(|| globals.duplicate()) {
+            return Err(BuildError::DuplicateVariable(name));
+        }
+        if let Some((name, _)) = self.locals.iter().find(|&(name, _)| globals.contains(name)) {
+            return Err(BuildError::ShadowedGlobal(name));
+        }
+        if self.locals.len() + globals.len() > MAX_VARS {
+            return Err(BuildError::TooManyVariables);
         }
         self.state_syms = self.states.iter().map(|s| Sym::intern(&s.name)).collect();
         self.built = true;
@@ -322,6 +408,11 @@ impl MachineDef {
         self.states.len()
     }
 
+    /// Every state, in the order they were added.
+    pub fn states(&self) -> impl Iterator<Item = StateId> {
+        (0..self.states.len() as u16).map(StateId)
+    }
+
     /// The number of transitions.
     pub fn transition_count(&self) -> usize {
         self.transitions.len()
@@ -329,21 +420,21 @@ impl MachineDef {
 
     /// The name of a state.
     pub fn state_name(&self, state: StateId) -> &str {
-        &self.states[state.0].name
+        &self.states[state.index()].name
     }
 
     /// The name of a state as an interned symbol (allocation-free after
     /// [`MachineDef::build`]; interns lazily on an unbuilt definition).
     pub fn state_sym(&self, state: StateId) -> Sym {
         self.state_syms
-            .get(state.0)
+            .get(state.index())
             .copied()
-            .unwrap_or_else(|| Sym::intern(&self.states[state.0].name))
+            .unwrap_or_else(|| Sym::intern(&self.states[state.index()].name))
     }
 
     /// Whether the state is final.
     pub fn is_final_state(&self, state: StateId) -> bool {
-        self.states[state.0].is_final
+        self.states[state.index()].is_final
     }
 
     /// The attack label of a state, if it is an attack state.
@@ -353,12 +444,15 @@ impl MachineDef {
 
     /// The attack label of a state as an interned symbol.
     pub fn attack_sym(&self, state: StateId) -> Option<Sym> {
-        self.states[state.0].attack_label
+        self.states[state.index()].attack_label
     }
 
     /// Looks up a state id by name (test and tooling convenience).
     pub fn state_by_name(&self, name: &str) -> Option<StateId> {
-        self.states.iter().position(|s| s.name == name).map(StateId)
+        self.states
+            .iter()
+            .position(|s| s.name == name)
+            .map(|i| StateId(i as u16))
     }
 
     pub(crate) fn unmatched_policy(&self) -> UnmatchedPolicy {
@@ -370,7 +464,7 @@ impl MachineDef {
         state: StateId,
     ) -> impl Iterator<Item = (usize, &Transition)> + '_ {
         self.outgoing
-            .get(state.0)
+            .get(state.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
             .iter()
@@ -392,6 +486,12 @@ pub enum BuildError {
         /// Index of the offending transition.
         index: usize,
     },
+    /// A variable is declared twice.
+    DuplicateVariable(Sym),
+    /// A local variable has the name of a global the machine shares.
+    ShadowedGlobal(Sym),
+    /// More locals and globals than one frame holds ([`MAX_VARS`]).
+    TooManyVariables,
 }
 
 impl fmt::Display for BuildError {
@@ -400,6 +500,11 @@ impl fmt::Display for BuildError {
             BuildError::NoStates => f.write_str("machine has no states"),
             BuildError::DanglingTransition { index } => {
                 write!(f, "transition {index} references an unknown state")
+            }
+            BuildError::DuplicateVariable(name) => write!(f, "variable {name} declared twice"),
+            BuildError::ShadowedGlobal(name) => write!(f, "local {name} shadows a global"),
+            BuildError::TooManyVariables => {
+                write!(f, "more than {MAX_VARS} locals and globals")
             }
         }
     }
@@ -439,6 +544,38 @@ mod tests {
         let def = def.build().unwrap();
         assert_eq!(def.attack_label(atk), Some("INVITE flooding"));
         assert_eq!(def.attack_label(a), None);
+    }
+
+    #[test]
+    fn build_rejects_duplicate_and_shadowing_variables() {
+        let mut def = MachineDef::new("m");
+        def.add_state("A");
+        let _: Var<u64> = def.local("l_twice");
+        let _: Var<bool> = def.local("l_twice");
+        assert_eq!(
+            def.build().unwrap_err(),
+            BuildError::DuplicateVariable(Sym::intern("l_twice"))
+        );
+
+        let mut globals = Schema::globals();
+        let _: Var<u64> = globals.declare("g_shared");
+        let globals = Arc::new(globals);
+        let mut def = MachineDef::new("m");
+        def.add_state("A");
+        def.share_globals(&globals);
+        let _: Var<u64> = def.local("g_shared");
+        assert_eq!(
+            def.build().unwrap_err(),
+            BuildError::ShadowedGlobal(Sym::intern("g_shared"))
+        );
+
+        let mut def = MachineDef::new("m");
+        def.add_state("A");
+        def.share_globals(&globals);
+        let _: Var<u64> = def.local("l_own");
+        let def = def.build().unwrap();
+        assert_eq!(def.locals().len(), 1);
+        assert_eq!(def.globals().len(), 1);
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! data event arrives nothing is waiting: the FIFO is scratch of one
 //! delivery, not state of the call.
 //!
-//! Two shapes own machines. A [`Network`] is a call: two machines inline
-//! (more spill to the heap), the globals they share, their armed timers.
-//! A [`SoloNetwork`] is one machine that has no peer — a per-destination
-//! flood counter, a per-AOR registration — and pays for neither a second
-//! machine nor globals. Both run the same stepping code over borrowed
-//! pieces and own no heap block for the machines this repository ships.
+//! Two shapes own machines. A [`Network`] is a call: up to four machines
+//! sharing one definition list, one frame holding every variable they
+//! declare (the shared globals, then each machine's locals), their armed
+//! timers. A [`SoloNetwork`] is one machine that has no peer — a
+//! per-destination flood counter, a per-AOR registration — and pays for
+//! neither a definition list nor a call-sized frame. Both run the same
+//! stepping code over borrowed pieces and own no heap block for the
+//! machines this repository ships.
 
 use std::fmt;
 use std::sync::Arc;
@@ -23,7 +25,8 @@ use crate::instance::MachineInstance;
 use crate::intern::Sym;
 use crate::machine::MachineDef;
 use crate::trace::{Trace, TraceEntry};
-use crate::value::{InlineVec, VarMap};
+use crate::value::InlineVec;
+use crate::vars::{Frame, Schema, Slots, Var, VarType, Vars, NO_VARS};
 
 /// Index of a machine within its [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -141,79 +144,46 @@ impl TransitionObserver for NoopObserver {
     fn on_transition(&mut self, _: u64, _: Sym, _: Sym, _: Sym, _: Sym, _: Option<Sym>) {}
 }
 
-/// One machine of a network: the shared definition and this network's
-/// configuration `(s, v̄)` of it.
-struct Machine {
-    def: Arc<MachineDef>,
-    instance: MachineInstance,
-}
+/// The most machines one [`Network`] runs.
+pub const MAX_MACHINES: usize = 4;
 
-impl Machine {
-    fn new(def: Arc<MachineDef>) -> Self {
-        Machine {
-            instance: MachineInstance::new(&def),
-            def,
-        }
-    }
-}
+/// Variables a [`Network`] holds inline: the shipped call's five globals,
+/// six SIP locals and eight RTP locals. A network whose machines declare
+/// more moves its whole frame to one heap block.
+const NETWORK_WORDS: usize = 19;
 
-/// A network's machines: inline up to the two a call has, on the heap
-/// beyond that (nothing shipped builds a third; the builder API allows
-/// it). The size difference between the variants is the point: boxing
-/// the pair would put every call's machines back on the heap.
+/// Variables a [`SoloNetwork`] holds inline: a registration's two locals
+/// (a flood counter has one).
+const SOLO_WORDS: usize = 2;
+
+/// What every network cloned from one prototype shares: the machine
+/// definitions, in the order they were added, and the globals schema they
+/// share. Replaced, never mutated, when a machine is added.
 #[derive(Default)]
-#[allow(clippy::large_enum_variant)]
-enum Machines {
-    #[default]
-    Empty,
-    One(Machine),
-    Two([Machine; 2]),
-    Many(Vec<Machine>),
+struct Shape {
+    defs: Vec<Arc<MachineDef>>,
+    globals: Option<Arc<Schema>>,
 }
 
-impl Machines {
-    fn as_slice(&self) -> &[Machine] {
-        match self {
-            Machines::Empty => &[],
-            Machines::One(m) => std::slice::from_ref(m),
-            Machines::Two(pair) => pair,
-            Machines::Many(all) => all,
-        }
+impl Shape {
+    fn globals(&self) -> &Schema {
+        self.globals.as_deref().unwrap_or(&NO_VARS)
     }
 
-    fn as_mut_slice(&mut self) -> &mut [Machine] {
-        match self {
-            Machines::Empty => &mut [],
-            Machines::One(m) => std::slice::from_mut(m),
-            Machines::Two(pair) => pair,
-            Machines::Many(all) => all,
-        }
+    /// Where machine `i`'s locals start in the frame.
+    fn base(&self, i: usize) -> usize {
+        locals_base(&self.defs, self.globals().len(), i)
     }
 
-    fn push(&mut self, machine: Machine) {
-        *self = match std::mem::take(self) {
-            Machines::Empty => Machines::One(machine),
-            Machines::One(a) => Machines::Two([a, machine]),
-            Machines::Two([a, b]) => Machines::Many(vec![a, b, machine]),
-            Machines::Many(mut all) => {
-                all.push(machine);
-                Machines::Many(all)
-            }
-        };
+    fn words(&self) -> usize {
+        self.base(self.defs.len())
     }
+}
 
-    fn heap_bytes(&self) -> usize {
-        let spill = match self {
-            Machines::Many(all) => all.capacity() * std::mem::size_of::<Machine>(),
-            _ => 0,
-        };
-        let instances: usize = self
-            .as_slice()
-            .iter()
-            .map(|m| m.instance.heap_bytes())
-            .sum();
-        spill + instances
-    }
+/// Where machine `i`'s locals start: after the globals and the locals of
+/// every machine before it.
+fn locals_base(defs: &[Arc<MachineDef>], globals: usize, i: usize) -> usize {
+    globals + defs[..i].iter().map(|d| d.locals().len()).sum::<usize>()
 }
 
 /// One armed timer.
@@ -231,7 +201,7 @@ struct Timer {
 /// Firing order is part of the contract (alert order depends on it):
 /// earliest deadline first; on a tie the lower machine index, then the
 /// lower timer symbol.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Timers(InlineVec<Timer, 4>);
 
 impl Timers {
@@ -330,8 +300,12 @@ impl Pending {
 /// shape owns them, the δ events still to deliver, and what was observed
 /// so far.
 struct Run<'a> {
-    machines: &'a mut [Machine],
-    globals: &'a mut VarMap,
+    defs: &'a [Arc<MachineDef>],
+    instances: &'a mut [MachineInstance],
+    /// The whole frame; each step views it from the stepping machine's
+    /// locals.
+    frame: Slots<'a>,
+    globals: usize,
     timers: &'a mut Timers,
     trace: Option<&'a mut Trace>,
     sync_enabled: bool,
@@ -375,10 +349,12 @@ impl Run<'_> {
     }
 
     fn step(&mut self, target: usize, event: &Event, now_ms: u64) {
-        // Split borrows: the definition is read-only while the instance and
-        // globals mutate, so no per-step `Arc` refcount traffic is needed.
-        let Machine { def, instance } = &mut self.machines[target];
-        let step = instance.step_at(def, event, self.globals, now_ms);
+        // The definitions are read-only while the instance and the frame
+        // mutate, so no per-step `Arc` refcount traffic is needed.
+        let defs = self.defs;
+        let def = &defs[target];
+        let mut vars = self.frame.at(locals_base(defs, self.globals, target));
+        let step = self.instances[target].step_at(def, event, &mut vars, now_ms);
         let machine = def.name_sym();
 
         self.outcome.nondeterministic |= step.nondeterministic;
@@ -427,7 +403,7 @@ impl Run<'_> {
         }
         if self.sync_enabled {
             for (dest_name, sync_event) in step.effects.sync_out {
-                if let Some(dest) = position_of(self.machines, dest_name) {
+                if let Some(dest) = position_of(self.defs, dest_name) {
                     self.pending.push(dest, sync_event);
                 }
                 // Unknown destination: dropped. The builder of the protocol
@@ -438,20 +414,22 @@ impl Run<'_> {
     }
 }
 
-fn position_of(machines: &[Machine], name: Sym) -> Option<usize> {
-    machines.iter().position(|m| m.def.name_sym() == name)
+fn position_of(defs: &[Arc<MachineDef>], name: Sym) -> Option<usize> {
+    defs.iter().position(|d| d.name_sym() == name)
 }
 
 /// A network of communicating EFSM instances for one monitored call.
 ///
-/// Definitions are shared (`Arc`) across all concurrent calls; per-call
-/// state is each instance's configuration, the global variables and the
-/// armed timers — all inline in this value for a two-machine call, so a
-/// call record that embeds a `Network` is one flat block of memory.
-#[derive(Default)]
+/// Definitions are shared (`Arc`) across all concurrent calls — a network
+/// cloned from a prototype shares the prototype's definition list; per-call
+/// state is each machine's control state, one frame of variables and the
+/// armed timers, all inline in this value for the shipped call, so a call
+/// record that embeds a `Network` is one flat block of memory.
+#[derive(Default, Clone)]
 pub struct Network {
-    machines: Machines,
-    globals: VarMap,
+    shape: Arc<Shape>,
+    instances: [MachineInstance; MAX_MACHINES],
+    frame: Frame<NETWORK_WORDS>,
     timers: Timers,
     /// Debugging aid; boxed so the networks that never trace pay one word.
     trace: Option<Box<Trace>>,
@@ -464,8 +442,8 @@ pub struct Network {
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
-            .field("machines", &self.machines.as_slice().len())
-            .field("globals", &self.globals.len())
+            .field("machines", &self.shape.defs.len())
+            .field("globals", &self.globals())
             .field("sync_enabled", &!self.sync_disabled)
             .finish()
     }
@@ -494,10 +472,45 @@ impl Network {
         self.sync_disabled = true;
     }
 
-    /// Adds a machine instance running `def`.
+    /// Adds a machine instance running `def`, its locals after those of
+    /// the machines already added. Build a network once and clone it to
+    /// get more of the same shape without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Past [`MAX_MACHINES`] machines or [`crate::vars::MAX_VARS`]
+    /// variables, or when `def` shares a globals schema different from the
+    /// one the network's other machines share.
     pub fn add_machine(&mut self, def: Arc<MachineDef>) -> MachineId {
-        self.machines.push(Machine::new(def));
-        MachineId(self.machines.as_slice().len() - 1)
+        let id = self.shape.defs.len();
+        assert!(
+            id < MAX_MACHINES,
+            "a network runs at most {MAX_MACHINES} machines"
+        );
+        let mut words = self.shape.words();
+        let globals = match (&self.shape.globals, def.shared_globals()) {
+            (Some(have), Some(add)) => {
+                assert!(
+                    have == add,
+                    "the machines of one network share one globals schema"
+                );
+                Some(Arc::clone(have))
+            }
+            (None, Some(add)) => {
+                // The first machine to share globals: they open in front of
+                // the locals already laid out.
+                self.frame.insert(0, add.len(), words);
+                words += add.len();
+                Some(Arc::clone(add))
+            }
+            (have, None) => have.clone(),
+        };
+        self.frame.insert(words, def.locals().len(), words);
+        self.instances[id] = MachineInstance::new(&def);
+        let mut defs = self.shape.defs.clone();
+        defs.push(def);
+        self.shape = Arc::new(Shape { defs, globals });
+        MachineId(id)
     }
 
     /// Finds a machine by its definition name.
@@ -509,63 +522,75 @@ impl Network {
     /// Finds a machine by its interned name (allocation- and compare-free
     /// routing on the hot path: a `u32` scan over at most a few machines).
     pub fn machine_by_sym(&self, name: Sym) -> Option<MachineId> {
-        position_of(self.machines.as_slice(), name).map(MachineId)
+        position_of(&self.shape.defs, name).map(MachineId)
     }
 
     /// The instance for a machine id.
     pub fn instance(&self, id: MachineId) -> &MachineInstance {
-        &self.machines.as_slice()[id.0].instance
-    }
-
-    /// Mutable instance access (hosts seed initial locals through this).
-    pub fn instance_mut(&mut self, id: MachineId) -> &mut MachineInstance {
-        &mut self.machines.as_mut_slice()[id.0].instance
+        &self.instances[..self.shape.defs.len()][id.0]
     }
 
     /// The definition for a machine id.
     pub fn definition(&self, id: MachineId) -> &MachineDef {
-        &self.machines.as_slice()[id.0].def
+        &self.shape.defs[id.0]
     }
 
-    /// Every machine of the network with its definition, in the order the
-    /// machines were added (forensic snapshots walk this).
-    pub fn machines(&self) -> impl Iterator<Item = (&MachineDef, &MachineInstance)> {
-        self.machines
-            .as_slice()
-            .iter()
-            .map(|m| (m.def.as_ref(), &m.instance))
+    /// A machine's local variables, by name.
+    pub fn locals(&self, id: MachineId) -> Vars<'_> {
+        self.frame
+            .scope(self.definition(id).locals(), self.shape.base(id.0))
     }
 
-    /// Call-global shared variables.
-    pub fn globals(&self) -> &VarMap {
-        &self.globals
+    /// The call-global shared variables, by name.
+    pub fn globals(&self) -> Vars<'_> {
+        self.frame.scope(self.shape.globals(), 0)
     }
 
-    /// Mutable call-global shared variables.
-    pub fn globals_mut(&mut self) -> &mut VarMap {
-        &mut self.globals
+    /// One of a machine's variables — a local of that machine or a global
+    /// it shares — through its handle.
+    pub fn get<T: VarType>(&self, id: MachineId, var: Var<T>) -> Option<T> {
+        self.frame.slots_ref(self.shape.base(id.0)).get(var)
+    }
+
+    /// Sets one of a machine's variables (hosts seeding context, tests).
+    pub fn set<T: VarType>(&mut self, id: MachineId, var: Var<T>, value: T) {
+        let base = self.shape.base(id.0);
+        self.frame.slots(base).set(var, value);
+    }
+
+    fn configs(&self) -> impl Iterator<Item = (&MachineDef, &MachineInstance)> {
+        self.shape.defs.iter().map(Arc::as_ref).zip(&self.instances)
+    }
+
+    /// Every machine of the network with its definition and its locals, in
+    /// the order the machines were added (forensic snapshots walk this).
+    pub fn machines(&self) -> impl Iterator<Item = (&MachineDef, &MachineInstance, Vars<'_>)> {
+        self.configs().enumerate().map(|(i, (def, instance))| {
+            let locals = self.frame.scope(def.locals(), self.shape.base(i));
+            (def, instance, locals)
+        })
     }
 
     /// Whether every machine sits in a final state (the call completed and
     /// the fact base may evict this network).
     pub fn all_final(&self) -> bool {
-        self.machines().all(|(d, m)| m.is_final(d))
+        self.configs().all(|(d, m)| m.is_final(d))
     }
 
     /// Whether any machine sits in an attack state.
     pub fn any_attack(&self) -> bool {
-        self.machines().any(|(d, m)| m.is_attack(d))
+        self.configs().any(|(d, m)| m.is_attack(d))
     }
 
-    /// Heap bytes this network owns beyond its own `size_of`: machines
-    /// past the second, timers past the fourth and variable maps that
-    /// outgrew their inline capacity. Zero for a call running the shipped
-    /// machines. The debugging [`Trace`] is not charged.
+    /// Heap bytes this network owns beyond its own `size_of`: a frame too
+    /// wide to stay inline and timers past the fourth. Zero for a call
+    /// running the shipped machines. The shared definitions and the
+    /// debugging [`Trace`] are not charged.
     pub fn heap_bytes(&self) -> usize {
-        self.machines.heap_bytes() + self.globals.heap_bytes() + self.timers.0.heap_bytes()
+        self.frame.heap_bytes() + self.timers.0.heap_bytes()
     }
 
-    /// Per-call memory footprint (configurations, globals and timers;
+    /// Per-call memory footprint (configurations, variables and timers;
     /// definitions are shared and excluded): this value plus
     /// [`Network::heap_bytes`]. E5.
     pub fn memory_bytes(&self) -> usize {
@@ -573,9 +598,12 @@ impl Network {
     }
 
     fn run<'a>(&'a mut self, obs: &'a mut dyn TransitionObserver) -> Run<'a> {
+        let shape = &*self.shape;
         Run {
-            machines: self.machines.as_mut_slice(),
-            globals: &mut self.globals,
+            defs: &shape.defs,
+            instances: &mut self.instances[..shape.defs.len()],
+            frame: self.frame.slots(0),
+            globals: shape.globals().len(),
             timers: &mut self.timers,
             trace: self.trace.as_deref_mut(),
             sync_enabled: !self.sync_disabled,
@@ -627,20 +655,21 @@ impl Network {
 
 /// One machine with its timers and no peer: the per-destination flood
 /// counters and the per-AOR registration machine. It steps exactly as a
-/// one-machine [`Network`] does, but is a third of the size — there is no
-/// second machine slot and no globals. A solo machine has nobody to share
-/// globals with: its actions see an empty set, and what they write there is
-/// dropped when the step ends.
+/// one-machine [`Network`] does, but is half the size — it holds its
+/// definition directly instead of a shared list, and a frame sized for a
+/// machine rather than a call.
 pub struct SoloNetwork {
-    machine: Machine,
+    def: Arc<MachineDef>,
+    instance: MachineInstance,
+    frame: Frame<SOLO_WORDS>,
     timers: Timers,
 }
 
 impl fmt::Debug for SoloNetwork {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SoloNetwork")
-            .field("machine", &self.machine.def.name())
-            .field("state", &self.machine.instance.state())
+            .field("machine", &self.def.name())
+            .field("state", &self.instance.state())
             .finish()
     }
 }
@@ -649,19 +678,27 @@ impl SoloNetwork {
     /// Creates the machine at its definition's initial state.
     pub fn new(def: Arc<MachineDef>) -> Self {
         SoloNetwork {
-            machine: Machine::new(def),
+            instance: MachineInstance::new(&def),
+            frame: Frame::new(def.globals().len() + def.locals().len()),
             timers: Timers::default(),
+            def,
         }
     }
 
     /// The machine's configuration.
     pub fn instance(&self) -> &MachineInstance {
-        &self.machine.instance
+        &self.instance
     }
 
     /// The machine's definition.
     pub fn definition(&self) -> &MachineDef {
-        &self.machine.def
+        &self.def
+    }
+
+    /// The machine's local variables, by name.
+    pub fn locals(&self) -> Vars<'_> {
+        self.frame
+            .scope(self.def.locals(), self.def.globals().len())
     }
 
     /// The earliest armed timer deadline, if any.
@@ -671,13 +708,15 @@ impl SoloNetwork {
 
     /// Heap bytes owned beyond `size_of` (zero for the shipped machines).
     pub fn heap_bytes(&self) -> usize {
-        self.machine.instance.heap_bytes() + self.timers.0.heap_bytes()
+        self.frame.heap_bytes() + self.timers.0.heap_bytes()
     }
 
     fn run<R>(&mut self, obs: &mut dyn TransitionObserver, f: impl FnOnce(Run<'_>) -> R) -> R {
         f(Run {
-            machines: std::slice::from_mut(&mut self.machine),
-            globals: &mut VarMap::new(),
+            defs: std::slice::from_ref(&self.def),
+            instances: std::slice::from_mut(&mut self.instance),
+            frame: self.frame.slots(0),
+            globals: self.def.globals().len(),
             timers: &mut self.timers,
             trace: None,
             sync_enabled: true,
@@ -711,7 +750,8 @@ impl SoloNetwork {
 // destination, so a field added here has to argue with a number. The call
 // slot that embeds a `Network` is pinned where it is defined
 // (`vids-core::factbase`).
-const _: () = assert!(std::mem::size_of::<SoloNetwork>() <= 320);
+const _: () = assert!(std::mem::size_of::<Network>() <= 296);
+const _: () = assert!(std::mem::size_of::<SoloNetwork>() <= 144);
 
 #[cfg(test)]
 mod tests {
@@ -722,25 +762,35 @@ mod tests {
     /// INVITE and synchronizes the "rtp" machine, which opens using the
     /// media port the sip machine published in the globals.
     fn fig2_network() -> (Network, MachineId, MachineId) {
+        let mut globals = Schema::globals();
+        let media_port: Var<u64> = globals.declare("g_media_port");
+        let globals = Arc::new(globals);
+
         let mut sip = MachineDef::new("sip");
+        sip.share_globals(&globals);
+        let call_id: Var<Sym> = sip.local("l_call_id");
         let init = sip.add_state("INIT");
         let rcvd = sip.add_state("INVITE_RCVD");
-        sip.add_transition(init, "SIP.INVITE", rcvd).action(|ctx| {
-            let port = ctx.event.uint_arg("media_port").unwrap_or(0);
-            ctx.globals.set("g_media_port", port);
-            ctx.locals
-                .set("l_call_id", ctx.event.str_arg("call_id").unwrap_or(""));
-            ctx.send_sync("rtp", Event::sync("δ_SIP→RTP"));
-        });
+        sip.add_transition(init, "SIP.INVITE", rcvd)
+            .action(move |ctx| {
+                let port = ctx.event.uint_arg("media_port").unwrap_or(0);
+                ctx.set(media_port, port);
+                let id = ctx.event.sym_arg("call_id").unwrap_or_default();
+                ctx.set(call_id, id);
+                ctx.send_sync("rtp", Event::sync("δ_SIP→RTP"));
+            });
         let sip = Arc::new(sip.build().unwrap());
 
         let mut rtp = MachineDef::new("rtp");
+        rtp.share_globals(&globals);
+        let local_port: Var<u64> = rtp.local("l_port");
         let rinit = rtp.add_state("INIT");
         let ropen = rtp.add_state("RTP_OPEN");
-        rtp.add_transition(rinit, "δ_SIP→RTP", ropen).action(|ctx| {
-            let port = ctx.globals.uint("g_media_port").unwrap_or(0);
-            ctx.locals.set("l_port", port);
-        });
+        rtp.add_transition(rinit, "δ_SIP→RTP", ropen)
+            .action(move |ctx| {
+                let port = ctx.get(media_port).unwrap_or(0);
+                ctx.set(local_port, port);
+            });
         let rtp = Arc::new(rtp.build().unwrap());
 
         let mut net = Network::new();
@@ -759,7 +809,9 @@ mod tests {
         let outcome = net.deliver(sid, invite, 5);
         assert_eq!(outcome.transitions, 2); // sip step + rtp sync step
         assert!(!outcome.is_suspicious());
-        assert_eq!(net.instance(rid).locals().uint("l_port"), Some(49170));
+        assert_eq!(net.locals(rid).uint("l_port"), Some(49170));
+        assert_eq!(net.locals(sid).str("l_call_id"), Some("c1"));
+        assert_eq!(net.globals().uint("g_media_port"), Some(49170));
         assert_eq!(
             net.instance(rid).state_name(net.definition(rid)),
             "RTP_OPEN"
@@ -993,7 +1045,7 @@ mod tests {
     }
 
     #[test]
-    fn third_machine_and_fifth_timer_spill_and_keep_working() {
+    fn third_machine_and_fifth_timer_keep_working() {
         let timers = ["T0", "T1", "T2", "T3", "T4", "T5"];
         let mk = |name: &str| {
             let mut def = sink_machine(name, &timers);
@@ -1011,10 +1063,10 @@ mod tests {
             .into_iter()
             .map(|n| net.add_machine(mk(n)))
             .collect();
-        assert_eq!(net.heap_bytes(), 3 * std::mem::size_of::<Machine>());
+        assert_eq!(net.heap_bytes(), 0);
         assert_eq!(net.machine_by_name("m2"), Some(ids[2]));
         net.deliver(ids[2], Event::data("arm"), 0);
-        assert!(net.heap_bytes() > 3 * std::mem::size_of::<Machine>());
+        assert!(net.heap_bytes() > 0, "the fifth timer spills");
         assert_eq!(net.next_timer_deadline(), Some(10));
 
         let mut steps = Steps::default();
@@ -1031,21 +1083,23 @@ mod tests {
     fn solo_network_steps_like_a_one_machine_network() {
         let def = || {
             let mut def = MachineDef::new("ctr");
+            let n: Var<u64> = def.local("n");
             let idle = def.add_state("IDLE");
             let counting = def.add_state("COUNTING");
             let attack = def.add_state("ATTACK");
             def.mark_attack(attack, "burst");
-            def.add_transition(idle, "pkt", counting).action(|ctx| {
-                ctx.locals.set("n", 1u64);
-                ctx.set_timer("W", 100);
-            });
+            def.add_transition(idle, "pkt", counting)
+                .action(move |ctx| {
+                    ctx.set(n, 1);
+                    ctx.set_timer("W", 100);
+                });
             def.add_transition(counting, "pkt", counting)
-                .predicate(|ctx| ctx.locals.uint("n").unwrap_or(0) < 3)
-                .action(|ctx| {
-                    ctx.locals.increment("n");
+                .predicate(move |ctx| ctx.get(n).unwrap_or(0) < 3)
+                .action(move |ctx| {
+                    ctx.increment(n);
                 });
             def.add_transition(counting, "pkt", attack)
-                .predicate(|ctx| ctx.locals.uint("n").unwrap_or(0) >= 3);
+                .predicate(move |ctx| ctx.get(n).unwrap_or(0) >= 3);
             def.add_transition(counting, "W", idle);
             def.add_transition(attack, "*", attack);
             Arc::new(def.build().unwrap())
@@ -1063,6 +1117,7 @@ mod tests {
             assert_eq!(got, want, "at {t} ms");
             assert_eq!(solo.instance().state(), net.instance(id).state());
             assert_eq!(solo.next_timer_deadline(), net.next_timer_deadline());
+            assert_eq!(solo.locals().uint("n"), net.locals(id).uint("n"));
         }
         assert!(solo.instance().is_attack(solo.definition()));
         assert_eq!(solo.heap_bytes(), 0);

@@ -1,12 +1,12 @@
-//! State-variable values `v̄` and their domains `D`.
+//! The domains `D` of state variables and event arguments, and the map
+//! behind an event's argument vector.
 //!
-//! `VarMap` is the storage behind machine-local (`l_*`) and call-global
-//! (`g_*`) variables and behind every event's argument vector: a sorted
-//! inline array of `(Sym, Value)` pairs that spills to the heap only past
-//! its const-generic inline capacity. The state-variable maps inside a
-//! call record and the argument vectors the classifier builds never reach
-//! it, so they never touch the allocator, and lookups are a scan over
-//! `u32` symbol ids.
+//! `VarMap` is a sorted inline array of `(Sym, Value)` pairs that spills to
+//! the heap only past its const-generic inline capacity. The argument
+//! vectors the classifier builds never reach it, so they never touch the
+//! allocator, and lookups are a scan over `u32` symbol ids. State
+//! variables are not kept this way: they are declared and stored
+//! positionally ([`crate::vars`]).
 
 use std::fmt;
 use std::mem;
@@ -382,13 +382,6 @@ impl<'a, T: Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     }
 }
 
-/// Inline capacity of a state-variable [`VarMap`] (a machine's locals, a
-/// call's globals): the widest set a shipped machine keeps is the RTP
-/// machine's eight per-direction cursors. Three such maps sit inline in
-/// every call slot, so this constant is most of what a monitored call
-/// costs (§7.3).
-pub const VARMAP_INLINE: usize = 8;
-
 /// Inline capacity of an event's argument vector: the widest vector the
 /// classifier builds (an INVITE answer carrying SDP — `status` on top of
 /// the INVITE's twelve), so no event it produces ever spills.
@@ -403,34 +396,21 @@ struct Spill {
     vals: Vec<Value>,
 }
 
-/// A named collection of state variables, sorted by symbol id, holding its
-/// first `N` entries inline.
-///
-/// By convention (mirroring the paper's Fig. 2) local variable names start
-/// with `l_` and global (call-shared) names with `g_`, though the map does
-/// not enforce this. Keys accept either `&str` or [`Sym`] (via
-/// [`SymKey`]): writes intern the name, reads only *look up* — probing
-/// for a name nobody ever interned is allocation-free and grows nothing.
-///
-/// `VarMap` without a parameter is the state-variable size
-/// ([`VARMAP_INLINE`]); event argument vectors are
+/// A collection of named values, sorted by symbol id, holding its first
+/// `N` entries inline: an event's argument vector is
 /// `VarMap<EVENT_ARGS_INLINE>` ([`crate::event::Args`]).
+///
+/// Keys accept either `&str` or [`Sym`] (via [`SymKey`]): writes intern
+/// the name, reads only *look up* — probing for a name nobody ever
+/// interned is allocation-free and grows nothing.
 #[derive(Clone)]
-pub struct VarMap<const N: usize = VARMAP_INLINE> {
+pub struct VarMap<const N: usize> {
     len: u32,
     /// Sorted symbol ids, split from the values so a probe scans a dense
     /// `u32` array instead of striding across 24-byte `(Sym, Value)` pairs.
     keys: [Sym; N],
     vals: [Value; N],
     spill: Option<Box<Spill>>,
-}
-
-impl VarMap {
-    /// Creates an empty state-variable map (no heap allocation). Other
-    /// capacities start from [`Default::default`].
-    pub fn new() -> Self {
-        VarMap::default()
-    }
 }
 
 impl<const N: usize> Default for VarMap<N> {
@@ -571,24 +551,6 @@ impl<const N: usize> VarMap<N> {
         })
     }
 
-    /// Increments a `Uint` counter by 1, creating it at 1 if absent, and
-    /// returns the new value. Used by the paper's `pck_counter`.
-    pub fn increment(&mut self, name: impl SymKey) -> u64 {
-        let sym = name.to_sym();
-        match self.position(sym) {
-            Ok(i) => {
-                let slot = self.val_mut(i);
-                let next = slot.as_uint().unwrap_or(0) + 1;
-                *slot = Value::Uint(next);
-                next
-            }
-            Err(i) => {
-                self.insert_at(i, sym, Value::Uint(1));
-                1
-            }
-        }
-    }
-
     /// Number of variables.
     pub fn len(&self) -> usize {
         self.len as usize
@@ -612,7 +574,7 @@ impl<const N: usize> VarMap<N> {
 
     /// Heap bytes this map owns beyond its own `size_of`: the spill block
     /// and vectors once it outgrew `N` entries (no value owns heap). Zero
-    /// for the maps the shipped machines and the classifier build.
+    /// for the maps the classifier builds.
     /// Interned names and texts live in the shared interner and are not
     /// charged here.
     pub fn heap_bytes(&self) -> usize {
@@ -621,12 +583,6 @@ impl<const N: usize> VarMap<N> {
                 + s.keys.capacity() * mem::size_of::<Sym>()
                 + s.vals.capacity() * mem::size_of::<Value>()
         })
-    }
-
-    /// In-memory footprint: the map itself plus [`VarMap::heap_bytes`].
-    /// Backs the §7.3 per-call memory cost evaluation (E5).
-    pub fn memory_bytes(&self) -> usize {
-        mem::size_of::<Self>() + self.heap_bytes()
     }
 }
 
@@ -644,33 +600,16 @@ impl<const N: usize, const M: usize> PartialEq<VarMap<M>> for VarMap<N> {
 
 impl<const N: usize> Eq for VarMap<N> {}
 
-impl<const N: usize> FromIterator<(Sym, Value)> for VarMap<N> {
-    fn from_iter<I: IntoIterator<Item = (Sym, Value)>>(iter: I) -> Self {
-        let mut map = VarMap::default();
-        for (name, value) in iter {
-            map.set(name, value);
-        }
-        map
-    }
-}
-
-impl<const N: usize> FromIterator<(String, Value)> for VarMap<N> {
-    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        let mut map = VarMap::default();
-        for (name, value) in iter {
-            map.set(&name, value);
-        }
-        map
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A small map, so the tests cross the inline→spill boundary.
+    type Map = VarMap<8>;
+
     #[test]
     fn typed_accessors() {
-        let mut v = VarMap::new();
+        let mut v = Map::default();
         v.set("l_count", 3u64);
         v.set("l_gap", -2i64);
         v.set("g_call_id", "abc");
@@ -684,16 +623,8 @@ mod tests {
     }
 
     #[test]
-    fn increment_counter() {
-        let mut v = VarMap::new();
-        assert_eq!(v.increment("pck_counter"), 1);
-        assert_eq!(v.increment("pck_counter"), 2);
-        assert_eq!(v.uint("pck_counter"), Some(2));
-    }
-
-    #[test]
     fn set_replaces() {
-        let mut v = VarMap::new();
+        let mut v = Map::default();
         v.set("x", 1u64);
         v.set("x", 2u64);
         assert_eq!(v.uint("x"), Some(2));
@@ -702,7 +633,7 @@ mod tests {
 
     #[test]
     fn remove_and_missing_reads_never_intern() {
-        let mut v = VarMap::new();
+        let mut v = Map::default();
         v.set("x", 7u64);
         assert_eq!(v.remove("x"), Some(Value::Uint(7)));
         assert_eq!(v.remove("x"), None);
@@ -713,16 +644,16 @@ mod tests {
 
     #[test]
     fn memory_accounting_ignores_content() {
-        let mut small = VarMap::new();
+        let mut small = Map::default();
         small.set("a", 1u64);
-        let mut big = VarMap::new();
+        let mut big = Map::default();
         // Text is interned whichever way it arrives: a `String` value adds
         // nothing to the map that holds it.
         big.set(
             "a",
             "a-rather-long-call-identifier@host.example.com".to_owned(),
         );
-        assert_eq!(big.memory_bytes(), small.memory_bytes());
+        assert_eq!(big.heap_bytes(), small.heap_bytes());
         assert_eq!(big.heap_bytes(), 0);
     }
 
@@ -813,14 +744,14 @@ mod tests {
 
     #[test]
     fn varmap_iterates_in_symbol_id_order_and_spills() {
-        let mut v = VarMap::new();
-        for i in 0..(VARMAP_INLINE + 3) {
+        let mut v = Map::default();
+        for i in 0..(8 + 3) {
             v.set(format!("spill-key-{i}").as_str(), i as u64);
         }
-        assert_eq!(v.len(), VARMAP_INLINE + 3);
+        assert_eq!(v.len(), 8 + 3);
         let ids: Vec<u32> = v.iter_syms().map(|(s, _)| s.id()).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted by symbol id");
-        for i in 0..(VARMAP_INLINE + 3) {
+        for i in 0..(8 + 3) {
             assert_eq!(v.uint(format!("spill-key-{i}").as_str()), Some(i as u64));
         }
     }

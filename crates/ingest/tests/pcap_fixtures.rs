@@ -8,11 +8,12 @@
 //! reject is allocation-free: a hostile capture cannot balloon the
 //! monitor's memory on the parse path.
 //!
-//! Everything lives in a single `#[test]` because the counter is
-//! global: parallel tests would interleave counts.
+//! The counter is armed per thread, so the round-trip proptest running
+//! beside the fixtures test does not land in its counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use vids_ingest::pcap::{PcapReader, PcapWriter, LINKTYPE_ETHERNET, LINKTYPE_RAW};
 use vids_netsim::time::SimTime;
@@ -20,27 +21,30 @@ use vids_netsim::time::SimTime;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_one() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -52,12 +56,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with the counter armed; returns how many allocations it made.
+/// Runs `f` with the counter armed on this thread; returns how many
+/// allocations it made.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let start = ALLOCS.load(Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.with(|armed| armed.set(true));
     let r = f();
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.with(|armed| armed.set(false));
     (ALLOCS.load(Ordering::SeqCst) - start, r)
 }
 

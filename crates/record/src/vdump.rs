@@ -17,7 +17,7 @@
 //! | `CONF` | every detection/ingestion knob of [`Config`] + ring size    |
 //! | `PKTS` | the captured datagram window, oldest → newest               |
 //! | `ALRT` | the triggering [`Alert`], via [`encode_alert`]              |
-//! | `SNAP` | VarMap/state snapshot of the triggering call (optional)     |
+//! | `SNAP` | states and variables of the triggering call (optional)      |
 //! | `CTRS` | engine counters + total alerts at dump time                 |
 //! | `END`  | empty terminator                                            |
 //!

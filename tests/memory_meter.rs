@@ -11,10 +11,17 @@
 //! is the fact base. The interner is then priced with the same allocator:
 //! a fresh symbol may hold no more than 80 live bytes.
 //!
-//! A test binary of its own: the allocator is process-global.
+//! The meter also gates experiment E5 (§7.3's ≈ 450 + 40 B per call): a
+//! thousand half-open and a thousand established calls, built the way
+//! `crates/bench/benches/memory_per_call.rs` builds them, may not cost more
+//! per call than the ceilings below.
+//!
+//! A test binary of its own: the allocator is process-global, so the tests
+//! here take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use vids::core::classify::classify;
 use vids::core::config::Config;
@@ -59,6 +66,10 @@ unsafe impl GlobalAlloc for LiveBytes {
 
 #[global_allocator]
 static ALLOCATOR: LiveBytes = LiveBytes;
+
+/// Held by each test for its whole run: another test's allocations would
+/// land in the live-byte count.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn pkt(src: Address, dst: Address, payload: Payload) -> Packet {
     Packet {
@@ -108,6 +119,7 @@ fn call(k: u32, established: bool) -> Vec<Packet> {
 
 #[test]
 fn memory_bytes_agrees_with_the_allocator() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     const CALLS: u32 = 4_000;
     let traffic: Vec<Packet> = (0..CALLS).flat_map(|k| call(k, k % 2 == 1)).collect();
     // Intern every string and warm the classifier's address cache.
@@ -169,4 +181,68 @@ fn memory_bytes_agrees_with_the_allocator() {
         live <= FRESH * 80,
         "{FRESH} symbols of 35 bytes hold {live} B"
     );
+}
+
+/// E5's ceilings, bytes per call: what this layout measures plus 1 %.
+const E5_HALF_OPEN_CEILING: usize = 447;
+const E5_ESTABLISHED_CEILING: usize = 472;
+
+/// E5's traffic for call `i`: one caller dials one callee with an SDP
+/// offer; an established call also gets the callee's SDP answer.
+fn e5_call(i: u16, established: bool) -> Vec<Packet> {
+    let caller = Address::new(10, 1, 0, 10, 5060);
+    let callee = Address::new(10, 2, 0, 10, 5060);
+    let offer =
+        SessionDescription::audio_offer("alice", "10.1.0.10", 20_000 + 2 * i, &[Codec::G729]);
+    let inv = Request::invite(
+        &SipUri::new("alice", "a.example.com"),
+        &SipUri::new("bob", "b.example.com"),
+        &format!("mem-call-{i}"),
+    )
+    .with_body(vids::sdp::MIME_TYPE, offer.to_string());
+    let mut packets = vec![pkt(caller, callee, Payload::Sip(inv.to_string()))];
+    if established {
+        let answer =
+            SessionDescription::audio_offer("bob", "10.2.0.10", 40_000 + 2 * i, &[Codec::G729]);
+        let ok = inv
+            .response(StatusCode::OK)
+            .with_to_tag("tt")
+            .with_body(vids::sdp::MIME_TYPE, answer.to_string());
+        packets.push(pkt(callee, caller, Payload::Sip(ok.to_string())));
+    }
+    packets
+}
+
+#[test]
+fn e5_bytes_per_call_stay_under_their_ceilings() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    const CALLS: u16 = 1_000;
+    for (established, ceiling) in [
+        (false, E5_HALF_OPEN_CEILING),
+        (true, E5_ESTABLISHED_CEILING),
+    ] {
+        let config = Config::builder()
+            .invite_flood_threshold(u64::MAX)
+            .build()
+            .expect("valid config");
+        let mut vids = Vids::new(config);
+        let mut sink = CollectSink::new();
+        for i in 0..CALLS {
+            for packet in e5_call(i, established) {
+                vids.process(&packet, SimTime::from_millis(i as u64), &mut sink);
+            }
+        }
+        assert!(
+            sink.alerts().is_empty(),
+            "clean traffic: {:?}",
+            sink.alerts()
+        );
+        assert_eq!(vids.monitored_calls(), CALLS as usize);
+        let per_call = vids.memory_bytes() / CALLS as usize;
+        eprintln!("E5: {CALLS} calls, established {established}: {per_call} B per call (ceiling {ceiling})");
+        assert!(
+            per_call <= ceiling,
+            "E5: a call costs {per_call} B, over its ceiling of {ceiling} B (established {established})"
+        );
+    }
 }

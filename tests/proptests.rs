@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use vids::efsm::machine::MachineDef;
-use vids::efsm::{Event, MachineInstance, VarMap};
+use vids::efsm::{Event, SoloNetwork, Var};
 use vids::rtp::packet::RtpPacket;
 use vids::rtp::seq::{seq_distance, seq_greater, ExtendedSeq};
 use vids::rtp::JitterEstimator;
@@ -166,17 +166,16 @@ proptest! {
         // A machine counting "a" events; arbitrary interleavings of a/b/c
         // must leave the counter equal to the number of "a"s delivered.
         let mut def = MachineDef::new("m");
+        let n: Var<u64> = def.local("n");
         let s = def.add_state("S");
-        def.add_transition(s, "a", s).action(|ctx| { ctx.locals.increment("n"); });
+        def.add_transition(s, "a", s).action(move |ctx| { ctx.increment(n); });
         def.add_transition(s, "b", s);
         def.set_unmatched_policy(vids::efsm::machine::UnmatchedPolicy::Ignore);
-        let def = def.build().unwrap();
-        let mut m = MachineInstance::new(&def);
-        let mut globals = VarMap::new();
+        let mut m = SoloNetwork::new(std::sync::Arc::new(def.build().unwrap()));
         let mut expected = 0u64;
         for e in &events {
             let name = ["a", "b", "c"][*e as usize];
-            m.step(&def, &Event::data(name), &mut globals);
+            m.deliver_observed(Event::data(name), 0, &mut vids::efsm::NoopObserver);
             if *e == 0 { expected += 1; }
         }
         prop_assert_eq!(m.locals().uint("n").unwrap_or(0), expected);
@@ -433,16 +432,16 @@ mod telemetry_hist {
     }
 }
 
-/// Model test for the tentpole data structure: `VarMap` — a sorted inline
+/// Model test for the event argument vector: `Args` — a sorted inline
 /// small-vec keyed by interned symbols that spills to the heap past
-/// [`vids::efsm::value::VARMAP_INLINE`] entries — must agree with a plain
+/// [`vids::efsm::value::EVENT_ARGS_INLINE`] entries — must agree with a plain
 /// `BTreeMap<String, Value>` under any op sequence. Twenty distinct keys
 /// guarantee sequences that cross the inline→spill boundary.
 mod varmap_model {
     use std::collections::BTreeMap;
 
     use proptest::prelude::*;
-    use vids::efsm::{Value, VarMap};
+    use vids::efsm::{Args, Value};
 
     proptest! {
         #[test]
@@ -450,7 +449,7 @@ mod varmap_model {
             ops in proptest::collection::vec((0u8..4, 0usize..20, any::<u64>()), 0..80)
         ) {
             let keys: Vec<String> = (0..20).map(|i| format!("pv_{i:02}")).collect();
-            let mut map = VarMap::new();
+            let mut map = Args::default();
             let mut model: BTreeMap<&str, Value> = BTreeMap::new();
             for (kind, key, val) in ops {
                 let name = keys[key].as_str();
@@ -471,10 +470,8 @@ mod varmap_model {
                         prop_assert_eq!(got, want);
                     }
                     _ => {
-                        let next = map.increment(name);
-                        let want = model.get(name).and_then(Value::as_uint).unwrap_or(0) + 1;
-                        model.insert(name, Value::Uint(want));
-                        prop_assert_eq!(next, want);
+                        map.set(name, val % 2 == 0);
+                        model.insert(name, Value::Bool(val % 2 == 0));
                     }
                 }
                 prop_assert_eq!(map.len(), model.len());
@@ -486,6 +483,120 @@ mod varmap_model {
             let flat: BTreeMap<&str, &Value> = map.iter().collect();
             let model_ref: BTreeMap<&str, &Value> = model.iter().map(|(k, v)| (*k, v)).collect();
             prop_assert_eq!(flat, model_ref);
+        }
+    }
+}
+
+/// Model test for the tentpole data structure: a network's frame. Two
+/// machines share four globals and declare up to nine locals each, so the
+/// frame stays inline for some cases and spills for others; random set,
+/// remove, increment and get through the declared handles must agree with
+/// a `BTreeMap` keyed by name, and the forensic snapshot — rendered from
+/// the schemas — must be that map sorted by name.
+mod frame_model {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    use proptest::prelude::*;
+    use vids::core::snapshot::CallSnapshot;
+    use vids::efsm::{Event, MachineDef, Network, Schema, Var};
+
+    const GLOBALS: usize = 4;
+
+    /// A one-state machine whose `set`/`remove`/`inc` events apply to the
+    /// variable at index `slot` of its locals followed by the globals.
+    fn machine(
+        name: &str,
+        locals: usize,
+        globals: &Arc<Schema>,
+        shared: &[Var<u64>],
+    ) -> (Arc<MachineDef>, Vec<Var<u64>>) {
+        let mut def = MachineDef::new(name);
+        def.share_globals(globals);
+        let mut vars: Vec<Var<u64>> = (0..locals)
+            .map(|i| def.local(format!("{name}_l{i}")))
+            .collect();
+        vars.extend_from_slice(shared);
+        let s = def.add_state("S");
+        let slot =
+            |ctx: &vids::efsm::machine::ActionCtx<'_>| ctx.event.uint_arg("slot").unwrap() as usize;
+        let v = vars.clone();
+        def.add_transition(s, "set", s).action(move |ctx| {
+            let value = ctx.event.uint_arg("value").unwrap();
+            ctx.set(v[slot(ctx)], value);
+        });
+        let v = vars.clone();
+        def.add_transition(s, "remove", s).action(move |ctx| {
+            ctx.remove(v[slot(ctx)]);
+        });
+        let v = vars.clone();
+        def.add_transition(s, "inc", s).action(move |ctx| {
+            ctx.increment(v[slot(ctx)]);
+        });
+        (Arc::new(def.build().unwrap()), vars)
+    }
+
+    fn name_of(machine: &str, locals: usize, slot: usize) -> String {
+        if slot < locals {
+            format!("{machine}_l{slot}")
+        } else {
+            format!("fm_g{}", slot - locals)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn frame_matches_btreemap_model(
+            locals in (0usize..10, 0usize..10),
+            ops in proptest::collection::vec((0u8..4, 0usize..2, 0usize..13, any::<u32>()), 0..120)
+        ) {
+            let mut schema = Schema::globals();
+            let shared: Vec<Var<u64>> = (0..GLOBALS).map(|i| schema.declare(format!("fm_g{i}"))).collect();
+            let schema = Arc::new(schema);
+            let names = ["fm_a", "fm_b"];
+            let counts = [locals.0, locals.1];
+            let mut net = Network::new();
+            let mut ids = Vec::new();
+            let mut handles = Vec::new();
+            for (name, count) in names.iter().zip(counts) {
+                let (def, vars) = machine(name, count, &schema, &shared);
+                ids.push(net.add_machine(def));
+                handles.push(vars);
+            }
+            let mut model: BTreeMap<String, u64> = BTreeMap::new();
+            for (kind, m, slot, value) in ops {
+                let slot = slot % (counts[m] + GLOBALS);
+                let name = name_of(names[m], counts[m], slot);
+                let event = |op: &str| Event::data(op).with_uint("slot", slot as u64);
+                match kind {
+                    0 => {
+                        net.deliver(ids[m], event("set").with_uint("value", value as u64), 0);
+                        model.insert(name.clone(), value as u64);
+                    }
+                    1 => {
+                        net.deliver(ids[m], event("remove"), 0);
+                        model.remove(&name);
+                    }
+                    2 => {
+                        net.deliver(ids[m], event("inc"), 0);
+                        *model.entry(name.clone()).or_insert(0) += 1;
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(net.get(ids[m], handles[m][slot]), model.get(&name).copied());
+            }
+            let render = |prefix: &str| -> Vec<(String, String)> {
+                model
+                    .iter()
+                    .filter(|(k, _)| k.starts_with(prefix))
+                    .map(|(k, v)| (k.clone(), v.to_string()))
+                    .collect()
+            };
+            let snap = CallSnapshot::of_network("frame-model", &net);
+            prop_assert_eq!(&snap.globals, &render("fm_g"));
+            for (machine, name) in snap.machines.iter().zip(names) {
+                prop_assert_eq!(&machine.locals, &render(&format!("{name}_l")));
+            }
         }
     }
 }

@@ -33,6 +33,7 @@
 use std::sync::Arc;
 
 use vids_core::classify::classify;
+use vids_core::machines::{RtpArgs, SipArgs};
 use vids_core::pool::{key_hash, route_hint, FedAlert, FedEvent, FedMiss, PartMask, VidsPool};
 use vids_core::{Alert, AlertSink, Classified, CostModel, VidsCounters};
 use vids_efsm::{sym, Sym};
@@ -370,12 +371,8 @@ impl Cluster {
                 let t_ms = now_ms.max(ev.at.as_millis()).max(last);
                 last = t_ms;
                 if let Classified::Sip { event, .. } = &ev.classified {
-                    if event.bool_arg("has_sdp") {
-                        if let (Some(ip), Some(port)) =
-                            (event.sym_arg(sym::SDP_IP), event.uint_arg(sym::SDP_PORT))
-                        {
-                            member.media_to_node.insert((ip, port), 0);
-                        }
+                    if let Some(media) = SipArgs::get().sdp_media(event) {
+                        member.media_to_node.insert(media, 0);
                     }
                 }
                 FedEvent {
@@ -405,12 +402,8 @@ impl Cluster {
                 // call state never migrates) so a later `set_nodes` keeps
                 // routing established calls' media to their owner.
                 if let Classified::Sip { event, .. } = &ev.classified {
-                    if event.bool_arg("has_sdp") {
-                        if let (Some(ip), Some(port)) =
-                            (event.sym_arg(sym::SDP_IP), event.uint_arg(sym::SDP_PORT))
-                        {
-                            member.media_to_node.insert((ip, port), 0);
-                        }
+                    if let Some(media) = SipArgs::get().sdp_media(event) {
+                        member.media_to_node.insert(media, 0);
                     }
                 }
                 shares[tenant].push(FedEvent {
@@ -438,12 +431,8 @@ impl Cluster {
                         continue;
                     }
                     let call_node = rendezvous(hint.call_hash(), self.nodes);
-                    if event.bool_arg("has_sdp") {
-                        if let (Some(ip), Some(port)) =
-                            (event.sym_arg(sym::SDP_IP), event.uint_arg(sym::SDP_PORT))
-                        {
-                            member.media_to_node.insert((ip, port), call_node);
-                        }
+                    if let Some(media) = SipArgs::get().sdp_media(event) {
+                        member.media_to_node.insert(media, call_node);
                     }
                     let flood_node = (event.name == sym::SIP_INVITE)
                         .then(|| rendezvous(hint.flood_hash(), self.nodes));
@@ -484,10 +473,10 @@ impl Cluster {
                     // to the owning node, the rest by coordinate hash so
                     // any node count flags the same packet as unassociated
                     // exactly once.
-                    let node = event
-                        .sym_arg(sym::DST_IP)
-                        .zip(event.uint_arg(sym::DST_PORT))
-                        .and_then(|key| member.media_to_node.get(&key).copied())
+                    let node = member
+                        .media_to_node
+                        .get(&RtpArgs::get().dst(event))
+                        .copied()
                         .unwrap_or_else(|| rendezvous(hint.call_hash(), self.nodes));
                     shares[lane(node)].push(FedEvent {
                         classified: ev.classified,

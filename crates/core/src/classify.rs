@@ -33,6 +33,8 @@ use vids_scan::fxhash::FxHashMap;
 use vids_sip::view::{parse_view, SipView, StartLine};
 use vids_sip::Method;
 
+use crate::machines::{RtpArgs, SipArgs};
+
 /// The result of classifying one packet.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Classified {
@@ -67,7 +69,7 @@ pub enum Classified {
 }
 
 // Sizes are facts: one of these crosses the shard hand-off per datagram.
-const _: () = assert!(std::mem::size_of::<Classified>() <= 304);
+const _: () = assert!(std::mem::size_of::<Classified>() <= 160);
 
 /// Classifies one packet into an EFSM event.
 pub fn classify(packet: &Packet) -> Classified {
@@ -254,23 +256,20 @@ fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Result<Classifie
         }
     };
     let to_tag = view.to.and_then(|t| t.tag);
-    let mut event = Event::data(name)
-        .with_sym(sym::SRC_IP, ip_sym(src.ip)?)
-        .with_sym(sym::DST_IP, ip_sym(dst.ip)?)
-        .with_sym(sym::CALL_ID, call_id)
-        .with_sym(
-            sym::FROM_TAG,
-            intern_or_empty(view.from.and_then(|f| f.tag))?,
-        )
-        .with_sym(sym::TO_TAG, intern_or_empty(to_tag)?)
-        .with_sym(sym::BRANCH, intern_or_empty(view.branch)?);
+    let a = SipArgs::get();
+    let mut event = SipArgs::event(name);
+    event.set(a.src_ip, ip_sym(src.ip)?);
+    event.set(a.dst_ip, ip_sym(dst.ip)?);
+    event.set(a.call_id, call_id);
+    event.set(a.from_tag, intern_or_empty(view.from.and_then(|f| f.tag))?);
+    event.set(a.to_tag, intern_or_empty(to_tag)?);
+    event.set(a.branch, intern_or_empty(view.branch)?);
     if let Some((seq, method)) = view.cseq {
-        event = event
-            .with_uint(sym::CSEQ, seq as u64)
-            .with_sym(sym::CSEQ_METHOD, cseq_method_sym(method));
+        event.set(a.cseq, seq as u64);
+        event.set(a.cseq_method, cseq_method_sym(method));
     }
     if let Some(status) = view.status() {
-        event = event.with_uint(sym::STATUS, status.as_u16() as u64);
+        event.set(a.status, status.as_u16() as u64);
     }
 
     let is_register = view.method() == Some(Method::Register);
@@ -278,28 +277,25 @@ fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Result<Classifie
     // are interned like Call-IDs.
     if is_register {
         if let Some(to) = view.to {
-            event = event.with_sym(sym::AOR, aor_sym(to.user().unwrap_or(""), to.host())?);
+            event.set(a.aor, aor_sym(to.user().unwrap_or(""), to.host())?);
         }
         if let Some(contact) = view.contact {
-            event = event.with_sym(sym::CONTACT_IP, Sym::try_intern(contact.host())?);
+            event.set(a.contact_ip, Sym::try_intern(contact.host())?);
         }
-        event = event.with_uint(sym::EXPIRES, view.expires.map_or(3_600, u64::from));
+        event.set(a.expires, view.expires.map_or(3_600, u64::from));
     }
 
     // SDP bodies feed the RTP machine's media coordinates. A REGISTER is
     // no part of a call — its event goes to the registration machine alone
-    // — so a body on one is not scanned; that also keeps the widest
-    // argument vector this function builds (an answer with SDP: the nine
-    // response arguments plus these four) at `EVENT_ARGS_INLINE`.
+    // — so a body on one is not scanned.
     if !is_register && view.content_type == Some(vids_sdp::MIME_TYPE) {
         if let Some(sdp) = scan_sdp(view.body) {
             let sdp_ip = sdp.ip.map_or(Ok(sym::EMPTY), |ip| ip_sym(ip.into()))?;
-            event = event
-                .with_bool(sym::HAS_SDP, true)
-                .with_sym(sym::SDP_IP, sdp_ip)
-                .with_uint(sym::SDP_PORT, sdp.port);
+            event.set(a.has_sdp, true);
+            event.set(a.sdp_ip, sdp_ip);
+            event.set(a.sdp_port, sdp.port);
             if let Some(pt) = sdp.pt {
-                event = event.with_uint(sym::SDP_PT, pt);
+                event.set(a.sdp_pt, pt);
             }
         }
     }
@@ -366,18 +362,18 @@ fn rtp_event(
     dst: Address,
     wire_bytes: u64,
 ) -> Result<Event, InternError> {
-    // Arguments in ascending pre-seeded symbol-id order, so every sorted
-    // VarMap insert is an append rather than a probe-and-shift.
-    Ok(Event::data(sym::RTP_PACKET)
-        .with_sym(sym::SRC_IP, ip_sym(src.ip)?)
-        .with_sym(sym::DST_IP, ip_sym(dst.ip)?)
-        .with_uint(sym::SRC_PORT, src.port as u64)
-        .with_uint(sym::DST_PORT, dst.port as u64)
-        .with_uint(sym::SSRC, header.ssrc as u64)
-        .with_uint(sym::SEQ, header.sequence_number as u64)
-        .with_uint(sym::TS, header.timestamp as u64)
-        .with_uint(sym::PT, header.payload_type as u64)
-        .with_uint(sym::SIZE, wire_bytes))
+    let a = RtpArgs::get();
+    let mut event = RtpArgs::event(sym::RTP_PACKET);
+    event.set(a.src_ip, ip_sym(src.ip)?);
+    event.set(a.dst_ip, ip_sym(dst.ip)?);
+    event.set(a.src_port, src.port as u64);
+    event.set(a.dst_port, dst.port as u64);
+    event.set(a.ssrc, header.ssrc as u64);
+    event.set(a.seq, header.sequence_number as u64);
+    event.set(a.ts, header.timestamp as u64);
+    event.set(a.pt, header.payload_type as u64);
+    event.set(a.size, wire_bytes);
+    Ok(event)
 }
 
 #[cfg(test)]
@@ -428,12 +424,12 @@ mod tests {
         assert!(is_request);
         assert_eq!(dst_ip, Address::new(10, 2, 0, 10, 0).ip);
         assert_eq!(event.name, "SIP.INVITE");
-        assert_eq!(event.str_arg("src_ip"), Some("10.1.0.10"));
-        assert!(event.bool_arg("has_sdp"));
-        assert_eq!(event.str_arg("sdp_ip"), Some("10.1.0.10"));
-        assert_eq!(event.uint_arg("sdp_port"), Some(20_000));
-        assert_eq!(event.uint_arg("sdp_pt"), Some(18));
-        assert_eq!(event.uint_arg("cseq"), Some(1));
+        assert_eq!(event.args().str("src_ip"), Some("10.1.0.10"));
+        assert_eq!(event.get(SipArgs::get().has_sdp), Some(true));
+        assert_eq!(event.args().str("sdp_ip"), Some("10.1.0.10"));
+        assert_eq!(event.args().uint("sdp_port"), Some(20_000));
+        assert_eq!(event.args().uint("sdp_pt"), Some(18));
+        assert_eq!(event.args().uint("cseq"), Some(1));
     }
 
     #[test]
@@ -451,7 +447,7 @@ mod tests {
                 panic!("expected SIP");
             };
             assert_eq!(event.name, name);
-            assert_eq!(event.uint_arg("status"), Some(status.as_u16() as u64));
+            assert_eq!(event.args().uint("status"), Some(status.as_u16() as u64));
         }
     }
 
@@ -479,11 +475,11 @@ mod tests {
             panic!("expected RTP");
         };
         assert_eq!(event.name, "RTP.Packet");
-        assert_eq!(event.uint_arg("ssrc"), Some(0xABCD));
-        assert_eq!(event.uint_arg("seq"), Some(42));
-        assert_eq!(event.uint_arg("ts"), Some(3360));
-        assert_eq!(event.uint_arg("pt"), Some(18));
-        assert_eq!(event.uint_arg("dst_port"), Some(30_000));
+        assert_eq!(event.args().uint("ssrc"), Some(0xABCD));
+        assert_eq!(event.args().uint("seq"), Some(42));
+        assert_eq!(event.args().uint("ts"), Some(3360));
+        assert_eq!(event.args().uint("pt"), Some(18));
+        assert_eq!(event.args().uint("dst_port"), Some(30_000));
     }
 
     #[test]
@@ -532,14 +528,13 @@ mod tests {
             panic!("expected SIP");
         };
         assert_eq!(event.name, "SIP.REGISTER");
-        assert_eq!(event.str_arg("aor"), Some("roamer@b.example.com"));
-        assert_eq!(event.str_arg("contact_ip"), Some("10.0.0.20"));
-        assert_eq!(event.uint_arg("expires"), Some(600));
+        assert_eq!(event.args().str("aor"), Some("roamer@b.example.com"));
+        assert_eq!(event.args().str("contact_ip"), Some("10.0.0.20"));
+        assert_eq!(event.args().uint("expires"), Some(600));
     }
 
     #[test]
-    fn register_with_a_body_stays_inside_the_inline_argument_vector() {
-        use vids_efsm::value::EVENT_ARGS_INLINE;
+    fn a_register_body_is_not_scanned() {
         use vids_sip::headers::{CSeq, Header, NameAddr, Via};
         let aor = SipUri::new("roamer", "b.example.com");
         let sdp = SessionDescription::audio_offer("x", "10.0.0.20", 20_000, &[Codec::G729]);
@@ -565,10 +560,8 @@ mod tests {
             panic!("expected SIP");
         };
         // The widest REGISTER: eight common arguments plus its own three.
-        assert_eq!(event.args.len(), 11);
-        assert!(!event.bool_arg("has_sdp"), "a REGISTER body is not scanned");
-        assert!(event.args.len() <= EVENT_ARGS_INLINE);
-        assert_eq!(event.args.heap_bytes(), 0);
+        assert_eq!(event.args().len(), 11);
+        assert_eq!(event.get(SipArgs::get().has_sdp), None);
     }
 
     #[test]
@@ -585,7 +578,7 @@ mod tests {
         let Classified::Sip { event, .. } = classify(&pkt) else {
             panic!("expected SIP");
         };
-        assert_eq!(event.uint_arg("expires"), Some(3_600));
+        assert_eq!(event.args().uint("expires"), Some(3_600));
     }
 
     #[test]
@@ -697,10 +690,13 @@ mod tests {
         };
         assert_eq!(call_id.as_str().len(), MAX_SYMBOL_LEN);
         assert_eq!(
-            event.str_arg("from_tag").map(str::len),
+            event.args().str("from_tag").map(str::len),
             Some(MAX_SYMBOL_LEN)
         );
-        assert_eq!(event.str_arg("branch").map(str::len), Some(MAX_SYMBOL_LEN));
+        assert_eq!(
+            event.args().str("branch").map(str::len),
+            Some(MAX_SYMBOL_LEN)
+        );
 
         // One byte more in any of them: malformed, and the long string is
         // not kept. Other tests intern concurrently, so that is checked by
@@ -778,7 +774,7 @@ mod tests {
         else {
             panic!("a 255-byte AOR must classify");
         };
-        assert_eq!(event.str_arg("aor").map(str::len), Some(MAX_SYMBOL_LEN));
+        assert_eq!(event.args().str("aor").map(str::len), Some(MAX_SYMBOL_LEN));
     }
 
     #[test]
@@ -802,9 +798,9 @@ mod tests {
             else {
                 panic!("expected SIP");
             };
-            assert!(event.bool_arg("has_sdp"));
-            assert_eq!(event.uint_arg("sdp_port"), Some(20_000));
-            event.sym_arg("sdp_ip")
+            assert_eq!(event.get(SipArgs::get().has_sdp), Some(true));
+            assert_eq!(event.args().uint("sdp_port"), Some(20_000));
+            event.args().sym("sdp_ip")
         };
         assert_eq!(sdp_ip_for("10.1.0.10"), ip_sym(src.ip).ok());
         // A host name (or a quad no RTP packet's address renders as) is

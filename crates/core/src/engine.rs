@@ -27,6 +27,7 @@ use crate::classify::{classify, ip_sym, Classified};
 use crate::config::Config;
 use crate::cost::{CostModel, CpuAccount};
 use crate::factbase::{FactBase, FactBaseStats};
+use crate::machines::{RtpArgs, SipArgs};
 use crate::monitor::Monitor;
 use crate::sink::AlertSink;
 
@@ -513,7 +514,7 @@ impl Vids {
     ) {
         self.counters.sip_packets += 1;
         self.tel_inc(Counter::SipPackets);
-        let aor = event.sym_arg(sym::AOR).unwrap_or_default();
+        let aor = event.get(SipArgs::get().aor).unwrap_or_default();
         let mut obs = RingObserver {
             tel: self.telemetry.as_mut(),
             scope: aor,
@@ -630,7 +631,7 @@ impl Vids {
             self.counters.unassociated_sip_responses += 1;
             self.tel_inc(Counter::UnassociatedSipResponses);
             return Some(ResponseMiss {
-                src_ip: event.sym_arg(sym::SRC_IP).unwrap_or_default(),
+                src_ip: event.get(SipArgs::get().src_ip).unwrap_or_default(),
             });
         }
         None
@@ -652,7 +653,8 @@ impl Vids {
         };
         let net = self.factbase.response_flood_mut(dst_ip);
         net.advance_time_observed(now_ms, &mut obs);
-        let synthetic = Event::data(sym::SIP_RESPONSE_UNASSOCIATED).with_sym(sym::SRC_IP, src_ip);
+        let synthetic =
+            SipArgs::event(sym::SIP_RESPONSE_UNASSOCIATED).with(SipArgs::get().src_ip, src_ip);
         let outcome = net.deliver_observed(synthetic, now_ms, &mut obs);
         self.absorb(outcome, scope, now_ms, sink);
     }
@@ -667,8 +669,7 @@ impl Vids {
     ) {
         self.counters.rtp_packets += 1;
         self.tel_inc(Counter::RtpPackets);
-        let dst_ip = event.sym_arg(sym::DST_IP).unwrap_or_default();
-        let dst_port = event.uint_arg(sym::DST_PORT).unwrap_or(0);
+        let (dst_ip, dst_port) = RtpArgs::get().dst(&event);
         match self.factbase.media_lookup_idx(dst_ip, dst_port) {
             Some(idx) => {
                 let call_id = self.factbase.id_of(idx);

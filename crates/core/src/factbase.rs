@@ -724,17 +724,17 @@ mod tests {
     use vids_efsm::Event;
 
     fn invite_event() -> Event {
-        Event::data("SIP.INVITE")
-            .with_str("call_id", "c1")
-            .with_str("from_tag", "ft")
-            .with_str("to_tag", "")
-            .with_str("src_ip", "10.1.0.10")
-            .with_str("dst_ip", "10.2.0.10")
-            .with_str("cseq_method", "INVITE")
-            .with_bool("has_sdp", true)
-            .with_str("sdp_ip", "10.1.0.10")
-            .with_uint("sdp_port", 20_000)
-            .with_uint("sdp_pt", 18)
+        crate::machines::SipArgs::event("SIP.INVITE")
+            .with_named("call_id", "c1")
+            .with_named("from_tag", "ft")
+            .with_named("to_tag", "")
+            .with_named("src_ip", "10.1.0.10")
+            .with_named("dst_ip", "10.2.0.10")
+            .with_named("cseq_method", "INVITE")
+            .with_named("has_sdp", true)
+            .with_named("sdp_ip", "10.1.0.10")
+            .with_named("sdp_port", 20_000u64)
+            .with_named("sdp_pt", 18u64)
     }
 
     #[test]
@@ -765,9 +765,9 @@ mod tests {
             record.network.deliver(sip, invite_event(), 0);
             record.network.deliver(
                 sip,
-                Event::data("SIP.failure")
-                    .with_str("cseq_method", "INVITE")
-                    .with_uint("status", 486),
+                crate::machines::SipArgs::event("SIP.failure")
+                    .with_named("cseq_method", "INVITE")
+                    .with_named("status", 486u64),
                 1,
             );
             record.network.deliver(sip, Event::data("SIP.ACK"), 2);
@@ -789,25 +789,25 @@ mod tests {
             record.network.deliver(sip, invite_event(), 0);
             record.network.deliver(
                 sip,
-                Event::data("SIP.2xx")
-                    .with_str("cseq_method", "INVITE")
-                    .with_str("to_tag", "tt")
-                    .with_bool("has_sdp", true)
-                    .with_str("sdp_ip", "10.2.0.10")
-                    .with_uint("sdp_port", 30_000),
+                crate::machines::SipArgs::event("SIP.2xx")
+                    .with_named("cseq_method", "INVITE")
+                    .with_named("to_tag", "tt")
+                    .with_named("has_sdp", true)
+                    .with_named("sdp_ip", "10.2.0.10")
+                    .with_named("sdp_port", 30_000u64),
                 1,
             );
             record.network.deliver(
                 sip,
-                Event::data("SIP.BYE")
-                    .with_str("from_tag", "ft")
-                    .with_str("to_tag", "tt")
-                    .with_str("cseq_method", "BYE"),
+                crate::machines::SipArgs::event("SIP.BYE")
+                    .with_named("from_tag", "ft")
+                    .with_named("to_tag", "tt")
+                    .with_named("cseq_method", "BYE"),
                 2,
             );
             record.network.deliver(
                 sip,
-                Event::data("SIP.2xx").with_str("cseq_method", "BYE"),
+                crate::machines::SipArgs::event("SIP.2xx").with_named("cseq_method", "BYE"),
                 3,
             );
             // Let the RTP machine's drain timer T expire.
@@ -830,8 +830,7 @@ mod tests {
             let id = format!("call-{i}");
             let record = fb.create_call(&id, 0);
             let sip = record.network.machine_by_name("sip").unwrap();
-            let mut ev = invite_event();
-            ev.args.set("call_id", id.clone());
+            let ev = invite_event().with_named("call_id", id.as_str());
             record.network.deliver(sip, ev, 0);
             fb.refresh_media_index(Sym::intern(&id));
             sizes.push(fb.memory_bytes());
@@ -856,20 +855,20 @@ mod tests {
     fn churn(fb: &mut FactBase, calls: u64, until_ms: u64) {
         let sip = fb.sip_machine();
         let answer = || {
-            Event::data("SIP.2xx")
-                .with_str("cseq_method", "INVITE")
-                .with_str("to_tag", "tt")
-                .with_bool("has_sdp", true)
-                .with_str("sdp_ip", "10.2.0.10")
-                .with_uint("sdp_port", 30_000)
+            crate::machines::SipArgs::event("SIP.2xx")
+                .with_named("cseq_method", "INVITE")
+                .with_named("to_tag", "tt")
+                .with_named("has_sdp", true)
+                .with_named("sdp_ip", "10.2.0.10")
+                .with_named("sdp_port", 30_000u64)
         };
         let bye = || {
-            Event::data("SIP.BYE")
-                .with_str("from_tag", "ft")
-                .with_str("to_tag", "tt")
-                .with_str("cseq_method", "BYE")
+            crate::machines::SipArgs::event("SIP.BYE")
+                .with_named("from_tag", "ft")
+                .with_named("to_tag", "tt")
+                .with_named("cseq_method", "BYE")
         };
-        let bye_ok = || Event::data("SIP.2xx").with_str("cseq_method", "BYE");
+        let bye_ok = || crate::machines::SipArgs::event("SIP.2xx").with_named("cseq_method", "BYE");
         // (time, call, step): INVITE and answer, then BYE and its 200.
         let mut schedule: Vec<(u64, u64, u8)> = (0..calls)
             .flat_map(|k| {

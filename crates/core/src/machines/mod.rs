@@ -15,14 +15,169 @@ pub mod register;
 pub mod rtp;
 pub mod sip;
 
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
-use vids_efsm::{sym, Event, Schema, Sym, Var};
+use vids_efsm::{sym, Arg, Event, Schema, Sym, Var};
 
 /// A textual argument of the event (text is always an interned handle),
 /// defaulting to `""`.
-pub(crate) fn sym_or_empty(ev: &Event, name: Sym) -> Sym {
-    ev.sym_arg(name).unwrap_or(sym::EMPTY)
+pub(crate) fn sym_or_empty(ev: &Event, arg: Arg<Sym>) -> Sym {
+    ev.get(arg).unwrap_or(sym::EMPTY)
+}
+
+/// The arguments `x̄` of a SIP event, as the classifier fills them from
+/// one message: the header fields every message carries, the REGISTER
+/// fields, and the media coordinates of an SDP body. Declared here, once;
+/// the classifier writes them and the machines and routers read them
+/// through these handles.
+#[derive(Debug, Clone, Copy)]
+pub struct SipArgs {
+    /// Source address of the datagram.
+    pub src_ip: Arg<Sym>,
+    /// Destination address of the datagram.
+    pub dst_ip: Arg<Sym>,
+    /// Call-ID.
+    pub call_id: Arg<Sym>,
+    /// From tag (`""` when absent).
+    pub from_tag: Arg<Sym>,
+    /// To tag (`""` when absent).
+    pub to_tag: Arg<Sym>,
+    /// Top Via branch (`""` when absent).
+    pub branch: Arg<Sym>,
+    /// CSeq number.
+    pub cseq: Arg<u64>,
+    /// CSeq method token.
+    pub cseq_method: Arg<Sym>,
+    /// Response status code.
+    pub status: Arg<u64>,
+    /// REGISTER: the address-of-record, `user@host` of the To header.
+    pub aor: Arg<Sym>,
+    /// REGISTER: the Contact host.
+    pub contact_ip: Arg<Sym>,
+    /// REGISTER: the binding lifetime in seconds.
+    pub expires: Arg<u64>,
+    /// The message carries an SDP body with an audio stream.
+    pub has_sdp: Arg<bool>,
+    /// SDP: the media address (`""` when it is not a dotted quad).
+    pub sdp_ip: Arg<Sym>,
+    /// SDP: the audio port.
+    pub sdp_port: Arg<u64>,
+    /// SDP: the first audio payload type.
+    pub sdp_pt: Arg<u64>,
+}
+
+static SIP_ARGS: LazyLock<(Schema, SipArgs)> = LazyLock::new(|| {
+    let mut s = Schema::args();
+    let args = SipArgs {
+        src_ip: s.arg(sym::SRC_IP),
+        dst_ip: s.arg(sym::DST_IP),
+        call_id: s.arg(sym::CALL_ID),
+        from_tag: s.arg(sym::FROM_TAG),
+        to_tag: s.arg(sym::TO_TAG),
+        branch: s.arg(sym::BRANCH),
+        cseq: s.arg(sym::CSEQ),
+        cseq_method: s.arg(sym::CSEQ_METHOD),
+        status: s.arg(sym::STATUS),
+        aor: s.arg(sym::AOR),
+        contact_ip: s.arg(sym::CONTACT_IP),
+        expires: s.arg(sym::EXPIRES),
+        has_sdp: s.arg(sym::HAS_SDP),
+        sdp_ip: s.arg(sym::SDP_IP),
+        sdp_port: s.arg(sym::SDP_PORT),
+        sdp_pt: s.arg(sym::SDP_PT),
+    };
+    (s, args)
+});
+
+impl SipArgs {
+    /// The handles.
+    pub fn get() -> &'static SipArgs {
+        &SIP_ARGS.1
+    }
+
+    /// The schema the handles index.
+    pub fn schema() -> &'static Schema {
+        &SIP_ARGS.0
+    }
+
+    /// A SIP event named `name`, no argument set yet.
+    pub fn event(name: impl Into<Sym>) -> Event {
+        Event::new(name, SipArgs::schema())
+    }
+
+    /// The media coordinates an SDP body announces, when the event carries
+    /// one: where the call's RTP will be sent.
+    pub fn sdp_media(&self, event: &Event) -> Option<(Sym, u64)> {
+        if event.get(self.has_sdp) != Some(true) {
+            return None;
+        }
+        event.get(self.sdp_ip).zip(event.get(self.sdp_port))
+    }
+}
+
+/// The arguments `x̄` of an RTP event: the datagram's addresses and the
+/// header fields Fig. 6's media-spamming rule compares.
+#[derive(Debug, Clone, Copy)]
+pub struct RtpArgs {
+    /// Source address.
+    pub src_ip: Arg<Sym>,
+    /// Destination address.
+    pub dst_ip: Arg<Sym>,
+    /// Source port.
+    pub src_port: Arg<u64>,
+    /// Destination port.
+    pub dst_port: Arg<u64>,
+    /// Synchronization source.
+    pub ssrc: Arg<u64>,
+    /// Sequence number.
+    pub seq: Arg<u64>,
+    /// Timestamp.
+    pub ts: Arg<u64>,
+    /// Payload type.
+    pub pt: Arg<u64>,
+    /// Bytes on the wire, UDP/IP headers included.
+    pub size: Arg<u64>,
+}
+
+static RTP_ARGS: LazyLock<(Schema, RtpArgs)> = LazyLock::new(|| {
+    let mut s = Schema::args();
+    let args = RtpArgs {
+        src_ip: s.arg(sym::SRC_IP),
+        dst_ip: s.arg(sym::DST_IP),
+        src_port: s.arg(sym::SRC_PORT),
+        dst_port: s.arg(sym::DST_PORT),
+        ssrc: s.arg(sym::SSRC),
+        seq: s.arg(sym::SEQ),
+        ts: s.arg(sym::TS),
+        pt: s.arg(sym::PT),
+        size: s.arg(sym::SIZE),
+    };
+    (s, args)
+});
+
+impl RtpArgs {
+    /// The handles.
+    pub fn get() -> &'static RtpArgs {
+        &RTP_ARGS.1
+    }
+
+    /// The schema the handles index.
+    pub fn schema() -> &'static Schema {
+        &RTP_ARGS.0
+    }
+
+    /// An RTP event named `name`, no argument set yet.
+    pub fn event(name: impl Into<Sym>) -> Event {
+        Event::new(name, RtpArgs::schema())
+    }
+
+    /// The destination coordinates: the media-index key.
+    pub fn dst(&self, event: &Event) -> (Sym, u64) {
+        (
+            event.get(self.dst_ip).unwrap_or_default(),
+            event.get(self.dst_port).unwrap_or(0),
+        )
+    }
 }
 
 /// The call globals (Fig. 2's `v.g_…`): the media coordinates and codec the

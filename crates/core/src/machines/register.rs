@@ -15,41 +15,46 @@
 //! re-registering or moving) stay legitimate.
 
 use vids_efsm::machine::{ActionCtx, MachineDef, PredicateCtx};
-use vids_efsm::{sym, Sym, Var};
+use vids_efsm::{Sym, Var};
 
 use crate::alert::labels;
-use crate::machines::sym_or_empty;
+use crate::machines::{sym_or_empty, SipArgs};
 
 /// Name of the per-AOR registration machine.
 pub const REGISTER_MACHINE: &str = "register";
 
-/// The binding an AOR's machine keeps.
+/// The binding an AOR's machine keeps, and the handles of the REGISTER
+/// arguments it reads.
 #[derive(Debug, Clone, Copy)]
 struct Binding {
     owner_ip: Var<Sym>,
     contact_ip: Var<Sym>,
+    x: SipArgs,
 }
 
 fn same_owner(ctx: &PredicateCtx<'_>, b: Binding) -> bool {
-    ctx.get(b.owner_ip) == Some(sym_or_empty(ctx.event, sym::SRC_IP))
+    ctx.get(b.owner_ip) == Some(sym_or_empty(ctx.event, b.x.src_ip))
 }
 
-fn is_deregister(ctx: &PredicateCtx<'_>) -> bool {
-    ctx.event.uint_arg(sym::EXPIRES) == Some(0)
+fn is_deregister(ctx: &PredicateCtx<'_>, b: Binding) -> bool {
+    ctx.event.get(b.x.expires) == Some(0)
 }
 
 fn store_binding(ctx: &mut ActionCtx<'_>, b: Binding) {
-    ctx.set(b.owner_ip, sym_or_empty(ctx.event, sym::SRC_IP));
-    ctx.set(b.contact_ip, sym_or_empty(ctx.event, sym::CONTACT_IP));
+    ctx.set(b.owner_ip, sym_or_empty(ctx.event, b.x.src_ip));
+    ctx.set(b.contact_ip, sym_or_empty(ctx.event, b.x.contact_ip));
 }
 
 /// Builds the per-AOR registration machine.
 pub fn registration_machine() -> MachineDef {
     let mut def = MachineDef::new(REGISTER_MACHINE);
+    def.reads(SipArgs::schema());
     let b = Binding {
         owner_ip: def.local("l_owner_ip"),
         contact_ip: def.local("l_contact_ip"),
+        x: *SipArgs::get(),
     };
+    let is_deregister = move |ctx: &PredicateCtx<'_>| is_deregister(ctx, b);
     let init = def.add_state("UNBOUND");
     let bound = def.add_state("BOUND");
     let hijack = def.add_state("REGISTRATION_HIJACK_DETECTED");
@@ -58,7 +63,7 @@ pub fn registration_machine() -> MachineDef {
 
     // First registration binds the AOR and records its owner.
     def.add_transition(init, "SIP.REGISTER", bound)
-        .predicate(|ctx| !is_deregister(ctx))
+        .predicate(move |ctx| !is_deregister(ctx))
         .action(move |ctx| store_binding(ctx, b))
         .label("AOR bound");
     // De-register while unbound: harmless no-op.
@@ -101,10 +106,10 @@ mod tests {
     use vids_efsm::Event;
 
     fn register(src: &str, contact: &str, expires: u64) -> Event {
-        Event::data("SIP.REGISTER")
-            .with_str("src_ip", src)
-            .with_str("contact_ip", contact)
-            .with_uint("expires", expires)
+        SipArgs::event("SIP.REGISTER")
+            .with_named("src_ip", src)
+            .with_named("contact_ip", contact)
+            .with_named("expires", expires)
     }
 
     fn net() -> (Network, vids_efsm::network::MachineId) {

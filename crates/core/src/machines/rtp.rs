@@ -14,7 +14,7 @@ use vids_efsm::{sym, Event, Sym, Var};
 use crate::alert::labels;
 use crate::config::Config;
 use crate::machines::{
-    CallGlobals, DELTA_BYE, DELTA_OPEN, DELTA_REOPEN, DELTA_UPDATE, RTP_MACHINE,
+    CallGlobals, RtpArgs, DELTA_BYE, DELTA_OPEN, DELTA_REOPEN, DELTA_UPDATE, RTP_MACHINE,
 };
 
 /// Timer name for the in-flight drain window (Fig. 5's `T`).
@@ -33,12 +33,14 @@ struct DirVars {
 }
 
 /// The RTP machine's variables: a cursor per direction and the call
-/// globals the SIP machine publishes.
+/// globals the SIP machine publishes — and the handles of the event
+/// arguments it reads.
 #[derive(Debug, Clone, Copy)]
 struct RtpVars {
     fwd: DirVars,
     rev: DirVars,
     g: CallGlobals,
+    x: RtpArgs,
 }
 
 /// The direction of a media packet relative to the negotiated endpoints.
@@ -47,7 +49,7 @@ struct RtpVars {
 /// transition predicate, so it must not hash a name string or take the
 /// interner lock.
 fn direction_of(ctx: &PredicateCtx<'_>, v: RtpVars) -> Option<DirVars> {
-    let src = ctx.event.sym_arg(sym::SRC_IP)?;
+    let src = ctx.event.get(v.x.src_ip)?;
     if src == sym::EMPTY {
         return None;
     }
@@ -64,7 +66,7 @@ fn direction_of(ctx: &PredicateCtx<'_>, v: RtpVars) -> Option<DirVars> {
 /// source: caller-side is FWD, anything else is REV.
 fn dir_or_rev(event: &Event, caller_media_ip: Option<Sym>, v: RtpVars) -> DirVars {
     let caller = event
-        .sym_arg(sym::SRC_IP)
+        .get(v.x.src_ip)
         .is_some_and(|src| caller_media_ip == Some(src));
     if caller {
         v.fwd
@@ -75,7 +77,7 @@ fn dir_or_rev(event: &Event, caller_media_ip: Option<Sym>, v: RtpVars) -> DirVar
 
 fn payload_type_ok(ctx: &PredicateCtx<'_>, v: RtpVars) -> bool {
     match ctx.get(v.g.codec_pt) {
-        Some(pt) if pt != 255 => ctx.event.uint_arg(sym::PT) == Some(pt),
+        Some(pt) if pt != 255 => ctx.event.get(v.x.pt) == Some(pt),
         // No codec negotiated (SDP-less signaling): accept any.
         _ => true,
     }
@@ -125,9 +127,9 @@ fn classify_packet(
     if !payload_type_ok(ctx, v) {
         return PacketClass::CodecViolation;
     }
-    let ssrc = ctx.event.uint_arg(sym::SSRC).unwrap_or(0);
-    let seq = ctx.event.uint_arg(sym::SEQ).unwrap_or(0);
-    let ts = ctx.event.uint_arg(sym::TS).unwrap_or(0);
+    let ssrc = ctx.event.get(v.x.ssrc).unwrap_or(0);
+    let seq = ctx.event.get(v.x.seq).unwrap_or(0);
+    let ts = ctx.event.get(v.x.ts).unwrap_or(0);
     match known_stream(ctx, dir) {
         None => PacketClass::FirstOfDirection,
         Some((k_ssrc, k_seq, k_ts)) => {
@@ -148,9 +150,9 @@ fn classify_packet(
 fn update_stream_vars(ctx: &mut ActionCtx<'_>, v: RtpVars) {
     let dir = dir_or_rev(ctx.event, ctx.get(v.g.caller_media_ip), v);
     let ev = ctx.event;
-    ctx.set(dir.ssrc, ev.uint_arg(sym::SSRC).unwrap_or(0));
-    ctx.set(dir.seq, ev.uint_arg(sym::SEQ).unwrap_or(0));
-    ctx.set(dir.ts, ev.uint_arg(sym::TS).unwrap_or(0));
+    ctx.set(dir.ssrc, ev.get(v.x.ssrc).unwrap_or(0));
+    ctx.set(dir.seq, ev.get(v.x.seq).unwrap_or(0));
+    ctx.set(dir.ts, ev.get(v.x.ts).unwrap_or(0));
     ctx.increment(dir.count);
 }
 
@@ -170,6 +172,7 @@ pub fn rtp_session_machine(config: &Config) -> MachineDef {
     let mut def = MachineDef::new(RTP_MACHINE);
     let (globals, g) = CallGlobals::declare();
     def.share_globals(&globals);
+    def.reads(RtpArgs::schema());
     let mut cursor = |ssrc, seq, ts, count| DirVars {
         ssrc: def.local(ssrc),
         seq: def.local(seq),
@@ -188,7 +191,12 @@ pub fn rtp_session_machine(config: &Config) -> MachineDef {
         sym::L_REV_TS,
         sym::L_REV_COUNT,
     );
-    let v = RtpVars { fwd, rev, g };
+    let v = RtpVars {
+        fwd,
+        rev,
+        g,
+        x: *RtpArgs::get(),
+    };
     let class = move |ctx: &PredicateCtx<'_>| classify_packet(ctx, v, seq_thresh, ts_thresh);
     let init = def.add_state("INIT");
     let open = def.add_state("RTP_OPEN");
@@ -354,16 +362,16 @@ mod tests {
     }
 
     fn rtp_packet(src: &str, ssrc: u64, seq: u64, ts: u64, pt: u64) -> Event {
-        Event::data("RTP.Packet")
-            .with_str("src_ip", src)
-            .with_uint("src_port", 20_000)
-            .with_str("dst_ip", CALLEE_IP)
-            .with_uint("dst_port", 30_000)
-            .with_uint("ssrc", ssrc)
-            .with_uint("seq", seq)
-            .with_uint("ts", ts)
-            .with_uint("pt", pt)
-            .with_uint("size", 50)
+        RtpArgs::event("RTP.Packet")
+            .with_named("src_ip", src)
+            .with_named("src_port", 20_000u64)
+            .with_named("dst_ip", CALLEE_IP)
+            .with_named("dst_port", 30_000u64)
+            .with_named("ssrc", ssrc)
+            .with_named("seq", seq)
+            .with_named("ts", ts)
+            .with_named("pt", pt)
+            .with_named("size", 50u64)
     }
 
     #[test]

@@ -7,20 +7,21 @@
 //! perspective: it observes both directions of the perimeter traffic.
 
 use vids_efsm::machine::{ActionCtx, MachineDef, PredicateCtx};
-use vids_efsm::{sym, Event, Sym, Value, Var};
+use vids_efsm::{sym, Event, Sym, Var};
 
 use crate::alert::labels;
 use crate::config::Config;
 use crate::machines::{
-    sym_or_empty, CallGlobals, DELTA_BYE, DELTA_OPEN, DELTA_REOPEN, DELTA_UPDATE, RTP_MACHINE,
-    SIP_MACHINE,
+    sym_or_empty, CallGlobals, SipArgs, DELTA_BYE, DELTA_OPEN, DELTA_REOPEN, DELTA_UPDATE,
+    RTP_MACHINE, SIP_MACHINE,
 };
 
 /// Timer name for the teardown/failure linger.
 pub const TIMER_LINGER: &str = "T_linger";
 
 /// The SIP machine's variables: its locals (Fig. 2: Call-ID, branch, tags,
-/// endpoints) and the call globals it publishes.
+/// endpoints) and the call globals it publishes — and the handles of the
+/// event arguments it reads.
 #[derive(Debug, Clone, Copy)]
 struct SipVars {
     call_id: Var<Sym>,
@@ -30,60 +31,50 @@ struct SipVars {
     caller_ip: Var<Sym>,
     callee_ip: Var<Sym>,
     g: CallGlobals,
+    x: SipArgs,
+}
+
+fn has_sdp(ev: &Event, v: SipVars) -> bool {
+    ev.get(v.x.has_sdp) == Some(true)
 }
 
 fn store_invite_vars(ctx: &mut ActionCtx<'_>, v: SipVars) {
     let ev = ctx.event;
-    ctx.set(v.call_id, sym_or_empty(ev, sym::CALL_ID));
-    ctx.set(v.branch, sym_or_empty(ev, sym::BRANCH));
-    ctx.set(v.from_tag, sym_or_empty(ev, sym::FROM_TAG));
-    ctx.set(v.caller_ip, sym_or_empty(ev, sym::SRC_IP));
-    ctx.set(v.callee_ip, sym_or_empty(ev, sym::DST_IP));
+    ctx.set(v.call_id, sym_or_empty(ev, v.x.call_id));
+    ctx.set(v.branch, sym_or_empty(ev, v.x.branch));
+    ctx.set(v.from_tag, sym_or_empty(ev, v.x.from_tag));
+    ctx.set(v.caller_ip, sym_or_empty(ev, v.x.src_ip));
+    ctx.set(v.callee_ip, sym_or_empty(ev, v.x.dst_ip));
     // Global variables: the caller's offered media coordinates.
-    if ev.bool_arg(sym::HAS_SDP) {
+    if has_sdp(ev, v) {
         publish_caller_media(ctx, v);
-        ctx.set(v.g.codec_pt, ev.uint_arg(sym::SDP_PT).unwrap_or(255));
+        ctx.set(v.g.codec_pt, ev.get(v.x.sdp_pt).unwrap_or(255));
     }
 }
 
 fn publish_caller_media(ctx: &mut ActionCtx<'_>, v: SipVars) {
     let ev = ctx.event;
-    ctx.set(v.g.caller_media_ip, sym_or_empty(ev, sym::SDP_IP));
-    ctx.set(
-        v.g.caller_media_port,
-        ev.uint_arg(sym::SDP_PORT).unwrap_or(0),
-    );
+    ctx.set(v.g.caller_media_ip, sym_or_empty(ev, v.x.sdp_ip));
+    ctx.set(v.g.caller_media_port, ev.get(v.x.sdp_port).unwrap_or(0));
 }
 
 fn store_answer_vars(ctx: &mut ActionCtx<'_>, v: SipVars) {
     let ev = ctx.event;
-    ctx.set(v.to_tag, sym_or_empty(ev, sym::TO_TAG));
-    if ev.bool_arg(sym::HAS_SDP) {
-        ctx.set(v.g.callee_media_ip, sym_or_empty(ev, sym::SDP_IP));
-        ctx.set(
-            v.g.callee_media_port,
-            ev.uint_arg(sym::SDP_PORT).unwrap_or(0),
-        );
+    ctx.set(v.to_tag, sym_or_empty(ev, v.x.to_tag));
+    if has_sdp(ev, v) {
+        ctx.set(v.g.callee_media_ip, sym_or_empty(ev, v.x.sdp_ip));
+        ctx.set(v.g.callee_media_port, ev.get(v.x.sdp_port).unwrap_or(0));
     }
 }
 
-fn is_invite_cseq(ctx: &PredicateCtx<'_>) -> bool {
-    ctx.event.sym_arg(sym::CSEQ_METHOD) == Some(sym::METHOD_INVITE)
-}
-
-fn is_cancel_cseq(ctx: &PredicateCtx<'_>) -> bool {
-    ctx.event.sym_arg(sym::CSEQ_METHOD) == Some(sym::METHOD_CANCEL)
-}
-
-fn is_bye_cseq(ctx: &PredicateCtx<'_>) -> bool {
-    ctx.event.sym_arg(sym::CSEQ_METHOD) == Some(sym::METHOD_BYE)
+/// Whether the event's CSeq names `method`.
+fn cseq_is(ctx: &PredicateCtx<'_>, v: SipVars, method: Sym) -> bool {
+    ctx.event.get(v.x.cseq_method) == Some(method)
 }
 
 /// Whether the event's To tag is absent or empty (initial-INVITE shape).
-fn to_tag_empty(ctx: &PredicateCtx<'_>) -> bool {
-    ctx.event
-        .arg(sym::TO_TAG)
-        .is_none_or(|tag| *tag == Value::Sym(sym::EMPTY))
+fn to_tag_empty(ctx: &PredicateCtx<'_>, v: SipVars) -> bool {
+    sym_or_empty(ctx.event, v.x.to_tag) == sym::EMPTY
 }
 
 /// Whether the event's From/To tags identify the monitored dialog, in
@@ -91,8 +82,8 @@ fn to_tag_empty(ctx: &PredicateCtx<'_>) -> bool {
 /// to the monitor; an empty stored tag matches anything. Symbol
 /// comparisons are O(1) id compares.
 fn tags_consistent(ctx: &PredicateCtx<'_>, v: SipVars) -> bool {
-    let from = sym_or_empty(ctx.event, sym::FROM_TAG);
-    let to = sym_or_empty(ctx.event, sym::TO_TAG);
+    let from = sym_or_empty(ctx.event, v.x.from_tag);
+    let to = sym_or_empty(ctx.event, v.x.to_tag);
     let l_from = ctx.get(v.from_tag).unwrap_or(sym::EMPTY);
     let l_to = ctx.get(v.to_tag).unwrap_or(sym::EMPTY);
     let m = |a: Sym, b: Sym| a == sym::EMPTY || b == sym::EMPTY || a == b;
@@ -105,10 +96,10 @@ fn tags_consistent(ctx: &PredicateCtx<'_>, v: SipVars) -> bool {
 /// in earlier SDP bodies (the call-global variables) — *not* the packet's
 /// source/destination, which at the monitoring point are proxy hops.
 fn sdp_on_dialog_parties(ctx: &PredicateCtx<'_>, v: SipVars) -> bool {
-    if !ctx.event.bool_arg(sym::HAS_SDP) {
+    if !has_sdp(ctx.event, v) {
         return true;
     }
-    let sdp_ip = sym_or_empty(ctx.event, sym::SDP_IP);
+    let sdp_ip = sym_or_empty(ctx.event, v.x.sdp_ip);
     let declared = |ip: Var<Sym>| ctx.get(ip).unwrap_or(sym::EMPTY);
     sdp_ip == declared(v.g.caller_media_ip) || sdp_ip == declared(v.g.callee_media_ip)
 }
@@ -119,6 +110,7 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
     let mut def = MachineDef::new(SIP_MACHINE);
     let (globals, g) = CallGlobals::declare();
     def.share_globals(&globals);
+    def.reads(SipArgs::schema());
     let v = SipVars {
         call_id: def.local(sym::L_CALL_ID),
         branch: def.local(sym::L_BRANCH),
@@ -127,7 +119,12 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         caller_ip: def.local(sym::L_CALLER_IP),
         callee_ip: def.local(sym::L_CALLEE_IP),
         g,
+        x: *SipArgs::get(),
     };
+    let to_tag_empty = move |ctx: &PredicateCtx<'_>| to_tag_empty(ctx, v);
+    let is_invite_cseq = move |ctx: &PredicateCtx<'_>| cseq_is(ctx, v, sym::METHOD_INVITE);
+    let is_cancel_cseq = move |ctx: &PredicateCtx<'_>| cseq_is(ctx, v, sym::METHOD_CANCEL);
+    let is_bye_cseq = move |ctx: &PredicateCtx<'_>| cseq_is(ctx, v, sym::METHOD_BYE);
 
     let init = def.add_state("INIT");
     let invite_rcvd = def.add_state("INVITE_RCVD");
@@ -161,7 +158,7 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         .label("INVITE retransmission");
     def.add_transition(invite_rcvd, "SIP.1xx", proceeding)
         .action(move |ctx| {
-            let tag = sym_or_empty(ctx.event, sym::TO_TAG);
+            let tag = sym_or_empty(ctx.event, v.x.to_tag);
             if tag != sym::EMPTY {
                 ctx.set(v.to_tag, tag);
             }
@@ -245,7 +242,7 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
             !to_tag_empty(ctx) && tags_consistent(ctx, v) && sdp_on_dialog_parties(ctx, v)
         })
         .action(move |ctx| {
-            if ctx.event.bool_arg(sym::HAS_SDP) {
+            if has_sdp(ctx.event, v) {
                 // The media may move within the parties: refresh globals.
                 publish_caller_media(ctx, v);
                 ctx.send_sync(RTP_MACHINE, Event::sync(DELTA_UPDATE));
@@ -338,54 +335,54 @@ mod tests {
     }
 
     fn invite_event() -> Event {
-        Event::data("SIP.INVITE")
-            .with_str("call_id", "c1")
-            .with_str("from_tag", "ft")
-            .with_str("to_tag", "")
-            .with_str("branch", "z9hG4bKx")
-            .with_str("src_ip", "10.1.0.10")
-            .with_str("dst_ip", "10.2.0.10")
-            .with_str("cseq_method", "INVITE")
-            .with_uint("cseq", 1)
-            .with_bool("has_sdp", true)
-            .with_str("sdp_ip", "10.1.0.10")
-            .with_uint("sdp_port", 20_000)
-            .with_uint("sdp_pt", 18)
+        SipArgs::event("SIP.INVITE")
+            .with_named("call_id", "c1")
+            .with_named("from_tag", "ft")
+            .with_named("to_tag", "")
+            .with_named("branch", "z9hG4bKx")
+            .with_named("src_ip", "10.1.0.10")
+            .with_named("dst_ip", "10.2.0.10")
+            .with_named("cseq_method", "INVITE")
+            .with_named("cseq", 1u64)
+            .with_named("has_sdp", true)
+            .with_named("sdp_ip", "10.1.0.10")
+            .with_named("sdp_port", 20_000u64)
+            .with_named("sdp_pt", 18u64)
     }
 
     fn ok_event(cseq_method: &str) -> Event {
-        Event::data("SIP.2xx")
-            .with_str("call_id", "c1")
-            .with_str("from_tag", "ft")
-            .with_str("to_tag", "tt")
-            .with_str("cseq_method", cseq_method)
-            .with_uint("status", 200)
-            .with_bool("has_sdp", cseq_method == "INVITE")
-            .with_str("sdp_ip", "10.2.0.10")
-            .with_uint("sdp_port", 30_000)
+        SipArgs::event("SIP.2xx")
+            .with_named("call_id", "c1")
+            .with_named("from_tag", "ft")
+            .with_named("to_tag", "tt")
+            .with_named("cseq_method", cseq_method)
+            .with_named("status", 200u64)
+            .with_named("has_sdp", cseq_method == "INVITE")
+            .with_named("sdp_ip", "10.2.0.10")
+            .with_named("sdp_port", 30_000u64)
     }
 
     fn bye_event(from_tag: &str, to_tag: &str) -> Event {
-        Event::data("SIP.BYE")
-            .with_str("call_id", "c1")
-            .with_str("from_tag", from_tag)
-            .with_str("to_tag", to_tag)
-            .with_str("cseq_method", "BYE")
+        SipArgs::event("SIP.BYE")
+            .with_named("call_id", "c1")
+            .with_named("from_tag", from_tag)
+            .with_named("to_tag", to_tag)
+            .with_named("cseq_method", "BYE")
     }
 
     #[test]
     fn normal_call_walks_to_terminated() {
         let (mut net, id) = sip_only_network();
-        let ringing = Event::data("SIP.1xx")
-            .with_str("to_tag", "tt")
-            .with_str("cseq_method", "INVITE");
+        let ringing = SipArgs::event("SIP.1xx")
+            .with_named("to_tag", "tt")
+            .with_named("cseq_method", "INVITE");
         for (i, ev) in [
             invite_event(),
             ringing,
             ok_event("INVITE"),
-            Event::data("SIP.ACK")
-                .with_str("from_tag", "ft")
-                .with_str("to_tag", "tt"),
+            SipArgs::event("SIP.ACK")
+                .with_named("from_tag", "ft")
+                .with_named("to_tag", "tt"),
             bye_event("ft", "tt"),
             ok_event("BYE"),
         ]
@@ -450,9 +447,9 @@ mod tests {
         let (mut net, id) = sip_only_network();
         net.deliver(id, invite_event(), 0);
         net.deliver(id, ok_event("INVITE"), 10);
-        let cancel = Event::data("SIP.CANCEL")
-            .with_str("from_tag", "ft")
-            .with_str("cseq_method", "CANCEL");
+        let cancel = SipArgs::event("SIP.CANCEL")
+            .with_named("from_tag", "ft")
+            .with_named("cseq_method", "CANCEL");
         let out = net.deliver(id, cancel, 20);
         assert_eq!(out.alerts[0].label, labels::SPOOFED_CANCEL);
     }
@@ -461,15 +458,15 @@ mod tests {
     fn cancel_during_setup_is_legitimate() {
         let (mut net, id) = sip_only_network();
         net.deliver(id, invite_event(), 0);
-        let cancel = Event::data("SIP.CANCEL")
-            .with_str("from_tag", "ft")
-            .with_str("cseq_method", "CANCEL");
+        let cancel = SipArgs::event("SIP.CANCEL")
+            .with_named("from_tag", "ft")
+            .with_named("cseq_method", "CANCEL");
         let out = net.deliver(id, cancel, 5);
         assert!(!out.is_suspicious());
         // 487 + ACK complete the teardown.
-        let terminated = Event::data("SIP.failure")
-            .with_str("cseq_method", "INVITE")
-            .with_uint("status", 487);
+        let terminated = SipArgs::event("SIP.failure")
+            .with_named("cseq_method", "INVITE")
+            .with_named("status", 487u64);
         net.deliver(id, terminated, 6);
         let out = net.deliver(id, Event::data("SIP.ACK"), 7);
         assert!(!out.is_suspicious());
@@ -482,14 +479,14 @@ mod tests {
         net.deliver(id, invite_event(), 0);
         net.deliver(id, ok_event("INVITE"), 10);
         // In-dialog re-INVITE redirecting media to a foreign host.
-        let hijack = Event::data("SIP.INVITE")
-            .with_str("call_id", "c1")
-            .with_str("from_tag", "ft")
-            .with_str("to_tag", "tt")
-            .with_str("cseq_method", "INVITE")
-            .with_bool("has_sdp", true)
-            .with_str("sdp_ip", "10.0.0.10")
-            .with_uint("sdp_port", 44_000);
+        let hijack = SipArgs::event("SIP.INVITE")
+            .with_named("call_id", "c1")
+            .with_named("from_tag", "ft")
+            .with_named("to_tag", "tt")
+            .with_named("cseq_method", "INVITE")
+            .with_named("has_sdp", true)
+            .with_named("sdp_ip", "10.0.0.10")
+            .with_named("sdp_port", 44_000u64);
         let out = net.deliver(id, hijack, 20);
         assert_eq!(out.alerts[0].label, labels::CALL_HIJACK);
     }
@@ -499,14 +496,14 @@ mod tests {
         let (mut net, id) = sip_only_network();
         net.deliver(id, invite_event(), 0);
         net.deliver(id, ok_event("INVITE"), 10);
-        let reinvite = Event::data("SIP.INVITE")
-            .with_str("call_id", "c1")
-            .with_str("from_tag", "ft")
-            .with_str("to_tag", "tt")
-            .with_str("cseq_method", "INVITE")
-            .with_bool("has_sdp", true)
-            .with_str("sdp_ip", "10.1.0.10")
-            .with_uint("sdp_port", 22_000);
+        let reinvite = SipArgs::event("SIP.INVITE")
+            .with_named("call_id", "c1")
+            .with_named("from_tag", "ft")
+            .with_named("to_tag", "tt")
+            .with_named("cseq_method", "INVITE")
+            .with_named("has_sdp", true)
+            .with_named("sdp_ip", "10.1.0.10")
+            .with_named("sdp_port", 22_000u64);
         let out = net.deliver(id, reinvite, 20);
         assert!(!out.is_suspicious());
         assert!(!out.nondeterministic);
@@ -537,9 +534,9 @@ mod tests {
     fn rejected_call_terminates_after_ack() {
         let (mut net, id) = sip_only_network();
         net.deliver(id, invite_event(), 0);
-        let busy = Event::data("SIP.failure")
-            .with_str("cseq_method", "INVITE")
-            .with_uint("status", 486);
+        let busy = SipArgs::event("SIP.failure")
+            .with_named("cseq_method", "INVITE")
+            .with_named("status", 486u64);
         net.deliver(id, busy, 5);
         let out = net.deliver(id, Event::data("SIP.ACK"), 6);
         assert!(!out.is_suspicious());

@@ -65,6 +65,7 @@ use crate::config::Config;
 use crate::cost::{CostModel, CpuAccount};
 use crate::engine::{Vids, VidsCounters, SWEEP_INTERVAL_MS};
 use crate::factbase::FactBaseStats;
+use crate::machines::{RtpArgs, SipArgs};
 use crate::monitor::Monitor;
 use crate::sink::AlertSink;
 
@@ -83,6 +84,10 @@ type MergeKey = (usize, u8, Sym, u32);
 
 /// One shard-pinned routed part, stamped with packet index and clamped time.
 type Routed = (usize, u64, Part);
+
+// Sizes are facts: a pipeline epoch queues one of these per datagram and
+// shard, and the queues' growth is most of what a live session requests.
+const _: () = assert!(std::mem::size_of::<Routed>() <= 176);
 
 /// FNV-1a: a fixed, platform-independent hash so call→shard placement is
 /// deterministic (std's `RandomState` would randomize it per process).
@@ -198,6 +203,10 @@ pub struct PreRouted {
     hint: RouteHint,
 }
 
+// Sizes are facts: receivers batch one of these per datagram, and the
+// pipeline queues what it carries once per shard hop.
+const _: () = assert!(std::mem::size_of::<PreRouted>() <= 184);
+
 impl PreRouted {
     /// Stamps a classified datagram with its routing hashes. Allocation-free
     /// once the classifier has interned the datagram's symbols.
@@ -225,9 +234,8 @@ pub fn route_hint(c: &Classified) -> RouteHint {
             ..
         } => {
             if event.name == sym::SIP_REGISTER {
-                let aor = event.str_arg("aor").unwrap_or("");
                 RouteHint {
-                    call: fnv1a(aor.as_bytes()),
+                    call: fnv1a(aor(event).as_bytes()),
                     flood: 0,
                 }
             } else {
@@ -247,12 +255,16 @@ pub fn route_hint(c: &Classified) -> RouteHint {
     }
 }
 
+/// The address-of-record a REGISTER is routed by (`""` when it has none).
+fn aor(event: &Event) -> &'static str {
+    event.get(SipArgs::get().aor).unwrap_or(sym::EMPTY).as_str()
+}
+
 /// The media-coordinate fallback hash: where RTP that no call negotiated is
 /// routed, so any shard count flags the same packet as unassociated exactly
 /// once.
 fn media_hash(event: &Event) -> u64 {
-    let ip = event.sym_arg(sym::DST_IP).unwrap_or_default();
-    let port = event.uint_arg(sym::DST_PORT).unwrap_or(0);
+    let (ip, port) = RtpArgs::get().dst(event);
     let mut h = fnv1a(ip.as_str().as_bytes());
     for byte in port.to_le_bytes() {
         h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
@@ -879,10 +891,7 @@ impl VidsPool {
                     }
                     let shard = match hint {
                         Some(h) => shard_from_hash(h.call, n),
-                        None => {
-                            let aor = event.str_arg("aor").unwrap_or("");
-                            self.shard_of(aor.as_bytes())
-                        }
+                        None => self.shard_of(aor(&event).as_bytes()),
                     };
                     place(&mut self.shards, shard, Part::Register(event));
                     return;
@@ -901,11 +910,9 @@ impl VidsPool {
                     Some(h) => shard_from_hash(h.call, n),
                     None => self.shard_of(call_id.as_str().as_bytes()),
                 };
-                if n > 1 && event.bool_arg("has_sdp") {
-                    if let (Some(ip), Some(port)) =
-                        (event.sym_arg(sym::SDP_IP), event.uint_arg(sym::SDP_PORT))
-                    {
-                        self.media_to_shard.insert((ip, port), shard);
+                if n > 1 {
+                    if let Some(media) = SipArgs::get().sdp_media(&event) {
+                        self.media_to_shard.insert(media, shard);
                     }
                 }
                 let part = Part::Call {
@@ -921,10 +928,8 @@ impl VidsPool {
                 let shard = if n == 1 {
                     0
                 } else {
-                    let ip = event.sym_arg(sym::DST_IP).unwrap_or_default();
-                    let port = event.uint_arg(sym::DST_PORT).unwrap_or(0);
                     self.media_to_shard
-                        .get(&(ip, port))
+                        .get(&RtpArgs::get().dst(&event))
                         .copied()
                         .unwrap_or_else(|| {
                             // No call negotiated these coordinates: route by
@@ -2079,8 +2084,10 @@ mod tests {
                 } => {
                     sip += 1;
                     if event.name == sym::SIP_REGISTER {
-                        let aor = event.str_arg("aor").unwrap_or("");
-                        assert_eq!(shard_from_hash(hint.call, 8), pool.shard_of(aor.as_bytes()));
+                        assert_eq!(
+                            shard_from_hash(hint.call, 8),
+                            pool.shard_of(aor(event).as_bytes())
+                        );
                     } else {
                         assert_eq!(
                             shard_from_hash(hint.call, 8),

@@ -2,8 +2,9 @@
 
 use std::fmt;
 
-use crate::intern::{Sym, SymKey};
-use crate::value::{Value, VarMap, EVENT_ARGS_INLINE};
+use crate::intern::Sym;
+use crate::value::Value;
+use crate::vars::{read_word, Arg, Schema, VarKind, VarType, Vars, MAX_ARGS, NO_ARGS};
 
 /// How an event reached the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -29,144 +30,177 @@ impl fmt::Display for EventKind {
     }
 }
 
-/// An event's argument vector `x̄`: a [`VarMap`] sized so that nothing the
-/// classifier builds spills to the heap.
-pub type Args = VarMap<EVENT_ARGS_INLINE>;
-
 /// An input event: a name plus an argument vector `x̄`.
 ///
-/// Arguments are named values, mirroring the paper's use of fields like
-/// `x.src_ip` and `x.time_stamp` inside predicates. The name is an
-/// interned [`Sym`], so constructing, copying and matching an event never
-/// allocates for the name; steady-state argument vectors stay inline in
-/// the [`VarMap`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The arguments are the fields the paper's predicates read (`x.src_ip`,
+/// `x.time_stamp`), declared once per protocol in a schema of arguments
+/// ([`Schema::args`]) and stored positionally: one 8-byte word per
+/// declared argument and one presence bit per word, so an event is plain
+/// `Copy`-able data that never reaches the allocator. Hot code writes and
+/// reads through typed [`Arg`] handles ([`Event::set`], [`Event::get`]);
+/// names come back from the schema where people read them
+/// ([`Event::args`], `Display`).
+#[derive(Clone, Copy)]
 pub struct Event {
     /// The event identifier (e.g. `"SIP.INVITE"`, `"RTP.Packet"`, `"δ"`).
     pub name: Sym,
     /// How the event arrived.
     pub kind: EventKind,
-    /// The argument vector `x̄`.
-    pub args: Args,
+    /// Bit `i` set: argument `i` holds a value.
+    present: u16,
+    /// The schema declaring the arguments.
+    schema: &'static Schema,
+    /// Argument `i`'s word; zero while absent.
+    words: [u64; MAX_ARGS],
 }
 
 // Sizes are facts: an event is built, moved and queued per packet, and most
-// of it is the inline argument vector.
-const _: () = assert!(std::mem::size_of::<Event>() <= 288);
+// of it is the argument words.
+const _: () = assert!(std::mem::size_of::<Event>() <= 144);
 
 impl Event {
-    /// Creates a data-packet event with no arguments yet.
-    pub fn data(name: impl Into<Sym>) -> Self {
+    fn bare(name: Sym, kind: EventKind, schema: &'static Schema) -> Self {
         Event {
-            name: name.into(),
-            kind: EventKind::Data,
-            args: Args::default(),
+            name,
+            kind,
+            present: 0,
+            schema,
+            words: [0; MAX_ARGS],
         }
+    }
+
+    /// Creates a data-packet event whose arguments `schema` declares, none
+    /// of them set yet.
+    pub fn new(name: impl Into<Sym>, schema: &'static Schema) -> Self {
+        Event::bare(name.into(), EventKind::Data, schema)
+    }
+
+    /// Creates a data-packet event that carries no arguments.
+    pub fn data(name: impl Into<Sym>) -> Self {
+        Event::bare(name.into(), EventKind::Data, &NO_ARGS)
     }
 
     /// Creates a synchronization (δ) event.
     pub fn sync(name: impl Into<Sym>) -> Self {
-        Event {
-            name: name.into(),
-            kind: EventKind::Sync,
-            args: Args::default(),
-        }
+        Event::bare(name.into(), EventKind::Sync, &NO_ARGS)
     }
 
     /// Creates a timer-expiry event. The name is the timer's name.
     pub fn timer(name: impl Into<Sym>) -> Self {
-        Event {
-            name: name.into(),
-            kind: EventKind::Timer,
-            args: Args::default(),
-        }
+        Event::bare(name.into(), EventKind::Timer, &NO_ARGS)
     }
 
-    /// Adds an unsigned-integer argument, builder-style.
+    /// Sets an argument, replacing any value it held.
+    pub fn set<T: VarType>(&mut self, arg: Arg<T>, value: T) {
+        debug_assert_eq!(
+            arg.schema,
+            self.schema.args_id(),
+            "an argument of another schema"
+        );
+        self.words[arg.slot as usize] = value.to_word();
+        self.present |= 1 << arg.slot;
+    }
+
+    /// Sets an argument, builder-style.
     #[must_use]
-    pub fn with_uint(mut self, name: impl SymKey, value: u64) -> Self {
-        self.args.set(name, value);
+    pub fn with<T: VarType>(mut self, arg: Arg<T>, value: T) -> Self {
+        self.set(arg, value);
         self
     }
 
-    /// Adds a signed-integer argument, builder-style.
+    /// An argument's value, `None` while it is absent.
+    pub fn get<T: VarType>(&self, arg: Arg<T>) -> Option<T> {
+        debug_assert!(
+            self.present == 0 || arg.schema == self.schema.args_id(),
+            "an argument of another schema"
+        );
+        read_word(&self.words, self.present as u64, arg.slot as usize)
+    }
+
+    /// Sets the argument the schema declares under `name`, builder-style:
+    /// for tests and tooling that build events by name. The name is
+    /// resolved through the schema on every call; hot code uses
+    /// [`Event::set`] with a handle.
+    ///
+    /// # Panics
+    ///
+    /// When the schema declares no such argument, or declares it with
+    /// another type.
     #[must_use]
-    pub fn with_int(mut self, name: impl SymKey, value: i64) -> Self {
-        self.args.set(name, value);
+    pub fn with_named(mut self, name: &str, value: impl Into<Value>) -> Self {
+        let (slot, kind) = Sym::lookup(name)
+            .and_then(|name| self.schema.find(name))
+            .unwrap_or_else(|| panic!("no argument {name:?} is declared for {}", self.name));
+        let word = match (kind, value.into()) {
+            (VarKind::Int, Value::Int(v)) => v.to_word(),
+            (VarKind::Uint, Value::Uint(v)) => v,
+            (VarKind::Sym, Value::Sym(v)) => v.to_word(),
+            (VarKind::Bool, Value::Bool(v)) => v.to_word(),
+            (kind, value) => panic!("argument {name:?} is {kind}, not {value:?}"),
+        };
+        self.words[slot] = word;
+        self.present |= 1 << slot;
         self
     }
 
-    /// Adds a string argument, builder-style.
-    #[must_use]
-    pub fn with_str(mut self, name: impl SymKey, value: impl Into<String>) -> Self {
-        self.args.set(name, value.into());
-        self
-    }
-
-    /// Adds an interned-string argument, builder-style (allocation-free
-    /// for warm symbols).
-    #[must_use]
-    pub fn with_sym(mut self, name: impl SymKey, value: Sym) -> Self {
-        self.args.set(name, value);
-        self
-    }
-
-    /// Adds a boolean argument, builder-style.
-    #[must_use]
-    pub fn with_bool(mut self, name: impl SymKey, value: bool) -> Self {
-        self.args.set(name, value);
-        self
-    }
-
-    /// Adds an arbitrary argument, builder-style.
-    #[must_use]
-    pub fn with_arg(mut self, name: impl SymKey, value: impl Into<Value>) -> Self {
-        self.args.set(name, value);
-        self
-    }
-
-    /// Raw argument value shortcut, for actions that copy a value through
-    /// without caring about its type.
-    pub fn arg(&self, name: impl SymKey) -> Option<&Value> {
-        self.args.get(name)
-    }
-
-    /// Unsigned-integer argument shortcut.
-    pub fn uint_arg(&self, name: impl SymKey) -> Option<u64> {
-        self.args.uint(name)
-    }
-
-    /// Signed-integer argument shortcut.
-    pub fn int_arg(&self, name: impl SymKey) -> Option<i64> {
-        self.args.int(name)
-    }
-
-    /// String argument shortcut.
-    pub fn str_arg(&self, name: impl SymKey) -> Option<&str> {
-        self.args.str(name)
-    }
-
-    /// Interned-symbol argument shortcut.
-    pub fn sym_arg(&self, name: impl SymKey) -> Option<Sym> {
-        self.args.sym(name)
-    }
-
-    /// Boolean argument shortcut (false when absent).
-    pub fn bool_arg(&self, name: impl SymKey) -> bool {
-        self.args.flag(name)
+    /// The arguments by name, for people: tooling, rendering and tests.
+    pub fn args(&self) -> Vars<'_> {
+        Vars::new(self.schema, &self.words, self.present as u64)
     }
 }
 
+impl Default for Event {
+    fn default() -> Self {
+        Event::data(Sym::default())
+    }
+}
+
+/// Two events are equal when their names, kinds and set arguments are.
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.kind == other.kind
+            && self.present == other.present
+            && (self.present == 0 || self.schema.args_id() == other.schema.args_id())
+            && self.words == other.words
+    }
+}
+
+impl Eq for Event {}
+
+impl fmt::Debug for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Event")
+            .field("name", &self.name)
+            .field("kind", &self.kind)
+            .field("args", &self.args())
+            .finish()
+    }
+}
+
+/// `kind?name(k=v, …)`, the arguments in ascending symbol-id order of
+/// their names — the order alert details and `.vdump` files have always
+/// carried, whatever order a schema declares them in.
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}?{}(", self.kind, self.name)?;
-        let mut first = true;
-        for (k, v) in self.args.iter() {
-            if !first {
+        let mut order = [0u8; MAX_ARGS];
+        let mut len = 0;
+        for slot in 0..MAX_ARGS {
+            if self.present & (1 << slot) != 0 {
+                order[len] = slot as u8;
+                len += 1;
+            }
+        }
+        let order = &mut order[..len];
+        order.sort_unstable_by_key(|&slot| self.schema.name(slot as usize).id());
+        let args = self.args();
+        for (n, &slot) in order.iter().enumerate() {
+            if n > 0 {
                 f.write_str(", ")?;
             }
-            write!(f, "{k}={v}")?;
-            first = false;
+            let value = args.value(slot as usize).expect("a present slot");
+            write!(f, "{}={value}", self.schema.name(slot as usize))?;
         }
         f.write_str(")")
     }
@@ -175,21 +209,65 @@ impl fmt::Display for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::LazyLock;
+
+    struct TestArgs {
+        schema: Schema,
+        src_ip: Arg<Sym>,
+        src_port: Arg<u64>,
+        has_sdp: Arg<bool>,
+        delta: Arg<i64>,
+    }
+
+    // Declared out of symbol-id order, so rendering has to sort.
+    static ARGS: LazyLock<TestArgs> = LazyLock::new(|| {
+        let mut schema = Schema::args();
+        TestArgs {
+            delta: schema.arg("et_delta"),
+            has_sdp: schema.arg("has_sdp"),
+            src_port: schema.arg("src_port"),
+            src_ip: schema.arg("src_ip"),
+            schema,
+        }
+    });
+
+    fn event(name: &str) -> Event {
+        Event::new(name, &ARGS.schema)
+    }
 
     #[test]
-    fn builders_and_accessors() {
-        let ev = Event::data("SIP.INVITE")
-            .with_str("src_ip", "10.0.0.3")
-            .with_uint("src_port", 5060)
-            .with_bool("has_sdp", true)
-            .with_int("delta", -1);
+    fn handles_and_names_read_the_same_words() {
+        let a = &*ARGS;
+        let ev = event("SIP.INVITE")
+            .with(a.src_ip, Sym::intern("10.0.0.3"))
+            .with(a.src_port, 5060)
+            .with(a.has_sdp, true)
+            .with(a.delta, -1);
         assert_eq!(ev.kind, EventKind::Data);
         assert_eq!(ev.name, "SIP.INVITE");
-        assert_eq!(ev.str_arg("src_ip"), Some("10.0.0.3"));
-        assert_eq!(ev.uint_arg("src_port"), Some(5060));
-        assert!(ev.bool_arg("has_sdp"));
-        assert_eq!(ev.int_arg("delta"), Some(-1));
-        assert_eq!(ev.uint_arg("missing"), None);
+        assert_eq!(ev.get(a.src_ip), Some(Sym::intern("10.0.0.3")));
+        assert_eq!(ev.get(a.src_port), Some(5060));
+        assert_eq!(ev.get(a.has_sdp), Some(true));
+        assert_eq!(ev.get(a.delta), Some(-1));
+        assert_eq!(ev.args().str("src_ip"), Some("10.0.0.3"));
+        assert_eq!(ev.args().int("et_delta"), Some(-1));
+        assert_eq!(ev.args().get("missing"), None);
+        let by_name = event("SIP.INVITE")
+            .with_named("et_delta", -1i64)
+            .with_named("has_sdp", true)
+            .with_named("src_ip", "10.0.0.3")
+            .with_named("src_port", 5060u64);
+        assert_eq!(by_name, ev);
+    }
+
+    #[test]
+    fn absent_arguments_read_none() {
+        let a = &*ARGS;
+        let ev = event("go").with(a.src_port, 1);
+        assert_eq!(ev.get(a.src_ip), None);
+        assert_eq!(ev.args().len(), 1);
+        // An event that carries no arguments reads every handle as absent.
+        assert_eq!(Event::data("go").get(a.src_port), None);
     }
 
     #[test]
@@ -199,17 +277,29 @@ mod tests {
     }
 
     #[test]
-    fn display_is_csp_like() {
-        let ev = Event::data("go").with_uint("n", 1);
-        assert_eq!(ev.to_string(), "data?go(n=1)");
+    fn display_is_csp_like_in_symbol_id_order() {
+        let a = &*ARGS;
+        assert_eq!(event("go").to_string(), "data?go()");
+        let ev = event("go")
+            .with(a.delta, -2)
+            .with(a.src_ip, Sym::intern("10.0.0.3"))
+            .with(a.has_sdp, false);
+        // `src_ip` and `has_sdp` are pre-seeded, `et_delta` is not.
+        assert_eq!(
+            ev.to_string(),
+            "data?go(src_ip=\"10.0.0.3\", has_sdp=false, et_delta=-2)"
+        );
     }
 
     #[test]
-    fn sym_args_read_back_as_strings() {
-        let id = Sym::intern("event-test-call-1");
-        let ev = Event::data(crate::intern::sym::SIP_BYE).with_sym("call_id", id);
-        assert_eq!(ev.str_arg("call_id"), Some("event-test-call-1"));
-        assert_eq!(ev.sym_arg("call_id"), Some(id));
-        assert_eq!(ev.arg("call_id"), Some(&Value::Sym(id)));
+    #[should_panic(expected = "no argument")]
+    fn naming_an_undeclared_argument_panics() {
+        let _ = event("go").with_named("event-test-undeclared", 1u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "is uint")]
+    fn naming_an_argument_with_the_wrong_type_panics() {
+        let _ = event("go").with_named("src_port", true);
     }
 }

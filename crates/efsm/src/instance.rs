@@ -151,7 +151,7 @@ impl MachineInstance {
                 if event.kind != EventKind::Timer
                     && def.unmatched_policy() == UnmatchedPolicy::Deviation
                 {
-                    outcome.deviation = Some(event.clone());
+                    outcome.deviation = Some(*event);
                 }
             }
         }

@@ -14,7 +14,8 @@
 //!   in the paper's Fig. 2, read and written through typed [`vars::Var`]
 //!   handles, stored positionally in one frame per network.
 //! * [`event::Event`] — input alphabet Σ: data-packet events (`c?event(x̄)`),
-//!   whose arguments `x̄` are a small map by name ([`value::VarMap`]),
+//!   whose arguments `x̄` are a vector declared once per protocol
+//!   ([`vars::Schema::args`]) and read through typed [`vars::Arg`] handles,
 //!   internal synchronization events (δ), and timer expirations.
 //! * [`machine::MachineDef`] — a declarative builder for deterministic
 //!   EFSMs, with states annotated as *final* or *attack* states.
@@ -26,26 +27,36 @@
 //! * [`trace::Trace`] — a replayable record of every transition taken.
 //!
 //! ```
-//! use std::sync::Arc;
+//! use std::sync::{Arc, LazyLock};
 //! use vids_efsm::machine::MachineDef;
 //! use vids_efsm::network::Network;
 //! use vids_efsm::event::Event;
+//! use vids_efsm::vars::{Arg, Schema};
+//!
+//! // The toy protocol's one event argument, declared once.
+//! static TOY: LazyLock<(Schema, Arg<u64>)> = LazyLock::new(|| {
+//!     let mut args = Schema::args();
+//!     let n = args.arg("n");
+//!     (args, n)
+//! });
+//! let n = TOY.1;
 //!
 //! let mut def = MachineDef::new("toy");
+//! def.reads(&TOY.0);
 //! let count = def.local::<u64>("l_count");
 //! let init = def.add_state("INIT");
 //! let done = def.add_state("DONE");
 //! def.mark_final(done);
 //! def.add_transition(init, "go", done)
-//!     .predicate(|ctx| ctx.event.uint_arg("n").unwrap_or(0) > 0)
+//!     .predicate(move |ctx| ctx.event.get(n).unwrap_or(0) > 0)
 //!     .action(move |ctx| {
-//!         let n = ctx.event.uint_arg("n").unwrap();
+//!         let n = ctx.event.get(n).unwrap();
 //!         ctx.set(count, n);
 //!     });
 //!
 //! let mut net = Network::new();
 //! let toy = net.add_machine(Arc::new(def.build().unwrap()));
-//! let outcome = net.deliver(toy, Event::data("go").with_uint("n", 3), 0);
+//! let outcome = net.deliver(toy, Event::new("go", &TOY.0).with(n, 3), 0);
 //! assert_eq!(outcome.transitions, 1);
 //! assert!(net.all_final());
 //! assert_eq!(net.get(toy, count), Some(3));
@@ -63,7 +74,7 @@ pub mod value;
 pub mod vars;
 
 pub use analysis::{attack_paths, AttackPath};
-pub use event::{Args, Event, EventKind};
+pub use event::{Event, EventKind};
 pub use instance::{MachineInstance, StepOutcome};
 pub use intern::{sym, Sym, SymKey};
 pub use machine::{BuildError, MachineDef, StateId};
@@ -71,5 +82,5 @@ pub use network::{
     MachineId, Network, NetworkOutcome, NoopObserver, SoloNetwork, TransitionObserver,
 };
 pub use trace::{Trace, TraceEntry};
-pub use value::{InlineVec, Value, VarMap};
-pub use vars::{Schema, Var, VarKind, VarType, Vars};
+pub use value::{InlineVec, Value};
+pub use vars::{Arg, Schema, Var, VarKind, VarType, Vars};

@@ -168,6 +168,8 @@ pub struct MachineDef {
     locals: Schema,
     /// The globals it shares with the other machines of its network.
     globals: Option<Arc<Schema>>,
+    /// The schemas of the event arguments its transitions read.
+    reads: Vec<&'static Schema>,
     states: Vec<StateInfo>,
     /// Interned state names, populated by [`MachineDef::build`] so the
     /// observer hook can report transitions without allocating.
@@ -230,6 +232,7 @@ impl MachineDef {
             name: name.into(),
             locals: Schema::locals(),
             globals: None,
+            reads: Vec::new(),
             states: Vec::new(),
             state_syms: Vec::new(),
             transitions: Vec::new(),
@@ -263,6 +266,13 @@ impl MachineDef {
     /// every machine of one network must share the same schema.
     pub fn share_globals(&mut self, globals: &Arc<Schema>) {
         self.globals = Some(Arc::clone(globals));
+    }
+
+    /// Declares that the machine's predicates and actions read the event
+    /// arguments `args` declares, so that [`MachineDef::build`] checks them
+    /// against its variables.
+    pub fn reads(&mut self, args: &'static Schema) {
+        self.reads.push(args);
     }
 
     /// The machine's local variables.
@@ -374,6 +384,10 @@ impl MachineDef {
     /// * [`BuildError::ShadowedGlobal`] — a local named like a global.
     /// * [`BuildError::TooManyVariables`] — more than [`MAX_VARS`] locals
     ///   and globals together.
+    /// * [`BuildError::DuplicateArgument`] — an event argument the machine
+    ///   reads declared twice.
+    /// * [`BuildError::ShadowedVariable`] — an event argument the machine
+    ///   reads named like one of its locals or globals.
     pub fn build(mut self) -> Result<MachineDef, BuildError> {
         if self.states.is_empty() {
             return Err(BuildError::NoStates);
@@ -392,6 +406,17 @@ impl MachineDef {
         }
         if self.locals.len() + globals.len() > MAX_VARS {
             return Err(BuildError::TooManyVariables);
+        }
+        for args in &self.reads {
+            if let Some(name) = args.duplicate() {
+                return Err(BuildError::DuplicateArgument(name));
+            }
+            if let Some((name, _)) = args
+                .iter()
+                .find(|&(name, _)| self.locals.contains(name) || globals.contains(name))
+            {
+                return Err(BuildError::ShadowedVariable(name));
+            }
         }
         self.state_syms = self.states.iter().map(|s| Sym::intern(&s.name)).collect();
         self.built = true;
@@ -492,6 +517,10 @@ pub enum BuildError {
     ShadowedGlobal(Sym),
     /// More locals and globals than one frame holds ([`MAX_VARS`]).
     TooManyVariables,
+    /// An event argument is declared twice.
+    DuplicateArgument(Sym),
+    /// An event argument has the name of a local or a global.
+    ShadowedVariable(Sym),
 }
 
 impl fmt::Display for BuildError {
@@ -505,6 +534,10 @@ impl fmt::Display for BuildError {
             BuildError::ShadowedGlobal(name) => write!(f, "local {name} shadows a global"),
             BuildError::TooManyVariables => {
                 write!(f, "more than {MAX_VARS} locals and globals")
+            }
+            BuildError::DuplicateArgument(name) => write!(f, "argument {name} declared twice"),
+            BuildError::ShadowedVariable(name) => {
+                write!(f, "argument {name} shadows a variable")
             }
         }
     }
@@ -576,6 +609,56 @@ mod tests {
         let def = def.build().unwrap();
         assert_eq!(def.locals().len(), 1);
         assert_eq!(def.globals().len(), 1);
+    }
+
+    /// A schema of arguments for one test, kept for the process.
+    fn leaked(args: Schema) -> &'static Schema {
+        Box::leak(Box::new(args))
+    }
+
+    #[test]
+    fn build_rejects_an_argument_declared_twice() {
+        let mut args = Schema::args();
+        let _: crate::vars::Arg<u64> = args.arg("mt_twice");
+        let _: crate::vars::Arg<bool> = args.arg("mt_twice");
+        let mut def = MachineDef::new("m");
+        def.add_state("A");
+        def.reads(leaked(args));
+        assert_eq!(
+            def.build().unwrap_err(),
+            BuildError::DuplicateArgument(Sym::intern("mt_twice"))
+        );
+    }
+
+    #[test]
+    fn build_rejects_an_argument_shadowing_a_variable() {
+        let mut globals = Schema::globals();
+        let _: Var<u64> = globals.declare("mt_global");
+        let globals = Arc::new(globals);
+        for name in ["mt_local", "mt_global"] {
+            let mut args = Schema::args();
+            let _: crate::vars::Arg<u64> = args.arg(name);
+            let args = leaked(args);
+            let mut def = MachineDef::new("m");
+            def.add_state("A");
+            def.share_globals(&globals);
+            let _: Var<u64> = def.local("mt_local");
+            def.reads(args);
+            assert_eq!(
+                def.build().unwrap_err(),
+                BuildError::ShadowedVariable(Sym::intern(name)),
+                "{name}"
+            );
+        }
+
+        let mut args = Schema::args();
+        let _: crate::vars::Arg<u64> = args.arg("mt_arg");
+        let mut def = MachineDef::new("m");
+        def.add_state("A");
+        def.share_globals(&globals);
+        let _: Var<u64> = def.local("mt_local");
+        def.reads(leaked(args));
+        assert!(def.build().is_ok());
     }
 
     #[test]

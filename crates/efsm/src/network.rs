@@ -761,21 +761,46 @@ mod tests {
     /// Two-machine network mirroring Fig. 2: the "sip" machine receives an
     /// INVITE and synchronizes the "rtp" machine, which opens using the
     /// media port the sip machine published in the globals.
+    struct InviteArgs {
+        schema: Schema,
+        call_id: crate::vars::Arg<Sym>,
+        media_port: crate::vars::Arg<u64>,
+    }
+
+    static INVITE_ARGS: std::sync::LazyLock<InviteArgs> = std::sync::LazyLock::new(|| {
+        let mut schema = Schema::args();
+        InviteArgs {
+            call_id: schema.arg("call_id"),
+            media_port: schema.arg("media_port"),
+            schema,
+        }
+    });
+
+    fn invite(call_id: &str, media_port: u64) -> Event {
+        let a = &*INVITE_ARGS;
+        Event::new("SIP.INVITE", &a.schema)
+            .with(a.call_id, Sym::intern(call_id))
+            .with(a.media_port, media_port)
+    }
+
     fn fig2_network() -> (Network, MachineId, MachineId) {
+        let a = &*INVITE_ARGS;
+        let (arg_call_id, arg_media_port) = (a.call_id, a.media_port);
         let mut globals = Schema::globals();
         let media_port: Var<u64> = globals.declare("g_media_port");
         let globals = Arc::new(globals);
 
         let mut sip = MachineDef::new("sip");
         sip.share_globals(&globals);
+        sip.reads(&a.schema);
         let call_id: Var<Sym> = sip.local("l_call_id");
         let init = sip.add_state("INIT");
         let rcvd = sip.add_state("INVITE_RCVD");
         sip.add_transition(init, "SIP.INVITE", rcvd)
             .action(move |ctx| {
-                let port = ctx.event.uint_arg("media_port").unwrap_or(0);
+                let port = ctx.event.get(arg_media_port).unwrap_or(0);
                 ctx.set(media_port, port);
-                let id = ctx.event.sym_arg("call_id").unwrap_or_default();
+                let id = ctx.event.get(arg_call_id).unwrap_or_default();
                 ctx.set(call_id, id);
                 ctx.send_sync("rtp", Event::sync("δ_SIP→RTP"));
             });
@@ -803,10 +828,7 @@ mod tests {
     #[test]
     fn sync_message_propagates_global_state() {
         let (mut net, sid, rid) = fig2_network();
-        let invite = Event::data("SIP.INVITE")
-            .with_str("call_id", "c1")
-            .with_uint("media_port", 49170);
-        let outcome = net.deliver(sid, invite, 5);
+        let outcome = net.deliver(sid, invite("c1", 49170), 5);
         assert_eq!(outcome.transitions, 2); // sip step + rtp sync step
         assert!(!outcome.is_suspicious());
         assert_eq!(net.locals(rid).uint("l_port"), Some(49170));
@@ -825,10 +847,7 @@ mod tests {
     fn disabled_sync_isolates_machines() {
         let (mut net, sid, rid) = fig2_network();
         net.disable_sync();
-        let invite = Event::data("SIP.INVITE")
-            .with_str("call_id", "c1")
-            .with_uint("media_port", 49170);
-        let outcome = net.deliver(sid, invite, 5);
+        let outcome = net.deliver(sid, invite("c1", 49170), 5);
         assert_eq!(outcome.transitions, 1);
         assert_eq!(net.instance(rid).state_name(net.definition(rid)), "INIT");
     }

@@ -1,17 +1,14 @@
-//! The domains `D` of state variables and event arguments, and the map
-//! behind an event's argument vector.
+//! The domains `D` of state variables and event arguments, and a small
+//! inline vector.
 //!
-//! `VarMap` is a sorted inline array of `(Sym, Value)` pairs that spills to
-//! the heap only past its const-generic inline capacity. The argument
-//! vectors the classifier builds never reach it, so they never touch the
-//! allocator, and lookups are a scan over `u32` symbol ids. State
-//! variables are not kept this way: they are declared and stored
-//! positionally ([`crate::vars`]).
+//! Variables and arguments are stored positionally as 8-byte words
+//! ([`crate::vars`]); a [`Value`] is what one of them reads back as where
+//! it is rendered or compared by name.
 
 use std::fmt;
 use std::mem;
 
-use crate::intern::{Sym, SymKey};
+use crate::intern::Sym;
 
 /// A value a state variable or event argument can take.
 ///
@@ -382,280 +379,9 @@ impl<'a, T: Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     }
 }
 
-/// Inline capacity of an event's argument vector: the widest vector the
-/// classifier builds (an INVITE answer carrying SDP — `status` on top of
-/// the INVITE's twelve), so no event it produces ever spills.
-pub const EVENT_ARGS_INLINE: usize = 13;
-
-/// The heap half of a [`VarMap`] that outgrew its inline capacity: every
-/// entry moves here at once, so a map is read from one place or the other,
-/// never both. Boxed so the map that never spills pays one word for it.
-#[derive(Debug, Clone, Default)]
-struct Spill {
-    keys: Vec<Sym>,
-    vals: Vec<Value>,
-}
-
-/// A collection of named values, sorted by symbol id, holding its first
-/// `N` entries inline: an event's argument vector is
-/// `VarMap<EVENT_ARGS_INLINE>` ([`crate::event::Args`]).
-///
-/// Keys accept either `&str` or [`Sym`] (via [`SymKey`]): writes intern
-/// the name, reads only *look up* — probing for a name nobody ever
-/// interned is allocation-free and grows nothing.
-#[derive(Clone)]
-pub struct VarMap<const N: usize> {
-    len: u32,
-    /// Sorted symbol ids, split from the values so a probe scans a dense
-    /// `u32` array instead of striding across 24-byte `(Sym, Value)` pairs.
-    keys: [Sym; N],
-    vals: [Value; N],
-    spill: Option<Box<Spill>>,
-}
-
-impl<const N: usize> Default for VarMap<N> {
-    fn default() -> Self {
-        VarMap {
-            len: 0,
-            keys: [Sym::default(); N],
-            vals: [Value::Bool(false); N],
-            spill: None,
-        }
-    }
-}
-
-impl<const N: usize> VarMap<N> {
-    fn keys(&self) -> &[Sym] {
-        match &self.spill {
-            Some(s) => &s.keys,
-            None => &self.keys[..self.len as usize],
-        }
-    }
-
-    fn vals(&self) -> &[Value] {
-        match &self.spill {
-            Some(s) => &s.vals,
-            None => &self.vals[..self.len as usize],
-        }
-    }
-
-    fn val_mut(&mut self, i: usize) -> &mut Value {
-        match &mut self.spill {
-            Some(s) => &mut s.vals[i],
-            None => &mut self.vals[..self.len as usize][i],
-        }
-    }
-
-    fn position(&self, sym: Sym) -> Result<usize, usize> {
-        // Linear early-exit scan: at the map's size (≤ ~15 entries) this
-        // beats binary search — the ids are contiguous and the loop is
-        // predictable.
-        let keys = self.keys();
-        let id = sym.id();
-        let mut i = 0;
-        while i < keys.len() && keys[i].id() < id {
-            i += 1;
-        }
-        if i < keys.len() && keys[i].id() == id {
-            Ok(i)
-        } else {
-            Err(i)
-        }
-    }
-
-    fn insert_at(&mut self, i: usize, sym: Sym, value: Value) {
-        let len = self.len as usize;
-        if self.spill.is_none() && len == N {
-            let mut spill = Spill {
-                keys: Vec::with_capacity(N + 1),
-                vals: Vec::with_capacity(N + 1),
-            };
-            spill.keys.extend_from_slice(&self.keys);
-            spill.vals.extend_from_slice(&self.vals);
-            self.spill = Some(Box::new(spill));
-        }
-        match &mut self.spill {
-            Some(s) => {
-                s.keys.insert(i, sym);
-                s.vals.insert(i, value);
-            }
-            None => {
-                self.keys[i..=len].rotate_right(1);
-                self.keys[i] = sym;
-                self.vals[i..=len].rotate_right(1);
-                self.vals[i] = value;
-            }
-        }
-        self.len += 1;
-    }
-
-    /// Sets a variable, replacing any existing value.
-    pub fn set(&mut self, name: impl SymKey, value: impl Into<Value>) {
-        let sym = name.to_sym();
-        match self.position(sym) {
-            Ok(i) => *self.val_mut(i) = value.into(),
-            Err(i) => self.insert_at(i, sym, value.into()),
-        }
-    }
-
-    /// Looks up a variable.
-    pub fn get(&self, name: impl SymKey) -> Option<&Value> {
-        let sym = name.find_sym()?;
-        let i = self.position(sym).ok()?;
-        Some(&self.vals()[i])
-    }
-
-    /// Unsigned integer shortcut; `None` if absent or a different type.
-    pub fn uint(&self, name: impl SymKey) -> Option<u64> {
-        self.get(name).and_then(Value::as_uint)
-    }
-
-    /// Signed integer shortcut.
-    pub fn int(&self, name: impl SymKey) -> Option<i64> {
-        self.get(name).and_then(Value::as_int)
-    }
-
-    /// String shortcut: the text of a `Sym` value.
-    pub fn str(&self, name: impl SymKey) -> Option<&str> {
-        self.get(name).and_then(Value::as_str)
-    }
-
-    /// Interned-symbol shortcut.
-    pub fn sym(&self, name: impl SymKey) -> Option<Sym> {
-        self.get(name).and_then(Value::as_sym)
-    }
-
-    /// Boolean shortcut, defaulting to `false` when absent.
-    pub fn flag(&self, name: impl SymKey) -> bool {
-        self.get(name).and_then(Value::as_bool).unwrap_or(false)
-    }
-
-    /// Removes a variable, returning its value. A spilled map stays
-    /// spilled.
-    pub fn remove(&mut self, name: impl SymKey) -> Option<Value> {
-        let sym = name.find_sym()?;
-        let i = self.position(sym).ok()?;
-        let len = self.len as usize;
-        self.len -= 1;
-        Some(match &mut self.spill {
-            Some(s) => {
-                s.keys.remove(i);
-                s.vals.remove(i)
-            }
-            None => {
-                let value = self.vals[i];
-                self.keys[i..len].rotate_left(1);
-                self.vals[i..len].rotate_left(1);
-                value
-            }
-        })
-    }
-
-    /// Number of variables.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterates over `(name, value)` pairs in symbol-id order (pre-seeded
-    /// names first, then dynamic names in first-interned order).
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.iter_syms().map(|(s, v)| (s.as_str(), v))
-    }
-
-    /// Iterates over `(symbol, value)` pairs in symbol-id order.
-    pub fn iter_syms(&self) -> impl Iterator<Item = (Sym, &Value)> {
-        self.keys().iter().copied().zip(self.vals())
-    }
-
-    /// Heap bytes this map owns beyond its own `size_of`: the spill block
-    /// and vectors once it outgrew `N` entries (no value owns heap). Zero
-    /// for the maps the classifier builds.
-    /// Interned names and texts live in the shared interner and are not
-    /// charged here.
-    pub fn heap_bytes(&self) -> usize {
-        self.spill.as_ref().map_or(0, |s| {
-            mem::size_of::<Spill>()
-                + s.keys.capacity() * mem::size_of::<Sym>()
-                + s.vals.capacity() * mem::size_of::<Value>()
-        })
-    }
-}
-
-impl<const N: usize> fmt::Debug for VarMap<N> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter_syms()).finish()
-    }
-}
-
-impl<const N: usize, const M: usize> PartialEq<VarMap<M>> for VarMap<N> {
-    fn eq(&self, other: &VarMap<M>) -> bool {
-        self.keys() == other.keys() && self.vals() == other.vals()
-    }
-}
-
-impl<const N: usize> Eq for VarMap<N> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A small map, so the tests cross the inline→spill boundary.
-    type Map = VarMap<8>;
-
-    #[test]
-    fn typed_accessors() {
-        let mut v = Map::default();
-        v.set("l_count", 3u64);
-        v.set("l_gap", -2i64);
-        v.set("g_call_id", "abc");
-        v.set("l_armed", true);
-        assert_eq!(v.uint("l_count"), Some(3));
-        assert_eq!(v.int("l_gap"), Some(-2));
-        assert_eq!(v.str("g_call_id"), Some("abc"));
-        assert!(v.flag("l_armed"));
-        assert!(!v.flag("missing"));
-        assert_eq!(v.uint("g_call_id"), None);
-    }
-
-    #[test]
-    fn set_replaces() {
-        let mut v = Map::default();
-        v.set("x", 1u64);
-        v.set("x", 2u64);
-        assert_eq!(v.uint("x"), Some(2));
-        assert_eq!(v.len(), 1);
-    }
-
-    #[test]
-    fn remove_and_missing_reads_never_intern() {
-        let mut v = Map::default();
-        v.set("x", 7u64);
-        assert_eq!(v.remove("x"), Some(Value::Uint(7)));
-        assert_eq!(v.remove("x"), None);
-        // A read miss on a never-seen name must not grow the interner.
-        assert!(v.get("varmap-test-never-interned").is_none());
-        assert_eq!(Sym::lookup("varmap-test-never-interned"), None);
-    }
-
-    #[test]
-    fn memory_accounting_ignores_content() {
-        let mut small = Map::default();
-        small.set("a", 1u64);
-        let mut big = Map::default();
-        // Text is interned whichever way it arrives: a `String` value adds
-        // nothing to the map that holds it.
-        big.set(
-            "a",
-            "a-rather-long-call-identifier@host.example.com".to_owned(),
-        );
-        assert_eq!(big.heap_bytes(), small.heap_bytes());
-        assert_eq!(big.heap_bytes(), 0);
-    }
 
     #[test]
     fn value_conversions() {
@@ -740,19 +466,5 @@ mod tests {
         inline.insert(0, 0);
         assert_eq!(inline.as_slice(), &[0, 1]);
         assert_eq!(inline.into_iter().collect::<Vec<_>>(), vec![0, 1]);
-    }
-
-    #[test]
-    fn varmap_iterates_in_symbol_id_order_and_spills() {
-        let mut v = Map::default();
-        for i in 0..(8 + 3) {
-            v.set(format!("spill-key-{i}").as_str(), i as u64);
-        }
-        assert_eq!(v.len(), 8 + 3);
-        let ids: Vec<u32> = v.iter_syms().map(|(s, _)| s.id()).collect();
-        assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted by symbol id");
-        for i in 0..(8 + 3) {
-            assert_eq!(v.uint(format!("spill-key-{i}").as_str()), Some(i as u64));
-        }
     }
 }

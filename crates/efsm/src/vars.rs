@@ -15,15 +15,25 @@
 //! as `None` and is left out wherever the variables are rendered. Names
 //! live only in the schemas and come back where people read them: [`Vars`]
 //! renders one scope by name for snapshots, tooling and tests.
+//!
+//! An event's arguments `x̄` are a vector the same way. A protocol declares
+//! them once, in a schema of arguments ([`Schema::args`]), and gets an
+//! [`Arg`] handle per argument; an [`crate::event::Event`] stores them as
+//! one 8-byte word each behind a presence mask, and renders them by name
+//! from the schema.
 
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU16, Ordering};
 
 use crate::intern::{Sym, SymKey};
 use crate::value::Value;
 
 /// The most variables one frame holds: one presence bit each in a `u64`.
 pub const MAX_VARS: usize = 64;
+
+/// The most arguments one event carries: one presence bit each in a `u16`.
+pub const MAX_ARGS: usize = 16;
 
 /// The type of a declared variable, which fixes how its word reads back
 /// as a [`Value`].
@@ -142,17 +152,63 @@ impl<T> fmt::Debug for Var<T> {
     }
 }
 
+/// A declared event argument: its slot in its schema of arguments, the
+/// schema it belongs to, and (through `T`) its type. Four bytes, `Copy`.
+pub struct Arg<T> {
+    pub(crate) slot: u8,
+    pub(crate) schema: u16,
+    ty: PhantomData<fn() -> T>,
+}
+
+impl<T> Clone for Arg<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Arg<T> {}
+
+impl<T> PartialEq for Arg<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.slot, self.schema) == (other.slot, other.schema)
+    }
+}
+
+impl<T> Eq for Arg<T> {}
+
+impl<T> fmt::Debug for Arg<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Arg({} of schema {})", self.slot, self.schema)
+    }
+}
+
+/// What a schema declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    Locals,
+    Globals,
+    /// An event's arguments; the number tells schemas of arguments apart.
+    Args(u16),
+}
+
 /// The names and kinds of one scope's variables, in slot order: a
-/// machine's locals, or globals the machines of one network share.
+/// machine's locals, globals the machines of one network share, or the
+/// arguments of one protocol's events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
-    global: bool,
+    scope: Scope,
     vars: Vec<(Sym, VarKind)>,
 }
 
 /// The schema of a scope that declares nothing.
 pub(crate) static NO_VARS: Schema = Schema {
-    global: true,
+    scope: Scope::Globals,
+    vars: Vec::new(),
+};
+
+/// The arguments of an event that carries none (δ, timers, bare events).
+pub(crate) static NO_ARGS: Schema = Schema {
+    scope: Scope::Args(0),
     vars: Vec::new(),
 };
 
@@ -162,14 +218,25 @@ impl Schema {
     /// ([`crate::machine::MachineDef::share_globals`]).
     pub fn globals() -> Schema {
         Schema {
-            global: true,
+            scope: Scope::Globals,
             vars: Vec::new(),
         }
     }
 
     pub(crate) fn locals() -> Schema {
         Schema {
-            global: false,
+            scope: Scope::Locals,
+            vars: Vec::new(),
+        }
+    }
+
+    /// An empty schema of event arguments. Declare a protocol's arguments
+    /// with [`Schema::arg`], keep the schema in a `static` and build that
+    /// protocol's events on it ([`crate::event::Event::new`]).
+    pub fn args() -> Schema {
+        static NEXT: AtomicU16 = AtomicU16::new(1);
+        Schema {
+            scope: Scope::Args(NEXT.fetch_add(1, Ordering::Relaxed)),
             vars: Vec::new(),
         }
     }
@@ -179,8 +246,13 @@ impl Schema {
     ///
     /// # Panics
     ///
-    /// Past [`MAX_VARS`] declarations.
+    /// Past [`MAX_VARS`] declarations, and on a schema of arguments.
     pub fn declare<T: VarType>(&mut self, name: impl Into<Sym>) -> Var<T> {
+        let global = match self.scope {
+            Scope::Locals => false,
+            Scope::Globals => true,
+            Scope::Args(_) => panic!("a schema of arguments declares them with `arg`"),
+        };
         assert!(
             self.vars.len() < MAX_VARS,
             "a scope declares at most {MAX_VARS} variables"
@@ -188,9 +260,54 @@ impl Schema {
         self.vars.push((name.into(), T::KIND));
         Var {
             slot: (self.vars.len() - 1) as u8,
-            global: self.global,
+            global,
             ty: PhantomData,
         }
+    }
+
+    /// Declares the next event argument and returns its handle. A name
+    /// declared twice, or one naming a machine variable, is refused when a
+    /// definition reading the schema is built
+    /// ([`crate::machine::MachineDef::reads`]).
+    ///
+    /// # Panics
+    ///
+    /// Past [`MAX_ARGS`] declarations, and on a schema of variables.
+    pub fn arg<T: VarType>(&mut self, name: impl Into<Sym>) -> Arg<T> {
+        let Scope::Args(schema) = self.scope else {
+            panic!("variables are declared with `declare`");
+        };
+        assert!(
+            self.vars.len() < MAX_ARGS,
+            "an event carries at most {MAX_ARGS} arguments"
+        );
+        self.vars.push((name.into(), T::KIND));
+        Arg {
+            slot: (self.vars.len() - 1) as u8,
+            schema,
+            ty: PhantomData,
+        }
+    }
+
+    /// The number that tells schemas of arguments apart (0 for the others
+    /// and for the arguments of an event that carries none).
+    pub(crate) fn args_id(&self) -> u16 {
+        match self.scope {
+            Scope::Args(id) => id,
+            _ => 0,
+        }
+    }
+
+    /// Slot and kind of a declared name.
+    pub(crate) fn find(&self, name: Sym) -> Option<(usize, VarKind)> {
+        self.vars
+            .iter()
+            .position(|&(n, _)| n == name)
+            .map(|i| (i, self.vars[i].1))
+    }
+
+    pub(crate) fn name(&self, slot: usize) -> Sym {
+        self.vars[slot].0
     }
 
     /// Number of declared variables.
@@ -343,10 +460,15 @@ fn index<T>(var: Var<T>, base: usize) -> usize {
     }
 }
 
+/// Word `i` as a `T`, `None` while its presence bit is clear: how frames
+/// and events read a slot.
+pub(crate) fn read_word<T: VarType>(words: &[u64], present: u64, i: usize) -> Option<T> {
+    (present & (1 << i) != 0).then(|| T::from_word(words[i]))
+}
+
 impl SlotsRef<'_> {
     pub(crate) fn get<T: VarType>(&self, var: Var<T>) -> Option<T> {
-        let i = index(var, self.base);
-        (self.present & (1 << i) != 0).then(|| T::from_word(self.words[i]))
+        read_word(self.words, self.present, index(var, self.base))
     }
 }
 
@@ -404,6 +526,15 @@ pub struct Vars<'a> {
 }
 
 impl<'a> Vars<'a> {
+    /// The scope `schema` declares, stored in `words` behind `present`.
+    pub(crate) fn new(schema: &'a Schema, words: &'a [u64], present: u64) -> Self {
+        Vars {
+            schema,
+            words: &words[..schema.len()],
+            present,
+        }
+    }
+
     /// The value of a declared variable, `None` when it is absent or not
     /// declared.
     pub fn get(&self, name: impl SymKey) -> Option<Value> {
@@ -412,7 +543,7 @@ impl<'a> Vars<'a> {
         self.value(i)
     }
 
-    fn value(&self, i: usize) -> Option<Value> {
+    pub(crate) fn value(&self, i: usize) -> Option<Value> {
         (self.present & (1 << i) != 0).then(|| self.schema.vars[i].1.value(self.words[i]))
     }
 

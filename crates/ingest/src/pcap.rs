@@ -3,8 +3,9 @@
 //! Only the classic tcpdump format (magic `0xa1b2c3d4`, microsecond
 //! timestamps) is supported, in both byte orders — the endianness of the
 //! capturing machine is recovered from the magic. Two link layers are
-//! understood: `LINKTYPE_ETHERNET` (1) and `LINKTYPE_RAW` (101, bare
-//! IPv4). The reader walks a borrowed byte slice and yields borrowed
+//! understood: `LINKTYPE_ETHERNET` (1, untagged or carrying up to two
+//! 802.1Q/802.1ad VLAN tags) and `LINKTYPE_RAW` (101, bare IPv4). The
+//! reader walks a borrowed byte slice and yields borrowed
 //! records; malformed input is rejected without allocating (every error
 //! reason is a `&'static str`), so a hostile capture file cannot balloon
 //! the monitor's memory.
@@ -29,6 +30,14 @@ pub const LINKTYPE_RAW: u32 = 101;
 const GLOBAL_HEADER_LEN: usize = 24;
 const RECORD_HEADER_LEN: usize = 16;
 const ETHERNET_HEADER_LEN: usize = 14;
+const ETHERTYPE_IPV4: u16 = 0x0800;
+/// 802.1Q customer tag.
+const ETHERTYPE_VLAN: u16 = 0x8100;
+/// 802.1ad service tag, the outer tag of a QinQ frame.
+const ETHERTYPE_QINQ: u16 = 0x88a8;
+const VLAN_TAG_LEN: usize = 4;
+/// Tags peeled before the IPv4 check: a QinQ frame carries two.
+const MAX_VLAN_TAGS: usize = 2;
 const UDP_HEADER_LEN: usize = 8;
 
 /// Why a capture file (or one record in it) was rejected.
@@ -202,11 +211,25 @@ pub fn udp_frame(
             if frame.len() < ETHERNET_HEADER_LEN {
                 return Err("Ethernet frame shorter than its 14-byte header");
             }
-            let ethertype = u16::from_be_bytes([frame[12], frame[13]]);
-            if ethertype != 0x0800 {
-                return Ok(None); // not IPv4 (ARP, IPv6, VLAN, ...)
+            let mut ethertype = u16::from_be_bytes([frame[12], frame[13]]);
+            let mut at = ETHERNET_HEADER_LEN;
+            // A voice VLAN's trunk port tags every frame: 802.1Q, or an
+            // 802.1ad service tag in front of it (QinQ). Each tag is its
+            // 2-byte TCI and the ethertype it wraps.
+            for _ in 0..MAX_VLAN_TAGS {
+                if ethertype != ETHERTYPE_VLAN && ethertype != ETHERTYPE_QINQ {
+                    break;
+                }
+                if frame.len() < at + VLAN_TAG_LEN {
+                    return Err("Ethernet frame ends inside a VLAN tag");
+                }
+                ethertype = u16::from_be_bytes([frame[at + 2], frame[at + 3]]);
+                at += VLAN_TAG_LEN;
             }
-            &frame[ETHERNET_HEADER_LEN..]
+            if ethertype != ETHERTYPE_IPV4 {
+                return Ok(None); // not IPv4 (ARP, IPv6, a third tag, ...)
+            }
+            &frame[at..]
         }
         LINKTYPE_RAW => frame,
         _ => return Ok(None),
@@ -339,7 +362,7 @@ pub fn build_udp_frame(
     if linktype == LINKTYPE_ETHERNET {
         frame.extend_from_slice(&[0x02, 0, 0, 0, 0, 2]); // dst mac
         frame.extend_from_slice(&[0x02, 0, 0, 0, 0, 1]); // src mac
-        frame.extend_from_slice(&0x0800u16.to_be_bytes());
+        frame.extend_from_slice(&ETHERTYPE_IPV4.to_be_bytes());
     }
     frame.push(0x45); // version 4, ihl 5
     frame.push(0); // dscp

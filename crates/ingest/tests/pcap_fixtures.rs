@@ -4,7 +4,7 @@
 //! these tests pin the on-disk format itself: both magics, the 24-byte
 //! global header layout, the 16-byte record header layout, and the
 //! failure modes — truncated header, truncated record, snaplen shorter
-//! than the UDP datagram. A counting global allocator proves every
+//! than the UDP datagram, a frame cut inside its VLAN tag. A counting global allocator proves every
 //! reject is allocation-free: a hostile capture cannot balloon the
 //! monitor's memory on the parse path.
 //!
@@ -13,9 +13,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vids_ingest::pcap::{PcapReader, PcapWriter, LINKTYPE_ETHERNET, LINKTYPE_RAW};
+use vids_ingest::pcap::{
+    build_udp_frame, udp_frame, PcapReader, PcapWriter, LINKTYPE_ETHERNET, LINKTYPE_RAW,
+};
 use vids_netsim::time::SimTime;
 
 struct CountingAlloc;
@@ -245,6 +248,75 @@ fn fixtures_parse_and_rejects_are_alloc_free() {
     });
     assert_eq!(n, 8);
     assert_eq!(allocs, 0, "reading borrowed records must not allocate");
+}
+
+/// `frame` (an untagged Ethernet frame) with `tags` VLAN tags inserted
+/// after the MAC addresses, outermost first: `(TPID, VLAN id)`.
+fn tagged(frame: &[u8], tags: &[(u16, u16)]) -> Vec<u8> {
+    let mut f = frame[..12].to_vec();
+    for &(tpid, vid) in tags {
+        f.extend_from_slice(&tpid.to_be_bytes());
+        f.extend_from_slice(&vid.to_be_bytes());
+    }
+    f.extend_from_slice(&frame[12..]);
+    f
+}
+
+/// A voice VLAN's trunk port tags every frame. Single-tagged (802.1Q) and
+/// QinQ (802.1ad outside 802.1Q) frames decode to the datagram the
+/// untagged frame carries; a frame cut inside its tag is an error, not a
+/// skip; and neither the decode nor the reject allocates.
+#[test]
+fn vlan_tagged_frames_decode_like_untagged_ones() {
+    let src = SocketAddrV4::new(Ipv4Addr::new(10, 1, 0, 10), 5060);
+    let dst = SocketAddrV4::new(Ipv4Addr::new(10, 2, 0, 10), 5060);
+    let payload = b"INVITE sip:bob@b SIP/2.0\r\n\r\n";
+    let untagged = build_udp_frame(LINKTYPE_ETHERNET, src, dst, payload);
+    let single = tagged(&untagged, &[(0x8100, 100)]);
+    let qinq = tagged(&untagged, &[(0x88a8, 7), (0x8100, 100)]);
+
+    let want = udp_frame(LINKTYPE_ETHERNET, &untagged).unwrap().unwrap();
+    assert_eq!(want.2, payload);
+    for (name, frame) in [("802.1Q", &single), ("QinQ", &qinq)] {
+        let (allocs, got) = count_allocs(|| udp_frame(LINKTYPE_ETHERNET, frame));
+        assert_eq!(got, Ok(Some(want)), "{name}");
+        assert_eq!(allocs, 0, "{name} decode must not allocate");
+
+        let mut w = PcapWriter::with_format(false, LINKTYPE_ETHERNET);
+        w.push_record(SimTime::from_millis(5), frame, frame.len() as u32);
+        let capture = w.into_bytes();
+        let mut r = PcapReader::new(&capture).unwrap();
+        let d = r
+            .next_datagram()
+            .unwrap()
+            .expect("a tagged datagram is not skipped");
+        assert_eq!((d.src, d.dst, d.payload), want, "{name}");
+        assert!(r.next_datagram().unwrap().is_none());
+    }
+
+    // A third tag is past what the reader peels: skipped, like any other
+    // frame that is not IPv4.
+    let triple = tagged(&untagged, &[(0x88a8, 7), (0x8100, 100), (0x8100, 5)]);
+    assert_eq!(udp_frame(LINKTYPE_ETHERNET, &triple), Ok(None));
+
+    // Cut inside the outer and inside the inner tag.
+    for cut in [16, qinq.len().min(19)] {
+        let frame = &qinq[..cut];
+        let (allocs, got) = count_allocs(|| udp_frame(LINKTYPE_ETHERNET, frame));
+        let reason = got.unwrap_err();
+        assert!(reason.contains("VLAN tag"), "cut at {cut}: {reason}");
+        assert_eq!(allocs, 0, "tag reject must not allocate");
+
+        let mut w = PcapWriter::with_format(false, LINKTYPE_ETHERNET);
+        w.push_record(SimTime::from_millis(5), frame, qinq.len() as u32);
+        let capture = w.into_bytes();
+        let (allocs, err) = count_allocs(|| {
+            let mut r = PcapReader::new(&capture).unwrap();
+            r.next_datagram().unwrap_err()
+        });
+        assert!(err.reason.contains("VLAN tag"), "{}", err.reason);
+        assert_eq!(allocs, 0, "tag reject must not allocate");
+    }
 }
 
 /// Write→read round-trip as a property, across both byte orders and

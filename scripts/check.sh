@@ -64,8 +64,7 @@ cargo clippy --offline -p vids-scan -p vids-sip -p vids-efsm -p vids-telemetry -
 # Allocation budget: the warm per-packet path with telemetry recording
 # enabled, call set-up and a whole call life on flat slab slots, a flood
 # INVITE past detection and repeated strays — all at zero allocations —
-# 4 000 never-seen strings through the classifier for a dozen at most,
-# and no classifier event spilling its argument vector.
+# and 4 000 never-seen strings through the classifier for a dozen at most.
 echo "==> alloc budget (warm path, call set-up, fresh strings, repeated alerts)"
 cargo test --offline --test alloc_budget -q
 

@@ -80,7 +80,7 @@ fn finished_calls_are_evicted_keeping_memory_bounded() {
 #[test]
 fn per_call_memory_matches_paper_ballpark() {
     // The paper: ~450 B of SIP state + ~40 B of RTP state per call. Our
-    // VarMap accounting lands in the same order of magnitude.
+    // per-call accounting lands in the same order of magnitude.
     let mut tb = Testbed::build(&busy_config(103, 3));
     tb.run_until(SimTime::from_secs(120));
     let vids = tb.vids().unwrap().vids();

@@ -123,7 +123,9 @@ fn memory_bytes_agrees_with_the_allocator() {
     const CALLS: u32 = 4_000;
     let traffic: Vec<Packet> = (0..CALLS).flat_map(|k| call(k, k % 2 == 1)).collect();
     // Intern every string and warm the classifier's address cache.
-    traffic.iter().for_each(|packet| drop(classify(packet)));
+    traffic.iter().for_each(|packet| {
+        let _ = classify(packet);
+    });
 
     // Each destination sees one INVITE, so no flood machine trips.
     let mut vids = Vids::new(Config::default());

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use vids::core::machines::{rtp::rtp_session_machine, sip::sip_call_machine};
+use vids::core::machines::{rtp::rtp_session_machine, sip::sip_call_machine, RtpArgs, SipArgs};
 use vids::core::Config;
 use vids::efsm::network::Network;
 use vids::efsm::Event;
@@ -17,18 +17,18 @@ fn fig2_network() -> Network {
 }
 
 fn invite_event() -> Event {
-    Event::data("SIP.INVITE")
-        .with_str("call_id", "fig2")
-        .with_str("from_tag", "ft")
-        .with_str("to_tag", "")
-        .with_str("branch", "z9hG4bK-f2")
-        .with_str("src_ip", "10.1.0.5")
-        .with_str("dst_ip", "10.2.0.5")
-        .with_str("cseq_method", "INVITE")
-        .with_bool("has_sdp", true)
-        .with_str("sdp_ip", "10.1.0.10")
-        .with_uint("sdp_port", 20_000)
-        .with_uint("sdp_pt", 18)
+    SipArgs::event("SIP.INVITE")
+        .with_named("call_id", "fig2")
+        .with_named("from_tag", "ft")
+        .with_named("to_tag", "")
+        .with_named("branch", "z9hG4bK-f2")
+        .with_named("src_ip", "10.1.0.5")
+        .with_named("dst_ip", "10.2.0.5")
+        .with_named("cseq_method", "INVITE")
+        .with_named("has_sdp", true)
+        .with_named("sdp_ip", "10.1.0.10")
+        .with_named("sdp_port", 20_000u64)
+        .with_named("sdp_pt", 18u64)
 }
 
 /// Fig. 2(a): "The (INIT) state of a SIP protocol state machine makes a
@@ -68,27 +68,27 @@ fn sync_events_outrank_data_events() {
     net.deliver(sip, invite_event(), 0);
 
     // Answer publishes callee media and syncs δ.update...
-    let ok = Event::data("SIP.2xx")
-        .with_str("cseq_method", "INVITE")
-        .with_str("to_tag", "tt")
-        .with_bool("has_sdp", true)
-        .with_str("sdp_ip", "10.2.0.10")
-        .with_uint("sdp_port", 30_000);
+    let ok = SipArgs::event("SIP.2xx")
+        .with_named("cseq_method", "INVITE")
+        .with_named("to_tag", "tt")
+        .with_named("has_sdp", true)
+        .with_named("sdp_ip", "10.2.0.10")
+        .with_named("sdp_port", 30_000u64);
     net.deliver(sip, ok, 10);
 
     // ...then an RTP data packet arrives. In the trace, the δ.update step
     // must precede the RTP.Packet step even though both touch the RTP
     // machine around the same wall-clock instant.
-    let media = Event::data("RTP.Packet")
-        .with_str("src_ip", "10.1.0.10")
-        .with_uint("src_port", 20_000)
-        .with_str("dst_ip", "10.2.0.10")
-        .with_uint("dst_port", 30_000)
-        .with_uint("ssrc", 7)
-        .with_uint("seq", 1)
-        .with_uint("ts", 0)
-        .with_uint("pt", 18)
-        .with_uint("size", 50);
+    let media = RtpArgs::event("RTP.Packet")
+        .with_named("src_ip", "10.1.0.10")
+        .with_named("src_port", 20_000u64)
+        .with_named("dst_ip", "10.2.0.10")
+        .with_named("dst_port", 30_000u64)
+        .with_named("ssrc", 7u64)
+        .with_named("seq", 1u64)
+        .with_named("ts", 0u64)
+        .with_named("pt", 18u64)
+        .with_named("size", 50u64);
     let out = net.deliver(rtp, media, 10);
     assert!(!out.is_suspicious());
 
@@ -134,26 +134,26 @@ fn machines_stay_deterministic_through_a_busy_call() {
     drive(
         &mut net,
         sip,
-        Event::data("SIP.1xx")
-            .with_str("to_tag", "tt")
-            .with_str("cseq_method", "INVITE"),
+        SipArgs::event("SIP.1xx")
+            .with_named("to_tag", "tt")
+            .with_named("cseq_method", "INVITE"),
     );
     drive(
         &mut net,
         sip,
-        Event::data("SIP.2xx")
-            .with_str("cseq_method", "INVITE")
-            .with_str("to_tag", "tt")
-            .with_bool("has_sdp", true)
-            .with_str("sdp_ip", "10.2.0.10")
-            .with_uint("sdp_port", 30_000),
+        SipArgs::event("SIP.2xx")
+            .with_named("cseq_method", "INVITE")
+            .with_named("to_tag", "tt")
+            .with_named("has_sdp", true)
+            .with_named("sdp_ip", "10.2.0.10")
+            .with_named("sdp_port", 30_000u64),
     );
     drive(
         &mut net,
         sip,
-        Event::data("SIP.ACK")
-            .with_str("from_tag", "ft")
-            .with_str("to_tag", "tt"),
+        SipArgs::event("SIP.ACK")
+            .with_named("from_tag", "ft")
+            .with_named("to_tag", "tt"),
     );
     for i in 0..50u64 {
         let (src, dst, port, ssrc) = if i % 2 == 0 {
@@ -164,43 +164,43 @@ fn machines_stay_deterministic_through_a_busy_call() {
         drive(
             &mut net,
             rtp,
-            Event::data("RTP.Packet")
-                .with_str("src_ip", src)
-                .with_uint("src_port", 20_000)
-                .with_str("dst_ip", dst)
-                .with_uint("dst_port", port)
-                .with_uint("ssrc", ssrc)
-                .with_uint("seq", 100 + i / 2)
-                .with_uint("ts", (i / 2) * 80)
-                .with_uint("pt", 18)
-                .with_uint("size", 50),
+            RtpArgs::event("RTP.Packet")
+                .with_named("src_ip", src)
+                .with_named("src_port", 20_000u64)
+                .with_named("dst_ip", dst)
+                .with_named("dst_port", port)
+                .with_named("ssrc", ssrc)
+                .with_named("seq", 100 + i / 2)
+                .with_named("ts", (i / 2) * 80)
+                .with_named("pt", 18u64)
+                .with_named("size", 50u64),
         );
     }
     // Legitimate re-INVITE.
     drive(
         &mut net,
         sip,
-        Event::data("SIP.INVITE")
-            .with_str("call_id", "fig2")
-            .with_str("from_tag", "ft")
-            .with_str("to_tag", "tt")
-            .with_str("cseq_method", "INVITE")
-            .with_bool("has_sdp", true)
-            .with_str("sdp_ip", "10.1.0.10")
-            .with_uint("sdp_port", 22_000),
+        SipArgs::event("SIP.INVITE")
+            .with_named("call_id", "fig2")
+            .with_named("from_tag", "ft")
+            .with_named("to_tag", "tt")
+            .with_named("cseq_method", "INVITE")
+            .with_named("has_sdp", true)
+            .with_named("sdp_ip", "10.1.0.10")
+            .with_named("sdp_port", 22_000u64),
     );
     drive(
         &mut net,
         sip,
-        Event::data("SIP.BYE")
-            .with_str("from_tag", "ft")
-            .with_str("to_tag", "tt")
-            .with_str("cseq_method", "BYE"),
+        SipArgs::event("SIP.BYE")
+            .with_named("from_tag", "ft")
+            .with_named("to_tag", "tt")
+            .with_named("cseq_method", "BYE"),
     );
     drive(
         &mut net,
         sip,
-        Event::data("SIP.2xx").with_str("cseq_method", "BYE"),
+        SipArgs::event("SIP.2xx").with_named("cseq_method", "BYE"),
     );
     net.advance_time(t + 10_000);
 

@@ -432,57 +432,69 @@ mod telemetry_hist {
     }
 }
 
-/// Model test for the event argument vector: `Args` — a sorted inline
-/// small-vec keyed by interned symbols that spills to the heap past
-/// [`vids::efsm::value::EVENT_ARGS_INLINE`] entries — must agree with a plain
-/// `BTreeMap<String, Value>` under any op sequence. Twenty distinct keys
-/// guarantee sequences that cross the inline→spill boundary.
-mod varmap_model {
+/// Model test for an event's argument vector: random sets and reads over
+/// the SIP schema's declared arguments — by handle and by name — must agree
+/// with a `BTreeMap` keyed by symbol id, an argument never set must read
+/// as absent, and `Display` must be that map rendered in ascending
+/// symbol-id order: the text deviation alerts, their deduplication and
+/// `.vdump` ALRT sections carry.
+mod event_args_model {
     use std::collections::BTreeMap;
 
     use proptest::prelude::*;
-    use vids::efsm::{Args, Value};
+    use vids::core::machines::SipArgs;
+    use vids::efsm::{Sym, Value, VarKind};
 
     proptest! {
         #[test]
-        fn varmap_matches_btreemap_model(
-            ops in proptest::collection::vec((0u8..4, 0usize..20, any::<u64>()), 0..80)
+        fn event_args_match_btreemap_model(
+            ops in proptest::collection::vec((0u8..3, 0usize..16, any::<u64>()), 0..60)
         ) {
-            let keys: Vec<String> = (0..20).map(|i| format!("pv_{i:02}")).collect();
-            let mut map = Args::default();
-            let mut model: BTreeMap<&str, Value> = BTreeMap::new();
-            for (kind, key, val) in ops {
-                let name = keys[key].as_str();
-                match kind {
-                    0 => {
-                        map.set(name, val);
-                        model.insert(name, Value::Uint(val));
-                    }
-                    1 => {
-                        // `&str` and `String` intern to the same value.
-                        let s = format!("v{}", val % 50);
-                        map.set(name, s.as_str());
-                        model.insert(name, Value::from(s));
-                    }
-                    2 => {
-                        let got = map.remove(name);
-                        let want = model.remove(name);
-                        prop_assert_eq!(got, want);
+            let schema = SipArgs::schema();
+            let declared: Vec<(Sym, VarKind)> = schema.iter().collect();
+            prop_assert_eq!(declared.len(), 16);
+            let mut event = SipArgs::event("SIP.INVITE");
+            let mut model: BTreeMap<u32, (Sym, Value)> = BTreeMap::new();
+            for (op, slot, raw) in ops {
+                let (name, kind) = declared[slot];
+                match op {
+                    0 | 1 => {
+                        let value = match kind {
+                            VarKind::Uint => Value::Uint(raw),
+                            VarKind::Int => Value::Int(raw as i64),
+                            VarKind::Bool => Value::Bool(raw % 2 == 0),
+                            VarKind::Sym => Value::from(format!("ea-{}", raw % 40)),
+                        };
+                        event = event.with_named(name.as_str(), value);
+                        model.insert(name.id(), (name, value));
                     }
                     _ => {
-                        map.set(name, val % 2 == 0);
-                        model.insert(name, Value::Bool(val % 2 == 0));
+                        let want = model.get(&name.id()).map(|&(_, v)| v);
+                        prop_assert_eq!(event.args().get(name), want);
                     }
                 }
-                prop_assert_eq!(map.len(), model.len());
+                prop_assert_eq!(event.args().len(), model.len());
             }
-            for name in &keys {
-                prop_assert_eq!(map.get(name.as_str()), model.get(name.as_str()));
+            // Typed handles read the same words as names.
+            let a = SipArgs::get();
+            let sym_of = |name: Sym| model.get(&name.id()).and_then(|(_, v)| v.as_sym());
+            let uint_of = |name: Sym| model.get(&name.id()).and_then(|(_, v)| v.as_uint());
+            prop_assert_eq!(event.get(a.call_id), sym_of(Sym::intern("call_id")));
+            prop_assert_eq!(event.get(a.sdp_port), uint_of(Sym::intern("sdp_port")));
+            prop_assert_eq!(
+                event.get(a.has_sdp),
+                model.get(&Sym::intern("has_sdp").id()).and_then(|(_, v)| v.as_bool())
+            );
+            for (name, _) in &declared {
+                if !model.contains_key(&name.id()) {
+                    prop_assert_eq!(event.args().get(*name), None);
+                }
             }
-            // Same contents under iteration, whatever the internal order.
-            let flat: BTreeMap<&str, &Value> = map.iter().collect();
-            let model_ref: BTreeMap<&str, &Value> = model.iter().map(|(k, v)| (*k, v)).collect();
-            prop_assert_eq!(flat, model_ref);
+            let rendered: Vec<String> = model.values().map(|(k, v)| format!("{k}={v}")).collect();
+            prop_assert_eq!(
+                event.to_string(),
+                format!("data?SIP.INVITE({})", rendered.join(", "))
+            );
         }
     }
 }
@@ -497,11 +509,21 @@ mod frame_model {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
+    use std::sync::LazyLock;
+
     use proptest::prelude::*;
     use vids::core::snapshot::CallSnapshot;
-    use vids::efsm::{Event, MachineDef, Network, Schema, Var};
+    use vids::efsm::{Arg, Event, MachineDef, Network, Schema, Var};
 
     const GLOBALS: usize = 4;
+
+    /// The `slot` and `value` arguments of the model's events.
+    static ARGS: LazyLock<(Schema, Arg<u64>, Arg<u64>)> = LazyLock::new(|| {
+        let mut args = Schema::args();
+        let slot = args.arg("fm_slot");
+        let value = args.arg("fm_value");
+        (args, slot, value)
+    });
 
     /// A one-state machine whose `set`/`remove`/`inc` events apply to the
     /// variable at index `slot` of its locals followed by the globals.
@@ -513,16 +535,19 @@ mod frame_model {
     ) -> (Arc<MachineDef>, Vec<Var<u64>>) {
         let mut def = MachineDef::new(name);
         def.share_globals(globals);
+        def.reads(&ARGS.0);
+        let (arg_slot, arg_value) = (ARGS.1, ARGS.2);
         let mut vars: Vec<Var<u64>> = (0..locals)
             .map(|i| def.local(format!("{name}_l{i}")))
             .collect();
         vars.extend_from_slice(shared);
         let s = def.add_state("S");
-        let slot =
-            |ctx: &vids::efsm::machine::ActionCtx<'_>| ctx.event.uint_arg("slot").unwrap() as usize;
+        let slot = move |ctx: &vids::efsm::machine::ActionCtx<'_>| {
+            ctx.event.get(arg_slot).unwrap() as usize
+        };
         let v = vars.clone();
         def.add_transition(s, "set", s).action(move |ctx| {
-            let value = ctx.event.uint_arg("value").unwrap();
+            let value = ctx.event.get(arg_value).unwrap();
             ctx.set(v[slot(ctx)], value);
         });
         let v = vars.clone();
@@ -567,10 +592,10 @@ mod frame_model {
             for (kind, m, slot, value) in ops {
                 let slot = slot % (counts[m] + GLOBALS);
                 let name = name_of(names[m], counts[m], slot);
-                let event = |op: &str| Event::data(op).with_uint("slot", slot as u64);
+                let event = |op: &str| Event::new(op, &ARGS.0).with(ARGS.1, slot as u64);
                 match kind {
                     0 => {
-                        net.deliver(ids[m], event("set").with_uint("value", value as u64), 0);
+                        net.deliver(ids[m], event("set").with(ARGS.2, value as u64), 0);
                         model.insert(name.clone(), value as u64);
                     }
                     1 => {
@@ -678,23 +703,35 @@ mod timer_order {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
+    use std::sync::LazyLock;
+
     use proptest::prelude::*;
-    use vids::efsm::{Event, MachineDef, Network, Sym, TransitionObserver};
+    use vids::efsm::{Arg, Event, MachineDef, Network, Schema, Sym, TransitionObserver};
 
     const MACHINES: [&str; 3] = ["pm0", "pm1", "pm2"];
     const TIMERS: [&str; 6] = ["pt_T0", "pt_T1", "pt_T2", "pt_T3", "pt_T4", "pt_T5"];
     /// When `pt_T0` fires it (re-)arms `pt_T1` this far past its deadline.
     const REARM_MS: u64 = 7;
 
+    /// The `timer` and `delay` arguments of `arm` and `cancel`.
+    static ARGS: LazyLock<(Schema, Arg<Sym>, Arg<u64>)> = LazyLock::new(|| {
+        let mut args = Schema::args();
+        let timer = args.arg("pt_timer");
+        let delay = args.arg("pt_delay");
+        (args, timer, delay)
+    });
+
     fn machine(name: &str) -> Arc<MachineDef> {
+        let (timer, delay) = (ARGS.1, ARGS.2);
         let mut def = MachineDef::new(name);
+        def.reads(&ARGS.0);
         let s = def.add_state("S");
-        def.add_transition(s, "arm", s).action(|ctx| {
-            let timer = ctx.event.sym_arg("timer").unwrap();
-            ctx.set_timer(timer, ctx.event.uint_arg("delay").unwrap());
+        def.add_transition(s, "arm", s).action(move |ctx| {
+            let timer = ctx.event.get(timer).unwrap();
+            ctx.set_timer(timer, ctx.event.get(delay).unwrap());
         });
-        def.add_transition(s, "cancel", s).action(|ctx| {
-            let timer = ctx.event.sym_arg("timer").unwrap();
+        def.add_transition(s, "cancel", s).action(move |ctx| {
+            let timer = ctx.event.get(timer).unwrap();
             ctx.cancel_timer(timer);
         });
         def.add_transition(s, TIMERS[0], s)
@@ -771,12 +808,15 @@ mod timer_order {
                 match kind {
                     0 | 1 => {
                         // Small delays on a slow clock: ties are common.
-                        let arm = Event::data("arm").with_sym("timer", timer).with_uint("delay", amount / 4);
+                        let arm = Event::new("arm", &ARGS.0)
+                            .with(ARGS.1, timer)
+                            .with(ARGS.2, amount / 4);
                         net.deliver(ids[m], arm, now);
                         model.timers[m].insert(timer, now + amount / 4);
                     }
                     2 => {
-                        net.deliver(ids[m], Event::data("cancel").with_sym("timer", timer), now);
+                        let cancel = Event::new("cancel", &ARGS.0).with(ARGS.1, timer);
+                        net.deliver(ids[m], cancel, now);
                         model.timers[m].remove(&timer);
                     }
                     _ => {

@@ -67,12 +67,13 @@ pub struct Config {
     /// --listen`). `None` outside of live capture; the in-process and
     /// replay paths ignore it.
     pub listen: Option<SocketAddr>,
-    /// Live ingestion: a receiver flushes its accumulated batch to the
-    /// pool once it holds this many datagrams, even if the flush interval
-    /// has not elapsed.
+    /// Live ingestion: a receiver hands its batch over as soon as its
+    /// socket drains, or once the batch holds this many datagrams while
+    /// the socket stays busy. While the hand-off is full the batch grows
+    /// to this size and is then shed (counted as dropped).
     pub batch_flush_packets: usize,
-    /// Live ingestion: a receiver flushes its accumulated batch after
-    /// this long, even if it is smaller than `batch_flush_packets`.
+    /// Live ingestion: the receivers' read timeout, and so the longest a
+    /// batch waits on a quiet socket. Recorded in every `.vdump`.
     pub batch_flush_interval: SimTime,
     /// Offline replay: how far past the last captured packet the final
     /// timer sweep runs, so hanging-call and media-silence timers near the
@@ -251,15 +252,15 @@ impl ConfigBuilder {
         self
     }
 
-    /// Live ingestion: datagrams accumulated before a receiver flushes its
-    /// batch to the pool.
+    /// Live ingestion: the largest batch a receiver accumulates while its
+    /// socket stays busy or the hand-off is full.
     pub fn batch_flush_packets(mut self, packets: usize) -> Self {
         self.config.batch_flush_packets = packets;
         self
     }
 
-    /// Live ingestion: longest a receiver holds a non-empty batch before
-    /// flushing it to the pool.
+    /// Live ingestion: longest one receiver read blocks, and so the longest
+    /// a batch waits on a quiet socket.
     pub fn batch_flush_interval(mut self, interval: SimTime) -> Self {
         self.config.batch_flush_interval = interval;
         self

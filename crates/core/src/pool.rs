@@ -1258,7 +1258,8 @@ use lane::Step;
 const EPOCH_RING_DEPTH: u64 = 4;
 
 /// Spins before a waiting thread sleep-polls, covering the epoch-to-epoch
-/// handoff without a syscall round-trip.
+/// handoff without a syscall round-trip. A worker whose previous epoch
+/// arrived only after it parked skips the spin.
 const SPIN_LIMIT: u32 = 64;
 
 /// Backoff for the pipeline's wait loops: spin briefly, then sleep-poll.
@@ -1364,17 +1365,27 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
     let n = shared.lanes.len();
     let mut scratch: Vec<FedMiss> = Vec::new();
     let mut epoch = 0u64;
+    // Whether the previous epoch came only after the worker parked. The
+    // spin covers back-to-back epochs; when epochs are further apart (a
+    // live trickle submits one per datagram) it would be paid per epoch
+    // for nothing, so the next wait parks at once.
+    let mut idle = false;
     loop {
-        let mut spins = 0u32;
+        let mut spins = if idle { SPIN_LIMIT } else { 0 };
+        let mut parked = false;
         loop {
             let poisoned = shared.poisoned.load(Acquire);
             let tail = lane.tail.load(Acquire);
             match lane::worker_observe(poisoned, tail, shared.stop.load(Acquire), epoch) {
                 Step::Go => break,
                 Step::Quit => return,
-                Step::Wait => pipeline_backoff(&mut spins),
+                Step::Wait => {
+                    parked |= spins >= SPIN_LIMIT;
+                    pipeline_backoff(&mut spins);
+                }
             }
         }
+        idle = parked;
         let slot = lane::slot(epoch, EPOCH_RING_DEPTH);
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             if index == 0 && shared.panic_epoch.load(Relaxed) == epoch {
@@ -1586,16 +1597,9 @@ impl PipelineIngress<'_, '_> {
     fn harvest_one<S: AlertSink + ?Sized>(&mut self, sink: &mut S) {
         debug_assert!(self.harvested < self.next_epoch);
         let e = self.harvested;
-        for lane in &self.shared.lanes {
-            let mut spins = 0u32;
-            loop {
-                let applied = lane.applied.load(Acquire);
-                match lane::harvest_observe(applied, e, self.shared.poisoned.load(Acquire)) {
-                    Step::Go => break,
-                    Step::Quit => self.rethrow(),
-                    Step::Wait => pipeline_backoff(&mut spins),
-                }
-            }
+        let mut spins = 0u32;
+        while !self.finished(e) {
+            pipeline_backoff(&mut spins);
         }
         let mut tagged = self.coord.pop_front().unwrap_or_default();
         let slot = lane::slot(e, EPOCH_RING_DEPTH);
@@ -1610,6 +1614,35 @@ impl PipelineIngress<'_, '_> {
         self.pool.merge_into(&mut tagged, sink);
         self.spare.push(tagged);
         self.harvested = e + 1;
+    }
+
+    /// Whether every lane's worker has finished `epoch`, so the coordinator
+    /// may harvest it; rethrows a worker panic.
+    fn finished(&self, epoch: u64) -> bool {
+        for lane in &self.shared.lanes {
+            let applied = lane.applied.load(Acquire);
+            match lane::harvest_observe(applied, epoch, self.shared.poisoned.load(Acquire)) {
+                Step::Go => {}
+                Step::Quit => self.rethrow(),
+                Step::Wait => return false,
+            }
+        }
+        true
+    }
+
+    /// Merges every in-flight epoch the workers have already finished,
+    /// oldest first, and returns without waiting for the rest. A live
+    /// driver calls it after each [`submit`] so an alert reaches the sink
+    /// as soon as its epoch is done rather than at the next flush or when
+    /// the ring fills. Emits exactly what [`flush`] would, in the same
+    /// order, only earlier.
+    ///
+    /// [`submit`]: PipelineIngress::submit
+    /// [`flush`]: PipelineIngress::flush
+    pub fn harvest_ready<S: AlertSink + ?Sized>(&mut self, sink: &mut S) {
+        while self.harvested < self.next_epoch && self.finished(self.harvested) {
+            self.harvest_one(sink);
+        }
     }
 
     /// Merges every in-flight epoch, emitting alerts into `sink`. On

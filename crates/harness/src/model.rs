@@ -8,14 +8,15 @@
 //! safety argument lives in `// SAFETY:` comments; this module turns the
 //! argument into a checked artifact. The protocol is shrunk to a finite
 //! world — worker program counters, the coordinator's script (room? →
-//! harvest | write slot → store tail, per lane → … → flush → stop → join)
-//! and an explicit slot-ownership ledger — and **every** interleaving of
-//! coordinator and worker steps is enumerated by depth-first search with
-//! memoization.
+//! harvest | write slot → store tail, per lane → harvest whatever is
+//! finished, without waiting → … → flush → stop → join) and an explicit
+//! slot-ownership ledger — and **every** interleaving of coordinator and
+//! worker steps is enumerated by depth-first search with memoization.
 //!
-//! The decisions are not transcribed: every modeled wait calls the
-//! [`vids_core::pool::lane`] function the real `pipeline_worker`, `submit`
-//! and `harvest_one` call, so if those drift the model drifts with them.
+//! The decisions are not transcribed: every modeled wait or readiness
+//! check calls the [`vids_core::pool::lane`] function the real
+//! `pipeline_worker`, `submit`, `harvest_one` and `harvest_ready` call, so
+//! if those drift the model drifts with them.
 //!
 //! Checked invariants:
 //!
@@ -86,6 +87,8 @@ pub struct Bugs {
     pub ring_full_off_by_one: bool,
     /// Read the peers' miss lists without the barrier.
     pub skip_barrier: bool,
+    /// Take an epoch as finished once the first lane has finished it.
+    pub ready_on_first_lane: bool,
 }
 
 impl Config {
@@ -151,6 +154,10 @@ enum CoordPc {
     HarvestWait(usize),
     /// `harvest_one`: taking the epoch's slots back from every lane.
     Gather,
+    /// `harvest_ready`, after every publish and harvest: looking at this
+    /// lane via `lane::harvest_observe`, giving up (back to `Pump`) rather
+    /// than waiting.
+    Ready(usize),
     /// Publish: writing this lane's slot.
     Write(usize),
     /// Publish: storing this lane's `tail`.
@@ -328,8 +335,16 @@ fn coordinator_step(config: &Config, s: &State) -> Option<Outcome> {
             first(l + 1)
         } else {
             n.next += 1;
-            CoordPc::Pump
+            CoordPc::Ready(0)
         };
+    };
+    // The counter a harvest waits on, in the (possibly bugged) choice.
+    let finished = |l: usize| {
+        if config.bugs.harvest_on_drained {
+            s.drained[l]
+        } else {
+            s.applied[l]
+        }
     };
     match s.coord {
         CoordPc::Pump => {
@@ -349,16 +364,22 @@ fn coordinator_step(config: &Config, s: &State) -> Option<Outcome> {
             };
         }
         CoordPc::HarvestWait(l) => {
-            let counter = if config.bugs.harvest_on_drained {
-                s.drained[l]
-            } else {
-                s.applied[l]
-            };
-            n.coord = match lane::harvest_observe(counter, s.harvested, s.poisoned) {
+            n.coord = match lane::harvest_observe(finished(l), s.harvested, s.poisoned) {
                 Step::Go if l < last_lane => CoordPc::HarvestWait(l + 1),
                 Step::Go => CoordPc::Gather,
                 Step::Quit => CoordPc::Stop,
                 Step::Wait => return None,
+            };
+        }
+        CoordPc::Ready(_) if s.harvested == s.next => n.coord = CoordPc::Pump,
+        CoordPc::Ready(l) => {
+            n.coord = match lane::harvest_observe(finished(l), s.harvested, s.poisoned) {
+                Step::Go if l < last_lane && !config.bugs.ready_on_first_lane => {
+                    CoordPc::Ready(l + 1)
+                }
+                Step::Go => CoordPc::Gather,
+                Step::Quit => CoordPc::Stop,
+                Step::Wait => CoordPc::Pump,
             };
         }
         CoordPc::Gather => {
@@ -375,7 +396,7 @@ fn coordinator_step(config: &Config, s: &State) -> Option<Outcome> {
                 cell.frozen = false;
             }
             n.harvested += 1;
-            n.coord = CoordPc::Pump;
+            n.coord = CoordPc::Ready(0);
         }
         CoordPc::Write(l) | CoordPc::Tail(l)
             if config.fault

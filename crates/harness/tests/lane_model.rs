@@ -89,7 +89,7 @@ fn checker_catches_every_injected_bug() {
     let slot_race = |k: &ViolationKind| matches!(k, ViolationKind::SlotRace { .. });
     let unfrozen = |k: &ViolationKind| matches!(k, ViolationKind::UnfrozenMisses { .. });
     type Case = (Bugs, usize, u64, fn(&ViolationKind) -> bool);
-    let cases: [Case; 4] = [
+    let cases: [Case; 5] = [
         // Storing `tail` first hands the worker a slot the coordinator is
         // still writing into.
         (
@@ -133,6 +133,18 @@ fn checker_catches_every_injected_bug() {
             2,
             1,
             unfrozen,
+        ),
+        // The harvest after a submit must not wait, but it must still see
+        // every lane finished: gathering on the first lane's word takes a
+        // slot back from a peer worker still holding it. Needs two lanes.
+        (
+            Bugs {
+                ready_on_first_lane: true,
+                ..on()
+            },
+            2,
+            1,
+            slot_race,
         ),
     ];
     for (bugs, lanes, epochs, expected) in cases {

@@ -13,12 +13,15 @@
 //! * [`pcap`] — hand-rolled classic libpcap reader/writer, both byte
 //!   orders, Ethernet and raw-IPv4 link types.
 //! * [`demux`] — port + heuristic SIP vs RTP/RTCP demultiplexing.
-//! * [`batch`] — per-receiver batch accumulation with size and age
-//!   flush thresholds.
+//! * [`batch`] — per-receiver batch accumulation and the flush rule: a
+//!   batch is handed over when the socket drains or it reaches the batch
+//!   size, grows while the hand-off is full, and is shed (counted) when
+//!   it is full and still finds no room.
 //! * [`server`] — the `vids serve` pipeline: receiver threads classify
-//!   and shard-route datagrams, the coordinator drives the engine's
-//!   epoch-ring pipeline, with graceful shutdown and on-demand
-//!   `SIGUSR1` ring snapshots.
+//!   and shard-route datagrams into a bounded hand-off, the coordinator
+//!   drives the engine's epoch-ring pipeline and merges each finished
+//!   epoch right after the next submit, with graceful shutdown and
+//!   on-demand `SIGUSR1` ring snapshots.
 //! * [`cluster_serve`] — the federated variant: the same loop driving a
 //!   `vids-cluster` gateway (`vids serve --nodes N --tenants FILE`).
 //! * [`replay`] — `vids replay`: run a capture through the identical

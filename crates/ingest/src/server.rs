@@ -1,6 +1,6 @@
 //! The serve pipeline: receiver threads feeding the pipelined engine.
 //!
-//! Thread and ownership layout (one arrow = one crossbeam channel):
+//! Thread and ownership layout (one arrow = one bounded `std` channel):
 //!
 //! ```text
 //!  socket 0 ── receiver thread 0 ──┐                  ┌── recycled Vecs
@@ -21,8 +21,20 @@
 //! ([`vids_core::pool::VidsPool::with_pipeline`]), where the session's shard
 //! workers drain it concurrently with the next batch's arrival. Alerts
 //! still reach the sink in the engine's deterministic merge order,
-//! epoch by epoch. Batch `Vec`s cycle back to the receivers through a
-//! recycle channel; steady state allocates nothing per datagram.
+//! epoch by epoch.
+//!
+//! Batches follow the traffic (`batch::flush_rule`): a receiver
+//! hands its batch over as soon as a poll finds the socket drained, or
+//! when the batch reaches `flush_packets` events. A trickle therefore
+//! travels one datagram per batch and a burst in batches as large as the
+//! burst. The hand-off holds at most 64 batches; while it
+//! is full a receiver's batch keeps growing, and a full batch that still
+//! finds no room is shed and counted in `datagrams_dropped`. After each
+//! submit the coordinator merges every epoch the workers have already
+//! finished ([`PipelineIngress::harvest_ready`]), so an alert waits for
+//! its own epoch, not for a tick or a full ring. Batch `Vec`s cycle back to
+//! the receivers through a recycle channel; steady state allocates nothing
+//! per datagram.
 //!
 //! This is the only receiver/coordinator loop in the crate: it is generic
 //! over a small private engine trait ([`ServeEngine`]), and
@@ -31,9 +43,9 @@
 //! out across nodes itself and nothing is ever in flight.
 //!
 //! Shutdown: set the stop flag (the CLI wires SIGINT to
-//! [`stop_flag_on_sigint`]). Receivers flush their partial batch and
-//! exit; the coordinator drains every in-flight batch and epoch, runs one
-//! final timer tick, and returns.
+//! [`stop_flag_on_sigint`]). Receivers hand over their partial batch,
+//! waiting for room if they must, and exit; the coordinator drains every
+//! in-flight batch and epoch, runs one final timer tick, and returns.
 //!
 //! An optional [`ServeRecorder`] taps the pipeline for the flight
 //! recorder: receivers mirror each datagram into their own recorder lane
@@ -45,9 +57,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use vids_core::classify::Classified;
 use vids_core::config::Config;
 use vids_core::pool::{PipelineIngress, PreRouted, VidsPool};
@@ -56,7 +69,7 @@ use vids_core::telemetry::{Counter, Gauge, Registry, ShardSlab};
 use vids_netsim::time::SimTime;
 use vids_record::LaneRecorder;
 
-use crate::batch::Batcher;
+use crate::batch::{flush_rule, Batcher, Flush};
 use crate::datagram::Datagram;
 use crate::demux::{classify_datagram, WireClass};
 use crate::record_tap::{recorded_class, ServeRecorder};
@@ -66,17 +79,21 @@ use crate::udp::{PoolMode, UdpPool, UdpSource};
 /// How often an idle receiver refreshes its kernel-backlog reading.
 const BACKLOG_EVERY: u32 = 64;
 
+/// Batches the receiver → coordinator hand-off holds before receivers
+/// start growing their batches and, once full, shedding them.
+const HANDOFF_BATCHES: usize = 64;
+
 /// Tuning for one serve session, lifted from [`Config`]'s ingestion
 /// knobs plus wall-clock cadences the engine does not care about.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Receiver thread / socket count.
     pub receivers: usize,
-    /// Flush a receiver's batch at this many events.
+    /// A receiver's batch is due at this many events even if its socket
+    /// has not drained, and is shed at this size if the hand-off is full.
     pub flush_packets: usize,
-    /// Flush a receiver's batch once its oldest event is this old.
-    pub flush_interval: Duration,
-    /// Upper bound on one blocking socket read (bounds shutdown latency).
+    /// Upper bound on one blocking socket read. It bounds shutdown latency
+    /// and how long a batch can wait after a poll that filled every slot.
     pub read_timeout: Duration,
     /// How often the coordinator runs the engine's timer sweep while
     /// traffic is quiet.
@@ -89,14 +106,14 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// Derives serve tuning from the engine config: `shards` receiver
-    /// threads, the config's batch flush knobs, and cadences derived
-    /// from the flush interval.
+    /// threads, `batch_flush_packets` as the batch size, and
+    /// `batch_flush_interval` (at least 1 ms) as the read timeout, which
+    /// makes it the longest a batch waits on a quiet socket.
     pub fn from_config(config: &Config) -> Self {
         let flush = Duration::from_nanos(config.batch_flush_interval.as_nanos());
         ServeOptions {
             receivers: config.shards,
             flush_packets: config.batch_flush_packets,
-            flush_interval: flush,
             read_timeout: flush.max(Duration::from_millis(1)),
             tick_interval: Duration::from_millis(100),
             snapshot_flag: None,
@@ -109,7 +126,8 @@ impl ServeOptions {
 pub struct ServeReport {
     /// Datagrams received and classified.
     pub datagrams_rx: u64,
-    /// Datagrams lost because a batch could not reach the coordinator.
+    /// Datagrams shed because their batch found the hand-off to the
+    /// coordinator full, or the coordinator gone.
     pub datagrams_dropped: u64,
     /// Datagrams that demultiplexed to [`WireClass::Unknown`].
     pub demux_unknown: u64,
@@ -145,7 +163,8 @@ pub(crate) trait ServeEngine {
     fn event(classified: Classified, d: &Datagram<'_>) -> Self::Event;
     /// The event's receive time (the first one is the batch clock).
     fn at(event: &Self::Event) -> SimTime;
-    /// Ingests one batch, draining `events`.
+    /// Ingests one batch, draining `events`, and emits every alert whose
+    /// epoch is already finished.
     fn submit<S: AlertSink + ?Sized>(
         &mut self,
         events: &mut Vec<Self::Event>,
@@ -190,6 +209,9 @@ impl ServeEngine for Piped<'_, '_, '_> {
         sink: &mut S,
     ) {
         self.ingress.submit(events, now, sink);
+        // Whatever the workers have finished by now is merged at once, so
+        // an alert waits for its own epoch only.
+        self.ingress.harvest_ready(sink);
     }
 
     fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
@@ -269,12 +291,15 @@ pub(crate) fn serve_engine<E: ServeEngine, S: AlertSink + ?Sized>(
         backlog: (0..sources.len()).map(|_| AtomicU64::new(0)).collect(),
         ..Default::default()
     };
-    let (batch_tx, batch_rx) = channel::unbounded::<Vec<E::Event>>();
-    let (recycle_tx, recycle_rx) = channel::unbounded::<Vec<E::Event>>();
-    // The vendored channel's receiver is single-consumer; the recycle
-    // side is shared across receiver threads through a mutex (one lock
-    // per batch flush, not per datagram).
-    let recycle_rx = std::sync::Mutex::new(recycle_rx);
+    // Both channels are bounded, so neither allocates per message. Every
+    // recycled `Vec` is one a receiver handed over, so the recycle channel
+    // fills only if the receivers stop taking buffers back; the coordinator
+    // then frees the surplus instead of waiting.
+    let (batch_tx, batch_rx) = mpsc::sync_channel::<Vec<E::Event>>(HANDOFF_BATCHES);
+    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<E::Event>>(HANDOFF_BATCHES);
+    // A `Receiver` has one owner; the receiver threads share the recycle
+    // side through a mutex (one lock per hand-off, not per datagram).
+    let recycle_rx = Mutex::new(recycle_rx);
 
     // Split the recorder: receivers record into their own lane through
     // the shared reference, the coordinator additionally knows the dump
@@ -295,8 +320,8 @@ pub(crate) fn serve_engine<E: ServeEngine, S: AlertSink + ?Sized>(
             });
         }
         // The receivers hold the only senders now; `Disconnected` on the
-        // batch channel therefore means every receiver has flushed and
-        // exited.
+        // batch channel therefore means every receiver has handed over its
+        // last batch and exited.
         drop(batch_tx);
 
         coordinator_loop(
@@ -329,30 +354,27 @@ struct DumpLog {
 fn receiver_loop<E: ServeEngine>(
     mut source: UdpSource,
     index: usize,
-    tx: channel::Sender<Vec<E::Event>>,
-    recycle: &std::sync::Mutex<channel::Receiver<Vec<E::Event>>>,
+    tx: SyncSender<Vec<E::Event>>,
+    recycle: &Mutex<Receiver<Vec<E::Event>>>,
     stats: &IngestStats,
     opts: &ServeOptions,
     stop: &AtomicBool,
     recorder: Option<&LaneRecorder>,
 ) {
-    let mut batcher = Batcher::new(opts.flush_packets, opts.flush_interval.as_nanos() as u64);
+    let mut batcher = Batcher::default();
+    let slots = source.poll_slots();
     let mut polls: u32 = 0;
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
+    while !stop.load(Ordering::Relaxed) {
         polls = polls.wrapping_add(1);
         if polls.is_multiple_of(BACKLOG_EVERY) {
             if let Some(b) = source.backlog_bytes() {
                 stats.backlog[index].store(b, Ordering::Relaxed);
             }
         }
-        let mut due = false;
         let polled = source.poll_batch(&mut |d| {
             // The receiver-side hot path: demux + classify + the engine's
             // event stamp, all allocation-free for media traffic, then one
-            // push into the preallocated batch.
+            // push into the recycled batch.
             let (class, classified) = classify_datagram(&d);
             if let Some(rec) = recorder {
                 rec.record(index, d.at, d.src, d.dst, recorded_class(class), d.payload);
@@ -363,47 +385,67 @@ fn receiver_loop<E: ServeEngine>(
             } else if class == WireClass::Ipv6 {
                 stats.ipv6.fetch_add(1, Ordering::Relaxed);
             }
-            due |= batcher.push(E::event(classified, &d));
+            batcher.push(E::event(classified, &d));
         });
-        match polled {
-            Ok(0) => due = batcher.overdue(Instant::now()),
-            Ok(_) => {}
-            // A socket error on one receiver retires that receiver; the
-            // rest of the pool keeps serving.
-            Err(_) => break,
-        }
-        if due {
-            flush(&mut batcher, &tx, recycle, stats);
+        // A socket error on one receiver retires that receiver; the rest
+        // of the pool keeps serving.
+        let Ok(polled) = polled else { break };
+        let mut room = true;
+        loop {
+            match flush_rule(polled, slots, batcher.len(), opts.flush_packets, room) {
+                Flush::Keep => break,
+                Flush::Hand => {
+                    let batch = batcher.take(|| recycled(recycle));
+                    match tx.try_send(batch) {
+                        Ok(()) => break,
+                        // Ask the rule again, now knowing there is no room.
+                        Err(TrySendError::Full(batch)) => {
+                            batcher.restore(batch);
+                            room = false;
+                        }
+                        Err(TrySendError::Disconnected(batch)) => {
+                            stats
+                                .dropped
+                                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                            break;
+                        }
+                    }
+                }
+                Flush::Shed => {
+                    stats
+                        .dropped
+                        .fetch_add(batcher.shed() as u64, Ordering::Relaxed);
+                    break;
+                }
+            }
         }
     }
+    // The last batch waits for room: the coordinator drains until every
+    // receiver has gone, so nothing is shed on the way out.
     if !batcher.is_empty() {
-        flush(&mut batcher, &tx, recycle, stats);
+        let batch = batcher.take(|| recycled(recycle));
+        let len = batch.len() as u64;
+        if tx.send(batch).is_err() {
+            stats.dropped.fetch_add(len, Ordering::Relaxed);
+        }
     }
     stats.backlog[index].store(0, Ordering::Relaxed);
 }
 
-fn flush<T>(
-    batcher: &mut Batcher<T>,
-    tx: &channel::Sender<Vec<T>>,
-    recycle: &std::sync::Mutex<channel::Receiver<Vec<T>>>,
-    stats: &IngestStats,
-) {
-    let spare = recycle
+/// A batch buffer the coordinator has sent back, if one is waiting.
+fn recycled<T>(recycle: &Mutex<Receiver<Vec<T>>>) -> Option<Vec<T>> {
+    recycle
         .lock()
-        .map(|rx| rx.try_recv().unwrap_or_default())
-        .unwrap_or_default();
-    let batch = batcher.take(spare);
-    let len = batch.len() as u64;
-    if tx.send(batch).is_err() {
-        stats.dropped.fetch_add(len, Ordering::Relaxed);
-    }
+        .expect("the recycle lock is held only around try_recv, which does not panic")
+        .try_recv()
+        .ok()
 }
 
 #[allow(clippy::too_many_arguments)]
 fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
     engine: &mut E,
-    batch_rx: &channel::Receiver<Vec<E::Event>>,
-    recycle_tx: &channel::Sender<Vec<E::Event>>,
+    batch_rx: &Receiver<Vec<E::Event>>,
+    recycle_tx: &SyncSender<Vec<E::Event>>,
     stats: &IngestStats,
     opts: &ServeOptions,
     epoch: Instant,
@@ -429,10 +471,10 @@ fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
                     rec.mark_batch();
                 }
                 batches += 1;
-                let _ = recycle_tx.send(events);
+                let _ = recycle_tx.try_send(events);
             }
-            Err(channel::RecvTimeoutError::Timeout) => {}
-            Err(channel::RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
         }
         let now = Instant::now();
         if now.duration_since(last_tick) >= opts.tick_interval {

@@ -92,9 +92,24 @@ pub struct UdpSource {
     socket: UdpSocket,
     local: SocketAddr,
     epoch: Instant,
-    buf: Box<[u8; RECV_BUF_LEN]>,
+    /// The single-datagram receive buffer, allocated by the first
+    /// [`WireSource::poll`]: the `recvmmsg` path never reads it.
+    buf: Option<Box<[u8]>>,
     #[cfg(target_os = "linux")]
     batch: Option<mmsg::Batch>,
+}
+
+/// Whether a failed read is just a poll that found nothing: the read
+/// timeout expired, or a signal handler interrupted the wait. A read on a
+/// socket with `SO_RCVTIMEO` fails with `EINTR` when a handler runs, even
+/// one installed with `SA_RESTART` (signal(7)).
+fn quiet(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock
+            | std::io::ErrorKind::TimedOut
+            | std::io::ErrorKind::Interrupted
+    )
 }
 
 impl UdpSource {
@@ -114,10 +129,21 @@ impl UdpSource {
             socket,
             local,
             epoch,
-            buf: Box::new([0u8; RECV_BUF_LEN]),
+            buf: None,
             #[cfg(target_os = "linux")]
             batch: None,
         }
+    }
+
+    /// The most datagrams one [`UdpSource::poll_batch`] delivers. A poll
+    /// that delivers fewer found the socket drained; one that fills every
+    /// slot may have left datagrams queued.
+    pub(crate) fn poll_slots(&self) -> usize {
+        #[cfg(target_os = "linux")]
+        if matches!(self.local, SocketAddr::V4(_)) {
+            return mmsg::SLOTS;
+        }
+        1
     }
 
     /// Bytes queued in this socket's kernel receive buffer, if the
@@ -138,7 +164,7 @@ impl UdpSource {
     /// IPv6 listeners) it degrades to one `recv_from` per call.
     ///
     /// Returns the number of datagrams delivered; 0 means the read timed
-    /// out with nothing queued.
+    /// out with nothing queued or a signal handler interrupted it.
     pub fn poll_batch(&mut self, f: &mut dyn FnMut(Datagram<'_>)) -> Result<usize, IngestError> {
         #[cfg(target_os = "linux")]
         if matches!(self.local, SocketAddr::V4(_)) {
@@ -159,12 +185,7 @@ impl UdpSource {
                     }
                     Ok(n)
                 }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    Ok(0)
-                }
+                Err(e) if quiet(&e) => Ok(0),
                 Err(e) => Err(IngestError::Io(e)),
             };
         }
@@ -180,22 +201,20 @@ impl UdpSource {
 
 impl WireSource for UdpSource {
     fn poll(&mut self) -> Result<Polled<'_>, IngestError> {
-        match self.socket.recv_from(&mut self.buf[..]) {
+        let buf = self
+            .buf
+            .get_or_insert_with(|| vec![0u8; RECV_BUF_LEN].into_boxed_slice());
+        match self.socket.recv_from(buf) {
             Ok((len, src)) => {
                 let at = SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64);
                 Ok(Polled::Datagram(Datagram {
                     src,
                     dst: self.local,
                     at,
-                    payload: &self.buf[..len],
+                    payload: &buf[..len],
                 }))
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(Polled::Empty)
-            }
+            Err(e) if quiet(&e) => Ok(Polled::Empty),
             Err(e) => Err(IngestError::Io(e)),
         }
     }
@@ -588,6 +607,81 @@ mod tests {
             src.poll_batch(&mut |_| panic!("no datagram expected"))
                 .unwrap(),
             0
+        );
+    }
+
+    #[test]
+    fn recvmmsg_source_allocates_no_single_datagram_buffer() {
+        if !can_bind_loopback() {
+            eprintln!("skipping: UDP loopback binding unavailable");
+            return;
+        }
+        let pool = UdpPool::bind("127.0.0.1:0".parse().unwrap(), 1).unwrap();
+        let mut src = pool
+            .into_sources(Instant::now(), Duration::from_millis(1))
+            .pop()
+            .unwrap();
+        src.poll_batch(&mut |_| {}).unwrap();
+        assert_eq!(src.buf.is_some(), src.poll_slots() == 1);
+        src.poll().unwrap();
+        assert!(
+            src.buf.is_some(),
+            "the fallback path allocates on first use"
+        );
+    }
+
+    /// A signal handler running while a receiver blocks in its read makes
+    /// the read fail with `EINTR` (signal(7): `SO_RCVTIMEO` reads are never
+    /// restarted). That must read as a quiet poll, or `SIGUSR1`, the
+    /// snapshot trigger, would retire the receiver.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_signal_during_a_blocking_poll_is_a_quiet_poll() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// `SIGUSR1` on Linux.
+        const SIGUSR1: i32 = 10;
+        extern "C" {
+            fn pthread_self() -> usize;
+            fn pthread_kill(thread: usize, sig: i32) -> i32;
+        }
+        if !can_bind_loopback() {
+            eprintln!("skipping: UDP loopback binding unavailable");
+            return;
+        }
+        crate::server::dump_flag_on_sigusr1();
+        let pool = UdpPool::bind("127.0.0.1:0".parse().unwrap(), 1).unwrap();
+        let timeout = Duration::from_secs(5);
+        let mut src = pool.into_sources(Instant::now(), timeout).pop().unwrap();
+        let done = AtomicBool::new(false);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (polled, waited) = std::thread::scope(|scope| {
+            let poller = scope.spawn(|| {
+                // SAFETY: returns the calling thread's handle; no
+                // preconditions.
+                tx.send(unsafe { pthread_self() }).unwrap();
+                let started = Instant::now();
+                let polled = src.poll_batch(&mut |_| panic!("nothing was sent"));
+                done.store(true, Ordering::Relaxed);
+                (polled.map_err(|e| e.to_string()), started.elapsed())
+            });
+            let thread = rx.recv().unwrap();
+            // Signal until the poll returns: one that lands before the
+            // thread blocks in the read is simply handled, the next one
+            // interrupts the read.
+            while !done.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(50));
+                // SAFETY: `thread` is a thread of this process that is not
+                // joined yet, and SIGUSR1 has a handler that only sets a
+                // flag. A thread that has just returned ignores it.
+                unsafe { pthread_kill(thread, SIGUSR1) };
+            }
+            poller.join().unwrap()
+        });
+        assert_eq!(polled, Ok(0), "an interrupted read is an empty poll");
+        assert!(
+            waited < timeout,
+            "the signal, not the timeout, ended the read"
         );
     }
 }

@@ -39,7 +39,6 @@ fn cluster_serve_detects_a_tenant_flood_over_real_udp() {
     let opts = ServeOptions {
         receivers: 2,
         flush_packets: 8,
-        flush_interval: Duration::from_millis(20),
         read_timeout: Duration::from_millis(5),
         tick_interval: Duration::from_millis(50),
         snapshot_flag: None,

@@ -5,20 +5,21 @@
 //! non-5060 port, so the SIP start-line heuristic), batching, the
 //! coordinator, and graceful stop-flag shutdown in one pass.
 
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
-use vids_core::alert::labels;
+use vids_core::alert::{labels, Alert};
 use vids_core::config::Config;
 use vids_core::cost::CostModel;
 use vids_core::pool::VidsPool;
-use vids_core::sink::CollectSink;
+use vids_core::sink::{CollectSink, FnSink};
 use vids_ingest::record_tap::ServeRecorder;
 use vids_ingest::server::{serve_on, ServeOptions};
 use vids_ingest::udp::UdpPool;
 use vids_record::{LaneRecorder, Vdump};
-use vids_sip::{Request, SipUri};
+use vids_sip::{Method, Request, SipUri, StatusCode};
 
 /// Sandboxes without network namespaces cannot bind loopback; skip
 /// rather than fail there.
@@ -40,7 +41,6 @@ fn serve_detects_an_invite_flood_over_real_udp() {
     let opts = ServeOptions {
         receivers: 2,
         flush_packets: 8,
-        flush_interval: Duration::from_millis(20),
         read_timeout: Duration::from_millis(5),
         tick_interval: Duration::from_millis(50),
         snapshot_flag: None,
@@ -117,4 +117,195 @@ fn serve_detects_an_invite_flood_over_real_udp() {
     assert!(!dump.packets.is_empty());
     assert_eq!(dump.alert.label, labels::INVITE_FLOOD);
     std::fs::remove_dir_all(&dump_dir).ok();
+}
+
+/// A loopback sender for one test's traffic.
+struct Sender {
+    socket: UdpSocket,
+    target: SocketAddr,
+}
+
+impl Sender {
+    fn new(target: SocketAddr) -> Self {
+        Sender {
+            socket: UdpSocket::bind("127.0.0.1:0").unwrap(),
+            target,
+        }
+    }
+
+    fn send(&self, message: &str) {
+        self.socket
+            .send_to(message.as_bytes(), self.target)
+            .unwrap();
+    }
+}
+
+fn invite(call_id: &str) -> Request {
+    Request::invite(
+        &SipUri::new("alice", "a.example.com"),
+        &SipUri::new("bob", "b.example.com"),
+        call_id,
+    )
+}
+
+/// The default serve options batch at 256 datagrams. At one datagram per
+/// millisecond the socket never stays quiet for a read timeout, so a batch
+/// handed over only when full would hold a forged BYE sent early in the
+/// stream for a quarter of a second; a batch handed over when the socket
+/// drains carries it at once, and the coordinator merges its epoch at the
+/// next submit.
+#[test]
+fn a_forged_bye_alert_reaches_the_sink_promptly_at_a_trickle() {
+    if !can_bind_loopback() {
+        eprintln!("skipping: cannot bind 127.0.0.1 in this environment");
+        return;
+    }
+    const CALLS: usize = 5;
+    const FILLER: usize = 300;
+    let config = Config::default();
+    let opts = ServeOptions::from_config(&config);
+    let udp = UdpPool::bind("127.0.0.1:0".parse().unwrap(), opts.receivers).unwrap();
+    let target = udp.local_addr();
+    let mut pool = VidsPool::with_cost(config, CostModel::free());
+    let stop = AtomicBool::new(false);
+    let mut alerts: Vec<(Instant, Alert)> = Vec::new();
+    let mut sink = FnSink(|alert: Alert| alerts.push((Instant::now(), alert)));
+
+    let (bye_sent, report) = std::thread::scope(|scope| {
+        let sender = scope.spawn(|| {
+            let tx = Sender::new(target);
+            let trickle = |message: &str| {
+                tx.send(message);
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            // A few established calls, one datagram per millisecond.
+            let calls: Vec<Request> = (0..CALLS)
+                .map(|i| invite(&format!("trickle-{i}")))
+                .collect();
+            let ringing = |inv: &Request| {
+                inv.response(StatusCode::RINGING)
+                    .with_to_tag("tt")
+                    .to_string()
+            };
+            for inv in &calls {
+                trickle(&inv.to_string());
+                trickle(&ringing(inv));
+                trickle(&inv.response(StatusCode::OK).with_to_tag("tt").to_string());
+                trickle(&Request::in_dialog(Method::Ack, inv, 1, Some("tt")).to_string());
+            }
+            // The forged BYE: the right Call-ID, a To-tag the dialog never had.
+            let forged = Request::in_dialog(Method::Bye, &calls[0], 2, Some("forged")).to_string();
+            let filler: Vec<String> = calls[1..].iter().map(ringing).collect();
+            let bye_sent = Instant::now();
+            trickle(&forged);
+            // Benign signalling keeps the socket busy: ringing
+            // retransmissions on the other calls.
+            for i in 0..FILLER {
+                trickle(&filler[i % filler.len()]);
+            }
+            std::thread::sleep(Duration::from_millis(300));
+            stop.store(true, Ordering::Relaxed);
+            bye_sent
+        });
+        let report = serve_on(&mut pool, udp, &opts, None, &stop, None, &mut sink).unwrap();
+        (sender.join().unwrap(), report)
+    });
+
+    assert_eq!(report.datagrams_dropped, 0);
+    let spoofed: Vec<&(Instant, Alert)> = alerts
+        .iter()
+        .filter(|(_, a)| a.label == labels::SPOOFED_BYE)
+        .collect();
+    assert_eq!(spoofed.len(), 1, "one spoofed-bye alert; got {alerts:?}");
+    let (at, alert) = spoofed[0];
+    assert_eq!(alert.call_id.as_deref(), Some("trickle-0"));
+    let delay = at.saturating_duration_since(bye_sent);
+    eprintln!("forged BYE to alert: {delay:?}");
+    assert!(
+        delay < Duration::from_millis(100),
+        "the alert took {delay:?} from the send"
+    );
+}
+
+/// A stalled coordinator backs the receivers up: the hand-off fills, their
+/// batches grow to `flush_packets` and are then shed. Every datagram must
+/// still be accounted for, either processed by the engine or counted as
+/// dropped.
+#[test]
+fn a_stalled_coordinator_sheds_whole_batches_and_counts_them() {
+    if !can_bind_loopback() {
+        eprintln!("skipping: cannot bind 127.0.0.1 in this environment");
+        return;
+    }
+    const WARM: usize = 20;
+    const BURST: usize = 1_500;
+    let udp = UdpPool::bind("127.0.0.1:0".parse().unwrap(), 1).unwrap();
+    let target = udp.local_addr();
+    let opts = ServeOptions {
+        receivers: 1,
+        flush_packets: 8,
+        read_timeout: Duration::from_millis(5),
+        tick_interval: Duration::from_millis(20),
+        snapshot_flag: None,
+    };
+    let mut pool = VidsPool::with_cost(Config::default(), CostModel::free());
+    let stop = AtomicBool::new(false);
+    // The first alert (the INVITE flood the warm-up raises) blocks the
+    // coordinator until the sender has sent the whole burst.
+    let (stalled_tx, stalled_rx) = mpsc::channel::<()>();
+    let (resume_tx, resume_rx) = mpsc::channel::<()>();
+    let mut first = true;
+    let mut sink = FnSink(|_: Alert| {
+        if std::mem::take(&mut first) {
+            stalled_tx.send(()).unwrap();
+            resume_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the sender resumes the coordinator");
+        }
+    });
+
+    let report = std::thread::scope(|scope| {
+        let stop = &stop;
+        scope.spawn(move || {
+            let tx = Sender::new(target);
+            let invites: Vec<String> = (0..WARM + BURST)
+                .map(|i| invite(&format!("stall-{i}")).to_string())
+                .collect();
+            for m in &invites[..WARM] {
+                tx.send(m);
+            }
+            stalled_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the flood alert reaches the sink");
+            // Ten datagrams per millisecond, gentle enough for the kernel
+            // buffer, far more than 64 batches of 8 can hold.
+            for chunk in invites[WARM..].chunks(10) {
+                for m in chunk {
+                    tx.send(m);
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // The receiver reads what the kernel still holds while the
+            // coordinator is stalled; then let it drain everything.
+            std::thread::sleep(Duration::from_millis(100));
+            resume_tx.send(()).unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            stop.store(true, Ordering::Relaxed);
+        });
+        serve_on(&mut pool, udp, &opts, None, stop, None, &mut sink).unwrap()
+    });
+
+    let sent = (WARM + BURST) as u64;
+    assert_eq!(report.datagrams_rx, sent, "every datagram must arrive");
+    assert!(
+        report.datagrams_dropped > 0,
+        "the stall never filled the hand-off: {report:?}"
+    );
+    let c = pool.counters();
+    let processed = c.sip_packets + c.rtp_packets + c.malformed + c.ignored;
+    assert_eq!(
+        processed + report.datagrams_dropped,
+        report.datagrams_rx,
+        "every datagram processed or counted as dropped: {report:?}, {c:?}"
+    );
 }

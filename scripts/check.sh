@@ -132,9 +132,10 @@ cargo test --offline --test replay_differential -q
 # against the ceilings committed in scripts/perf_ceilings.txt (the measured
 # value plus the metric's bound). The replay counts come from the
 # benchmark's allocator and repeat exactly run to run; the live count moves
-# by under 1 % with how datagrams fall into batches (its ceiling starts from
-# the highest of five sessions), and peak RSS holds to a fraction of its
-# bound.
+# by under 1 % with how many datagrams reach the socket together, because a
+# receiver hands over what one drain of the socket found and the batch
+# buffers grow to the largest such burst (its ceiling starts from the
+# highest of five sessions), and peak RSS holds to a fraction of its bound.
 # Where the sandbox cannot bind loopback, live_trickle is skipped with a
 # notice.
 perf_gate() {

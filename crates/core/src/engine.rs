@@ -309,6 +309,11 @@ impl Vids {
         });
     }
 
+    /// The transition ring's capacity; 0 when telemetry is off.
+    pub(crate) fn telemetry_ring(&self) -> usize {
+        self.telemetry.as_ref().map_or(0, |t| t.ring.capacity())
+    }
+
     /// Refreshes the gauges (live calls, memory) on this engine's slab.
     pub(crate) fn refresh_telemetry_gauges(&self) {
         if let Some(tel) = &self.telemetry {

@@ -530,6 +530,12 @@ impl VidsPool {
         registry
     }
 
+    /// The per-shard transition-ring capacity telemetry was enabled with;
+    /// 0 when telemetry is off.
+    pub fn telemetry_ring(&self) -> usize {
+        self.shards[0].telemetry_ring()
+    }
+
     /// A snapshot of the pool's registry at monitor time `now`, when
     /// telemetry is enabled. Refreshes the per-shard gauges (live calls,
     /// fact-base memory) and the pool slab's routing-index memory gauge

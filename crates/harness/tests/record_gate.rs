@@ -71,8 +71,8 @@ fn run(capture: &[u8], record: bool) -> (Vec<Alert>, VidsCounters) {
     let config = Config::default();
     let mut pool = VidsPool::with_cost(config, CostModel::free());
     let mut sink = CollectSink::new();
-    let mut recorder = record.then(|| Recorder::with_defaults(1));
-    let mut tap = recorder.as_mut().map(|r| RecordTap::new(r, None));
+    let recorder = record.then(|| Recorder::with_defaults(1));
+    let mut tap = recorder.as_ref().map(|r| RecordTap::new(r, None));
     replay_pcap(
         capture.to_vec(),
         &mut pool,
@@ -118,8 +118,8 @@ fn regenerate_corpus() {
     let config = Config::default();
     let mut pool = VidsPool::with_cost(config, CostModel::free());
     let mut sink = CollectSink::new();
-    let mut recorder = Recorder::with_defaults(1);
-    let mut tap = RecordTap::new(&mut recorder, Some(&dir));
+    let recorder = Recorder::with_defaults(1);
+    let mut tap = RecordTap::new(&recorder, Some(&dir));
     replay_pcap(
         flood_capture(),
         &mut pool,

@@ -7,7 +7,7 @@
 //! with no per-datagram allocation and no payload copies.
 //!
 //! * [`datagram`] — [`Datagram`], the borrowed wire-level view.
-//! * [`source`] — the [`WireSource`] trait and [`PcapSource`].
+//! * [`source`] — the [`WireSource`] trait the live sockets implement.
 //! * [`udp`] — live capture: [`udp::UdpPool`] (SO_REUSEPORT receiver
 //!   sharding with a portable fallback) and [`udp::UdpSource`].
 //! * [`pcap`] — hand-rolled classic libpcap reader/writer, both byte
@@ -24,10 +24,12 @@
 //!   on-demand `SIGUSR1` ring snapshots.
 //! * [`cluster_serve`] — the federated variant: the same loop driving a
 //!   `vids-cluster` gateway (`vids serve --nodes N --tenants FILE`).
+//! * [`record_tap`] — [`RecordTap`], the one flight-recorder tap both
+//!   ingest paths take.
 //! * [`replay`] — `vids replay`: run a capture through the identical
-//!   pipeline at full speed, deterministically; `replay_pcap_parallel`
-//!   classifies on N threads and re-sequences batches so the output
-//!   stays byte-identical to the single-thread run.
+//!   pipeline at full speed, deterministically; one loop classifies
+//!   inline at one thread, or on N threads with batches re-sequenced so
+//!   the output stays byte-identical to the single-thread run.
 
 pub mod batch;
 pub mod cluster_serve;
@@ -47,10 +49,10 @@ pub mod prelude {
     pub use crate::datagram::Datagram;
     pub use crate::demux::{classify_datagram, demux, WireClass, SIP_PORT};
     pub use crate::pcap::{PcapError, PcapReader, PcapRecord, PcapWriter};
-    pub use crate::record_tap::{recorded_class, RecordTap, ServeRecorder};
-    pub use crate::replay::{replay, replay_pcap, replay_pcap_parallel, ReplayReport};
+    pub use crate::record_tap::{recorded_class, RecordTap};
+    pub use crate::replay::{replay_pcap, replay_pcap_parallel, ReplayReport};
     pub use crate::server::{serve, serve_on, ServeOptions, ServeReport};
-    pub use crate::source::{IngestError, PcapSource, Polled, WireSource};
+    pub use crate::source::{IngestError, Polled, WireSource};
     pub use crate::udp::{PoolMode, UdpPool, UdpSource};
 }
 
@@ -59,10 +61,10 @@ pub use cluster_serve::serve_cluster_on;
 pub use datagram::Datagram;
 pub use demux::{classify_datagram, demux, WireClass, SIP_PORT};
 pub use pcap::{PcapError, PcapReader, PcapRecord, PcapWriter};
-pub use record_tap::{recorded_class, RecordTap, ServeRecorder};
-pub use replay::{replay, replay_pcap, replay_pcap_parallel, ReplayReport};
+pub use record_tap::{recorded_class, RecordTap};
+pub use replay::{replay_pcap, replay_pcap_parallel, ReplayReport};
 pub use server::{
     dump_flag_on_sigusr1, serve, serve_on, stop_flag_on_sigint, ServeOptions, ServeReport,
 };
-pub use source::{IngestError, PcapSource, Polled, WireSource};
+pub use source::{IngestError, Polled, WireSource};
 pub use udp::{PoolMode, UdpPool, UdpSource};

@@ -72,10 +72,10 @@ pub struct PcapRecord<'a> {
 
 /// A zero-copy iterator over the records of a classic pcap file.
 pub struct PcapReader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-    pub(crate) swapped: bool,
-    pub(crate) linktype: u32,
+    buf: &'a [u8],
+    pos: usize,
+    swapped: bool,
+    linktype: u32,
 }
 
 impl<'a> PcapReader<'a> {

@@ -1,14 +1,18 @@
 //! Bridges the ingest pipeline to the `vids-record` flight recorder.
 //!
-//! Both ingest paths (offline [`crate::replay::replay`] and the live
-//! [`crate::server`]) accept an optional tap. When present, every
-//! datagram is mirrored into the recorder's rings *before* it reaches
-//! the engine (allocation-free), batch boundaries are marked as the
-//! engine sees them, and any alert a batch raises triggers a `.vdump`
-//! of the surrounding window.
+//! Both ingest paths (offline [`crate::replay`] and the live
+//! [`crate::server`]) accept an optional [`RecordTap`]. When present,
+//! every datagram is mirrored into the recorder's rings *before* it
+//! reaches the engine (allocation-free), batch boundaries are marked as
+//! the engine sees them, and the alerts a batch raises trigger `.vdump`s
+//! of the surrounding window. Both paths find a batch's alerts the same
+//! way: a watermark over the pool's alert log, read while the engine is
+//! quiescent.
 
 use std::path::{Path, PathBuf};
 
+use vids_core::pool::VidsPool;
+use vids_netsim::time::SimTime;
 use vids_record::{RecordedClass, Recorder};
 
 use crate::demux::WireClass;
@@ -25,55 +29,55 @@ pub fn recorded_class(class: WireClass) -> RecordedClass {
     }
 }
 
-/// A flight-recorder tap for the single-lane offline replay path.
+/// A flight-recorder tap on an ingest run. The recorder is borrowed by
+/// shared reference, so the serve daemon's receiver threads record into
+/// their own lanes while the coordinator holds the tap.
 ///
 /// `dump_dir = None` keeps the rings hot (stats, overhead measurement)
-/// without ever writing dumps; alerts then pass through untouched.
+/// without ever writing dumps. A dump that fails to write is counted in
+/// `io_errors` and the run goes on.
 pub struct RecordTap<'a> {
     /// The recorder holding the rings.
-    pub recorder: &'a mut Recorder,
+    pub recorder: &'a Recorder,
     /// Where alert-triggered dumps go; `None` disables dumping.
     pub dump_dir: Option<&'a Path>,
-    /// Dump files written during this run, in order.
+    /// Dump files written during the run, in order.
     pub written: Vec<PathBuf>,
+    /// Dump writes that failed.
+    pub io_errors: u64,
 }
 
 impl<'a> RecordTap<'a> {
     /// Taps `recorder`, dumping alerts into `dump_dir` when given.
-    pub fn new(recorder: &'a mut Recorder, dump_dir: Option<&'a Path>) -> Self {
+    pub fn new(recorder: &'a Recorder, dump_dir: Option<&'a Path>) -> Self {
         RecordTap {
             recorder,
             dump_dir,
             written: Vec::new(),
+            io_errors: 0,
         }
     }
-}
 
-/// A flight-recorder tap for the multi-threaded serve path.
-///
-/// Each receiver thread records into its own [`vids_record::LaneRecorder`]
-/// lane (per-lane locks — no cross-receiver contention, unlike the
-/// `Mutex<Recorder>` this replaced); the coordinator marks batch
-/// boundaries and writes dumps at pipeline quiesce points.
-pub struct ServeRecorder<'a> {
-    /// The shared per-lane recorder.
-    pub recorder: &'a vids_record::LaneRecorder,
-    /// Where alert-triggered dumps go; `None` disables dumping.
-    pub dump_dir: Option<&'a Path>,
-    /// Dump files written during the session, in order.
-    pub written: Vec<PathBuf>,
-    /// Dump writes that failed (the session keeps serving).
-    pub io_errors: u64,
-}
+    /// Dumps the window for every alert in `pool.alerts()` past `*dumped`
+    /// and moves the watermark to the end of the log. `pool` must be
+    /// quiescent.
+    pub(crate) fn dump_new(&mut self, pool: &VidsPool, dumped: &mut usize) {
+        let alerts = &pool.alerts()[*dumped..];
+        *dumped = pool.alerts().len();
+        let Some(dir) = self.dump_dir else { return };
+        match self.recorder.dump_alerts(pool, dir, alerts) {
+            Ok(paths) => self.written.extend(paths),
+            Err(_) => self.io_errors += 1,
+        }
+    }
 
-impl<'a> ServeRecorder<'a> {
-    /// Taps `recorder`, dumping alerts into `dump_dir` when given.
-    pub fn new(recorder: &'a vids_record::LaneRecorder, dump_dir: Option<&'a Path>) -> Self {
-        ServeRecorder {
-            recorder,
-            dump_dir,
-            written: Vec::new(),
-            io_errors: 0,
+    /// Writes an operator-requested snapshot of the rings (`SIGUSR1`).
+    pub(crate) fn snapshot(&mut self, pool: &VidsPool, at: SimTime) {
+        let Some(dir) = self.dump_dir else { return };
+        match self.recorder.dump_snapshot(pool, dir, at) {
+            // `None`: the dump cap declined it, which is not an error.
+            Ok(path) => self.written.extend(path),
+            Err(_) => self.io_errors += 1,
         }
     }
 }

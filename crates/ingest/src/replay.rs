@@ -1,26 +1,40 @@
 //! Offline replay: run a capture through the engine at full speed.
 //!
 //! Replay drives the exact pipeline the live daemon uses — pcap record →
-//! UDP frame → demux → [`classify_datagram`] → `process_wire_batch` —
-//! with the capture's own timestamps standing in for the wall clock.
-//! Because the pool's batched merge is chunking-invariant, the alerts
-//! and counters from a replay are byte-identical to what an in-process
-//! run over the same traffic produces (`tests/replay_differential.rs`
-//! in the root crate holds this at 1, 4 and 8 shards).
+//! UDP frame → demux → [`classify_datagram`] → the engine — with the
+//! capture's own timestamps standing in for the wall clock. Because the
+//! pool's batched merge is chunking-invariant, the alerts and counters
+//! from a replay are byte-identical to what an in-process run over the
+//! same traffic produces (`tests/replay_differential.rs` in the root
+//! crate holds this at 1, 4 and 8 shards).
+//!
+//! One loop serves every thread count. It cuts the capture into
+//! batches of `flush_packets` datagrams in capture order. At one thread
+//! it classifies each batch inline and hands it to
+//! [`VidsPool::process_wire_batch`]. At more, classifier threads classify
+//! the batches in parallel and the calling thread re-sequences them into
+//! the engine's pipelined ingest ([`VidsPool::with_pipeline`]), so the
+//! output stays byte-identical to the single-thread run.
 //!
 //! An optional [`RecordTap`] mirrors every datagram into the flight
-//! recorder before the engine sees it and dumps the captured window
-//! whenever a batch (or the final timer sweep) raises an alert.
+//! recorder just before the engine takes its batch, and dumps the
+//! captured window for the alerts each batch (or the final timer sweep)
+//! raised.
 
-use vids_core::pool::{VidsPool, WireEvent};
+use std::collections::BTreeMap;
+use std::sync::mpsc;
+
+use vids_core::classify::Classified;
+use vids_core::pool::{PipelineIngress, PreRouted, VidsPool, WireEvent};
 use vids_core::sink::AlertSink;
 use vids_core::telemetry::{Counter, Registry};
 use vids_netsim::time::SimTime;
-use vids_record::TeeSink;
 
-use crate::demux::{classify_datagram, WireClass};
+use crate::datagram::Datagram;
+use crate::demux::{classify_datagram, demux, WireClass};
+use crate::pcap::PcapReader;
 use crate::record_tap::{recorded_class, RecordTap};
-use crate::source::{IngestError, PcapSource, Polled, WireSource};
+use crate::source::IngestError;
 
 /// The historical hard-coded grace period. The pipeline now reads
 /// [`vids_core::config::Config::replay_grace`] (same default); this
@@ -42,132 +56,9 @@ pub struct ReplayReport {
     pub last_at: SimTime,
 }
 
-/// Replays any [`WireSource`] to exhaustion through `pool`, batching
-/// `flush_packets` events at a time. With a [`RecordTap`], every
-/// datagram also lands in the flight recorder and alert batches dump
-/// their window (paths accumulate in [`RecordTap::written`]).
-pub fn replay<W, S>(
-    source: &mut W,
-    pool: &mut VidsPool,
-    flush_packets: usize,
-    telemetry: Option<&Registry>,
-    mut tap: Option<&mut RecordTap<'_>>,
-    sink: &mut S,
-) -> Result<ReplayReport, IngestError>
-where
-    W: WireSource,
-    S: AlertSink + ?Sized,
-{
-    let flush_packets = flush_packets.max(1);
-    let mut report = ReplayReport::default();
-    let mut events: Vec<WireEvent> = Vec::with_capacity(flush_packets);
-    loop {
-        match source.poll()? {
-            Polled::Datagram(d) => {
-                let (class, classified) = classify_datagram(&d);
-                if let Some(t) = tap.as_deref_mut() {
-                    t.recorder
-                        .record(0, d.at, d.src, d.dst, recorded_class(class), d.payload);
-                }
-                report.datagrams += 1;
-                if class == WireClass::Unknown {
-                    report.demux_unknown += 1;
-                } else if class == WireClass::Ipv6 {
-                    report.datagrams_ipv6 += 1;
-                }
-                report.last_at = report.last_at.max(d.at);
-                events.push(WireEvent {
-                    classified,
-                    at: d.at,
-                });
-                if events.len() >= flush_packets {
-                    flush_batch(pool, &mut events, &mut report, tap.as_deref_mut(), sink)?;
-                }
-            }
-            // Replay sources are not expected to stall, but a source
-            // that does (a future live-file tail) is just polled again.
-            Polled::Empty => continue,
-            Polled::End => break,
-        }
-    }
-    if !events.is_empty() {
-        flush_batch(pool, &mut events, &mut report, tap.as_deref_mut(), sink)?;
-    }
-    let sweep_at = report.last_at + pool.config().replay_grace;
-    match tap {
-        Some(t) => {
-            let mut seen = Vec::new();
-            {
-                let mut tee = TeeSink::new(sink, &mut seen);
-                pool.tick(sweep_at, &mut tee);
-            }
-            dump_batch_alerts(pool, t, &seen)?;
-        }
-        None => pool.tick(sweep_at, sink),
-    }
-    if let Some(reg) = telemetry {
-        let slab = reg.pool();
-        slab.add(Counter::DatagramsRx, report.datagrams);
-        slab.add(Counter::DemuxUnknown, report.demux_unknown);
-        slab.add(Counter::DatagramsIpv6, report.datagrams_ipv6);
-    }
-    Ok(report)
-}
-
-/// Hands one batch to the engine. The batch clock is the batch's
-/// *first* timestamp: the engine clamps each event's time up to at
-/// least the clock, so passing a later time would collapse the
-/// intra-batch timing the window and timer machines depend on.
-fn flush_batch<S: AlertSink + ?Sized>(
-    pool: &mut VidsPool,
-    events: &mut Vec<WireEvent>,
-    report: &mut ReplayReport,
-    tap: Option<&mut RecordTap<'_>>,
-    sink: &mut S,
-) -> Result<(), IngestError> {
-    let now = events.first().map(|e| e.at).unwrap_or(report.last_at);
-    match tap {
-        Some(t) => {
-            // The tee buffer starts empty and only grows on an alert, so
-            // the steady (alert-free) path stays allocation-free.
-            let mut seen = Vec::new();
-            {
-                let mut tee = TeeSink::new(sink, &mut seen);
-                pool.process_wire_batch(events, now, &mut tee);
-            }
-            t.recorder.mark_batch();
-            dump_batch_alerts(pool, t, &seen)?;
-        }
-        None => pool.process_wire_batch(events, now, sink),
-    }
-    report.batches += 1;
-    Ok(())
-}
-
-/// Queues a batch's alerts on the recorder and writes their dumps.
-fn dump_batch_alerts(
-    pool: &VidsPool,
-    tap: &mut RecordTap<'_>,
-    seen: &[vids_core::alert::Alert],
-) -> Result<(), IngestError> {
-    if seen.is_empty() {
-        return Ok(());
-    }
-    if let Some(dir) = tap.dump_dir {
-        for a in seen {
-            tap.recorder.note_alert(a);
-        }
-        let written = tap
-            .recorder
-            .dump_pending(pool, dir)
-            .map_err(IngestError::Io)?;
-        tap.written.extend(written);
-    }
-    Ok(())
-}
-
 /// Replays classic pcap capture bytes (see [`crate::pcap::PcapReader`]
-/// for the supported formats).
+/// for the supported formats) on the calling thread:
+/// [`replay_pcap_parallel`] at one thread.
 pub fn replay_pcap<S: AlertSink + ?Sized>(
     capture: Vec<u8>,
     pool: &mut VidsPool,
@@ -176,210 +67,53 @@ pub fn replay_pcap<S: AlertSink + ?Sized>(
     tap: Option<&mut RecordTap<'_>>,
     sink: &mut S,
 ) -> Result<ReplayReport, IngestError> {
-    let mut source = PcapSource::new(capture)?;
-    replay(&mut source, pool, flush_packets, telemetry, tap, sink)
+    replay_pcap_parallel(capture, pool, flush_packets, 1, telemetry, tap, sink)
 }
 
-/// Multi-threaded [`replay_pcap`]: `threads` classifier threads demux,
-/// parse and shard-hash the capture's datagrams in parallel while the
-/// calling thread decodes pcap records and drives the engine's pipelined
-/// ingest ([`vids_core::pool::VidsPool::with_pipeline`]), so shard
-/// workers overlap with classification of later batches.
+/// Replays classic pcap capture bytes with `threads` classifier threads.
 ///
-/// Batches are `flush_packets` datagrams in capture order; completed
-/// batches are re-sequenced and submitted strictly in order, so the
-/// alerts, counters and report are **byte-identical** to a single-thread
-/// replay of the same capture at the same `flush_packets` — the
-/// differential gate in `tests/replay_differential.rs` holds this across
-/// thread and shard counts. `threads <= 1` delegates to the sequential
-/// path.
+/// `threads <= 1` classifies inline and feeds
+/// [`VidsPool::process_wire_batch`]; it opens no pipeline session, spawns
+/// no thread and, dumps aside, allocates nothing per batch. Above that, the
+/// classifier
+/// threads demux, parse and shard-hash batches in parallel while the
+/// calling thread decodes pcap records and drives the pipeline, so shard
+/// workers overlap with the classification of later batches. Completed
+/// batches are submitted strictly in capture order, so alerts, counters
+/// and report are **byte-identical** across thread counts at the same
+/// `flush_packets`.
 ///
-/// With a [`RecordTap`], datagrams are recorded on the driving thread at
-/// submit time (preserving the sequential recorder layout: same global
-/// sequence, same batch ids). When dumps are armed (a tap with a dump
-/// directory), the driver additionally drains the pipeline after every
-/// chunk so each dump's window and counters freeze at the alert's own
-/// batch, exactly like the sequential tap — classifier fan-out stays
-/// parallel; only the engine-side overlap is serialized — and the
-/// resulting `.vdump` replays deterministically.
+/// With a [`RecordTap`], datagrams are recorded on the calling thread just
+/// before their batch reaches the engine, so every thread count leaves
+/// the same recorder layout (global sequence, batch ids). When the tap
+/// has a dump directory, each dump freezes window and counters at the
+/// alert's own batch; at more than one thread the replay therefore drains
+/// the pipeline after every batch — classification stays parallel, only
+/// the engine-side overlap is given up.
 pub fn replay_pcap_parallel<S: AlertSink + ?Sized>(
     capture: Vec<u8>,
     pool: &mut VidsPool,
     flush_packets: usize,
     threads: usize,
     telemetry: Option<&Registry>,
-    mut tap: Option<&mut RecordTap<'_>>,
+    tap: Option<&mut RecordTap<'_>>,
     sink: &mut S,
 ) -> Result<ReplayReport, IngestError> {
-    use std::collections::{BTreeMap, VecDeque};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::mpsc;
-
-    use vids_core::pool::PreRouted;
-
-    use crate::datagram::Datagram;
-    use crate::demux::demux;
-    use crate::pcap::PcapReader;
-
+    let mut run = Run {
+        reader: PcapReader::new(&capture)?,
+        flush_packets: flush_packets.max(1),
+        report: ReplayReport::default(),
+        dumped: pool.alerts().len(),
+        tap,
+    };
     if threads <= 1 {
-        return replay_pcap(capture, pool, flush_packets, telemetry, tap, sink);
+        run.inline(pool, sink)?;
+    } else {
+        pool.with_pipeline(|p| run.fanned_out(p, threads, sink))?;
     }
-    let flush_packets = flush_packets.max(1);
-    let grace = pool.config().replay_grace;
-    let mut report = ReplayReport::default();
-    let demux_unknown = AtomicU64::new(0);
-    let demux_ipv6 = AtomicU64::new(0);
-
-    let result: Result<(), IngestError> = std::thread::scope(|scope| {
-        // One bounded work queue per classifier keeps dispatch
-        // round-robin (chunk k → thread k mod N) and bounds in-flight
-        // chunks; the done channel is unbounded so classifiers never
-        // block on the coordinator.
-        let mut work_txs: Vec<mpsc::SyncSender<(u64, Vec<Datagram<'_>>)>> =
-            Vec::with_capacity(threads);
-        let (done_tx, done_rx) = mpsc::channel::<(u64, Vec<PreRouted>)>();
-        for _ in 0..threads {
-            let (tx, rx) = mpsc::sync_channel::<(u64, Vec<Datagram<'_>>)>(2);
-            let done = done_tx.clone();
-            let unknown = &demux_unknown;
-            let ipv6 = &demux_ipv6;
-            scope.spawn(move || {
-                for (chunk_id, chunk) in rx {
-                    let mut out = Vec::with_capacity(chunk.len());
-                    for d in &chunk {
-                        let (class, classified) = classify_datagram(d);
-                        if class == WireClass::Unknown {
-                            unknown.fetch_add(1, Ordering::Relaxed);
-                        } else if class == WireClass::Ipv6 {
-                            ipv6.fetch_add(1, Ordering::Relaxed);
-                        }
-                        out.push(PreRouted::new(classified, d.at));
-                    }
-                    if done.send((chunk_id, out)).is_err() {
-                        break;
-                    }
-                }
-            });
-            work_txs.push(tx);
-        }
-        drop(done_tx);
-
-        pool.with_pipeline(|p| -> Result<(), IngestError> {
-            let mut reader = PcapReader::new(&capture)?;
-            let mut next_dispatch: u64 = 0;
-            let mut next_submit: u64 = 0;
-            let mut ready: BTreeMap<u64, Vec<PreRouted>> = BTreeMap::new();
-            // Raw datagram views retained (only when recording) so the
-            // tap can record each chunk at submit time, in order.
-            let mut raw: VecDeque<Vec<Datagram<'_>>> = VecDeque::new();
-            let mut chunk: Vec<Datagram<'_>> = Vec::with_capacity(flush_packets);
-            // Alerts teed off the sink; a non-empty buffer after a
-            // submit or the final tick triggers a dump at quiescence.
-            let mut seen: Vec<vids_core::alert::Alert> = Vec::new();
-            let dumping = tap.as_ref().is_some_and(|t| t.dump_dir.is_some());
-            let mut exhausted = false;
-            let in_flight_cap = 2 * threads as u64;
-
-            while !exhausted || next_submit < next_dispatch {
-                // Decode and dispatch up to the in-flight cap.
-                while !exhausted && next_dispatch - next_submit < in_flight_cap {
-                    match reader.next_datagram()? {
-                        Some(d) => {
-                            report.datagrams += 1;
-                            report.last_at = report.last_at.max(d.at);
-                            chunk.push(d);
-                            if chunk.len() < flush_packets {
-                                continue;
-                            }
-                        }
-                        None => {
-                            exhausted = true;
-                            if chunk.is_empty() {
-                                // Dropping the senders retires the
-                                // classifiers once their queues drain.
-                                work_txs.clear();
-                                break;
-                            }
-                        }
-                    }
-                    let send = std::mem::replace(&mut chunk, Vec::with_capacity(flush_packets));
-                    if tap.is_some() {
-                        raw.push_back(send.clone());
-                    }
-                    work_txs[(next_dispatch % threads as u64) as usize]
-                        .send((next_dispatch, send))
-                        .expect("classifier thread exited early");
-                    next_dispatch += 1;
-                    if exhausted {
-                        work_txs.clear();
-                    }
-                }
-                // Re-sequence: block for the oldest outstanding chunk,
-                // then submit every consecutive completion.
-                while next_submit < next_dispatch {
-                    while !ready.contains_key(&next_submit) {
-                        let (id, out) = done_rx.recv().expect("classifier thread exited early");
-                        ready.insert(id, out);
-                    }
-                    let mut out = ready.remove(&next_submit).unwrap();
-                    if let Some(t) = tap.as_deref_mut() {
-                        let datagrams = raw.pop_front().expect("raw chunk retained");
-                        for d in &datagrams {
-                            let class = demux(d.src.port(), d.dst.port(), d.payload);
-                            t.recorder.record(
-                                0,
-                                d.at,
-                                d.src,
-                                d.dst,
-                                recorded_class(class),
-                                d.payload,
-                            );
-                        }
-                    }
-                    let now = out.first().map(|e| e.at).unwrap_or(report.last_at);
-                    {
-                        let mut tee = TeeSink::new(&mut *sink, &mut seen);
-                        p.submit(&mut out, now, &mut tee);
-                        if dumping {
-                            // Forensic dumps must freeze window and
-                            // counters at the alert's own batch — the
-                            // same invariant the sequential tap keeps
-                            // and the vdump replay checks — so drain
-                            // the pipeline before the next chunk is
-                            // recorded.
-                            p.flush(&mut tee);
-                        }
-                    }
-                    if let Some(t) = tap.as_deref_mut() {
-                        t.recorder.mark_batch();
-                        if dumping && !seen.is_empty() {
-                            dump_batch_alerts(p.pool(), t, &seen)?;
-                        }
-                    }
-                    seen.clear();
-                    report.batches += 1;
-                    next_submit += 1;
-                    if !exhausted {
-                        // Keep decoding as soon as a slot frees up.
-                        break;
-                    }
-                }
-            }
-
-            {
-                let mut tee = TeeSink::new(&mut *sink, &mut seen);
-                p.tick(report.last_at + grace, &mut tee);
-            }
-            if let Some(t) = tap {
-                dump_batch_alerts(p.pool(), t, &seen)?;
-            }
-            Ok(())
-        })
-    });
-    result?;
-
-    report.demux_unknown = demux_unknown.load(std::sync::atomic::Ordering::Relaxed);
-    report.datagrams_ipv6 = demux_ipv6.load(std::sync::atomic::Ordering::Relaxed);
+    pool.tick(run.report.last_at + pool.config().replay_grace, sink);
+    run.dump(pool);
+    let report = run.report;
     if let Some(reg) = telemetry {
         let slab = reg.pool();
         slab.add(Counter::DatagramsRx, report.datagrams);
@@ -387,6 +121,205 @@ pub fn replay_pcap_parallel<S: AlertSink + ?Sized>(
         slab.add(Counter::DatagramsIpv6, report.datagrams_ipv6);
     }
     Ok(report)
+}
+
+/// A batch back from a classifier thread: its position in capture order,
+/// the datagrams, their engine events and the demux counts.
+type Done<'c> = (u64, Vec<Datagram<'c>>, Vec<PreRouted>, ReplayReport);
+
+/// One replay in progress.
+struct Run<'c, 't, 'a> {
+    reader: PcapReader<'c>,
+    flush_packets: usize,
+    report: ReplayReport,
+    /// `pool.alerts()` up to here has been considered for dumping.
+    dumped: usize,
+    tap: Option<&'t mut RecordTap<'a>>,
+}
+
+impl<'c> Run<'c, '_, '_> {
+    /// The single-thread body: decode, classify and record datagram by
+    /// datagram, hand each full batch to the engine.
+    fn inline<S: AlertSink + ?Sized>(
+        &mut self,
+        pool: &mut VidsPool,
+        sink: &mut S,
+    ) -> Result<(), IngestError> {
+        let mut events: Vec<WireEvent> = Vec::with_capacity(self.flush_packets);
+        let mut exhausted = false;
+        while !exhausted {
+            while events.len() < self.flush_packets {
+                let Some(d) = self.next_datagram()? else {
+                    exhausted = true;
+                    break;
+                };
+                let (class, classified) = classify(&d, &mut self.report);
+                self.record(&d, class);
+                events.push(WireEvent {
+                    classified,
+                    at: d.at,
+                });
+            }
+            if events.is_empty() {
+                break;
+            }
+            // The batch clock is the batch's *first* timestamp: the engine
+            // clamps each event's time up to at least the clock, so a later
+            // time would collapse the intra-batch timing the window and
+            // timer machines depend on.
+            let now = events[0].at;
+            pool.process_wire_batch(&mut events, now, sink);
+            self.batch_done();
+            self.dump(pool);
+        }
+        Ok(())
+    }
+
+    /// The multi-thread body: batches go round-robin to `threads`
+    /// classifier threads (chunk k → thread k mod N, at most two waiting
+    /// per thread) and come back in any order; the calling thread submits
+    /// them in capture order. Ends with the pipeline drained into `sink`.
+    fn fanned_out<S: AlertSink + ?Sized>(
+        &mut self,
+        p: &mut PipelineIngress<'_, '_>,
+        threads: usize,
+        sink: &mut S,
+    ) -> Result<(), IngestError> {
+        std::thread::scope(|scope| {
+            // Classifiers never block on the calling thread: the done channel is
+            // unbounded, while the bounded work queues cap what is in
+            // flight.
+            let (done_tx, done_rx) = mpsc::channel::<Done<'c>>();
+            let mut work: Vec<_> = (0..threads)
+                .map(|_| {
+                    let (tx, rx) = mpsc::sync_channel::<(u64, Vec<Datagram<'c>>)>(2);
+                    let done = done_tx.clone();
+                    scope.spawn(move || {
+                        for (id, chunk) in rx {
+                            let mut counts = ReplayReport::default();
+                            let out = chunk
+                                .iter()
+                                .map(|d| PreRouted::new(classify(d, &mut counts).1, d.at))
+                                .collect();
+                            if done.send((id, chunk, out, counts)).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                    tx
+                })
+                .collect();
+            drop(done_tx);
+
+            let in_flight_cap = 2 * threads as u64;
+            let (mut dispatched, mut submitted) = (0u64, 0u64);
+            let mut ready: BTreeMap<u64, Done<'c>> = BTreeMap::new();
+            let dumping = self.dumping();
+            let mut exhausted = false;
+            loop {
+                // Decode and dispatch up to the in-flight cap.
+                while !exhausted && dispatched - submitted < in_flight_cap {
+                    let mut chunk = Vec::with_capacity(self.flush_packets);
+                    while chunk.len() < self.flush_packets {
+                        let Some(d) = self.next_datagram()? else {
+                            exhausted = true;
+                            break;
+                        };
+                        chunk.push(d);
+                    }
+                    if chunk.is_empty() {
+                        break;
+                    }
+                    work[(dispatched % threads as u64) as usize]
+                        .send((dispatched, chunk))
+                        .expect("classifier thread exited early");
+                    dispatched += 1;
+                }
+                if exhausted {
+                    // Dropping the senders retires the classifiers once
+                    // their queues drain.
+                    work.clear();
+                }
+                if submitted == dispatched {
+                    break;
+                }
+                // Re-sequence: wait for the oldest outstanding batch.
+                let (_, chunk, mut events, counts) = loop {
+                    if let Some(done) = ready.remove(&submitted) {
+                        break done;
+                    }
+                    let done = done_rx.recv().expect("classifier thread exited early");
+                    ready.insert(done.0, done);
+                };
+                submitted += 1;
+                self.report.demux_unknown += counts.demux_unknown;
+                self.report.datagrams_ipv6 += counts.datagrams_ipv6;
+                if self.tap.is_some() {
+                    for d in &chunk {
+                        self.record(d, demux(d.src.port(), d.dst.port(), d.payload));
+                    }
+                }
+                p.submit(&mut events, chunk[0].at, sink);
+                self.batch_done();
+                if dumping {
+                    // A dump freezes window and counters at the alert's own
+                    // batch, so the pipeline drains before the next batch
+                    // is recorded.
+                    p.flush(sink);
+                    self.dump(p.pool());
+                }
+            }
+            p.flush(sink);
+            Ok(())
+        })
+    }
+
+    fn next_datagram(&mut self) -> Result<Option<Datagram<'c>>, IngestError> {
+        let d = self.reader.next_datagram()?;
+        if let Some(d) = &d {
+            self.report.datagrams += 1;
+            self.report.last_at = self.report.last_at.max(d.at);
+        }
+        Ok(d)
+    }
+
+    fn record(&self, d: &Datagram<'_>, class: WireClass) {
+        if let Some(t) = &self.tap {
+            t.recorder
+                .record(0, d.at, d.src, d.dst, recorded_class(class), d.payload);
+        }
+    }
+
+    /// Closes a batch the engine has taken.
+    fn batch_done(&mut self) {
+        self.report.batches += 1;
+        if let Some(t) = &self.tap {
+            t.recorder.mark_batch();
+        }
+    }
+
+    fn dumping(&self) -> bool {
+        self.tap.as_ref().is_some_and(|t| t.dump_dir.is_some())
+    }
+
+    /// Dumps the alerts raised since the last call; `pool` is quiescent.
+    fn dump(&mut self, pool: &VidsPool) {
+        if let Some(t) = self.tap.as_deref_mut() {
+            t.dump_new(pool, &mut self.dumped);
+        }
+    }
+}
+
+/// Demuxes and classifies one datagram, counting in `counts` what the
+/// engine will not use.
+fn classify(d: &Datagram<'_>, counts: &mut ReplayReport) -> (WireClass, Classified) {
+    let (class, classified) = classify_datagram(d);
+    match class {
+        WireClass::Unknown => counts.demux_unknown += 1,
+        WireClass::Ipv6 => counts.datagrams_ipv6 += 1,
+        _ => {}
+    }
+    (class, classified)
 }
 
 #[cfg(test)]
@@ -431,10 +364,10 @@ mod tests {
         w.push_udp(SimTime::from_millis(1), src, dst, b"not really sip");
         let mut pool = VidsPool::new(Config::default());
         let mut sink = CollectSink::new();
-        let mut recorder = Recorder::with_defaults(1);
+        let recorder = Recorder::with_defaults(1);
         let dir = std::env::temp_dir().join("vids-ingest-tap-test");
         std::fs::remove_dir_all(&dir).ok();
-        let mut tap = RecordTap::new(&mut recorder, Some(&dir));
+        let mut tap = RecordTap::new(&recorder, Some(&dir));
         let report = replay_pcap(
             w.into_bytes(),
             &mut pool,

@@ -47,15 +47,14 @@
 //! waiting for room if they must, and exit; the coordinator drains every
 //! in-flight batch and epoch, runs one final timer tick, and returns.
 //!
-//! An optional [`ServeRecorder`] taps the pipeline for the flight
-//! recorder: receivers mirror each datagram into their own recorder lane
-//! ([`vids_record::LaneRecorder`] — per-lane locks, no cross-receiver
-//! contention) and the coordinator dumps the captured window at tick
-//! boundaries for any alerts raised since the previous tick. With
+//! An optional [`RecordTap`] taps the pipeline for the flight recorder:
+//! receivers mirror each datagram into their own lane of the shared
+//! [`vids_record::Recorder`] (one uncontended per-lane lock per datagram)
+//! and the coordinator dumps the captured window at tick boundaries for
+//! any alerts raised since the previous tick. With
 //! [`dump_flag_on_sigusr1`] wired into [`ServeOptions::snapshot_flag`],
 //! `SIGUSR1` requests an on-demand `.vdump` of the live rings.
 
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Mutex;
@@ -67,12 +66,12 @@ use vids_core::pool::{PipelineIngress, PreRouted, VidsPool};
 use vids_core::sink::AlertSink;
 use vids_core::telemetry::{Counter, Gauge, Registry, ShardSlab};
 use vids_netsim::time::SimTime;
-use vids_record::LaneRecorder;
+use vids_record::Recorder;
 
 use crate::batch::{flush_rule, Batcher, Flush};
 use crate::datagram::Datagram;
 use crate::demux::{classify_datagram, WireClass};
-use crate::record_tap::{recorded_class, ServeRecorder};
+use crate::record_tap::{recorded_class, RecordTap};
 use crate::source::IngestError;
 use crate::udp::{PoolMode, UdpPool, UdpSource};
 
@@ -241,11 +240,11 @@ pub fn serve<S: AlertSink + ?Sized>(
     opts: &ServeOptions,
     telemetry: Option<&Registry>,
     stop: &AtomicBool,
-    recorder: Option<&mut ServeRecorder<'_>>,
+    tap: Option<&mut RecordTap<'_>>,
     sink: &mut S,
 ) -> Result<ServeReport, IngestError> {
     let udp = UdpPool::bind(listen, opts.receivers)?;
-    serve_on(pool, udp, opts, telemetry, stop, recorder, sink)
+    serve_on(pool, udp, opts, telemetry, stop, tap, sink)
 }
 
 /// [`serve`] over an already-bound socket pool — the entry point for
@@ -256,19 +255,12 @@ pub fn serve_on<S: AlertSink + ?Sized>(
     opts: &ServeOptions,
     telemetry: Option<&Registry>,
     stop: &AtomicBool,
-    recorder: Option<&mut ServeRecorder<'_>>,
+    tap: Option<&mut RecordTap<'_>>,
     sink: &mut S,
 ) -> Result<ServeReport, IngestError> {
     let slab = telemetry.map(Registry::pool);
     Ok(pool.with_pipeline(|ingress| {
-        serve_engine(
-            &mut Piped { ingress, slab },
-            udp,
-            opts,
-            stop,
-            recorder,
-            sink,
-        )
+        serve_engine(&mut Piped { ingress, slab }, udp, opts, stop, tap, sink)
     }))
 }
 
@@ -279,7 +271,7 @@ pub(crate) fn serve_engine<E: ServeEngine, S: AlertSink + ?Sized>(
     udp: UdpPool,
     opts: &ServeOptions,
     stop: &AtomicBool,
-    recorder: Option<&mut ServeRecorder<'_>>,
+    tap: Option<&mut RecordTap<'_>>,
     sink: &mut S,
 ) -> ServeReport {
     let mode = udp.mode();
@@ -301,22 +293,18 @@ pub(crate) fn serve_engine<E: ServeEngine, S: AlertSink + ?Sized>(
     // side through a mutex (one lock per hand-off, not per datagram).
     let recycle_rx = Mutex::new(recycle_rx);
 
-    // Split the recorder: receivers record into their own lane through
-    // the shared reference, the coordinator additionally knows the dump
-    // directory; written paths and write failures are folded back after
-    // the scope ends.
-    let lane_rec: Option<&LaneRecorder> = recorder.as_ref().map(|r| r.recorder);
-    let dump_dir: Option<&Path> = recorder.as_ref().and_then(|r| r.dump_dir);
-    let mut dump_log = DumpLog::default();
+    // Receivers record into their own lane through the shared reference;
+    // the coordinator keeps the tap for batch marks and dumps.
+    let recorder: Option<&Recorder> = tap.as_deref().map(|t| t.recorder);
 
-    let report = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (i, source) in sources.into_iter().enumerate() {
             let tx = batch_tx.clone();
             let recycle = &recycle_rx;
             let stats = &stats;
             let opts = *opts;
             scope.spawn(move || {
-                receiver_loop::<E>(source, i, tx, recycle, stats, &opts, stop, lane_rec)
+                receiver_loop::<E>(source, i, tx, recycle, stats, &opts, stop, recorder)
             });
         }
         // The receivers hold the only senders now; `Disconnected` on the
@@ -331,23 +319,10 @@ pub(crate) fn serve_engine<E: ServeEngine, S: AlertSink + ?Sized>(
             &stats,
             opts,
             epoch,
-            lane_rec.map(|rec| (rec, dump_dir)),
-            &mut dump_log,
+            tap,
             sink,
         )
-    });
-    if let Some(r) = recorder {
-        r.written.extend(dump_log.written);
-        r.io_errors += dump_log.io_errors;
-    }
-    report
-}
-
-/// Dump outcomes the coordinator accumulates during a session.
-#[derive(Default)]
-struct DumpLog {
-    written: Vec<PathBuf>,
-    io_errors: u64,
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -359,7 +334,7 @@ fn receiver_loop<E: ServeEngine>(
     stats: &IngestStats,
     opts: &ServeOptions,
     stop: &AtomicBool,
-    recorder: Option<&LaneRecorder>,
+    recorder: Option<&Recorder>,
 ) {
     let mut batcher = Batcher::default();
     let slots = source.poll_slots();
@@ -449,8 +424,7 @@ fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
     stats: &IngestStats,
     opts: &ServeOptions,
     epoch: Instant,
-    recorder: Option<(&LaneRecorder, Option<&Path>)>,
-    dump_log: &mut DumpLog,
+    mut tap: Option<&mut RecordTap<'_>>,
     sink: &mut S,
 ) -> ServeReport {
     let mut batches = 0u64;
@@ -467,8 +441,8 @@ fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
                 // intra-batch timing the window machines count on.
                 let now = events.first().map(E::at).unwrap_or_else(|| wall(epoch));
                 engine.submit(&mut events, now, sink);
-                if let Some((rec, _)) = recorder {
-                    rec.mark_batch();
+                if let Some(t) = &tap {
+                    t.recorder.mark_batch();
                 }
                 batches += 1;
                 let _ = recycle_tx.try_send(events);
@@ -482,19 +456,15 @@ fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
             // The tick leaves the engine quiescent — the only point where
             // dumps can read shard state without racing the workers.
             engine.tick(wall(epoch), sink);
-            dump_new_alerts(engine, recorder, &mut alerts_dumped, dump_log, sink);
+            dump_new_alerts(engine, tap.as_deref_mut(), &mut alerts_dumped, sink);
         }
         if let Some(flag) = opts.snapshot_flag {
             // Swap-and-clear even with no recorder, so a stale request
             // does not fire the first dump of a later session.
             if flag.swap(false, Ordering::Relaxed) {
-                if let Some((rec, Some(dir))) = recorder {
+                if let Some(t) = tap.as_deref_mut().filter(|t| t.dump_dir.is_some()) {
                     if let Some(pool) = engine.quiesced_pool(sink) {
-                        match rec.dump_snapshot(pool, dir, wall(epoch)) {
-                            Ok(Some(path)) => dump_log.written.push(path),
-                            Ok(None) => {} // dump cap reached
-                            Err(_) => dump_log.io_errors += 1,
-                        }
+                        t.snapshot(pool, wall(epoch));
                     }
                 }
             }
@@ -511,7 +481,7 @@ fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
     // One final tick drains what is in flight and fires any pending timers.
     let ended_at = wall(epoch);
     engine.tick(ended_at, sink);
-    dump_new_alerts(engine, recorder, &mut alerts_dumped, dump_log, sink);
+    dump_new_alerts(engine, tap, &mut alerts_dumped, sink);
     publish(stats, engine.slab(), batches, &mut published, 0);
     ServeReport {
         ended_at,
@@ -520,33 +490,17 @@ fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
 }
 
 /// Dumps the window for any alerts raised since the last quiesce point.
-/// Called right after a tick, so quiescing again is free. A failed dump
-/// write is counted, not fatal.
+/// Called right after a tick, so quiescing again is free.
 fn dump_new_alerts<E: ServeEngine, S: AlertSink + ?Sized>(
     engine: &mut E,
-    recorder: Option<(&LaneRecorder, Option<&Path>)>,
+    tap: Option<&mut RecordTap<'_>>,
     alerts_dumped: &mut usize,
-    dump_log: &mut DumpLog,
     sink: &mut S,
 ) {
-    let Some((rec, dir)) = recorder else { return };
-    let Some(pool) = engine.quiesced_pool(sink) else {
-        return;
-    };
-    let alerts = pool.alerts();
-    if alerts.len() <= *alerts_dumped {
-        return;
+    let Some(t) = tap else { return };
+    if let Some(pool) = engine.quiesced_pool(sink) {
+        t.dump_new(pool, alerts_dumped);
     }
-    if let Some(dir) = dir {
-        for a in &alerts[*alerts_dumped..] {
-            rec.note_alert(a);
-        }
-        match rec.dump_pending(pool, dir) {
-            Ok(paths) => dump_log.written.extend(paths),
-            Err(_) => dump_log.io_errors += 1,
-        }
-    }
-    *alerts_dumped = alerts.len();
 }
 
 fn wall(epoch: Instant) -> SimTime {

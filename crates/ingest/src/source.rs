@@ -3,15 +3,14 @@
 //! A source is polled for one datagram at a time; the returned
 //! [`Datagram`] borrows the source's internal receive buffer, so the
 //! caller classifies it (extracting what the engine keeps) before the
-//! next poll reuses the buffer. Two sources ship with the crate: live
-//! UDP sockets ([`crate::udp::UdpSource`]) and classic pcap captures
-//! ([`PcapSource`]) — the serve daemon and `vids replay` respectively,
-//! feeding the identical demux + engine path.
+//! next poll reuses the buffer. Live UDP sockets
+//! ([`crate::udp::UdpSource`]) implement it; `vids replay` reads its
+//! capture through [`crate::pcap::PcapReader`] directly.
 
 use std::fmt;
 
 use crate::datagram::Datagram;
-use crate::pcap::{PcapError, PcapReader};
+use crate::pcap::PcapError;
 
 /// What one poll of a [`WireSource`] produced.
 #[derive(Debug)]
@@ -63,78 +62,4 @@ pub trait WireSource {
     /// next touches the source, so classification must happen before
     /// the following poll.
     fn poll(&mut self) -> Result<Polled<'_>, IngestError>;
-}
-
-/// A [`WireSource`] over in-memory classic pcap capture bytes.
-///
-/// The global header is validated up front; records are then stepped
-/// one `poll` at a time, with non-UDP frames skipped silently.
-pub struct PcapSource {
-    buf: Vec<u8>,
-    pos: usize,
-    swapped: bool,
-    linktype: u32,
-}
-
-impl PcapSource {
-    /// Validates the capture's global header and positions the source
-    /// at the first record.
-    pub fn new(bytes: Vec<u8>) -> Result<Self, PcapError> {
-        let reader = PcapReader::new(&bytes)?;
-        let (pos, swapped, linktype) = (reader.pos, reader.swapped, reader.linktype);
-        Ok(PcapSource {
-            buf: bytes,
-            pos,
-            swapped,
-            linktype,
-        })
-    }
-}
-
-impl WireSource for PcapSource {
-    fn poll(&mut self) -> Result<Polled<'_>, IngestError> {
-        let mut reader = PcapReader {
-            buf: &self.buf,
-            pos: self.pos,
-            swapped: self.swapped,
-            linktype: self.linktype,
-        };
-        let polled = reader.next_datagram();
-        self.pos = reader.pos;
-        match polled {
-            Ok(Some(d)) => Ok(Polled::Datagram(d)),
-            Ok(None) => Ok(Polled::End),
-            Err(e) => Err(IngestError::Pcap(e)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pcap::PcapWriter;
-    use vids_netsim::time::SimTime;
-
-    #[test]
-    fn pcap_source_drains_to_end() {
-        let mut w = PcapWriter::new();
-        for i in 0..3u64 {
-            w.push_udp(
-                SimTime::from_millis(i),
-                "10.0.0.1:5060".parse().unwrap(),
-                "10.0.0.2:5060".parse().unwrap(),
-                b"x",
-            );
-        }
-        let mut src = PcapSource::new(w.into_bytes()).unwrap();
-        let mut seen = 0;
-        loop {
-            match src.poll().unwrap() {
-                Polled::Datagram(_) => seen += 1,
-                Polled::End => break,
-                Polled::Empty => unreachable!("pcap sources are never empty"),
-            }
-        }
-        assert_eq!(seen, 3);
-    }
 }

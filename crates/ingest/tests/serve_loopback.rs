@@ -15,10 +15,10 @@ use vids_core::config::Config;
 use vids_core::cost::CostModel;
 use vids_core::pool::VidsPool;
 use vids_core::sink::{CollectSink, FnSink};
-use vids_ingest::record_tap::ServeRecorder;
+use vids_ingest::record_tap::RecordTap;
 use vids_ingest::server::{serve_on, ServeOptions};
 use vids_ingest::udp::UdpPool;
-use vids_record::{LaneRecorder, Vdump};
+use vids_record::{Recorder, Vdump};
 use vids_sip::{Method, Request, SipUri, StatusCode};
 
 /// Sandboxes without network namespaces cannot bind loopback; skip
@@ -54,8 +54,8 @@ fn serve_detects_an_invite_flood_over_real_udp() {
     // scratch directory.
     let dump_dir = std::env::temp_dir().join("vids-serve-loopback-dumps");
     std::fs::remove_dir_all(&dump_dir).ok();
-    let recorder = LaneRecorder::with_defaults(2);
-    let mut serve_rec = ServeRecorder::new(&recorder, Some(&dump_dir));
+    let recorder = Recorder::with_defaults(2);
+    let mut serve_rec = RecordTap::new(&recorder, Some(&dump_dir));
 
     let report = std::thread::scope(|scope| {
         scope.spawn(|| {

@@ -11,12 +11,10 @@
 //! * [`ring`] — per-lane bounded [`ring::DatagramRing`]s: raw wire bytes
 //!   in a preallocated circular arena, overwriting oldest-first,
 //!   allocation-free on the hot path.
-//! * [`recorder`] — the [`recorder::Recorder`]: rings + batch marking +
-//!   alert-triggered dump writing; [`recorder::TeeSink`] lets ingest
-//!   drivers observe a batch's alerts without disturbing the user sink.
-//! * [`lane`] — [`lane::LaneRecorder`]: the shared-reference variant for
-//!   multi-receiver ingest; per-lane ring locks instead of one global
-//!   recorder mutex, plus operator-requested snapshot dumps.
+//! * [`recorder`] — the [`recorder::Recorder`]: one ring per ingest lane
+//!   behind its own lock, shared by reference across receiver threads;
+//!   batch marking, alert-triggered dumps and operator-requested
+//!   snapshots.
 //! * [`vdump`] — the self-describing, CRC-checked `.vdump` format
 //!   ([`vdump::Vdump`]), hand-rolled framing in the pcap-reader style.
 //! * [`replay`] — [`replay::replay_vdump`]: re-runs a captured window
@@ -30,7 +28,7 @@
 //! use vids_record::{Recorder, RecordedClass};
 //! use vids_netsim::time::SimTime;
 //!
-//! let mut recorder = Recorder::with_defaults(1);
+//! let recorder = Recorder::with_defaults(1);
 //! recorder.record(
 //!     0,
 //!     SimTime::from_millis(1),
@@ -43,16 +41,14 @@
 //! ```
 
 pub mod crc;
-pub mod lane;
 pub mod minimize;
 pub mod recorder;
 pub mod replay;
 pub mod ring;
 pub mod vdump;
 
-pub use lane::LaneRecorder;
 pub use minimize::{minimize, MinimizeReport};
-pub use recorder::{Recorder, RecorderStats, TeeSink};
+pub use recorder::{Recorder, RecorderStats};
 pub use replay::{
     classify_recorded, loose_matcher, replay_vdump, replay_with_match, MatchCapture, ReplayOutcome,
     ReplayVerdict,

@@ -1,24 +1,29 @@
-//! The flight recorder proper: rings + alert-triggered dump writing.
+//! The flight recorder proper: per-lane rings + alert-triggered dumps.
 //!
-//! A [`Recorder`] owns one [`DatagramRing`] per ingest lane (replay uses
-//! one; `vids serve` uses one per receiver thread). The ingest tap calls
-//! [`Recorder::record`] for every datagram *before* it reaches the engine
-//! — that call is allocation-free — and [`Recorder::mark_batch`] at every
-//! batch flush so the dump can reconstruct the engine's batch clocks.
+//! A [`Recorder`] owns one [`DatagramRing`] per ingest lane: replay uses
+//! one lane, `vids serve` one per receiver thread. Every method takes
+//! `&self`, so receivers record concurrently through a shared reference.
+//! Each lane's ring sits behind its own mutex, uncontended while one
+//! thread feeds one lane; the cross-lane bookkeeping (global arrival
+//! sequence, batch id, dump budget) lives in atomics touched with relaxed
+//! ordering.
 //!
-//! When a batch raises alerts (observed through [`TeeSink`]), the driver
-//! hands them to [`Recorder::note_alert`] and then calls
-//! [`Recorder::dump_pending`], which freezes the ring window, the
-//! triggering call's machine/variable snapshot and the engine counters
-//! into one `.vdump` file per alert.
+//! The ingest tap calls [`Recorder::record`] for every datagram *before*
+//! it reaches the engine — that call is allocation-free — and
+//! [`Recorder::mark_batch`] once per batch the engine takes, so a dump can
+//! reconstruct the engine's batch clocks. When a batch raises alerts, the
+//! ingest path hands them to [`Recorder::dump_alerts`] while the engine is
+//! quiescent; that freezes the window (all lanes, interleaved by the
+//! global sequence number), the triggering call's machine/variable
+//! snapshot and the engine counters into one `.vdump` file per alert.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 
-use vids_core::alert::Alert;
+use vids_core::alert::{Alert, AlertKind};
 use vids_core::pool::VidsPool;
-use vids_core::sink::AlertSink;
 use vids_netsim::time::SimTime;
 use vids_telemetry::metrics::{Counter, Gauge};
 use vids_telemetry::slab::ShardSlab;
@@ -41,45 +46,50 @@ pub struct RecorderStats {
     pub rings: RingStats,
     /// `.vdump` files written so far.
     pub dumps_written: u64,
-    /// Alerts noted but not yet dumped.
-    pub pending: usize,
 }
 
-/// The always-on flight recorder. See the module docs for the protocol.
+/// One ingest lane: a ring behind its own lock plus a mirror of the
+/// ring's live byte count, readable without the lock.
+struct Lane {
+    ring: Mutex<DatagramRing>,
+    bytes_live: AtomicU64,
+}
+
+/// The always-on flight recorder, shared by reference across ingest
+/// threads. See the module docs for the protocol.
 pub struct Recorder {
-    rings: Vec<DatagramRing>,
+    lanes: Vec<Lane>,
     /// Next global arrival sequence number.
-    seq: u64,
+    seq: AtomicU64,
     /// Current ingest batch id (starts at 1; [`Recorder::mark_batch`]
     /// advances it).
-    batch: u64,
-    pending: Vec<Alert>,
-    dumps_written: u64,
+    batch: AtomicU64,
+    dumps_written: AtomicU64,
     max_dumps: u64,
     telemetry: Option<Arc<ShardSlab>>,
-    telemetry_ring: u32,
 }
 
 impl Recorder {
-    /// A recorder with `rings` rings of explicit capacity.
-    pub fn new(rings: usize, slots_per_ring: usize, bytes_per_ring: usize) -> Self {
+    /// A recorder with `lanes` rings of explicit capacity.
+    pub fn new(lanes: usize, slots_per_lane: usize, bytes_per_lane: usize) -> Self {
         Recorder {
-            rings: (0..rings.max(1))
-                .map(|_| DatagramRing::new(slots_per_ring, bytes_per_ring))
+            lanes: (0..lanes.max(1))
+                .map(|_| Lane {
+                    ring: Mutex::new(DatagramRing::new(slots_per_lane, bytes_per_lane)),
+                    bytes_live: AtomicU64::new(0),
+                })
                 .collect(),
-            seq: 0,
-            batch: 1,
-            pending: Vec::new(),
-            dumps_written: 0,
+            seq: AtomicU64::new(0),
+            batch: AtomicU64::new(1),
+            dumps_written: AtomicU64::new(0),
             max_dumps: DEFAULT_MAX_DUMPS,
             telemetry: None,
-            telemetry_ring: 0,
         }
     }
 
     /// A recorder with the default ring sizing.
-    pub fn with_defaults(rings: usize) -> Self {
-        Recorder::new(rings, DEFAULT_SLOTS, DEFAULT_BYTES)
+    pub fn with_defaults(lanes: usize) -> Self {
+        Recorder::new(lanes, DEFAULT_SLOTS, DEFAULT_BYTES)
     }
 
     /// Caps lifetime dump output (disk-fill guard).
@@ -95,19 +105,12 @@ impl Recorder {
         self.telemetry = Some(slab);
     }
 
-    /// Records the transition-ring capacity the engine's telemetry was
-    /// enabled with (0 = off). Stored in every dump so replay can enable
-    /// telemetry identically and reproduce alert traces byte-for-byte.
-    pub fn set_telemetry_ring(&mut self, capacity: u32) {
-        self.telemetry_ring = capacity;
-    }
-
-    /// Records one datagram into ring `ring` (clamped). Allocation-free:
-    /// the payload is copied into the ring's preallocated arena and
-    /// telemetry updates are relaxed atomics.
+    /// Records one datagram into lane `lane` (clamped). Allocation-free:
+    /// the payload is copied into the lane's preallocated arena under the
+    /// lane's own lock, and telemetry updates are relaxed atomics.
     pub fn record(
-        &mut self,
-        ring: usize,
+        &self,
+        lane: usize,
         at: SimTime,
         src: SocketAddr,
         dst: SocketAddr,
@@ -121,107 +124,137 @@ impl Recorder {
             _ => (RecordedClass::NonIp, 0, 0, 0, 0),
         };
         let meta = SlotMeta {
-            seq: self.seq,
+            seq: self.seq.fetch_add(1, Relaxed),
             at_ns: at.as_nanos(),
-            batch: self.batch,
+            batch: self.batch.load(Relaxed),
             src_ip,
             src_port,
             dst_ip,
             dst_port,
             class,
         };
-        self.seq += 1;
-        let idx = ring % self.rings.len();
-        let evicted = self.rings[idx].push(meta, payload);
+        let lane = &self.lanes[lane % self.lanes.len()];
+        let (evicted, live) = {
+            let mut ring = lane.ring.lock().expect("lane ring poisoned");
+            let evicted = ring.push(meta, payload);
+            (evicted, ring.stats().bytes_live as u64)
+        };
+        lane.bytes_live.store(live, Relaxed);
         if let Some(slab) = &self.telemetry {
             slab.add(Counter::RingOverwrites, evicted);
-            let live: usize = self.rings.iter().map(|r| r.stats().bytes_live).sum();
-            slab.set_gauge(Gauge::RingBytes, live as u64);
+            let total: u64 = self.lanes.iter().map(|l| l.bytes_live.load(Relaxed)).sum();
+            slab.set_gauge(Gauge::RingBytes, total);
         }
     }
 
-    /// Advances the batch id. The ingest paths call this once per flushed
-    /// batch, right after `process_wire_batch` returns.
-    pub fn mark_batch(&mut self) {
-        self.batch += 1;
+    /// Advances the batch id. The ingest paths call this once per batch
+    /// handed to the engine, right after the engine takes it.
+    pub fn mark_batch(&self) {
+        self.batch.fetch_add(1, Relaxed);
     }
 
-    /// Queues an alert for dumping (called once per alert a batch raised).
-    pub fn note_alert(&mut self, alert: &Alert) {
-        self.pending.push(alert.clone());
-    }
-
-    /// Removes and returns the queued alerts without dumping them.
-    pub fn take_pending(&mut self) -> Vec<Alert> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// The current capture window across all rings, oldest → newest by
+    /// The current capture window across all lanes, oldest → newest by
     /// global arrival order.
     pub fn window(&self) -> Vec<RecordedPacket> {
-        let mut out: Vec<RecordedPacket> = self
-            .rings
-            .iter()
-            .flat_map(|r| r.iter())
-            .map(|(meta, payload)| RecordedPacket {
+        let mut out: Vec<RecordedPacket> = Vec::new();
+        for lane in &self.lanes {
+            let ring = lane.ring.lock().expect("lane ring poisoned");
+            out.extend(ring.iter().map(|(meta, payload)| RecordedPacket {
                 meta: *meta,
                 payload: payload.to_vec(),
-            })
-            .collect();
+            }));
+        }
         out.sort_unstable_by_key(|p| p.meta.seq);
         out
     }
 
-    /// Writes one `.vdump` per queued alert into `dir`, freezing the
-    /// current window, the triggering call's snapshot and the pool's
-    /// counters. Returns the paths written (empty when nothing was
-    /// pending or the dump cap is reached).
-    pub fn dump_pending(&mut self, pool: &VidsPool, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-        if self.pending.is_empty() {
+    /// Writes one `.vdump` per alert into `dir`, each freezing the current
+    /// window, the triggering call's snapshot and the pool's counters. The
+    /// caller must present a quiescent pool. Stops at the dump cap; returns
+    /// the paths written, or the first write error.
+    pub fn dump_alerts(
+        &self,
+        pool: &VidsPool,
+        dir: &Path,
+        alerts: &[Alert],
+    ) -> std::io::Result<Vec<PathBuf>> {
+        if alerts.is_empty() {
             return Ok(Vec::new());
         }
-        let alerts = std::mem::take(&mut self.pending);
         let window = self.window();
         let mut written = Vec::new();
         for alert in alerts {
-            if self.dumps_written >= self.max_dumps {
-                break;
+            match self.write_one(pool, dir, alert, &window)? {
+                Some(path) => written.push(path),
+                None => break, // dump cap reached
             }
-            let snapshot = alert
-                .call_id
-                .as_deref()
-                .and_then(|id| pool.call_snapshot(id));
-            let dump = Vdump {
-                config: *pool.config(),
-                telemetry_ring: self.telemetry_ring,
-                packets: window.clone(),
-                alert: alert.clone(),
-                snapshot,
-                counters: DumpCounters {
-                    counters: pool.counters(),
-                    alerts_total: pool.alerts().len() as u64,
-                },
-            };
-            let path = dir.join(format!(
-                "{:06}-{}.vdump",
-                self.dumps_written,
-                sanitize(&alert.label)
-            ));
-            dump.write_to(&path)?;
-            self.dumps_written += 1;
-            if let Some(slab) = &self.telemetry {
-                slab.inc(Counter::DumpsWritten);
-            }
-            written.push(path);
         }
         Ok(written)
     }
 
-    /// Aggregate statistics.
+    /// Writes one operator-requested `.vdump` of the current window (the
+    /// `SIGUSR1` snapshot), under a synthetic alert labeled
+    /// `operator-snapshot`. Returns `None` when the dump cap is reached.
+    pub fn dump_snapshot(
+        &self,
+        pool: &VidsPool,
+        dir: &Path,
+        at: SimTime,
+    ) -> std::io::Result<Option<PathBuf>> {
+        let alert = Alert {
+            time_ms: at.as_millis(),
+            kind: AlertKind::Deviation,
+            label: "operator-snapshot".into(),
+            call_id: None,
+            machine: "operator".into(),
+            detail: "on-demand ring snapshot (SIGUSR1)".into(),
+            trace: Vec::new(),
+        };
+        self.write_one(pool, dir, &alert, &self.window())
+    }
+
+    fn write_one(
+        &self,
+        pool: &VidsPool,
+        dir: &Path,
+        alert: &Alert,
+        window: &[RecordedPacket],
+    ) -> std::io::Result<Option<PathBuf>> {
+        let index = self.dumps_written.load(Relaxed);
+        if index >= self.max_dumps {
+            return Ok(None);
+        }
+        let snapshot = alert
+            .call_id
+            .as_deref()
+            .and_then(|id| pool.call_snapshot(id));
+        let dump = Vdump {
+            config: *pool.config(),
+            // Replay enables telemetry identically, so alert traces
+            // reproduce byte for byte.
+            telemetry_ring: pool.telemetry_ring() as u32,
+            packets: window.to_vec(),
+            alert: alert.clone(),
+            snapshot,
+            counters: DumpCounters {
+                counters: pool.counters(),
+                alerts_total: pool.alerts().len() as u64,
+            },
+        };
+        let path = dir.join(format!("{:06}-{}.vdump", index, sanitize(&alert.label)));
+        dump.write_to(&path)?;
+        self.dumps_written.store(index + 1, Relaxed);
+        if let Some(slab) = &self.telemetry {
+            slab.inc(Counter::DumpsWritten);
+        }
+        Ok(Some(path))
+    }
+
+    /// Aggregate statistics across every lane.
     pub fn stats(&self) -> RecorderStats {
         let mut rings = RingStats::default();
-        for r in &self.rings {
-            let s = r.stats();
+        for lane in &self.lanes {
+            let s = lane.ring.lock().expect("lane ring poisoned").stats();
             rings.recorded += s.recorded;
             rings.overwritten += s.overwritten;
             rings.oversize += s.oversize;
@@ -230,8 +263,7 @@ impl Recorder {
         }
         RecorderStats {
             rings,
-            dumps_written: self.dumps_written,
-            pending: self.pending.len(),
+            dumps_written: self.dumps_written.load(Relaxed),
         }
     }
 }
@@ -246,7 +278,7 @@ fn v4_parts(addr: &SocketAddr) -> Option<(u32, u16)> {
     }
 }
 
-pub(crate) fn sanitize(label: &str) -> String {
+fn sanitize(label: &str) -> String {
     label
         .chars()
         .map(|c| {
@@ -260,33 +292,11 @@ pub(crate) fn sanitize(label: &str) -> String {
         .collect()
 }
 
-/// An [`AlertSink`] adapter that forwards every alert to the wrapped sink
-/// while also cloning it into a side buffer, so the ingest driver can see
-/// which alerts a batch raised without disturbing the user's sink.
-pub struct TeeSink<'a, S: ?Sized> {
-    inner: &'a mut S,
-    seen: &'a mut Vec<Alert>,
-}
-
-impl<'a, S: AlertSink + ?Sized> TeeSink<'a, S> {
-    /// Wraps `inner`, copying alerts into `seen`.
-    pub fn new(inner: &'a mut S, seen: &'a mut Vec<Alert>) -> Self {
-        TeeSink { inner, seen }
-    }
-}
-
-impl<S: AlertSink + ?Sized> AlertSink for TeeSink<'_, S> {
-    fn accept(&mut self, alert: Alert) {
-        self.seen.push(alert.clone());
-        self.inner.accept(alert);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vids_core::alert::AlertKind;
-    use vids_core::sink::CollectSink;
+    use vids_core::config::Config;
+    use vids_core::sink::NullSink;
 
     fn addr(last: u8, port: u16) -> SocketAddr {
         SocketAddr::from(([10, 0, 0, last], port))
@@ -305,8 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn record_assigns_global_sequence_and_batches() {
-        let mut r = Recorder::with_defaults(2);
+    fn lanes_share_one_global_sequence() {
+        let r = Recorder::with_defaults(3);
         r.record(
             0,
             SimTime::from_millis(1),
@@ -317,7 +327,7 @@ mod tests {
         );
         r.mark_batch();
         r.record(
-            1,
+            2,
             SimTime::from_millis(2),
             addr(1, 4000),
             addr(2, 4000),
@@ -326,52 +336,67 @@ mod tests {
         );
         let w = r.window();
         assert_eq!(w.len(), 2);
-        assert_eq!(w[0].meta.seq, 0);
-        assert_eq!(w[0].meta.batch, 1);
-        assert_eq!(w[1].meta.seq, 1);
-        assert_eq!(w[1].meta.batch, 2);
+        assert_eq!((w[0].meta.seq, w[0].meta.batch), (0, 1));
+        assert_eq!((w[1].meta.seq, w[1].meta.batch), (1, 2));
         assert_eq!(w[0].meta.src_ip, u32::from_be_bytes([10, 0, 0, 1]));
         assert_eq!(w[1].payload, b"bb");
     }
 
     #[test]
-    fn non_v4_traffic_is_downgraded_to_non_ip() {
-        let mut r = Recorder::with_defaults(1);
+    fn non_v4_traffic_is_downgraded_and_v4_mapped_keeps_its_address() {
+        let r = Recorder::with_defaults(1);
         let v6: SocketAddr = "[2001:db8::1]:5060".parse().unwrap();
-        r.record(
-            0,
-            SimTime::ZERO,
-            v6,
-            addr(2, 5060),
-            RecordedClass::Sip,
-            b"x",
-        );
-        let w = r.window();
-        assert_eq!(w[0].meta.class, RecordedClass::NonIp);
-        assert_eq!(w[0].meta.src_ip, 0);
-    }
-
-    #[test]
-    fn v4_mapped_v6_keeps_its_address() {
-        let mut r = Recorder::with_defaults(1);
         let mapped: SocketAddr = "[::ffff:10.0.0.9]:5060".parse().unwrap();
-        r.record(
-            0,
-            SimTime::ZERO,
-            mapped,
-            addr(2, 5060),
-            RecordedClass::Sip,
-            b"x",
-        );
+        for src in [v6, mapped] {
+            r.record(
+                0,
+                SimTime::ZERO,
+                src,
+                addr(2, 5060),
+                RecordedClass::Sip,
+                b"x",
+            );
+        }
         let w = r.window();
-        assert_eq!(w[0].meta.class, RecordedClass::Sip);
-        assert_eq!(w[0].meta.src_ip, u32::from_be_bytes([10, 0, 0, 9]));
+        assert_eq!(
+            (w[0].meta.class, w[0].meta.src_ip),
+            (RecordedClass::NonIp, 0)
+        );
+        assert_eq!(w[1].meta.class, RecordedClass::Sip);
+        assert_eq!(w[1].meta.src_ip, u32::from_be_bytes([10, 0, 0, 9]));
     }
 
     #[test]
-    fn dump_pending_writes_one_file_per_alert_and_respects_the_cap() {
-        use vids_core::prelude::*;
-        let mut r = Recorder::with_defaults(1).max_dumps(2);
+    fn concurrent_recording_is_lossless() {
+        let r = Recorder::with_defaults(4);
+        std::thread::scope(|scope| {
+            for lane in 0..4usize {
+                let r = &r;
+                scope.spawn(move || {
+                    for i in 0..200u64 {
+                        r.record(
+                            lane,
+                            SimTime::from_millis(i),
+                            addr(lane as u8 + 1, 5060),
+                            addr(9, 5060),
+                            RecordedClass::Sip,
+                            b"x",
+                        );
+                    }
+                });
+            }
+        });
+        let w = r.window();
+        assert_eq!(w.len(), 800);
+        // The global sequence is dense: every number 0..800 exactly once.
+        let mut seqs: Vec<u64> = w.iter().map(|p| p.meta.seq).collect();
+        seqs.sort_unstable();
+        assert!(seqs.iter().enumerate().all(|(i, s)| i as u64 == *s));
+    }
+
+    #[test]
+    fn dumps_write_one_file_per_alert_and_respect_the_cap() {
+        let r = Recorder::with_defaults(1).max_dumps(4);
         r.record(
             0,
             SimTime::ZERO,
@@ -380,44 +405,44 @@ mod tests {
             RecordedClass::Sip,
             b"INVITE",
         );
-        r.note_alert(&alert("one"));
-        r.note_alert(&alert("two"));
-        r.note_alert(&alert("three"));
         let mut pool = VidsPool::new(Config::default());
-        // Exercise the pool so counters are non-trivial.
-        let mut sink = NullSink;
-        pool.tick(SimTime::from_secs(1), &mut sink);
+        pool.tick(SimTime::from_secs(1), &mut NullSink);
+        let mut traced = VidsPool::new(Config::default());
+        traced.enable_telemetry(128);
         let dir = std::env::temp_dir().join("vids-recorder-test");
         std::fs::remove_dir_all(&dir).ok();
-        let written = r.dump_pending(&pool, &dir).unwrap();
-        assert_eq!(written.len(), 2, "third alert hits the cap");
-        assert!(written[0]
-            .file_name()
-            .unwrap()
-            .to_str()
-            .unwrap()
-            .contains("one"));
+
+        let written = r
+            .dump_alerts(&pool, &dir, &[alert("one"), alert("two")])
+            .unwrap();
+        assert_eq!(written.len(), 2);
+        assert!(written[0].ends_with("000000-one.vdump"));
         for p in &written {
             let d = Vdump::read_from(p).unwrap();
             assert_eq!(d.packets.len(), 1);
             assert_eq!(d.config, Config::default());
+            assert_eq!(d.telemetry_ring, 0, "telemetry off freezes as 0");
         }
-        assert_eq!(r.stats().dumps_written, 2);
-        assert_eq!(r.stats().pending, 0);
+        let path = r
+            .dump_snapshot(&pool, &dir, SimTime::from_secs(1))
+            .unwrap()
+            .expect("under the cap");
+        let dump = Vdump::read_from(&path).unwrap();
+        assert_eq!(dump.alert.label, "operator-snapshot");
+        assert_eq!(dump.packets.len(), 1);
+        // The dump freezes the ring capacity the pool's telemetry runs with.
+        let written = r
+            .dump_alerts(&traced, &dir, &[alert("three"), alert("four")])
+            .unwrap();
+        assert_eq!(written.len(), 1, "the fourth alert hits the cap");
+        assert_eq!(Vdump::read_from(&written[0]).unwrap().telemetry_ring, 128);
+        // At the cap an operator snapshot is declined, not an error.
+        assert!(r
+            .dump_snapshot(&pool, &dir, SimTime::from_secs(2))
+            .unwrap()
+            .is_none());
+        assert_eq!(r.stats().dumps_written, 4);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn tee_sink_forwards_and_copies() {
-        let mut inner = CollectSink::new();
-        let mut seen = Vec::new();
-        {
-            let mut tee = TeeSink::new(&mut inner, &mut seen);
-            tee.accept(alert("x"));
-        }
-        assert_eq!(inner.len(), 1);
-        assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].label, "x");
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn address(ip: u32, port: u16) -> Address {
 }
 
 /// State captured at the moment the matching alert's batch finished —
-/// mirror of what [`crate::recorder::Recorder::dump_pending`] froze.
+/// mirror of what [`crate::recorder::Recorder::dump_alerts`] froze.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatchCapture {
     /// The alert that satisfied the matcher.
@@ -252,8 +252,7 @@ mod tests {
         let config = Config::default();
         let mut pool = VidsPool::with_cost(config, CostModel::free());
         pool.enable_telemetry(128);
-        let mut recorder = Recorder::with_defaults(1);
-        recorder.set_telemetry_ring(128);
+        let recorder = Recorder::with_defaults(1);
 
         let n = config.invite_flood_n + 2; // cross the threshold
         let mut sink = CollectSink::new();
@@ -283,12 +282,9 @@ mod tests {
         pool.process_wire_batch(&mut events, clock, &mut sink);
         recorder.mark_batch();
         assert!(!sink.is_empty(), "flood must raise");
-        for a in sink.alerts() {
-            recorder.note_alert(a);
-        }
         let dir = std::env::temp_dir().join("vids-record-replay-test");
         std::fs::remove_dir_all(&dir).ok();
-        let written = recorder.dump_pending(&pool, &dir).unwrap();
+        let written = recorder.dump_alerts(&pool, &dir, pool.alerts()).unwrap();
         assert!(!written.is_empty());
 
         let dump = Vdump::read_from(&written[0]).unwrap();

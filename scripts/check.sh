@@ -80,9 +80,10 @@ cargo test --offline --test memory_meter -q
 echo "==> interner at capacity (counted shed, no panic)"
 cargo test --release --offline --test interner_full -q -- --ignored
 
-# Flight-recorder budget: the ring tap on the ingest hot path must be
-# allocation-free at steady state — including ring wrap/eviction — with
-# telemetry both off and on.
+# Flight-recorder budget: the one recorder, which `vids serve` and
+# `vids replay` both tap, must record allocation-free at steady state —
+# including ring wrap/eviction and its per-lane locks — with telemetry both
+# off and on.
 echo "==> alloc budget (record tap steady state, telemetry off and on)"
 cargo test --offline --test record_alloc -q
 
@@ -121,9 +122,9 @@ cargo test --offline --test pool_determinism -q \
     randomized_batch_sizes_match_the_plain_engine
 
 # Wire-tier oracle: pcap replay byte-compared against the in-process
-# engine (alerts, log, counters) at 1/4/8 shards, plus the parallel
-# driver byte-compared against the sequential one at 1/2/4 classifier
-# threads x 1/4/8 shards (including recorder ring layout).
+# engine (alerts, log, counters) at 1/4/8 shards, plus the replay
+# at 2/4 classifier threads byte-compared against one thread at 1/4/8
+# shards, including the recorder ring layout and every .vdump it writes.
 echo "==> replay differential (sequential + parallel drivers)"
 cargo test --offline --test replay_differential -q
 
@@ -173,5 +174,11 @@ perf_gate media_steady
 perf_gate signaling_churn
 perf_gate invite_flood
 perf_gate live_trickle
+
+# perf/ is frozen; building it must not rewrite its lock file.
+git diff --exit-code -- perf/Cargo.lock || {
+    echo "building perf/ changed perf/Cargo.lock" >&2
+    exit 1
+}
 
 echo "OK"

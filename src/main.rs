@@ -287,10 +287,10 @@ fn simulate(flags: &mut Flags) -> Result<i32, String> {
 /// SIGINT drains the pipeline.
 fn serve(flags: &mut Flags) -> Result<i32, String> {
     use vids::core::{Config, CostModel, FnSink, VidsPool};
-    use vids::ingest::record_tap::ServeRecorder;
+    use vids::ingest::record_tap::RecordTap;
     use vids::ingest::server::{dump_flag_on_sigusr1, serve_on, stop_flag_on_sigint, ServeOptions};
     use vids::ingest::udp::{PoolMode, UdpPool};
-    use vids::record::LaneRecorder;
+    use vids::record::Recorder;
 
     let listen: SocketAddr = flags
         .parsed("--listen")?
@@ -357,14 +357,13 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
     // receiver lane (each receiver locks only its own ring), dumps
     // written into --record DIR as alerts fire or SIGUSR1 arrives.
     let recorder = record_dir.as_ref().map(|_| {
-        let mut rec = LaneRecorder::with_defaults(opts.receivers);
+        let mut rec = Recorder::with_defaults(opts.receivers);
         rec.attach_telemetry(registry.pool_slab());
-        rec.set_telemetry_ring(256);
         rec
     });
-    let mut serve_rec = recorder
+    let mut tap = recorder
         .as_ref()
-        .map(|r| ServeRecorder::new(r, record_dir.as_deref().map(std::path::Path::new)));
+        .map(|rec| RecordTap::new(rec, record_dir.as_deref().map(std::path::Path::new)));
 
     let report = serve_on(
         &mut pool,
@@ -372,17 +371,17 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
         &opts,
         Some(&registry),
         stop,
-        serve_rec.as_mut(),
+        tap.as_mut(),
         &mut sink,
     )
     .map_err(|e| e.to_string())?;
 
     eprintln!("{}", RunSummary::from_serve(&report).render());
     eprintln!("{}", run_report::counters_line(&pool.counters()));
-    if let (Some(rec), Some(lane)) = (serve_rec.as_ref(), recorder.as_ref()) {
+    if let Some(t) = &tap {
         eprintln!(
             "{}",
-            run_report::recorder_summary(&lane.stats(), &rec.written, rec.io_errors)
+            run_report::recorder_summary(&t.recorder.stats(), &t.written, t.io_errors)
         );
     }
     if let Some(path) = telemetry_path {
@@ -516,14 +515,13 @@ fn replay(flags: &mut Flags) -> Result<i32, String> {
 
     let mut pool = VidsPool::new(cfg);
     let registry = pool.enable_telemetry(256);
-    let mut recorder = record_dir.as_ref().map(|_| {
+    let recorder = record_dir.as_ref().map(|_| {
         let mut rec = Recorder::with_defaults(1);
         rec.attach_telemetry(registry.pool_slab());
-        rec.set_telemetry_ring(256);
         rec
     });
     let mut tap = recorder
-        .as_mut()
+        .as_ref()
         .map(|rec| RecordTap::new(rec, record_dir.as_deref().map(std::path::Path::new)));
     let mut sink = CollectSink::new();
     let wall_start = std::time::Instant::now();
@@ -542,10 +540,10 @@ fn replay(flags: &mut Flags) -> Result<i32, String> {
     println!("{}", RunSummary::from_replay(&report, wall).render());
     println!("{}", run_report::counters_line(&pool.counters()));
     print!("{}", run_report::alert_report(sink.alerts()));
-    if let Some(t) = tap.as_ref() {
+    if let Some(t) = &tap {
         println!(
             "{}",
-            run_report::recorder_summary(&t.recorder.stats(), &t.written, 0)
+            run_report::recorder_summary(&t.recorder.stats(), &t.written, t.io_errors)
         );
     }
     if let Some(path) = telemetry_path {

@@ -266,7 +266,6 @@ mod tests {
                 slots_live: 97,
             },
             dumps_written: 2,
-            pending: 0,
         };
         let written = vec![PathBuf::from("/tmp/000000-invite-flood.vdump")];
         let text = recorder_summary(&stats, &written, 1);

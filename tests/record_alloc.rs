@@ -1,8 +1,9 @@
 //! Allocation budget gate for the flight recorder's steady state.
 //!
 //! The ring tap sits on the ingest hot path, so its per-datagram cost
-//! must be a bounded memcpy into the preallocated arena plus relaxed
-//! atomics — **zero** allocations, with telemetry off and on, including
+//! must be a bounded memcpy into the preallocated arena under the lane's
+//! own lock plus relaxed atomics — **zero** allocations, with telemetry
+//! off and on, including
 //! when the ring wraps and evicts. Batch marking is a counter bump and
 //! must also be free. (Dumping on an alert allocates, deliberately:
 //! alerts are rare and the dump leaves the hot path.)

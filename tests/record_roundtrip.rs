@@ -56,9 +56,8 @@ fn recorded_flood_dump_replays_byte_identically_on_a_fresh_engine() {
     let mut pool = VidsPool::with_cost(config, CostModel::free());
     pool.enable_telemetry(256);
     let mut sink = CollectSink::new();
-    let mut recorder = Recorder::with_defaults(1);
-    recorder.set_telemetry_ring(256);
-    let mut tap = RecordTap::new(&mut recorder, Some(&dir));
+    let recorder = Recorder::with_defaults(1);
+    let mut tap = RecordTap::new(&recorder, Some(&dir));
     let report = replay_pcap(
         flood_capture(),
         &mut pool,

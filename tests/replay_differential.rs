@@ -12,6 +12,8 @@
 
 mod common;
 
+use std::path::Path;
+
 use common::wire_safe_trace;
 use vids::core::alert::{labels, Alert};
 use vids::core::{CollectSink, Config, VidsCounters, VidsPool};
@@ -20,7 +22,7 @@ use vids::ingest::record_tap::RecordTap;
 use vids::ingest::replay::{replay_pcap, replay_pcap_parallel, REPLAY_GRACE};
 use vids::netsim::packet::{Address, Packet, Payload};
 use vids::netsim::time::SimTime;
-use vids::record::Recorder;
+use vids::record::{replay_vdump, RecordedPacket, Recorder, RecorderStats, Vdump};
 
 fn to_socket(addr: Address) -> std::net::SocketAddrV4 {
     let [a, b, c, d] = addr.ip.to_be_bytes();
@@ -182,47 +184,100 @@ fn parallel_replay_is_byte_identical_across_thread_and_shard_counts() {
     }
 }
 
+/// What one recorded replay left behind: the sink's alerts, the recorder's
+/// stats and window, and every dump written as (file name, bytes).
+struct Recorded {
+    alerts: Vec<Alert>,
+    stats: RecorderStats,
+    window: Vec<RecordedPacket>,
+    dumps: Vec<(String, Vec<u8>)>,
+}
+
+/// Replays `capture` at `threads` classifier threads (1 = the sequential
+/// path) with the flight recorder attached and dumps armed into `dir`.
+fn recorded_run(capture: &[u8], config: Config, threads: usize, dir: &Path) -> Recorded {
+    std::fs::remove_dir_all(dir).ok();
+    let mut pool = VidsPool::new(config);
+    let rec = Recorder::with_defaults(1);
+    let mut tap = RecordTap::new(&rec, Some(dir));
+    let mut sink = CollectSink::new();
+    if threads == 1 {
+        replay_pcap(
+            capture.to_vec(),
+            &mut pool,
+            7,
+            None,
+            Some(&mut tap),
+            &mut sink,
+        )
+    } else {
+        replay_pcap_parallel(
+            capture.to_vec(),
+            &mut pool,
+            7,
+            threads,
+            None,
+            Some(&mut tap),
+            &mut sink,
+        )
+    }
+    .unwrap();
+    let dumps = tap
+        .written
+        .iter()
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(p).unwrap())
+        })
+        .collect();
+    std::fs::remove_dir_all(dir).ok();
+    Recorded {
+        alerts: sink.into_alerts(),
+        stats: rec.stats(),
+        window: rec.window(),
+        dumps,
+    }
+}
+
 /// The parallel driver records datagrams at submit time on the driving
 /// thread, so a tap sees the identical ring layout — same packets, same
 /// global sequence numbers, same batch ids — as the sequential replay.
+/// With a dump directory armed it writes the same `.vdump` files, byte for
+/// byte, and each of them replays deterministically on a fresh engine.
 #[test]
 fn parallel_replay_preserves_the_recorder_layout() {
     let trace = wire_safe_trace();
     let capture = to_pcap(&trace, false, LINKTYPE_RAW);
-    let config = Config::builder().shards(4).build().unwrap();
-
-    let mut seq_pool = VidsPool::new(config);
-    let mut seq_rec = Recorder::with_defaults(1);
-    let mut seq_tap = RecordTap::new(&mut seq_rec, None);
-    let mut seq_sink = CollectSink::new();
-    replay_pcap(
-        capture.clone(),
-        &mut seq_pool,
-        7,
-        None,
-        Some(&mut seq_tap),
-        &mut seq_sink,
-    )
-    .unwrap();
-
-    let mut par_pool = VidsPool::new(config);
-    let mut par_rec = Recorder::with_defaults(1);
-    let mut par_tap = RecordTap::new(&mut par_rec, None);
-    let mut par_sink = CollectSink::new();
-    replay_pcap_parallel(
-        capture,
-        &mut par_pool,
-        7,
-        4,
-        None,
-        Some(&mut par_tap),
-        &mut par_sink,
-    )
-    .unwrap();
-
-    assert_eq!(seq_sink.into_alerts(), par_sink.into_alerts());
-    assert_eq!(seq_rec.stats(), par_rec.stats());
-    let seq_window = seq_rec.window();
-    assert!(!seq_window.is_empty());
-    assert_eq!(seq_window, par_rec.window(), "ring contents diverged");
+    let root = std::env::temp_dir().join(format!("vids-par-dumps-{}", std::process::id()));
+    for shards in [1usize, 4] {
+        let config = Config::builder().shards(shards).build().unwrap();
+        let seq = recorded_run(&capture, config, 1, &root.join(format!("seq-{shards}")));
+        assert!(!seq.window.is_empty());
+        assert!(!seq.dumps.is_empty(), "the trace's alerts must dump");
+        for (name, bytes) in &seq.dumps {
+            let dump = Vdump::parse(bytes).unwrap();
+            assert!(
+                replay_vdump(&dump).identical(),
+                "{name} does not replay deterministically at {shards} shards"
+            );
+        }
+        for threads in [2usize, 4] {
+            let at = format!("{threads} threads x {shards} shards");
+            let par = recorded_run(
+                &capture,
+                config,
+                threads,
+                &root.join(format!("par-{threads}-{shards}")),
+            );
+            assert_eq!(seq.alerts, par.alerts, "sink alerts diverged at {at}");
+            assert_eq!(seq.stats, par.stats, "recorder stats diverged at {at}");
+            assert_eq!(seq.window, par.window, "ring contents diverged at {at}");
+            let names = |r: &Recorded| r.dumps.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+            assert_eq!(names(&seq), names(&par), "dump names diverged at {at}");
+            for ((name, s), (_, p)) in seq.dumps.iter().zip(&par.dumps) {
+                assert!(s == p, "{name} differs at {at}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -1,27 +1,26 @@
 //! # vids-cluster — multi-tenant federation of analysis pools
 //!
-//! Scales the interacting-protocol-state-machine IDS past a single
-//! [`VidsPool`](vids_core::VidsPool) by federating N in-process nodes
-//! behind a deterministic routing gateway, with per-tenant namespaces
-//! layered on top.
+//! Spreads the interacting-protocol-state-machine IDS over N in-process
+//! nodes of a [`VidsPool`](vids_core::VidsPool), with per-tenant
+//! namespaces layered on top.
 //!
 //! The load-bearing property is the same one the pool layer proved at
 //! shard granularity: the paper's detectors decompose over independent
 //! keys (call-id, destination IP, AOR, media coordinates), so a datagram
 //! can be split into its protocol-role parts and each part analyzed
 //! wherever its key lives — **as long as routing is a pure function of
-//! the bytes and merge order is a pure function of arrival order**. The
-//! gateway rendezvous-hashes the pool's own
-//! [`route_hint`](vids_core::route_hint) keys across nodes and merges
-//! key-tagged alerts back into the single pool's byte-identical sequence;
-//! `tests/cluster_determinism.rs` pins `cluster(n) == pool` for every
-//! node count.
+//! the bytes and merge order is a pure function of arrival order**. A
+//! node is a group of pool shards: the pool places each key on node group
+//! [`rendezvous`](vids_core::pool::rendezvous)`(hash, nodes)` and merges
+//! the engines' key-tagged alerts back into the single pool's
+//! byte-identical sequence; `tests/cluster_determinism.rs` pins
+//! `cluster(n) == pool` for every node count.
 //!
 //! Tenancy is the second axis: a [`TenantMap`] assigns each source prefix
 //! to a tenant with its own detection thresholds
 //! ([`Config`](vids_core::Config)) and call-table quota, and each tenant
-//! gets fully separate pools per node — one tenant's flood can neither
-//! trip another's (lower) thresholds nor evict another's call state.
+//! gets its own pool — one tenant's flood can neither trip another's
+//! (lower) thresholds nor evict another's call state.
 //!
 //! ```
 //! use vids_cluster::{Cluster, ClusterEvent, TenantMap};
@@ -43,5 +42,5 @@
 mod gateway;
 pub mod tenant;
 
-pub use gateway::{rendezvous, Cluster, ClusterAlert, ClusterEvent};
+pub use gateway::{Cluster, ClusterAlert, ClusterEvent};
 pub use tenant::{Tenant, TenantId, TenantMap};

@@ -64,9 +64,7 @@ impl std::ops::AddAssign for VidsCounters {
 }
 
 /// How often idle call networks are advanced and finished calls evicted.
-/// Public so a cluster gateway can mirror the pool's sweep-interval gate
-/// when accounting batch-level telemetry exactly once for a global batch.
-pub const SWEEP_INTERVAL_MS: u64 = 100;
+pub(crate) const SWEEP_INTERVAL_MS: u64 = 100;
 
 /// A SIP response that matched no monitored call. The pool detects the miss
 /// on the call-owning shard and counts it on the destination-owning shard's
@@ -505,10 +503,7 @@ impl Vids {
             Classified::Malformed { protocol, reason } => {
                 self.ingest_malformed(protocol, reason, now_ms, sink)
             }
-            Classified::Ignored => {
-                self.counters.ignored += 1;
-                self.tel_inc(Counter::Ignored);
-            }
+            Classified::Ignored => self.ingest_ignored(),
         }
     }
 
@@ -751,6 +746,12 @@ impl Vids {
             |_| Vec::new(),
             sink,
         );
+    }
+
+    /// A datagram the classifier set aside (neither SIP nor RTP).
+    pub(crate) fn ingest_ignored(&mut self) {
+        self.counters.ignored += 1;
+        self.tel_inc(Counter::Ignored);
     }
 
     /// Forced sweep regardless of the interval gate; the pool applies its

@@ -536,6 +536,11 @@ impl FactBase {
         Some(self.id_of(self.media_lookup_idx(MediaKey { ip, port })?))
     }
 
+    /// Every media endpoint some call owns, for rebuilding a routing index.
+    pub(crate) fn media_keys(&self) -> impl Iterator<Item = MediaKey> + '_ {
+        self.media_index.keys().copied()
+    }
+
     /// [`FactBase::media_lookup`] returning the slab index, for the RTP hot
     /// path.
     #[inline]

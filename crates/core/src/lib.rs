@@ -84,10 +84,7 @@ pub mod prelude {
     pub use crate::config::{Config, ConfigBuilder, ConfigError};
     pub use crate::engine::{Vids, VidsCounters};
     pub use crate::monitor::Monitor;
-    pub use crate::pool::{
-        key_hash, route_hint, FedAlert, FedEvent, FedMiss, FedOutput, PartMask, PipelineIngress,
-        PreRouted, RouteHint, VidsPool, WireEvent,
-    };
+    pub use crate::pool::{route_hint, PipelineIngress, PreRouted, RouteHint, VidsPool, WireEvent};
     pub use crate::sink::{AlertSink, CollectSink, NullSink};
     pub use crate::tap::VidsTap;
 }
@@ -98,10 +95,7 @@ pub use config::{Config, ConfigBuilder, ConfigError};
 pub use cost::CostModel;
 pub use engine::{Vids, VidsCounters};
 pub use monitor::Monitor;
-pub use pool::{
-    key_hash, route_hint, FedAlert, FedEvent, FedMiss, FedOutput, PartMask, PipelineIngress,
-    PreRouted, RouteHint, VidsPool, WireEvent,
-};
+pub use pool::{route_hint, PipelineIngress, PreRouted, RouteHint, VidsPool, WireEvent};
 pub use report::AlertReport;
 pub use sink::{AlertSink, CollectSink, FnSink, NullSink};
 pub use snapshot::{CallSnapshot, MachineSnapshot};

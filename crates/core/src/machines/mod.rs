@@ -41,7 +41,7 @@ pub(crate) fn copy_arg<T: VarType>(ctx: &mut ActionCtx<'_>, var: Var<T>, arg: Ar
 
 /// Media coordinates, an address and a UDP port: where an SDP body says a
 /// call's RTP goes, and where an RTP packet is sent. The key of the fact
-/// base's media index and of its pool and gateway mirrors — six bytes,
+/// base's media index and of its pool mirror — six bytes,
 /// hashed as a value. Renders `ip:port`; the default, `0.0.0.0:0`, is no
 /// stream's coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -15,6 +15,13 @@
 //! * **Per-destination flood machines** (INVITE flood, DRDoS reflection) are
 //!   pinned by `hash(dst_ip)`, and **registration machines** by
 //!   `hash(address-of-record)`.
+//! * **Malformed and ignored datagrams** carry no key and go to the key-0
+//!   engine, whose alert dedup then covers them all.
+//!
+//! A cluster node is a group of shards: [`VidsPool::set_nodes`] makes the
+//! engines `nodes` groups of `Config::shards`, and one placement rule sends
+//! a key hash to group [`rendezvous`]`(hash, nodes)`, engine
+//! `hash % shards` inside it.
 //!
 //! Ingestion is batch-oriented, and every entry point is the same pass over
 //! one private routing core (`route_pass`): at most one idle-timer sweep
@@ -27,9 +34,9 @@
 //! including a 1-shard pool vs. a plain [`Vids`].
 //!
 //! Synchronous calls ([`VidsPool::process_batch`],
-//! [`VidsPool::process_wire_batch`], the federated trio) ingest each routed
-//! part in place on the calling thread; a pool spawns no thread at
-//! construction. The one threaded runtime is the **epoch ring** of a
+//! [`VidsPool::process_wire_batch`]) ingest each routed part in place on
+//! the calling thread; a pool spawns no thread at construction. The one
+//! threaded runtime is the **epoch ring** of a
 //! [`VidsPool::with_pipeline`] session: receiver threads pre-compute each
 //! datagram's routing hashes ([`route_hint`], carried by [`PreRouted`]),
 //! [`PipelineIngress::submit`] runs the same core but *queues* the routed
@@ -42,10 +49,9 @@
 //! checker drives through every interleaving; see DESIGN.md §7a.
 
 use std::any::Any;
-use std::borrow::Cow;
 use std::cell::UnsafeCell;
 use std::cmp::Ordering;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
@@ -60,7 +66,7 @@ use vids_netsim::time::SimTime;
 use vids_scan::fxhash::FxHashMap;
 use vids_telemetry::{Counter, Gauge, HistId, Registry, Snapshot};
 
-use crate::alert::{malformed_label, Alert, AlertKind};
+use crate::alert::Alert;
 use crate::classify::{classify, Classified};
 use crate::config::Config;
 use crate::cost::{CostModel, CpuAccount};
@@ -74,8 +80,9 @@ use crate::sink::AlertSink;
 ///
 /// Phases order the parts of one packet the way the single engine would have
 /// emitted them: 0 = batch-start sweep (before any packet), 1 = the
-/// destination-pinned INVITE-flood part, 2 = the call/register/media part,
-/// 3 = the deferred DRDoS reflection count for an unassociated response.
+/// destination-pinned INVITE-flood part, 2 = the call/register/media (or
+/// malformed) part, 3 = the deferred DRDoS reflection count for an
+/// unassociated response.
 /// The scope is only populated for sweep alerts (phase 0), where different
 /// calls' alerts share one key prefix and the single engine sweeps calls in
 /// sorted-Call-ID order. It is an interned symbol, not a `String`: tagging
@@ -101,20 +108,62 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Shard placement for a pre-computed key hash. `hash % 1 == 0`, so this
-/// agrees with `VidsPool::shard_of`'s single-shard short-circuit too.
-#[inline]
-fn shard_from_hash(hash: u64, shards: usize) -> usize {
-    if shards == 1 {
-        0
-    } else {
-        (hash % shards as u64) as usize
+/// Where a key hash lives: the one placement rule. The engines are `nodes`
+/// groups of `shards`; a hash goes to group `rendezvous(hash, nodes)` and
+/// to engine `hash % shards` inside it — node-then-shard placement in one
+/// pass. Neither level hashes what can only land on index 0.
+#[derive(Debug, Clone, Copy)]
+struct Placement {
+    nodes: usize,
+    shards: usize,
+}
+
+impl Placement {
+    #[inline]
+    fn engine(self, hash: u64) -> usize {
+        let shard = if self.shards == 1 {
+            0
+        } else {
+            (hash % self.shards as u64) as usize
+        };
+        rendezvous(hash, self.nodes) * self.shards + shard
     }
+}
+
+/// Rendezvous (highest-random-weight) node choice for a key hash: the node
+/// whose mixed score is highest. Changing the node count moves only the
+/// keys whose argmax changes — about `1/n` of them — so in-flight calls on
+/// unmoved keys keep their state and verdicts across a rebalance.
+pub fn rendezvous(key: u64, nodes: usize) -> usize {
+    if nodes <= 1 {
+        return 0;
+    }
+    let mut best = 0usize;
+    let mut best_score = mix(key, 0);
+    for node in 1..nodes {
+        let score = mix(key, node);
+        if score > best_score {
+            best = node;
+            best_score = score;
+        }
+    }
+    best
+}
+
+/// SplitMix64 finalizer over `key ⊕ node-salt`: well-mixed, platform-fixed.
+fn mix(key: u64, node: usize) -> u64 {
+    let mut h = key ^ (node as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 31;
+    h
 }
 
 /// A sink that tags every alert with the merge key of the part being drained.
 struct TaggedSink<'a> {
-    out: &'a mut Vec<FedAlert>,
+    out: &'a mut Vec<TaggedAlert>,
     idx: usize,
     phase: u8,
     /// Sweep mode: scope alerts by their Call-ID so the merge reproduces the
@@ -124,7 +173,7 @@ struct TaggedSink<'a> {
 }
 
 impl<'a> TaggedSink<'a> {
-    fn packet(out: &'a mut Vec<FedAlert>, idx: usize, phase: u8) -> Self {
+    fn packet(out: &'a mut Vec<TaggedAlert>, idx: usize, phase: u8) -> Self {
         TaggedSink {
             out,
             idx,
@@ -134,7 +183,7 @@ impl<'a> TaggedSink<'a> {
         }
     }
 
-    fn sweep(out: &'a mut Vec<FedAlert>) -> Self {
+    fn sweep(out: &'a mut Vec<TaggedAlert>) -> Self {
         TaggedSink {
             out,
             idx: 0,
@@ -159,7 +208,7 @@ impl AlertSink for TaggedSink<'_> {
             sym::EMPTY
         };
         let key = (self.idx, self.phase, scope, self.seq);
-        self.out.push(FedAlert { key, alert });
+        self.out.push(TaggedAlert { key, alert });
         self.seq += 1;
     }
 }
@@ -223,9 +272,8 @@ impl PreRouted {
 
 /// Computes the shard-routing hashes for one classified datagram — the
 /// receiver-side half of routing. Everything that needs *global* state
-/// (media-index probes and inserts, the monotonic clamp, the malformed
-/// dedup) stays on the coordinator; the hint carries only pure per-packet
-/// hashes.
+/// (media-index probes and inserts, the monotonic clamp) stays on the
+/// coordinator; the hint carries only pure per-packet hashes.
 pub fn route_hint(c: &Classified) -> RouteHint {
     match c {
         Classified::Sip {
@@ -273,157 +321,71 @@ fn media_hash(event: &Event) -> u64 {
 
 impl RouteHint {
     /// The call-pinned key hash: address-of-record for REGISTER, Call-ID
-    /// for other SIP, the media-coordinate fallback for RTP. A cluster
-    /// gateway uses the same hash the pool shards by to pick the owning
-    /// *node* (rendezvous over this value), so moving between one pool and
-    /// a federation never re-keys anything.
+    /// for other SIP, the media-coordinate fallback for RTP. Placement
+    /// feeds it to [`rendezvous`] for the node group, so a test can pick a
+    /// key that keeps its node across a rebalance.
     pub fn call_hash(&self) -> u64 {
         self.call
     }
-
-    /// The destination-IP hash feeding the per-destination flood machines;
-    /// zero (unused) for everything but non-REGISTER SIP.
-    pub fn flood_hash(&self) -> u64 {
-        self.flood
-    }
 }
 
-/// The pool's key hash (FNV-1a), public for layers that must agree with
-/// shard/node placement — e.g. a cluster gateway hashing a DRDoS miss's
-/// destination IP exactly as [`route_hint`] would have.
-pub fn key_hash(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
-}
-
-/// Which protocol-role parts of one classified datagram a federation
-/// member ingests. A single SIP INVITE has a call-pinned part (the per-call
-/// machine) and a destination-pinned part (the INVITE-flood machine); a
-/// cluster gateway may place those on different nodes, sending the same
-/// event to both with complementary masks. The union of masks across nodes
-/// is exactly one full ingest, so a federation reproduces the single
-/// pool's work with nothing counted twice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartMask {
-    /// Ingest the call/register/media part (also malformed/ignored
-    /// accounting — the gateway routes those to exactly one node).
-    pub call: bool,
-    /// Ingest the destination-pinned INVITE-flood part.
-    pub flood: bool,
-}
-
-impl PartMask {
-    /// Both parts — what every non-federated path does.
-    pub const ALL: PartMask = PartMask {
-        call: true,
-        flood: true,
-    };
-}
-
-/// One classified datagram as a federation member receives it from the
-/// gateway: pre-clamped time, *global* packet index, and the part mask.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FedEvent {
-    /// What the classifier made of the datagram.
-    pub classified: Classified,
-    /// The packet clock, already clamped monotonic by the gateway across
-    /// the global batch order — so every node's view of packet time agrees
-    /// with the single pool's sequential routing pass.
-    pub t_ms: u64,
-    /// The datagram's index in the gateway's global batch. Merge keys are
-    /// built on this, which is what makes alerts from different nodes
-    /// interleave exactly as one pool would have emitted them.
-    pub idx: usize,
-    /// Which parts of the event this pool owns.
-    pub mask: PartMask,
-}
-
-/// A key-tagged alert: what every shard drain produces, and what a
-/// federated batch exports. The key is the pool's deterministic merge key —
-/// built on the *global* packet index on the federated path — so sorting
-/// with [`FedAlert::merge_order`] yields the single engine's byte-identical
-/// alert sequence whether the alerts came from the shards of one pool or
-/// from every node of a cluster.
+/// A key-tagged alert: what every engine drain produces. Sorting by
+/// [`TaggedAlert::merge_order`] yields the single engine's byte-identical
+/// alert sequence whatever engine raised each alert.
 #[derive(Debug, Clone)]
-pub struct FedAlert {
+struct TaggedAlert {
     key: MergeKey,
-    /// The alert itself.
-    pub alert: Alert,
+    alert: Alert,
 }
 
-impl FedAlert {
+impl TaggedAlert {
     /// The deterministic merge order — `(packet idx, phase, scope text,
     /// emission seq)`. The scope symbol must be compared by its string —
     /// see [`MergeKey`].
-    pub fn merge_order(a: &FedAlert, b: &FedAlert) -> Ordering {
+    fn merge_order(a: &TaggedAlert, b: &TaggedAlert) -> Ordering {
         let (ai, ap, a_scope, a_seq) = &a.key;
         let (bi, bp, b_scope, b_seq) = &b.key;
         (ai, ap, a_scope.as_str(), a_seq).cmp(&(bi, bp, b_scope.as_str(), b_seq))
     }
 }
 
-/// An unassociated SIP response detected on the call-owning shard, to be
-/// counted on whichever shard — or, in a federation, whichever member —
-/// owns the destination IP: the deferred DRDoS phase. Inside one pool the
-/// misses of a batch are applied after the drain in packet order; a cluster
-/// gateway sorts all nodes' misses by `idx` and feeds each to
-/// [`VidsPool::apply_federated_misses`] on the owning node.
+/// An unassociated SIP response detected on the call-owning engine, to be
+/// counted on the engine owning the destination IP: the deferred DRDoS
+/// phase. The misses of a batch are applied after the drain, in packet
+/// order.
 #[derive(Debug, Clone, Copy)]
-pub struct FedMiss {
-    /// Global packet index of the response.
-    pub idx: usize,
+struct DeferredMiss {
+    /// Packet index of the response.
+    idx: usize,
     /// Its clamped packet time.
-    pub t_ms: u64,
-    /// Destination IP the miss counts against; hash with [`key_hash`] over
-    /// `dst_ip.to_le_bytes()` to pick the owning node.
-    pub dst_ip: u32,
+    t_ms: u64,
+    /// Destination IP the miss counts against.
+    dst_ip: u32,
     src_ip: Option<Ipv4Addr>,
-}
-
-/// What one federation member produced for one global batch.
-#[derive(Debug, Default)]
-pub struct FedOutput {
-    /// Key-tagged alerts, unsorted; the gateway merges across nodes.
-    pub alerts: Vec<FedAlert>,
-    /// DRDoS misses for the gateway to route to their destination owners.
-    pub misses: Vec<FedMiss>,
 }
 
 /// One classified datagram as the routing core takes it, whichever entry
 /// point it came through.
 struct CoreEvent {
-    /// What the merge keys are built on: the position in the batch, or the
-    /// gateway's global index.
+    /// Position in the batch: what the merge keys are built on.
     idx: usize,
     classified: Classified,
     /// Receive time, to be clamped monotonic.
     at_ms: u64,
     /// Receiver-computed routing hashes, when a receiver computed them.
     hint: Option<RouteHint>,
-    mask: PartMask,
 }
 
 impl CoreEvent {
-    /// Every part of the datagram at position `idx` of a self-contained
-    /// batch — what each non-federated entry point feeds the core.
-    fn whole(idx: usize, classified: Classified, at: SimTime, hint: Option<RouteHint>) -> Self {
+    /// The datagram at position `idx` of a batch.
+    fn new(idx: usize, classified: Classified, at: SimTime, hint: Option<RouteHint>) -> Self {
         CoreEvent {
             idx,
             classified,
             at_ms: at.as_millis(),
             hint,
-            mask: PartMask::ALL,
         }
     }
-}
-
-/// Who keeps the batch-level books around a pass of the routing core.
-#[derive(Clone, Copy)]
-enum Books {
-    /// This pool: batch telemetry and the sweep count are recorded here.
-    Pool,
-    /// A cluster gateway, which records them exactly once per *global*
-    /// batch so the merged cluster snapshot equals the single pool's.
-    Gateway,
 }
 
 /// One shard-pinned part of a routed packet.
@@ -442,6 +404,13 @@ enum Part {
         dst_ip: u32,
     },
     Rtp(Event),
+    /// Malformed and ignored traffic has no key; it goes to the key-0
+    /// engine, whose dedup set then sees every malformed alert.
+    Malformed {
+        protocol: &'static str,
+        reason: &'static str,
+    },
+    Ignored,
 }
 
 /// The sharded analysis engine. Construct with a [`Config`] whose `shards`
@@ -450,7 +419,10 @@ enum Part {
 /// batches via [`VidsPool::process_batch`] — or packet-at-a-time through
 /// the [`Monitor`] trait, which behaves identically to a plain `Vids`.
 pub struct VidsPool {
+    /// Every engine, node group by node group: `placement.nodes` groups of
+    /// `placement.shards`.
     shards: Vec<Vids>,
+    placement: Placement,
     /// Read-mostly mirror of every shard's media index: negotiated media
     /// coordinates → owning shard. Written only during sequential routing;
     /// probed per RTP packet, so the key is a six-byte value and the probe
@@ -461,11 +433,6 @@ pub struct VidsPool {
     cost: CostModel,
     cpu: CpuAccount,
     alerts: Vec<Alert>,
-    /// Dedup for pool-level (shardless) alerts, i.e. malformed traffic:
-    /// `(reason, protocol)`, both static, so asking costs no allocation.
-    dedup: HashSet<(&'static str, &'static str)>,
-    /// Counters for traffic that never reaches a shard.
-    extra: VidsCounters,
     last_sweep_ms: u64,
     /// Monotonic clamp over packet timestamps: EFSM networks require
     /// non-decreasing time, so a late-stamped packet is processed at the
@@ -479,9 +446,9 @@ pub struct VidsPool {
     /// publish swaps `Vec`s), so steady-state routing allocates nothing.
     queues: Vec<Vec<Routed>>,
     /// Reusable merge buffer of key-tagged alerts for the current batch.
-    scratch_tagged: Vec<FedAlert>,
+    scratch_tagged: Vec<TaggedAlert>,
     /// Reusable buffer of deferred DRDoS response misses.
-    scratch_misses: Vec<FedMiss>,
+    scratch_misses: Vec<DeferredMiss>,
 }
 
 impl VidsPool {
@@ -499,13 +466,15 @@ impl VidsPool {
         let n = config.shards.max(1);
         VidsPool {
             shards: (0..n).map(|_| Vids::with_cost(config, cost)).collect(),
+            placement: Placement {
+                nodes: 1,
+                shards: n,
+            },
             media_to_shard: FxHashMap::default(),
             config,
             cost,
             cpu: CpuAccount::new(),
             alerts: Vec::new(),
-            dedup: HashSet::new(),
-            extra: VidsCounters::default(),
             last_sweep_ms: 0,
             last_packet_ms: 0,
             telemetry: None,
@@ -527,6 +496,59 @@ impl VidsPool {
         }
         self.telemetry = Some(Arc::clone(&registry));
         registry
+    }
+
+    /// Makes the pool's engines `nodes` groups of `config.shards` — one
+    /// group per cluster node — under the one placement rule: a key goes
+    /// to group [`rendezvous`]`(hash, nodes)`. Routing-only: keys whose
+    /// group is unchanged (about `(n-1)/n` of them when growing by one)
+    /// keep their engine, state and in-flight verdicts. Keys that move
+    /// leave their call state behind — those calls restart, as if the
+    /// moved traffic had first appeared now. Growing keeps the surviving
+    /// engines and their telemetry slabs, and new engines get fresh ones;
+    /// shrinking drops the removed groups' engines, state and counts.
+    ///
+    /// The media routing index is rebuilt from the surviving engines' own
+    /// fact-base media indexes, so media announced in SDP but accepted by
+    /// no call's machine routes by hash until it is announced again.
+    pub fn set_nodes(&mut self, nodes: usize) {
+        let nodes = nodes.max(1);
+        if nodes == self.placement.nodes {
+            return;
+        }
+        self.placement.nodes = nodes;
+        let engines = nodes * self.placement.shards;
+        let ring = self.telemetry_ring();
+        self.shards.truncate(engines);
+        if let Some(registry) = &mut self.telemetry {
+            *registry = Arc::new(registry.resized(engines));
+        }
+        while self.shards.len() < engines {
+            let mut engine = Vids::with_cost(self.config, self.cost);
+            if let Some(registry) = &self.telemetry {
+                engine.attach_telemetry(registry.shard_slab(self.shards.len()), ring);
+            }
+            self.shards.push(engine);
+        }
+        self.queues.resize_with(engines, Vec::new);
+        self.media_to_shard.clear();
+        if engines > 1 {
+            for (i, engine) in self.shards.iter().enumerate() {
+                for media in engine.factbase().media_keys() {
+                    self.media_to_shard.insert(media, i);
+                }
+            }
+        }
+    }
+
+    /// Number of node groups; see [`VidsPool::set_nodes`].
+    pub fn nodes(&self) -> usize {
+        self.placement.nodes
+    }
+
+    /// The telemetry registry, once [`VidsPool::enable_telemetry`] has run.
+    pub fn telemetry(&self) -> Option<&Registry> {
+        self.telemetry.as_deref()
     }
 
     /// The per-shard transition-ring capacity telemetry was enabled with;
@@ -557,7 +579,7 @@ impl VidsPool {
         &self.config
     }
 
-    /// Number of shards.
+    /// Number of shard engines, across every node group.
     pub fn shards(&self) -> usize {
         self.shards.len()
     }
@@ -580,7 +602,7 @@ impl VidsPool {
 
     /// Aggregate traffic counters across all shards.
     pub fn counters(&self) -> VidsCounters {
-        let mut total = self.extra;
+        let mut total = VidsCounters::default();
         for shard in &self.shards {
             total += shard.counters();
         }
@@ -644,7 +666,7 @@ impl VidsPool {
         let events = packets
             .iter()
             .enumerate()
-            .map(|(idx, p)| CoreEvent::whole(idx, classify(p), p.sent_at, None));
+            .map(|(idx, p)| CoreEvent::new(idx, classify(p), p.sent_at, None));
         self.ingest_inline(events, now, sink);
     }
 
@@ -666,7 +688,7 @@ impl VidsPool {
         let events = events
             .drain(..)
             .enumerate()
-            .map(|(idx, ev)| CoreEvent::whole(idx, ev.classified, ev.at, None));
+            .map(|(idx, ev)| CoreEvent::new(idx, ev.classified, ev.at, None));
         self.ingest_inline(events, now, sink);
     }
 
@@ -680,14 +702,7 @@ impl VidsPool {
     ) {
         let mut tagged = std::mem::take(&mut self.scratch_tagged);
         let mut misses = std::mem::take(&mut self.scratch_misses);
-        self.route_pass(
-            events,
-            now.as_millis(),
-            Books::Pool,
-            None,
-            &mut tagged,
-            &mut misses,
-        );
+        self.route_pass(events, now.as_millis(), None, &mut tagged, &mut misses);
         // Deferred DRDoS reflection counting. The call-owning shard only
         // *detects* the miss; the count belongs to the destination's shard.
         // In-place ingestion found the misses in packet order, and they are
@@ -699,94 +714,16 @@ impl VidsPool {
         self.scratch_tagged = tagged;
     }
 
-    /// Processes this member's share of one *global* batch in a cluster
-    /// federation. The cluster gateway splits each classified datagram
-    /// into its protocol-role parts, routes each part to the owning node
-    /// ([`PartMask`]), pre-clamps timestamps across the global batch order,
-    /// and calls this on every node with the same `now` — empty shares
-    /// included, so the sweep-interval clock stays in lock-step and sweeps
-    /// fire on every node at the same instant, exactly as one pool's
-    /// single sweep would have covered all calls.
-    ///
-    /// Differences from [`VidsPool::process_wire_batch`], all of them the
-    /// gateway's job instead:
-    ///
-    /// * batch-level telemetry (`BatchesIngested`, `PacketsIngested`,
-    ///   `BatchSize`, `TimerSweeps`, merge timing) is *not* recorded here —
-    ///   the gateway records it exactly once per global batch, so the
-    ///   merged cluster snapshot equals the single pool's;
-    /// * alerts are returned key-tagged ([`FedAlert`]) instead of sunk and
-    ///   logged — the gateway merges across nodes with
-    ///   [`FedAlert::merge_order`] and keeps the cluster-wide log;
-    /// * DRDoS misses are exported ([`FedMiss`]) instead of self-applied —
-    ///   the destination-owning pool may be another node.
-    pub fn process_federated_batch(
-        &mut self,
-        events: &mut Vec<FedEvent>,
-        now: SimTime,
-    ) -> FedOutput {
-        let mut out = FedOutput::default();
-        let events = events.drain(..).map(|ev| CoreEvent {
-            idx: ev.idx,
-            classified: ev.classified,
-            at_ms: ev.t_ms,
-            hint: None,
-            mask: ev.mask,
-        });
-        self.route_pass(
-            events,
-            now.as_millis(),
-            Books::Gateway,
-            None,
-            &mut out.alerts,
-            &mut out.misses,
-        );
-        out
-    }
-
-    /// Applies DRDoS misses this pool's destinations own — the federated
-    /// spelling of the deferred counting phase of the synchronous batch
-    /// calls. The gateway must pass misses in ascending global `idx`
-    /// order, merged across every node that exported some.
-    pub fn apply_federated_misses(&mut self, misses: &[FedMiss]) -> Vec<FedAlert> {
-        let mut tagged = Vec::new();
-        self.apply_misses(misses, &mut tagged);
-        tagged
-    }
-
-    /// The federated spelling of [`VidsPool::tick`]: advances idle timers
-    /// and evicts finished calls, returning key-tagged alerts for the
-    /// gateway's cluster-wide merge instead of sinking and logging them.
-    /// The gateway calls this on every node with the same `now` and counts
-    /// the sweep once.
-    pub fn federated_tick(&mut self, now: SimTime) -> Vec<FedAlert> {
-        let mut tagged = Vec::new();
-        if now.as_millis() >= SWEEP_INTERVAL_MS {
-            self.sweep(now.as_millis(), Books::Gateway, &mut tagged);
-        }
-        tagged
-    }
-
     /// Advances idle timers and evicts finished calls on every shard,
     /// pushing timer-driven alerts into `sink` in deterministic order.
     pub fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
         let mut tagged = std::mem::take(&mut self.scratch_tagged);
         // Mirror Vids::tick's interval gate from time zero.
         if now.as_millis() >= SWEEP_INTERVAL_MS {
-            self.sweep(now.as_millis(), Books::Pool, &mut tagged);
+            self.sweep(now.as_millis(), &mut tagged);
         }
         self.merge_into(&mut tagged, sink);
         self.scratch_tagged = tagged;
-    }
-
-    /// Whether any call on any shard currently has these media coordinates
-    /// negotiated. A cluster gateway uses this to expire entries of its
-    /// node-level media routing index, exactly as the pool expires its own
-    /// shard-level index after each sweep.
-    pub fn media_negotiated(&self, media: MediaKey) -> bool {
-        self.shards
-            .iter()
-            .any(|s| s.factbase().media_lookup(media.ip, media.port).is_some())
     }
 
     /// Whether a batch clocked at `now_ms` opens with an idle-timer sweep.
@@ -808,35 +745,30 @@ impl VidsPool {
     ///    own buffers instead).
     ///
     /// What happens to `tagged` and `misses` afterwards — apply and merge,
-    /// export to a gateway, or park until the epoch is harvested — is the
-    /// caller's, as is quiescing a pipeline before a due sweep.
+    /// or park until the epoch is harvested — is the caller's, as is
+    /// quiescing a pipeline before a due sweep.
     fn route_pass(
         &mut self,
         events: impl ExactSizeIterator<Item = CoreEvent>,
         now_ms: u64,
-        books: Books,
         mut queues: Option<&mut [Vec<Routed>]>,
-        tagged: &mut Vec<FedAlert>,
-        misses: &mut Vec<FedMiss>,
+        tagged: &mut Vec<TaggedAlert>,
+        misses: &mut Vec<DeferredMiss>,
     ) {
-        if let (Books::Pool, Some(reg)) = (books, &self.telemetry) {
+        if let Some(reg) = &self.telemetry {
             let len = events.len() as u64;
             reg.pool().inc(Counter::BatchesIngested);
             reg.pool().add(Counter::PacketsIngested, len);
             reg.pool().record(HistId::BatchSize, len);
         }
         if self.sweep_due(now_ms) {
-            self.sweep(now_ms, books, tagged);
+            self.sweep(now_ms, tagged);
         }
         for ev in events {
-            // The cost model charges by what the datagram claimed to be,
-            // and with the call part only: a SIP INVITE a gateway split
-            // across two nodes costs the federation what it costs one pool.
-            if ev.mask.call {
-                self.cpu
-                    .charge(self.cost.cpu_for_classified(&ev.classified));
-            }
-            // A no-op on times a gateway already clamped across the global
+            // The cost model charges by what the datagram claimed to be.
+            self.cpu
+                .charge(self.cost.cpu_for_classified(&ev.classified));
+            // A no-op on times a caller already clamped across a larger
             // batch order (they are ≥ `now_ms` and ≥ every earlier one).
             let t = now_ms.max(ev.at_ms).max(self.last_packet_ms);
             self.last_packet_ms = t;
@@ -844,10 +776,8 @@ impl VidsPool {
         }
     }
 
-    /// Phase 2 of the core: assigns one routed part per protocol role,
-    /// publishes media coordinates to the routing index, and consumes
-    /// malformed/ignored traffic (it has no call, destination or media key
-    /// to shard by).
+    /// Phase 2 of the core: assigns one routed part per protocol role and
+    /// publishes media coordinates to the routing index.
     ///
     /// Each part goes onto its shard's queue when the caller has queues (a
     /// pipeline session: the engines belong to the ring workers while
@@ -859,21 +789,16 @@ impl VidsPool {
     /// `ev.hint` carries the FNV-1a key hashes pre-computed on a receiver
     /// thread ([`route_hint`]); without one the hashes are computed here,
     /// lazily. Both spellings place every part on the same shard.
-    /// `ev.mask` selects which protocol-role parts to ingest — always
-    /// [`PartMask::ALL`] except on the federated path, where the gateway
-    /// may have placed a packet's call and flood parts on different nodes.
     fn route_one(
         &mut self,
         ev: CoreEvent,
         t: u64,
         mut queues: Option<&mut [Vec<Routed>]>,
-        tagged: &mut Vec<FedAlert>,
-        misses: &mut Vec<FedMiss>,
+        tagged: &mut Vec<TaggedAlert>,
+        misses: &mut Vec<DeferredMiss>,
     ) {
         let n = self.shards.len();
-        let CoreEvent {
-            idx, hint, mask, ..
-        } = ev;
+        let CoreEvent { idx, hint, .. } = ev;
         let mut place = |shards: &mut [Vids], shard: usize, part: Part| match &mut queues {
             Some(queues) => queues[shard].push((idx, t, part)),
             None => ingest_part(&mut shards[shard], idx, t, part, tagged, misses),
@@ -887,28 +812,22 @@ impl VidsPool {
                 dst_ip,
             } => {
                 if event.name == sym::SIP_REGISTER {
-                    if !mask.call {
-                        return;
-                    }
                     let shard = match hint {
-                        Some(h) => shard_from_hash(h.call, n),
+                        Some(h) => self.placement.engine(h.call),
                         None => self.shard_of(aor(&event).as_bytes()),
                     };
                     place(&mut self.shards, shard, Part::Register(event));
                     return;
                 }
-                if mask.flood && event.name == sym::SIP_INVITE {
+                if event.name == sym::SIP_INVITE {
                     let flood_shard = match hint {
-                        Some(h) => shard_from_hash(h.flood, n),
+                        Some(h) => self.placement.engine(h.flood),
                         None => self.shard_of(&dst_ip.to_le_bytes()),
                     };
                     place(&mut self.shards, flood_shard, Part::InviteFlood { dst_ip });
                 }
-                if !mask.call {
-                    return;
-                }
                 let shard = match hint {
-                    Some(h) => shard_from_hash(h.call, n),
+                    Some(h) => self.placement.engine(h.call),
                     None => self.shard_of(call_id.as_str().as_bytes()),
                 };
                 if n > 1 {
@@ -925,7 +844,7 @@ impl VidsPool {
                 };
                 place(&mut self.shards, shard, part);
             }
-            Classified::Rtp { event } if mask.call => {
+            Classified::Rtp { event } => {
                 let shard = if n == 1 {
                     0
                 } else {
@@ -937,33 +856,23 @@ impl VidsPool {
                             // their hash so any shard count flags the same
                             // packet as unassociated exactly once.
                             let hash = hint.map_or_else(|| media_hash(&event), |h| h.call);
-                            shard_from_hash(hash, n)
+                            self.placement.engine(hash)
                         })
                 };
                 place(&mut self.shards, shard, Part::Rtp(event));
             }
-            Classified::Malformed { protocol, reason } if mask.call => {
-                self.extra.malformed += 1;
-                if let Some(reg) = &self.telemetry {
-                    reg.pool().inc(Counter::Malformed);
-                }
-                self.pool_raise(tagged, idx, t, protocol, reason);
+            Classified::Malformed { protocol, reason } => {
+                let part = Part::Malformed { protocol, reason };
+                place(&mut self.shards, self.placement.engine(0), part);
             }
-            Classified::Ignored if mask.call => {
-                self.extra.ignored += 1;
-                if let Some(reg) = &self.telemetry {
-                    reg.pool().inc(Counter::Ignored);
-                }
-            }
-            // Parts this pool does not own (federated mask excludes them).
-            Classified::Rtp { .. } | Classified::Malformed { .. } | Classified::Ignored => {}
+            Classified::Ignored => place(&mut self.shards, self.placement.engine(0), Part::Ignored),
         }
     }
 
     /// The deferred DRDoS phase: counts each unassociated response on the
     /// shard owning its destination IP. `misses` must be in packet order —
     /// the flood networks need non-decreasing time.
-    fn apply_misses(&mut self, misses: &[FedMiss], tagged: &mut Vec<FedAlert>) {
+    fn apply_misses(&mut self, misses: &[DeferredMiss], tagged: &mut Vec<TaggedAlert>) {
         for miss in misses {
             let shard = self.shard_of(&miss.dst_ip.to_le_bytes());
             count_miss(&mut self.shards[shard], miss, tagged);
@@ -974,12 +883,12 @@ impl VidsPool {
     /// batch's (or epoch's) key-tagged alerts, appends them to the log and
     /// hands them to `sink`, leaving `tagged` empty. The key makes this
     /// order independent of shard count and thread scheduling.
-    fn merge_into<S: AlertSink + ?Sized>(&mut self, tagged: &mut Vec<FedAlert>, sink: &mut S) {
+    fn merge_into<S: AlertSink + ?Sized>(&mut self, tagged: &mut Vec<TaggedAlert>, sink: &mut S) {
         let merge_started = self.telemetry.as_ref().map(|_| Instant::now());
-        tagged.sort_unstable_by(FedAlert::merge_order);
-        for fed in tagged.drain(..) {
-            self.alerts.push(fed.alert.clone());
-            sink.accept(fed.alert);
+        tagged.sort_unstable_by(TaggedAlert::merge_order);
+        for entry in tagged.drain(..) {
+            self.alerts.push(entry.alert.clone());
+            sink.accept(entry.alert);
         }
         if let (Some(reg), Some(started)) = (&self.telemetry, merge_started) {
             let nanos = started.elapsed().as_nanos() as u64;
@@ -992,53 +901,24 @@ impl VidsPool {
         if self.shards.len() == 1 {
             return 0; // don't hash what can only land on shard 0
         }
-        shard_from_hash(fnv1a(bytes), self.shards.len())
-    }
-
-    /// Pool-level alert for malformed traffic, with the single engine's
-    /// dedup semantics for call-less alerts (scope = detail text). A repeat
-    /// — the cheapest thing an attacker can send — returns before anything
-    /// is formatted or allocated.
-    fn pool_raise(
-        &mut self,
-        tagged: &mut Vec<FedAlert>,
-        idx: usize,
-        t: u64,
-        protocol: &'static str,
-        reason: &'static str,
-    ) {
-        if !self.dedup.insert((reason, protocol)) {
-            return;
-        }
-        if let Some(reg) = &self.telemetry {
-            reg.pool().inc(Counter::AlertsDeviation);
-        }
-        let alert = Alert {
-            time_ms: t,
-            kind: AlertKind::Deviation,
-            label: malformed_label(protocol),
-            call_id: None,
-            machine: Cow::Borrowed("classifier"),
-            detail: Arc::from(reason),
-            trace: Vec::new(),
-        };
-        let key = (idx, 2, sym::EMPTY, 0);
-        tagged.push(FedAlert { key, alert });
+        self.placement.engine(fnv1a(bytes))
     }
 
     /// One idle-timer sweep of every shard at `now_ms`, on the calling
     /// thread (sweeps are interval-gated and O(expiring) on the shards'
     /// time wheels); a pipeline session quiesces its ring first. Alerts are
     /// tagged ahead of every packet of the batch and scoped by Call-ID.
-    fn sweep(&mut self, now_ms: u64, books: Books, tagged: &mut Vec<FedAlert>) {
+    fn sweep(&mut self, now_ms: u64, tagged: &mut Vec<TaggedAlert>) {
         self.last_sweep_ms = now_ms;
         // Counted once, on the pool slab: per-shard force_maintain does not
         // count, so the total is the same whatever the shard count.
-        if let (Books::Pool, Some(reg)) = (books, &self.telemetry) {
+        if let Some(reg) = &self.telemetry {
             reg.pool().inc(Counter::TimerSweeps);
         }
+        // One sink across the engines: a Call-ID that a rebalance left on
+        // two engines still gets distinct keys, in engine order.
+        let mut sink = TaggedSink::sweep(tagged);
         for shard in &mut self.shards {
-            let mut sink = TaggedSink::sweep(tagged);
             shard.force_maintain(now_ms, &mut sink);
         }
         // Drop routing entries for media the shards just evicted, keeping
@@ -1073,6 +953,7 @@ impl VidsPool {
         let n = self.shards.len();
         let shared = PipelineShared {
             lanes: (0..n).map(|_| Lane::new()).collect(),
+            placement: self.placement,
             engines: AtomicUsize::new(self.shards.as_mut_ptr() as usize),
             stop: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
@@ -1123,8 +1004,8 @@ fn ingest_part(
     idx: usize,
     t: u64,
     part: Part,
-    alerts: &mut Vec<FedAlert>,
-    misses: &mut Vec<FedMiss>,
+    alerts: &mut Vec<TaggedAlert>,
+    misses: &mut Vec<DeferredMiss>,
 ) {
     match part {
         Part::Register(event) => {
@@ -1146,7 +1027,7 @@ fn ingest_part(
             if let Some(miss) =
                 vids.ingest_call_event(call_id, event, is_initial_invite, is_request, t, &mut sink)
             {
-                misses.push(FedMiss {
+                misses.push(DeferredMiss {
                     idx,
                     t_ms: t,
                     dst_ip,
@@ -1158,12 +1039,17 @@ fn ingest_part(
             let mut sink = TaggedSink::packet(alerts, idx, 2);
             vids.ingest_rtp(event, t, &mut sink);
         }
+        Part::Malformed { protocol, reason } => {
+            let mut sink = TaggedSink::packet(alerts, idx, 2);
+            vids.ingest_malformed(protocol, reason, t, &mut sink);
+        }
+        Part::Ignored => vids.ingest_ignored(),
     }
 }
 
 /// Counts one unassociated response on the engine owning its destination:
 /// the deferred DRDoS phase (merge phase 3) for one miss.
-fn count_miss(engine: &mut Vids, miss: &FedMiss, tagged: &mut Vec<FedAlert>) {
+fn count_miss(engine: &mut Vids, miss: &DeferredMiss, tagged: &mut Vec<TaggedAlert>) {
     let mut sink = TaggedSink::packet(tagged, miss.idx, 3);
     engine.ingest_response_flood(miss.dst_ip, miss.src_ip, miss.t_ms, &mut sink);
 }
@@ -1288,11 +1174,11 @@ struct EpochSlot {
     /// coordinator, drained (emptied) by the lane's worker.
     queue: Vec<Routed>,
     /// Key-tagged alerts the drain produced; collected at harvest.
-    tagged: Vec<FedAlert>,
+    tagged: Vec<TaggedAlert>,
     /// Cross-shard DRDoS misses this shard *detected*; frozen after the
     /// drain so every worker can read every lane's list, cleared at
     /// harvest.
-    misses: Vec<FedMiss>,
+    misses: Vec<DeferredMiss>,
 }
 
 /// One shard's bounded epoch ring; see [`lane`] for the counters' meaning
@@ -1326,6 +1212,8 @@ unsafe impl Sync for Lane {}
 /// State shared between a pipeline session's coordinator and its workers.
 struct PipelineShared {
     lanes: Vec<Lane>,
+    /// Where each deferred miss is counted.
+    placement: Placement,
     /// Base pointer to the shard engines (`*mut Vids` as `usize`). The
     /// coordinator re-derives and re-publishes it after any quiesced
     /// direct use of `VidsPool::shards` (sweeps, snapshots), so a worker
@@ -1366,8 +1254,7 @@ impl Drop for SessionGuard<'_, '_> {
 /// epoch by epoch until shutdown.
 fn pipeline_worker(shared: &PipelineShared, index: usize) {
     let lane = &shared.lanes[index];
-    let n = shared.lanes.len();
-    let mut scratch: Vec<FedMiss> = Vec::new();
+    let mut scratch: Vec<DeferredMiss> = Vec::new();
     let mut epoch = 0u64;
     // Whether the previous epoch came only after the worker parked. The
     // spin covers back-to-back epochs; when epochs are further apart (a
@@ -1432,7 +1319,7 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
             // filtering then sorting here.
             scratch.clear();
             for (j, peer) in shared.lanes.iter().enumerate() {
-                let misses: &[FedMiss] = if j == index {
+                let misses: &[DeferredMiss] = if j == index {
                     &data.misses
                 } else {
                     // SAFETY: frozen read-only window, see the barrier
@@ -1440,7 +1327,7 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
                     unsafe { &(*peer.slots[slot].get()).misses }
                 };
                 for m in misses {
-                    if shard_from_hash(fnv1a(&m.dst_ip.to_le_bytes()), n) == index {
+                    if shared.placement.engine(fnv1a(&m.dst_ip.to_le_bytes())) == index {
                         scratch.push(*m);
                     }
                 }
@@ -1482,11 +1369,11 @@ pub struct PipelineIngress<'pool, 'sh> {
     next_epoch: u64,
     /// Epochs harvested (merged and emitted) so far.
     harvested: u64,
-    /// Coordinator-side tagged alerts (sweeps, malformed) per published
+    /// Coordinator-side tagged alerts (sweeps) per published
     /// but unharvested epoch; front = oldest.
-    coord: VecDeque<Vec<FedAlert>>,
+    coord: VecDeque<Vec<TaggedAlert>>,
     /// Recycled coordinator alert buffers.
-    spare: Vec<Vec<FedAlert>>,
+    spare: Vec<Vec<TaggedAlert>>,
     /// `pool.shards` was used directly while quiesced; re-derive the
     /// engines pointer before publishing the next epoch.
     refresh_engines: bool,
@@ -1532,18 +1419,17 @@ impl PipelineIngress<'_, '_> {
             self.refresh_engines = true;
         }
 
-        // The coordinator's own alerts for this epoch: sweep, malformed.
+        // The coordinator's own alerts for this epoch: the sweep's.
         let mut coord_tagged = self.spare.pop().unwrap_or_default();
         let mut queues = std::mem::take(&mut self.pool.queues);
         let mut misses = std::mem::take(&mut self.pool.scratch_misses);
         let routed = events
             .drain(..)
             .enumerate()
-            .map(|(idx, ev)| CoreEvent::whole(idx, ev.classified, ev.at, Some(ev.hint)));
+            .map(|(idx, ev)| CoreEvent::new(idx, ev.classified, ev.at, Some(ev.hint)));
         self.pool.route_pass(
             routed,
             now_ms,
-            Books::Pool,
             Some(&mut queues),
             &mut coord_tagged,
             &mut misses,
@@ -2112,6 +1998,7 @@ mod tests {
     fn route_hint_hashes_agree_with_shard_of() {
         let events = pipeline_trace();
         let pool = VidsPool::new(shards(8));
+        let place = |hash| pool.placement.engine(hash);
         let mut sip = 0usize;
         for ev in &events {
             let hint = route_hint(&ev.classified);
@@ -2124,19 +2011,10 @@ mod tests {
                 } => {
                     sip += 1;
                     if event.name == sym::SIP_REGISTER {
-                        assert_eq!(
-                            shard_from_hash(hint.call, 8),
-                            pool.shard_of(aor(event).as_bytes())
-                        );
+                        assert_eq!(place(hint.call), pool.shard_of(aor(event).as_bytes()));
                     } else {
-                        assert_eq!(
-                            shard_from_hash(hint.call, 8),
-                            pool.shard_of(call_id.as_str().as_bytes())
-                        );
-                        assert_eq!(
-                            shard_from_hash(hint.flood, 8),
-                            pool.shard_of(&dst_ip.to_le_bytes())
-                        );
+                        assert_eq!(place(hint.call), pool.shard_of(call_id.as_str().as_bytes()));
+                        assert_eq!(place(hint.flood), pool.shard_of(&dst_ip.to_le_bytes()));
                     }
                 }
                 // One spelling only: `route_hint` and `route_one` share
@@ -2187,6 +2065,38 @@ mod tests {
 
         assert_eq!(ref_sink.alerts(), sink.alerts());
         assert_eq!(reference.counters(), pool.counters());
+    }
+
+    #[test]
+    fn rendezvous_is_stable_and_moves_few_keys() {
+        // Growing 3 → 4 nodes must only move keys onto the new node.
+        let mut moved = 0;
+        for key in 0..10_000u64 {
+            let before = rendezvous(key, 3);
+            let after = rendezvous(key, 4);
+            if before != after {
+                assert_eq!(after, 3, "key {key} moved to an old node");
+                moved += 1;
+            }
+        }
+        // Expect about 1/4 of keys on the new node.
+        assert!((1_500..3_500).contains(&moved), "moved {moved} of 10000");
+        // Single node is always 0 and never hashes.
+        assert_eq!(rendezvous(u64::MAX, 1), 0);
+    }
+
+    #[test]
+    fn rendezvous_spreads_keys_evenly() {
+        let mut counts = [0usize; 5];
+        for key in 0..10_000u64 {
+            counts[rendezvous(key, 5)] += 1;
+        }
+        for (node, &n) in counts.iter().enumerate() {
+            assert!(
+                (1_600..=2_400).contains(&n),
+                "node {node} owns {n} of 10000"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! The batcher is generic over the event type: the single-pool serve path
 //! batches [`vids_core::pool::PreRouted`] events that already carry their
-//! receiver-computed shard-routing hashes, the federated one
+//! receiver-computed shard-routing hashes, the multi-tenant one
 //! `vids_cluster::ClusterEvent`s.
 
 /// What a receiver does with its batch after one socket poll.

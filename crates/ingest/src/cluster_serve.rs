@@ -1,20 +1,18 @@
-//! The federated serve pipeline: the one receiver/coordinator loop of
-//! [`crate::server`] driving a [`Cluster`] gateway instead of a single
-//! pool's pipeline session.
+//! The multi-tenant serve pipeline: the one receiver/coordinator loop of
+//! [`crate::server`] driving a [`Cluster`] — one pool per tenant — instead
+//! of a single pool's pipeline session.
 //!
 //! Each datagram is classified into a [`ClusterEvent`] carrying its IPv4
 //! source (the tenant-mapping key), and the coordinator drives
-//! [`Cluster::process_batch`], which scatters every batch across the
-//! per-tenant, per-node pools and merges the alerts back
-//! deterministically. Differences from the single-pool path, on purpose:
+//! [`Cluster::process_batch`], which hands each tenant's share of every
+//! batch to that tenant's pool. Differences from the single-pool path, on
+//! purpose:
 //!
-//! * No shard-worker pipeline inside the coordinator: the cluster gateway
-//!   is itself the fan-out layer, and each node pool runs its batch
-//!   inline. (Per-node OS threads are a deployment concern the in-process
-//!   federation deliberately models without.)
+//! * No shard-worker pipeline inside the coordinator: each tenant pool
+//!   runs its share inline, its node groups included.
 //! * No flight recorder: forensic dumps stay a single-pool feature;
 //!   record a tenant's traffic by serving it through `vids serve
-//!   --record` undistributed.
+//!   --record` (which takes `--nodes`) without `--tenants`.
 //! * Plain-IPv6 datagrams have no IPv4 source to map, so they fall to the
 //!   default tenant's drop accounting (they are dropped either way — the
 //!   engine models IPv4 only).
@@ -65,7 +63,7 @@ impl ServeEngine for Cluster {
     }
 
     fn in_flight(&self) -> u64 {
-        0 // every node pool ingests its share inline
+        0 // every tenant pool ingests its share inline
     }
 
     fn slab(&self) -> Option<&ShardSlab> {
@@ -73,12 +71,12 @@ impl ServeEngine for Cluster {
     }
 
     fn quiesced_pool<S: AlertSink + ?Sized>(&mut self, _sink: &mut S) -> Option<&VidsPool> {
-        None // a federation has no single pool for the recorder to dump
+        None // one pool per tenant: no single pool for the recorder to dump
     }
 }
 
 /// Binds the receiver loops to `cluster` and serves until `stop` is set.
-/// The cluster's own telemetry slab (when enabled) receives the
+/// The default tenant's pool slab (when telemetry is enabled) receives the
 /// socket-side counters, so [`Cluster::telemetry_snapshot`] reports them
 /// exactly as the single-pool serve path does.
 pub fn serve_cluster_on<S: AlertSink + ?Sized>(

@@ -22,8 +22,8 @@
 //!   drives the engine's epoch-ring pipeline and merges each finished
 //!   epoch right after the next submit, with graceful shutdown and
 //!   on-demand `SIGUSR1` ring snapshots.
-//! * [`cluster_serve`] — the federated variant: the same loop driving a
-//!   `vids-cluster` gateway (`vids serve --nodes N --tenants FILE`).
+//! * [`cluster_serve`] — the multi-tenant variant: the same loop driving
+//!   a `vids-cluster` tenant demux (`vids serve --tenants FILE`).
 //! * [`record_tap`] — [`RecordTap`], the one flight-recorder tap both
 //!   ingest paths take.
 //! * [`replay`] — `vids replay`: run a capture through the identical

@@ -38,9 +38,9 @@
 //!
 //! This is the only receiver/coordinator loop in the crate: it is generic
 //! over a small private engine trait ([`ServeEngine`]), and
-//! [`crate::cluster_serve`] plugs a `Cluster` gateway into the same
-//! threads, channels, flush policy and counters — there the engine fans
-//! out across nodes itself and nothing is ever in flight.
+//! [`crate::cluster_serve`] plugs a multi-tenant `Cluster` into the same
+//! threads, channels, flush policy and counters — there each tenant pool
+//! ingests its share inline and nothing is ever in flight.
 //!
 //! Shutdown: set the stop flag (the CLI wires SIGINT to
 //! [`stop_flag_on_sigint`]). Receivers hand over their partial batch,
@@ -153,7 +153,7 @@ struct IngestStats {
 /// it: how a receiver turns a classified datagram into the engine's event,
 /// and how the coordinator feeds, ticks and observes it. Implemented for a
 /// pipeline session over one pool (here) and for a
-/// [`vids_cluster::Cluster`] gateway ([`crate::cluster_serve`]).
+/// multi-tenant [`vids_cluster::Cluster`] ([`crate::cluster_serve`]).
 pub(crate) trait ServeEngine {
     /// The unit receivers batch and the coordinator submits.
     type Event: Send;

@@ -29,13 +29,20 @@ fn can_bind_loopback() -> bool {
 
 const FLOOD: usize = 30;
 
+/// One node and two: `--nodes 2` is the same daemon over two node groups
+/// of two shards, four pipeline workers.
 #[test]
 fn serve_detects_an_invite_flood_over_real_udp() {
     if !can_bind_loopback() {
         eprintln!("skipping: cannot bind 127.0.0.1 in this environment");
         return;
     }
+    for nodes in [1usize, 2] {
+        serve_an_invite_flood(nodes);
+    }
+}
 
+fn serve_an_invite_flood(nodes: usize) {
     let udp = UdpPool::bind("127.0.0.1:0".parse().unwrap(), 2).unwrap();
     let target = udp.local_addr();
     let opts = ServeOptions {
@@ -47,12 +54,14 @@ fn serve_detects_an_invite_flood_over_real_udp() {
     };
     let config = Config::builder().shards(2).build().unwrap();
     let mut pool = VidsPool::with_cost(config, CostModel::free());
+    pool.set_nodes(nodes);
+    assert_eq!(pool.shards(), 2 * nodes);
     let mut sink = CollectSink::new();
     let stop = AtomicBool::new(false);
 
     // Flight recorder riding along: one ring per receiver, dumps into a
     // scratch directory.
-    let dump_dir = std::env::temp_dir().join("vids-serve-loopback-dumps");
+    let dump_dir = std::env::temp_dir().join(format!("vids-serve-loopback-dumps-{nodes}"));
     std::fs::remove_dir_all(&dump_dir).ok();
     let recorder = Recorder::with_defaults(2);
     let mut serve_rec = RecordTap::new(&recorder, Some(&dump_dir));

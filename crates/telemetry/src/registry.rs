@@ -28,6 +28,24 @@ impl Registry {
         }
     }
 
+    /// A registry over `shards` shard slabs that shares this one's pool
+    /// slab and its first `shards` shard slabs, with fresh slabs past them.
+    ///
+    /// # Panics
+    /// If `shards == 0`.
+    pub fn resized(&self, shards: usize) -> Self {
+        assert!(shards > 0, "registry needs at least one shard slab");
+        let kept = shards.min(self.shards.len());
+        Self {
+            shards: self.shards[..kept]
+                .iter()
+                .cloned()
+                .chain((kept..shards).map(|_| Arc::new(ShardSlab::new())))
+                .collect(),
+            pool: Arc::clone(&self.pool),
+        }
+    }
+
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -85,5 +103,29 @@ mod tests {
         let merged = snap.merged();
         assert_eq!(merged.counter(Counter::Transitions), 15);
         assert_eq!(merged.counter(Counter::BatchesIngested), 1);
+    }
+
+    #[test]
+    fn resize_keeps_the_surviving_slabs() {
+        let reg = Registry::new(2);
+        reg.shard(1).add(Counter::Transitions, 7);
+        reg.pool().inc(Counter::BatchesIngested);
+
+        let grown = reg.resized(3);
+        assert_eq!(grown.shard_count(), 3);
+        assert!(Arc::ptr_eq(&grown.shard_slab(1), &reg.shard_slab(1)));
+        assert!(Arc::ptr_eq(&grown.pool_slab(), &reg.pool_slab()));
+        assert_eq!(grown.shard(2).get(Counter::Transitions), 0);
+
+        let shrunk = grown.resized(1);
+        assert_eq!(shrunk.shard_count(), 1);
+        assert_eq!(
+            shrunk
+                .snapshot(0)
+                .merged()
+                .counter(Counter::BatchesIngested),
+            1
+        );
+        assert_eq!(shrunk.snapshot(0).merged().counter(Counter::Transitions), 0);
     }
 }

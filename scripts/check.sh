@@ -25,16 +25,16 @@ cargo test --offline -p vids-telemetry -q
 echo "==> cargo test -p vids-ingest (wire tier + loopback smoke)"
 cargo test --offline -p vids-ingest -q
 
-# Federation layer: tenant map parsing, rendezvous placement, and the
-# end-to-end federated loopback smoke (skips itself where the sandbox
-# cannot bind 127.0.0.1 — the vids-ingest run above covers that notice).
-echo "==> cargo test -p vids-cluster (federation + tenancy)"
+# Tenancy layer: tenant map parsing and the cluster doc example (the
+# end-to-end multi-tenant loopback smoke runs with vids-ingest above).
+echo "==> cargo test -p vids-cluster (tenancy)"
 cargo test --offline -p vids-cluster -q
 
 # Cluster differential: cluster(1 node) == plain pool and node-count
 # invariance, byte-compared on alerts, counters and merged telemetry,
-# plus the tenant threshold/quota isolation gates and rebalance checks.
-echo "==> cluster determinism (gateway vs pool, tenant isolation)"
+# plus the tenant threshold/quota/flood isolation gates and rebalance
+# checks (state, verdicts and telemetry slabs).
+echo "==> cluster determinism (node groups vs pool, tenant isolation)"
 cargo test --offline --test cluster_determinism -q
 
 # Scanning substrate: exhaustive 0..=64 alignment/tail unit tests plus
@@ -114,6 +114,17 @@ echo "==> one thread-spawn site in vids-core"
 spawn_sites="$(grep -rE 'thread::Builder|thread::spawn|\.spawn\(' crates/core/src | wc -l)"
 if [ "$spawn_sites" -ne 1 ] || [ "$(grep -c 'thread::Builder' crates/core/src/pool.rs)" -ne 1 ]; then
     echo "expected exactly one thread-spawn site in crates/core/src (the ring's, in pool.rs), found $spawn_sites" >&2
+    exit 1
+fi
+
+# Placement lives in one module, as threads do above: no crate outside
+# vids-core picks a node or shard (`rendezvous(`, `route_hint(`) or keeps
+# a media routing index (`media_to_*`) of its own.
+echo "==> placement only in vids-core"
+placement="$(grep -rnE 'rendezvous\(|route_hint\(|\bmedia_to_[a-z]+' crates/*/src | grep -v '^crates/core/' || true)"
+if [ -n "$placement" ]; then
+    echo "placement outside crates/core/src:" >&2
+    echo "$placement" >&2
     exit 1
 fi
 

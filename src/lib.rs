@@ -19,10 +19,9 @@
 //! * [`attacks`] — injectors for every §3 threat.
 //! * [`core`] — **vids itself**: classifier, fact base, protocol machines,
 //!   attack patterns, analysis engine, inline tap.
-//! * [`cluster`] — multi-tenant federation: N in-process pool nodes behind
-//!   a rendezvous-hash gateway with a deterministic cross-node alert
-//!   merge, plus per-tenant thresholds and call-table quotas
-//!   (DESIGN.md §7j).
+//! * [`cluster`] — multi-tenancy over the pool's node groups: one pool
+//!   per tenant, each with its own thresholds and call-table quota,
+//!   behind a source-prefix demux (DESIGN.md §7j).
 //! * [`ingest`] — the live wire tier: UDP receiver pools, classic pcap
 //!   reading, SIP/RTP demultiplexing, the `vids serve` / `vids replay`
 //!   pipelines.

@@ -85,9 +85,11 @@ fn usage() {
          \x20     dumps the window around every alert into DIR as .vdump forensic\n\
          \x20     captures; with --record, SIGUSR1 snapshots the live rings into\n\
          \x20     DIR on demand without stopping the daemon;\n\
-         \x20     --nodes N federates the engine across N in-process cluster nodes\n\
-         \x20     (byte-identical alerts, rendezvous-routed), and --tenants FILE\n\
-         \x20     maps source prefixes to per-tenant thresholds and call quotas\n\
+         \x20     --nodes N groups the engine into N in-process cluster nodes of\n\
+         \x20     --shards shards each, N x --shards pipeline workers in all\n\
+         \x20     (byte-identical alerts, rendezvous-routed); --tenants FILE maps\n\
+         \x20     source prefixes to per-tenant thresholds and call quotas, one\n\
+         \x20     engine per tenant, and does not take --record\n\
          \x20     (lines: tenant NAME A.B.C.D/LEN [invite_flood_n=.. max_calls=..])\n\
          \x20 vids replay FILE.pcap [--shards N] [--threads N] [--telemetry FILE] [--record DIR]\n\
          \x20     replay a classic pcap capture through the identical wire pipeline\n\
@@ -302,14 +304,13 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
     let record_dir = flags.value("--record")?;
     flags.finish()?;
 
-    if nodes > 1 || tenants_path.is_some() {
+    if let Some(tenants_path) = tenants_path {
         if record_dir.is_some() {
             return Err(
-                "--record works with the single-pool daemon only (drop --nodes/--tenants)"
-                    .to_owned(),
+                "--record works with the single-pool daemon only (drop --tenants)".to_owned(),
             );
         }
-        return serve_cluster(listen, shards, nodes, tenants_path, telemetry_path);
+        return serve_cluster(listen, shards, nodes, &tenants_path, telemetry_path);
     }
 
     let cfg = Config::builder()
@@ -320,6 +321,7 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
     // Live serving measures real wall-clock cost; the simulated per-packet
     // CPU model would only skew the meter.
     let mut pool = VidsPool::with_cost(cfg, CostModel::free());
+    pool.set_nodes(nodes);
     let registry = pool.enable_telemetry(256);
     let mut opts = ServeOptions::from_config(&cfg);
     let stop = stop_flag_on_sigint();
@@ -335,8 +337,9 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
         PoolMode::Single => "1 socket (reuseport unavailable)".to_owned(),
     };
     eprintln!(
-        "listening on {} with {mode}; Ctrl-C to stop",
-        udp.local_addr()
+        "listening on {} with {mode}, {} shard worker(s); Ctrl-C to stop",
+        udp.local_addr(),
+        pool.shards(),
     );
 
     let mut sink = FnSink(|a: vids::core::Alert| {
@@ -394,15 +397,14 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
     Ok(0)
 }
 
-/// The federated arm of `vids serve`: `--nodes N` and/or `--tenants FILE`
-/// route classified datagrams through a `vids-cluster` gateway — N
-/// in-process pool nodes per tenant behind rendezvous hashing, with the
-/// deterministic cross-node alert merge — instead of one pool.
+/// The multi-tenant arm of `vids serve`: `--tenants FILE` maps each
+/// datagram's source to a tenant and hands each tenant's share of a batch
+/// to that tenant's own pool of `nodes` node groups (`vids-cluster`).
 fn serve_cluster(
     listen: SocketAddr,
     shards: usize,
     nodes: usize,
-    tenants_path: Option<String>,
+    tenants_path: &str,
     telemetry_path: Option<String>,
 ) -> Result<i32, String> {
     use vids::cluster::{Cluster, TenantMap};
@@ -416,14 +418,9 @@ fn serve_cluster(
         .listen(listen)
         .build()
         .map_err(|e| format!("bad --shards {shards}: {e}"))?;
-    let tenants = match &tenants_path {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            TenantMap::parse(&text, cfg).map_err(|e| format!("{path}: {e}"))?
-        }
-        None => TenantMap::single(cfg),
-    };
+    let text = std::fs::read_to_string(tenants_path)
+        .map_err(|e| format!("cannot read {tenants_path}: {e}"))?;
+    let tenants = TenantMap::parse(&text, cfg).map_err(|e| format!("{tenants_path}: {e}"))?;
     let mut cluster = Cluster::with_cost(tenants, nodes, CostModel::free());
     cluster.enable_telemetry(256);
     let opts = ServeOptions::from_config(&cfg);
@@ -707,16 +704,7 @@ fn top(flags: &mut Flags) -> Result<i32, String> {
         merged.gauge(Gauge::LiveCalls),
         merged.gauge(Gauge::MemoryBytes)
     );
-    println!(
-        "\npool:  {} batches, {} packets, {} sweeps, {} malformed, {} ignored, {} ipv6, {} quota drops",
-        snap.pool.counter(Counter::BatchesIngested),
-        snap.pool.counter(Counter::PacketsIngested),
-        snap.pool.counter(Counter::TimerSweeps),
-        snap.pool.counter(Counter::Malformed),
-        snap.pool.counter(Counter::Ignored),
-        snap.pool.counter(Counter::DatagramsIpv6),
-        snap.pool.counter(Counter::CallQuotaDrops),
-    );
+    println!("\n{}", run_report::pool_line(&snap));
     let sizes = snap.pool.hist(HistId::BatchSize);
     print!("batch sizes:");
     for (lo, n) in sizes.nonzero() {

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use vids_core::alert::Alert;
 use vids_core::engine::VidsCounters;
 use vids_core::report::AlertReport;
-use vids_core::telemetry::Snapshot;
+use vids_core::telemetry::{Counter, Snapshot};
 use vids_efsm::intern::{self, InternStats};
 use vids_ingest::replay::ReplayReport;
 use vids_ingest::server::ServeReport;
@@ -124,6 +124,23 @@ impl RunSummary {
 /// The engine-counter line both commands print.
 pub fn counters_line(counters: &VidsCounters) -> String {
     format!("counters: {counters:?}")
+}
+
+/// `vids top`'s pool line. Batch, packet and sweep counts are the pool
+/// slab's own; malformed, ignored and quota drops are recorded by the shard
+/// engines, so they come from the merged view.
+pub fn pool_line(snap: &Snapshot) -> String {
+    let merged = snap.merged();
+    format!(
+        "pool:  {} batches, {} packets, {} sweeps, {} malformed, {} ignored, {} ipv6, {} quota drops",
+        snap.pool.counter(Counter::BatchesIngested),
+        snap.pool.counter(Counter::PacketsIngested),
+        snap.pool.counter(Counter::TimerSweeps),
+        merged.counter(Counter::Malformed),
+        merged.counter(Counter::Ignored),
+        snap.pool.counter(Counter::DatagramsIpv6),
+        merged.counter(Counter::CallQuotaDrops),
+    )
 }
 
 /// The per-kind alert report (empty string when no alerts fired).
@@ -253,6 +270,17 @@ mod tests {
             ..s
         };
         assert!(!degenerate.render().contains("throughput"));
+    }
+
+    #[test]
+    fn pool_line_reads_shard_counters_from_the_merged_view() {
+        let registry = vids_core::telemetry::Registry::new(2);
+        registry.shard(1).add(Counter::CallQuotaDrops, 2);
+        registry.shard(0).inc(Counter::Malformed);
+        registry.pool().inc(Counter::BatchesIngested);
+        let line = pool_line(&registry.snapshot(0));
+        assert!(line.starts_with("pool:  1 batches, 0 packets, 0 sweeps, 1 malformed"));
+        assert!(line.ends_with(", 2 quota drops"), "{line}");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   ingests its routed parts in place and reuses the pool's merge
 //!   buffers across batches, so steady-state ingest never touches the
 //!   allocator,
-//! * an already-seen malformed datagram costs 0 allocations: the pool's
-//!   malformed-alert dedup asks before it formats anything,
+//! * an already-seen malformed datagram costs 0 allocations: the key-0
+//!   engine's alert dedup asks before it formats anything,
 //! * with the packet's own strings interned beforehand (the interner is
 //!   the classifier's cost, priced elsewhere) the engine makes 0
 //!   allocations to set a call up, to carry it through

@@ -2,16 +2,18 @@
 //! shard count inside each node), a `Cluster` must produce byte-identical
 //! alert sequences, counters and telemetry — and at one node, one tenant
 //! it must match the plain `VidsPool` exactly. Plus the tenancy gates:
-//! per-tenant thresholds and quotas isolate tenants from each other, and
-//! a rendezvous rebalance keeps verdicts for calls whose keys don't move.
+//! per-tenant thresholds, quotas and pools isolate tenants from each other
+//! (a foreign flood changes nothing in another tenant's alerts), and a
+//! rendezvous rebalance keeps verdicts for calls whose keys don't move and
+//! the telemetry of the engines that survive it.
 
 mod common;
 
 use common::{invite, mixed_trace, pkt};
-use vids::cluster::{rendezvous, Cluster, TenantMap};
+use vids::cluster::{Cluster, TenantMap};
 use vids::core::alert::{labels, Alert};
 use vids::core::classify::classify;
-use vids::core::pool::route_hint;
+use vids::core::pool::{rendezvous, route_hint};
 use vids::core::{CollectSink, Config, CostModel, NullSink, VidsPool};
 use vids::netsim::packet::{Address, Packet, Payload};
 use vids::netsim::time::SimTime;
@@ -243,14 +245,12 @@ fn tenant_call_quotas_are_isolated() {
     // there.
     let mut capped = SlabSnapshot::zeroed();
     let mut free = SlabSnapshot::zeroed();
-    for node in 0..cluster.nodes() {
-        for (tenant, total) in [(1u16, &mut capped), (0u16, &mut free)] {
-            let snap = cluster
-                .pool(tenant, node)
-                .telemetry_snapshot(SimTime::from_millis(1))
-                .unwrap();
-            total.merge(&snap.merged());
-        }
+    for (tenant, total) in [(1u16, &mut capped), (0u16, &mut free)] {
+        let snap = cluster
+            .pool(tenant)
+            .telemetry_snapshot(SimTime::from_millis(1))
+            .unwrap();
+        total.merge(&snap.merged());
     }
     assert_eq!(capped.counter(Counter::CallQuotaDrops), 3);
     assert_eq!(free.counter(Counter::CallQuotaDrops), 0);
@@ -390,4 +390,208 @@ fn shrink_drops_only_the_removed_nodes_state() {
         survivors,
         "shrink kept the wrong calls"
     );
+}
+
+/// A BYE-DoS on `call_id` from 10.1.0.7 to 10.2.0.7: the set-up (INVITE,
+/// 200 OK with SDP, ACK) from `t0` ms, then a spoofed BYE at `t1` ms and
+/// media on the negotiated coordinates past timer T.
+fn bye_dos(call_id: &str, t0: u64, t1: u64) -> (Vec<Packet>, Vec<Packet>) {
+    use vids::attacks::craft::{spoofed_bye, DialogSnapshot, Target};
+    use vids::sip::headers::NameAddr;
+    use vids::sip::SipUri;
+
+    let caller = Address::new(10, 1, 0, 7, 5060);
+    let callee = Address::new(10, 2, 0, 7, 5060);
+    let inv = invite(call_id, "10.1.0.7", 22_000);
+    let answer = SessionDescription::audio_offer("bob", "10.2.0.7", 32_000, &[Codec::G729]);
+    let ok = inv
+        .response(StatusCode::OK)
+        .with_to_tag("tt")
+        .with_body(vids::sdp::MIME_TYPE, answer.to_string());
+    let ack = Request::in_dialog(Method::Ack, &inv, 1, Some("tt"));
+    let setup = vec![
+        pkt(caller, callee, Payload::Sip(inv.to_string()), t0, 0).0,
+        pkt(callee, caller, Payload::Sip(ok.to_string()), t0 + 50, 0).0,
+        pkt(caller, callee, Payload::Sip(ack.to_string()), t0 + 100, 0).0,
+    ];
+    let snap = DialogSnapshot {
+        call_id: call_id.to_owned(),
+        caller_from: NameAddr::new(SipUri::new("alice", "a.example.com")).with_tag("tag-alice"),
+        callee_to: NameAddr::new(SipUri::new("bob", "b.example.com")).with_tag("tt"),
+        caller_addr: caller,
+        callee_addr: callee,
+        callee_media: Some(callee.with_port(32_000)),
+        caller_media: Some(caller.with_port(22_000)),
+        caller_ssrc: Some(7),
+        caller_rtp_cursor: Some((40, 3_200)),
+        invite_branch: format!("z9hG4bK-{call_id}"),
+    };
+    let (victim, spoof) = snap.endpoints(Target::Callee);
+    let bye = spoofed_bye(&snap, Target::Callee);
+    let mut attack = vec![pkt(spoof.with_port(5060), victim, Payload::Sip(bye), t1, 0).0];
+    for i in 0..30u16 {
+        let media = vids::rtp::packet::RtpPacket::new(18, 40 + i, (40 + i as u32) * 80, 7)
+            .with_payload(vec![0; 10]);
+        let at = t1 + 20 + u64::from(i) * 40;
+        let rtp = Payload::Rtp(media.to_bytes());
+        attack.push(
+            pkt(
+                caller.with_port(22_000),
+                callee.with_port(32_000),
+                rtp,
+                at,
+                0,
+            )
+            .0,
+        );
+    }
+    (setup, attack)
+}
+
+/// Tenant B's alerts do not depend on tenant A's traffic: a BYE-DoS in
+/// tenant B, fed with and without a tenant-A INVITE flood in the same
+/// batches (same batch clocks, monotone timestamps), yields the same
+/// tenant-B alerts — label, kind, Call-ID, detail and time — at any node
+/// count.
+#[test]
+fn a_foreign_flood_never_changes_another_tenants_alerts() {
+    let tenants = TenantMap::parse(
+        "tenant a 172.16.0.0/16 invite_flood_n=5\ntenant b 10.0.0.0/8",
+        Config::default(),
+    )
+    .unwrap();
+    let (setup, attack) = bye_dos("isolated-bye", 100, 500);
+    let attacker = Address::new(172, 16, 0, 66, 5060);
+    let victim = Address::new(10, 2, 0, 9, 5060);
+    let mut trace: Vec<(Packet, bool)> = setup
+        .into_iter()
+        .chain(attack)
+        .map(|p| (p, false))
+        .collect();
+    for i in 0..60u64 {
+        let flood = vids::attacks::craft::flood_invite(
+            &vids::sip::SipUri::new("bob9", "b.example.com"),
+            attacker,
+            "flooder",
+            &format!("foreign-flood-{i}"),
+        );
+        trace.push((
+            pkt(attacker, victim, Payload::Sip(flood), 90 + i * 25, 0).0,
+            true,
+        ));
+    }
+    trace.sort_by_key(|(p, _)| p.sent_at);
+
+    for nodes in [1usize, 3] {
+        let run = |with_flood: bool| {
+            let mut cluster = Cluster::with_cost(tenants.clone(), nodes, CostModel::free());
+            for chunk in trace.chunks(8) {
+                let now = chunk[0].0.sent_at;
+                let packets: Vec<Packet> = chunk
+                    .iter()
+                    .filter(|(_, flood)| with_flood || !flood)
+                    .map(|(p, _)| p.clone())
+                    .collect();
+                cluster.process_packets(&packets, now, &mut NullSink);
+            }
+            cluster.tick(SimTime::from_secs(30), &mut NullSink);
+            let tenant_b: Vec<_> = cluster
+                .alerts()
+                .iter()
+                .filter(|a| a.tenant == 2)
+                .map(|a| {
+                    let a = &a.alert;
+                    (
+                        a.label.clone(),
+                        a.kind,
+                        a.call_id.clone(),
+                        a.detail.clone(),
+                        a.time_ms,
+                    )
+                })
+                .collect();
+            let foreign = cluster.alerts().iter().filter(|a| a.tenant == 1).count();
+            (tenant_b, foreign)
+        };
+        let (alone, quiet) = run(false);
+        let (beside_flood, flooded) = run(true);
+        assert!(
+            alone.iter().any(|a| a.0 == labels::RTP_AFTER_BYE),
+            "{nodes} nodes: the BYE-DoS went undetected: {alone:?}"
+        );
+        assert_eq!(quiet, 0);
+        assert!(
+            flooded > 0,
+            "{nodes} nodes: tenant A's flood went undetected"
+        );
+        assert_eq!(
+            alone, beside_flood,
+            "{nodes} nodes: tenant A's flood leaked into tenant B"
+        );
+    }
+}
+
+/// A rebalance with telemetry on: 2 → 3 → 2 nodes of 2 shards. After each
+/// step the snapshot has one slab per engine, what the surviving engines
+/// counted before the step is still in the merged view, and a BYE-DoS on a
+/// call whose key kept its node still convicts.
+#[test]
+fn rebalance_keeps_surviving_engines_telemetry() {
+    let call_id = (0..64u32)
+        .map(|i| format!("rebalance-telemetry-{i}"))
+        .find(|id| {
+            let (setup, _) = bye_dos(id, 0, 0);
+            let hint = route_hint(&classify(&setup[0]));
+            rendezvous(hint.call_hash(), 2) == rendezvous(hint.call_hash(), 3)
+        })
+        .expect("no stable call-id in 64 candidates");
+    let config = Config::builder().shards(2).build().unwrap();
+    for path in [&[3usize][..], &[3, 2]] {
+        let (setup, attack) = bye_dos(&call_id, 100, 500);
+        let mut cluster = Cluster::with_cost(TenantMap::single(config), 2, CostModel::free());
+        cluster.enable_telemetry(16);
+        cluster.process_packets(&setup, SimTime::from_millis(100), &mut NullSink);
+        let mut nodes = 2;
+        for &next in path {
+            let before = cluster
+                .telemetry_snapshot(SimTime::from_millis(300))
+                .unwrap();
+            cluster.set_nodes(next);
+            let after = cluster
+                .telemetry_snapshot(SimTime::from_millis(300))
+                .unwrap();
+            assert_eq!(after.shards.len(), next * 2, "{nodes} -> {next} nodes");
+            let survivors = nodes.min(next) * 2;
+            let sip = |slabs: &[SlabSnapshot]| -> Vec<u64> {
+                slabs
+                    .iter()
+                    .map(|s| s.counter(Counter::SipPackets))
+                    .collect()
+            };
+            assert_eq!(
+                sip(&after.shards[..survivors]),
+                sip(&before.shards[..survivors])
+            );
+            assert!(sip(&after.shards[survivors..]).iter().all(|&n| n == 0));
+            assert_eq!(
+                after.merged().counter(Counter::SipPackets),
+                sip(&before.shards[..survivors]).iter().sum::<u64>()
+            );
+            assert_eq!(
+                after.pool.counter(Counter::BatchesIngested),
+                before.pool.counter(Counter::BatchesIngested)
+            );
+            nodes = next;
+        }
+        let mut sink = CollectSink::new();
+        cluster.process_packets(&attack, SimTime::from_millis(500), &mut sink);
+        cluster.tick(SimTime::from_secs(30), &mut sink);
+        assert!(
+            sink.alerts()
+                .iter()
+                .any(|a| a.label == labels::RTP_AFTER_BYE),
+            "BYE-DoS verdict lost across {path:?}: {:?}",
+            sink.alerts()
+        );
+    }
 }

@@ -1,26 +1,12 @@
-//! # vids-cluster — multi-tenant federation of analysis pools
+//! # vids-cluster — the multi-tenant cluster shim
 //!
-//! Spreads the interacting-protocol-state-machine IDS over N in-process
-//! nodes of a [`VidsPool`](vids_core::VidsPool), with per-tenant
-//! namespaces layered on top.
-//!
-//! The load-bearing property is the same one the pool layer proved at
-//! shard granularity: the paper's detectors decompose over independent
-//! keys (call-id, destination IP, AOR, media coordinates), so a datagram
-//! can be split into its protocol-role parts and each part analyzed
-//! wherever its key lives — **as long as routing is a pure function of
-//! the bytes and merge order is a pure function of arrival order**. A
-//! node is a group of pool shards: the pool places each key on node group
-//! [`rendezvous`](vids_core::pool::rendezvous)`(hash, nodes)` and merges
-//! the engines' key-tagged alerts back into the single pool's
-//! byte-identical sequence; `tests/cluster_determinism.rs` pins
-//! `cluster(n) == pool` for every node count.
-//!
-//! Tenancy is the second axis: a [`TenantMap`] assigns each source prefix
-//! to a tenant with its own detection thresholds
-//! ([`Config`](vids_core::Config)) and call-table quota, and each tenant
-//! gets its own pool — one tenant's flood can neither trip another's
-//! (lower) thresholds nor evict another's call state.
+//! Tenants and nodes are engine groups of one
+//! [`VidsPool`](vids_core::VidsPool) now
+//! ([`VidsPool::with_tenants`](vids_core::VidsPool::with_tenants),
+//! [`VidsPool::set_nodes`](vids_core::VidsPool::set_nodes); DESIGN.md §7j).
+//! What is left here is a thin [`Cluster`] over one such pool, which adapts
+//! [`ClusterEvent`] batches and keeps a tenant-tagged alert log, and the
+//! re-export of [`TenantMap`] from `vids-core`.
 //!
 //! ```
 //! use vids_cluster::{Cluster, ClusterEvent, TenantMap};
@@ -40,7 +26,6 @@
 //! ```
 
 mod gateway;
-pub mod tenant;
 
 pub use gateway::{Cluster, ClusterAlert, ClusterEvent};
-pub use tenant::{Tenant, TenantId, TenantMap};
+pub use vids_core::tenant::{Tenant, TenantId, TenantMap};

@@ -164,7 +164,7 @@ impl std::error::Error for ConfigError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConfigBuilder {
-    config: Config,
+    pub(crate) config: Config,
 }
 
 impl ConfigBuilder {

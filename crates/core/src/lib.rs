@@ -29,6 +29,9 @@
 //! * [`pool`] — [`pool::VidsPool`]: the scale-out engine; hash-partitions
 //!   monitored calls across independent shards and ingests packets in
 //!   batches with parallel shard execution.
+//! * [`tenant`] — [`tenant::TenantMap`]: address prefixes → per-tenant
+//!   configurations; a tenant-mapped pool gives each tenant its own engine
+//!   group.
 //!
 //! Observability comes from the `vids-telemetry` crate (re-exported here as
 //! [`telemetry`]): enable it with [`engine::Vids::enable_telemetry`] /
@@ -73,6 +76,7 @@ pub mod report;
 pub mod sink;
 pub mod snapshot;
 pub mod tap;
+pub mod tenant;
 
 pub use vids_telemetry as telemetry;
 
@@ -100,3 +104,4 @@ pub use report::AlertReport;
 pub use sink::{AlertSink, CollectSink, FnSink, NullSink};
 pub use snapshot::{CallSnapshot, MachineSnapshot};
 pub use tap::VidsTap;
+pub use tenant::{Tenant, TenantId, TenantMap};

@@ -23,6 +23,11 @@
 //! a key hash to group [`rendezvous`]`(hash, nodes)`, engine
 //! `hash % shards` inside it.
 //!
+//! A tenant is one more engine group: [`VidsPool::with_tenants`] splits
+//! every node group into one group per tenant, each engine under its
+//! tenant's [`Config`], and a datagram's keys are placed inside the tenant
+//! of its address pair ([`TenantMap::tenant_of`]).
+//!
 //! Ingestion is batch-oriented, and every entry point is the same pass over
 //! one private routing core (`route_pass`): at most one idle-timer sweep
 //! per batch (the single engine re-checks the interval on every packet),
@@ -60,7 +65,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use vids_efsm::{sym, Event, Sym};
+use vids_efsm::{sym, Arg, Event, Sym};
 use vids_netsim::packet::Packet;
 use vids_netsim::time::SimTime;
 use vids_scan::fxhash::FxHashMap;
@@ -75,20 +80,7 @@ use crate::factbase::FactBaseStats;
 use crate::machines::{MediaKey, RtpArgs, SipArgs};
 use crate::monitor::Monitor;
 use crate::sink::AlertSink;
-
-/// Merge key: (packet index, phase, sweep scope, per-sink emission seq).
-///
-/// Phases order the parts of one packet the way the single engine would have
-/// emitted them: 0 = batch-start sweep (before any packet), 1 = the
-/// destination-pinned INVITE-flood part, 2 = the call/register/media (or
-/// malformed) part, 3 = the deferred DRDoS reflection count for an
-/// unassociated response.
-/// The scope is only populated for sweep alerts (phase 0), where different
-/// calls' alerts share one key prefix and the single engine sweeps calls in
-/// sorted-Call-ID order. It is an interned symbol, not a `String`: tagging
-/// an alert never allocates, and the merge compares 4-byte ids' *text*
-/// (interner ids depend on arrival order, which varies with shard count).
-type MergeKey = (usize, u8, Sym, u32);
+use crate::tenant::{TenantId, TenantMap};
 
 /// One shard-pinned routed part, stamped with packet index and clamped time.
 type Routed = (usize, u64, Part);
@@ -109,24 +101,37 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Where a key hash lives: the one placement rule. The engines are `nodes`
-/// groups of `shards`; a hash goes to group `rendezvous(hash, nodes)` and
-/// to engine `hash % shards` inside it — node-then-shard placement in one
-/// pass. Neither level hashes what can only land on index 0.
+/// groups of `tenants` groups of `shards`; a tenant's hash goes to node
+/// group `rendezvous(hash, nodes)`, the tenant's group inside it, and
+/// engine `hash % shards` inside that — node-then-shard placement in one
+/// pass. Neither level hashes what can only land on index 0. Node groups
+/// are outermost, so a rebalance truncates or extends the engine list.
 #[derive(Debug, Clone, Copy)]
 struct Placement {
     nodes: usize,
+    tenants: usize,
     shards: usize,
 }
 
 impl Placement {
     #[inline]
-    fn engine(self, hash: u64) -> usize {
+    fn engine(self, tenant: usize, hash: u64) -> usize {
         let shard = if self.shards == 1 {
             0
         } else {
             (hash % self.shards as u64) as usize
         };
-        rendezvous(hash, self.nodes) * self.shards + shard
+        (rendezvous(hash, self.nodes) * self.tenants + tenant) * self.shards + shard
+    }
+
+    /// The tenant whose group `engine` belongs to. A one-tenant layout
+    /// divides nothing: this runs once per routed part.
+    #[inline]
+    fn tenant(self, engine: usize) -> TenantId {
+        if self.tenants == 1 {
+            return 0;
+        }
+        ((engine / self.shards) % self.tenants) as TenantId
     }
 }
 
@@ -161,7 +166,8 @@ fn mix(key: u64, node: usize) -> u64 {
     h
 }
 
-/// A sink that tags every alert with the merge key of the part being drained.
+/// A sink that tags every alert with the merge key of the part being
+/// drained and the tenant of the engine draining it.
 struct TaggedSink<'a> {
     out: &'a mut Vec<TaggedAlert>,
     idx: usize,
@@ -170,16 +176,18 @@ struct TaggedSink<'a> {
     /// single engine's sorted sweep order across shards.
     scope_from_call: bool,
     seq: u32,
+    tenant: TenantId,
 }
 
 impl<'a> TaggedSink<'a> {
-    fn packet(out: &'a mut Vec<TaggedAlert>, idx: usize, phase: u8) -> Self {
+    fn packet(out: &'a mut Vec<TaggedAlert>, idx: usize, phase: u8, tenant: TenantId) -> Self {
         TaggedSink {
             out,
             idx,
             phase,
             scope_from_call: false,
             seq: 0,
+            tenant,
         }
     }
 
@@ -190,6 +198,7 @@ impl<'a> TaggedSink<'a> {
             phase: 0,
             scope_from_call: true,
             seq: 0,
+            tenant: 0,
         }
     }
 }
@@ -207,8 +216,14 @@ impl AlertSink for TaggedSink<'_> {
         } else {
             sym::EMPTY
         };
-        let key = (self.idx, self.phase, scope, self.seq);
-        self.out.push(TaggedAlert { key, alert });
+        self.out.push(TaggedAlert {
+            idx: self.idx,
+            phase: self.phase,
+            scope,
+            seq: self.seq,
+            tenant: self.tenant,
+            alert,
+        });
         self.seq += 1;
     }
 }
@@ -332,20 +347,38 @@ impl RouteHint {
 /// A key-tagged alert: what every engine drain produces. Sorting by
 /// [`TaggedAlert::merge_order`] yields the single engine's byte-identical
 /// alert sequence whatever engine raised each alert.
+///
+/// The merge key is (packet index, phase, sweep scope, per-sink emission
+/// seq). Phases order the parts of one packet the way the single engine
+/// would have emitted them: 0 = batch-start sweep (before any packet), 1 =
+/// the destination-pinned INVITE-flood part, 2 = the call/register/media
+/// (or malformed) part, 3 = the deferred DRDoS reflection count for an
+/// unassociated response. The scope is only populated for sweep alerts
+/// (phase 0), where different calls' alerts share one key prefix and the
+/// single engine sweeps calls in sorted-Call-ID order. It is an interned
+/// symbol, not a `String`: tagging an alert never allocates, and the merge
+/// compares 4-byte ids' *text* (interner ids depend on arrival order, which
+/// varies with shard count).
 #[derive(Debug, Clone)]
 struct TaggedAlert {
-    key: MergeKey,
+    idx: usize,
+    phase: u8,
+    scope: Sym,
+    seq: u32,
+    /// The tenant whose engine raised the alert: carried, never compared.
+    tenant: TenantId,
     alert: Alert,
 }
 
+// Sizes are facts: the tenant rides in the key's padding, so a pool's
+// merge buffers cost what they cost before tenants existed.
+const _: () = assert!(std::mem::size_of::<TaggedAlert>() <= 144);
+
 impl TaggedAlert {
     /// The deterministic merge order — `(packet idx, phase, scope text,
-    /// emission seq)`. The scope symbol must be compared by its string —
-    /// see [`MergeKey`].
+    /// emission seq)`. The scope symbol must be compared by its string.
     fn merge_order(a: &TaggedAlert, b: &TaggedAlert) -> Ordering {
-        let (ai, ap, a_scope, a_seq) = &a.key;
-        let (bi, bp, b_scope, b_seq) = &b.key;
-        (ai, ap, a_scope.as_str(), a_seq).cmp(&(bi, bp, b_scope.as_str(), b_seq))
+        (a.idx, a.phase, a.scope.as_str(), a.seq).cmp(&(b.idx, b.phase, b.scope.as_str(), b.seq))
     }
 }
 
@@ -362,7 +395,12 @@ struct DeferredMiss {
     /// Destination IP the miss counts against.
     dst_ip: u32,
     src_ip: Option<Ipv4Addr>,
+    /// The tenant of the response, whose engines count it.
+    tenant: TenantId,
 }
+
+// Sizes are facts: the tenant fits the padding of the other fields.
+const _: () = assert!(std::mem::size_of::<DeferredMiss>() <= 32);
 
 /// One classified datagram as the routing core takes it, whichever entry
 /// point it came through.
@@ -420,9 +458,11 @@ enum Part {
 /// the [`Monitor`] trait, which behaves identically to a plain `Vids`.
 pub struct VidsPool {
     /// Every engine, node group by node group: `placement.nodes` groups of
-    /// `placement.shards`.
+    /// `placement.tenants` groups of `placement.shards`.
     shards: Vec<Vids>,
     placement: Placement,
+    /// The tenant table of a pool built by [`VidsPool::with_tenants`].
+    tenants: Option<TenantMap>,
     /// Read-mostly mirror of every shard's media index: negotiated media
     /// coordinates → owning shard. Written only during sequential routing;
     /// probed per RTP packet, so the key is a six-byte value and the probe
@@ -433,6 +473,9 @@ pub struct VidsPool {
     cost: CostModel,
     cpu: CpuAccount,
     alerts: Vec<Alert>,
+    /// The tenant of each logged alert, beside `alerts`; kept only when
+    /// the pool has more than one tenant.
+    alert_tenants: Vec<TenantId>,
     last_sweep_ms: u64,
     /// Monotonic clamp over packet timestamps: EFSM networks require
     /// non-decreasing time, so a late-stamped packet is processed at the
@@ -463,25 +506,52 @@ impl VidsPool {
     /// ever runs are the scoped workers of a [`VidsPool::with_pipeline`]
     /// session.
     pub fn with_cost(config: Config, cost: CostModel) -> Self {
-        let n = config.shards.max(1);
-        VidsPool {
-            shards: (0..n).map(|_| Vids::with_cost(config, cost)).collect(),
-            placement: Placement {
-                nodes: 1,
-                shards: n,
-            },
+        VidsPool::build(config, None, cost)
+    }
+
+    /// Creates a pool with one group of `Config::shards` engines per
+    /// tenant, each under its tenant's [`Config`] (thresholds, timers, the
+    /// `max_tracked_calls` quota); call tables are never shared. The
+    /// default tenant's configuration is the pool's [`VidsPool::config`].
+    pub fn with_tenants(tenants: TenantMap, cost: CostModel) -> Self {
+        VidsPool::build(tenants.get(0).config, Some(tenants), cost)
+    }
+
+    fn build(config: Config, tenants: Option<TenantMap>, cost: CostModel) -> Self {
+        let placement = Placement {
+            nodes: 1,
+            tenants: tenants.as_ref().map_or(1, TenantMap::len),
+            shards: config.shards.max(1),
+        };
+        let n = placement.tenants * placement.shards;
+        let mut pool = VidsPool {
+            shards: Vec::new(),
+            placement,
+            tenants,
             media_to_shard: FxHashMap::default(),
             config,
             cost,
             cpu: CpuAccount::new(),
             alerts: Vec::new(),
+            alert_tenants: Vec::new(),
             last_sweep_ms: 0,
             last_packet_ms: 0,
             telemetry: None,
             queues: (0..n).map(|_| Vec::new()).collect(),
             scratch_tagged: Vec::new(),
             scratch_misses: Vec::new(),
-        }
+        };
+        pool.shards = (0..n).map(|i| pool.new_engine(i)).collect();
+        pool
+    }
+
+    /// A fresh engine for slot `engine`, under its tenant's configuration.
+    fn new_engine(&self, engine: usize) -> Vids {
+        let config = match &self.tenants {
+            Some(map) => map.get(self.placement.tenant(engine)).config,
+            None => self.config,
+        };
+        Vids::with_cost(config, self.cost)
     }
 
     /// Enables telemetry: allocates a [`Registry`] with one slab per shard
@@ -498,12 +568,12 @@ impl VidsPool {
         registry
     }
 
-    /// Makes the pool's engines `nodes` groups of `config.shards` — one
-    /// group per cluster node — under the one placement rule: a key goes
-    /// to group [`rendezvous`]`(hash, nodes)`. Routing-only: keys whose
-    /// group is unchanged (about `(n-1)/n` of them when growing by one)
-    /// keep their engine, state and in-flight verdicts. Keys that move
-    /// leave their call state behind — those calls restart, as if the
+    /// Makes the pool's engines `nodes` groups of `config.shards` per
+    /// tenant — one group per cluster node — under the one placement rule:
+    /// a key goes to group [`rendezvous`]`(hash, nodes)`. Routing-only:
+    /// keys whose group is unchanged (about `(n-1)/n` of them when growing
+    /// by one) keep their engine, state and in-flight verdicts. Keys that
+    /// move leave their call state behind — those calls restart, as if the
     /// moved traffic had first appeared now. Growing keeps the surviving
     /// engines and their telemetry slabs, and new engines get fresh ones;
     /// shrinking drops the removed groups' engines, state and counts.
@@ -517,14 +587,14 @@ impl VidsPool {
             return;
         }
         self.placement.nodes = nodes;
-        let engines = nodes * self.placement.shards;
+        let engines = nodes * self.placement.tenants * self.placement.shards;
         let ring = self.telemetry_ring();
         self.shards.truncate(engines);
         if let Some(registry) = &mut self.telemetry {
             *registry = Arc::new(registry.resized(engines));
         }
         while self.shards.len() < engines {
-            let mut engine = Vids::with_cost(self.config, self.cost);
+            let mut engine = self.new_engine(self.shards.len());
             if let Some(registry) = &self.telemetry {
                 engine.attach_telemetry(registry.shard_slab(self.shards.len()), ring);
             }
@@ -541,14 +611,48 @@ impl VidsPool {
         }
     }
 
-    /// Number of node groups; see [`VidsPool::set_nodes`].
-    pub fn nodes(&self) -> usize {
-        self.placement.nodes
+    /// The tenant table, for a pool built by [`VidsPool::with_tenants`].
+    pub fn tenants(&self) -> Option<&TenantMap> {
+        self.tenants.as_ref()
     }
 
-    /// The telemetry registry, once [`VidsPool::enable_telemetry`] has run.
-    pub fn telemetry(&self) -> Option<&Registry> {
-        self.telemetry.as_deref()
+    /// The tenant whose group engine `engine` (an index for
+    /// [`VidsPool::shard`]) belongs to.
+    pub fn engine_tenant(&self, engine: usize) -> TenantId {
+        self.placement.tenant(engine)
+    }
+
+    /// Every alert raised so far with the tenant whose traffic raised it,
+    /// in the order of [`VidsPool::alerts`].
+    pub fn tenant_alerts(&self) -> impl Iterator<Item = (TenantId, &Alert)> {
+        let tenants = self
+            .alert_tenants
+            .iter()
+            .copied()
+            .chain(std::iter::repeat(0));
+        tenants.zip(&self.alerts)
+    }
+
+    /// Traffic counters of one tenant's engines.
+    pub fn tenant_counters(&self, tenant: TenantId) -> VidsCounters {
+        let mut total = VidsCounters::default();
+        self.tenant_engines(tenant)
+            .for_each(|s| total += s.counters());
+        total
+    }
+
+    /// Calls one tenant's engines currently monitor.
+    pub fn tenant_monitored_calls(&self, tenant: TenantId) -> usize {
+        self.tenant_engines(tenant).map(Vids::monitored_calls).sum()
+    }
+
+    fn tenant_engines(&self, tenant: TenantId) -> impl Iterator<Item = &Vids> {
+        let placement = self.placement;
+        self.shards
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| placement.tenant(*i) == tenant)
+            .map(|(_, shard)| shard)
     }
 
     /// The per-shard transition-ring capacity telemetry was enabled with;
@@ -788,7 +892,9 @@ impl VidsPool {
     ///
     /// `ev.hint` carries the FNV-1a key hashes pre-computed on a receiver
     /// thread ([`route_hint`]); without one the hashes are computed here,
-    /// lazily. Both spellings place every part on the same shard.
+    /// lazily. Both spellings place every part on the same shard. The
+    /// tenant is chosen here, from the event's own addresses, and only
+    /// when the pool has more than one.
     fn route_one(
         &mut self,
         ev: CoreEvent,
@@ -798,10 +904,14 @@ impl VidsPool {
         misses: &mut Vec<DeferredMiss>,
     ) {
         let n = self.shards.len();
+        let placement = self.placement;
         let CoreEvent { idx, hint, .. } = ev;
         let mut place = |shards: &mut [Vids], shard: usize, part: Part| match &mut queues {
             Some(queues) => queues[shard].push((idx, t, part)),
-            None => ingest_part(&mut shards[shard], idx, t, part, tagged, misses),
+            None => {
+                let tenant = placement.tenant(shard);
+                ingest_part(&mut shards[shard], tenant, idx, t, part, tagged, misses);
+            }
         };
         match ev.classified {
             Classified::Sip {
@@ -811,24 +921,26 @@ impl VidsPool {
                 is_request,
                 dst_ip,
             } => {
+                let args = SipArgs::get();
+                let tenant = self.tenant_of(&event, args.src_ip, args.dst_ip);
                 if event.name == sym::SIP_REGISTER {
                     let shard = match hint {
-                        Some(h) => self.placement.engine(h.call),
-                        None => self.shard_of(aor(&event).as_bytes()),
+                        Some(h) => placement.engine(tenant, h.call),
+                        None => self.shard_of(tenant, aor(&event).as_bytes()),
                     };
                     place(&mut self.shards, shard, Part::Register(event));
                     return;
                 }
                 if event.name == sym::SIP_INVITE {
                     let flood_shard = match hint {
-                        Some(h) => self.placement.engine(h.flood),
-                        None => self.shard_of(&dst_ip.to_le_bytes()),
+                        Some(h) => placement.engine(tenant, h.flood),
+                        None => self.shard_of(tenant, &dst_ip.to_le_bytes()),
                     };
                     place(&mut self.shards, flood_shard, Part::InviteFlood { dst_ip });
                 }
                 let shard = match hint {
-                    Some(h) => self.placement.engine(h.call),
-                    None => self.shard_of(call_id.as_str().as_bytes()),
+                    Some(h) => placement.engine(tenant, h.call),
+                    None => self.shard_of(tenant, call_id.as_str().as_bytes()),
                 };
                 if n > 1 {
                     if let Some(media) = SipArgs::get().sdp_media(&event) {
@@ -855,26 +967,41 @@ impl VidsPool {
                             // No call negotiated these coordinates: route by
                             // their hash so any shard count flags the same
                             // packet as unassociated exactly once.
+                            let args = RtpArgs::get();
+                            let tenant = self.tenant_of(&event, args.src_ip, args.dst_ip);
                             let hash = hint.map_or_else(|| media_hash(&event), |h| h.call);
-                            self.placement.engine(hash)
+                            placement.engine(tenant, hash)
                         })
                 };
                 place(&mut self.shards, shard, Part::Rtp(event));
             }
+            // No address, so the default tenant's key-0 engine.
             Classified::Malformed { protocol, reason } => {
                 let part = Part::Malformed { protocol, reason };
-                place(&mut self.shards, self.placement.engine(0), part);
+                place(&mut self.shards, placement.engine(0, 0), part);
             }
-            Classified::Ignored => place(&mut self.shards, self.placement.engine(0), Part::Ignored),
+            Classified::Ignored => place(&mut self.shards, placement.engine(0, 0), Part::Ignored),
+        }
+    }
+
+    /// The tenant of the datagram `event` stands for: the pair rule over
+    /// its `src` and `dst` arguments, or 0 in a one-tenant pool.
+    fn tenant_of(&self, event: &Event, src: Arg<Ipv4Addr>, dst: Arg<Ipv4Addr>) -> usize {
+        match &self.tenants {
+            Some(map) if self.placement.tenants > 1 => {
+                let ip = |arg| event.get(arg).map_or(0, u32::from);
+                map.tenant_of(ip(src), ip(dst)) as usize
+            }
+            _ => 0,
         }
     }
 
     /// The deferred DRDoS phase: counts each unassociated response on the
-    /// shard owning its destination IP. `misses` must be in packet order —
-    /// the flood networks need non-decreasing time.
+    /// response tenant's shard owning its destination IP. `misses` must be
+    /// in packet order — the flood networks need non-decreasing time.
     fn apply_misses(&mut self, misses: &[DeferredMiss], tagged: &mut Vec<TaggedAlert>) {
         for miss in misses {
-            let shard = self.shard_of(&miss.dst_ip.to_le_bytes());
+            let shard = self.shard_of(miss.tenant as usize, &miss.dst_ip.to_le_bytes());
             count_miss(&mut self.shards[shard], miss, tagged);
         }
     }
@@ -887,6 +1014,9 @@ impl VidsPool {
         let merge_started = self.telemetry.as_ref().map(|_| Instant::now());
         tagged.sort_unstable_by(TaggedAlert::merge_order);
         for entry in tagged.drain(..) {
+            if self.placement.tenants > 1 {
+                self.alert_tenants.push(entry.tenant);
+            }
             self.alerts.push(entry.alert.clone());
             sink.accept(entry.alert);
         }
@@ -897,11 +1027,11 @@ impl VidsPool {
         }
     }
 
-    fn shard_of(&self, bytes: &[u8]) -> usize {
+    fn shard_of(&self, tenant: usize, bytes: &[u8]) -> usize {
         if self.shards.len() == 1 {
             return 0; // don't hash what can only land on shard 0
         }
-        self.placement.engine(fnv1a(bytes))
+        self.placement.engine(tenant, fnv1a(bytes))
     }
 
     /// One idle-timer sweep of every shard at `now_ms`, on the calling
@@ -918,7 +1048,8 @@ impl VidsPool {
         // One sink across the engines: a Call-ID that a rebalance left on
         // two engines still gets distinct keys, in engine order.
         let mut sink = TaggedSink::sweep(tagged);
-        for shard in &mut self.shards {
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            sink.tenant = self.placement.tenant(i);
             shard.force_maintain(now_ms, &mut sink);
         }
         // Drop routing entries for media the shards just evicted, keeping
@@ -1001,6 +1132,7 @@ impl VidsPool {
 /// the sequential packet-order pass.
 fn ingest_part(
     vids: &mut Vids,
+    tenant: TenantId,
     idx: usize,
     t: u64,
     part: Part,
@@ -1009,11 +1141,11 @@ fn ingest_part(
 ) {
     match part {
         Part::Register(event) => {
-            let mut sink = TaggedSink::packet(alerts, idx, 2);
+            let mut sink = TaggedSink::packet(alerts, idx, 2, tenant);
             vids.ingest_register(event, t, &mut sink);
         }
         Part::InviteFlood { dst_ip } => {
-            let mut sink = TaggedSink::packet(alerts, idx, 1);
+            let mut sink = TaggedSink::packet(alerts, idx, 1, tenant);
             vids.ingest_invite_flood(dst_ip, t, &mut sink);
         }
         Part::Call {
@@ -1023,7 +1155,7 @@ fn ingest_part(
             is_request,
             dst_ip,
         } => {
-            let mut sink = TaggedSink::packet(alerts, idx, 2);
+            let mut sink = TaggedSink::packet(alerts, idx, 2, tenant);
             if let Some(miss) =
                 vids.ingest_call_event(call_id, event, is_initial_invite, is_request, t, &mut sink)
             {
@@ -1032,15 +1164,16 @@ fn ingest_part(
                     t_ms: t,
                     dst_ip,
                     src_ip: miss.src_ip,
+                    tenant,
                 });
             }
         }
         Part::Rtp(event) => {
-            let mut sink = TaggedSink::packet(alerts, idx, 2);
+            let mut sink = TaggedSink::packet(alerts, idx, 2, tenant);
             vids.ingest_rtp(event, t, &mut sink);
         }
         Part::Malformed { protocol, reason } => {
-            let mut sink = TaggedSink::packet(alerts, idx, 2);
+            let mut sink = TaggedSink::packet(alerts, idx, 2, tenant);
             vids.ingest_malformed(protocol, reason, t, &mut sink);
         }
         Part::Ignored => vids.ingest_ignored(),
@@ -1050,7 +1183,7 @@ fn ingest_part(
 /// Counts one unassociated response on the engine owning its destination:
 /// the deferred DRDoS phase (merge phase 3) for one miss.
 fn count_miss(engine: &mut Vids, miss: &DeferredMiss, tagged: &mut Vec<TaggedAlert>) {
-    let mut sink = TaggedSink::packet(tagged, miss.idx, 3);
+    let mut sink = TaggedSink::packet(tagged, miss.idx, 3, miss.tenant);
     engine.ingest_response_flood(miss.dst_ip, miss.src_ip, miss.t_ms, &mut sink);
 }
 
@@ -1290,8 +1423,17 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
             // pointer is (re-)derived by the coordinator and published
             // before the epochs that use it.
             let engine = unsafe { &mut *(shared.engines.load(Acquire) as *mut Vids).add(index) };
+            let tenant = shared.placement.tenant(index);
             for (idx, t, part) in data.queue.drain(..) {
-                ingest_part(engine, idx, t, part, &mut data.tagged, &mut data.misses);
+                ingest_part(
+                    engine,
+                    tenant,
+                    idx,
+                    t,
+                    part,
+                    &mut data.tagged,
+                    &mut data.misses,
+                );
             }
             lane.drained.store(epoch + 1, Release);
             // Barrier: wait for every lane to finish draining this epoch.
@@ -1327,7 +1469,8 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
                     unsafe { &(*peer.slots[slot].get()).misses }
                 };
                 for m in misses {
-                    if shared.placement.engine(fnv1a(&m.dst_ip.to_le_bytes())) == index {
+                    let hash = fnv1a(&m.dst_ip.to_le_bytes());
+                    if shared.placement.engine(m.tenant as usize, hash) == index {
                         scratch.push(*m);
                     }
                 }
@@ -1998,7 +2141,7 @@ mod tests {
     fn route_hint_hashes_agree_with_shard_of() {
         let events = pipeline_trace();
         let pool = VidsPool::new(shards(8));
-        let place = |hash| pool.placement.engine(hash);
+        let place = |hash| pool.placement.engine(0, hash);
         let mut sip = 0usize;
         for ev in &events {
             let hint = route_hint(&ev.classified);
@@ -2011,10 +2154,13 @@ mod tests {
                 } => {
                     sip += 1;
                     if event.name == sym::SIP_REGISTER {
-                        assert_eq!(place(hint.call), pool.shard_of(aor(event).as_bytes()));
+                        assert_eq!(place(hint.call), pool.shard_of(0, aor(event).as_bytes()));
                     } else {
-                        assert_eq!(place(hint.call), pool.shard_of(call_id.as_str().as_bytes()));
-                        assert_eq!(place(hint.flood), pool.shard_of(&dst_ip.to_le_bytes()));
+                        assert_eq!(
+                            place(hint.call),
+                            pool.shard_of(0, call_id.as_str().as_bytes())
+                        );
+                        assert_eq!(place(hint.flood), pool.shard_of(0, &dst_ip.to_le_bytes()));
                     }
                 }
                 // One spelling only: `route_hint` and `route_one` share

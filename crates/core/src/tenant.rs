@@ -1,23 +1,30 @@
-//! Per-tenant namespaces: source-prefix → tenant mapping with per-tenant
+//! Per-tenant namespaces: address-prefix → tenant mapping with per-tenant
 //! detection thresholds and state quotas.
 //!
 //! A multi-tenant monitor watches several customers' VoIP estates through
-//! one perimeter. Each tenant is identified by the source prefix its
-//! traffic arrives from, and carries its own [`Config`]: a carrier-grade
-//! tenant can tolerate hundreds of INVITEs per second where a small PBX
-//! should alert at ten, and each tenant gets a bounded call-table budget
-//! (`max_tracked_calls`) so one tenant's flood can never evict another's
-//! call state. Tenant 0 is the always-present `default` catch-all.
+//! one perimeter. Each tenant is identified by an address prefix, and
+//! carries its own [`Config`]: a carrier-grade tenant can tolerate hundreds
+//! of INVITEs per second where a small PBX should alert at ten, and each
+//! tenant gets a bounded call-table budget (`max_tracked_calls`) so one
+//! tenant's flood can never evict another's call state. Tenant 0 is the
+//! always-present `default` catch-all.
+//!
+//! A datagram belongs to the tenant of its *unordered* address pair
+//! ([`TenantMap::tenant_of`]), so a request and its response — and a BYE
+//! spoofed from either party — land in the same tenant. A
+//! [`VidsPool`](crate::pool::VidsPool) built with
+//! [`VidsPool::with_tenants`](crate::pool::VidsPool::with_tenants) gives
+//! each tenant its own engine group.
 
-use vids_core::Config;
+use crate::config::{Config, ConfigBuilder};
 use vids_netsim::time::SimTime;
 
 /// Index into the tenant table; tenant `0` is the default catch-all.
 pub type TenantId = u16;
 
-/// One tenant: a source prefix and the detection configuration its
+/// One tenant: an address prefix and the detection configuration its
 /// traffic is analyzed under.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tenant {
     /// Operator-facing name, unique within the map.
     pub name: String,
@@ -30,27 +37,27 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    fn matches(&self, src_ip: u32) -> bool {
+    fn matches(&self, ip: u32) -> bool {
         if self.prefix_len == 0 {
             return true;
         }
         let mask = u32::MAX << (32 - self.prefix_len as u32);
-        (src_ip & mask) == self.prefix
+        (ip & mask) == self.prefix
     }
 }
 
-/// The tenant table: longest-prefix source matching onto per-tenant
+/// The tenant table: longest-prefix address matching onto per-tenant
 /// configurations. Construct with [`TenantMap::single`] for an untenanted
-/// cluster or [`TenantMap::parse`] from an operator file.
-#[derive(Debug, Clone)]
+/// pool or [`TenantMap::parse`] from an operator file.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantMap {
     tenants: Vec<Tenant>,
 }
 
 impl TenantMap {
-    /// A map with only the default tenant: every source belongs to it and
-    /// is analyzed under `base`. This is the untenanted spelling — a
-    /// cluster built on it behaves exactly like one pool per node.
+    /// A map with only the default tenant: every address belongs to it and
+    /// is analyzed under `base`. This is the untenanted spelling — a pool
+    /// built on it behaves exactly like a pool built on `base`.
     pub fn single(base: Config) -> Self {
         TenantMap {
             tenants: vec![Tenant {
@@ -101,7 +108,9 @@ impl TenantMap {
             for kv in words {
                 apply_override(&mut config, kv).map_err(|e| format!("line {}: {e}", lineno + 1))?;
             }
-            validate(&config).map_err(|e| format!("line {}: tenant `{name}`: {e}", lineno + 1))?;
+            let config = ConfigBuilder { config }
+                .build()
+                .map_err(|e| format!("line {}: tenant `{name}`: {e}", lineno + 1))?;
             if name == "default" {
                 map.tenants[0].config = config;
                 continue;
@@ -122,13 +131,23 @@ impl TenantMap {
         Ok(map)
     }
 
-    /// Which tenant a source IP belongs to: the longest matching prefix,
-    /// first-defined on equal lengths, falling back to the default.
-    pub fn tenant_of(&self, src_ip: u32) -> TenantId {
+    /// Rebuilds a map from its tenants in id order — the inverse of
+    /// [`TenantMap::iter`]; tenant 0 is the default catch-all whatever its
+    /// prefix. `None` for an empty list.
+    pub fn from_tenants(tenants: Vec<Tenant>) -> Option<Self> {
+        (!tenants.is_empty() && tenants.len() <= TenantId::MAX as usize + 1)
+            .then_some(TenantMap { tenants })
+    }
+
+    /// Which tenant the datagram between `a` and `b` belongs to: the
+    /// longest prefix matching *either* address, the lower tenant id on
+    /// equal lengths, falling back to the default. Symmetric in `a` and
+    /// `b`, so both directions of a call pick the same tenant.
+    pub fn tenant_of(&self, a: u32, b: u32) -> TenantId {
         let mut best = 0usize;
         let mut best_len = 0u8;
         for (i, t) in self.tenants.iter().enumerate().skip(1) {
-            if t.matches(src_ip) && t.prefix_len > best_len {
+            if t.prefix_len > best_len && (t.matches(a) || t.matches(b)) {
                 best = i;
                 best_len = t.prefix_len;
             }
@@ -219,24 +238,6 @@ fn apply_override(config: &mut Config, kv: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The subset of [`vids_core::ConfigBuilder`]'s validation reachable
-/// through tenant overrides.
-fn validate(config: &Config) -> Result<(), String> {
-    if config.invite_flood_n == 0 {
-        return Err("invite_flood_n must be at least 1".to_owned());
-    }
-    if config.rtp_flood_max_packets == 0 {
-        return Err("rtp_flood_max_packets must be at least 1".to_owned());
-    }
-    if config.spam_seq_gap <= 0 || config.spam_ts_gap <= 0 {
-        return Err("spam gaps must be positive".to_owned());
-    }
-    if config.invite_flood_t1.is_zero() || config.rtp_flood_window.is_zero() {
-        return Err("windows must be non-zero".to_owned());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,6 +245,9 @@ mod tests {
     fn ip(a: u8, b: u8, c: u8, d: u8) -> u32 {
         u32::from_be_bytes([a, b, c, d])
     }
+
+    /// An address no tenant below claims.
+    const OUTSIDE: u32 = u32::from_be_bytes([203, 0, 113, 66]);
 
     #[test]
     fn longest_prefix_wins_and_default_catches_the_rest() {
@@ -255,10 +259,14 @@ tenant globex 10.2.0.0/16
 ";
         let map = TenantMap::parse(text, Config::default()).unwrap();
         assert_eq!(map.len(), 4);
-        assert_eq!(map.tenant_of(ip(10, 1, 3, 9)), 1, "acme /16");
-        assert_eq!(map.tenant_of(ip(10, 1, 7, 9)), 2, "acme-pbx /24 beats /16");
-        assert_eq!(map.tenant_of(ip(10, 2, 0, 1)), 3, "globex");
-        assert_eq!(map.tenant_of(ip(192, 168, 0, 1)), 0, "default");
+        assert_eq!(map.tenant_of(ip(10, 1, 3, 9), OUTSIDE), 1, "acme /16");
+        assert_eq!(
+            map.tenant_of(OUTSIDE, ip(10, 1, 7, 9)),
+            2,
+            "acme-pbx /24 beats /16"
+        );
+        assert_eq!(map.tenant_of(ip(10, 2, 0, 1), OUTSIDE), 3, "globex");
+        assert_eq!(map.tenant_of(ip(192, 168, 0, 1), OUTSIDE), 0, "default");
         assert_eq!(map.get(1).config.invite_flood_n, 100);
         assert_eq!(map.get(2).config.invite_flood_n, 5);
         assert_eq!(
@@ -307,7 +315,25 @@ tenant globex 10.2.0.0/16
     fn masked_prefix_bits_are_canonical() {
         // 10.1.7.9/24 must behave as 10.1.7.0/24.
         let map = TenantMap::parse("tenant t 10.1.7.9/24", Config::default()).unwrap();
-        assert_eq!(map.tenant_of(ip(10, 1, 7, 200)), 1);
-        assert_eq!(map.tenant_of(ip(10, 1, 8, 9)), 0);
+        assert_eq!(map.tenant_of(ip(10, 1, 7, 200), OUTSIDE), 1);
+        assert_eq!(map.tenant_of(ip(10, 1, 8, 9), OUTSIDE), 0);
+    }
+
+    #[test]
+    fn the_pair_rule_is_symmetric_and_ties_go_to_the_lower_id() {
+        let map = TenantMap::parse(
+            "tenant acme 10.1.0.0/16\ntenant contoso 10.2.0.0/16\ntenant pbx 10.2.7.0/24",
+            Config::default(),
+        )
+        .unwrap();
+        let (a, b) = (ip(10, 1, 0, 7), ip(10, 2, 0, 7));
+        assert_eq!(map.tenant_of(a, b), 1, "equal lengths: lower id");
+        assert_eq!(map.tenant_of(b, a), 1, "either direction");
+        assert_eq!(map.tenant_of(a, ip(10, 2, 7, 1)), 3, "/24 beats /16");
+        assert_eq!(map.tenant_of(OUTSIDE, b), 2, "a flood from outside");
+        assert_eq!(map.tenant_of(OUTSIDE, OUTSIDE), 0);
+        let rebuilt = TenantMap::from_tenants(map.iter().cloned().collect()).unwrap();
+        assert_eq!(rebuilt, map);
+        assert!(TenantMap::from_tenants(Vec::new()).is_none());
     }
 }

@@ -110,6 +110,7 @@ mod tests {
     fn seeds_split_by_recorded_class() {
         let dump = Vdump {
             config: vids_core::config::Config::default(),
+            tenants: None,
             telemetry_ring: 0,
             packets: vec![
                 packet(RecordedClass::Sip, b"OPTIONS sip:x SIP/2.0\r\n\r\n"),

@@ -13,10 +13,9 @@
 //! `tests/pool_determinism.rs` in the root crate), so batch boundaries
 //! affect latency, never verdicts.
 //!
-//! The batcher is generic over the event type: the single-pool serve path
-//! batches [`vids_core::pool::PreRouted`] events that already carry their
-//! receiver-computed shard-routing hashes, the multi-tenant one
-//! `vids_cluster::ClusterEvent`s.
+//! The serve path batches [`vids_core::pool::PreRouted`] events that
+//! already carry their receiver-computed shard-routing hashes; the tenant,
+//! when the pool has several, is chosen later, on the coordinator.
 
 /// What a receiver does with its batch after one socket poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -21,9 +21,9 @@
 //!   and shard-route datagrams into a bounded hand-off, the coordinator
 //!   drives the engine's epoch-ring pipeline and merges each finished
 //!   epoch right after the next submit, with graceful shutdown and
-//!   on-demand `SIGUSR1` ring snapshots.
-//! * [`cluster_serve`] — the multi-tenant variant: the same loop driving
-//!   a `vids-cluster` tenant demux (`vids serve --tenants FILE`).
+//!   on-demand `SIGUSR1` ring snapshots. A tenant-mapped pool (`vids
+//!   serve --tenants FILE`) takes the same path: tenants are engine
+//!   groups of the one pool.
 //! * [`record_tap`] — [`RecordTap`], the one flight-recorder tap both
 //!   ingest paths take.
 //! * [`replay`] — `vids replay`: run a capture through the identical
@@ -32,7 +32,6 @@
 //!   the output stays byte-identical to the single-thread run.
 
 pub mod batch;
-pub mod cluster_serve;
 pub mod datagram;
 pub mod demux;
 pub mod pcap;
@@ -57,7 +56,6 @@ pub mod prelude {
 }
 
 pub use batch::Batcher;
-pub use cluster_serve::serve_cluster_on;
 pub use datagram::Datagram;
 pub use demux::{classify_datagram, demux, WireClass, SIP_PORT};
 pub use pcap::{PcapError, PcapReader, PcapRecord, PcapWriter};

@@ -36,11 +36,11 @@
 //! the receivers through a recycle channel; steady state allocates nothing
 //! per datagram.
 //!
-//! This is the only receiver/coordinator loop in the crate: it is generic
-//! over a small private engine trait ([`ServeEngine`]), and
-//! [`crate::cluster_serve`] plugs a multi-tenant `Cluster` into the same
-//! threads, channels, flush policy and counters — there each tenant pool
-//! ingests its share inline and nothing is ever in flight.
+//! This is the only receiver/coordinator loop in the crate. A
+//! tenant-mapped pool ([`VidsPool::with_tenants`], `vids serve --tenants`)
+//! runs through it unchanged: tenants are engine groups of the one pool,
+//! chosen on the coordinator, so the epoch ring and the flight recorder
+//! cover them too.
 //!
 //! Shutdown: set the stop flag (the CLI wires SIGINT to
 //! [`stop_flag_on_sigint`]). Receivers hand over their partial batch,
@@ -60,7 +60,6 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use vids_core::classify::Classified;
 use vids_core::config::Config;
 use vids_core::pool::{PipelineIngress, PreRouted, VidsPool};
 use vids_core::sink::AlertSink;
@@ -69,7 +68,6 @@ use vids_netsim::time::SimTime;
 use vids_record::Recorder;
 
 use crate::batch::{flush_rule, Batcher, Flush};
-use crate::datagram::Datagram;
 use crate::demux::{classify_datagram, WireClass};
 use crate::record_tap::{recorded_class, RecordTap};
 use crate::source::IngestError;
@@ -149,88 +147,6 @@ struct IngestStats {
     backlog: Vec<AtomicU64>,
 }
 
-/// What the one receiver/coordinator loop needs from the engine behind
-/// it: how a receiver turns a classified datagram into the engine's event,
-/// and how the coordinator feeds, ticks and observes it. Implemented for a
-/// pipeline session over one pool (here) and for a
-/// multi-tenant [`vids_cluster::Cluster`] ([`crate::cluster_serve`]).
-pub(crate) trait ServeEngine {
-    /// The unit receivers batch and the coordinator submits.
-    type Event: Send;
-
-    /// Receiver side: stamps one classified datagram.
-    fn event(classified: Classified, d: &Datagram<'_>) -> Self::Event;
-    /// The event's receive time (the first one is the batch clock).
-    fn at(event: &Self::Event) -> SimTime;
-    /// Ingests one batch, draining `events`, and emits every alert whose
-    /// epoch is already finished.
-    fn submit<S: AlertSink + ?Sized>(
-        &mut self,
-        events: &mut Vec<Self::Event>,
-        now: SimTime,
-        sink: &mut S,
-    );
-    /// Runs the timer sweep; afterwards nothing is in flight.
-    fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S);
-    /// Batches submitted but not yet merged.
-    fn in_flight(&self) -> u64;
-    /// Where the socket-side counters are mirrored, when telemetry is on.
-    fn slab(&self) -> Option<&ShardSlab>;
-    /// Quiesces the engine and lends the single pool the flight recorder
-    /// dumps from; `None` for an engine the recorder does not cover.
-    fn quiesced_pool<S: AlertSink + ?Sized>(&mut self, sink: &mut S) -> Option<&VidsPool>;
-}
-
-/// A pipeline session over one pool, plus the registry slab the caller of
-/// [`serve_on`] asked the socket-side counters to be mirrored into.
-struct Piped<'a, 'pool, 'sh> {
-    ingress: &'a mut PipelineIngress<'pool, 'sh>,
-    slab: Option<&'a ShardSlab>,
-}
-
-impl ServeEngine for Piped<'_, '_, '_> {
-    type Event = PreRouted;
-
-    fn event(classified: Classified, d: &Datagram<'_>) -> PreRouted {
-        // The receiver-side routing step: the shard hashes are computed
-        // here, off the coordinator.
-        PreRouted::new(classified, d.at)
-    }
-
-    fn at(event: &PreRouted) -> SimTime {
-        event.at
-    }
-
-    fn submit<S: AlertSink + ?Sized>(
-        &mut self,
-        events: &mut Vec<PreRouted>,
-        now: SimTime,
-        sink: &mut S,
-    ) {
-        self.ingress.submit(events, now, sink);
-        // Whatever the workers have finished by now is merged at once, so
-        // an alert waits for its own epoch only.
-        self.ingress.harvest_ready(sink);
-    }
-
-    fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
-        self.ingress.tick(now, sink);
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.ingress.in_flight()
-    }
-
-    fn slab(&self) -> Option<&ShardSlab> {
-        self.slab
-    }
-
-    fn quiesced_pool<S: AlertSink + ?Sized>(&mut self, sink: &mut S) -> Option<&VidsPool> {
-        self.ingress.flush(sink);
-        Some(self.ingress.pool())
-    }
-}
-
 /// Binds `opts.receivers` sockets to `listen` and runs the serve loop
 /// until `stop` becomes true. Blocks the calling thread; alerts stream
 /// into `sink` in deterministic merge order.
@@ -248,7 +164,11 @@ pub fn serve<S: AlertSink + ?Sized>(
 }
 
 /// [`serve`] over an already-bound socket pool — the entry point for
-/// tests that need the resolved port before traffic starts.
+/// tests that need the resolved port before traffic starts. The one serve
+/// loop: a receiver thread per socket batching [`PreRouted`] events over
+/// a channel, the calling thread as coordinator driving the pool's
+/// pipeline session. The socket-side counters are mirrored into
+/// `telemetry`'s pool slab when given.
 pub fn serve_on<S: AlertSink + ?Sized>(
     pool: &mut VidsPool,
     udp: UdpPool,
@@ -259,21 +179,6 @@ pub fn serve_on<S: AlertSink + ?Sized>(
     sink: &mut S,
 ) -> Result<ServeReport, IngestError> {
     let slab = telemetry.map(Registry::pool);
-    Ok(pool.with_pipeline(|ingress| {
-        serve_engine(&mut Piped { ingress, slab }, udp, opts, stop, tap, sink)
-    }))
-}
-
-/// The one serve loop: a receiver thread per socket batching `E::Event`s
-/// over a channel, the calling thread as coordinator driving `engine`.
-pub(crate) fn serve_engine<E: ServeEngine, S: AlertSink + ?Sized>(
-    engine: &mut E,
-    udp: UdpPool,
-    opts: &ServeOptions,
-    stop: &AtomicBool,
-    tap: Option<&mut RecordTap<'_>>,
-    sink: &mut S,
-) -> ServeReport {
     let mode = udp.mode();
     let epoch = Instant::now();
     let sources = udp.into_sources(epoch, opts.read_timeout);
@@ -287,8 +192,8 @@ pub(crate) fn serve_engine<E: ServeEngine, S: AlertSink + ?Sized>(
     // recycled `Vec` is one a receiver handed over, so the recycle channel
     // fills only if the receivers stop taking buffers back; the coordinator
     // then frees the surplus instead of waiting.
-    let (batch_tx, batch_rx) = mpsc::sync_channel::<Vec<E::Event>>(HANDOFF_BATCHES);
-    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<E::Event>>(HANDOFF_BATCHES);
+    let (batch_tx, batch_rx) = mpsc::sync_channel::<Vec<PreRouted>>(HANDOFF_BATCHES);
+    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<PreRouted>>(HANDOFF_BATCHES);
     // A `Receiver` has one owner; the receiver threads share the recycle
     // side through a mutex (one lock per hand-off, not per datagram).
     let recycle_rx = Mutex::new(recycle_rx);
@@ -297,40 +202,44 @@ pub(crate) fn serve_engine<E: ServeEngine, S: AlertSink + ?Sized>(
     // the coordinator keeps the tap for batch marks and dumps.
     let recorder: Option<&Recorder> = tap.as_deref().map(|t| t.recorder);
 
-    std::thread::scope(|scope| {
-        for (i, source) in sources.into_iter().enumerate() {
-            let tx = batch_tx.clone();
-            let recycle = &recycle_rx;
-            let stats = &stats;
-            let opts = *opts;
-            scope.spawn(move || {
-                receiver_loop::<E>(source, i, tx, recycle, stats, &opts, stop, recorder)
-            });
-        }
-        // The receivers hold the only senders now; `Disconnected` on the
-        // batch channel therefore means every receiver has handed over its
-        // last batch and exited.
-        drop(batch_tx);
+    let report = pool.with_pipeline(|ingress| {
+        std::thread::scope(|scope| {
+            for (i, source) in sources.into_iter().enumerate() {
+                let tx = batch_tx.clone();
+                let recycle = &recycle_rx;
+                let stats = &stats;
+                let opts = *opts;
+                scope.spawn(move || {
+                    receiver_loop(source, i, tx, recycle, stats, &opts, stop, recorder)
+                });
+            }
+            // The receivers hold the only senders now; `Disconnected` on the
+            // batch channel therefore means every receiver has handed over its
+            // last batch and exited.
+            drop(batch_tx);
 
-        coordinator_loop(
-            engine,
-            &batch_rx,
-            &recycle_tx,
-            &stats,
-            opts,
-            epoch,
-            tap,
-            sink,
-        )
-    })
+            coordinator_loop(
+                ingress,
+                slab,
+                &batch_rx,
+                &recycle_tx,
+                &stats,
+                opts,
+                epoch,
+                tap,
+                sink,
+            )
+        })
+    });
+    Ok(report)
 }
 
 #[allow(clippy::too_many_arguments)]
-fn receiver_loop<E: ServeEngine>(
+fn receiver_loop(
     mut source: UdpSource,
     index: usize,
-    tx: SyncSender<Vec<E::Event>>,
-    recycle: &Mutex<Receiver<Vec<E::Event>>>,
+    tx: SyncSender<Vec<PreRouted>>,
+    recycle: &Mutex<Receiver<Vec<PreRouted>>>,
     stats: &IngestStats,
     opts: &ServeOptions,
     stop: &AtomicBool,
@@ -347,9 +256,10 @@ fn receiver_loop<E: ServeEngine>(
             }
         }
         let polled = source.poll_batch(&mut |d| {
-            // The receiver-side hot path: demux + classify + the engine's
-            // event stamp, all allocation-free for media traffic, then one
-            // push into the recycled batch.
+            // The receiver-side hot path: demux + classify + the shard
+            // hashes (the receiver-side routing step, off the coordinator),
+            // all allocation-free for media traffic, then one push into the
+            // recycled batch.
             let (class, classified) = classify_datagram(&d);
             if let Some(rec) = recorder {
                 rec.record(index, d.at, d.src, d.dst, recorded_class(class), d.payload);
@@ -360,7 +270,7 @@ fn receiver_loop<E: ServeEngine>(
             } else if class == WireClass::Ipv6 {
                 stats.ipv6.fetch_add(1, Ordering::Relaxed);
             }
-            batcher.push(E::event(classified, &d));
+            batcher.push(PreRouted::new(classified, d.at));
         });
         // A socket error on one receiver retires that receiver; the rest
         // of the pool keeps serving.
@@ -417,10 +327,11 @@ fn recycled<T>(recycle: &Mutex<Receiver<Vec<T>>>) -> Option<Vec<T>> {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
-    engine: &mut E,
-    batch_rx: &Receiver<Vec<E::Event>>,
-    recycle_tx: &SyncSender<Vec<E::Event>>,
+fn coordinator_loop<S: AlertSink + ?Sized>(
+    ingress: &mut PipelineIngress<'_, '_>,
+    slab: Option<&ShardSlab>,
+    batch_rx: &Receiver<Vec<PreRouted>>,
+    recycle_tx: &SyncSender<Vec<PreRouted>>,
     stats: &IngestStats,
     opts: &ServeOptions,
     epoch: Instant,
@@ -439,8 +350,11 @@ fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
                 // the current wall clock): the engine clamps events up to
                 // the clock, and a later clock would flatten the
                 // intra-batch timing the window machines count on.
-                let now = events.first().map(E::at).unwrap_or_else(|| wall(epoch));
-                engine.submit(&mut events, now, sink);
+                let now = events.first().map_or_else(|| wall(epoch), |e| e.at);
+                ingress.submit(&mut events, now, sink);
+                // Whatever the workers have finished by now is merged at
+                // once, so an alert waits for its own epoch only.
+                ingress.harvest_ready(sink);
                 if let Some(t) = &tap {
                     t.recorder.mark_batch();
                 }
@@ -455,51 +369,34 @@ fn coordinator_loop<E: ServeEngine, S: AlertSink + ?Sized>(
             last_tick = now;
             // The tick leaves the engine quiescent — the only point where
             // dumps can read shard state without racing the workers.
-            engine.tick(wall(epoch), sink);
-            dump_new_alerts(engine, tap.as_deref_mut(), &mut alerts_dumped, sink);
+            ingress.tick(wall(epoch), sink);
+            if let Some(t) = tap.as_deref_mut() {
+                t.dump_new(ingress.pool(), &mut alerts_dumped);
+            }
         }
         if let Some(flag) = opts.snapshot_flag {
             // Swap-and-clear even with no recorder, so a stale request
             // does not fire the first dump of a later session.
             if flag.swap(false, Ordering::Relaxed) {
                 if let Some(t) = tap.as_deref_mut().filter(|t| t.dump_dir.is_some()) {
-                    if let Some(pool) = engine.quiesced_pool(sink) {
-                        t.snapshot(pool, wall(epoch));
-                    }
+                    ingress.flush(sink);
+                    t.snapshot(ingress.pool(), wall(epoch));
                 }
             }
         }
-        publish(
-            stats,
-            engine.slab(),
-            batches,
-            &mut published,
-            engine.in_flight(),
-        );
+        publish(stats, slab, batches, &mut published, ingress.in_flight());
     }
     // All receivers flushed and exited; every batch has been submitted.
     // One final tick drains what is in flight and fires any pending timers.
     let ended_at = wall(epoch);
-    engine.tick(ended_at, sink);
-    dump_new_alerts(engine, tap, &mut alerts_dumped, sink);
-    publish(stats, engine.slab(), batches, &mut published, 0);
+    ingress.tick(ended_at, sink);
+    if let Some(t) = tap {
+        t.dump_new(ingress.pool(), &mut alerts_dumped);
+    }
+    publish(stats, slab, batches, &mut published, 0);
     ServeReport {
         ended_at,
         ..published
-    }
-}
-
-/// Dumps the window for any alerts raised since the last quiesce point.
-/// Called right after a tick, so quiescing again is free.
-fn dump_new_alerts<E: ServeEngine, S: AlertSink + ?Sized>(
-    engine: &mut E,
-    tap: Option<&mut RecordTap<'_>>,
-    alerts_dumped: &mut usize,
-    sink: &mut S,
-) {
-    let Some(t) = tap else { return };
-    if let Some(pool) = engine.quiesced_pool(sink) {
-        t.dump_new(pool, alerts_dumped);
     }
 }
 

@@ -3,7 +3,8 @@
 //! an invite-flood alert. This is the wire-tier acceptance check — it
 //! exercises socket binding, the receiver threads, demux (on a
 //! non-5060 port, so the SIP start-line heuristic), batching, the
-//! coordinator, and graceful stop-flag shutdown in one pass.
+//! coordinator, and graceful stop-flag shutdown in one pass. A
+//! tenant-mapped pool takes the same path, flight recorder included.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,10 +16,12 @@ use vids_core::config::Config;
 use vids_core::cost::CostModel;
 use vids_core::pool::VidsPool;
 use vids_core::sink::{CollectSink, FnSink};
+use vids_core::telemetry::Counter;
+use vids_core::tenant::TenantMap;
 use vids_ingest::record_tap::RecordTap;
 use vids_ingest::server::{serve_on, ServeOptions};
 use vids_ingest::udp::UdpPool;
-use vids_record::{Recorder, Vdump};
+use vids_record::{replay_vdump, Recorder, Vdump};
 use vids_sip::{Method, Request, SipUri, StatusCode};
 
 /// Sandboxes without network namespaces cannot bind loopback; skip
@@ -125,6 +128,111 @@ fn serve_an_invite_flood(nodes: usize) {
     assert!(dump.packets.len() as u64 <= FLOOD as u64);
     assert!(!dump.packets.is_empty());
     assert_eq!(dump.alert.label, labels::INVITE_FLOOD);
+    std::fs::remove_dir_all(&dump_dir).ok();
+}
+
+/// The daemon with `--tenants`: loopback traffic maps to the `local`
+/// tenant, whose threshold (5) is below the default's (10). Six INVITEs
+/// therefore alert only under the tenant's own threshold; the alert is
+/// tagged with the tenant, the tenant's engines count the traffic, the
+/// socket-side counters reach the pool's snapshot, and the flood's
+/// `.vdump` carries the tenant map and replays byte-identically. The
+/// sixth INVITE raises the alert and nothing follows it, so the dump's
+/// counters are the ones replay sees at the alert.
+#[test]
+fn serve_detects_and_records_a_tenant_flood_over_real_udp() {
+    if !can_bind_loopback() {
+        eprintln!("skipping: cannot bind 127.0.0.1 in this environment");
+        return;
+    }
+    const TENANT_FLOOD: usize = 6;
+    let udp = UdpPool::bind("127.0.0.1:0".parse().unwrap(), 2).unwrap();
+    let target = udp.local_addr();
+    let opts = ServeOptions {
+        receivers: 2,
+        flush_packets: 8,
+        read_timeout: Duration::from_millis(5),
+        tick_interval: Duration::from_millis(50),
+        snapshot_flag: None,
+    };
+    let base = Config::builder().shards(2).build().unwrap();
+    let tenants = TenantMap::parse("tenant local 127.0.0.0/8 invite_flood_n=5", base).unwrap();
+    let mut pool = VidsPool::with_tenants(tenants, CostModel::free());
+    pool.set_nodes(3);
+    assert_eq!(pool.shards(), 3 * 2 * 2, "nodes x tenants x shards");
+    let registry = pool.enable_telemetry(64);
+    let mut sink = CollectSink::new();
+    let stop = AtomicBool::new(false);
+    let dump_dir = std::env::temp_dir().join("vids-serve-loopback-tenant-dumps");
+    std::fs::remove_dir_all(&dump_dir).ok();
+    let recorder = Recorder::with_defaults(2);
+    let mut tap = RecordTap::new(&recorder, Some(&dump_dir));
+
+    let report = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let sender = Sender::new(target);
+            for i in 0..TENANT_FLOOD {
+                let flood = Request::invite(
+                    &SipUri::new("mallory", "a.example.com"),
+                    &SipUri::new("bob", "b.example.com"),
+                    &format!("tenant-flood-{i}"),
+                );
+                sender.send(&flood.to_string());
+            }
+            std::thread::sleep(Duration::from_millis(600));
+            stop.store(true, Ordering::Relaxed);
+        });
+        serve_on(
+            &mut pool,
+            udp,
+            &opts,
+            Some(&registry),
+            &stop,
+            Some(&mut tap),
+            &mut sink,
+        )
+        .unwrap()
+    });
+
+    let flood = TENANT_FLOOD as u64;
+    assert_eq!(
+        report.datagrams_rx, flood,
+        "every flood datagram must arrive"
+    );
+    assert_eq!(report.datagrams_dropped, 0);
+    assert_eq!(report.demux_unknown, 0, "INVITEs must demux as signaling");
+    assert_eq!(report.datagrams_ipv6, 0);
+    assert!(report.batches >= 1);
+    assert!(
+        sink.alerts()
+            .iter()
+            .any(|a| a.label == labels::INVITE_FLOOD),
+        "no invite-flood alert; got {:?}",
+        sink.alerts()
+    );
+    assert_eq!(pool.alerts().len(), sink.alerts().len());
+    assert!(
+        pool.tenant_alerts().all(|(tenant, _)| tenant == 1),
+        "alert escaped the local tenant: {:?}",
+        pool.alerts()
+    );
+    assert_eq!(pool.tenant_counters(1).sip_packets, flood);
+    assert_eq!(pool.tenant_counters(0).sip_packets, 0);
+    let merged = pool.telemetry_snapshot(report.ended_at).unwrap().merged();
+    assert_eq!(merged.counter(Counter::DatagramsRx), flood);
+    assert_eq!(merged.counter(Counter::PacketsIngested), flood);
+
+    assert_eq!(tap.io_errors, 0);
+    let dump_path = tap
+        .written
+        .iter()
+        .find(|p| p.to_string_lossy().contains(labels::INVITE_FLOOD))
+        .expect("the flood alert must trigger a dump");
+    let dump = Vdump::read_from(dump_path).unwrap();
+    assert_eq!(dump.tenants.as_ref(), pool.tenants());
+    assert_eq!(dump.packets.len(), TENANT_FLOOD);
+    let verdict = replay_vdump(&dump);
+    assert!(verdict.identical(), "the dump did not replay: {verdict:?}");
     std::fs::remove_dir_all(&dump_dir).ok();
 }
 

@@ -117,6 +117,7 @@ mod tests {
         }
         let dump = Vdump {
             config,
+            tenants: None,
             telemetry_ring: 0,
             packets,
             alert: Alert {
@@ -149,6 +150,7 @@ mod tests {
     fn non_reproducing_dump_returns_none() {
         let dump = Vdump {
             config: Config::default(),
+            tenants: None,
             telemetry_ring: 0,
             packets: vec![sip_packet(0, 10, &invite("solo"))],
             alert: Alert {

@@ -230,6 +230,7 @@ impl Recorder {
             .and_then(|id| pool.call_snapshot(id));
         let dump = Vdump {
             config: *pool.config(),
+            tenants: pool.tenants().filter(|t| t.len() > 1).cloned(),
             // Replay enables telemetry identically, so alert traces
             // reproduce byte for byte.
             telemetry_ring: pool.telemetry_ring() as u32,

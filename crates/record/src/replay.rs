@@ -89,7 +89,10 @@ pub struct ReplayOutcome {
 /// is captured at the end of the batch that raised it (or after the
 /// final timer sweep), matching the original dump-at-batch-end timing.
 pub fn replay_with_match(dump: &Vdump, matcher: impl Fn(&Alert) -> bool) -> ReplayOutcome {
-    let mut pool = VidsPool::with_cost(dump.config, CostModel::free());
+    let mut pool = match &dump.tenants {
+        Some(tenants) => VidsPool::with_tenants(tenants.clone(), CostModel::free()),
+        None => VidsPool::with_cost(dump.config, CostModel::free()),
+    };
     if dump.telemetry_ring > 0 {
         pool.enable_telemetry(dump.telemetry_ring as usize);
     }
@@ -306,6 +309,7 @@ mod tests {
         // Three packets in two recorded batches → two replay batches.
         let dump = Vdump {
             config: Config::default(),
+            tenants: None,
             telemetry_ring: 0,
             packets: vec![
                 sip_packet(0, 1, 10, &invite("a")),
@@ -336,6 +340,7 @@ mod tests {
         p.meta.class = RecordedClass::Unknown;
         let dump = Vdump {
             config: Config::default(),
+            tenants: None,
             telemetry_ring: 0,
             packets: vec![p],
             alert: Alert {

@@ -15,6 +15,7 @@
 //! | tag    | payload                                                     |
 //! |--------|-------------------------------------------------------------|
 //! | `CONF` | every detection/ingestion knob of [`Config`] + ring size    |
+//! | `TNTS` | per tenant: name, prefix, `CONF` and call quota (optional)  |
 //! | `PKTS` | the captured datagram window, oldest → newest               |
 //! | `ALRT` | the triggering [`Alert`], via [`encode_alert`]              |
 //! | `SNAP` | states and variables of the triggering call (optional)      |
@@ -22,17 +23,21 @@
 //! | `END`  | empty terminator                                            |
 //!
 //! Unknown tags are skipped (their CRC is still verified), so later
-//! versions can append sections without breaking old readers. Every decode
+//! versions can append sections without breaking old readers. `TNTS` is
+//! such a section: it is written only by a pool with more than one tenant,
+//! and a reader that predates it replays the dump untenanted. Every decode
 //! failure is a [`VdumpError`] carrying the byte offset where parsing
 //! stopped, pcap-reader style.
 
 use std::fmt;
+use std::net::Ipv4Addr;
 use std::path::Path;
 
 use vids_core::alert::{Alert, AlertKind};
 use vids_core::config::Config;
 use vids_core::engine::VidsCounters;
 use vids_core::snapshot::{CallSnapshot, MachineSnapshot};
+use vids_core::tenant::{Tenant, TenantMap};
 use vids_netsim::time::SimTime;
 
 use crate::crc::crc32;
@@ -69,6 +74,10 @@ pub struct Vdump {
     /// The engine configuration the original run used. Replay rebuilds the
     /// pool from exactly this.
     pub config: Config,
+    /// The tenant map of a pool with more than one tenant; replay rebuilds
+    /// the same tenant-mapped pool from it. `config` is its default
+    /// tenant's.
+    pub tenants: Option<TenantMap>,
     /// Transition-ring capacity telemetry was enabled with (0 = telemetry
     /// off). Alert traces only reproduce when this matches.
     pub telemetry_ring: u32,
@@ -158,6 +167,20 @@ fn encode_config(c: &Config, telemetry_ring: u32) -> Vec<u8> {
     e.u64(c.batch_flush_interval.as_nanos());
     e.u64(c.replay_grace.as_nanos());
     e.u32(telemetry_ring);
+    e.buf
+}
+
+fn encode_tenants(tenants: &TenantMap) -> Vec<u8> {
+    let mut e = Enc { buf: Vec::new() };
+    e.u32(tenants.len() as u32);
+    for t in tenants.iter() {
+        e.str(&t.name);
+        e.u32(t.prefix);
+        e.u8(t.prefix_len);
+        e.buf.extend_from_slice(&encode_config(&t.config, 0));
+        // `CONF` predates call quotas; a tenant's is part of its policy.
+        e.u64(t.config.max_tracked_calls as u64);
+    }
     e.buf
 }
 
@@ -251,6 +274,9 @@ impl Vdump {
             b"CONF",
             &encode_config(&self.config, self.telemetry_ring),
         );
+        if let Some(tenants) = &self.tenants {
+            section(&mut out, b"TNTS", &encode_tenants(tenants));
+        }
         section(&mut out, b"PKTS", &encode_packets(&self.packets));
         section(&mut out, b"ALRT", &encode_alert(&self.alert));
         if let Some(s) = &self.snapshot {
@@ -290,6 +316,7 @@ impl Vdump {
         d.u16()?; // reserved
 
         let mut config = None;
+        let mut tenants = None;
         let mut telemetry_ring = 0u32;
         let mut packets = None;
         let mut alert = None;
@@ -312,6 +339,7 @@ impl Vdump {
                     config = Some(c);
                     telemetry_ring = ring;
                 }
+                b"TNTS" => tenants = Some(parse_tenants(&mut s)?),
                 b"PKTS" => packets = Some(parse_packets(&mut s)?),
                 b"ALRT" => alert = Some(parse_alert(&mut s)?),
                 b"SNAP" => snapshot = Some(parse_snapshot(&mut s)?),
@@ -328,6 +356,7 @@ impl Vdump {
                 offset: bytes.len(),
                 reason: "missing CONF section",
             })?,
+            tenants,
             telemetry_ring,
             packets: packets.ok_or(VdumpError {
                 offset: bytes.len(),
@@ -380,6 +409,14 @@ impl Vdump {
             self.config.shards, self.config.batch_flush_packets, self.telemetry_ring
         )
         .unwrap();
+        if let Some(tenants) = &self.tenants {
+            let names: Vec<String> = tenants
+                .iter()
+                .skip(1)
+                .map(|t| format!("{} {}/{}", t.name, Ipv4Addr::from(t.prefix), t.prefix_len))
+                .collect();
+            writeln!(out, "tenants:  default, {}", names.join(", ")).unwrap();
+        }
         writeln!(out, "alert:    {}", self.alert).unwrap();
         for line in &self.alert.trace {
             writeln!(out, "  trace:  {line}").unwrap();
@@ -565,6 +602,28 @@ fn parse_config(d: &mut Dec) -> Result<(Config, u32), VdumpError> {
     Ok((config, telemetry_ring))
 }
 
+fn parse_tenants(d: &mut Dec) -> Result<TenantMap, VdumpError> {
+    let count = d.u32()? as usize;
+    let mut tenants = Vec::with_capacity(count.min(1 << 16));
+    for _ in 0..count {
+        let name = d.string()?;
+        let prefix = d.u32()?;
+        let prefix_len = d.u8()?;
+        if prefix_len > 32 {
+            return Err(d.err("tenant prefix longer than 32 bits"));
+        }
+        let (mut config, _) = parse_config(d)?;
+        config.max_tracked_calls = d.u64()? as usize;
+        tenants.push(Tenant {
+            name,
+            prefix,
+            prefix_len,
+            config,
+        });
+    }
+    TenantMap::from_tenants(tenants).ok_or_else(|| d.err("tenant map without tenants"))
+}
+
 fn parse_packets(d: &mut Dec) -> Result<Vec<RecordedPacket>, VdumpError> {
     let count = d.u32()? as usize;
     let mut out = Vec::with_capacity(count.min(1 << 16));
@@ -681,6 +740,7 @@ mod tests {
     fn sample() -> Vdump {
         Vdump {
             config: Config::builder().shards(2).build().unwrap(),
+            tenants: None,
             telemetry_ring: 256,
             packets: vec![
                 RecordedPacket {
@@ -806,6 +866,31 @@ mod tests {
         bytes.splice(end_pos..end_pos, extra);
         let back = Vdump::parse(&bytes).unwrap();
         assert_eq!(back, d);
+    }
+
+    #[test]
+    fn the_tenant_map_round_trips_in_its_own_section() {
+        let untenanted = sample().encode();
+        let mut d = sample();
+        let base = d.config;
+        d.tenants = Some(
+            TenantMap::parse(
+                "tenant acme 10.1.0.0/16 invite_flood_n=5 max_calls=10000\n\
+                 tenant contoso 10.2.0.0/16 bye_dos_t_ms=500",
+                base,
+            )
+            .unwrap(),
+        );
+        let bytes = d.encode();
+        assert_eq!(Vdump::parse(&bytes).unwrap(), d);
+        assert!(d.describe().contains("contoso 10.2.0.0/16"));
+        // The section is all that changed, so dropping it (what a reader
+        // that predates it does) leaves the untenanted dump.
+        let at = bytes.windows(4).position(|w| w == b"TNTS").unwrap();
+        let len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+        let mut stripped = bytes;
+        stripped.drain(at..at + 12 + len);
+        assert_eq!(stripped, untenanted);
     }
 
     #[test]

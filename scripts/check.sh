@@ -20,21 +20,33 @@ echo "==> cargo test -p vids-telemetry"
 cargo test --offline -p vids-telemetry -q
 
 # Wire tier: pcap fixtures, demux proptests, and the loopback serve
-# smoke (the serve test skips itself with a notice when the sandbox
-# cannot bind 127.0.0.1).
+# smokes, a tenant-mapped pool with its flight recorder among them (the
+# serve tests skip themselves with a notice when the sandbox cannot bind
+# 127.0.0.1).
 echo "==> cargo test -p vids-ingest (wire tier + loopback smoke)"
 cargo test --offline -p vids-ingest -q
 
-# Tenancy layer: tenant map parsing and the cluster doc example (the
-# end-to-end multi-tenant loopback smoke runs with vids-ingest above).
-echo "==> cargo test -p vids-cluster (tenancy)"
+# The Cluster shim's doc example (tenant map parsing and the pair rule are
+# vids-core unit tests, run above).
+echo "==> cargo test -p vids-cluster (shim)"
 cargo test --offline -p vids-cluster -q
 
+# The shim exists only because perf/ compiles against it: product code
+# serves and routes through the pool, never around it.
+echo "==> no vids-cluster in product code"
+shim_users="$(grep -rnE 'vids_cluster|vids::cluster' crates/ingest/src src/main.rs || true)"
+if [ -n "$shim_users" ]; then
+    echo "product code names the vids-cluster shim:" >&2
+    echo "$shim_users" >&2
+    exit 1
+fi
+
 # Cluster differential: cluster(1 node) == plain pool and node-count
-# invariance, byte-compared on alerts, counters and merged telemetry,
-# plus the tenant threshold/quota/flood isolation gates and rebalance
-# checks (state, verdicts and telemetry slabs).
-echo "==> cluster determinism (node groups vs pool, tenant isolation)"
+# invariance, byte-compared on alerts, counters and merged telemetry;
+# README's tenant map == one tenant on the mixed trace (a call is never
+# split across tenants); the tenant threshold/quota/flood isolation gates
+# and rebalance checks (state, verdicts and telemetry slabs).
+echo "==> cluster determinism (node and tenant groups vs pool, tenant isolation)"
 cargo test --offline --test cluster_determinism -q
 
 # Scanning substrate: exhaustive 0..=64 alignment/tail unit tests plus

@@ -18,10 +18,10 @@
 //!   workload and collect the Figs. 8–10 measurements.
 //! * [`attacks`] — injectors for every §3 threat.
 //! * [`core`] — **vids itself**: classifier, fact base, protocol machines,
-//!   attack patterns, analysis engine, inline tap.
-//! * [`cluster`] — multi-tenancy over the pool's node groups: one pool
-//!   per tenant, each with its own thresholds and call-table quota,
-//!   behind a source-prefix demux (DESIGN.md §7j).
+//!   attack patterns, analysis engine, inline tap, and the sharded pool,
+//!   whose engine groups are its nodes and tenants (DESIGN.md §7j).
+//! * [`cluster`] — a thin `Cluster` shim over one tenant-mapped pool,
+//!   kept for the benchmark's sake; new code uses the pool directly.
 //! * [`ingest`] — the live wire tier: UDP receiver pools, classic pcap
 //!   reading, SIP/RTP demultiplexing, the `vids serve` / `vids replay`
 //!   pipelines.

@@ -88,8 +88,9 @@ fn usage() {
          \x20     --nodes N groups the engine into N in-process cluster nodes of\n\
          \x20     --shards shards each, N x --shards pipeline workers in all\n\
          \x20     (byte-identical alerts, rendezvous-routed); --tenants FILE maps\n\
-         \x20     source prefixes to per-tenant thresholds and call quotas, one\n\
-         \x20     engine per tenant, and does not take --record\n\
+         \x20     address prefixes to per-tenant thresholds and call quotas, one\n\
+         \x20     engine group per tenant; a datagram belongs to the longest\n\
+         \x20     prefix matching its source or destination\n\
          \x20     (lines: tenant NAME A.B.C.D/LEN [invite_flood_n=.. max_calls=..])\n\
          \x20 vids replay FILE.pcap [--shards N] [--threads N] [--telemetry FILE] [--record DIR]\n\
          \x20     replay a classic pcap capture through the identical wire pipeline\n\
@@ -288,7 +289,7 @@ fn simulate(flags: &mut Flags) -> Result<i32, String> {
 /// SIP/RTP off the wire, and stream the engine's alerts to stdout until
 /// SIGINT drains the pipeline.
 fn serve(flags: &mut Flags) -> Result<i32, String> {
-    use vids::core::{Config, CostModel, FnSink, VidsPool};
+    use vids::core::{Config, CostModel, FnSink, TenantMap, VidsPool};
     use vids::ingest::record_tap::RecordTap;
     use vids::ingest::server::{dump_flag_on_sigusr1, serve_on, stop_flag_on_sigint, ServeOptions};
     use vids::ingest::udp::{PoolMode, UdpPool};
@@ -304,15 +305,6 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
     let record_dir = flags.value("--record")?;
     flags.finish()?;
 
-    if let Some(tenants_path) = tenants_path {
-        if record_dir.is_some() {
-            return Err(
-                "--record works with the single-pool daemon only (drop --tenants)".to_owned(),
-            );
-        }
-        return serve_cluster(listen, shards, nodes, &tenants_path, telemetry_path);
-    }
-
     let cfg = Config::builder()
         .shards(shards)
         .listen(listen)
@@ -320,7 +312,15 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
         .map_err(|e| format!("bad --shards {shards}: {e}"))?;
     // Live serving measures real wall-clock cost; the simulated per-packet
     // CPU model would only skew the meter.
-    let mut pool = VidsPool::with_cost(cfg, CostModel::free());
+    let mut pool = match &tenants_path {
+        Some(path) => {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let tenants = TenantMap::parse(&text, cfg).map_err(|e| format!("{path}: {e}"))?;
+            VidsPool::with_tenants(tenants, CostModel::free())
+        }
+        None => VidsPool::with_cost(cfg, CostModel::free()),
+    };
     pool.set_nodes(nodes);
     let registry = pool.enable_telemetry(256);
     let mut opts = ServeOptions::from_config(&cfg);
@@ -336,8 +336,12 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
         PoolMode::ReusePort => format!("{} SO_REUSEPORT sockets", opts.receivers),
         PoolMode::Single => "1 socket (reuseport unavailable)".to_owned(),
     };
+    let tenants = pool
+        .tenants()
+        .map(|t| format!(", {} tenant(s)", t.len()))
+        .unwrap_or_default();
     eprintln!(
-        "listening on {} with {mode}, {} shard worker(s); Ctrl-C to stop",
+        "listening on {} with {mode}, {} shard worker(s){tenants}; Ctrl-C to stop",
         udp.local_addr(),
         pool.shards(),
     );
@@ -381,6 +385,7 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
 
     eprintln!("{}", RunSummary::from_serve(&report).render());
     eprintln!("{}", run_report::counters_line(&pool.counters()));
+    eprint!("{}", run_report::tenant_lines(&pool));
     if let Some(t) = &tap {
         eprintln!(
             "{}",
@@ -389,91 +394,6 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
     }
     if let Some(path) = telemetry_path {
         let snap = pool
-            .telemetry_snapshot(report.ended_at)
-            .expect("telemetry enabled above");
-        write_telemetry(&path, std::slice::from_ref(&snap))?;
-        eprintln!("telemetry snapshot written to {path}");
-    }
-    Ok(0)
-}
-
-/// The multi-tenant arm of `vids serve`: `--tenants FILE` maps each
-/// datagram's source to a tenant and hands each tenant's share of a batch
-/// to that tenant's own pool of `nodes` node groups (`vids-cluster`).
-fn serve_cluster(
-    listen: SocketAddr,
-    shards: usize,
-    nodes: usize,
-    tenants_path: &str,
-    telemetry_path: Option<String>,
-) -> Result<i32, String> {
-    use vids::cluster::{Cluster, TenantMap};
-    use vids::core::{Config, CostModel, FnSink};
-    use vids::ingest::cluster_serve::serve_cluster_on;
-    use vids::ingest::server::{stop_flag_on_sigint, ServeOptions};
-    use vids::ingest::udp::{PoolMode, UdpPool};
-
-    let cfg = Config::builder()
-        .shards(shards)
-        .listen(listen)
-        .build()
-        .map_err(|e| format!("bad --shards {shards}: {e}"))?;
-    let text = std::fs::read_to_string(tenants_path)
-        .map_err(|e| format!("cannot read {tenants_path}: {e}"))?;
-    let tenants = TenantMap::parse(&text, cfg).map_err(|e| format!("{tenants_path}: {e}"))?;
-    let mut cluster = Cluster::with_cost(tenants, nodes, CostModel::free());
-    cluster.enable_telemetry(256);
-    let opts = ServeOptions::from_config(&cfg);
-    let stop = stop_flag_on_sigint();
-
-    let udp =
-        UdpPool::bind(listen, opts.receivers).map_err(|e| format!("cannot bind {listen}: {e}"))?;
-    let mode = match udp.mode() {
-        PoolMode::ReusePort => format!("{} SO_REUSEPORT sockets", opts.receivers),
-        PoolMode::Single => "1 socket (reuseport unavailable)".to_owned(),
-    };
-    eprintln!(
-        "listening on {} with {mode}, {nodes} node(s), {} tenant(s); Ctrl-C to stop",
-        udp.local_addr(),
-        cluster.tenants().len(),
-    );
-
-    let mut sink = FnSink(|a: vids::core::Alert| {
-        println!(
-            "[{:>10} ms] {:?} {} — {}{}",
-            a.time_ms,
-            a.kind,
-            a.machine,
-            a.label,
-            if a.detail.is_empty() {
-                String::new()
-            } else {
-                format!(" ({})", a.detail)
-            }
-        );
-    });
-    let report =
-        serve_cluster_on(&mut cluster, udp, &opts, stop, &mut sink).map_err(|e| e.to_string())?;
-
-    eprintln!("{}", RunSummary::from_serve(&report).render());
-    eprintln!("{}", run_report::counters_line(&cluster.counters()));
-    for (id, tenant) in cluster.tenants().iter().enumerate() {
-        let alerts = cluster
-            .alerts()
-            .iter()
-            .filter(|a| usize::from(a.tenant) == id)
-            .count();
-        let counters = cluster.tenant_counters(id as u16);
-        eprintln!(
-            "tenant {id} ({}): {alerts} alert(s), {} sip, {} rtp, {} tracked call(s)",
-            tenant.name,
-            counters.sip_packets,
-            counters.rtp_packets,
-            cluster.tenant_monitored_calls(id as u16),
-        );
-    }
-    if let Some(path) = telemetry_path {
-        let snap = cluster
             .telemetry_snapshot(report.ended_at)
             .expect("telemetry enabled above");
         write_telemetry(&path, std::slice::from_ref(&snap))?;

@@ -6,12 +6,15 @@
 //! place so the two commands cannot drift apart, and adds the flight
 //! recorder's summary for runs started with `--record DIR`.
 
+use std::fmt::Write;
 use std::path::PathBuf;
 
 use vids_core::alert::Alert;
 use vids_core::engine::VidsCounters;
+use vids_core::pool::VidsPool;
 use vids_core::report::AlertReport;
 use vids_core::telemetry::{Counter, Snapshot};
+use vids_core::tenant::TenantId;
 use vids_efsm::intern::{self, InternStats};
 use vids_ingest::replay::ReplayReport;
 use vids_ingest::server::ServeReport;
@@ -124,6 +127,29 @@ impl RunSummary {
 /// The engine-counter line both commands print.
 pub fn counters_line(counters: &VidsCounters) -> String {
     format!("counters: {counters:?}")
+}
+
+/// One line per tenant of a tenant-mapped pool — its alerts, traffic and
+/// tracked calls — and nothing for a pool without a tenant map.
+pub fn tenant_lines(pool: &VidsPool) -> String {
+    let Some(tenants) = pool.tenants() else {
+        return String::new();
+    };
+    let mut out = String::new();
+    for (id, tenant) in tenants.iter().enumerate() {
+        let id = id as TenantId;
+        let alerts = pool.tenant_alerts().filter(|(t, _)| *t == id).count();
+        let counters = pool.tenant_counters(id);
+        let _ = writeln!(
+            out,
+            "tenant {id} ({}): {alerts} alert(s), {} sip, {} rtp, {} tracked call(s)",
+            tenant.name,
+            counters.sip_packets,
+            counters.rtp_packets,
+            pool.tenant_monitored_calls(id),
+        );
+    }
+    out
 }
 
 /// `vids top`'s pool line. Batch, packet and sweep counts are the pool

@@ -185,6 +185,96 @@ fn tenant_thresholds_are_isolated() {
     }
 }
 
+/// README's `tenants.conf` puts the two parties of most calls under
+/// different tenants' prefixes. A call belongs to the tenant of its address
+/// pair, so the map changes thresholds and tags, never which datagrams
+/// meet: the mixed trace yields the single-tenant alert sequence at every
+/// node and shard count.
+#[test]
+fn readmes_tenant_map_keeps_every_call_whole() {
+    let readme = "tenant acme    10.1.0.0/16  invite_flood_n=5 max_calls=10000\n\
+                  tenant contoso 10.2.0.0/16  bye_dos_t_ms=500";
+    for shards in [1usize, 4] {
+        let config = Config::builder().shards(shards).build().unwrap();
+        let run = |tenants: &TenantMap, nodes: usize| {
+            let mut cluster = Cluster::with_cost(tenants.clone(), nodes, CostModel::free());
+            for chunk in mixed_trace().chunks(25) {
+                let now = chunk[0].1;
+                let packets: Vec<Packet> = chunk.iter().map(|(p, _)| p.clone()).collect();
+                cluster.process_packets(&packets, now, &mut NullSink);
+            }
+            cluster.tick(SimTime::from_secs(30), &mut NullSink);
+            cluster.tick(SimTime::from_secs(40), &mut NullSink);
+            cluster.alerts().to_vec()
+        };
+        let single: Vec<Alert> = run(&TenantMap::single(config), 1)
+            .into_iter()
+            .map(|a| a.alert)
+            .collect();
+        assert!(single.iter().any(|a| a.label == labels::RTP_AFTER_BYE));
+        let tenants = TenantMap::parse(readme, config).unwrap();
+        for nodes in [1usize, 3] {
+            let tagged = run(&tenants, nodes);
+            let alerts: Vec<Alert> = tagged.iter().map(|a| a.alert.clone()).collect();
+            assert_eq!(
+                alerts, single,
+                "{nodes} nodes x {shards} shards: README's map split a call"
+            );
+            // The BYE DoS on 10.1.0.7 <-> 10.2.0.7 is acme's (equal
+            // prefixes: the lower id), the flood on 10.2.0.9 contoso's.
+            let tenant_of = |label: &str| {
+                tagged
+                    .iter()
+                    .find(|a| a.alert.label == label)
+                    .map(|a| a.tenant)
+            };
+            assert_eq!(tenant_of(labels::RTP_AFTER_BYE), Some(1));
+            assert_eq!(tenant_of(labels::INVITE_FLOOD), Some(2));
+        }
+    }
+}
+
+/// A tenant's threshold covers floods *toward* its phones: eight INVITEs in
+/// one second from an outside address trip `invite_flood_n=5` and carry the
+/// tenant's tag, where the default threshold would stay silent.
+#[test]
+fn a_tenants_threshold_applies_to_a_flood_from_outside() {
+    let tenants = TenantMap::parse(
+        "tenant strict 10.2.0.0/16 invite_flood_n=5",
+        Config::default(),
+    )
+    .unwrap();
+    let attacker = Address::new(203, 0, 113, 66, 5060);
+    let phone = Address::new(10, 2, 0, 9, 5060);
+    let packets: Vec<Packet> = (0..8u64)
+        .map(|i| {
+            let flood = vids::attacks::craft::flood_invite(
+                &vids::sip::SipUri::new("bob9", "b.example.com"),
+                attacker,
+                "flooder",
+                &format!("outside-flood-{i}"),
+            );
+            pkt(attacker, phone, Payload::Sip(flood), i * 100, 0).0
+        })
+        .collect();
+    for nodes in [1usize, 3] {
+        let mut cluster = Cluster::with_cost(tenants.clone(), nodes, CostModel::free());
+        cluster.process_packets(&packets, SimTime::ZERO, &mut NullSink);
+        let floods: Vec<_> = cluster
+            .alerts()
+            .iter()
+            .filter(|a| a.alert.label == labels::INVITE_FLOOD)
+            .collect();
+        assert!(!floods.is_empty(), "{nodes} nodes: the flood went unseen");
+        assert!(
+            floods.iter().all(|a| a.tenant == 1),
+            "{nodes} nodes: the flood escaped the strict tenant: {floods:?}"
+        );
+        assert_eq!(cluster.tenant_counters(1).sip_packets, 8);
+        assert_eq!(cluster.tenant_counters(0).sip_packets, 0);
+    }
+}
+
 /// A tenant with `max_calls=2` can fill only its own call table: later
 /// dialogs are refused for it while the unbounded default tenant keeps
 /// tracking everything — one tenant's flood cannot evict another's state.
@@ -245,12 +335,13 @@ fn tenant_call_quotas_are_isolated() {
     // there.
     let mut capped = SlabSnapshot::zeroed();
     let mut free = SlabSnapshot::zeroed();
-    for (tenant, total) in [(1u16, &mut capped), (0u16, &mut free)] {
-        let snap = cluster
-            .pool(tenant)
-            .telemetry_snapshot(SimTime::from_millis(1))
-            .unwrap();
-        total.merge(&snap.merged());
+    let snap = cluster.telemetry_snapshot(SimTime::from_millis(1)).unwrap();
+    for (engine, slab) in snap.shards.iter().enumerate() {
+        match cluster.pool().engine_tenant(engine) {
+            1 => capped.merge(slab),
+            0 => free.merge(slab),
+            _ => {}
+        }
     }
     assert_eq!(capped.counter(Counter::CallQuotaDrops), 3);
     assert_eq!(free.counter(Counter::CallQuotaDrops), 0);

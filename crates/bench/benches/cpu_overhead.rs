@@ -162,7 +162,7 @@ fn bench(c: &mut Criterion) {
                 bytes[4..8].copy_from_slice(&ts.to_be_bytes());
             }
             vids.process(&p, SimTime::from_millis(i / 100), &mut NullSink);
-            std::hint::black_box(vids.alerts().len())
+            std::hint::black_box(vids.counters())
         })
     });
 
@@ -173,7 +173,7 @@ fn bench(c: &mut Criterion) {
             i += 1;
             let pkt = sip_invite(&format!("bench-{i}"));
             vids.process(&pkt, SimTime::from_millis(i * 2_000), &mut NullSink);
-            std::hint::black_box(vids.alerts().len())
+            std::hint::black_box(vids.counters())
         })
     });
 
@@ -189,7 +189,7 @@ fn bench(c: &mut Criterion) {
             let config = Config::builder().shards(shards).build().unwrap();
             let mut pool = VidsPool::with_cost(config, CostModel::free());
             pool.process_batch(std::hint::black_box(&batch), SimTime::ZERO, &mut NullSink);
-            std::hint::black_box(pool.alerts().len())
+            std::hint::black_box(pool.alerts_merged())
         })
     });
 }

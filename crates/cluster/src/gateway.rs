@@ -5,12 +5,12 @@
 //! datagram's tenant from its address pair, places every protocol-role
 //! part on the engine owning its key inside that tenant's group, and
 //! merges the engines' key-tagged alerts in one order. The cluster only
-//! adapts [`ClusterEvent`] batches to the pool and keeps the
-//! tenant-tagged alert log.
+//! adapts [`ClusterEvent`] batches to the pool and keeps a tenant-tagged
+//! alert log, teed off the stream the pool hands the caller's sink.
 
 use vids_core::pool::{VidsPool, WireEvent};
 use vids_core::tenant::{TenantId, TenantMap};
-use vids_core::{Alert, AlertSink, Classified, CostModel, VidsCounters};
+use vids_core::{Alert, AlertSink, Classified, CostModel, Tee, VidsCounters};
 use vids_netsim::packet::Packet;
 use vids_netsim::time::SimTime;
 use vids_telemetry::Snapshot;
@@ -39,11 +39,26 @@ pub struct ClusterAlert {
     pub alert: Alert,
 }
 
+/// The cluster's alert log: every alert the pool merged, with the tenant
+/// it handed over beside it.
+#[derive(Default)]
+struct TenantLog(Vec<ClusterAlert>);
+
+impl AlertSink for TenantLog {
+    fn accept(&mut self, alert: Alert) {
+        self.accept_from(0, alert);
+    }
+
+    fn accept_from(&mut self, tenant: TenantId, alert: Alert) {
+        self.0.push(ClusterAlert { tenant, alert });
+    }
+}
+
 /// One tenant-mapped [`VidsPool`] of `nodes` node groups.
 pub struct Cluster {
     pool: VidsPool,
     /// Cluster-wide alert log in the pool's merge order, tenant-tagged.
-    alerts: Vec<ClusterAlert>,
+    alerts: TenantLog,
     /// Reusable batch buffer.
     batch: Vec<WireEvent>,
 }
@@ -56,7 +71,7 @@ impl Cluster {
         pool.set_nodes(nodes);
         Cluster {
             pool,
-            alerts: Vec::new(),
+            alerts: TenantLog::default(),
             batch: Vec::new(),
         }
     }
@@ -74,7 +89,7 @@ impl Cluster {
     /// Every alert raised so far, in deterministic merge order,
     /// tenant-tagged.
     pub fn alerts(&self) -> &[ClusterAlert] {
-        &self.alerts
+        &self.alerts.0
     }
 
     /// Aggregate traffic counters for one tenant, across its nodes.
@@ -110,8 +125,11 @@ impl Cluster {
         now: SimTime,
         sink: &mut S,
     ) {
-        self.pool.process_batch(packets, now, sink);
-        self.log_new_alerts();
+        let mut sink = Tee {
+            copy: Some(&mut self.alerts),
+            sink,
+        };
+        self.pool.process_batch(packets, now, &mut sink);
     }
 
     /// Processes one batch of classified events through the pool. Alerts
@@ -126,27 +144,26 @@ impl Cluster {
             classified: ev.classified,
             at: ev.at,
         }));
-        self.pool.process_wire_batch(&mut self.batch, now, sink);
-        self.log_new_alerts();
+        let mut sink = Tee {
+            copy: Some(&mut self.alerts),
+            sink,
+        };
+        self.pool
+            .process_wire_batch(&mut self.batch, now, &mut sink);
     }
 
     /// Advances idle timers and evicts finished calls — the cluster twin
     /// of [`VidsPool::tick`].
     pub fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
-        self.pool.tick(now, sink);
-        self.log_new_alerts();
+        let mut sink = Tee {
+            copy: Some(&mut self.alerts),
+            sink,
+        };
+        self.pool.tick(now, &mut sink);
     }
 
     /// The pool's telemetry snapshot, once telemetry is enabled.
     pub fn telemetry_snapshot(&self, now: SimTime) -> Option<Snapshot> {
         self.pool.telemetry_snapshot(now)
-    }
-
-    fn log_new_alerts(&mut self) {
-        let new = self.pool.tenant_alerts().skip(self.alerts.len());
-        self.alerts.extend(new.map(|(tenant, alert)| ClusterAlert {
-            tenant,
-            alert: alert.clone(),
-        }));
     }
 }

@@ -2,10 +2,13 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use vids_efsm::Sym;
+
+use crate::machines::MediaKey;
 
 /// How the suspicious behavior was recognized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -35,11 +38,13 @@ impl fmt::Display for AlertKind {
 /// One alert, as handed to the administrator (§5: "vids raises an alert
 /// flag and notifies administrators for further analysis").
 ///
-/// Built once and then shared: the engine's log, a pool's merge, the sink,
-/// a cluster's tenant log and the flight recorder each hold a clone, and a
-/// clone allocates nothing unless telemetry attached a trace — the label
-/// and machine borrow text the program chose, and the Call-ID and detail
-/// are reference-counted.
+/// Built once, when the dedup set says the finding is new, and handed to
+/// the sink; no engine or pool keeps a copy. The sink and the flight
+/// recorder are the record. An alert owns at most one heap block of its
+/// own, its Call-ID text: the label and machine borrow text the program
+/// chose, and the [`Detail`] is a value — a call-scoped detail shares the
+/// Call-ID, a destination, media or parser detail holds no text at all.
+/// A clone allocates nothing unless telemetry attached a trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Alert {
     /// Monitor time in milliseconds.
@@ -52,13 +57,17 @@ pub struct Alert {
     pub call_id: Option<Arc<str>>,
     /// Which protocol machine fired (`"sip"`, `"rtp"`, `"flood"`, …).
     pub machine: Cow<'static, str>,
-    /// Free-text detail (offending event, addresses).
-    pub detail: Arc<str>,
+    /// What the alert is about (offending event, addresses), rendered on
+    /// demand.
+    pub detail: Detail,
     /// Forensic context: the most recent EFSM transitions recorded for the
     /// alert's scope (rendered oldest → newest), when telemetry is enabled
     /// with a transition ring. Empty otherwise.
     pub trace: Vec<String>,
 }
+
+// Sizes are facts: a pool's merge buffers hold one alert per entry.
+const _: () = assert!(std::mem::size_of::<Alert>() <= 128);
 
 impl fmt::Display for Alert {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -77,6 +86,76 @@ impl fmt::Display for Alert {
             write!(f, " [{} trace lines]", self.trace.len())?;
         }
         Ok(())
+    }
+}
+
+/// An alert's detail as the value the engine raised it from. Rendering
+/// ([`fmt::Display`]) produces the text the detail has always read;
+/// nothing is formatted until someone asks. Two details are equal when
+/// they render the same text, so a detail decoded from a `.vdump`
+/// ([`Detail::Text`]) equals the live value it was written from.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum Detail {
+    /// A call's machines fired: `scope <call-id>`. Shares the alert's own
+    /// Call-ID block.
+    Call(Arc<str>),
+    /// A destination's flood machine fired: `scope dst:<address as a
+    /// 32-bit word>`.
+    Dst(Ipv4Addr),
+    /// RTP to coordinates no call negotiated: `RTP to <ip>:<port> outside
+    /// any session`.
+    Media(MediaKey),
+    /// A parser's diagnosis, verbatim.
+    Reason(&'static str),
+    /// Text rendered once: an address-of-record scope, a deviating event,
+    /// a request for an unmonitored call, or a detail decoded from a dump.
+    Text(Arc<str>),
+}
+
+// Sizes are facts: the widest variant is a shared string.
+const _: () = assert!(std::mem::size_of::<Detail>() <= 24);
+
+impl Detail {
+    /// Whether the detail renders as no text at all.
+    pub fn is_empty(&self) -> bool {
+        match self {
+            Detail::Reason(text) => text.is_empty(),
+            Detail::Text(text) => text.is_empty(),
+            Detail::Call(_) | Detail::Dst(_) | Detail::Media(_) => false,
+        }
+    }
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Detail::Call(call_id) => write!(f, "scope {call_id}"),
+            Detail::Dst(ip) => write!(f, "scope dst:{}", u32::from(*ip)),
+            Detail::Media(media) => write!(f, "RTP to {media} outside any session"),
+            Detail::Reason(text) => f.write_str(text),
+            Detail::Text(text) => f.write_str(text),
+        }
+    }
+}
+
+impl PartialEq for Detail {
+    fn eq(&self, other: &Detail) -> bool {
+        match (self, other) {
+            (Detail::Text(a), Detail::Text(b)) => a == b,
+            _ => self.to_string() == other.to_string(),
+        }
+    }
+}
+
+impl From<&str> for Detail {
+    fn from(text: &str) -> Detail {
+        Detail::Text(text.into())
+    }
+}
+
+impl From<String> for Detail {
+    fn from(text: String) -> Detail {
+        Detail::Text(text.into())
     }
 }
 
@@ -174,6 +253,40 @@ mod tests {
         assert!(text.contains("ATTACK"));
         assert!(text.contains("invite-flood"));
         assert!(text.contains("dst=10.2.0.10"));
+    }
+
+    #[test]
+    fn a_detail_renders_what_it_always_read_and_equals_its_text() {
+        let call: Arc<str> = "c-1".into();
+        let cases = [
+            (Detail::Call(Arc::clone(&call)), "scope c-1"),
+            (
+                Detail::Dst(Ipv4Addr::new(10, 2, 0, 9)),
+                "scope dst:167903241",
+            ),
+            (
+                Detail::Media(MediaKey {
+                    ip: Ipv4Addr::new(10, 2, 0, 2),
+                    port: 41_000,
+                }),
+                "RTP to 10.2.0.2:41000 outside any session",
+            ),
+            (
+                Detail::Reason("RTP packet too short"),
+                "RTP packet too short",
+            ),
+            (Detail::from("scope aor:a@b"), "scope aor:a@b"),
+        ];
+        for (detail, text) in cases {
+            assert_eq!(detail.to_string(), text);
+            assert_eq!(detail, Detail::from(text), "{text}");
+            assert!(!detail.is_empty());
+        }
+        assert_ne!(Detail::Call(Arc::clone(&call)), Detail::from("scope c-2"));
+        assert!(Detail::from("").is_empty());
+        // A call-scoped detail is a second handle on the Call-ID block.
+        let detail = Detail::Call(Arc::clone(&call));
+        assert_eq!(Arc::strong_count(&call), 2, "{detail}");
     }
 
     #[test]

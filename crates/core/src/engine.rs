@@ -11,7 +11,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashSet;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ use vids_telemetry::{
     Counter, Gauge, Registry, ShardSlab, Snapshot, TransitionRecord, TransitionRing,
 };
 
-use crate::alert::{malformed_label, program_text, Alert, AlertKind};
+use crate::alert::{malformed_label, program_text, Alert, AlertKind, Detail};
 use crate::classify::{classify, Classified};
 use crate::config::Config;
 use crate::cost::{CostModel, CpuAccount};
@@ -32,7 +32,7 @@ use crate::machines::{MediaKey, RtpArgs, SipArgs};
 use crate::monitor::Monitor;
 use crate::sink::AlertSink;
 
-/// Traffic counters the engine maintains alongside the alert log.
+/// Traffic counters the engine maintains beside the alerts it raises.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VidsCounters {
     /// SIP messages processed.
@@ -111,7 +111,7 @@ impl fmt::Display for Scope {
 }
 
 /// What an alert is about: the first half of a dedup key. The rule is the
-/// one the alert log has always followed — an alert is keyed by its
+/// one alerts have always been deduplicated by — an alert is keyed by its
 /// Call-ID when it has one and by its detail text otherwise, together with
 /// its label — but held as the structure the text would be rendered from,
 /// so asking "already raised?" formats nothing.
@@ -165,7 +165,7 @@ impl Label {
 }
 
 /// Something the engine found, before it is known to be new. The key
-/// halves are values; the text is borrowed and rendered only once the
+/// halves are values, and so is the detail: nothing is rendered until the
 /// dedup set has said this is a first sight.
 struct Finding<'a> {
     subject: Subject,
@@ -176,23 +176,22 @@ struct Finding<'a> {
     /// The machine's name, from its definition or `sym::ENGINE` /
     /// `sym::CLASSIFIER`.
     machine: Sym,
-    detail: &'a dyn fmt::Display,
+    detail: Said<'a>,
 }
 
-/// Appends every alert to a standalone engine's log on its way to the
-/// caller's sink. Only [`Vids::process`] and [`Vids::tick`] wrap their sink
-/// in one: a pool drives its shards through the `ingest_*` parts and keeps
-/// the one log itself, at the merge.
-struct Logged<'a, S: ?Sized> {
-    log: &'a mut Vec<Alert>,
-    sink: &'a mut S,
-}
-
-impl<S: AlertSink + ?Sized> AlertSink for Logged<'_, S> {
-    fn accept(&mut self, alert: Alert) {
-        self.log.push(alert.clone());
-        self.sink.accept(alert);
-    }
+/// A finding's detail before the alert exists: what [`Detail`] it becomes
+/// once the alert's Call-ID block is there to share.
+enum Said<'a> {
+    /// `scope <scope>`.
+    Scope(Scope),
+    /// `request for unmonitored call <the finding's Call-ID>`.
+    Unmonitored,
+    /// Media coordinates no call negotiated.
+    Media(MediaKey),
+    /// A parser's diagnosis.
+    Reason(&'static str),
+    /// A deviating event, rendered.
+    Event(&'a Event),
 }
 
 /// The engine's telemetry attachment: one shard slab plus a transition
@@ -245,19 +244,14 @@ impl TransitionObserver for RingObserver<'_> {
 }
 
 /// The vids intrusion detection system. Feed it every packet crossing the
-/// monitoring point via [`Vids::process`]; read the persistent alert
-/// log back with [`Vids::alerts`].
+/// monitoring point via [`Vids::process`]; every alert it raises goes to
+/// the caller's [`AlertSink`], which is the record — the engine keeps no
+/// copy.
 pub struct Vids {
     config: Config,
     cost: CostModel,
     factbase: FactBase,
-    /// The alert log of a standalone engine (see [`Logged`]); empty on a
-    /// pool shard.
-    alerts: Vec<Alert>,
     dedup: HashSet<(Subject, Label)>,
-    /// Where a new alert's detail is formatted before it is copied into
-    /// its exact-size shared string; keeps its capacity across alerts.
-    detail_scratch: String,
     counters: VidsCounters,
     cpu: CpuAccount,
     last_sweep_ms: u64,
@@ -276,9 +270,7 @@ impl Vids {
             factbase: FactBase::new(config),
             config,
             cost,
-            alerts: Vec::new(),
             dedup: HashSet::new(),
-            detail_scratch: String::new(),
             counters: VidsCounters::default(),
             cpu: CpuAccount::new(),
             last_sweep_ms: 0,
@@ -376,13 +368,6 @@ impl Vids {
         &self.cost
     }
 
-    /// All alerts raised so far through [`Vids::process`] and
-    /// [`Vids::tick`], in order. A pool's shards keep no log: read
-    /// [`crate::pool::VidsPool::alerts`] instead.
-    pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
-    }
-
     /// Traffic counters.
     pub fn counters(&self) -> VidsCounters {
         self.counters
@@ -430,14 +415,12 @@ impl Vids {
     }
 
     /// Processes one packet at monitor time `now`, pushing any alerts it
-    /// raises into `sink` (they are also appended to the persistent log).
+    /// raises into `sink`.
     pub fn process<S: AlertSink + ?Sized>(&mut self, packet: &Packet, now: SimTime, sink: &mut S) {
         let now_ms = now.as_millis();
         self.cpu.charge(self.cost.cpu_for(packet));
-        self.logged(sink, |vids, sink| {
-            vids.maintain(now_ms, sink);
-            vids.dispatch(classify(packet), now_ms, sink);
-        });
+        self.maintain(now_ms, sink);
+        self.dispatch(classify(packet), now_ms, sink);
     }
 
     /// Advances idle timers and evicts finished calls, pushing timer-driven
@@ -445,24 +428,7 @@ impl Vids {
     /// `SWEEP_INTERVAL_MS`; call explicitly to flush at the end of a run.
     pub fn tick<S: AlertSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
         self.last_sweep_ms = 0; // force
-        self.logged(sink, |vids, sink| vids.maintain(now.as_millis(), sink));
-    }
-
-    /// Runs one public entry point with `sink` wrapped in the engine's log.
-    fn logged<S: AlertSink + ?Sized>(
-        &mut self,
-        sink: &mut S,
-        run: impl FnOnce(&mut Self, &mut Logged<'_, S>),
-    ) {
-        let mut log = std::mem::take(&mut self.alerts);
-        run(
-            self,
-            &mut Logged {
-                log: &mut log,
-                sink,
-            },
-        );
-        self.alerts = log;
+        self.maintain(now.as_millis(), sink);
     }
 
     /// Routes one classified packet through the machinery. The pool calls
@@ -624,7 +590,7 @@ impl Vids {
                     kind: AlertKind::Deviation,
                     call_id: Some(call_id),
                     machine: sym::ENGINE,
-                    detail: &format_args!("request for unmonitored call {call_id}"),
+                    detail: Said::Unmonitored,
                 },
                 |vids| vids.render_trace(Scope::Call(call_id)),
                 sink,
@@ -714,7 +680,7 @@ impl Vids {
                         kind: AlertKind::Deviation,
                         call_id: None,
                         machine: sym::ENGINE,
-                        detail: &format_args!("RTP to {dst} outside any session"),
+                        detail: Said::Media(dst),
                     },
                     |_| Vec::new(),
                     sink,
@@ -741,7 +707,7 @@ impl Vids {
                 kind: AlertKind::Deviation,
                 call_id: None,
                 machine: sym::CLASSIFIER,
-                detail: &reason,
+                detail: Said::Reason(reason),
             },
             |_| Vec::new(),
             sink,
@@ -835,7 +801,7 @@ impl Vids {
                     kind: AlertKind::Attack,
                     call_id,
                     machine: a.machine,
-                    detail: &format_args!("scope {scope}"),
+                    detail: Said::Scope(scope),
                 },
                 &mut trace,
                 sink,
@@ -856,7 +822,7 @@ impl Vids {
                     kind: AlertKind::Deviation,
                     call_id,
                     machine: d.machine,
-                    detail: &d.event,
+                    detail: Said::Event(&d.event),
                 },
                 &mut trace,
                 sink,
@@ -871,7 +837,7 @@ impl Vids {
                     kind: AlertKind::Nondeterminism,
                     call_id,
                     machine: sym::ENGINE,
-                    detail: &format_args!("scope {scope}"),
+                    detail: Said::Scope(scope),
                 },
                 &mut trace,
                 sink,
@@ -887,10 +853,11 @@ impl Vids {
     /// is inserted into because `HashSet::insert` may grow the table before
     /// it looks, and a repeat must never reach the allocator.
     ///
-    /// A new alert is built once and shared from then on: label and machine
+    /// A new alert is built once and handed to the sink: label and machine
     /// borrow static text wherever the program chose it, and the detail is
-    /// formatted into a scratch buffer and copied into one exact-size
-    /// `Arc<str>`, so a first sight costs the detail and the Call-ID.
+    /// a value that shares the Call-ID, so a call-scoped first sight costs
+    /// one block — the Call-ID text — and a destination, media or parser
+    /// alert costs none.
     fn raise<S: AlertSink + ?Sized>(
         &mut self,
         finding: Finding<'_>,
@@ -907,15 +874,32 @@ impl Vids {
             AlertKind::Deviation => Counter::AlertsDeviation,
             AlertKind::Nondeterminism => Counter::AlertsNondeterminism,
         });
-        self.detail_scratch.clear();
-        write!(self.detail_scratch, "{}", finding.detail).expect("a String never refuses a write");
+        let call_id: Option<Arc<str>> = finding.call_id.map(|id| id.as_str().into());
+        let detail = match finding.detail {
+            Said::Scope(Scope::Call(_)) => Detail::Call(
+                call_id
+                    .clone()
+                    .expect("a call scope names the alert's call"),
+            ),
+            Said::Scope(Scope::Dst(ip)) => Detail::Dst(Ipv4Addr::from(ip)),
+            Said::Scope(aor @ Scope::Aor(_)) => Detail::from(format!("scope {aor}")),
+            Said::Unmonitored => {
+                let call = finding
+                    .call_id
+                    .expect("an unmonitored request names its call");
+                Detail::from(format!("request for unmonitored call {call}"))
+            }
+            Said::Media(media) => Detail::Media(media),
+            Said::Reason(reason) => Detail::Reason(reason),
+            Said::Event(event) => Detail::from(event.to_string()),
+        };
         let alert = Alert {
             time_ms: finding.time_ms,
             kind: finding.kind,
             label: finding.label.text(),
-            call_id: finding.call_id.map(|id| Arc::from(id.as_str())),
+            call_id,
             machine: program_text(finding.machine),
-            detail: Arc::from(self.detail_scratch.as_str()),
+            detail,
             trace: trace(self),
         };
         sink.accept(alert);
@@ -929,10 +913,6 @@ impl Monitor for Vids {
 
     fn tick(&mut self, now: SimTime, sink: &mut dyn AlertSink) {
         self.tick(now, sink);
-    }
-
-    fn alerts(&self) -> &[Alert] {
-        Vids::alerts(self)
     }
 
     fn counters(&self) -> VidsCounters {
@@ -986,40 +966,42 @@ mod tests {
         .with_body(vids_sdp::MIME_TYPE, sdp.to_string())
     }
 
-    /// Drives a full clean call through the engine.
-    fn clean_call(vids: &mut Vids, call_id: &str) {
+    /// Drives a full clean call through the engine, returning what it
+    /// raised.
+    fn clean_call(vids: &mut Vids, call_id: &str) -> Vec<Alert> {
+        let mut raised = Vec::new();
         let inv = invite(call_id);
-        process(
+        raised.extend(process(
             vids,
             &pkt(CALLER, CALLEE, Payload::Sip(inv.to_string())),
             SimTime::from_millis(0),
-        );
+        ));
         let ringing = inv.response(StatusCode::RINGING).with_to_tag("tt");
-        process(
+        raised.extend(process(
             vids,
             &pkt(CALLEE, CALLER, Payload::Sip(ringing.to_string())),
             SimTime::from_millis(60),
-        );
+        ));
         let answer = SessionDescription::audio_offer("bob", "10.2.0.10", 30_000, &[Codec::G729]);
         let ok = inv
             .response(StatusCode::OK)
             .with_to_tag("tt")
             .with_body(vids_sdp::MIME_TYPE, answer.to_string());
-        process(
+        raised.extend(process(
             vids,
             &pkt(CALLEE, CALLER, Payload::Sip(ok.to_string())),
             SimTime::from_millis(120),
-        );
+        ));
         let ack = Request::in_dialog(Method::Ack, &inv, 1, Some("tt"));
-        process(
+        raised.extend(process(
             vids,
             &pkt(CALLER, CALLEE, Payload::Sip(ack.to_string())),
             SimTime::from_millis(180),
-        );
+        ));
         // A little media both ways.
         for i in 0..20u16 {
             let fwd = RtpPacket::new(18, 100 + i, (i as u32) * 80, 7).with_payload(vec![0; 10]);
-            process(
+            raised.extend(process(
                 vids,
                 &pkt(
                     CALLER.with_port(20_000),
@@ -1027,9 +1009,9 @@ mod tests {
                     Payload::Rtp(fwd.to_bytes()),
                 ),
                 SimTime::from_millis(200 + i as u64 * 10),
-            );
+            ));
             let rev = RtpPacket::new(18, 500 + i, (i as u32) * 80, 9).with_payload(vec![0; 10]);
-            process(
+            raised.extend(process(
                 vids,
                 &pkt(
                     CALLEE.with_port(30_000),
@@ -1037,27 +1019,28 @@ mod tests {
                     Payload::Rtp(rev.to_bytes()),
                 ),
                 SimTime::from_millis(205 + i as u64 * 10),
-            );
+            ));
         }
         let bye = Request::in_dialog(Method::Bye, &inv, 2, Some("tt"));
-        process(
+        raised.extend(process(
             vids,
             &pkt(CALLER, CALLEE, Payload::Sip(bye.to_string())),
             SimTime::from_millis(500),
-        );
+        ));
         let bye_ok = bye.response(StatusCode::OK);
-        process(
+        raised.extend(process(
             vids,
             &pkt(CALLEE, CALLER, Payload::Sip(bye_ok.to_string())),
             SimTime::from_millis(560),
-        );
+        ));
+        raised
     }
 
     #[test]
     fn clean_call_raises_no_alerts_and_gets_evicted() {
         let mut vids = Vids::new(Config::default());
-        clean_call(&mut vids, "clean-1");
-        assert!(vids.alerts().is_empty(), "alerts: {:?}", vids.alerts());
+        let raised = clean_call(&mut vids, "clean-1");
+        assert!(raised.is_empty(), "alerts: {raised:?}");
         assert_eq!(vids.monitored_calls(), 1);
         // Flush timers: the first tick marks the call final, the second
         // (past the eviction grace period) removes it.
@@ -1377,13 +1360,13 @@ mod tests {
     }
 
     #[test]
-    fn sink_receives_what_the_persistent_log_records() {
+    fn a_malformed_alert_holds_its_diagnosis_and_no_text() {
         let mut vids = Vids::new(Config::default());
         let junk = pkt(CALLER, CALLEE, Payload::Sip("garbage".to_owned()));
         let alerts = process(&mut vids, &junk, SimTime::ZERO);
         assert_eq!(alerts.len(), 1);
-        assert_eq!(vids.alerts().len(), 1);
-        assert_eq!(alerts[0].label, vids.alerts()[0].label);
+        assert!(matches!(alerts[0].detail, Detail::Reason(_)), "{alerts:?}");
+        assert!(process(&mut vids, &junk, SimTime::ZERO).is_empty());
     }
 
     #[test]
@@ -1458,7 +1441,6 @@ mod tests {
         monitor.process(&junk, SimTime::ZERO, &mut sink);
         monitor.tick(SimTime::from_secs(1), &mut sink);
         assert_eq!(sink.len(), 1);
-        assert_eq!(monitor.alerts().len(), 1);
         assert_eq!(monitor.counters().malformed, 1);
         assert!(monitor.memory_bytes() < 1_000);
     }

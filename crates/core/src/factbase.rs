@@ -13,8 +13,6 @@
 //! its own: creating one writes a slot, and the allocator is touched only
 //! when a slab or an index grows.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::hash::Hash;
 use std::mem::size_of;
 use std::net::Ipv4Addr;
@@ -39,6 +37,31 @@ const WHEEL_BUCKET_MS: u64 = 100;
 
 /// Sentinel bucket for "not indexed in the wheel".
 const NO_BUCKET: u64 = u64::MAX;
+
+/// Slots in the expiry wheel's ring, a power of two: bucket `b` lives in
+/// slot `b % WHEEL_SLOTS`. 128 buckets of 100 ms make a 12.8 s lap, past
+/// every default deadline (teardown linger 8 s, eviction delay 5 s); a
+/// filing further out stays in its slot when the slot comes round and is
+/// visited a lap or more later.
+const WHEEL_SLOTS: usize = 128;
+
+/// `log2(WHEEL_SLOTS)`: a bucket is its lap shifted left by this, plus its
+/// slot.
+const WHEEL_SHIFT: u32 = WHEEL_SLOTS.trailing_zeros();
+
+/// Filings per chunk of the wheel's filing slab (12 KiB). Like the record
+/// slabs, the filing slab grows a chunk at a time and never moves a
+/// filing, so growth requests only the new chunk.
+const FILING_CHUNK: usize = 1024;
+
+/// The wheel bucket of monitor time `ms`. A filing keeps its lap in 32
+/// bits, which covers 1 744 years of monitor time; a deadline past that
+/// (a configured delay no clock reaches) is filed at the last bucket, so
+/// it is visited early rather than misfiled.
+fn bucket_of(ms: u64) -> u64 {
+    const LAST: u64 = ((u32::MAX as u64) << WHEEL_SHIFT) | (WHEEL_SLOTS as u64 - 1);
+    (ms / WHEEL_BUCKET_MS).min(LAST)
+}
 
 /// Slots per slab chunk. A slab grows by one chunk of this many slots and
 /// never moves a slot once written: under a flood of new calls the
@@ -174,12 +197,18 @@ pub(crate) fn index_bytes<K, V>(index: &FxHashMap<K, V>) -> usize {
 pub(crate) struct CallIdx(u32);
 
 /// One entry of the expiry wheel: a call slot filed under a bucket, and
-/// the next filing of the same bucket ([`NO_FILING`] ends the list).
+/// the next filing of the same ring slot ([`NO_FILING`] ends the list).
+/// The bucket is the filing's lap and the slot it is listed in.
 #[derive(Clone, Copy)]
 struct Filing {
     idx: CallIdx,
     next: u32,
+    /// `bucket >> WHEEL_SHIFT`; [`bucket_of`] keeps it within 32 bits.
+    lap: u32,
 }
+
+// Sizes are facts: a half-open call is filed once, and E5 counts it.
+const _: () = assert!(size_of::<Filing>() == 12);
 
 /// End of a bucket's list of filings, and of the free list.
 const NO_FILING: u32 = u32::MAX;
@@ -189,85 +218,171 @@ const NO_FILING: u32 = u32::MAX;
 /// whose bucket fell due, so a sweep over N idle calls costs O(expiring),
 /// not O(N log N).
 ///
-/// Every bucket is a list threaded through one slab of filings, and a
-/// drained bucket hands its filings back to a free list that the next
-/// filing — in whichever bucket — takes from. So steady churn, which opens
-/// and drains a bucket every 100 ms, never reaches the allocator once the
-/// slab has grown to the wheel's usual depth, and the slab never holds much
-/// more than twice the most filings ever live at once: a bucket owns no
-/// storage of its own that could outgrow what it holds.
-#[derive(Default)]
+/// The wheel is a fixed ring of [`WHEEL_SLOTS`] list heads, allocated with
+/// the fact base, and every slot's list is threaded through one chunked
+/// slab of filings in filing order. A drained filing goes back to a free
+/// list that the next filing — in whichever slot — takes from, so steady
+/// churn never reaches the allocator once the slab has grown to the
+/// wheel's usual depth, and the slab never holds a chunk more than the
+/// most filings ever live at once. Nothing is keyed by wall-clock time:
+/// no bucket owns storage of its own.
+///
+/// The visit order is bucket order, then filing order within a bucket —
+/// also for filings under buckets already past (a call stamped due at once
+/// files under bucket 0) and across a clock jump longer than the ring.
 struct Wheel {
-    /// Bucket → its first and last filing.
-    buckets: BTreeMap<u64, (u32, u32)>,
-    filings: Vec<Filing>,
+    /// Ring slot → its first and last filing ([`NO_FILING`] when empty).
+    slots: Box<[(u32, u32)]>,
+    /// The filing slab, [`FILING_CHUNK`] filings a chunk.
+    filings: Vec<Vec<Filing>>,
     /// First free filing, the rest chained through `next`.
     free: u32,
-    /// Filings in some bucket's list.
+    /// Filings in some slot's list.
     filed: usize,
+    /// No filing is under a bucket below this one.
+    low: u64,
 }
 
 impl Wheel {
     fn new() -> Self {
         Wheel {
+            slots: vec![(NO_FILING, NO_FILING); WHEEL_SLOTS].into_boxed_slice(),
+            filings: Vec::new(),
             free: NO_FILING,
-            ..Wheel::default()
+            filed: 0,
+            low: u64::MAX,
         }
     }
 
+    fn slot(bucket: u64) -> usize {
+        (bucket & (WHEEL_SLOTS as u64 - 1)) as usize
+    }
+
+    fn bucket(filing: &Filing, slot: usize) -> u64 {
+        (u64::from(filing.lap) << WHEEL_SHIFT) | slot as u64
+    }
+
+    fn at(&self, at: u32) -> &Filing {
+        let at = at as usize;
+        &self.filings[at / FILING_CHUNK][at % FILING_CHUNK]
+    }
+
+    fn at_mut(&mut self, at: u32) -> &mut Filing {
+        let at = at as usize;
+        &mut self.filings[at / FILING_CHUNK][at % FILING_CHUNK]
+    }
+
     fn file(&mut self, bucket: u64, idx: CallIdx) {
+        debug_assert!(bucket >> WHEEL_SHIFT <= u64::from(u32::MAX));
         let filing = Filing {
             idx,
             next: NO_FILING,
+            lap: (bucket >> WHEEL_SHIFT) as u32,
         };
         let at = match self.free {
             NO_FILING => {
-                self.filings.push(filing);
-                (self.filings.len() - 1) as u32
+                if self
+                    .filings
+                    .last()
+                    .is_none_or(|chunk| chunk.len() == FILING_CHUNK)
+                {
+                    self.filings.push(Vec::with_capacity(FILING_CHUNK));
+                }
+                let full = (self.filings.len() - 1) * FILING_CHUNK;
+                let chunk = self
+                    .filings
+                    .last_mut()
+                    .expect("a chunk with room was just ensured");
+                chunk.push(filing);
+                (full + chunk.len() - 1) as u32
             }
             at => {
-                self.free = self.filings[at as usize].next;
-                self.filings[at as usize] = filing;
+                self.free = self.at(at).next;
+                *self.at_mut(at) = filing;
                 at
             }
         };
         self.filed += 1;
-        match self.buckets.entry(bucket) {
-            Entry::Vacant(open) => {
-                open.insert((at, at));
-            }
-            Entry::Occupied(mut list) => {
-                let last = &mut list.get_mut().1;
-                self.filings[*last as usize].next = at;
-                *last = at;
-            }
-        }
+        self.low = self.low.min(bucket);
+        self.append(Wheel::slot(bucket), at);
     }
 
-    /// Removes every bucket at or before `horizon`, earliest first, hands
-    /// each call filed there to `visit` with its bucket, and frees the
-    /// filings.
+    /// Links filing `at` at the end of `slot`'s list.
+    fn append(&mut self, slot: usize, at: u32) {
+        self.at_mut(at).next = NO_FILING;
+        let (first, last) = self.slots[slot];
+        if first == NO_FILING {
+            self.slots[slot].0 = at;
+        } else {
+            self.at_mut(last).next = at;
+        }
+        self.slots[slot].1 = at;
+    }
+
+    /// Removes every filing under a bucket at or before `horizon`, earliest
+    /// bucket first and in filing order within one, hands each call filed
+    /// there to `visit` with its bucket, and frees the filings.
     fn drain_due(&mut self, horizon: u64, mut visit: impl FnMut(u64, CallIdx)) {
-        while let Some(due) = self.buckets.first_entry().filter(|b| *b.key() <= horizon) {
-            let (bucket, (first, last)) = due.remove_entry();
-            let mut at = first;
-            loop {
-                let filing = self.filings[at as usize];
+        let mut bucket = self.low;
+        while bucket <= horizon {
+            // At most one lap at a time: each slot holds one bucket of it.
+            let lap_end = horizon.min(bucket.saturating_add(WHEEL_SLOTS as u64 - 1));
+            for due in bucket..=lap_end {
+                self.drain_bucket(due, &mut visit);
+            }
+            if lap_end == horizon {
+                break;
+            }
+            // A clock jump longer than the ring: go on from the earliest
+            // bucket still filed rather than walk the empty laps between.
+            bucket = self.earliest().max(lap_end + 1);
+        }
+        self.low = self.low.max(horizon.saturating_add(1));
+    }
+
+    /// Visits and frees the filings under `bucket`, keeping the others of
+    /// its slot — later laps — in their order.
+    fn drain_bucket(&mut self, bucket: u64, visit: &mut impl FnMut(u64, CallIdx)) {
+        let slot = Wheel::slot(bucket);
+        let (mut at, _) = self.slots[slot];
+        if at == NO_FILING {
+            return;
+        }
+        self.slots[slot] = (NO_FILING, NO_FILING);
+        while at != NO_FILING {
+            let filing = *self.at(at);
+            if Wheel::bucket(&filing, slot) == bucket {
                 visit(bucket, filing.idx);
                 self.filed -= 1;
-                if at == last {
-                    break;
-                }
-                at = filing.next;
+                self.at_mut(at).next = self.free;
+                self.free = at;
+            } else {
+                self.append(slot, at);
             }
-            self.filings[last as usize].next = self.free;
-            self.free = first;
+            at = filing.next;
         }
     }
 
-    /// What the wheel costs: its buckets and the filings in them.
+    /// The earliest bucket any filing is under; `u64::MAX` when none is.
+    fn earliest(&self) -> u64 {
+        let mut earliest = u64::MAX;
+        for (slot, &(first, _)) in self.slots.iter().enumerate() {
+            let mut at = first;
+            while at != NO_FILING {
+                let filing = self.at(at);
+                earliest = earliest.min(Wheel::bucket(filing, slot));
+                at = filing.next;
+            }
+        }
+        earliest
+    }
+
+    /// What the wheel's entries cost: the ring slots holding a list and
+    /// the filings in them — entries, as every index is counted, not the
+    /// ring's fixed 1 KiB.
     fn memory_bytes(&self) -> usize {
-        self.buckets.len() * size_of::<(u64, (u32, u32))>() + self.filed * size_of::<Filing>()
+        let occupied = self.slots.iter().filter(|(first, _)| *first != NO_FILING);
+        occupied.count() * size_of::<(u32, u32)>() + self.filed * size_of::<Filing>()
     }
 }
 
@@ -452,7 +567,10 @@ impl FactBase {
     }
 
     /// Instantiates the per-call machine network for a new call, returning
-    /// its slab index.
+    /// its slab index. The call is not filed in the wheel: the engine
+    /// delivers its first event and then files it under its real deadline
+    /// with [`FactBase::reindex_idx`], so a new call costs one filing, not
+    /// a due-now filing plus that one.
     pub(crate) fn create_call_idx(&mut self, call_id: impl SymKey, now_ms: u64) -> CallIdx {
         let call_id = call_id.to_sym();
         self.stats.calls_created += 1;
@@ -474,22 +592,22 @@ impl FactBase {
             }
         };
         self.stats.peak_concurrent = self.stats.peak_concurrent.max(self.calls.len());
-        // File the call due-now: the next sweep visits it once, observes its
-        // real timers/finality, and re-files it under the proper bucket.
-        // Callers that drive the network directly (tests, examples) stay
-        // sweepable without an explicit reindex after every delivery.
-        let bucket = now_ms / WHEEL_BUCKET_MS;
+        idx
+    }
+
+    /// Instantiates the per-call machine network for a new call, filed
+    /// due-now: the next sweep visits it once, observes its real
+    /// timers/finality, and re-files it under the proper bucket. Callers
+    /// that drive the network directly (tests, examples) stay sweepable
+    /// without an explicit reindex after every delivery.
+    pub fn create_call(&mut self, call_id: impl SymKey, now_ms: u64) -> &mut CallRecord {
+        let idx = self.create_call_idx(call_id, now_ms);
+        let bucket = bucket_of(now_ms);
         let record = self.record_mut(idx);
         if record.wheel_bucket != bucket {
             record.wheel_bucket = bucket;
             self.wheel.file(bucket, idx);
         }
-        idx
-    }
-
-    /// Instantiates the per-call machine network for a new call.
-    pub fn create_call(&mut self, call_id: impl SymKey, now_ms: u64) -> &mut CallRecord {
-        let idx = self.create_call_idx(call_id, now_ms);
         self.record_mut(idx)
     }
 
@@ -606,7 +724,7 @@ impl FactBase {
             (None, f) => f,
         };
         let bucket = match deadline {
-            Some(d) => d / WHEEL_BUCKET_MS,
+            Some(d) => bucket_of(d),
             None => NO_BUCKET,
         };
         if bucket == record.wheel_bucket {
@@ -625,7 +743,7 @@ impl FactBase {
     /// sweep) or re-filing is lost.
     pub(crate) fn due_calls(&mut self, now_ms: u64) -> Vec<CallIdx> {
         let mut due = std::mem::take(&mut self.due);
-        let horizon = now_ms / WHEEL_BUCKET_MS;
+        let horizon = bucket_of(now_ms);
         let calls = &mut self.calls;
         self.wheel.drain_due(horizon, |bucket, idx| {
             if let Some(slot) = calls.get_mut(idx.0) {
@@ -727,6 +845,7 @@ impl FactBase {
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, HashMap};
     use vids_efsm::Event;
 
     fn ip(text: &str) -> Ipv4Addr {
@@ -922,26 +1041,100 @@ mod tests {
         churn(&mut fb, 20_000, 15_000);
         assert!(fb.stats().calls_evicted > 5_000, "{:?}", fb.stats());
         let wheel = &fb.wheel;
-        let mut largest = 0;
-        for &(first, last) in wheel.buckets.values() {
-            let (mut at, mut len) = (first, 1);
-            while at != last {
-                at = wheel.filings[at as usize].next;
-                len += 1;
+        let mut per_bucket: HashMap<u64, usize> = HashMap::new();
+        for (slot, &(first, _)) in wheel.slots.iter().enumerate() {
+            let mut at = first;
+            while at != NO_FILING {
+                let filing = wheel.at(at);
+                *per_bucket.entry(Wheel::bucket(filing, slot)).or_default() += 1;
+                at = filing.next;
             }
-            largest = largest.max(len);
         }
-        // The slab doubles as it grows and takes back every drained
-        // filing, so it holds at most twice the most filings ever live at
-        // once; on churn that high-water mark is about one bucket above
-        // what is filed now (measured: 8 192 for 5 380 filed, largest
-        // bucket 240).
-        let capacity = wheel.filings.capacity();
+        assert_eq!(per_bucket.values().sum::<usize>(), wheel.filed);
+        let largest = per_bucket.values().copied().max().unwrap_or(0);
+        // The slab grows a chunk at a time and takes back every drained
+        // filing, so it holds less than a chunk more than the most filings
+        // ever live at once; on churn that high-water mark is about one
+        // bucket above what is filed now.
+        let capacity = wheel.filings.len() * FILING_CHUNK;
         assert!(
-            capacity <= 2 * wheel.filed + largest,
+            capacity < wheel.filed + largest + FILING_CHUNK,
             "{capacity} filings of capacity for {} filed (largest bucket {largest})",
             wheel.filed
         );
+    }
+
+    /// The wheel the ring replaced, as the reference for its visit order:
+    /// an ordered map from bucket to the calls filed there, in filing order.
+    #[derive(Default)]
+    struct TreeWheel(BTreeMap<u64, Vec<CallIdx>>);
+
+    impl TreeWheel {
+        fn file(&mut self, bucket: u64, idx: CallIdx) {
+            self.0.entry(bucket).or_default().push(idx);
+        }
+
+        fn drain_due(&mut self, horizon: u64, mut visit: impl FnMut(u64, CallIdx)) {
+            while let Some(due) = self.0.first_entry().filter(|b| *b.key() <= horizon) {
+                let (bucket, calls) = due.remove_entry();
+                calls.into_iter().for_each(|idx| visit(bucket, idx));
+            }
+        }
+    }
+
+    #[test]
+    fn the_ring_visits_in_the_ordered_wheels_order() {
+        // A seeded random schedule of filings — under buckets already past
+        // (bucket 0, the one just drained), near, and more than a lap
+        // ahead — drains that step the clock, and jumps longer than the
+        // ring.
+        for seed in 1..=24u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |below: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % below
+            };
+            let (mut ring, mut tree) = (Wheel::new(), TreeWheel::default());
+            let mut now = next(1 << 36);
+            for _ in 0..3_000 {
+                match next(10) {
+                    0..=5 => {
+                        let slots = WHEEL_SLOTS as u64;
+                        let bucket = match next(6) {
+                            0 => 0,
+                            1 => now.saturating_sub(next(4)),
+                            2 | 3 => now + next(slots / 2),
+                            4 => now + slots + next(4 * slots),
+                            _ => now + next(64 * slots),
+                        };
+                        let idx = CallIdx(next(64) as u32);
+                        ring.file(bucket, idx);
+                        tree.file(bucket, idx);
+                    }
+                    step => {
+                        now += match step {
+                            6..=8 => next(3),
+                            _ => {
+                                let span = 1 << next(20);
+                                WHEEL_SLOTS as u64 + next(span)
+                            }
+                        };
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        ring.drain_due(now, |bucket, idx| a.push((bucket, idx)));
+                        tree.drain_due(now, |bucket, idx| b.push((bucket, idx)));
+                        assert_eq!(a, b, "seed {seed}: visits diverged at bucket {now}");
+                    }
+                }
+                assert_eq!(ring.filed, tree.0.values().map(Vec::len).sum::<usize>());
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            ring.drain_due(u64::MAX, |bucket, idx| a.push((bucket, idx)));
+            tree.drain_due(u64::MAX, |bucket, idx| b.push((bucket, idx)));
+            assert_eq!(a, b, "seed {seed}: the final drain diverged");
+            assert_eq!(ring.filed, 0);
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub use vids_telemetry as telemetry;
 /// The one-stop import for driving the IDS:
 /// `use vids_core::prelude::*;`.
 pub mod prelude {
-    pub use crate::alert::{Alert, AlertKind};
+    pub use crate::alert::{Alert, AlertKind, Detail};
     pub use crate::classify::{classify_wire, Classified, WireProto};
     pub use crate::config::{Config, ConfigBuilder, ConfigError};
     pub use crate::engine::{Vids, VidsCounters};
@@ -93,7 +93,7 @@ pub mod prelude {
     pub use crate::tap::VidsTap;
 }
 
-pub use alert::{Alert, AlertKind};
+pub use alert::{Alert, AlertKind, Detail};
 pub use classify::{classify_wire, Classified, WireProto};
 pub use config::{Config, ConfigBuilder, ConfigError};
 pub use cost::CostModel;
@@ -101,7 +101,7 @@ pub use engine::{Vids, VidsCounters};
 pub use monitor::Monitor;
 pub use pool::{route_hint, PipelineIngress, PreRouted, RouteHint, VidsPool, WireEvent};
 pub use report::AlertReport;
-pub use sink::{AlertSink, CollectSink, FnSink, NullSink};
+pub use sink::{AlertSink, CollectSink, FnSink, NullSink, Tee};
 pub use snapshot::{CallSnapshot, MachineSnapshot};
 pub use tap::VidsTap;
 pub use tenant::{Tenant, TenantId, TenantMap};

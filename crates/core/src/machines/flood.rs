@@ -63,8 +63,10 @@ pub fn window_counter_machine(
         .action(move |ctx| ctx.set(counter, 0))
         .label("window expired");
 
-    // After detection: absorb (re-arming happens when the engine resets
-    // the machine after the operator handles the alert).
+    // After detection: absorb. Nothing re-arms the machine: no engine or
+    // operator path resets it, so a destination flooded once stays in this
+    // state, and the engine's dedup set keeps it silent, for the life of
+    // the process. Re-arming after a stated interval is ROADMAP item 3c.
     def.add_transition(attack, "*", attack);
 
     // Predicates partition on the counter value; verified by the busy-call

@@ -9,24 +9,20 @@
 use vids_netsim::packet::Packet;
 use vids_netsim::time::SimTime;
 
-use crate::alert::Alert;
 use crate::engine::VidsCounters;
 use crate::sink::AlertSink;
 
 /// A packet-fed intrusion monitor.
 pub trait Monitor {
     /// Feeds one packet observed at monitor time `now`, pushing any alerts
-    /// it raises into `sink` (they are also appended to the persistent
-    /// log readable via [`Monitor::alerts`]).
+    /// it raises into `sink` — the record of them: a monitor keeps no
+    /// copy.
     fn process(&mut self, packet: &Packet, now: SimTime, sink: &mut dyn AlertSink);
 
     /// Advances timers and evicts finished calls; call at the end of a run
     /// (or periodically when no traffic flows) to flush timer-driven
     /// detections.
     fn tick(&mut self, now: SimTime, sink: &mut dyn AlertSink);
-
-    /// Every alert raised so far, in raise order.
-    fn alerts(&self) -> &[Alert];
 
     /// Aggregate traffic counters (summed across shards for pools).
     fn counters(&self) -> VidsCounters;

@@ -370,9 +370,9 @@ struct TaggedAlert {
     alert: Alert,
 }
 
-// Sizes are facts: the tenant rides in the key's padding, so a pool's
-// merge buffers cost what they cost before tenants existed.
-const _: () = assert!(std::mem::size_of::<TaggedAlert>() <= 144);
+// Sizes are facts: an entry is an alert plus 24 bytes of key, the tenant
+// riding in the key's padding.
+const _: () = assert!(std::mem::size_of::<TaggedAlert>() <= 152);
 
 impl TaggedAlert {
     /// The deterministic merge order — `(packet idx, phase, scope text,
@@ -472,10 +472,9 @@ pub struct VidsPool {
     config: Config,
     cost: CostModel,
     cpu: CpuAccount,
-    alerts: Vec<Alert>,
-    /// The tenant of each logged alert, beside `alerts`; kept only when
-    /// the pool has more than one tenant.
-    alert_tenants: Vec<TenantId>,
+    /// Alerts merged and handed to a sink so far. The pool keeps no copy
+    /// of them: the sink is the record.
+    alerts_merged: u64,
     last_sweep_ms: u64,
     /// Monotonic clamp over packet timestamps: EFSM networks require
     /// non-decreasing time, so a late-stamped packet is processed at the
@@ -532,8 +531,7 @@ impl VidsPool {
             config,
             cost,
             cpu: CpuAccount::new(),
-            alerts: Vec::new(),
-            alert_tenants: Vec::new(),
+            alerts_merged: 0,
             last_sweep_ms: 0,
             last_packet_ms: 0,
             telemetry: None,
@@ -622,17 +620,6 @@ impl VidsPool {
         self.placement.tenant(engine)
     }
 
-    /// Every alert raised so far with the tenant whose traffic raised it,
-    /// in the order of [`VidsPool::alerts`].
-    pub fn tenant_alerts(&self) -> impl Iterator<Item = (TenantId, &Alert)> {
-        let tenants = self
-            .alert_tenants
-            .iter()
-            .copied()
-            .chain(std::iter::repeat(0));
-        tenants.zip(&self.alerts)
-    }
-
     /// Traffic counters of one tenant's engines.
     pub fn tenant_counters(&self, tenant: TenantId) -> VidsCounters {
         let mut total = VidsCounters::default();
@@ -699,9 +686,13 @@ impl VidsPool {
         self.shards.iter().find_map(|s| s.call_snapshot(call_id))
     }
 
-    /// Every alert raised so far, in deterministic merge order.
-    pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
+    /// How many alerts the pool has merged and handed to a sink so far.
+    /// The alerts themselves went to the sinks: a caller that wants them
+    /// again keeps them there ([`crate::sink::CollectSink`]), and a
+    /// tenant-mapped pool hands each one over with its tenant
+    /// ([`AlertSink::accept_from`]).
+    pub fn alerts_merged(&self) -> u64 {
+        self.alerts_merged
     }
 
     /// Aggregate traffic counters across all shards.
@@ -755,9 +746,8 @@ impl VidsPool {
         self.media_to_shard.get(&MediaKey { ip, port }).copied()
     }
 
-    /// Processes a batch of packets, pushing alerts into `sink` (they are
-    /// also appended to the persistent log readable via
-    /// [`VidsPool::alerts`]). Classifies each packet, then takes exactly
+    /// Processes a batch of packets, pushing alerts into `sink`.
+    /// Classifies each packet, then takes exactly
     /// the wire path: [`CostModel::cpu_for`] and
     /// [`CostModel::cpu_for_classified`] charge the same, so the two calls
     /// differ only in who ran the classifier.
@@ -1007,18 +997,15 @@ impl VidsPool {
     }
 
     /// The merge, and the epilogue of every path that emits: sorts the
-    /// batch's (or epoch's) key-tagged alerts, appends them to the log and
-    /// hands them to `sink`, leaving `tagged` empty. The key makes this
-    /// order independent of shard count and thread scheduling.
+    /// batch's (or epoch's) key-tagged alerts and hands each to `sink` with
+    /// its tenant, leaving `tagged` empty. The key makes this order
+    /// independent of shard count and thread scheduling.
     fn merge_into<S: AlertSink + ?Sized>(&mut self, tagged: &mut Vec<TaggedAlert>, sink: &mut S) {
         let merge_started = self.telemetry.as_ref().map(|_| Instant::now());
         tagged.sort_unstable_by(TaggedAlert::merge_order);
+        self.alerts_merged += tagged.len() as u64;
         for entry in tagged.drain(..) {
-            if self.placement.tenants > 1 {
-                self.alert_tenants.push(entry.tenant);
-            }
-            self.alerts.push(entry.alert.clone());
-            sink.accept(entry.alert);
+            sink.accept_from(entry.tenant, entry.alert);
         }
         if let (Some(reg), Some(started)) = (&self.telemetry, merge_started) {
             let nanos = started.elapsed().as_nanos() as u64;
@@ -1078,8 +1065,10 @@ impl VidsPool {
     /// [`VidsPool::process_wire_batch`]: alerts merge per epoch on the same
     /// deterministic key, cross-shard DRDoS misses apply in packet order,
     /// and sweeps run on the same batch-clock rule. Workers are joined when
-    /// the closure returns (or unwinds); anything left unflushed is merged
-    /// into the pool's alert log on the way out.
+    /// the closure returns (or unwinds). The closure must end with a
+    /// [`PipelineIngress::flush`] or [`PipelineIngress::tick`] into its
+    /// sink: the pool keeps no alert, so one still in flight on return
+    /// would be lost (debug builds assert there is none).
     pub fn with_pipeline<R>(&mut self, f: impl FnOnce(&mut PipelineIngress<'_, '_>) -> R) -> R {
         let n = self.shards.len();
         let shared = PipelineShared {
@@ -1117,10 +1106,14 @@ impl VidsPool {
                 refresh_engines: false,
             };
             let result = f(&mut ingress);
-            // Merge whatever the caller left in flight so the engines and
-            // the pool's alert log end consistent. Drivers flush (tick)
-            // before returning, so their sink missed nothing.
+            // Quiesce the engines. Drivers flush (tick) into their own sink
+            // before returning, so this merges no alert.
+            let merged = ingress.pool.alerts_merged;
             ingress.flush(&mut crate::sink::NullSink);
+            debug_assert_eq!(
+                ingress.pool.alerts_merged, merged,
+                "a pipeline session ended with alerts in flight"
+            );
             result
         })
     }
@@ -1734,10 +1727,6 @@ impl Monitor for VidsPool {
         self.tick(now, sink);
     }
 
-    fn alerts(&self) -> &[Alert] {
-        VidsPool::alerts(self)
-    }
-
     fn counters(&self) -> VidsCounters {
         VidsPool::counters(self)
     }
@@ -1874,10 +1863,7 @@ mod tests {
         pool.tick(SimTime::from_secs(30), &mut pool_sink);
         assert!(!plain_sink.is_empty(), "trace should raise alerts");
         assert_eq!(plain_sink.alerts(), pool_sink.alerts());
-        assert_eq!(plain.alerts(), pool.alerts());
-        // One log per monitor: the pool keeps it at the merge, so its
-        // shards, driven part by part, keep none.
-        assert!((0..pool.shards()).all(|i| pool.shard(i).alerts().is_empty()));
+        assert_eq!(pool.alerts_merged(), pool_sink.len() as u64);
         assert_eq!(plain.counters(), pool.counters());
     }
 
@@ -2129,7 +2115,7 @@ mod tests {
                 let pipe = run_pipeline_batches(&mut by_pipe, &events, chunk);
                 assert!(!wire.is_empty(), "trace should raise alerts");
                 assert_eq!(wire, pipe, "{n} shards, chunk {chunk} diverged");
-                assert_eq!(by_wire.alerts(), by_pipe.alerts());
+                assert_eq!(by_wire.alerts_merged(), by_pipe.alerts_merged());
                 assert_eq!(by_wire.counters(), by_pipe.counters());
                 assert_eq!(by_wire.cpu_busy(), by_pipe.cpu_busy());
                 assert_eq!(by_wire.monitored_calls(), by_pipe.monitored_calls());

@@ -69,13 +69,14 @@ impl AlertReport {
         let mut out = String::from("time_ms,kind,label,call_id,machine,detail\n");
         for a in &self.alerts {
             let (time, kind) = (a.time_ms.to_string(), a.kind.to_string());
+            let detail = a.detail.to_string();
             let fields = [
                 &*time,
                 &*kind,
                 &*a.label,
                 a.call_id.as_deref().unwrap_or_default(),
                 &*a.machine,
-                &*a.detail,
+                &*detail,
             ];
             out.push_str(&fields.map(csv_escape).join(","));
             out.push('\n');

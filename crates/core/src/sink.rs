@@ -5,10 +5,11 @@
 //! common no-alert case. The sink API inverts control: callers hand the
 //! engine an [`AlertSink`] and alerts are pushed as they are raised.
 //! [`CollectSink`] recovers the old collect-into-a-vec behaviour where a
-//! caller really wants it; [`NullSink`] is for callers that only read the
-//! persistent alert log afterwards.
+//! caller really wants it; [`NullSink`] is for callers that want none.
+//! No engine keeps a copy of what it raised: the sink is the record.
 
 use crate::alert::Alert;
+use crate::tenant::TenantId;
 
 /// Receives alerts as the engine raises them.
 ///
@@ -17,6 +18,14 @@ use crate::alert::Alert;
 pub trait AlertSink {
     /// Delivers one alert.
     fn accept(&mut self, alert: Alert);
+
+    /// Delivers one alert a tenant-mapped pool merged, with the tenant
+    /// whose traffic raised it. Sinks that do not track tenants take the
+    /// default, which drops the tenant.
+    fn accept_from(&mut self, tenant: TenantId, alert: Alert) {
+        let _ = tenant;
+        self.accept(alert);
+    }
 }
 
 /// Collects alerts into a `Vec`, preserving raise order.
@@ -70,13 +79,39 @@ impl AlertSink for Vec<Alert> {
     }
 }
 
-/// Discards every alert. The engine's persistent log (`Monitor::alerts`)
-/// still records them; this sink just skips per-packet delivery.
+/// Discards every alert.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
 impl AlertSink for NullSink {
     fn accept(&mut self, _alert: Alert) {}
+}
+
+/// Hands every alert on to `sink`, and a clone of it to `copy` when there
+/// is one: how a component that keeps its own record — the testbed's
+/// inline tap, a flight-recorder tap awaiting its next dump — sees the
+/// stream without standing in its way.
+pub struct Tee<'a, C: ?Sized, S: ?Sized> {
+    /// Where the clones go.
+    pub copy: Option<&'a mut C>,
+    /// Where the alerts go.
+    pub sink: &'a mut S,
+}
+
+impl<C: AlertSink + ?Sized, S: AlertSink + ?Sized> AlertSink for Tee<'_, C, S> {
+    fn accept(&mut self, alert: Alert) {
+        if let Some(copy) = self.copy.as_deref_mut() {
+            copy.accept(alert.clone());
+        }
+        self.sink.accept(alert);
+    }
+
+    fn accept_from(&mut self, tenant: TenantId, alert: Alert) {
+        if let Some(copy) = self.copy.as_deref_mut() {
+            copy.accept_from(tenant, alert.clone());
+        }
+        self.sink.accept_from(tenant, alert);
+    }
 }
 
 /// Adapts a closure into a sink.
@@ -115,6 +150,35 @@ mod tests {
         assert_eq!(labels, ["a", "b"]);
         assert_eq!(sink.drain().len(), 2);
         assert!(sink.is_empty());
+    }
+
+    #[test]
+    fn a_tee_copies_with_the_tenant_and_an_absent_copy_costs_nothing() {
+        struct Tenants(Vec<TenantId>);
+        impl AlertSink for Tenants {
+            fn accept(&mut self, alert: Alert) {
+                self.accept_from(0, alert);
+            }
+            fn accept_from(&mut self, tenant: TenantId, _alert: Alert) {
+                self.0.push(tenant);
+            }
+        }
+        let mut copy = Tenants(Vec::new());
+        let mut sink = CollectSink::new();
+        let mut tee = Tee {
+            copy: Some(&mut copy),
+            sink: &mut sink,
+        };
+        tee.accept_from(2, alert("a"));
+        tee.accept(alert("b"));
+        assert_eq!(copy.0, [2, 0]);
+        assert_eq!(sink.len(), 2);
+        let mut plain = Tee::<CollectSink, _> {
+            copy: None,
+            sink: &mut sink,
+        };
+        plain.accept(alert("c"));
+        assert_eq!(sink.len(), 3);
     }
 
     #[test]

@@ -12,13 +12,16 @@ use crate::config::Config;
 use crate::cost::CostModel;
 use crate::engine::{Vids, VidsCounters};
 use crate::monitor::Monitor;
-use crate::sink::{AlertSink, NullSink};
+use crate::sink::{AlertSink, CollectSink, NullSink, Tee};
 
 /// The inline vids monitor: observes every packet, charges the cost-model
 /// hold (which the tap node applies before forwarding), and accumulates
 /// alerts for post-run analysis.
 pub struct VidsTap {
     vids: Vids,
+    /// The testbed's record of every alert: the engine keeps none, so the
+    /// tap tees what it raises into its own collector.
+    log: CollectSink,
     packets_seen: u64,
     started_at: Option<SimTime>,
     last_seen: SimTime,
@@ -35,18 +38,20 @@ impl VidsTap {
     pub fn with_cost(config: Config, cost: CostModel) -> Self {
         VidsTap {
             vids: Vids::with_cost(config, cost),
+            log: CollectSink::new(),
             packets_seen: 0,
             started_at: None,
             last_seen: SimTime::ZERO,
         }
     }
 
-    /// The monitor itself (alert log, counters, fact base).
+    /// The monitor itself (counters, fact base).
     pub fn vids(&self) -> &Vids {
         &self.vids
     }
 
-    /// Mutable access (to flush timers at the end of a run).
+    /// Mutable access to the engine. Alerts raised by driving it directly
+    /// bypass the tap's record; flush timers through [`Monitor::tick`].
     pub fn vids_mut(&mut self) -> &mut Vids {
         &mut self.vids
     }
@@ -66,9 +71,9 @@ impl VidsTap {
         self.vids.telemetry_snapshot(now)
     }
 
-    /// All alerts raised so far.
+    /// All alerts raised so far, whichever sink they were raised into.
     pub fn alerts(&self) -> &[Alert] {
-        self.vids.alerts()
+        self.log.alerts()
     }
 
     /// Packets observed.
@@ -91,7 +96,7 @@ impl Tap for VidsTap {
     fn observe(&mut self, packet: &Packet, now: SimTime) -> SimTime {
         // Route through the Monitor impl so the observation-window
         // bookkeeping (started_at / last_seen) is identical whichever way
-        // the tap is driven. Alerts stay in the persistent log.
+        // the tap is driven. Alerts stay in the tap's own record.
         Monitor::process(self, packet, now, &mut NullSink);
         self.vids.cost().hold_for(packet)
     }
@@ -102,18 +107,22 @@ impl Monitor for VidsTap {
         self.packets_seen += 1;
         self.started_at.get_or_insert(now);
         self.last_seen = now;
-        self.vids.process(packet, now, sink);
+        let mut sink = Tee {
+            copy: Some(&mut self.log),
+            sink,
+        };
+        self.vids.process(packet, now, &mut sink);
     }
 
     fn tick(&mut self, now: SimTime, sink: &mut dyn AlertSink) {
         // Flushes timer-driven detections; the observation window stays at
         // the last packet so cpu_overhead keeps §7.3's traffic-interval
         // denominator.
-        self.vids.tick(now, sink);
-    }
-
-    fn alerts(&self) -> &[Alert] {
-        self.vids.alerts()
+        let mut sink = Tee {
+            copy: Some(&mut self.log),
+            sink,
+        };
+        self.vids.tick(now, &mut sink);
     }
 
     fn counters(&self) -> VidsCounters {

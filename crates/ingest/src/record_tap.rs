@@ -6,12 +6,14 @@
 //! reaches the engine (allocation-free), batch boundaries are marked as
 //! the engine sees them, and the alerts a batch raises trigger `.vdump`s
 //! of the surrounding window. Both paths find a batch's alerts the same
-//! way: a watermark over the pool's alert log, read while the engine is
-//! quiescent.
+//! way: a tap that dumps tees the alert stream on its way to the caller's
+//! sink ([`teed`]) and dumps what it caught since its last dump while the
+//! engine is quiescent. The pool keeps no alert of its own.
 
 use std::path::{Path, PathBuf};
 
 use vids_core::pool::VidsPool;
+use vids_core::{Alert, AlertSink, Tee};
 use vids_netsim::time::SimTime;
 use vids_record::{RecordedClass, Recorder};
 
@@ -45,6 +47,9 @@ pub struct RecordTap<'a> {
     pub written: Vec<PathBuf>,
     /// Dump writes that failed.
     pub io_errors: u64,
+    /// Alerts teed off the stream since the last dump; filled only when
+    /// there is a dump directory.
+    pending: Vec<Alert>,
 }
 
 impl<'a> RecordTap<'a> {
@@ -55,20 +60,19 @@ impl<'a> RecordTap<'a> {
             dump_dir,
             written: Vec::new(),
             io_errors: 0,
+            pending: Vec::new(),
         }
     }
 
-    /// Dumps the window for every alert in `pool.alerts()` past `*dumped`
-    /// and moves the watermark to the end of the log. `pool` must be
-    /// quiescent.
-    pub(crate) fn dump_new(&mut self, pool: &VidsPool, dumped: &mut usize) {
-        let alerts = &pool.alerts()[*dumped..];
-        *dumped = pool.alerts().len();
+    /// Dumps the window for every alert teed since the last dump, then
+    /// forgets them. `pool` must be quiescent.
+    pub(crate) fn dump_new(&mut self, pool: &VidsPool) {
         let Some(dir) = self.dump_dir else { return };
-        match self.recorder.dump_alerts(pool, dir, alerts) {
+        match self.recorder.dump_alerts(pool, dir, &self.pending) {
             Ok(paths) => self.written.extend(paths),
             Err(_) => self.io_errors += 1,
         }
+        self.pending.clear();
     }
 
     /// Writes an operator-requested snapshot of the rings (`SIGUSR1`).
@@ -80,6 +84,19 @@ impl<'a> RecordTap<'a> {
             Err(_) => self.io_errors += 1,
         }
     }
+}
+
+/// `sink`, with a tee into the tap's pending alerts when there is a tap
+/// with a dump directory; without one the alerts pass straight through.
+pub(crate) fn teed<'s, S: AlertSink + ?Sized>(
+    tap: &'s mut Option<&mut RecordTap<'_>>,
+    sink: &'s mut S,
+) -> Tee<'s, Vec<Alert>, S> {
+    let copy = tap
+        .as_deref_mut()
+        .filter(|t| t.dump_dir.is_some())
+        .map(|t| &mut t.pending);
+    Tee { copy, sink }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use vids_netsim::time::SimTime;
 use crate::datagram::Datagram;
 use crate::demux::{classify_datagram, demux, WireClass};
 use crate::pcap::PcapReader;
-use crate::record_tap::{recorded_class, RecordTap};
+use crate::record_tap::{recorded_class, teed, RecordTap};
 use crate::source::IngestError;
 
 /// The historical hard-coded grace period. The pipeline now reads
@@ -103,15 +103,21 @@ pub fn replay_pcap_parallel<S: AlertSink + ?Sized>(
         reader: PcapReader::new(&capture)?,
         flush_packets: flush_packets.max(1),
         report: ReplayReport::default(),
-        dumped: pool.alerts().len(),
         tap,
     };
     if threads <= 1 {
         run.inline(pool, sink)?;
     } else {
-        pool.with_pipeline(|p| run.fanned_out(p, threads, sink))?;
+        pool.with_pipeline(|p| {
+            let fanned = run.fanned_out(p, threads, sink);
+            // Batches a capture error left in flight still reach the sink:
+            // the pool keeps no alert.
+            p.flush(&mut teed(&mut run.tap, sink));
+            fanned
+        })?;
     }
-    pool.tick(run.report.last_at + pool.config().replay_grace, sink);
+    let end = run.report.last_at + pool.config().replay_grace;
+    pool.tick(end, &mut teed(&mut run.tap, sink));
     run.dump(pool);
     let report = run.report;
     if let Some(reg) = telemetry {
@@ -132,8 +138,6 @@ struct Run<'c, 't, 'a> {
     reader: PcapReader<'c>,
     flush_packets: usize,
     report: ReplayReport,
-    /// `pool.alerts()` up to here has been considered for dumping.
-    dumped: usize,
     tap: Option<&'t mut RecordTap<'a>>,
 }
 
@@ -168,7 +172,7 @@ impl<'c> Run<'c, '_, '_> {
             // time would collapse the intra-batch timing the window and
             // timer machines depend on.
             let now = events[0].at;
-            pool.process_wire_batch(&mut events, now, sink);
+            pool.process_wire_batch(&mut events, now, &mut teed(&mut self.tap, sink));
             self.batch_done();
             self.dump(pool);
         }
@@ -178,7 +182,8 @@ impl<'c> Run<'c, '_, '_> {
     /// The multi-thread body: batches go round-robin to `threads`
     /// classifier threads (chunk k → thread k mod N, at most two waiting
     /// per thread) and come back in any order; the calling thread submits
-    /// them in capture order. Ends with the pipeline drained into `sink`.
+    /// them in capture order. The caller drains the pipeline into `sink`
+    /// afterwards, whether this returns an error or not.
     fn fanned_out<S: AlertSink + ?Sized>(
         &mut self,
         p: &mut PipelineIngress<'_, '_>,
@@ -259,17 +264,16 @@ impl<'c> Run<'c, '_, '_> {
                         self.record(d, demux(d.src.port(), d.dst.port(), d.payload));
                     }
                 }
-                p.submit(&mut events, chunk[0].at, sink);
+                p.submit(&mut events, chunk[0].at, &mut teed(&mut self.tap, sink));
                 self.batch_done();
                 if dumping {
                     // A dump freezes window and counters at the alert's own
                     // batch, so the pipeline drains before the next batch
                     // is recorded.
-                    p.flush(sink);
+                    p.flush(&mut teed(&mut self.tap, sink));
                     self.dump(p.pool());
                 }
             }
-            p.flush(sink);
             Ok(())
         })
     }
@@ -305,7 +309,7 @@ impl<'c> Run<'c, '_, '_> {
     /// Dumps the alerts raised since the last call; `pool` is quiescent.
     fn dump(&mut self, pool: &VidsPool) {
         if let Some(t) = self.tap.as_deref_mut() {
-            t.dump_new(pool, &mut self.dumped);
+            t.dump_new(pool);
         }
     }
 }

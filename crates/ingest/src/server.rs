@@ -69,7 +69,7 @@ use vids_record::Recorder;
 
 use crate::batch::{flush_rule, Batcher, Flush};
 use crate::demux::{classify_datagram, WireClass};
-use crate::record_tap::{recorded_class, RecordTap};
+use crate::record_tap::{recorded_class, teed, RecordTap};
 use crate::source::IngestError;
 use crate::udp::{PoolMode, UdpPool, UdpSource};
 
@@ -341,8 +341,6 @@ fn coordinator_loop<S: AlertSink + ?Sized>(
     let mut batches = 0u64;
     let mut published = ServeReport::default();
     let mut last_tick = Instant::now();
-    // Alerts already considered for dumping (index into `pool.alerts()`).
-    let mut alerts_dumped = 0usize;
     loop {
         match batch_rx.recv_timeout(opts.tick_interval) {
             Ok(mut events) => {
@@ -351,10 +349,10 @@ fn coordinator_loop<S: AlertSink + ?Sized>(
                 // the clock, and a later clock would flatten the
                 // intra-batch timing the window machines count on.
                 let now = events.first().map_or_else(|| wall(epoch), |e| e.at);
-                ingress.submit(&mut events, now, sink);
+                ingress.submit(&mut events, now, &mut teed(&mut tap, sink));
                 // Whatever the workers have finished by now is merged at
                 // once, so an alert waits for its own epoch only.
-                ingress.harvest_ready(sink);
+                ingress.harvest_ready(&mut teed(&mut tap, sink));
                 if let Some(t) = &tap {
                     t.recorder.mark_batch();
                 }
@@ -369,17 +367,19 @@ fn coordinator_loop<S: AlertSink + ?Sized>(
             last_tick = now;
             // The tick leaves the engine quiescent — the only point where
             // dumps can read shard state without racing the workers.
-            ingress.tick(wall(epoch), sink);
+            ingress.tick(wall(epoch), &mut teed(&mut tap, sink));
             if let Some(t) = tap.as_deref_mut() {
-                t.dump_new(ingress.pool(), &mut alerts_dumped);
+                t.dump_new(ingress.pool());
             }
         }
         if let Some(flag) = opts.snapshot_flag {
             // Swap-and-clear even with no recorder, so a stale request
             // does not fire the first dump of a later session.
-            if flag.swap(false, Ordering::Relaxed) {
-                if let Some(t) = tap.as_deref_mut().filter(|t| t.dump_dir.is_some()) {
-                    ingress.flush(sink);
+            if flag.swap(false, Ordering::Relaxed)
+                && tap.as_ref().is_some_and(|t| t.dump_dir.is_some())
+            {
+                ingress.flush(&mut teed(&mut tap, sink));
+                if let Some(t) = tap.as_deref_mut() {
                     t.snapshot(ingress.pool(), wall(epoch));
                 }
             }
@@ -389,9 +389,9 @@ fn coordinator_loop<S: AlertSink + ?Sized>(
     // All receivers flushed and exited; every batch has been submitted.
     // One final tick drains what is in flight and fires any pending timers.
     let ended_at = wall(epoch);
-    ingress.tick(ended_at, sink);
+    ingress.tick(ended_at, &mut teed(&mut tap, sink));
     if let Some(t) = tap {
-        t.dump_new(ingress.pool(), &mut alerts_dumped);
+        t.dump_new(ingress.pool());
     }
     publish(stats, slab, batches, &mut published, 0);
     ServeReport {

@@ -15,9 +15,9 @@ use vids_core::alert::{labels, Alert};
 use vids_core::config::Config;
 use vids_core::cost::CostModel;
 use vids_core::pool::VidsPool;
-use vids_core::sink::{CollectSink, FnSink};
+use vids_core::sink::{AlertSink, CollectSink, FnSink};
 use vids_core::telemetry::Counter;
-use vids_core::tenant::TenantMap;
+use vids_core::tenant::{TenantId, TenantMap};
 use vids_ingest::record_tap::RecordTap;
 use vids_ingest::server::{serve_on, ServeOptions};
 use vids_ingest::udp::UdpPool;
@@ -161,7 +161,7 @@ fn serve_detects_and_records_a_tenant_flood_over_real_udp() {
     pool.set_nodes(3);
     assert_eq!(pool.shards(), 3 * 2 * 2, "nodes x tenants x shards");
     let registry = pool.enable_telemetry(64);
-    let mut sink = CollectSink::new();
+    let mut sink = Tenanted::default();
     let stop = AtomicBool::new(false);
     let dump_dir = std::env::temp_dir().join("vids-serve-loopback-tenant-dumps");
     std::fs::remove_dir_all(&dump_dir).ok();
@@ -204,17 +204,18 @@ fn serve_detects_and_records_a_tenant_flood_over_real_udp() {
     assert_eq!(report.datagrams_ipv6, 0);
     assert!(report.batches >= 1);
     assert!(
-        sink.alerts()
+        sink.alerts
+            .alerts()
             .iter()
             .any(|a| a.label == labels::INVITE_FLOOD),
         "no invite-flood alert; got {:?}",
-        sink.alerts()
+        sink.alerts.alerts()
     );
-    assert_eq!(pool.alerts().len(), sink.alerts().len());
+    assert_eq!(pool.alerts_merged(), sink.alerts.len() as u64);
     assert!(
-        pool.tenant_alerts().all(|(tenant, _)| tenant == 1),
+        sink.tenants.iter().all(|&tenant| tenant == 1),
         "alert escaped the local tenant: {:?}",
-        pool.alerts()
+        sink.alerts.alerts()
     );
     assert_eq!(pool.tenant_counters(1).sip_packets, flood);
     assert_eq!(pool.tenant_counters(0).sip_packets, 0);
@@ -234,6 +235,24 @@ fn serve_detects_and_records_a_tenant_flood_over_real_udp() {
     let verdict = replay_vdump(&dump);
     assert!(verdict.identical(), "the dump did not replay: {verdict:?}");
     std::fs::remove_dir_all(&dump_dir).ok();
+}
+
+/// Collects alerts with the tenant the pool handed each one over with.
+#[derive(Default)]
+struct Tenanted {
+    alerts: CollectSink,
+    tenants: Vec<TenantId>,
+}
+
+impl AlertSink for Tenanted {
+    fn accept(&mut self, alert: Alert) {
+        self.accept_from(0, alert);
+    }
+
+    fn accept_from(&mut self, tenant: TenantId, alert: Alert) {
+        self.tenants.push(tenant);
+        self.alerts.accept(alert);
+    }
 }
 
 /// A loopback sender for one test's traffic.

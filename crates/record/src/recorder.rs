@@ -239,7 +239,7 @@ impl Recorder {
             snapshot,
             counters: DumpCounters {
                 counters: pool.counters(),
-                alerts_total: pool.alerts().len() as u64,
+                alerts_total: pool.alerts_merged(),
             },
         };
         let path = dir.join(format!("{:06}-{}.vdump", index, sanitize(&alert.label)));

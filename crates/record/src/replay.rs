@@ -149,7 +149,7 @@ fn scan_for_match(
                     alert: a.clone(),
                     counters: DumpCounters {
                         counters: pool.counters(),
-                        alerts_total: pool.alerts().len() as u64,
+                        alerts_total: pool.alerts_merged(),
                     },
                     snapshot: a.call_id.as_deref().and_then(|id| pool.call_snapshot(id)),
                 });
@@ -287,7 +287,7 @@ mod tests {
         assert!(!sink.is_empty(), "flood must raise");
         let dir = std::env::temp_dir().join("vids-record-replay-test");
         std::fs::remove_dir_all(&dir).ok();
-        let written = recorder.dump_alerts(&pool, &dir, pool.alerts()).unwrap();
+        let written = recorder.dump_alerts(&pool, &dir, sink.alerts()).unwrap();
         assert!(!written.is_empty());
 
         let dump = Vdump::read_from(&written[0]).unwrap();
@@ -302,6 +302,128 @@ mod tests {
             verdict.outcome.alerts
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A pool capped at three calls and offered six drops three INVITEs,
+    /// so a BYE for a dropped call is a request for an unmonitored one.
+    /// Its dump must carry the cap: replayed unbounded, the call would be
+    /// tracked and the alert would not reproduce.
+    #[test]
+    fn a_quota_capped_dump_replays_with_its_quota() {
+        use vids_core::telemetry::Counter;
+
+        let config = Config::builder().max_tracked_calls(3).build().unwrap();
+        let mut pool = VidsPool::with_cost(config, CostModel::free());
+        let registry = pool.enable_telemetry(64);
+        let recorder = Recorder::with_defaults(1);
+        let bye = "BYE sip:bob@b.example.com SIP/2.0\r\n\
+                   Via: SIP/2.0/UDP 10.1.0.10:5060;branch=z9hG4bKq4bye\r\n\
+                   From: <sip:alice@a.example.com>;tag=tq-4\r\n\
+                   To: <sip:bob@b.example.com>;tag=bob\r\n\
+                   Call-ID: q-4\r\nCSeq: 2 BYE\r\nContent-Length: 0\r\n\r\n";
+        let offered: Vec<String> = (0..6).map(|k| invite(&format!("q-{k}"))).collect();
+        let mut sink = CollectSink::new();
+        for (at, batch) in [
+            (
+                10u64,
+                offered.iter().map(String::as_str).collect::<Vec<_>>(),
+            ),
+            (20, vec![bye]),
+        ] {
+            let mut events = Vec::new();
+            for text in batch {
+                let at = SimTime::from_millis(at);
+                recorder.record(
+                    0,
+                    at,
+                    std::net::SocketAddr::from(([10, 1, 0, 10], 5060)),
+                    std::net::SocketAddr::from(([10, 2, 0, 10], 5060)),
+                    RecordedClass::Sip,
+                    text.as_bytes(),
+                );
+                events.push(WireEvent {
+                    classified: classify_wire(
+                        WireProto::Sip,
+                        text.as_bytes(),
+                        Address::new(10, 1, 0, 10, 5060),
+                        Address::new(10, 2, 0, 10, 5060),
+                    ),
+                    at,
+                });
+            }
+            pool.process_wire_batch(&mut events, SimTime::from_millis(at), &mut sink);
+            recorder.mark_batch();
+        }
+        let drops = |registry: &vids_core::telemetry::Registry| {
+            registry
+                .snapshot(0)
+                .merged()
+                .counter(Counter::CallQuotaDrops)
+        };
+        assert_eq!(drops(&registry), 3);
+        assert_eq!(pool.monitored_calls(), 3);
+        let [alert] = sink.alerts() else {
+            panic!("one alert: {:?}", sink.alerts());
+        };
+        assert_eq!(alert.label, "unassociated-request:SIP.BYE");
+
+        let dir = std::env::temp_dir().join("vids-record-quota-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let written = recorder.dump_alerts(&pool, &dir, sink.alerts()).unwrap();
+        let dump = Vdump::read_from(&written[0]).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(dump.config.max_tracked_calls, 3);
+        let verdict = replay_vdump(&dump);
+        assert!(verdict.identical(), "{verdict:?}");
+
+        // The replay engine is built from the dump's configuration: one
+        // built the same way drops the same INVITEs.
+        let mut replayed = VidsPool::with_cost(dump.config, CostModel::free());
+        let replayed_registry = replayed.enable_telemetry(64);
+        let mut events: Vec<WireEvent> = dump
+            .packets
+            .iter()
+            .map(|p| WireEvent {
+                classified: classify_recorded(p),
+                at: SimTime::from_nanos(p.meta.at_ns),
+            })
+            .collect();
+        replayed.process_wire_batch(
+            &mut events,
+            SimTime::from_millis(10),
+            &mut CollectSink::new(),
+        );
+        assert_eq!(drops(&replayed_registry), drops(&registry));
+    }
+
+    #[test]
+    fn default_dumps_carry_no_quota() {
+        let mut dump = Vdump {
+            config: Config::default(),
+            tenants: None,
+            telemetry_ring: 0,
+            packets: Vec::new(),
+            alert: Alert {
+                time_ms: 0,
+                kind: vids_core::alert::AlertKind::Deviation,
+                label: "x".into(),
+                call_id: None,
+                machine: "m".into(),
+                detail: "".into(),
+                trace: Vec::new(),
+            },
+            snapshot: None,
+            counters: DumpCounters {
+                counters: Default::default(),
+                alerts_total: 0,
+            },
+        };
+        let plain = dump.encode();
+        dump.config.max_tracked_calls = 7;
+        let capped = dump.encode();
+        assert_eq!(capped.len(), plain.len() + 8, "eight bytes of quota");
+        assert_eq!(Vdump::parse(&plain).unwrap().config.max_tracked_calls, 0);
+        assert_eq!(Vdump::parse(&capped).unwrap().config.max_tracked_calls, 7);
     }
 
     #[test]

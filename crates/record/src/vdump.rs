@@ -14,7 +14,8 @@
 //!
 //! | tag    | payload                                                     |
 //! |--------|-------------------------------------------------------------|
-//! | `CONF` | every detection/ingestion knob of [`Config`] + ring size    |
+//! | `CONF` | every detection/ingestion knob of [`Config`] + ring size,   |
+//! |        | then the call quota when one is set                         |
 //! | `TNTS` | per tenant: name, prefix, `CONF` and call quota (optional)  |
 //! | `PKTS` | the captured datagram window, oldest → newest               |
 //! | `ALRT` | the triggering [`Alert`], via [`encode_alert`]              |
@@ -25,7 +26,10 @@
 //! Unknown tags are skipped (their CRC is still verified), so later
 //! versions can append sections without breaking old readers. `TNTS` is
 //! such a section: it is written only by a pool with more than one tenant,
-//! and a reader that predates it replays the dump untenanted. Every decode
+//! and a reader that predates it replays the dump untenanted. The call
+//! quota rides the same way at the end of `CONF`: written only when set,
+//! so a default dump is byte-identical to one written before quotas, and a
+//! reader that predates it replays the dump unbounded. Every decode
 //! failure is a [`VdumpError`] carrying the byte offset where parsing
 //! stopped, pcap-reader style.
 
@@ -220,7 +224,7 @@ pub fn encode_alert(a: &Alert) -> Vec<u8> {
         }
     }
     e.str(&a.machine);
-    e.str(&a.detail);
+    e.str(&a.detail.to_string());
     e.u32(a.trace.len() as u32);
     for line in &a.trace {
         e.str(line);
@@ -269,11 +273,12 @@ impl Vdump {
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes());
-        section(
-            &mut out,
-            b"CONF",
-            &encode_config(&self.config, self.telemetry_ring),
-        );
+        let mut conf = encode_config(&self.config, self.telemetry_ring);
+        if self.config.max_tracked_calls > 0 {
+            // `CONF` predates call quotas; a set one follows it.
+            conf.extend_from_slice(&(self.config.max_tracked_calls as u64).to_le_bytes());
+        }
+        section(&mut out, b"CONF", &conf);
         if let Some(tenants) = &self.tenants {
             section(&mut out, b"TNTS", &encode_tenants(tenants));
         }
@@ -335,7 +340,10 @@ impl Vdump {
             let mut s = Dec::at(payload, payload_off);
             match &tag {
                 b"CONF" => {
-                    let (c, ring) = parse_config(&mut s)?;
+                    let (mut c, ring) = parse_config(&mut s)?;
+                    if !s.is_done() {
+                        c.max_tracked_calls = s.u64()? as usize;
+                    }
                     config = Some(c);
                     telemetry_ring = ring;
                 }
@@ -504,6 +512,11 @@ impl<'a> Dec<'a> {
             base,
             off: base,
         }
+    }
+
+    /// Whether every byte has been read.
+    fn is_done(&self) -> bool {
+        self.pos == self.bytes.len()
     }
 
     fn err(&self, reason: &'static str) -> VdumpError {

@@ -10,7 +10,7 @@
 use vids::attacks::craft::{self, Target};
 use vids::attacks::AttackKind;
 use vids::core::report::AlertReport;
-use vids::core::{Config, NullSink, VidsPool};
+use vids::core::{CollectSink, Config, VidsPool};
 use vids::netsim::node::TapNode;
 use vids::netsim::time::SimTime;
 use vids::netsim::trace::{CaptureFilter, TraceTap};
@@ -103,17 +103,18 @@ fn main() {
             p
         })
         .collect();
-    offline.process_batch(&batch, SimTime::ZERO, &mut NullSink);
+    let mut alerts = CollectSink::new();
+    offline.process_batch(&batch, SimTime::ZERO, &mut alerts);
     offline.tick(
         tap.captured().last().map(|c| c.at).unwrap_or(SimTime::ZERO) + secs(30),
-        &mut NullSink,
+        &mut alerts,
     );
 
     println!(
         "\noffline analysis of the capture ({} shards):",
         offline.shards()
     );
-    let report = AlertReport::from_alerts(offline.alerts());
+    let report = AlertReport::from_alerts(alerts.alerts());
     print!("{report}");
     println!("\nCSV:\n{}", report.to_csv());
 

@@ -346,7 +346,7 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
         pool.shards(),
     );
 
-    let mut sink = FnSink(|a: vids::core::Alert| {
+    let printer = FnSink(|a: vids::core::Alert| {
         println!(
             "[{:>10} ms] {:?} {} — {}{}",
             a.time_ms,
@@ -360,6 +360,10 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
             }
         );
     });
+    let mut sink = run_report::TenantTally {
+        counts: Vec::new(),
+        sink: printer,
+    };
     // The flight recorder rides along when asked: one datagram ring per
     // receiver lane (each receiver locks only its own ring), dumps
     // written into --record DIR as alerts fire or SIGUSR1 arrives.
@@ -385,7 +389,7 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
 
     eprintln!("{}", RunSummary::from_serve(&report).render());
     eprintln!("{}", run_report::counters_line(&pool.counters()));
-    eprint!("{}", run_report::tenant_lines(&pool));
+    eprint!("{}", run_report::tenant_lines(&pool, &sink.counts));
     if let Some(t) = &tap {
         eprintln!(
             "{}",

@@ -13,6 +13,7 @@ use vids_core::alert::Alert;
 use vids_core::engine::VidsCounters;
 use vids_core::pool::VidsPool;
 use vids_core::report::AlertReport;
+use vids_core::sink::AlertSink;
 use vids_core::telemetry::{Counter, Snapshot};
 use vids_core::tenant::TenantId;
 use vids_efsm::intern::{self, InternStats};
@@ -129,16 +130,42 @@ pub fn counters_line(counters: &VidsCounters) -> String {
     format!("counters: {counters:?}")
 }
 
-/// One line per tenant of a tenant-mapped pool — its alerts, traffic and
-/// tracked calls — and nothing for a pool without a tenant map.
-pub fn tenant_lines(pool: &VidsPool) -> String {
+/// Counts every alert against the tenant whose traffic raised it on its
+/// way to `sink`: the pool hands each merged alert over with its tenant
+/// and keeps none, so a run that reports per tenant counts as they pass.
+pub struct TenantTally<S> {
+    /// Alerts per tenant id; tenants past the end raised none.
+    pub counts: Vec<u64>,
+    /// Where the alerts go.
+    pub sink: S,
+}
+
+impl<S: AlertSink> AlertSink for TenantTally<S> {
+    fn accept(&mut self, alert: Alert) {
+        self.accept_from(0, alert);
+    }
+
+    fn accept_from(&mut self, tenant: TenantId, alert: Alert) {
+        let at = tenant as usize;
+        if self.counts.len() <= at {
+            self.counts.resize(at + 1, 0);
+        }
+        self.counts[at] += 1;
+        self.sink.accept_from(tenant, alert);
+    }
+}
+
+/// One line per tenant of a tenant-mapped pool — its alerts (`alerts`,
+/// as a [`TenantTally`] counted them), traffic and tracked calls — and
+/// nothing for a pool without a tenant map.
+pub fn tenant_lines(pool: &VidsPool, alerts: &[u64]) -> String {
     let Some(tenants) = pool.tenants() else {
         return String::new();
     };
     let mut out = String::new();
     for (id, tenant) in tenants.iter().enumerate() {
+        let alerts = alerts.get(id).copied().unwrap_or(0);
         let id = id as TenantId;
-        let alerts = pool.tenant_alerts().filter(|(t, _)| *t == id).count();
         let counters = pool.tenant_counters(id);
         let _ = writeln!(
             out,

@@ -77,8 +77,9 @@ fn run_pool(
         .telemetry_snapshot(SimTime::from_secs(40))
         .unwrap()
         .deterministic();
+    // The pool keeps no log: its reference log is the stream it sank.
     (
-        pool.alerts().to_vec(),
+        sink.alerts().to_vec(),
         sink.alerts().to_vec(),
         pool.counters(),
         snap,

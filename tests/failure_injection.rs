@@ -141,6 +141,7 @@ fn monitor_survives_garbage_crossing_the_perimeter() {
         Payload::Rtp((0..255u8).collect()),
         Payload::Raw(vec![]),
     ];
+    let mut sink = vids::core::CollectSink::new();
     for (i, p) in payloads.iter().cycle().take(200).enumerate() {
         let pkt = vids::netsim::packet::Packet {
             src,
@@ -149,11 +150,7 @@ fn monitor_survives_garbage_crossing_the_perimeter() {
             id: i as u64,
             sent_at: SimTime::ZERO,
         };
-        vids.process(
-            &pkt,
-            SimTime::from_millis(i as u64),
-            &mut vids::core::NullSink,
-        );
+        vids.process(&pkt, SimTime::from_millis(i as u64), &mut sink);
     }
     let c = vids.counters();
     assert!(c.malformed > 0);
@@ -162,7 +159,7 @@ fn monitor_survives_garbage_crossing_the_perimeter() {
     // INVITE in the spray repeats ~25 times within milliseconds, which is
     // a genuine INVITE flood — that attack match is correct; nothing else
     // may match.
-    assert!(vids
+    assert!(sink
         .alerts()
         .iter()
         .filter(|a| a.kind == AlertKind::Attack)

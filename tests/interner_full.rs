@@ -181,7 +181,10 @@ fn a_full_symbol_table_sheds_new_calls_and_keeps_known_ones() {
     assert_eq!(vids.counters().malformed, 3);
     assert_eq!(sink.alerts().len(), 1, "{:?}", sink.alerts());
     assert_eq!(sink.alerts()[0].label, "malformed-sip");
-    assert!(sink.alerts()[0].detail.contains("symbol table full"));
+    assert!(sink.alerts()[0]
+        .detail
+        .to_string()
+        .contains("symbol table full"));
 
     // Media from a source nobody has seen, sent to the established call's
     // negotiated coordinates: checked against the call, not shed.

@@ -11,24 +11,25 @@ mod common;
 
 use common::mixed_trace;
 use vids::core::alert::{labels, Alert, AlertKind};
-use vids::core::{CollectSink, Config, CostModel, Monitor, NullSink, Vids, VidsPool};
+use vids::core::{CollectSink, Config, CostModel, Monitor, Vids, VidsPool};
 use vids::netsim::packet::Packet;
 use vids::netsim::time::SimTime;
 
 /// Replays the trace through a pool in batches of `batch_size`, then
-/// flushes, returning the persistent alert log.
+/// flushes, returning every alert it raised.
 fn run_pool(shards: usize, batch_size: usize) -> (Vec<Alert>, vids::core::VidsCounters) {
     let config = Config::builder().shards(shards).build().unwrap();
     let mut pool = VidsPool::with_cost(config, CostModel::free());
+    let mut log = CollectSink::new();
     let trace = mixed_trace();
     for chunk in trace.chunks(batch_size) {
         let now = chunk[0].1;
         let packets: Vec<Packet> = chunk.iter().map(|(p, _)| p.clone()).collect();
-        pool.process_batch(&packets, now, &mut NullSink);
+        pool.process_batch(&packets, now, &mut log);
     }
-    pool.tick(SimTime::from_secs(30), &mut NullSink);
-    pool.tick(SimTime::from_secs(40), &mut NullSink);
-    (pool.alerts().to_vec(), pool.counters())
+    pool.tick(SimTime::from_secs(30), &mut log);
+    pool.tick(SimTime::from_secs(40), &mut log);
+    (log.into_alerts(), pool.counters())
 }
 
 #[test]
@@ -60,17 +61,18 @@ fn run_pool_telemetry(
 ) -> (vids::telemetry::SlabSnapshot, Vec<Alert>) {
     let config = Config::builder().shards(shards).build().unwrap();
     let mut pool = VidsPool::with_cost(config, CostModel::free());
+    let mut log = CollectSink::new();
     pool.enable_telemetry(64);
     let trace = mixed_trace();
     for chunk in trace.chunks(batch_size) {
         let now = chunk[0].1;
         let packets: Vec<Packet> = chunk.iter().map(|(p, _)| p.clone()).collect();
-        pool.process_batch(&packets, now, &mut NullSink);
+        pool.process_batch(&packets, now, &mut log);
     }
-    pool.tick(SimTime::from_secs(30), &mut NullSink);
-    pool.tick(SimTime::from_secs(40), &mut NullSink);
+    pool.tick(SimTime::from_secs(30), &mut log);
+    pool.tick(SimTime::from_secs(40), &mut log);
     let snap = pool.telemetry_snapshot(SimTime::from_secs(40)).unwrap();
-    (snap.deterministic(), pool.alerts().to_vec())
+    (snap.deterministic(), log.into_alerts())
 }
 
 #[test]
@@ -141,12 +143,12 @@ fn pool_matches_the_plain_engine_packet_at_a_time() {
     }
     assert!(!plain_sink.is_empty());
     assert_eq!(plain_sink.alerts(), pool_sink.alerts());
-    assert_eq!(plain.alerts(), pool.alerts());
+    assert_eq!(pool.alerts_merged(), pool_sink.len() as u64);
     assert_eq!(plain.counters(), pool.counters());
     assert_eq!(plain.monitored_calls(), pool.monitored_calls());
     // Every alert the attacks were built to trigger is attributed the same
     // kind either way.
-    assert!(pool
+    assert!(pool_sink
         .alerts()
         .iter()
         .any(|a| a.kind == AlertKind::Attack && a.label == labels::RTP_AFTER_BYE));
@@ -171,14 +173,15 @@ fn one_pool_reused_across_fifty_batches_is_byte_identical() {
     for _ in 0..2 {
         let config = Config::builder().shards(4).build().unwrap();
         let mut pool = VidsPool::with_cost(config, CostModel::free());
+        let mut log = CollectSink::new();
         for chunk in trace.chunks(batch) {
             let now = chunk[0].1;
             let packets: Vec<Packet> = chunk.iter().map(|(p, _)| p.clone()).collect();
-            pool.process_batch(&packets, now, &mut NullSink);
+            pool.process_batch(&packets, now, &mut log);
         }
-        pool.tick(SimTime::from_secs(30), &mut NullSink);
-        pool.tick(SimTime::from_secs(40), &mut NullSink);
-        runs.push((pool.alerts().to_vec(), pool.counters()));
+        pool.tick(SimTime::from_secs(30), &mut log);
+        pool.tick(SimTime::from_secs(40), &mut log);
+        runs.push((log.into_alerts(), pool.counters()));
     }
     assert_eq!(runs[0], runs[1], "two identical 50-batch replays diverged");
     assert_eq!(
@@ -200,31 +203,31 @@ fn one_pool_reused_across_fifty_batches_is_byte_identical() {
 fn run_interleaved(shards: usize) -> (Vec<Alert>, vids::core::VidsCounters) {
     let config = Config::builder().shards(shards).build().unwrap();
     let mut pool = VidsPool::with_cost(config, CostModel::free());
-    let mut sink = CollectSink::new();
+    let mut log = CollectSink::new();
     let trace = mixed_trace();
     for (i, chunk) in trace.chunks(13).enumerate() {
         let now = chunk[0].1;
         match i % 3 {
             0 => {
                 for (packet, at) in chunk {
-                    Monitor::process(&mut pool, packet, *at, &mut sink);
+                    Monitor::process(&mut pool, packet, *at, &mut log);
                 }
             }
             1 => {
                 let packets: Vec<Packet> = chunk.iter().map(|(p, _)| p.clone()).collect();
-                pool.process_batch(&packets, now, &mut NullSink);
+                pool.process_batch(&packets, now, &mut log);
             }
             _ => {
                 let packets: Vec<Packet> = chunk.iter().map(|(p, _)| p.clone()).collect();
-                pool.process_batch(&packets, now, &mut sink);
+                pool.process_batch(&packets, now, &mut log);
                 // Force a sweep mid-stream at the batch's last timestamp.
-                pool.tick(chunk[chunk.len() - 1].1, &mut sink);
+                pool.tick(chunk[chunk.len() - 1].1, &mut log);
             }
         }
     }
-    pool.tick(SimTime::from_secs(30), &mut NullSink);
-    pool.tick(SimTime::from_secs(40), &mut NullSink);
-    (pool.alerts().to_vec(), pool.counters())
+    pool.tick(SimTime::from_secs(30), &mut log);
+    pool.tick(SimTime::from_secs(40), &mut log);
+    (log.into_alerts(), pool.counters())
 }
 
 #[test]
@@ -295,7 +298,7 @@ fn randomized_batch_sizes_match_the_plain_engine() {
             pool_sink.alerts(),
             "{shards}-shard pool diverged from the plain engine under random batching"
         );
-        assert_eq!(plain.alerts(), pool.alerts());
+        assert_eq!(pool.alerts_merged(), pool_sink.len() as u64);
         assert_eq!(plain.counters(), pool.counters());
         assert_eq!(plain.monitored_calls(), pool.monitored_calls());
     }

@@ -275,9 +275,9 @@ mod valid_flows {
     fn run_flow(shape: &FlowShape) -> Vec<vids::core::Alert> {
         let mut vids = Vids::with_cost(Config::default(), CostModel::free());
         let mut t = 0u64;
+        let mut raised = vids::core::CollectSink::new();
         let mut step = |vids: &mut Vids, src: Address, dst: Address, payload: Payload| {
             t += 20;
-            let mut sink = vids::core::CollectSink::new();
             vids.process(
                 &Packet {
                     src,
@@ -287,9 +287,8 @@ mod valid_flows {
                     sent_at: SimTime::ZERO,
                 },
                 SimTime::from_millis(t),
-                &mut sink,
+                &mut raised,
             );
-            sink.into_alerts()
         };
 
         let sdp = SessionDescription::audio_offer("a", "10.1.0.10", 20_000, &[Codec::G729]);
@@ -340,9 +339,9 @@ mod valid_flows {
             step(&mut vids, CALLEE, CALLER, Payload::Sip(bye_ok.to_string()));
         }
         // Flush timers far past every linger.
-        vids.tick(SimTime::from_secs(60), &mut vids::core::NullSink);
-        vids.tick(SimTime::from_secs(120), &mut vids::core::NullSink);
-        vids.alerts().to_vec()
+        vids.tick(SimTime::from_secs(60), &mut raised);
+        vids.tick(SimTime::from_secs(120), &mut raised);
+        raised.into_alerts()
     }
 
     proptest! {
@@ -922,7 +921,7 @@ mod address_rendering {
         };
         assert_eq!(alert.label, "deviation:SIP.BYE");
         assert_eq!(
-            &*alert.detail,
+            alert.detail.to_string(),
             "data?SIP.BYE(src_ip=\"10.1.0.10\", dst_ip=\"192.168.200.7\", \
              call_id=\"dev-call\", from_tag=\"dev-from\", to_tag=\"dev-to\", \
              branch=\"z9hG4bK-dev-bye\", cseq=2, cseq_method=\"BYE\")"

@@ -43,8 +43,9 @@ fn to_pcap(trace: &[(Packet, SimTime)], swapped: bool, linktype: u32) -> Vec<u8>
 }
 
 /// The in-process reference: one big `process_batch`, then the same
-/// final sweep replay performs.
-fn reference_run(shards: usize) -> (Vec<Alert>, Vec<Alert>, VidsCounters) {
+/// final sweep replay performs. Each run returns its sink, the count of
+/// alerts its pool merged (the pool keeps no log) and its counters.
+fn reference_run(shards: usize) -> (Vec<Alert>, u64, VidsCounters) {
     let trace = wire_safe_trace();
     let config = Config::builder().shards(shards).build().unwrap();
     let mut pool = VidsPool::new(config);
@@ -54,7 +55,7 @@ fn reference_run(shards: usize) -> (Vec<Alert>, Vec<Alert>, VidsCounters) {
     let packets: Vec<Packet> = trace.iter().map(|(p, _)| p.clone()).collect();
     pool.process_batch(&packets, first_at, &mut sink);
     pool.tick(last_at + REPLAY_GRACE, &mut sink);
-    (sink.into_alerts(), pool.alerts().to_vec(), pool.counters())
+    (sink.into_alerts(), pool.alerts_merged(), pool.counters())
 }
 
 /// The wire run: encode to pcap, replay through the ingest pipeline.
@@ -63,7 +64,7 @@ fn wire_run(
     flush_packets: usize,
     swapped: bool,
     linktype: u32,
-) -> (Vec<Alert>, Vec<Alert>, VidsCounters) {
+) -> (Vec<Alert>, u64, VidsCounters) {
     let trace = wire_safe_trace();
     let capture = to_pcap(&trace, swapped, linktype);
     let config = Config::builder().shards(shards).build().unwrap();
@@ -73,7 +74,7 @@ fn wire_run(
     assert_eq!(report.datagrams as usize, trace.len());
     assert_eq!(report.demux_unknown, 1, "only the Raw stray is unknown");
     assert_eq!(report.last_at, trace.last().unwrap().1);
-    (sink.into_alerts(), pool.alerts().to_vec(), pool.counters())
+    (sink.into_alerts(), pool.alerts_merged(), pool.counters())
 }
 
 /// The parallel wire run: same capture, `threads` classifier threads
@@ -82,7 +83,7 @@ fn parallel_run(
     shards: usize,
     flush_packets: usize,
     threads: usize,
-) -> (Vec<Alert>, Vec<Alert>, VidsCounters) {
+) -> (Vec<Alert>, u64, VidsCounters) {
     let trace = wire_safe_trace();
     let capture = to_pcap(&trace, false, LINKTYPE_RAW);
     let config = Config::builder().shards(shards).build().unwrap();
@@ -101,7 +102,7 @@ fn parallel_run(
     assert_eq!(report.datagrams as usize, trace.len());
     assert_eq!(report.demux_unknown, 1, "only the Raw stray is unknown");
     assert_eq!(report.last_at, trace.last().unwrap().1);
-    (sink.into_alerts(), pool.alerts().to_vec(), pool.counters())
+    (sink.into_alerts(), pool.alerts_merged(), pool.counters())
 }
 
 #[test]
@@ -115,7 +116,10 @@ fn replay_is_byte_identical_to_in_process_at_1_4_8_shards() {
         assert!(ref_sink.iter().any(|a| a.label == labels::RTP_AFTER_BYE));
         let (sink, log, counters) = wire_run(shards, 256, false, LINKTYPE_RAW);
         assert_eq!(ref_sink, sink, "sink alerts diverged at {shards} shards");
-        assert_eq!(ref_log, log, "alert log diverged at {shards} shards");
+        assert_eq!(
+            ref_log, log,
+            "merged alert count diverged at {shards} shards"
+        );
         assert_eq!(
             ref_counters, counters,
             "counters diverged at {shards} shards"
@@ -173,7 +177,7 @@ fn parallel_replay_is_byte_identical_across_thread_and_shard_counts() {
             );
             assert_eq!(
                 ref_log, log,
-                "alert log diverged at {threads} threads x {shards} shards"
+                "merged alert count diverged at {threads} threads x {shards} shards"
             );
             assert_eq!(
                 ref_counters, counters,

@@ -10,18 +10,21 @@
 //! SIP, negotiated media coordinates for RTP) happens in the engine against
 //! the fact base.
 //!
-//! This is the engine's interning boundary: SIP identifiers (Call-ID,
-//! tags, branch, address-of-record) are borrowed as `&str` slices straight
-//! out of the datagram (via [`vids_sip::view`]), interned exactly once, and
-//! everything downstream — fact base, shard router, EFSM predicates — keys
-//! on the resulting copyable [`Sym`]s. Addresses are not text: the
-//! datagram's endpoints, the SDP media address and a REGISTER's Contact
-//! host travel as [`Ipv4Addr`] values, which cost the interner nothing, so
-//! a flood from spoofed sources grows no table. Interned text is kept for
-//! the life of the process, so this is also where wire strings are
-//! *bounded*: every one goes through [`Sym::try_intern`], and a message
-//! carrying an identifier the interner refuses (longer than
-//! [`vids_efsm::intern::MAX_SYMBOL_LEN`] bytes, or new to a full table) is
+//! This is the engine's interning boundary. Of the SIP identifiers, only
+//! the two the engine keys on — the Call-ID, which groups a call, and a
+//! REGISTER's address-of-record, which keys a binding — are borrowed as
+//! `&str` slices straight out of the datagram (via [`vids_sip::view`]),
+//! interned exactly once, and carried downstream as copyable [`Sym`]s.
+//! The From and To tags and the top Via branch are only ever compared by
+//! the SIP machine's guards, so they become keyed [`Fingerprint`]s and are
+//! stored nowhere: a flood of fresh tags and branches grows no table.
+//! Addresses are not text either: the datagram's endpoints, the SDP media
+//! address and a REGISTER's Contact host travel as [`Ipv4Addr`] values.
+//! Interned text is kept for the life of the process, so this is also
+//! where wire strings are *bounded*: a Call-ID or AOR goes through
+//! [`Sym::try_intern`], a tag or branch is held to the same
+//! [`vids_efsm::intern::MAX_SYMBOL_LEN`] bytes, and a message carrying an
+//! identifier that is longer, or a Call-ID or AOR new to a full table, is
 //! [`Classified::Malformed`] — flagged, counted, never tracked. A packet
 //! allocates nothing here, whether its strings have been seen before or
 //! not.
@@ -29,7 +32,7 @@
 use std::net::Ipv4Addr;
 
 use vids_efsm::intern::{sym, InternError, MAX_SYMBOL_LEN};
-use vids_efsm::{Event, Sym};
+use vids_efsm::{Event, Fingerprint, Sym};
 use vids_netsim::packet::{Address, Packet, Payload, UDP_IP_OVERHEAD};
 use vids_rtp::packet::{ParseRtpError, RtpHeader};
 use vids_sip::view::{parse_view, SipView, StartLine};
@@ -184,9 +187,14 @@ fn rtp_reason(e: ParseRtpError) -> &'static str {
     }
 }
 
-/// An absent tag or branch is the empty symbol; a present one is interned.
-fn intern_or_empty(text: Option<&str>) -> Result<Sym, InternError> {
-    text.map_or(Ok(sym::EMPTY), Sym::try_intern)
+/// A tag or branch as the machines compare it: absent and empty are both
+/// the empty fingerprint. Nothing is stored, but the symbol bound holds all
+/// the same, so an over-long tag or branch is malformed as it always was.
+fn tag_fingerprint(text: Option<&str>) -> Result<Fingerprint, InternError> {
+    match text {
+        Some(text) if text.len() > MAX_SYMBOL_LEN => Err(InternError::TooLong),
+        text => Ok(Fingerprint::of(text.unwrap_or(""))),
+    }
 }
 
 /// Interns `user@host`, assembled on the stack: an address-of-record too
@@ -226,9 +234,9 @@ fn sip_event(view: &SipView<'_>, src: Address, dst: Address) -> Result<Classifie
     event.set(a.src_ip, Ipv4Addr::from(src.ip));
     event.set(a.dst_ip, Ipv4Addr::from(dst.ip));
     event.set(a.call_id, call_id);
-    event.set(a.from_tag, intern_or_empty(view.from.and_then(|f| f.tag))?);
-    event.set(a.to_tag, intern_or_empty(to_tag)?);
-    event.set(a.branch, intern_or_empty(view.branch)?);
+    event.set(a.from_tag, tag_fingerprint(view.from.and_then(|f| f.tag))?);
+    event.set(a.to_tag, tag_fingerprint(to_tag)?);
+    event.set(a.branch, tag_fingerprint(view.branch)?);
     if let Some((seq, method)) = view.cseq {
         event.set(a.cseq, seq as u64);
         event.set(a.cseq_method, cseq_method_sym(method));
@@ -655,12 +663,12 @@ mod tests {
         };
         assert_eq!(call_id.as_str().len(), MAX_SYMBOL_LEN);
         assert_eq!(
-            event.args().str("from_tag").map(str::len),
-            Some(MAX_SYMBOL_LEN)
+            event.get(SipArgs::get().from_tag),
+            Some(Fingerprint::of(&fill('t', MAX_SYMBOL_LEN)))
         );
         assert_eq!(
-            event.args().str("branch").map(str::len),
-            Some(MAX_SYMBOL_LEN)
+            event.get(SipArgs::get().branch),
+            Some(Fingerprint::of(&fill('b', MAX_SYMBOL_LEN)))
         );
 
         // One byte more in any of them: malformed, and the long string is
@@ -702,6 +710,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn tags_and_branches_are_fingerprints_never_symbols() {
+        let src = Address::new(10, 1, 0, 10, 5060);
+        let dst = Address::new(10, 2, 0, 10, 5060);
+        let text = invite_text("fp-cid", "fp-from-tag", "z9hG4bK-fp-branch");
+        let Classified::Sip { call_id, event, .. } =
+            classify_wire(WireProto::Sip, text.as_bytes(), src, dst)
+        else {
+            panic!("expected SIP");
+        };
+        assert_eq!(call_id, "fp-cid");
+        let a = SipArgs::get();
+        assert_eq!(event.get(a.from_tag), Some(Fingerprint::of("fp-from-tag")));
+        assert_eq!(
+            event.get(a.branch),
+            Some(Fingerprint::of("z9hG4bK-fp-branch"))
+        );
+        assert_eq!(event.get(a.to_tag), Some(Fingerprint::EMPTY));
+        for text in ["fp-from-tag", "z9hG4bK-fp-branch"] {
+            assert_eq!(Sym::lookup(text), None, "{text}");
+        }
+        assert!(event
+            .to_string()
+            .contains("from_tag=#, to_tag=\"\", branch=#"));
+    }
+
+    #[test]
+    fn an_absent_tag_and_an_empty_one_are_one_value() {
+        let src = Address::new(10, 1, 0, 10, 5060);
+        let dst = Address::new(10, 2, 0, 10, 5060);
+        let from_tag = |from: &str| {
+            let text = format!(
+                "BYE sip:bob@b.example.com SIP/2.0\r\n\
+                 From: {from}\r\n\
+                 To: <sip:bob@b.example.com>;tag=\r\n\
+                 Call-ID: fp-empty\r\n\
+                 CSeq: 2 BYE\r\n\
+                 Content-Length: 0\r\n\r\n"
+            );
+            let Classified::Sip { event, .. } =
+                classify_wire(WireProto::Sip, text.as_bytes(), src, dst)
+            else {
+                panic!("expected SIP");
+            };
+            (
+                event.get(SipArgs::get().from_tag),
+                event.get(SipArgs::get().to_tag),
+            )
+        };
+        let empty = Some(Fingerprint::EMPTY);
+        assert_eq!(from_tag("<sip:alice@a.example.com>"), (empty, empty));
+        assert_eq!(from_tag("<sip:alice@a.example.com>;tag="), (empty, empty));
+        assert_ne!(from_tag("<sip:alice@a.example.com>;tag=x").0, empty);
     }
 
     #[test]

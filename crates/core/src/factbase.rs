@@ -826,8 +826,8 @@ impl FactBase {
     /// and the entries of the indexes that find them (Call-ID, media
     /// coordinates, expiry wheel). Machine definitions are shared and
     /// excluded, exactly as the paper argues in §7.3; so is the interner,
-    /// which holds the text of every Call-ID, tag and address-of-record and
-    /// is accounted by its own metric.
+    /// which holds the text of every Call-ID and address-of-record and is
+    /// accounted by its own metric.
     pub fn memory_bytes(&self) -> usize {
         let calls = self.calls.memory_bytes(|slot| {
             slot.record.network.heap_bytes() + slot.record.media_keys.heap_bytes()

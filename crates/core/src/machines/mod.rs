@@ -20,12 +20,17 @@ use std::net::Ipv4Addr;
 use std::sync::{Arc, LazyLock};
 
 use vids_efsm::machine::ActionCtx;
-use vids_efsm::{sym, Arg, Event, Schema, Sym, Var, VarType};
+use vids_efsm::{sym, Arg, Event, Fingerprint, Schema, Sym, Var, VarType};
 
-/// A textual argument of the event (text is always an interned handle),
-/// defaulting to `""`.
+/// A symbol argument of the event (the Call-ID), defaulting to `""`.
 pub(crate) fn sym_or_empty(ev: &Event, arg: Arg<Sym>) -> Sym {
     ev.get(arg).unwrap_or(sym::EMPTY)
+}
+
+/// A tag or branch argument of the event, the empty fingerprint when
+/// absent: an absent tag and an empty `tag=` are one value.
+pub(crate) fn fingerprint_or_empty(ev: &Event, arg: Arg<Fingerprint>) -> Fingerprint {
+    ev.get(arg).unwrap_or(Fingerprint::EMPTY)
 }
 
 /// Copies an argument of the event into a variable: an absent argument
@@ -71,7 +76,9 @@ impl fmt::Display for MediaKey {
 /// one message: the header fields every message carries, the REGISTER
 /// fields, and the media coordinates of an SDP body. Declared here, once;
 /// the classifier writes them and the machines and routers read them
-/// through these handles.
+/// through these handles. The Call-ID and the address-of-record are
+/// interned, because calls and bindings are keyed on them; the tags and
+/// the branch are only compared, so they are keyed fingerprints.
 #[derive(Debug, Clone, Copy)]
 pub struct SipArgs {
     /// Source address of the datagram.
@@ -80,12 +87,12 @@ pub struct SipArgs {
     pub dst_ip: Arg<Ipv4Addr>,
     /// Call-ID.
     pub call_id: Arg<Sym>,
-    /// From tag (`""` when absent).
-    pub from_tag: Arg<Sym>,
-    /// To tag (`""` when absent).
-    pub to_tag: Arg<Sym>,
-    /// Top Via branch (`""` when absent).
-    pub branch: Arg<Sym>,
+    /// From tag ([`Fingerprint::EMPTY`] when absent).
+    pub from_tag: Arg<Fingerprint>,
+    /// To tag ([`Fingerprint::EMPTY`] when absent).
+    pub to_tag: Arg<Fingerprint>,
+    /// Top Via branch ([`Fingerprint::EMPTY`] when absent).
+    pub branch: Arg<Fingerprint>,
     /// CSeq number.
     pub cseq: Arg<u64>,
     /// CSeq method token.

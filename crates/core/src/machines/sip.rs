@@ -9,13 +9,13 @@
 use std::net::Ipv4Addr;
 
 use vids_efsm::machine::{ActionCtx, MachineDef, PredicateCtx};
-use vids_efsm::{sym, Event, Sym, Var};
+use vids_efsm::{sym, Event, Fingerprint, Sym, Var};
 
 use crate::alert::labels;
 use crate::config::Config;
 use crate::machines::{
-    copy_arg, sym_or_empty, CallGlobals, SipArgs, DELTA_BYE, DELTA_OPEN, DELTA_REOPEN,
-    DELTA_UPDATE, RTP_MACHINE, SIP_MACHINE,
+    copy_arg, fingerprint_or_empty, sym_or_empty, CallGlobals, SipArgs, DELTA_BYE, DELTA_OPEN,
+    DELTA_REOPEN, DELTA_UPDATE, RTP_MACHINE, SIP_MACHINE,
 };
 
 /// Timer name for the teardown/failure linger.
@@ -23,13 +23,14 @@ pub const TIMER_LINGER: &str = "T_linger";
 
 /// The SIP machine's variables: its locals (Fig. 2: Call-ID, branch, tags,
 /// endpoints) and the call globals it publishes — and the handles of the
-/// event arguments it reads.
+/// event arguments it reads. The branch and the tags are only ever compared
+/// for equality, so they are keyed fingerprints, not text.
 #[derive(Debug, Clone, Copy)]
 struct SipVars {
     call_id: Var<Sym>,
-    branch: Var<Sym>,
-    from_tag: Var<Sym>,
-    to_tag: Var<Sym>,
+    branch: Var<Fingerprint>,
+    from_tag: Var<Fingerprint>,
+    to_tag: Var<Fingerprint>,
     caller_ip: Var<Ipv4Addr>,
     callee_ip: Var<Ipv4Addr>,
     g: CallGlobals,
@@ -43,8 +44,8 @@ fn has_sdp(ev: &Event, v: SipVars) -> bool {
 fn store_invite_vars(ctx: &mut ActionCtx<'_>, v: SipVars) {
     let ev = ctx.event;
     ctx.set(v.call_id, sym_or_empty(ev, v.x.call_id));
-    ctx.set(v.branch, sym_or_empty(ev, v.x.branch));
-    ctx.set(v.from_tag, sym_or_empty(ev, v.x.from_tag));
+    ctx.set(v.branch, fingerprint_or_empty(ev, v.x.branch));
+    ctx.set(v.from_tag, fingerprint_or_empty(ev, v.x.from_tag));
     copy_arg(ctx, v.caller_ip, v.x.src_ip);
     copy_arg(ctx, v.callee_ip, v.x.dst_ip);
     // Global variables: the caller's offered media coordinates.
@@ -62,7 +63,7 @@ fn publish_caller_media(ctx: &mut ActionCtx<'_>, v: SipVars) {
 
 fn store_answer_vars(ctx: &mut ActionCtx<'_>, v: SipVars) {
     let ev = ctx.event;
-    ctx.set(v.to_tag, sym_or_empty(ev, v.x.to_tag));
+    ctx.set(v.to_tag, fingerprint_or_empty(ev, v.x.to_tag));
     if has_sdp(ev, v) {
         copy_arg(ctx, v.g.callee_media_ip, v.x.sdp_ip);
         ctx.set(v.g.callee_media_port, ev.get(v.x.sdp_port).unwrap_or(0));
@@ -76,19 +77,21 @@ fn cseq_is(ctx: &PredicateCtx<'_>, v: SipVars, method: Sym) -> bool {
 
 /// Whether the event's To tag is absent or empty (initial-INVITE shape).
 fn to_tag_empty(ctx: &PredicateCtx<'_>, v: SipVars) -> bool {
-    sym_or_empty(ctx.event, v.x.to_tag) == sym::EMPTY
+    fingerprint_or_empty(ctx.event, v.x.to_tag) == Fingerprint::EMPTY
 }
 
 /// Whether the event's From/To tags identify the monitored dialog, in
 /// either direction. Early in the dialog the To tag may still be unknown
-/// to the monitor; an empty stored tag matches anything. Symbol
-/// comparisons are O(1) id compares.
+/// to the monitor; an empty stored tag matches anything. Fingerprint
+/// comparisons are one word compare each.
 fn tags_consistent(ctx: &PredicateCtx<'_>, v: SipVars) -> bool {
-    let from = sym_or_empty(ctx.event, v.x.from_tag);
-    let to = sym_or_empty(ctx.event, v.x.to_tag);
-    let l_from = ctx.get(v.from_tag).unwrap_or(sym::EMPTY);
-    let l_to = ctx.get(v.to_tag).unwrap_or(sym::EMPTY);
-    let m = |a: Sym, b: Sym| a == sym::EMPTY || b == sym::EMPTY || a == b;
+    let from = fingerprint_or_empty(ctx.event, v.x.from_tag);
+    let to = fingerprint_or_empty(ctx.event, v.x.to_tag);
+    let l_from = ctx.get(v.from_tag).unwrap_or(Fingerprint::EMPTY);
+    let l_to = ctx.get(v.to_tag).unwrap_or(Fingerprint::EMPTY);
+    let m = |a: Fingerprint, b: Fingerprint| {
+        a == Fingerprint::EMPTY || b == Fingerprint::EMPTY || a == b
+    };
     (m(l_from, from) && m(l_to, to)) || (m(l_from, to) && m(l_to, from))
 }
 
@@ -161,8 +164,8 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         .label("INVITE retransmission");
     def.add_transition(invite_rcvd, "SIP.1xx", proceeding)
         .action(move |ctx| {
-            let tag = sym_or_empty(ctx.event, v.x.to_tag);
-            if tag != sym::EMPTY {
+            let tag = fingerprint_or_empty(ctx.event, v.x.to_tag);
+            if tag != Fingerprint::EMPTY {
                 ctx.set(v.to_tag, tag);
             }
         })

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::intern::Sym;
-use crate::value::Value;
+use crate::value::{Fingerprint, Value};
 use crate::vars::{read_word, Arg, Schema, VarKind, VarType, Vars, MAX_ARGS, NO_ARGS};
 
 /// How an event reached the machine.
@@ -120,7 +120,9 @@ impl Event {
     /// Sets the argument the schema declares under `name`, builder-style:
     /// for tests and tooling that build events by name. The name is
     /// resolved through the schema on every call; hot code uses
-    /// [`Event::set`] with a handle.
+    /// [`Event::set`] with a handle. Text given for a fingerprint argument
+    /// is fingerprinted: `with_named("from_tag", "ft")` sets the
+    /// fingerprint of `"ft"`.
     ///
     /// # Panics
     ///
@@ -137,6 +139,8 @@ impl Event {
             (VarKind::Sym, Value::Sym(v)) => v.to_word(),
             (VarKind::Bool, Value::Bool(v)) => v.to_word(),
             (VarKind::Ip, Value::Ip(v)) => v.to_word(),
+            (VarKind::Fingerprint, Value::Fingerprint(v)) => v.to_word(),
+            (VarKind::Fingerprint, Value::Sym(v)) => Fingerprint::of(v.as_str()).to_word(),
             (kind, value) => panic!("argument {name:?} is {kind}, not {value:?}"),
         };
         self.words[slot] = word;
@@ -221,6 +225,7 @@ mod tests {
         src_port: Arg<u64>,
         has_sdp: Arg<bool>,
         delta: Arg<i64>,
+        tag: Arg<Fingerprint>,
     }
 
     // Declared out of symbol-id order, so rendering has to sort.
@@ -231,6 +236,7 @@ mod tests {
             has_sdp: schema.arg("has_sdp"),
             src_port: schema.arg("src_port"),
             src_ip: schema.arg("src_ip"),
+            tag: schema.arg("et_tag"),
             schema,
         }
     });
@@ -293,6 +299,22 @@ mod tests {
             ev.to_string(),
             "data?go(src_ip=\"10.0.0.3\", has_sdp=false, et_delta=-2)"
         );
+    }
+
+    #[test]
+    fn text_for_a_fingerprint_argument_is_fingerprinted() {
+        let a = &*ARGS;
+        let by_handle = event("go").with(a.tag, Fingerprint::of("ft"));
+        assert_eq!(event("go").with_named("et_tag", "ft"), by_handle);
+        assert_eq!(
+            event("go").with_named("et_tag", Fingerprint::of("ft")),
+            by_handle
+        );
+        assert_eq!(
+            event("go").with_named("et_tag", "").get(a.tag),
+            Some(Fingerprint::EMPTY)
+        );
+        assert_eq!(by_handle.to_string(), "data?go(et_tag=#)");
     }
 
     #[test]

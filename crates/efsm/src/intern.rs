@@ -6,11 +6,14 @@
 //! into a process-global interner: comparing two symbols is a `u32`
 //! compare, hashing one hashes four bytes, and copying one is free.
 //!
-//! The interning boundary is the packet classifier: wire identifiers are
-//! borrowed as `&str` slices out of the raw datagram, interned once, and
-//! everything downstream (EFSM network, fact base, shard router) keys on
-//! the symbol. Addresses are not interned: an IPv4 address is already a
-//! value ([`crate::Value::Ip`]). All *static* names — event names, `l_*`/`g_*` variables,
+//! The interning boundary is the packet classifier: the wire identifiers
+//! the engine keys on — Call-IDs and addresses-of-record — are borrowed as
+//! `&str` slices out of the raw datagram, interned once, and everything
+//! downstream (EFSM network, fact base, shard router) keys on the symbol.
+//! Nothing else from the wire is interned. SIP tags and Via branches are
+//! only compared, so they are keyed fingerprints
+//! ([`crate::value::Fingerprint`]) that take no slot here, and an IPv4
+//! address is already a value ([`crate::Value::Ip`]). All *static* names — event names, `l_*`/`g_*` variables,
 //! timers, machines — are pre-seeded at fixed indices so the steady-state
 //! path never takes the interner's write lock; see [`sym`] for the
 //! compile-time constants.
@@ -33,8 +36,9 @@
 //! [`Sym::try_intern`] reports either as an [`InternError`], which the
 //! classifier turns into a counted `malformed` verdict. At capacity,
 //! strings already interned keep resolving, so calls the monitor already
-//! tracks stay monitored and only new-call admission is shed. [`stats`]
-//! shows the table filling.
+//! tracks stay monitored — their later requests carry fresh branches, but
+//! those are fingerprints, not symbols — and only new-call admission is
+//! shed. [`stats`] shows the table filling.
 //!
 //! Symbols are never reclaimed: [`Sym::as_str`] hands out `&'static str`,
 //! and alert dedup keys and the telemetry ring hold symbols with no

@@ -8,7 +8,9 @@
 //!
 //! The crate provides:
 //!
-//! * [`value::Value`] — the domains `D` of variables and event arguments.
+//! * [`value::Value`] — the domains `D` of variables and event arguments;
+//!   [`value::Fingerprint`] is the keyed hash that stands for text a
+//!   machine only compares.
 //! * [`vars`] — state variables `v̄` as a vector: declared once per
 //!   definition, machine-local (`v.l_…`) or call-global (`v.g_…`) exactly as
 //!   in the paper's Fig. 2, read and written through typed [`vars::Var`]
@@ -82,5 +84,5 @@ pub use network::{
     MachineId, Network, NetworkOutcome, NoopObserver, SoloNetwork, TransitionObserver,
 };
 pub use trace::{Trace, TraceEntry};
-pub use value::{InlineVec, Value};
+pub use value::{Fingerprint, InlineVec, Value};
 pub use vars::{Arg, Schema, Var, VarKind, VarType, Vars};

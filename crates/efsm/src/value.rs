@@ -3,31 +3,39 @@
 //!
 //! Variables and arguments are stored positionally as 8-byte words
 //! ([`crate::vars`]); a [`Value`] is what one of them reads back as where
-//! it is rendered or compared by name. Identifiers are interned symbols;
-//! an IPv4 address is its own word and never touches the interner.
+//! it is rendered or compared by name. Identifiers a machine keys on
+//! (Call-IDs, addresses-of-record) are interned symbols; identifiers it only
+//! tests for equality (SIP tags, Via branches) are keyed [`Fingerprint`]s;
+//! an IPv4 address is its own word. Neither of the last two touches the
+//! interner.
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::mem;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 use crate::intern::Sym;
 
 /// A value a state variable or event argument can take.
 ///
 /// The paper's Definition 1 leaves domains abstract; in a VoIP monitor the
-/// variables are addresses, identifiers, counters and timestamps. Text is
-/// always an interned [`Sym`] handle (what the classifier produces for wire
-/// strings such as Call-IDs and tags) and an IPv4 address is its own four
-/// bytes, so a value is 16 bytes, `Copy`, and owns no heap: every record,
-/// event and argument vector built from values is plain data with no drop
-/// glue.
+/// variables are addresses, identifiers, counters and timestamps. Text a
+/// machine keys on is an interned [`Sym`] handle, text it only compares is
+/// a [`Fingerprint`], and an IPv4 address is its own four bytes, so a value
+/// is 16 bytes, `Copy`, and owns no heap: every record, event and argument
+/// vector built from values is plain data with no drop glue.
+///
+/// Values have no order: a fingerprint's word depends on a per-process
+/// key, and nothing a process outputs may.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Value {
     /// Signed integer (sequence deltas, gaps).
     Int(i64),
     /// Unsigned integer (counters, ports, timestamps in ms/ticks).
     Uint(u64),
-    /// Interned text (Call-IDs, tags, addresses-of-record — see
+    /// Interned text (Call-IDs, addresses-of-record — see
     /// [`crate::intern`]). The interner dedups, so equality is an O(1) id
     /// compare.
     Sym(Sym),
@@ -37,6 +45,9 @@ pub enum Value {
     /// a value, never interned. Renders as its quoted dotted quad, exactly
     /// as the same address held as text would.
     Ip(Ipv4Addr),
+    /// A keyed fingerprint of text that is only ever compared (SIP tags
+    /// and Via branches): never interned, and rendered without its word.
+    Fingerprint(Fingerprint),
 }
 
 const _: () = assert!(mem::size_of::<Value>() == 16);
@@ -86,44 +97,66 @@ impl Value {
             _ => None,
         }
     }
+}
 
-    fn rank(&self) -> u8 {
-        match self {
-            Value::Int(_) => 0,
-            Value::Uint(_) => 1,
-            Value::Sym(_) => 2,
-            Value::Bool(_) => 3,
-            Value::Ip(_) => 4,
+/// A 64-bit keyed fingerprint of an identifier the machines only test for
+/// equality: a SIP From or To tag, or a top Via branch (§4.1's guards
+/// compare them and read nothing else). Taking one stores nothing, so
+/// unlike an interned symbol it costs no table space for the life of the
+/// process.
+///
+/// The hash is std's SipHash-1-3 under one [`RandomState`] drawn per
+/// process. The key is secret: under a public function a party to a call
+/// could search offline for a second branch or tag with the same
+/// fingerprint and have the monitor accept a request the user agent
+/// rejects. Two different texts collide with probability 2⁻⁶⁴ per
+/// comparison. Nothing the program outputs may depend on the key, so a
+/// fingerprint renders as `#` whatever its word (the empty text's as
+/// `""`, which is the same in every process) and has no order.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Fingerprint(pub(crate) u64);
+
+impl Fingerprint {
+    /// The empty text's fingerprint, which is also what an absent tag or
+    /// branch reads as: an absent tag and an empty `tag=` are one value.
+    pub const EMPTY: Fingerprint = Fingerprint(0);
+
+    /// The fingerprint of `text` under this process's key.
+    pub fn of(text: &str) -> Fingerprint {
+        static KEY: OnceLock<RandomState> = OnceLock::new();
+        Fingerprint::keyed(KEY.get_or_init(RandomState::new), text)
+    }
+
+    fn keyed(key: &RandomState, text: &str) -> Fingerprint {
+        if text.is_empty() {
+            return Fingerprint::EMPTY;
         }
+        // Zero is the empty text's word; a text that hashes to it takes one.
+        Fingerprint(key.hash_one(text).max(1))
+    }
+}
+
+/// `#`, or `""` for the empty text: never the word, which depends on the
+/// process's key.
+impl fmt::Display for Fingerprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if *self == Fingerprint::EMPTY {
+            "\"\""
+        } else {
+            "#"
+        })
+    }
+}
+
+impl fmt::Debug for Fingerprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
     }
 }
 
 impl Default for Value {
     fn default() -> Self {
         Value::Bool(false)
-    }
-}
-
-impl PartialOrd for Value {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Within a variant, the natural order — text order for `Sym`, not id
-/// order, so sorting does not depend on interning order, and numeric order
-/// for `Ip`; across variants, declaration order.
-impl Ord for Value {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        match (self, other) {
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Uint(a), Value::Uint(b)) => a.cmp(b),
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Ip(a), Value::Ip(b)) => a.cmp(b),
-            (Value::Sym(a), Value::Sym(b)) if a == b => std::cmp::Ordering::Equal,
-            (Value::Sym(a), Value::Sym(b)) => a.as_str().cmp(b.as_str()),
-            (a, b) => a.rank().cmp(&b.rank()),
-        }
     }
 }
 
@@ -135,6 +168,7 @@ impl fmt::Display for Value {
             Value::Sym(v) => write!(f, "{:?}", v.as_str()),
             Value::Bool(v) => write!(f, "{v}"),
             Value::Ip(v) => write!(f, "\"{v}\""),
+            Value::Fingerprint(v) => write!(f, "{v}"),
         }
     }
 }
@@ -165,7 +199,8 @@ impl From<u16> for Value {
 
 /// Interns the text ([`Sym::intern`]): it is kept for the life of the
 /// process, so this conversion is for names the program chooses. Strings
-/// from the wire go through [`Sym::try_intern`] at the classifier.
+/// from the wire go through [`Sym::try_intern`] at the classifier, or
+/// become a [`Fingerprint`] there.
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
         Value::Sym(Sym::intern(v))
@@ -194,6 +229,12 @@ impl From<bool> for Value {
 impl From<Ipv4Addr> for Value {
     fn from(v: Ipv4Addr) -> Self {
         Value::Ip(v)
+    }
+}
+
+impl From<Fingerprint> for Value {
+    fn from(v: Fingerprint) -> Self {
+        Value::Fingerprint(v)
     }
 }
 
@@ -428,10 +469,6 @@ mod tests {
             let ip: Ipv4Addr = text.parse().unwrap();
             assert_eq!(Value::Ip(ip).to_string(), Value::from(text).to_string());
         }
-        // Numeric order within the variant; after every other variant.
-        let (low, high) = (Ipv4Addr::new(10, 2, 0, 10), Ipv4Addr::new(10, 10, 0, 1));
-        assert!(Value::Ip(low) < Value::Ip(high));
-        assert!(Value::Bool(true) < Value::Ip(low));
     }
 
     #[test]
@@ -448,7 +485,6 @@ mod tests {
         };
         for other in [b, c] {
             assert_eq!(a, other);
-            assert_eq!(a.cmp(&other), std::cmp::Ordering::Equal);
             assert_eq!(hash(&a), hash(&other));
             assert_eq!(a.to_string(), other.to_string());
             assert_eq!(a.as_sym(), other.as_sym());
@@ -458,30 +494,49 @@ mod tests {
     }
 
     #[test]
-    fn symbols_order_by_text_not_by_interning_order() {
-        let later = Value::from("value-order-b");
-        let earlier = Value::from("value-order-a");
-        assert!(earlier.as_sym().unwrap().id() > later.as_sym().unwrap().id());
-        assert!(earlier < later);
-        // Across variants: Int < Uint < Sym < Bool.
-        let mut mixed = [
-            Value::Bool(false),
-            later,
-            Value::Uint(0),
-            earlier,
-            Value::Int(9),
-        ];
-        mixed.sort();
+    fn equal_texts_have_equal_fingerprints() {
+        let text = "z9hG4bK-fp-equal";
+        let same = format!("z9hG4bK-fp-{}", "equal");
+        assert_eq!(Fingerprint::of(text), Fingerprint::of(&same));
+        assert_ne!(Fingerprint::of(text), Fingerprint::EMPTY);
+        assert_eq!(Sym::lookup(text), None, "fingerprinting interns nothing");
+    }
+
+    #[test]
+    fn one_byte_apart_is_another_fingerprint() {
+        let base = "t".repeat(255);
+        let fp = Fingerprint::of(&base);
+        for offset in [0, 63, 64, 254] {
+            let mut other = base.clone().into_bytes();
+            other[offset] = b'u';
+            let other = String::from_utf8(other).unwrap();
+            assert_ne!(Fingerprint::of(&other), fp, "offset {offset}");
+        }
+    }
+
+    #[test]
+    fn the_empty_text_is_the_empty_fingerprint_under_any_key() {
+        assert_eq!(Fingerprint::of(""), Fingerprint::EMPTY);
+        assert_eq!(Fingerprint::default(), Fingerprint::EMPTY);
         assert_eq!(
-            mixed,
-            [
-                Value::Int(9),
-                Value::Uint(0),
-                earlier,
-                later,
-                Value::Bool(false)
-            ]
+            Fingerprint::keyed(&RandomState::new(), ""),
+            Fingerprint::EMPTY
         );
+        assert_eq!(Value::Fingerprint(Fingerprint::EMPTY).to_string(), "\"\"");
+    }
+
+    #[test]
+    fn a_fingerprint_renders_the_same_whatever_the_key() {
+        let (k1, k2) = (RandomState::new(), RandomState::new());
+        let text = "tag-fp-render";
+        let (a, b) = (Fingerprint::keyed(&k1, text), Fingerprint::keyed(&k2, text));
+        assert_ne!(a, b, "two keys give two words");
+        for fp in [a, b, Fingerprint::of(text)] {
+            assert_eq!(fp.to_string(), "#");
+            assert_eq!(format!("{fp:?}"), "#");
+            assert_eq!(Value::Fingerprint(fp).to_string(), "#");
+            assert_eq!(format!("{:?}", Value::from(fp)), "Fingerprint(#)");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU16, Ordering};
 
 use crate::intern::{Sym, SymKey};
-use crate::value::Value;
+use crate::value::{Fingerprint, Value};
 
 /// The most variables one frame holds: one presence bit each in a `u64`.
 pub const MAX_VARS: usize = 64;
@@ -50,6 +50,8 @@ pub enum VarKind {
     Bool,
     /// [`Ipv4Addr`], read back as [`Value::Ip`].
     Ip,
+    /// [`Fingerprint`], read back as [`Value::Fingerprint`].
+    Fingerprint,
 }
 
 impl VarKind {
@@ -60,6 +62,7 @@ impl VarKind {
             VarKind::Sym => Value::Sym(Sym::from_word(word)),
             VarKind::Bool => Value::Bool(bool::from_word(word)),
             VarKind::Ip => Value::Ip(Ipv4Addr::from_word(word)),
+            VarKind::Fingerprint => Value::Fingerprint(Fingerprint(word)),
         }
     }
 }
@@ -72,6 +75,7 @@ impl fmt::Display for VarKind {
             VarKind::Sym => "sym",
             VarKind::Bool => "bool",
             VarKind::Ip => "ip",
+            VarKind::Fingerprint => "fingerprint",
         })
     }
 }
@@ -133,6 +137,16 @@ impl VarType for Ipv4Addr {
     }
     fn from_word(word: u64) -> Self {
         Ipv4Addr::from(word as u32)
+    }
+}
+
+impl VarType for Fingerprint {
+    const KIND: VarKind = VarKind::Fingerprint;
+    fn to_word(self) -> u64 {
+        self.0
+    }
+    fn from_word(word: u64) -> Self {
+        Fingerprint(word)
     }
 }
 
@@ -623,6 +637,7 @@ mod tests {
         let s: Var<Sym> = schema.declare("vt_s");
         let b: Var<bool> = schema.declare("vt_b");
         let ip: Var<Ipv4Addr> = schema.declare("vt_ip");
+        let fp: Var<Fingerprint> = schema.declare("vt_fp");
         let mut frame = Frame::<2>::new(schema.len());
         let mut slots = frame.slots(0);
         slots.set(n, u64::MAX);
@@ -630,21 +645,26 @@ mod tests {
         slots.set(s, Sym::intern("vars-test-text"));
         slots.set(b, true);
         slots.set(ip, Ipv4Addr::BROADCAST);
+        slots.set(fp, Fingerprint::of("vars-test-tag"));
         assert_eq!(slots.read().get(n), Some(u64::MAX));
         assert_eq!(slots.read().get(d), Some(-7));
         assert_eq!(slots.remove(b), Some(true));
         assert_eq!(slots.read().get(b), None);
-        assert!(frame.heap_bytes() > 0, "five words spill a two-word frame");
+        assert!(frame.heap_bytes() > 0, "six words spill a two-word frame");
         let vars = frame.scope(&schema, 0);
-        assert_eq!(vars.len(), 4);
+        assert_eq!(vars.len(), 5);
         assert_eq!(vars.str("vt_s"), Some("vars-test-text"));
         assert_eq!(vars.int("vt_d"), Some(-7));
         assert_eq!(vars.ip("vt_ip"), Some(Ipv4Addr::BROADCAST));
+        assert_eq!(
+            vars.get("vt_fp"),
+            Some(Value::Fingerprint(Fingerprint::of("vars-test-tag")))
+        );
         assert_eq!(vars.get("vt_b"), None);
         assert_eq!(vars.get("vars-test-never-declared"), None);
         assert_eq!(Sym::lookup("vars-test-never-declared"), None);
         let names: Vec<&str> = vars.iter().map(|(name, _)| name).collect();
-        assert_eq!(names, ["vt_n", "vt_d", "vt_s", "vt_ip"]);
+        assert_eq!(names, ["vt_n", "vt_d", "vt_s", "vt_ip", "vt_fp"]);
     }
 
     #[test]

@@ -65,6 +65,27 @@ awk '
     exit 1
 }
 
+# A symbol is never freed, so the classifier interns only what the engine
+# keys on: the Call-ID, which groups a call, and a REGISTER's
+# address-of-record, which keys a binding. Tags and branches are only
+# compared and become keyed fingerprints. Exactly two interning sites
+# (`intern(`, `try_intern(`, the function named as a value, `Sym::from(`)
+# in classify.rs outside comments and the test module.
+echo "==> classify.rs interns only the Call-ID and the AOR"
+awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        n = gsub(/(try_)?intern[ \t]*\(|::(try_)?intern([^A-Za-z0-9_:]|$)|Sym::from[ \t]*\(/, "&", line)
+        if (n > 0) { print "    " FILENAME ":" FNR ":" $0; sites += n }
+    }
+    END { exit sites != 2 }
+' crates/core/src/classify.rs || {
+    echo "classify.rs must intern exactly the Call-ID and the AOR (sites above): fingerprint what is only compared" >&2
+    exit 1
+}
+
 # Cluster differential: cluster(1 node) == plain pool and node-count
 # invariance, byte-compared on alerts, counters and merged telemetry;
 # README's tenant map == one tenant on the mixed trace (a call is never
@@ -101,7 +122,8 @@ cargo clippy --offline -p vids-scan -p vids-sip -p vids-efsm -p vids-telemetry -
 # enabled, call set-up and a whole call life on flat slab slots, a flood
 # INVITE past detection, repeated strays and RTP from 10 000 never-seen
 # sources — all at zero allocations — and 3 000 never-seen strings through
-# the classifier for three at most.
+# the classifier (1 000 Call-IDs interned, 2 000 tags and branches
+# fingerprinted) for three at most.
 echo "==> alloc budget (warm path, call set-up, fresh strings, repeated alerts)"
 cargo test --offline --test alloc_budget -q
 

@@ -1,9 +1,9 @@
 //! Allocation budget gate for the steady-state event hot path.
 //!
 //! A counting global allocator measures exactly what one warm packet costs
-//! after symbol interning: every identifier the packet carries (Call-ID,
-//! tags, branch) was interned when the call was set up, and its addresses
-//! are values that need no interning, so classify → EFSM →
+//! after symbol interning: the Call-ID the packet carries was interned
+//! when the call was set up, its tags and branch are fingerprints and its
+//! addresses values, neither of which is interned, so classify → EFSM →
 //! fact base runs on `Sym` handles, positional argument and variable
 //! vectors, and pre-sized buffers. The documented budget (see DESIGN.md, "Hot path & memory
 //! model"):
@@ -25,8 +25,10 @@
 //!   record is one slab slot that owns no heap block, and the dedup set is
 //!   asked before any alert text is built,
 //! * the classifier makes no allocation per string it has never seen —
-//!   1 000 INVITEs carrying 3 000 fresh strings cost the interner's table
-//!   growth, three allocations — and none to refuse an over-long one,
+//!   1 000 INVITEs carrying 3 000 fresh strings (1 000 Call-IDs, interned,
+//!   and 2 000 tags and branches, fingerprinted) cost the interner's table
+//!   growth, at most three allocations — and none to refuse an over-long
+//!   one,
 //! * a source address the monitor has never seen costs nothing at all:
 //!   10 000 RTP datagrams from 10 000 spoofed sources make no allocation
 //!   and intern no symbol,
@@ -236,8 +238,8 @@ fn forged_bye(call_id: &str) -> Packet {
     pkt(CALLER, CALLEE, Payload::Sip(bye.to_string()))
 }
 
-/// Interns every identifier `packet` carries (Call-ID, tags, branch), so
-/// a measurement that follows counts the engine alone.
+/// Interns every identifier `packet` carries (its Call-ID), so a
+/// measurement that follows counts the engine alone.
 fn intern_strings_of(packet: &Packet) {
     let _ = classify(packet);
 }
@@ -456,12 +458,12 @@ fn warm_packets_meet_the_allocation_budget() {
     }
 
     // ---- strings the monitor has never seen: the classifier alone --------
-    // A new Call-ID, tag or branch is copied onto the interner's current
-    // text slab and indexed by id, so what 1 000 INVITEs from 1 000 sources
-    // carrying 3 000 fresh strings cost is table growth alone — a 64 KiB
-    // text slab and the doublings of the interner's index (≈ 300 → 3 300
-    // entries), 3 here — where one `Box<str>` per string used to make it
-    // ≥ 3 000.
+    // A new Call-ID is copied onto the interner's current text slab and
+    // indexed by id; a new tag or branch is fingerprinted and stored
+    // nowhere. So what 1 000 INVITEs from 1 000 sources carrying 3 000 fresh
+    // strings cost is table growth alone — a 64 KiB text slab and the
+    // doublings of the interner's index for 1 000 new symbols — where one
+    // `Box<str>` per string used to make it ≥ 3 000.
     // The 1 000 source and SDP addresses are values and cost nothing. A
     // Call-ID past the symbol bound costs nothing and leaves no symbol.
     {
@@ -498,7 +500,11 @@ fn warm_packets_meet_the_allocation_budget() {
             }
         });
         eprintln!("1000 INVITE+SDP with 3000 never-seen strings: {n} allocations");
-        assert_eq!(intern::stats().symbols - before, 3_000);
+        assert_eq!(
+            intern::stats().symbols - before,
+            1_000,
+            "only the Call-IDs are symbols"
+        );
         assert!(n <= 3, "classifying fresh strings made {n} allocations");
 
         let long = fresh[0].1.replace("fresh-call-0", &"x".repeat(256));

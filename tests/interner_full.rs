@@ -3,11 +3,15 @@
 //! The interner holds 4 194 304 symbols and never frees one, so a monitor
 //! that runs long enough under unique-Call-ID floods fills it. What must
 //! happen then is the last stage of the shed order: new-call admission
-//! stops — a message carrying an identifier the table has never seen is
-//! flagged `malformed` and counted — while every call whose identifiers are
-//! already interned keeps being monitored. Addresses are values, not
-//! symbols, so a source the monitor has never seen is still classified and
-//! checked against the calls it knows.
+//! stops — a message whose Call-ID (or, for a REGISTER, address-of-record)
+//! the table has never seen is flagged `malformed` and counted — while
+//! every call the monitor already tracks keeps being monitored. A tracked
+//! call's Call-ID is already interned, and its tags and Via branches are
+//! keyed fingerprints that take no table space, so its later requests —
+//! a BYE with a branch nobody has seen before, or a forged one with a
+//! foreign To tag — still reach it and are judged there. Addresses are
+//! values, not symbols, so a source the monitor has never seen is still
+//! classified and checked against the calls it knows.
 //!
 //! A test binary of its own (the table is process-global and this fills
 //! it), and `#[ignore]`d because it interns 4.19 M strings:
@@ -40,6 +44,20 @@ fn invite(call_id: &str) -> String {
          To: <sip:bob@b.example.com>\r\n\
          Call-ID: {call_id}\r\n\
          CSeq: 1 INVITE\r\n\
+         Content-Length: 0\r\n\r\n"
+    )
+}
+
+/// A BYE from the caller of [`established_call`]`(call_id)`: its From tag,
+/// the given To tag, and a Via branch no earlier message carried.
+fn bye(call_id: &str, to_tag: &str) -> String {
+    format!(
+        "BYE sip:bob@b.example.com SIP/2.0\r\n\
+         Via: SIP/2.0/UDP 10.1.0.10:5060;branch=z9hG4bK-after-full-{call_id}\r\n\
+         From: <sip:alice@a.example.com>;tag=tag-alice\r\n\
+         To: <sip:bob@b.example.com>;tag={to_tag}\r\n\
+         Call-ID: {call_id}\r\n\
+         CSeq: 2 BYE\r\n\
          Content-Length: 0\r\n\r\n"
     )
 }
@@ -106,6 +124,22 @@ fn a_full_symbol_table_sheds_new_calls_and_keeps_known_ones() {
         media.process(packet, SimTime::from_millis(t as u64), &mut media_sink);
     }
     assert!(media_sink.alerts().is_empty(), "{:?}", media_sink.alerts());
+
+    // A third engine tracks two established calls whose in-dialog requests
+    // arrive only once the table is full.
+    let mut dialogs = Vids::new(Config::default());
+    let mut dialogs_sink = CollectSink::new();
+    for call_id in ["full-dialog-bye", "full-dialog-forged"] {
+        for (t, packet) in established_call(call_id).iter().enumerate() {
+            dialogs.process(packet, SimTime::from_millis(t as u64), &mut dialogs_sink);
+        }
+    }
+    assert_eq!(dialogs.monitored_calls(), 2);
+    assert!(
+        dialogs_sink.alerts().is_empty(),
+        "{:?}",
+        dialogs_sink.alerts()
+    );
 
     // Fill it.
     let mut text = String::new();
@@ -185,6 +219,49 @@ fn a_full_symbol_table_sheds_new_calls_and_keeps_known_ones() {
         .detail
         .to_string()
         .contains("symbol table full"));
+
+    // In-dialog requests of tracked calls, each with a Via branch (and the
+    // forged one with a To tag) the table has never seen: a genuine BYE
+    // reaches its call and begins the teardown, and a BYE with a foreign To
+    // tag is the spoofed BYE it is.
+    let genuine = bye("full-dialog-bye", "tt");
+    assert!(
+        matches!(classify_sip(&genuine, CALLER), Classified::Sip { .. }),
+        "{:?}",
+        classify_sip(&genuine, CALLER)
+    );
+    dialogs.process(
+        &packet(genuine),
+        SimTime::from_millis(20),
+        &mut dialogs_sink,
+    );
+    assert!(
+        dialogs_sink.alerts().is_empty(),
+        "{:?}",
+        dialogs_sink.alerts()
+    );
+    assert_eq!(dialogs.counters().malformed, 0);
+    let snapshot = dialogs
+        .call_snapshot("full-dialog-bye")
+        .expect("the call is still tracked");
+    assert_eq!(snapshot.machines[0].name, "sip");
+    assert_eq!(snapshot.machines[0].state, "CALL_TEARDOWN");
+    let forged = bye("full-dialog-forged", "forged-to-tag");
+    dialogs.process(&packet(forged), SimTime::from_millis(21), &mut dialogs_sink);
+    assert_eq!(dialogs.counters().malformed, 0);
+    let raised: Vec<_> = dialogs_sink.alerts().iter().map(|a| &*a.label).collect();
+    assert_eq!(raised, [labels::SPOOFED_BYE]);
+    assert_eq!(
+        dialogs_sink.alerts()[0].call_id.as_deref(),
+        Some("full-dialog-forged")
+    );
+    for text in [
+        "z9hG4bK-after-full-full-dialog-bye",
+        "z9hG4bK-after-full-full-dialog-forged",
+        "forged-to-tag",
+    ] {
+        assert_eq!(Sym::lookup(text), None, "{text} took no table space");
+    }
 
     // Media from a source nobody has seen, sent to the established call's
     // negotiated coordinates: checked against the call, not shed.

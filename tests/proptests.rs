@@ -442,7 +442,7 @@ mod event_args_model {
 
     use proptest::prelude::*;
     use vids::core::machines::SipArgs;
-    use vids::efsm::{Sym, Value, VarKind};
+    use vids::efsm::{Fingerprint, Sym, Value, VarKind};
 
     proptest! {
         #[test]
@@ -464,6 +464,9 @@ mod event_args_model {
                             VarKind::Bool => Value::Bool(raw % 2 == 0),
                             VarKind::Sym => Value::from(format!("ea-{}", raw % 40)),
                             VarKind::Ip => Value::Ip((raw as u32).into()),
+                            VarKind::Fingerprint => {
+                                Value::from(Fingerprint::of(&format!("ea-{}", raw % 40)))
+                            }
                         };
                         event = event.with_named(name.as_str(), value);
                         model.insert(name.id(), (name, value));
@@ -920,11 +923,12 @@ mod address_rendering {
             panic!("one deviation: {:?}", sink.alerts());
         };
         assert_eq!(alert.label, "deviation:SIP.BYE");
+        // Tags and the branch are keyed fingerprints: they render as `#`.
         assert_eq!(
             alert.detail.to_string(),
             "data?SIP.BYE(src_ip=\"10.1.0.10\", dst_ip=\"192.168.200.7\", \
-             call_id=\"dev-call\", from_tag=\"dev-from\", to_tag=\"dev-to\", \
-             branch=\"z9hG4bK-dev-bye\", cseq=2, cseq_method=\"BYE\")"
+             call_id=\"dev-call\", from_tag=#, to_tag=#, \
+             branch=#, cseq=2, cseq_method=\"BYE\")"
         );
     }
 }

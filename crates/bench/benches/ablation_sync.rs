@@ -8,18 +8,12 @@
 //! disabled: without synchronization the RTP machine never learns about
 //! the BYE, never arms timer T, and the attack sails through.
 
-use std::sync::Once;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-
 use vids::core::alert::labels;
 use vids::core::{CollectSink, Config, CostModel, NullSink, Vids};
 use vids::netsim::packet::{Address, Packet, Payload};
 use vids::netsim::time::SimTime;
 use vids::rtp::packet::RtpPacket;
-use vids_bench::{header, print_once, row};
-
-static PRINTED: Once = Once::new();
+use vids_bench::{header, row};
 
 /// Replays a call + BYE + post-BYE media; returns whether the RTP-after-BYE
 /// attack was detected.
@@ -133,15 +127,6 @@ fn print_figure() {
     assert!(with_sync && !without_sync, "ablation invariant violated");
 }
 
-fn bench(c: &mut Criterion) {
-    print_once(&PRINTED, print_figure);
-    c.bench_function("ablation/bye_dos_replay_with_sync", |b| {
-        b.iter(|| std::hint::black_box(bye_dos_detected(true)))
-    });
-    c.bench_function("ablation/bye_dos_replay_without_sync", |b| {
-        b.iter(|| std::hint::black_box(bye_dos_detected(false)))
-    });
+fn main() {
+    print_figure();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -6,19 +6,14 @@
 //! and the *measured* wall-clock cost of the real vids pipeline per packet
 //! on this machine.
 
-use std::sync::Once;
 use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use vids::core::{Config, CostModel, NullSink, Vids, VidsPool};
 use vids::netsim::packet::{Address, Packet, Payload};
 use vids::netsim::time::SimTime;
 use vids::rtp::packet::RtpPacket;
 use vids::scenario::{Testbed, TestbedConfig};
-use vids_bench::{header, print_once, row};
-
-static PRINTED: Once = Once::new();
+use vids_bench::{header, row};
 
 fn rtp_packet(i: u64) -> Packet {
     let rtp = RtpPacket::new(18, (100 + i) as u16, (i * 80) as u32, 7).with_payload(vec![0; 10]);
@@ -143,56 +138,6 @@ fn print_figure() {
     );
 }
 
-fn bench(c: &mut Criterion) {
-    print_once(&PRINTED, print_figure);
-
-    let mut vids = Vids::new(Config::default());
-    vids.process(&sip_invite("bench-call"), SimTime::ZERO, &mut NullSink);
-    let pkt = rtp_packet(1);
-    let mut i = 0u64;
-    c.bench_function("cpu/vids_process_rtp_packet", |b| {
-        b.iter(|| {
-            i += 1;
-            let mut p = pkt.clone();
-            if let Payload::Rtp(bytes) = &mut p.payload {
-                // Advance the sequence number so the machine self-loops.
-                let seq = (100 + i) as u16;
-                bytes[2..4].copy_from_slice(&seq.to_be_bytes());
-                let ts = (i as u32) * 80;
-                bytes[4..8].copy_from_slice(&ts.to_be_bytes());
-            }
-            vids.process(&p, SimTime::from_millis(i / 100), &mut NullSink);
-            std::hint::black_box(vids.counters())
-        })
-    });
-
-    c.bench_function("cpu/vids_process_sip_invite", |b| {
-        let mut vids = Vids::new(Config::default());
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            let pkt = sip_invite(&format!("bench-{i}"));
-            vids.process(&pkt, SimTime::from_millis(i * 2_000), &mut NullSink);
-            std::hint::black_box(vids.counters())
-        })
-    });
-
-    c.bench_function("cpu/classify_rtp_only", |b| {
-        let pkt = rtp_packet(5);
-        b.iter(|| std::hint::black_box(vids::core::classify::classify(&pkt)))
-    });
-
-    let shards = vids_bench::shards_knob();
-    let batch = vids_bench::synth_call_batch(100, 40);
-    c.bench_function(&format!("cpu/pool_batch_{shards}_shards"), |b| {
-        b.iter(|| {
-            let config = Config::builder().shards(shards).build().unwrap();
-            let mut pool = VidsPool::with_cost(config, CostModel::free());
-            pool.process_batch(std::hint::black_box(&batch), SimTime::ZERO, &mut NullSink);
-            std::hint::black_box(pool.alerts_merged())
-        })
-    });
+fn main() {
+    print_figure();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -4,20 +4,12 @@
 //! The printed table runs each §3 attack through the full simulated
 //! testbed plus one clean run for the false-positive column.
 
-use std::sync::Once;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-
 use vids::attacks::craft::{self, Target};
 use vids::attacks::AttackKind;
 use vids::core::alert::{labels, AlertKind};
-use vids::core::NullSink;
 use vids::netsim::time::SimTime;
 use vids::netsim::topology::{internet_addr, ua_addr, SITE_A, SITE_B};
 use vids::scenario::{Testbed, TestbedConfig};
-use vids_bench::print_once;
-
-static PRINTED: Once = Once::new();
 
 fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -270,44 +262,6 @@ fn print_table() {
     );
 }
 
-fn bench(c: &mut Criterion) {
-    print_once(&PRINTED, print_table);
-    // Kernel: one spoofed-BYE classification + machine step.
-    c.bench_function("accuracy/classify_and_step_bye", |b| {
-        use vids::netsim::packet::{Address, Packet, Payload};
-        let mut vids = vids::core::Vids::new(vids::core::Config::default());
-        let sdp = vids::sdp::SessionDescription::audio_offer(
-            "alice",
-            "10.1.0.10",
-            20_000,
-            &[vids::sdp::Codec::G729],
-        );
-        let inv = vids::sip::Request::invite(
-            &vids::sip::SipUri::new("alice", "a.example.com"),
-            &vids::sip::SipUri::new("bob", "b.example.com"),
-            "bench-call",
-        )
-        .with_body(vids::sdp::MIME_TYPE, sdp.to_string());
-        let pkt = |payload: Payload| Packet {
-            src: Address::new(10, 1, 0, 10, 5060),
-            dst: Address::new(10, 2, 0, 10, 5060),
-            payload,
-            id: 0,
-            sent_at: SimTime::ZERO,
-        };
-        vids.process(
-            &pkt(Payload::Sip(inv.to_string())),
-            SimTime::ZERO,
-            &mut NullSink,
-        );
-        let bye = vids::sip::Request::in_dialog(vids::sip::Method::Bye, &inv, 2, Some("tt"));
-        let bye_pkt = pkt(Payload::Sip(bye.to_string()));
-        b.iter(|| {
-            vids.process(&bye_pkt, SimTime::from_millis(10), &mut NullSink);
-            std::hint::black_box(vids.counters().sip_packets)
-        })
-    });
+fn main() {
+    print_table();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -5,10 +5,6 @@
 //! for INVITE flooding and T for the BYE DoS drain window; shorter T risks
 //! false alarms from in-flight packets.
 
-use std::sync::Once;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-
 use vids::core::machines::flood::window_counter_machine;
 use vids::core::{CollectSink, Config, NullSink, Vids};
 use vids::efsm::network::Network;
@@ -16,11 +12,8 @@ use vids::efsm::Event;
 use vids::netsim::packet::{Address, Packet, Payload};
 use vids::netsim::time::SimTime;
 use vids::rtp::packet::RtpPacket;
-use vids_bench::print_once;
 
 use std::sync::Arc;
-
-static PRINTED: Once = Once::new();
 
 /// Time to detect an INVITE flood of `rate_pps` with threshold `n` and
 /// window `t1_ms` (ms from first INVITE).
@@ -182,20 +175,6 @@ fn print_tables() {
     println!("while detection delay grows linearly with T.");
 }
 
-fn bench(c: &mut Criterion) {
-    print_once(&PRINTED, print_tables);
-    c.bench_function("sensitivity/flood_machine_100_events", |b| {
-        let def = Arc::new(window_counter_machine("flood", "E", 1_000, 1_000, "f"));
-        b.iter(|| {
-            let mut net = Network::new();
-            let id = net.add_machine(Arc::clone(&def));
-            for t in 0..100u64 {
-                net.deliver(id, Event::data("E"), t);
-            }
-            std::hint::black_box(net.memory_bytes())
-        })
-    });
+fn main() {
+    print_tables();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -4,14 +4,7 @@
 //! Paper result: +1.5 ms delay, jitter higher by ~2·10⁻⁴ s — negligible
 //! against the 150 ms one-way VoIP budget.
 
-use std::sync::Once;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-
-use vids::rtp::JitterEstimator;
-use vids_bench::{header, print_once, qos_workload, row, run_qos};
-
-static PRINTED: Once = Once::new();
+use vids_bench::{header, qos_workload, row, run_qos};
 
 fn print_figure() {
     let with = run_qos(&qos_workload(10, 4));
@@ -76,22 +69,6 @@ fn print_figure() {
     );
 }
 
-fn bench(c: &mut Criterion) {
-    print_once(&PRINTED, print_figure);
-    // Kernel: the RFC 3550 jitter estimator at line rate.
-    c.bench_function("fig10/jitter_estimator_1000_packets", |b| {
-        b.iter(|| {
-            let mut j = JitterEstimator::new(8_000);
-            let mut ts = 0u32;
-            for i in 0..1_000u32 {
-                let wobble = (i % 7) as f64 * 1e-4;
-                j.on_packet(i as f64 * 0.010 + wobble, ts);
-                ts = ts.wrapping_add(80);
-            }
-            std::hint::black_box(j.jitter_secs())
-        })
-    });
+fn main() {
+    print_figure();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -3,18 +3,12 @@
 //!
 //! The paper plots ~120 minutes of Poisson call arrivals and their random
 //! durations. This harness replays the same generator at full scale for the
-//! printed series and benches plan generation.
-
-use std::sync::Once;
-
-use criterion::{criterion_group, criterion_main, Criterion};
+//! printed series.
 
 use vids::netsim::time::SimTime;
 use vids::netsim::workload::{CallPlan, WorkloadSpec};
 use vids::scenario::{Testbed, TestbedConfig};
-use vids_bench::{header, print_once, row};
-
-static PRINTED: Once = Once::new();
+use vids_bench::{header, row};
 
 fn print_figure() {
     // Full-scale plan: the paper's 20 callers over 120 minutes.
@@ -81,27 +75,6 @@ fn print_figure() {
     );
 }
 
-fn bench(c: &mut Criterion) {
-    print_once(&PRINTED, print_figure);
-    let spec = WorkloadSpec::default();
-    c.bench_function("fig8/generate_120min_call_plan", |b| {
-        b.iter(|| CallPlan::generate(std::hint::black_box(&spec), 1).len())
-    });
-
-    // Monitoring the fig. 8 call mix through the sharded engine
-    // (VIDS_SHARDS knob).
-    let shards = vids_bench::shards_knob();
-    let batch = vids_bench::synth_call_batch(120, 30);
-    c.bench_function(&format!("fig8/monitor_call_mix_{shards}_shards"), |b| {
-        use vids::core::{Config, CostModel, NullSink, VidsPool};
-        b.iter(|| {
-            let config = Config::builder().shards(shards).build().unwrap();
-            let mut pool = VidsPool::with_cost(config, CostModel::free());
-            pool.process_batch(std::hint::black_box(&batch), SimTime::ZERO, &mut NullSink);
-            std::hint::black_box(pool.monitored_calls())
-        })
-    });
+fn main() {
+    print_figure();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

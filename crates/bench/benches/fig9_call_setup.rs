@@ -3,13 +3,7 @@
 //!
 //! Paper result: vids adds ≈100 ms to call setup on average.
 
-use std::sync::Once;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-
-use vids_bench::{header, print_once, qos_workload, row, run_qos};
-
-static PRINTED: Once = Once::new();
+use vids_bench::{header, qos_workload, row, run_qos};
 
 fn print_figure() {
     let with = run_qos(&qos_workload(9, 4));
@@ -65,24 +59,6 @@ fn print_figure() {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    print_once(&PRINTED, print_figure);
-    // Kernel: one full call setup through a 1-UA testbed with vids inline.
-    c.bench_function("fig9/one_call_setup_with_vids", |b| {
-        b.iter(|| {
-            let mut config = vids::scenario::TestbedConfig::small(3);
-            config.uas_per_site = 1;
-            config.workload.callers = 1;
-            config.workload.callees = 1;
-            config.workload.mean_interarrival_secs = 4.0;
-            config.workload.mean_duration_secs = 2.0;
-            config.workload.horizon = vids::netsim::time::SimTime::from_secs(10);
-            let mut tb = vids::scenario::Testbed::build(&config);
-            tb.run_until(vids::netsim::time::SimTime::from_secs(20));
-            std::hint::black_box(tb.ua_a_stats(0).setup_delays.len())
-        })
-    });
+fn main() {
+    print_figure();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

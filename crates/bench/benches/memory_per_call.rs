@@ -5,16 +5,10 @@
 //! the number of calls, so "vids can monitor thousands of calls at the
 //! same time".
 
-use std::sync::Once;
-
-use criterion::{criterion_group, criterion_main, Criterion};
-
 use vids::core::{Config, NullSink, Vids};
 use vids::netsim::packet::{Address, Packet, Payload};
 use vids::netsim::time::SimTime;
-use vids_bench::{header, print_once, row};
-
-static PRINTED: Once = Once::new();
+use vids_bench::{header, row};
 
 const CALLER: Address = Address::new(10, 1, 0, 10, 5060);
 const CALLEE: Address = Address::new(10, 2, 0, 10, 5060);
@@ -121,28 +115,6 @@ fn print_figure() {
     );
 }
 
-fn bench(c: &mut Criterion) {
-    print_once(&PRINTED, print_figure);
-
-    c.bench_function("memory/instantiate_one_call_machine_pair", |b| {
-        let mut vids = Vids::new(Config::default());
-        let mut i = 0usize;
-        b.iter(|| {
-            i += 1;
-            vids.process(
-                &invite_packet(i),
-                SimTime::from_millis(i as u64),
-                &mut NullSink,
-            );
-            std::hint::black_box(vids.monitored_calls())
-        })
-    });
-
-    c.bench_function("memory/account_1000_call_factbase", |b| {
-        let vids = monitor_with_calls(1_000, true);
-        b.iter(|| std::hint::black_box(vids.memory_bytes()))
-    });
+fn main() {
+    print_figure();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

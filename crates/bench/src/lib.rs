@@ -1,25 +1,18 @@
 //! # vids-bench — experiment harnesses
 //!
-//! One Criterion bench target per table/figure of the paper's §7 (see
-//! `DESIGN.md`'s experiment index E1–E8). Each bench prints its
-//! paper-vs-measured series once, then times a representative kernel.
+//! One bench target per table/figure of the paper's §7 (see `DESIGN.md`'s
+//! experiment index E1–E8): a plain `fn main()` (`harness = false`) that
+//! prints its paper-vs-measured series. Per-layer timings are `perf/`'s
+//! layer trace, not these targets'.
 //!
 //! Run everything with `cargo bench --workspace`; a single experiment with
 //! e.g. `cargo bench -p vids-bench --bench fig9_call_setup`.
-
-use std::sync::Once;
 
 use vids::netsim::packet::{Address, Packet, Payload};
 use vids::netsim::stats::Summary;
 use vids::netsim::time::SimTime;
 use vids::netsim::workload::WorkloadSpec;
 use vids::scenario::{Testbed, TestbedConfig};
-
-/// Prints a section banner exactly once per process (criterion calls bench
-/// functions repeatedly).
-pub fn print_once(once: &'static Once, f: impl FnOnce()) {
-    once.call_once(f);
-}
 
 /// The QoS evaluation workload: a scaled-down §7.1 testbed that runs in a
 /// few seconds yet carries enough calls for stable means.
@@ -68,7 +61,7 @@ pub fn run_qos(config: &TestbedConfig) -> QosAggregates {
     agg
 }
 
-/// The `VIDS_SHARDS` knob: how many shards the pool-driven benches use.
+/// The `VIDS_SHARDS` knob: how many shards `cpu_overhead`'s pool row uses.
 /// Defaults to 4.
 pub fn shards_knob() -> usize {
     std::env::var("VIDS_SHARDS")

@@ -29,7 +29,6 @@ use crate::config::Config;
 use crate::cost::{CostModel, CpuAccount};
 use crate::factbase::{FactBase, FactBaseStats};
 use crate::machines::{MediaKey, RtpArgs, SipArgs};
-use crate::monitor::Monitor;
 use crate::sink::AlertSink;
 
 /// Traffic counters the engine maintains beside the alerts it raises.
@@ -454,18 +453,23 @@ impl Vids {
                 if event.name == sym::SIP_INVITE {
                     self.ingest_invite_flood(dst_ip, now_ms, sink);
                 }
-                if let Some(miss) = self.ingest_call_event(
+                let (miss, _) = self.ingest_call_event(
                     call_id,
                     event,
                     is_initial_invite,
                     is_request,
                     now_ms,
                     sink,
-                ) {
+                );
+                if let Some(miss) = miss {
                     self.ingest_response_flood(dst_ip, miss.src_ip, now_ms, sink);
                 }
             }
-            Classified::Rtp { event } => self.ingest_rtp(event, now_ms, sink),
+            Classified::Rtp { event } => {
+                if let Some(media) = self.ingest_rtp(event, now_ms, sink) {
+                    self.raise_unassociated_rtp(media, now_ms, sink);
+                }
+            }
             Classified::Malformed { protocol, reason } => {
                 self.ingest_malformed(protocol, reason, now_ms, sink)
             }
@@ -521,7 +525,9 @@ impl Vids {
     /// The call-pinned part of a non-REGISTER SIP packet: delivery to the
     /// per-call SIP machine, the unassociated-request deviation, or — for a
     /// response matching no monitored call — a [`ResponseMiss`] the caller
-    /// must feed to the destination's DRDoS reflection detector.
+    /// must feed to the destination's DRDoS reflection detector. Also
+    /// returns whether the call took a media coordinate the event's SDP
+    /// named ([`FactBase::claim_media`]).
     pub(crate) fn ingest_call_event<S: AlertSink + ?Sized>(
         &mut self,
         call_id: Sym,
@@ -530,7 +536,7 @@ impl Vids {
         is_request: bool,
         now_ms: u64,
         sink: &mut S,
-    ) -> Option<ResponseMiss> {
+    ) -> (Option<ResponseMiss>, bool) {
         self.counters.sip_packets += 1;
         self.tel_inc(Counter::SipPackets);
         let known = self.factbase.call_idx(call_id);
@@ -544,7 +550,7 @@ impl Vids {
             && self.factbase.call_count() >= self.config.max_tracked_calls
         {
             self.tel_inc(Counter::CallQuotaDrops);
-            return None;
+            return (None, false);
         }
         if known.is_some() || is_initial_invite {
             let idx = match known {
@@ -559,6 +565,7 @@ impl Vids {
                 tel: self.telemetry.as_mut(),
                 scope: Scope::Call(call_id).key(),
             };
+            let sdp = SipArgs::get().sdp_media(&event);
             let record = self.factbase.record_mut(idx);
             // Cached deadline: scan the timer maps only when something is
             // actually due, not on every packet.
@@ -572,11 +579,12 @@ impl Vids {
                     .network
                     .deliver_observed(sip, event, now_ms, &mut obs),
             );
-            self.factbase.refresh_media_index_idx(idx);
+            let claimed = self.factbase.claim_media(idx, sdp);
             // The delivery may have armed/fired timers or changed finality:
             // re-file the call under its next wake deadline.
             self.factbase.reindex_idx(idx);
             self.absorb(outcome, Scope::Call(call_id), now_ms, sink);
+            return (None, claimed);
         } else if is_request {
             // A non-dialog-forming request for an unknown call:
             // a specification anomaly worth an alert.
@@ -600,11 +608,10 @@ impl Vids {
             // evidence, counted against its destination.
             self.counters.unassociated_sip_responses += 1;
             self.tel_inc(Counter::UnassociatedSipResponses);
-            return Some(ResponseMiss {
-                src_ip: event.get(SipArgs::get().src_ip),
-            });
+            let src_ip = event.get(SipArgs::get().src_ip);
+            return (Some(ResponseMiss { src_ip }), false);
         }
-        None
+        (None, false)
     }
 
     /// Delivers one unassociated-response observation to the destination's
@@ -632,13 +639,15 @@ impl Vids {
     }
 
     /// An RTP packet: grouped with its call via the media index published
-    /// by the SIP machine, or flagged as unassociated.
+    /// by the SIP machine, or counted as unassociated and its coordinates
+    /// returned, for the caller to raise on the engine that deduplicates
+    /// them ([`Vids::raise_unassociated_rtp`]).
     pub(crate) fn ingest_rtp<S: AlertSink + ?Sized>(
         &mut self,
         event: Event,
         now_ms: u64,
         sink: &mut S,
-    ) {
+    ) -> Option<MediaKey> {
         self.counters.rtp_packets += 1;
         self.tel_inc(Counter::RtpPackets);
         let dst = RtpArgs::get().dst(&event);
@@ -668,25 +677,40 @@ impl Vids {
                 // keeping the warm path allocation-free.
                 self.factbase.reindex_idx(idx);
                 self.absorb(outcome, Scope::Call(call_id), now_ms, sink);
+                None
             }
             None => {
                 self.counters.unassociated_rtp += 1;
                 self.tel_inc(Counter::UnassociatedRtp);
-                self.raise(
-                    Finding {
-                        subject: Subject::Media(dst),
-                        label: Label::UnassociatedRtp,
-                        time_ms: now_ms,
-                        kind: AlertKind::Deviation,
-                        call_id: None,
-                        machine: sym::ENGINE,
-                        detail: Said::Media(dst),
-                    },
-                    |_| Vec::new(),
-                    sink,
-                );
+                Some(dst)
             }
         }
+    }
+
+    /// Raises `unassociated-rtp` for media no call negotiated, once per
+    /// coordinate: the finding of [`Vids::ingest_rtp`] that returned it.
+    pub(crate) fn raise_unassociated_rtp<S: AlertSink + ?Sized>(
+        &mut self,
+        media: MediaKey,
+        now_ms: u64,
+        sink: &mut S,
+    ) {
+        let finding = Finding {
+            subject: Subject::Media(media),
+            label: Label::UnassociatedRtp,
+            time_ms: now_ms,
+            kind: AlertKind::Deviation,
+            call_id: None,
+            machine: sym::ENGINE,
+            detail: Said::Media(media),
+        };
+        self.raise(finding, |_| Vec::new(), sink);
+    }
+
+    /// Gives up a media coordinate a call on another engine of a pool has
+    /// since claimed.
+    pub(crate) fn release_media(&mut self, media: MediaKey) {
+        self.factbase.release_media(media);
     }
 
     /// An unparseable SIP/RTP datagram.
@@ -903,24 +927,6 @@ impl Vids {
             trace: trace(self),
         };
         sink.accept(alert);
-    }
-}
-
-impl Monitor for Vids {
-    fn process(&mut self, packet: &Packet, now: SimTime, sink: &mut dyn AlertSink) {
-        self.process(packet, now, sink);
-    }
-
-    fn tick(&mut self, now: SimTime, sink: &mut dyn AlertSink) {
-        self.tick(now, sink);
-    }
-
-    fn counters(&self) -> VidsCounters {
-        Vids::counters(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        Vids::memory_bytes(self)
     }
 }
 
@@ -1430,18 +1436,5 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert!(alerts[0].trace.is_empty());
         assert!(vids.telemetry_snapshot(SimTime::ZERO).is_none());
-    }
-
-    #[test]
-    fn monitor_trait_drives_the_engine() {
-        let mut vids = Vids::new(Config::default());
-        let monitor: &mut dyn Monitor = &mut vids;
-        let mut sink = CollectSink::new();
-        let junk = pkt(CALLER, CALLEE, Payload::Sip("garbage".to_owned()));
-        monitor.process(&junk, SimTime::ZERO, &mut sink);
-        monitor.tick(SimTime::from_secs(1), &mut sink);
-        assert_eq!(sink.len(), 1);
-        assert_eq!(monitor.counters().malformed, 1);
-        assert!(monitor.memory_bytes() < 1_000);
     }
 }

@@ -611,42 +611,43 @@ impl FactBase {
         self.record_mut(idx)
     }
 
-    /// Re-reads a call's global variables and refreshes the media index so
-    /// RTP packets can be grouped with the call. Call after every SIP event
-    /// delivered to the call.
-    pub fn refresh_media_index(&mut self, call_id: Sym) {
-        if let Some(idx) = self.call_idx(call_id) {
-            self.refresh_media_index_idx(idx);
+    /// Files the coordinate a SIP event's SDP named, `sdp`, after the call
+    /// at `idx` took the event, and returns whether the call took the
+    /// coordinate: it does when its globals name it. Nothing else moves a
+    /// coordinate — not an SDP that no call takes, not an event without
+    /// SDP — so a forged datagram cannot detach a call's media, and
+    /// whichever engine of a pool holds each claimant, the last taken claim
+    /// decides. Port 0 names no stream.
+    pub(crate) fn claim_media(&mut self, idx: CallIdx, sdp: Option<MediaKey>) -> bool {
+        let Some(key) = sdp.filter(|key| key.port != 0) else {
+            return false;
+        };
+        if !self.names_media(idx, key) {
+            return false;
         }
+        let slot = self.calls.get_mut(idx.0).expect("live call slot");
+        if !slot.record.media_keys.contains(&key) {
+            slot.record.media_keys.push(key);
+        }
+        self.media_index.insert(key, idx);
+        true
     }
 
-    /// [`FactBase::refresh_media_index`] by slab index. The global
-    /// variables are read through their handles, so the warm no-change case
-    /// is four slot reads and two equality checks.
-    pub(crate) fn refresh_media_index_idx(&mut self, idx: CallIdx) {
-        let slot = self.calls.get_mut(idx.0).expect("live call slot");
+    /// Gives up a coordinate a call on another engine of a pool has since
+    /// claimed.
+    pub(crate) fn release_media(&mut self, key: MediaKey) {
+        self.media_index.remove(&key);
+    }
+
+    /// Whether the call's globals name `key` as its caller's or callee's
+    /// media: four slot reads.
+    fn names_media(&self, idx: CallIdx, key: MediaKey) -> bool {
+        let slot = self.calls.get(idx.0).expect("live call slot");
         let (net, sip, g) = (&slot.record.network, self.sip_machine, self.call_globals);
-        let published = [
-            (
-                net.get(sip, g.caller_media_ip),
-                net.get(sip, g.caller_media_port),
-            ),
-            (
-                net.get(sip, g.callee_media_ip),
-                net.get(sip, g.callee_media_port),
-            ),
-        ];
-        for (ip, port) in published {
-            // Port 0 (and a port no datagram can carry) names no stream.
-            let port = port.and_then(|port| u16::try_from(port).ok());
-            if let (Some(ip), Some(port @ 1..)) = (ip, port) {
-                let key = MediaKey { ip, port };
-                if !slot.record.media_keys.contains(&key) {
-                    slot.record.media_keys.push(key);
-                }
-                self.media_index.insert(key, idx);
-            }
-        }
+        let port = Some(u64::from(key.port));
+        let names = |ip, p| net.get(sip, ip) == Some(key.ip) && net.get(sip, p) == port;
+        names(g.caller_media_ip, g.caller_media_port)
+            || names(g.callee_media_ip, g.callee_media_port)
     }
 
     /// Looks up the call owning a media endpoint.
@@ -874,7 +875,14 @@ mod tests {
             let sip = record.network.machine_by_name("sip").unwrap();
             record.network.deliver(sip, invite_event(), 0);
         }
-        fb.refresh_media_index(Sym::intern("c1"));
+        let c1 = fb.call_idx(Sym::intern("c1")).unwrap();
+        fb.claim_media(
+            c1,
+            Some(MediaKey {
+                ip: ip("10.1.0.10"),
+                port: 20_000,
+            }),
+        );
         assert_eq!(fb.call_count(), 1);
         assert_eq!(fb.media_lookup(ip("10.1.0.10"), 20_000).unwrap(), "c1");
         assert_eq!(fb.media_lookup(ip("10.9.9.9"), 20_000), None);
@@ -961,7 +969,14 @@ mod tests {
             let sip = record.network.machine_by_name("sip").unwrap();
             let ev = invite_event().with_named("call_id", id.as_str());
             record.network.deliver(sip, ev, 0);
-            fb.refresh_media_index(Sym::intern(&id));
+            let call = fb.call_idx(Sym::intern(&id)).unwrap();
+            fb.claim_media(
+                call,
+                Some(MediaKey {
+                    ip: ip("10.1.0.10"),
+                    port: 20_000,
+                }),
+            );
             sizes.push(fb.memory_bytes());
         }
         // Roughly linear: the 20th increment is close to the 2nd.

@@ -24,8 +24,6 @@
 //!   [`vids_netsim::node::TapNode`] between edge router and hub (Fig. 1).
 //! * [`sink`] — push-based alert delivery ([`sink::AlertSink`]); the engine
 //!   raises alerts into a sink instead of allocating a `Vec` per packet.
-//! * [`monitor`] — the [`monitor::Monitor`] trait unifying [`engine::Vids`],
-//!   [`pool::VidsPool`] and [`tap::VidsTap`] behind one driver interface.
 //! * [`pool`] — [`pool::VidsPool`]: the scale-out engine; hash-partitions
 //!   monitored calls across independent shards and ingests packets in
 //!   batches with parallel shard execution.
@@ -70,7 +68,6 @@ pub mod cost;
 pub mod engine;
 pub mod factbase;
 pub mod machines;
-pub mod monitor;
 pub mod pool;
 pub mod report;
 pub mod sink;
@@ -87,7 +84,6 @@ pub mod prelude {
     pub use crate::classify::{classify_wire, Classified, WireProto};
     pub use crate::config::{Config, ConfigBuilder, ConfigError};
     pub use crate::engine::{Vids, VidsCounters};
-    pub use crate::monitor::Monitor;
     pub use crate::pool::{route_hint, PipelineIngress, PreRouted, RouteHint, VidsPool, WireEvent};
     pub use crate::sink::{AlertSink, CollectSink, NullSink};
     pub use crate::tap::VidsTap;
@@ -98,7 +94,6 @@ pub use classify::{classify_wire, Classified, WireProto};
 pub use config::{Config, ConfigBuilder, ConfigError};
 pub use cost::CostModel;
 pub use engine::{Vids, VidsCounters};
-pub use monitor::Monitor;
 pub use pool::{route_hint, PipelineIngress, PreRouted, RouteHint, VidsPool, WireEvent};
 pub use report::AlertReport;
 pub use sink::{AlertSink, CollectSink, FnSink, NullSink, Tee};

@@ -29,14 +29,17 @@
 //! of its address pair ([`TenantMap::tenant_of`]).
 //!
 //! Ingestion is batch-oriented, and every entry point is the same pass over
-//! one private routing core (`route_pass`): at most one idle-timer sweep
-//! per batch (the single engine re-checks the interval on every packet),
-//! then — per datagram, in packet order, the only globally ordered step —
-//! the cost charge, the monotonic clock clamp, and `route_one`, which pins
-//! each protocol-role part to its shard. Shard output is merged on a
-//! deterministic key — `(packet index, phase, sweep scope, emission seq)` —
-//! so the alert sequence is byte-identical whatever the shard count,
-//! including a 1-shard pool vs. a plain [`Vids`].
+//! one private routing core (`open_batch`, `route_events`): at most one
+//! idle-timer sweep per batch (the single engine re-checks the interval on
+//! every packet), then — per datagram, in packet order, the only globally
+//! ordered step — the cost charge, the monotonic clock clamp, and
+//! `route_one`, which pins each protocol-role part to its shard. An SDP
+//! that claims a coordinate routed to another engine waits, and the pass
+//! stops at the coordinate's next RTP until `settle` has read which claims
+//! a call took. Shard output is merged on a deterministic key — `(packet
+//! index, phase, sweep scope, emission seq)` — so the alert sequence is
+//! byte-identical whatever the shard count, including a 1-shard pool vs. a
+//! plain [`Vids`].
 //!
 //! Synchronous calls ([`VidsPool::process_batch`],
 //! [`VidsPool::process_wire_batch`]) ingest each routed part in place on
@@ -57,7 +60,9 @@ use std::any::Any;
 use std::cell::UnsafeCell;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
+use std::iter::Peekable;
 use std::net::Ipv4Addr;
+use std::num::NonZeroU32;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
@@ -78,12 +83,14 @@ use crate::cost::{CostModel, CpuAccount};
 use crate::engine::{Vids, VidsCounters, SWEEP_INTERVAL_MS};
 use crate::factbase::FactBaseStats;
 use crate::machines::{MediaKey, RtpArgs, SipArgs};
-use crate::monitor::Monitor;
 use crate::sink::AlertSink;
 use crate::tenant::{TenantId, TenantMap};
 
 /// One shard-pinned routed part, stamped with packet index and clamped time.
 type Routed = (usize, u64, Part);
+
+/// Names a waiting claim on a media coordinate ([`VidsPool::settle`]).
+type ClaimId = NonZeroU32;
 
 // Sizes are facts: a pipeline epoch queues one of these per datagram and
 // shard, and the queues' growth is most of what a live session requests.
@@ -325,10 +332,14 @@ fn aor(event: &Event) -> &'static str {
 }
 
 /// The media-coordinate fallback hash: where RTP that no call negotiated is
-/// routed, so any shard count flags the same packet as unassociated exactly
-/// once. FNV-1a over the address's four bytes and the port's two.
+/// routed, and where every `unassociated-rtp` for the coordinate is raised,
+/// so any placement flags it exactly once. FNV-1a over the address's four
+/// bytes and the port's two.
 fn media_hash(event: &Event) -> u64 {
-    let MediaKey { ip, port } = RtpArgs::get().dst(event);
+    media_key_hash(RtpArgs::get().dst(event))
+}
+
+fn media_key_hash(MediaKey { ip, port }: MediaKey) -> u64 {
     let [a, b, c, d] = ip.octets();
     let [lo, hi] = port.to_le_bytes();
     fnv1a(&[a, b, c, d, lo, hi])
@@ -382,25 +393,49 @@ impl TaggedAlert {
     }
 }
 
-/// An unassociated SIP response detected on the call-owning engine, to be
-/// counted on the engine owning the destination IP: the deferred DRDoS
-/// phase. The misses of a batch are applied after the drain, in packet
-/// order.
+/// A miss detected on the engine a datagram was routed to, to be counted on
+/// the engine its key's hash picks inside the datagram's tenant: the
+/// deferred phase. The misses of a batch are applied after the drain, in
+/// packet order.
 #[derive(Debug, Clone, Copy)]
 struct DeferredMiss {
-    /// Packet index of the response.
+    /// Packet index of the datagram.
     idx: usize,
     /// Its clamped packet time.
     t_ms: u64,
-    /// Destination IP the miss counts against.
-    dst_ip: u32,
-    src_ip: Option<Ipv4Addr>,
-    /// The tenant of the response, whose engines count it.
+    /// The tenant of the datagram, whose engines count it.
     tenant: TenantId,
+    what: Missed,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Missed {
+    /// An unassociated SIP response, counted against its destination's
+    /// DRDoS reflection machine.
+    Response {
+        dst_ip: u32,
+        src_ip: Option<Ipv4Addr>,
+    },
+    /// RTP the media index routed to an engine that has no call for its
+    /// coordinates: no call took the SDP that set the route. The
+    /// coordinate's dedup home is its hash engine, where RTP that no route
+    /// names goes.
+    Media(MediaKey),
 }
 
 // Sizes are facts: the tenant fits the padding of the other fields.
 const _: () = assert!(std::mem::size_of::<DeferredMiss>() <= 32);
+
+impl DeferredMiss {
+    /// The engine that counts the miss.
+    fn home(&self, placement: Placement) -> usize {
+        let hash = match self.what {
+            Missed::Response { dst_ip, .. } => fnv1a(&dst_ip.to_le_bytes()),
+            Missed::Media(media) => media_key_hash(media),
+        };
+        placement.engine(self.tenant as usize, hash)
+    }
+}
 
 /// One classified datagram as the routing core takes it, whichever entry
 /// point it came through.
@@ -440,8 +475,18 @@ enum Part {
         is_initial_invite: bool,
         is_request: bool,
         dst_ip: u32,
+        /// The id of the claim its SDP makes on a coordinate routed to
+        /// another engine, for the engine to report if its call took it.
+        claim: Option<ClaimId>,
     },
-    Rtp(Event),
+    /// RTP, with the tenant of its address pair when the media index routed
+    /// it: a miss there goes back as a deferred miss to the coordinate's
+    /// hash engine, so one dedup set sees every `unassociated-rtp` for the
+    /// coordinate.
+    Rtp {
+        event: Event,
+        routed: Option<TenantId>,
+    },
     /// Malformed and ignored traffic has no key; it goes to the key-0
     /// engine, whose dedup set then sees every malformed alert.
     Malformed {
@@ -454,8 +499,8 @@ enum Part {
 /// The sharded analysis engine. Construct with a [`Config`] whose `shards`
 /// field (see [`Config::builder`]) says how many independent [`Vids`]
 /// engines to partition monitored calls across, then feed traffic in
-/// batches via [`VidsPool::process_batch`] — or packet-at-a-time through
-/// the [`Monitor`] trait, which behaves identically to a plain `Vids`.
+/// batches via [`VidsPool::process_batch`]; a batch of one packet behaves
+/// identically to a plain `Vids`.
 pub struct VidsPool {
     /// Every engine, node group by node group: `placement.nodes` groups of
     /// `placement.tenants` groups of `placement.shards`.
@@ -469,6 +514,12 @@ pub struct VidsPool {
     /// never allocates. Not maintained for single-shard pools, which route
     /// everything to shard 0 without hashing.
     media_to_shard: FxHashMap<MediaKey, usize>,
+    /// Waiting claims by coordinate, in routing order: (id, claimant
+    /// engine). See [`VidsPool::settle`].
+    claims: FxHashMap<MediaKey, Vec<(ClaimId, usize)>>,
+    /// The ids of the waiting claims whose call took the SDP.
+    taken: Vec<ClaimId>,
+    next_claim: ClaimId,
     config: Config,
     cost: CostModel,
     cpu: CpuAccount,
@@ -528,6 +579,9 @@ impl VidsPool {
             placement,
             tenants,
             media_to_shard: FxHashMap::default(),
+            claims: FxHashMap::default(),
+            taken: Vec::new(),
+            next_claim: ClaimId::MIN,
             config,
             cost,
             cpu: CpuAccount::new(),
@@ -584,6 +638,7 @@ impl VidsPool {
         if nodes == self.placement.nodes {
             return;
         }
+        self.settle();
         self.placement.nodes = nodes;
         let engines = nodes * self.placement.tenants * self.placement.shards;
         let ring = self.telemetry_ring();
@@ -796,7 +851,16 @@ impl VidsPool {
     ) {
         let mut tagged = std::mem::take(&mut self.scratch_tagged);
         let mut misses = std::mem::take(&mut self.scratch_misses);
-        self.route_pass(events, now.as_millis(), None, &mut tagged, &mut misses);
+        let now_ms = now.as_millis();
+        self.open_batch(events.len(), now_ms, &mut tagged);
+        let mut events = events.peekable();
+        // A pause to settle ends a pipeline epoch, whose misses are counted
+        // there: so are they here, or transition rings would differ.
+        while self.route_events(&mut events, now_ms, None, &mut tagged, &mut misses) {
+            self.apply_misses(&misses, &mut tagged);
+            misses.clear();
+            self.settle();
+        }
         // Deferred DRDoS reflection counting. The call-owning shard only
         // *detects* the miss; the count belongs to the destination's shard.
         // In-place ingestion found the misses in packet order, and they are
@@ -825,7 +889,9 @@ impl VidsPool {
         now_ms.saturating_sub(self.last_sweep_ms) >= SWEEP_INTERVAL_MS
     }
 
-    /// The one routing core behind every entry point. Phases, in order:
+    /// The one routing core behind every entry point, opened once per
+    /// batch and then driven by [`VidsPool::route_events`]. Phases, in
+    /// order:
     ///
     /// 0. batch telemetry, and at most one idle-timer sweep per batch (the
     ///    single engine re-checks the interval on every packet; the pool
@@ -841,24 +907,30 @@ impl VidsPool {
     /// What happens to `tagged` and `misses` afterwards — apply and merge,
     /// or park until the epoch is harvested — is the caller's, as is
     /// quiescing a pipeline before a due sweep.
-    fn route_pass(
-        &mut self,
-        events: impl ExactSizeIterator<Item = CoreEvent>,
-        now_ms: u64,
-        mut queues: Option<&mut [Vec<Routed>]>,
-        tagged: &mut Vec<TaggedAlert>,
-        misses: &mut Vec<DeferredMiss>,
-    ) {
+    fn open_batch(&mut self, len: usize, now_ms: u64, tagged: &mut Vec<TaggedAlert>) {
         if let Some(reg) = &self.telemetry {
-            let len = events.len() as u64;
             reg.pool().inc(Counter::BatchesIngested);
-            reg.pool().add(Counter::PacketsIngested, len);
-            reg.pool().record(HistId::BatchSize, len);
+            reg.pool().add(Counter::PacketsIngested, len as u64);
+            reg.pool().record(HistId::BatchSize, len as u64);
         }
         if self.sweep_due(now_ms) {
             self.sweep(now_ms, tagged);
         }
-        for ev in events {
+    }
+
+    /// Phases 1 and 2 for the batch's next datagrams. Returns `true` when
+    /// it pauses ahead of RTP to a coordinate with waiting claims, for the
+    /// caller to quiesce and [`settle`](VidsPool::settle) before calling
+    /// again; `false` once `events` is exhausted.
+    fn route_events(
+        &mut self,
+        events: &mut Peekable<impl Iterator<Item = CoreEvent>>,
+        now_ms: u64,
+        mut queues: Option<&mut [Vec<Routed>]>,
+        tagged: &mut Vec<TaggedAlert>,
+        misses: &mut Vec<DeferredMiss>,
+    ) -> bool {
+        while let Some(ev) = events.next_if(|ev| !self.must_settle(ev)) {
             // The cost model charges by what the datagram claimed to be.
             self.cpu
                 .charge(self.cost.cpu_for_classified(&ev.classified));
@@ -868,6 +940,42 @@ impl VidsPool {
             self.last_packet_ms = t;
             self.route_one(ev, t, queues.as_deref_mut(), tagged, misses);
         }
+        events.peek().is_some()
+    }
+
+    /// Whether `ev` is RTP to a coordinate with waiting claims.
+    fn must_settle(&self, ev: &CoreEvent) -> bool {
+        let media = |event| RtpArgs::get().dst(event);
+        let waits = |event| !self.claims.is_empty() && self.claims.contains_key(&media(event));
+        matches!(&ev.classified, Classified::Rtp { event } if waits(event))
+    }
+
+    /// Settles every waiting claim — an SDP naming a coordinate routed to
+    /// another engine, or one already claimed. Only the claimant's engine
+    /// knows whether its call took the SDP, so this runs before the
+    /// coordinate's next RTP is routed and at every sweep, with every
+    /// claim ingested and reported (a pipeline session quiesces first).
+    /// The route moves to the engine of the last claim a call took, and
+    /// every other engine releases the coordinate; when no call took any,
+    /// nothing moves, as in one engine.
+    fn settle(&mut self) {
+        if self.claims.is_empty() {
+            return;
+        }
+        self.taken.sort_unstable();
+        for (media, claims) in self.claims.drain() {
+            let took = |&&(id, _): &&(ClaimId, usize)| self.taken.binary_search(&id).is_ok();
+            let Some(&(_, winner)) = claims.iter().rev().find(took) else {
+                continue;
+            };
+            let holder = self.media_to_shard.insert(media, winner);
+            for engine in holder.into_iter().chain(claims.iter().map(|c| c.1)) {
+                if engine != winner {
+                    self.shards[engine].release_media(media);
+                }
+            }
+        }
+        self.taken.clear();
     }
 
     /// Phase 2 of the core: assigns one routed part per protocol role and
@@ -896,11 +1004,15 @@ impl VidsPool {
         let n = self.shards.len();
         let placement = self.placement;
         let CoreEvent { idx, hint, .. } = ev;
+        // Returns the id of a waiting claim the engine's call took.
         let mut place = |shards: &mut [Vids], shard: usize, part: Part| match &mut queues {
-            Some(queues) => queues[shard].push((idx, t, part)),
+            Some(queues) => {
+                queues[shard].push((idx, t, part));
+                None
+            }
             None => {
                 let tenant = placement.tenant(shard);
-                ingest_part(&mut shards[shard], tenant, idx, t, part, tagged, misses);
+                ingest_part(&mut shards[shard], tenant, idx, t, part, tagged, misses)
             }
         };
         match ev.classified {
@@ -932,46 +1044,67 @@ impl VidsPool {
                     Some(h) => placement.engine(tenant, h.call),
                     None => self.shard_of(tenant, call_id.as_str().as_bytes()),
                 };
-                if n > 1 {
-                    if let Some(media) = SipArgs::get().sdp_media(&event) {
-                        self.media_to_shard.insert(media, shard);
-                    }
-                }
+                // Port 0 names no stream.
+                let sdp = SipArgs::get().sdp_media(&event);
+                let claim = sdp
+                    .filter(|media| n > 1 && media.port != 0)
+                    .and_then(|media| self.file_claim(media, shard));
                 let part = Part::Call {
                     call_id,
                     event,
                     is_initial_invite,
                     is_request,
                     dst_ip,
+                    claim,
                 };
-                place(&mut self.shards, shard, part);
+                if let Some(id) = place(&mut self.shards, shard, part) {
+                    self.taken.push(id);
+                }
             }
             Classified::Rtp { event } => {
-                let shard = if n == 1 {
-                    0
+                let args = RtpArgs::get();
+                let (shard, routed) = if n == 1 {
+                    (0, None)
+                } else if let Some(&owner) = self.media_to_shard.get(&args.dst(&event)) {
+                    // Media follows the call that claimed it; a miss there
+                    // finds its hash engine in the deferred phase.
+                    let tenant = self.tenant_of(&event, args.src_ip, args.dst_ip);
+                    (owner, Some(tenant as TenantId))
                 } else {
-                    self.media_to_shard
-                        .get(&RtpArgs::get().dst(&event))
-                        .copied()
-                        .unwrap_or_else(|| {
-                            // No call negotiated these coordinates: route by
-                            // their hash so any shard count flags the same
-                            // packet as unassociated exactly once.
-                            let args = RtpArgs::get();
-                            let tenant = self.tenant_of(&event, args.src_ip, args.dst_ip);
-                            let hash = hint.map_or_else(|| media_hash(&event), |h| h.call);
-                            placement.engine(tenant, hash)
-                        })
+                    // No call claimed these coordinates: route by their
+                    // hash so any shard count flags the same packet as
+                    // unassociated exactly once.
+                    let tenant = self.tenant_of(&event, args.src_ip, args.dst_ip);
+                    let hash = hint.map_or_else(|| media_hash(&event), |h| h.call);
+                    (placement.engine(tenant, hash), None)
                 };
-                place(&mut self.shards, shard, Part::Rtp(event));
+                place(&mut self.shards, shard, Part::Rtp { event, routed });
             }
             // No address, so the default tenant's key-0 engine.
             Classified::Malformed { protocol, reason } => {
                 let part = Part::Malformed { protocol, reason };
                 place(&mut self.shards, placement.engine(0, 0), part);
             }
-            Classified::Ignored => place(&mut self.shards, placement.engine(0, 0), Part::Ignored),
+            Classified::Ignored => {
+                place(&mut self.shards, placement.engine(0, 0), Part::Ignored);
+            }
         }
+    }
+
+    /// Routes a fresh coordinate to the claimant, `shard`, at once: if its
+    /// call does not take the SDP, the media misses there and is raised on
+    /// its hash engine, as with no route. Otherwise files a waiting claim
+    /// and returns its id.
+    fn file_claim(&mut self, media: MediaKey, shard: usize) -> Option<ClaimId> {
+        let waiting = self.claims.contains_key(&media);
+        if !waiting && *self.media_to_shard.entry(media).or_insert(shard) == shard {
+            return None;
+        }
+        let id = self.next_claim;
+        // Ids wrap; they only tell apart the claims of one settle window.
+        self.next_claim = id.checked_add(1).unwrap_or(ClaimId::MIN);
+        self.claims.entry(media).or_default().push((id, shard));
+        Some(id)
     }
 
     /// The tenant of the datagram `event` stands for: the pair rule over
@@ -986,12 +1119,16 @@ impl VidsPool {
         }
     }
 
-    /// The deferred DRDoS phase: counts each unassociated response on the
-    /// response tenant's shard owning its destination IP. `misses` must be
-    /// in packet order — the flood networks need non-decreasing time.
+    /// The deferred phase: counts each miss on its home engine. `misses`
+    /// must be in packet order — the flood networks need non-decreasing
+    /// time.
     fn apply_misses(&mut self, misses: &[DeferredMiss], tagged: &mut Vec<TaggedAlert>) {
         for miss in misses {
-            let shard = self.shard_of(miss.tenant as usize, &miss.dst_ip.to_le_bytes());
+            let shard = if self.shards.len() == 1 {
+                0 // don't hash what can only land on engine 0
+            } else {
+                miss.home(self.placement)
+            };
             count_miss(&mut self.shards[shard], miss, tagged);
         }
     }
@@ -1027,6 +1164,7 @@ impl VidsPool {
     /// tagged ahead of every packet of the batch and scoped by Call-ID.
     fn sweep(&mut self, now_ms: u64, tagged: &mut Vec<TaggedAlert>) {
         self.last_sweep_ms = now_ms;
+        self.settle();
         // Counted once, on the pool slab: per-shard force_maintain does not
         // count, so the total is the same whatever the shard count.
         if let Some(reg) = &self.telemetry {
@@ -1063,8 +1201,10 @@ impl VidsPool {
     ///
     /// Output is byte-identical to feeding the same batches through
     /// [`VidsPool::process_wire_batch`]: alerts merge per epoch on the same
-    /// deterministic key, cross-shard DRDoS misses apply in packet order,
-    /// and sweeps run on the same batch-clock rule. Workers are joined when
+    /// deterministic key, cross-shard misses apply in packet order, sweeps
+    /// run on the same batch-clock rule, and a batch that must settle media
+    /// claims splits into epochs where the synchronous pass pauses to
+    /// settle them. Workers are joined when
     /// the closure returns (or unwinds). The closure must end with a
     /// [`PipelineIngress::flush`] or [`PipelineIngress::tick`] into its
     /// sink: the pool keeps no alert, so one still in flight on return
@@ -1120,9 +1260,10 @@ impl VidsPool {
 }
 
 /// Delivers one routed part to its shard engine, tagging every alert with
-/// its merge key. Shared by the in-place routing pass and the ring workers'
-/// queue drain; per-shard order is the same under both because routing is
-/// the sequential packet-order pass.
+/// its merge key, and returns the id of a waiting claim the engine's call
+/// took. Shared by the in-place routing pass and the ring workers' queue
+/// drain; per-shard order is the same under both because routing is the
+/// sequential packet-order pass.
 fn ingest_part(
     vids: &mut Vids,
     tenant: TenantId,
@@ -1131,7 +1272,7 @@ fn ingest_part(
     part: Part,
     alerts: &mut Vec<TaggedAlert>,
     misses: &mut Vec<DeferredMiss>,
-) {
+) -> Option<ClaimId> {
     match part {
         Part::Register(event) => {
             let mut sink = TaggedSink::packet(alerts, idx, 2, tenant);
@@ -1147,23 +1288,37 @@ fn ingest_part(
             is_initial_invite,
             is_request,
             dst_ip,
+            claim,
         } => {
             let mut sink = TaggedSink::packet(alerts, idx, 2, tenant);
-            if let Some(miss) =
-                vids.ingest_call_event(call_id, event, is_initial_invite, is_request, t, &mut sink)
-            {
+            let (miss, claimed) =
+                vids.ingest_call_event(call_id, event, is_initial_invite, is_request, t, &mut sink);
+            if let Some(miss) = miss {
                 misses.push(DeferredMiss {
                     idx,
                     t_ms: t,
-                    dst_ip,
-                    src_ip: miss.src_ip,
                     tenant,
+                    what: Missed::Response {
+                        dst_ip,
+                        src_ip: miss.src_ip,
+                    },
                 });
             }
+            return claim.filter(|_| claimed);
         }
-        Part::Rtp(event) => {
+        Part::Rtp { event, routed } => {
             let mut sink = TaggedSink::packet(alerts, idx, 2, tenant);
-            vids.ingest_rtp(event, t, &mut sink);
+            if let Some(media) = vids.ingest_rtp(event, t, &mut sink) {
+                match routed {
+                    None => vids.raise_unassociated_rtp(media, t, &mut sink),
+                    Some(tenant) => misses.push(DeferredMiss {
+                        idx,
+                        t_ms: t,
+                        tenant,
+                        what: Missed::Media(media),
+                    }),
+                }
+            }
         }
         Part::Malformed { protocol, reason } => {
             let mut sink = TaggedSink::packet(alerts, idx, 2, tenant);
@@ -1171,13 +1326,18 @@ fn ingest_part(
         }
         Part::Ignored => vids.ingest_ignored(),
     }
+    None
 }
 
-/// Counts one unassociated response on the engine owning its destination:
-/// the deferred DRDoS phase (merge phase 3) for one miss.
+/// Counts one miss on its home engine: the deferred phase (merge phase 3).
 fn count_miss(engine: &mut Vids, miss: &DeferredMiss, tagged: &mut Vec<TaggedAlert>) {
     let mut sink = TaggedSink::packet(tagged, miss.idx, 3, miss.tenant);
-    engine.ingest_response_flood(miss.dst_ip, miss.src_ip, miss.t_ms, &mut sink);
+    match miss.what {
+        Missed::Response { dst_ip, src_ip } => {
+            engine.ingest_response_flood(dst_ip, src_ip, miss.t_ms, &mut sink)
+        }
+        Missed::Media(media) => engine.raise_unassociated_rtp(media, miss.t_ms, &mut sink),
+    }
 }
 
 /// The epoch ring's decisions as pure functions of the lane counters, split
@@ -1305,6 +1465,8 @@ struct EpochSlot {
     /// drain so every worker can read every lane's list, cleared at
     /// harvest.
     misses: Vec<DeferredMiss>,
+    /// The waiting claims this shard's calls took; collected at harvest.
+    taken: Vec<ClaimId>,
 }
 
 /// One shard's bounded epoch ring; see [`lane`] for the counters' meaning
@@ -1418,15 +1580,10 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
             let engine = unsafe { &mut *(shared.engines.load(Acquire) as *mut Vids).add(index) };
             let tenant = shared.placement.tenant(index);
             for (idx, t, part) in data.queue.drain(..) {
-                ingest_part(
-                    engine,
-                    tenant,
-                    idx,
-                    t,
-                    part,
-                    &mut data.tagged,
-                    &mut data.misses,
-                );
+                let (tagged, misses) = (&mut data.tagged, &mut data.misses);
+                if let Some(id) = ingest_part(engine, tenant, idx, t, part, tagged, misses) {
+                    data.taken.push(id);
+                }
             }
             lane.drained.store(epoch + 1, Release);
             // Barrier: wait for every lane to finish draining this epoch.
@@ -1462,8 +1619,7 @@ fn pipeline_worker(shared: &PipelineShared, index: usize) {
                     unsafe { &(*peer.slots[slot].get()).misses }
                 };
                 for m in misses {
-                    let hash = fnv1a(&m.dst_ip.to_le_bytes());
-                    if shared.placement.engine(m.tenant as usize, hash) == index {
+                    if m.home(shared.placement) == index {
                         scratch.push(*m);
                     }
                 }
@@ -1557,22 +1713,48 @@ impl PipelineIngress<'_, '_> {
 
         // The coordinator's own alerts for this epoch: the sweep's.
         let mut coord_tagged = self.spare.pop().unwrap_or_default();
-        let mut queues = std::mem::take(&mut self.pool.queues);
-        let mut misses = std::mem::take(&mut self.pool.scratch_misses);
         let routed = events
             .drain(..)
             .enumerate()
             .map(|(idx, ev)| CoreEvent::new(idx, ev.classified, ev.at, Some(ev.hint)));
-        self.pool.route_pass(
-            routed,
-            now_ms,
-            Some(&mut queues),
-            &mut coord_tagged,
-            &mut misses,
-        );
-        debug_assert!(misses.is_empty(), "queued routing produces no misses");
-        self.pool.scratch_misses = misses;
+        self.pool
+            .open_batch(routed.len(), now_ms, &mut coord_tagged);
+        let mut routed = routed.peekable();
+        loop {
+            let mut queues = std::mem::take(&mut self.pool.queues);
+            let mut misses = std::mem::take(&mut self.pool.scratch_misses);
+            let paused = self.pool.route_events(
+                &mut routed,
+                now_ms,
+                Some(&mut queues),
+                &mut coord_tagged,
+                &mut misses,
+            );
+            debug_assert!(misses.is_empty(), "queued routing produces no misses");
+            self.pool.scratch_misses = misses;
+            self.publish(queues, coord_tagged, sink);
+            if !paused {
+                break;
+            }
+            // Only the claimants' engines know which claims their calls
+            // took: quiesce, settle, and route the rest of the batch as a
+            // new epoch. The merge key leads with the packet index, so the
+            // epoch boundary does not reorder alerts.
+            self.flush(sink);
+            self.pool.settle();
+            self.refresh_engines = true;
+            coord_tagged = self.spare.pop().unwrap_or_default();
+        }
+    }
 
+    /// Publishes one epoch: the routed `queues` to every lane, and the
+    /// coordinator's own alerts for it.
+    fn publish<S: AlertSink + ?Sized>(
+        &mut self,
+        mut queues: Vec<Vec<Routed>>,
+        coord_tagged: Vec<TaggedAlert>,
+        sink: &mut S,
+    ) {
         if self.refresh_engines {
             debug_assert_eq!(
                 self.next_epoch, self.harvested,
@@ -1635,6 +1817,7 @@ impl PipelineIngress<'_, '_> {
             let data = unsafe { &mut *lane.slots[slot].get() };
             debug_assert!(data.queue.is_empty());
             tagged.append(&mut data.tagged);
+            self.pool.taken.append(&mut data.taken);
             data.misses.clear();
         }
         self.pool.merge_into(&mut tagged, sink);
@@ -1718,32 +1901,14 @@ impl PipelineIngress<'_, '_> {
     }
 }
 
-impl Monitor for VidsPool {
-    fn process(&mut self, packet: &Packet, now: SimTime, sink: &mut dyn AlertSink) {
-        self.process_batch(std::slice::from_ref(packet), now, sink);
-    }
-
-    fn tick(&mut self, now: SimTime, sink: &mut dyn AlertSink) {
-        self.tick(now, sink);
-    }
-
-    fn counters(&self) -> VidsCounters {
-        VidsPool::counters(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        VidsPool::memory_bytes(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{CollectSink, NullSink};
+    use crate::sink::NullSink;
     use vids_netsim::packet::{Address, Payload};
     use vids_sdp::{Codec, SessionDescription};
     use vids_sip::message::Request;
-    use vids_sip::{Method, SipUri, StatusCode};
+    use vids_sip::{SipUri, StatusCode};
 
     const CALLER: Address = Address::new(10, 1, 0, 10, 5060);
     const CALLEE: Address = Address::new(10, 2, 0, 10, 5060);
@@ -1768,129 +1933,8 @@ mod tests {
         .with_body(vids_sdp::MIME_TYPE, sdp.to_string())
     }
 
-    /// A small trace exercising floods, unknown calls and junk.
-    fn mixed_trace() -> Vec<(Packet, SimTime)> {
-        let mut trace = Vec::new();
-        for i in 0..12u64 {
-            let inv = invite(&format!("mix-{i}"));
-            trace.push((
-                pkt(CALLER, CALLEE, Payload::Sip(inv.to_string())),
-                SimTime::from_millis(i * 5),
-            ));
-        }
-        let ghost = invite("ghost");
-        let bye = Request::in_dialog(Method::Bye, &ghost, 2, Some("tt"));
-        trace.push((
-            pkt(CALLER, CALLEE, Payload::Sip(bye.to_string())),
-            SimTime::from_millis(70),
-        ));
-        let ok = ghost.response(StatusCode::OK);
-        for i in 0..12u64 {
-            trace.push((
-                pkt(CALLEE, CALLER, Payload::Sip(ok.to_string())),
-                SimTime::from_millis(80 + i),
-            ));
-        }
-        trace.push((
-            pkt(CALLER, CALLEE, Payload::Sip("garbage".to_owned())),
-            SimTime::from_millis(95),
-        ));
-        trace
-    }
-
     fn shards(n: usize) -> Config {
         Config::builder().shards(n).build().unwrap()
-    }
-
-    /// What the ingest layer does to a datagram, applied to a simulated
-    /// packet: classify the raw payload bytes off the "wire".
-    fn wire_events(packets: &[Packet]) -> Vec<WireEvent> {
-        use crate::classify::{classify_wire, WireProto};
-        packets
-            .iter()
-            .map(|p| WireEvent {
-                classified: match &p.payload {
-                    Payload::Sip(text) => {
-                        classify_wire(WireProto::Sip, text.as_bytes(), p.src, p.dst)
-                    }
-                    Payload::Rtp(bytes) => classify_wire(WireProto::Rtp, bytes, p.src, p.dst),
-                    Payload::Raw(_) => Classified::Ignored,
-                },
-                at: p.sent_at,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn wire_batch_matches_packet_batch() {
-        let packets: Vec<Packet> = mixed_trace()
-            .into_iter()
-            .map(|(mut p, at)| {
-                p.sent_at = at;
-                p
-            })
-            .collect();
-
-        let mut by_packet = VidsPool::new(shards(4));
-        let mut packet_sink = CollectSink::new();
-        by_packet.process_batch(&packets, SimTime::ZERO, &mut packet_sink);
-        by_packet.tick(SimTime::from_secs(30), &mut packet_sink);
-
-        let mut events = wire_events(&packets);
-        let mut by_wire = VidsPool::new(shards(4));
-        let mut wire_sink = CollectSink::new();
-        by_wire.process_wire_batch(&mut events, SimTime::ZERO, &mut wire_sink);
-        by_wire.tick(SimTime::from_secs(30), &mut wire_sink);
-
-        assert!(!packet_sink.is_empty(), "trace should raise alerts");
-        assert_eq!(packet_sink.alerts(), wire_sink.alerts());
-        assert_eq!(by_packet.counters(), by_wire.counters());
-        assert_eq!(by_packet.cpu_busy(), by_wire.cpu_busy());
-        assert!(events.is_empty(), "wire batch drains the caller's buffer");
-    }
-
-    #[test]
-    fn pool_matches_plain_vids_packet_for_packet() {
-        let mut plain = Vids::new(Config::default());
-        let mut pool = VidsPool::new(shards(4));
-        let mut plain_sink = CollectSink::new();
-        let mut pool_sink = CollectSink::new();
-        for (packet, at) in mixed_trace() {
-            plain.process(&packet, at, &mut plain_sink);
-            Monitor::process(&mut pool, &packet, at, &mut pool_sink);
-        }
-        plain.tick(SimTime::from_secs(30), &mut plain_sink);
-        pool.tick(SimTime::from_secs(30), &mut pool_sink);
-        assert!(!plain_sink.is_empty(), "trace should raise alerts");
-        assert_eq!(plain_sink.alerts(), pool_sink.alerts());
-        assert_eq!(pool.alerts_merged(), pool_sink.len() as u64);
-        assert_eq!(plain.counters(), pool.counters());
-    }
-
-    #[test]
-    fn shard_count_does_not_change_batched_output() {
-        let trace = mixed_trace();
-        let packets: Vec<Packet> = trace
-            .iter()
-            .map(|(p, at)| {
-                let mut p = p.clone();
-                p.sent_at = *at;
-                p
-            })
-            .collect();
-        let mut reference: Option<Vec<Alert>> = None;
-        for n in [1usize, 4, 8] {
-            let mut pool = VidsPool::new(shards(n));
-            let mut sink = CollectSink::new();
-            pool.process_batch(&packets, SimTime::ZERO, &mut sink);
-            pool.tick(SimTime::from_secs(30), &mut sink);
-            let out = sink.into_alerts();
-            match &reference {
-                None => reference = Some(out),
-                Some(expected) => assert_eq!(expected, &out, "{n} shards diverged"),
-            }
-        }
-        assert!(!reference.unwrap().is_empty());
     }
 
     #[test]
@@ -1932,56 +1976,6 @@ mod tests {
     }
 
     #[test]
-    fn rtp_routes_to_the_call_owning_shard() {
-        let mut pool = VidsPool::new(shards(8));
-        let inv = invite("routed-1");
-        let answer = SessionDescription::audio_offer("bob", "10.2.0.10", 30_000, &[Codec::G729]);
-        let ok = inv
-            .response(StatusCode::OK)
-            .with_to_tag("tt")
-            .with_body(vids_sdp::MIME_TYPE, answer.to_string());
-        let batch = [
-            pkt(CALLER, CALLEE, Payload::Sip(inv.to_string())),
-            pkt(CALLEE, CALLER, Payload::Sip(ok.to_string())),
-        ];
-        pool.process_batch(&batch, SimTime::ZERO, &mut NullSink);
-
-        // Both endpoints' negotiated coordinates point at the shard that owns
-        // the call, whatever hash(ip:port) alone would have said.
-        let call_shard = pool
-            .media_shard(Ipv4Addr::new(10, 2, 0, 10), 30_000)
-            .expect("answer SDP indexed");
-        assert_eq!(
-            pool.media_shard(Ipv4Addr::new(10, 1, 0, 10), 20_000),
-            Some(call_shard)
-        );
-        assert_eq!(pool.shard(call_shard).monitored_calls(), 1);
-
-        // RTP to those coordinates reaches the call's RTP machine...
-        let media = vids_rtp::packet::RtpPacket::new(18, 100, 800, 7).with_payload(vec![0; 10]);
-        let rtp = pkt(
-            CALLER.with_port(20_000),
-            CALLEE.with_port(30_000),
-            Payload::Rtp(media.to_bytes()),
-        );
-        pool.process_batch(&[rtp], SimTime::from_millis(10), &mut NullSink);
-        assert_eq!(pool.counters().unassociated_rtp, 0);
-        assert_eq!(pool.counters().rtp_packets, 1);
-
-        // ...while RTP to unknown coordinates is flagged, once.
-        let stray = pkt(
-            CALLER.with_port(20_000),
-            Address::new(10, 9, 9, 9, 40_000),
-            Payload::Rtp(media.to_bytes()),
-        );
-        let mut stray_sink = CollectSink::new();
-        pool.process_batch(&[stray], SimTime::from_millis(20), &mut stray_sink);
-        let alerts = stray_sink.into_alerts();
-        assert_eq!(pool.counters().unassociated_rtp, 1);
-        assert!(alerts.iter().any(|a| a.label == "unassociated-rtp"));
-    }
-
-    #[test]
     fn builder_shards_size_the_pool() {
         let pool = VidsPool::new(shards(6));
         assert_eq!(pool.shards(), 6);
@@ -1989,149 +1983,43 @@ mod tests {
         assert!(Config::builder().shards(0).build().is_err());
     }
 
-    /// A wire trace with calls, negotiated media, in-call and stray RTP, a
-    /// REGISTER, floods, ghosts and junk — timestamps crossing several
-    /// sweep intervals so multi-batch runs exercise the batch-clock sweep
-    /// rule.
-    fn pipeline_trace() -> Vec<WireEvent> {
-        use vids_sip::headers::{CSeq as SipCSeq, Header, NameAddr, Via};
-
-        let mut packets: Vec<Packet> = mixed_trace()
-            .into_iter()
-            .map(|(mut p, at)| {
-                p.sent_at = at;
-                p
-            })
-            .collect();
-        let mut push = |src, dst, payload, ms| {
-            let mut p = pkt(src, dst, payload);
-            p.sent_at = SimTime::from_millis(ms);
-            packets.push(p);
-        };
-
-        // A REGISTER, pinned by address-of-record.
-        let aor = SipUri::new("roamer", "b.example.com");
-        let mut reg = vids_sip::Request::new(Method::Register, SipUri::host_only("b.example.com"));
-        reg.headers.push(Header::Via(Via::udp(
-            "10.1.0.10".to_owned(),
-            5060,
-            "z9hG4bK-r1",
-        )));
-        reg.headers
-            .push(Header::From(NameAddr::new(aor.clone()).with_tag("rt")));
-        reg.headers.push(Header::To(NameAddr::new(aor)));
-        reg.headers.push(Header::CallId("reg-roamer".to_owned()));
-        reg.headers
-            .push(Header::CSeq(SipCSeq::new(1, Method::Register)));
-        reg.headers.push(Header::Contact(NameAddr::new(SipUri::new(
-            "roamer",
-            "10.1.0.10",
-        ))));
-        reg.headers.push(Header::Expires(3600));
-        reg.headers.push(Header::ContentLength(0));
-        push(CALLER, CALLEE, Payload::Sip(reg.to_string()), 98);
-
-        // A full call with negotiated media and in-call RTP.
-        let inv = invite("pipe-media");
-        let answer = SessionDescription::audio_offer("bob", "10.2.0.10", 30_000, &[Codec::G729]);
-        let ok = inv
-            .response(StatusCode::OK)
-            .with_to_tag("tt")
-            .with_body(vids_sdp::MIME_TYPE, answer.to_string());
-        let ack = Request::in_dialog(Method::Ack, &inv, 1, Some("tt"));
-        push(CALLER, CALLEE, Payload::Sip(inv.to_string()), 100);
-        push(CALLEE, CALLER, Payload::Sip(ok.to_string()), 120);
-        push(CALLER, CALLEE, Payload::Sip(ack.to_string()), 140);
-        let media = vids_rtp::packet::RtpPacket::new(18, 100, 800, 7).with_payload(vec![0; 10]);
-        for i in 0..4u64 {
-            push(
-                CALLER.with_port(20_000),
-                CALLEE.with_port(30_000),
-                Payload::Rtp(media.to_bytes()),
-                160 + i * 20,
-            );
-        }
-        // Stray RTP: routed by the media-coordinate fallback hash.
-        push(
-            CALLER.with_port(20_000),
-            Address::new(10, 9, 9, 9, 40_000),
-            Payload::Rtp(media.to_bytes()),
-            250,
-        );
-
-        // A later ghost-response wave (unassociated responses = deferred
-        // cross-shard DRDoS misses) after more sweep windows elapsed.
-        let ghost = invite("pipe-ghost");
-        let ghost_ok = ghost.response(StatusCode::OK);
-        for i in 0..12u64 {
-            push(CALLEE, CALLER, Payload::Sip(ghost_ok.to_string()), 480 + i);
-        }
-
-        wire_events(&packets)
-    }
-
-    /// Feeds `events` through `process_wire_batch` in fixed-size chunks,
-    /// clocked by each batch's first timestamp, then ticks.
-    fn run_wire_batches(pool: &mut VidsPool, events: &[WireEvent], chunk: usize) -> Vec<Alert> {
-        let mut sink = CollectSink::new();
-        for chunk_events in events.chunks(chunk) {
-            let mut batch: Vec<WireEvent> = chunk_events.to_vec();
-            let now = chunk_events.first().map(|e| e.at).unwrap_or(SimTime::ZERO);
-            pool.process_wire_batch(&mut batch, now, &mut sink);
-        }
-        pool.tick(SimTime::from_secs(30), &mut sink);
-        sink.into_alerts()
-    }
-
-    /// The same batches through a pipelined session.
-    fn run_pipeline_batches(pool: &mut VidsPool, events: &[WireEvent], chunk: usize) -> Vec<Alert> {
-        let mut sink = CollectSink::new();
-        pool.with_pipeline(|p| {
-            let mut batch: Vec<PreRouted> = Vec::new();
-            for chunk_events in events.chunks(chunk) {
-                batch.extend(
-                    chunk_events
-                        .iter()
-                        .map(|e| PreRouted::new(e.classified.clone(), e.at)),
-                );
-                let now = chunk_events.first().map(|e| e.at).unwrap_or(SimTime::ZERO);
-                p.submit(&mut batch, now, &mut sink);
-            }
-            p.tick(SimTime::from_secs(30), &mut sink);
-        });
-        sink.into_alerts()
-    }
-
-    #[test]
-    fn pipeline_matches_wire_batches_across_shard_counts() {
-        let events = pipeline_trace();
-        // Chunk 3 pushes well past EPOCH_RING_DEPTH epochs (backpressure
-        // path); chunk 64 covers few-epoch sessions.
-        for n in [1usize, 4, 8] {
-            for chunk in [3usize, 7, 64] {
-                let mut by_wire = VidsPool::new(shards(n));
-                let wire = run_wire_batches(&mut by_wire, &events, chunk);
-                let mut by_pipe = VidsPool::new(shards(n));
-                let pipe = run_pipeline_batches(&mut by_pipe, &events, chunk);
-                assert!(!wire.is_empty(), "trace should raise alerts");
-                assert_eq!(wire, pipe, "{n} shards, chunk {chunk} diverged");
-                assert_eq!(by_wire.alerts_merged(), by_pipe.alerts_merged());
-                assert_eq!(by_wire.counters(), by_pipe.counters());
-                assert_eq!(by_wire.cpu_busy(), by_pipe.cpu_busy());
-                assert_eq!(by_wire.monitored_calls(), by_pipe.monitored_calls());
-            }
-        }
+    /// One datagram of each kind the router keys differently: an INVITE
+    /// (call and flood keys), a response, a REGISTER (address-of-record
+    /// key), RTP (media key) and junk (no key).
+    fn one_of_each() -> Vec<Classified> {
+        let inv = invite("hint-1");
+        let register = "REGISTER sip:b.example.com SIP/2.0\r\n\
+            Via: SIP/2.0/UDP 10.1.0.10:5060;branch=z9hG4bK-r1\r\n\
+            From: <sip:roamer@b.example.com>;tag=rt\r\n\
+            To: <sip:roamer@b.example.com>\r\n\
+            Call-ID: reg-roamer\r\n\
+            CSeq: 1 REGISTER\r\n\
+            Contact: <sip:roamer@10.1.0.10>\r\n\
+            Content-Length: 0\r\n\r\n";
+        let rtp = vids_rtp::packet::RtpPacket::new(18, 100, 800, 7).with_payload(vec![0; 10]);
+        let media = (CALLER.with_port(20_000), CALLEE.with_port(30_000));
+        let packets = [
+            pkt(CALLER, CALLEE, Payload::Sip(inv.to_string())),
+            pkt(
+                CALLEE,
+                CALLER,
+                Payload::Sip(inv.response(StatusCode::OK).to_string()),
+            ),
+            pkt(CALLER, CALLEE, Payload::Sip(register.to_owned())),
+            pkt(media.0, media.1, Payload::Rtp(rtp.to_bytes())),
+            pkt(CALLER, CALLEE, Payload::Sip("garbage".to_owned())),
+        ];
+        packets.iter().map(classify).collect()
     }
 
     #[test]
     fn route_hint_hashes_agree_with_shard_of() {
-        let events = pipeline_trace();
         let pool = VidsPool::new(shards(8));
         let place = |hash| pool.placement.engine(0, hash);
         let mut sip = 0usize;
-        for ev in &events {
-            let hint = route_hint(&ev.classified);
-            match &ev.classified {
+        for classified in one_of_each() {
+            let hint = route_hint(&classified);
+            match &classified {
                 Classified::Sip {
                     call_id,
                     event,
@@ -2155,48 +2043,7 @@ mod tests {
                 _ => assert_eq!(hint, RouteHint::default()),
             }
         }
-        assert!(sip > 0, "trace must cover SIP");
-    }
-
-    #[test]
-    fn pipeline_survives_quiesced_inspection() {
-        let events = pipeline_trace();
-        let split = 10usize;
-
-        let mut reference = VidsPool::new(shards(4));
-        let mut ref_sink = CollectSink::new();
-        for part in [&events[..split], &events[split..]] {
-            let mut batch: Vec<WireEvent> = part.to_vec();
-            let now = part.first().map(|e| e.at).unwrap_or(SimTime::ZERO);
-            reference.process_wire_batch(&mut batch, now, &mut ref_sink);
-        }
-        reference.tick(SimTime::from_secs(30), &mut ref_sink);
-
-        let mut pool = VidsPool::new(shards(4));
-        let mut sink = CollectSink::new();
-        pool.with_pipeline(|p| {
-            let mut batch: Vec<PreRouted> = events[..split]
-                .iter()
-                .map(|e| PreRouted::new(e.classified.clone(), e.at))
-                .collect();
-            p.submit(&mut batch, events[0].at, &mut sink);
-            p.flush(&mut sink);
-            // Mid-session, quiesced: reading the pool (as the serve tier
-            // does for forensic dumps) must not disturb the epochs that
-            // follow.
-            assert!(p.pool().monitored_calls() > 0);
-            assert_eq!(p.in_flight(), 0);
-            batch.extend(
-                events[split..]
-                    .iter()
-                    .map(|e| PreRouted::new(e.classified.clone(), e.at)),
-            );
-            p.submit(&mut batch, events[split].at, &mut sink);
-            p.tick(SimTime::from_secs(30), &mut sink);
-        });
-
-        assert_eq!(ref_sink.alerts(), sink.alerts());
-        assert_eq!(reference.counters(), pool.counters());
+        assert_eq!(sip, 3, "an INVITE, a response and a REGISTER");
     }
 
     #[test]
@@ -2235,15 +2082,13 @@ mod tests {
     fn pipeline_worker_panic_propagates_and_joins() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let events = pipeline_trace();
+        let events = one_of_each();
         let mut pool = VidsPool::new(shards(4));
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.with_pipeline(|p| {
                 p.inject_worker_panic();
-                let mut batch: Vec<PreRouted> = events
-                    .iter()
-                    .map(|e| PreRouted::new(e.classified.clone(), e.at))
-                    .collect();
+                let routed = events.into_iter().map(|c| PreRouted::new(c, SimTime::ZERO));
+                let mut batch: Vec<PreRouted> = routed.collect();
                 p.submit(&mut batch, SimTime::ZERO, &mut NullSink);
                 p.flush(&mut NullSink);
             });

@@ -11,7 +11,6 @@ use crate::alert::Alert;
 use crate::config::Config;
 use crate::cost::CostModel;
 use crate::engine::{Vids, VidsCounters};
-use crate::monitor::Monitor;
 use crate::sink::{AlertSink, CollectSink, NullSink, Tee};
 
 /// The inline vids monitor: observes every packet, charges the cost-model
@@ -51,7 +50,7 @@ impl VidsTap {
     }
 
     /// Mutable access to the engine. Alerts raised by driving it directly
-    /// bypass the tap's record; flush timers through [`Monitor::tick`].
+    /// bypass the tap's record; flush timers through [`VidsTap::tick`].
     pub fn vids_mut(&mut self) -> &mut Vids {
         &mut self.vids
     }
@@ -94,16 +93,18 @@ impl VidsTap {
 
 impl Tap for VidsTap {
     fn observe(&mut self, packet: &Packet, now: SimTime) -> SimTime {
-        // Route through the Monitor impl so the observation-window
-        // bookkeeping (started_at / last_seen) is identical whichever way
-        // the tap is driven. Alerts stay in the tap's own record.
-        Monitor::process(self, packet, now, &mut NullSink);
+        // Route through `process` so the observation-window bookkeeping
+        // (started_at / last_seen) is identical whichever way the tap is
+        // driven. Alerts stay in the tap's own record.
+        self.process(packet, now, &mut NullSink);
         self.vids.cost().hold_for(packet)
     }
 }
 
-impl Monitor for VidsTap {
-    fn process(&mut self, packet: &Packet, now: SimTime, sink: &mut dyn AlertSink) {
+impl VidsTap {
+    /// Feeds one packet observed at `now`, pushing its alerts into `sink`
+    /// and the tap's own record.
+    pub fn process(&mut self, packet: &Packet, now: SimTime, sink: &mut dyn AlertSink) {
         self.packets_seen += 1;
         self.started_at.get_or_insert(now);
         self.last_seen = now;
@@ -114,7 +115,9 @@ impl Monitor for VidsTap {
         self.vids.process(packet, now, &mut sink);
     }
 
-    fn tick(&mut self, now: SimTime, sink: &mut dyn AlertSink) {
+    /// Advances timers and evicts finished calls, pushing timer-driven
+    /// alerts into `sink` and the tap's own record.
+    pub fn tick(&mut self, now: SimTime, sink: &mut dyn AlertSink) {
         // Flushes timer-driven detections; the observation window stays at
         // the last packet so cpu_overhead keeps §7.3's traffic-interval
         // denominator.
@@ -125,11 +128,13 @@ impl Monitor for VidsTap {
         self.vids.tick(now, &mut sink);
     }
 
-    fn counters(&self) -> VidsCounters {
+    /// The engine's traffic counters.
+    pub fn counters(&self) -> VidsCounters {
         self.vids.counters()
     }
 
-    fn memory_bytes(&self) -> usize {
+    /// The engine's fact-base footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
         self.vids.memory_bytes()
     }
 }

@@ -11,17 +11,16 @@
 //!   packet stream (well-formed calls + mutated SIP + mutated RTP wire,
 //!   ≥ the fuzz budget in packets) must yield byte-identical alert logs
 //!   and counters whatever the shard count or batch boundaries.
-//! * **telemetry on vs off**: recording must never change detection —
-//!   alerts are compared with their telemetry-populated `trace` field
-//!   cleared, since attaching transition traces to alerts is telemetry's
-//!   one documented, deliberate output difference.
+//! * **telemetry on vs off**: recording must never change detection.
+//! * **the placement matrix** (`vids_harness::matrix`) over the seeded
+//!   corpus: every deployment shape, shard, node and tenant layout gives
+//!   the same canonical output.
 
-use vids_core::{CollectSink, Config, CostModel, Vids, VidsPool};
 use vids_harness::corpus;
-use vids_harness::mutate::{mutate_sip, mutate_wire};
+use vids_harness::matrix::{check, matrix, plain, pool, PROXY_TENANTS, README_TENANTS};
+use vids_harness::mutate::mutate_sip;
 use vids_harness::rng::XorShift64;
-use vids_netsim::packet::{Address, Packet, Payload};
-use vids_netsim::time::SimTime;
+use vids_harness::traffic::{fuzzed, generated, mixed_trace};
 use vids_sip::parse::parse_message;
 use vids_sip::view::parse_view;
 
@@ -101,161 +100,50 @@ fn view_and_owned_parser_agree_on_monitored_fields() {
     assert!(both > 0, "mutator degenerated: nothing accepted by both");
 }
 
-const CALLEE: Address = Address::new(10, 2, 0, 10, 5060);
+/// The fixed seed set of the generated corpus.
+pub const SEEDS: [u64; 4] = [1, 2, 3, 4];
 
-/// A fuzzed traffic trace: clean established calls interleaved with mutated
-/// SIP texts and mutated RTP datagrams, at least `min_packets` long, with
-/// non-decreasing timestamps and unique packet ids.
-fn fuzzed_trace(seed: u64, min_packets: usize) -> Vec<(Packet, SimTime)> {
-    let mut rng = XorShift64::new(seed);
-    let sip_seeds = corpus::sip_seeds();
-    let mut wire_seeds = corpus::rtp_seeds();
-    wire_seeds.extend(corpus::rtcp_seeds());
-    let mut trace = Vec::with_capacity(min_packets);
-    let mut at_ms = 0u64;
-    while trace.len() < min_packets {
-        at_ms += rng.below(3) as u64;
-        let at = SimTime::from_millis(at_ms);
-        let src = Address::new(10, 1, (rng.below(3) + 1) as u8, rng.below(5) as u8, 5060);
-        let payload = match rng.below(4) {
-            // An untouched well-formed seed keeps machines moving.
-            0 => Payload::Sip(rng.pick(&sip_seeds).clone()),
-            // Mutated SIP: the monitor must classify or reject, never skew.
-            1 => {
-                let mut text = rng.pick(&sip_seeds).clone();
-                for _ in 0..=rng.below(3) {
-                    text = mutate_sip(&mut rng, &text);
-                }
-                Payload::Sip(text)
-            }
-            // Mutated RTP/RTCP wire, from media-looking ports.
-            _ => {
-                let mut bytes = rng.pick(&wire_seeds).clone();
-                for _ in 0..=rng.below(3) {
-                    bytes = mutate_wire(&mut rng, &bytes);
-                }
-                Payload::Rtp(bytes)
-            }
-        };
-        let (src, dst) = if matches!(payload, Payload::Rtp(_)) {
-            (src.with_port(20_000), CALLEE.with_port(30_000))
-        } else {
-            (src, CALLEE)
-        };
-        trace.push((
-            Packet {
-                src,
-                dst,
-                payload,
-                id: trace.len() as u64,
-                sent_at: at,
-            },
-            at,
-        ));
-    }
-    trace
-}
-
+/// Batches of one and random batches of 1–32 with forced sweeps (`batch`
+/// 0), as the plain engine replays them.
 #[test]
 fn pool_matches_plain_engine_on_fuzzed_traffic_at_every_shard_count() {
     let iters = vids_harness::fuzz_iterations() as usize;
-    let trace = fuzzed_trace(0xD1FF_0003, iters.max(10_000));
-
-    // Reference: the plain single-engine monitor, packet at a time.
-    let mut plain = Vids::with_cost(Config::default(), CostModel::free());
-    let mut plain_sink = CollectSink::new();
-    for (packet, at) in &trace {
-        plain.process(packet, *at, &mut plain_sink);
+    let trace = fuzzed(0xD1FF_0003, iters.max(10_000));
+    let placements = [plain(), pool(1, 1), pool(4, 1), pool(8, 1)];
+    for batch in [1, 0] {
+        assert!(!check(&trace, batch, &placements).alerts.is_empty());
     }
-    for flush in [30u64, 40] {
-        plain.tick(SimTime::from_secs(flush), &mut plain_sink);
-    }
-
-    for shards in [1usize, 4, 8] {
-        let mut rng = XorShift64::new(0x000B_A7C4 ^ shards as u64);
-        let config = Config::builder().shards(shards).build().unwrap();
-        let mut pool = VidsPool::with_cost(config, CostModel::free());
-        let mut pool_sink = CollectSink::new();
-        let mut i = 0;
-        while i < trace.len() {
-            let size = 1 + rng.below(32);
-            let end = (i + size).min(trace.len());
-            let now = trace[i].1;
-            let packets: Vec<Packet> = trace[i..end].iter().map(|(p, _)| p.clone()).collect();
-            pool.process_batch(&packets, now, &mut pool_sink);
-            i = end;
-        }
-        for flush in [30u64, 40] {
-            pool.tick(SimTime::from_secs(flush), &mut pool_sink);
-        }
-        assert_eq!(
-            plain_sink.alerts(),
-            pool_sink.alerts(),
-            "{shards}-shard pool diverged from the plain engine on fuzzed traffic"
-        );
-        assert_eq!(
-            pool.alerts_merged(),
-            pool_sink.len() as u64,
-            "{shards} shards"
-        );
-        assert_eq!(plain.counters(), pool.counters(), "{shards} shards");
-        assert_eq!(
-            plain.monitored_calls(),
-            pool.monitored_calls(),
-            "{shards} shards"
-        );
-    }
-    eprintln!(
-        "pool differential: {} fuzzed packets, {} alerts",
-        trace.len(),
-        plain_sink.len()
-    );
 }
 
 #[test]
 fn telemetry_recording_never_changes_detection() {
     let iters = (vids_harness::fuzz_iterations() as usize).max(10_000);
-    let trace = fuzzed_trace(0xD1FF_0004, iters);
+    let trace = fuzzed(0xD1FF_0004, iters);
+    // Telemetry's one deliberate output difference, transition traces on
+    // alerts, is set aside by the comparison.
+    let out = check(&trace, 1, &[plain(), plain().telemetry()]);
+    assert!(!out.alerts.is_empty(), "a vacuous oracle");
+}
 
-    let run = |telemetry: bool| {
-        let mut vids = Vids::with_cost(Config::default(), CostModel::free());
-        if telemetry {
-            let _registry = vids.enable_telemetry(64);
+/// The seeded corpus: the curated mixed trace and generated reordered
+/// traffic (`vids_harness::traffic::generated`), at several batch sizes,
+/// through the whole placement matrix under one tenant and under two
+/// tenant maps, and through a plain engine where it must match.
+#[test]
+fn every_placement_gives_the_same_verdict_on_the_seeded_corpus() {
+    let corpus = [(0, mixed_trace())]
+        .into_iter()
+        .chain(SEEDS.map(|seed| (seed, generated(seed))));
+    for (seed, trace) in corpus {
+        for batch in [1, 7, 25] {
+            for tenants in [None, Some(README_TENANTS), Some(PROXY_TENANTS)] {
+                let mut placements = matrix(tenants);
+                if tenants.is_none() && (batch == 1 || seed == 0) {
+                    placements.push(plain().telemetry());
+                }
+                eprintln!("seed {seed}, batch {batch}, tenants {tenants:?}");
+                check(&trace, batch, &placements);
+            }
         }
-        let mut sink = CollectSink::new();
-        for (packet, at) in &trace {
-            vids.process(packet, *at, &mut sink);
-        }
-        for flush in [30u64, 40] {
-            vids.tick(SimTime::from_secs(flush), &mut sink);
-        }
-        // Telemetry's one deliberate output difference is attaching
-        // transition traces to alerts; blank it before comparing.
-        let alerts: Vec<_> = sink
-            .alerts()
-            .iter()
-            .map(|a| {
-                let mut a = a.clone();
-                a.trace = Vec::new();
-                a
-            })
-            .collect();
-        (alerts, vids.counters(), vids.monitored_calls())
-    };
-
-    let (alerts_off, counters_off, calls_off) = run(false);
-    let (alerts_on, counters_on, calls_on) = run(true);
-    assert_eq!(
-        alerts_off, alerts_on,
-        "telemetry recording changed the alert log"
-    );
-    assert_eq!(
-        counters_off, counters_on,
-        "telemetry recording changed the counters"
-    );
-    assert_eq!(calls_off, calls_on);
-    assert!(
-        !alerts_off.is_empty(),
-        "fuzzed trace produced no alerts; the oracle is vacuous"
-    );
+    }
 }

@@ -12,18 +12,18 @@
 //!    ≥100-packet flood with `VIDS_REGEN_CORPUS=1 cargo test -p
 //!    vids-harness --test record_gate`.
 
-use std::net::SocketAddrV4;
-
-use vids_core::alert::{labels, Alert};
+use vids_core::alert::labels;
 use vids_core::config::Config;
 use vids_core::cost::CostModel;
-use vids_core::engine::VidsCounters;
 use vids_core::pool::VidsPool;
 use vids_core::sink::CollectSink;
+use vids_harness::matrix::{check, pcap, recorded, replay, run};
 use vids_harness::record_bridge::{corpus_dir, load_dumps, sip_seeds_from_dump};
-use vids_ingest::pcap::PcapWriter;
+use vids_harness::traffic::pkt;
+use vids_ingest::pcap::LINKTYPE_RAW;
 use vids_ingest::record_tap::RecordTap;
 use vids_ingest::replay::replay_pcap;
+use vids_netsim::packet::{Address, Packet, Payload};
 use vids_netsim::time::SimTime;
 use vids_record::{minimize, replay_vdump, Recorder, Vdump};
 use vids_rtp::packet::RtpPacket;
@@ -34,79 +34,46 @@ const FLOOD: usize = 120;
 /// ≥100-packet INVITE flood (distinct Call-IDs, one source, 5 ms apart,
 /// all inside the 1 s flood window) plus a little unassociated RTP noise
 /// so the capture exercises more than one demux class.
-fn flood_capture() -> Vec<u8> {
-    let mut w = PcapWriter::new();
-    let src: SocketAddrV4 = "10.1.0.10:5060".parse().unwrap();
-    let dst: SocketAddrV4 = "10.2.0.10:5060".parse().unwrap();
-    let media_src: SocketAddrV4 = "10.1.0.20:20000".parse().unwrap();
-    let media_dst: SocketAddrV4 = "10.2.0.20:30000".parse().unwrap();
+fn flood_trace() -> Vec<(Packet, SimTime)> {
+    let (src, dst) = (
+        Address::new(10, 1, 0, 10, 5060),
+        Address::new(10, 2, 0, 10, 5060),
+    );
+    let (media_src, media_dst) = (
+        Address::new(10, 1, 0, 20, 20_000),
+        Address::new(10, 2, 0, 20, 30_000),
+    );
     let to = SipUri::new("bob", "b.example.com");
+    let mut trace = Vec::new();
     for i in 0..FLOOD {
-        let invite = Request::invite(
-            &SipUri::new("mallory", "a.example.com"),
-            &to,
-            &format!("gate-flood-{i}"),
-        );
-        w.push_udp(
-            SimTime::from_millis(10 + 5 * i as u64),
-            src,
-            dst,
-            invite.to_string().as_bytes(),
-        );
+        let from = SipUri::new("mallory", "a.example.com");
+        let invite = Request::invite(&from, &to, &format!("gate-flood-{i}")).to_string();
+        trace.push(pkt(src, dst, Payload::Sip(invite), 10 + 5 * i as u64));
         if i % 40 == 0 {
             let rtp =
                 RtpPacket::new(18, i as u16, i as u32 * 80, 0xFACE).with_payload(vec![0xAB; 10]);
-            w.push_udp(
-                SimTime::from_millis(12 + 5 * i as u64),
-                media_src,
-                media_dst,
-                &rtp.to_bytes(),
-            );
+            let rtp = Payload::Rtp(rtp.to_bytes());
+            trace.push(pkt(media_src, media_dst, rtp, 12 + 5 * i as u64));
         }
     }
-    w.into_bytes()
+    trace
 }
 
-fn run(capture: &[u8], record: bool) -> (Vec<Alert>, VidsCounters) {
-    let config = Config::default();
-    let mut pool = VidsPool::with_cost(config, CostModel::free());
-    let mut sink = CollectSink::new();
-    let recorder = record.then(|| Recorder::with_defaults(1));
-    let mut tap = recorder.as_ref().map(|r| RecordTap::new(r, None));
-    replay_pcap(
-        capture.to_vec(),
-        &mut pool,
-        config.batch_flush_packets,
-        None,
-        tap.as_mut(),
-        &mut sink,
-    )
-    .unwrap();
-    if let Some(t) = &tap {
-        assert!(
-            t.recorder.stats().rings.recorded > 0,
-            "the tap must actually have observed the capture"
-        );
-    }
-    (sink.into_alerts(), pool.counters())
+fn flood_capture() -> Vec<u8> {
+    pcap(&flood_trace(), false, LINKTYPE_RAW)
 }
 
+/// The ring tap is a pure observer: the capture through `vids replay` with
+/// the recorder attached gives the alerts and counters it gives without.
 #[test]
 fn record_tap_never_changes_detection() {
-    let capture = flood_capture();
-    let (alerts_off, counters_off) = run(&capture, false);
-    let (alerts_on, counters_on) = run(&capture, true);
-    assert!(
-        alerts_off.iter().any(|a| a.label == labels::INVITE_FLOOD),
-        "the gate capture must raise the flood: {alerts_off:?}"
-    );
-    assert_eq!(alerts_off, alerts_on, "the ring tap changed the alerts");
-    assert_eq!(
-        counters_off, counters_on,
-        "the ring tap changed the counters"
-    );
-    // Byte-identical includes the rendering.
-    assert_eq!(format!("{alerts_off:?}"), format!("{alerts_on:?}"));
+    let batch = Config::default().batch_flush_packets;
+    let out = check(&flood_trace(), batch, &[replay(1, 1), recorded(1, 2)]);
+    out.covers(&[labels::INVITE_FLOOD]);
+    let recorded = run(&flood_trace(), batch, &recorded(1, 1))
+        .recording
+        .unwrap();
+    assert!(recorded.stats.rings.recorded > 0, "the tap saw nothing");
 }
 
 /// Regenerates `corpus/invite-flood.min.vdump`: record the flood through

@@ -6,6 +6,9 @@
 //! rather than as module unit tests, so a refactor of the internals
 //! cannot silently retire them.
 
+use vids_harness::matrix::{check, pipeline, plain, pool, Output};
+use vids_harness::traffic::{answer, arrive, clean_call, dialog, invite, mixed_trace, pkt};
+use vids_netsim::packet::Address;
 use vids_rtp::jitter::JitterEstimator;
 use vids_rtp::seq::{seq_distance, ExtendedSeq};
 use vids_sip::parse::parse_message;
@@ -166,4 +169,127 @@ fn swar_case_fold_folds_letters_only() {
     assert!(!vids_scan::eq_ignore_case(b"@", b"`"));
     assert!(!vids_scan::eq_ignore_case(b"[", b"{"));
     assert!(!vids_scan::eq_ignore_case(b"Call\x1dID", b"Call=ID"));
+}
+
+// ---- Placement: a reordered call raises what one engine raises ---------
+
+/// When `out` raised `unassociated-rtp`.
+fn unassociated_rtp(out: &Output) -> Vec<u64> {
+    let alerts = out
+        .alerts
+        .iter()
+        .filter(|(_, a)| a.label == "unassociated-rtp");
+    alerts.map(|(_, a)| a.time_ms).collect()
+}
+
+/// A clean call whose 200 OK (with the callee's SDP) overtakes its 180 and
+/// its INVITE, one datagram per batch: 200 at 1 000 ms, 180 at 1 002,
+/// INVITE at 1 016, media to the callee's coordinate at 1 040, 1 150 and
+/// 1 160, the ACK at 1 060. The answer belongs to no call yet, so the
+/// callee's coordinate is never negotiated and one engine raises
+/// `unassociated-rtp` once, at 1 040.
+///
+/// Pre-fix, a pool routed the media to the engine the answer had gone to,
+/// which raised it from its own dedup set; the next sweep dropped that
+/// route, the 1 150 ms packet fell back to the coordinate's hash engine,
+/// whose set had never seen it, and 4 shards raised it twice for most call
+/// numbers. Now a miss on a routed-to engine goes back to the hash engine,
+/// the coordinate's one dedup home.
+#[test]
+fn an_answer_ahead_of_its_invite_raises_one_unassociated_rtp_at_any_shard_count() {
+    let pools = [1, 2, 4, 8].map(|shards| pool(shards, 1));
+    // INVITE, 180, 200, ACK, then media caller→callee at 4, 6, 8, ...
+    let (order, times) = (
+        [2, 1, 0, 4, 3, 6, 8],
+        [1_000, 1_002, 1_016, 1_040, 1_060, 1_150, 1_160],
+    );
+    for k in 30..60u8 {
+        let mut call = Vec::new();
+        clean_call(&mut call, k, 0);
+        let trace: Vec<_> = order
+            .iter()
+            .zip(times)
+            .map(|(&i, ms)| arrive(&call[i].0, ms))
+            .collect();
+        let out = check(&trace, 1, &pools);
+        assert_eq!(unassociated_rtp(&out), [1_040], "call {k}");
+    }
+}
+
+/// A phone reuses its media port for its next call, the second call starting
+/// 700 ms after the first ends, before the first is evicted. Two arrival
+/// orders: the first call's last 200 OK after the second call's answer, and
+/// the second call's 200 OK (naming the reused coordinate) ahead of its
+/// INVITE. Each raises the same alerts at any shard count.
+///
+/// Pre-fix, one engine re-filed a call's coordinates on each SIP event it
+/// took, while a pool routed media by the last SDP it saw: in the first
+/// order one engine tied the second call's media to the first call, which
+/// had hung up, and raised `rtp-after-bye` on it; four shards did not. Now
+/// only a call that takes an SDP naming a coordinate takes the coordinate,
+/// in one engine and in a pool. In the second order no call takes the
+/// answer, so the coordinate stays with the first call, which raises
+/// `rtp-after-bye` at every placement: a reordering false alarm (ROADMAP
+/// item 19), not a placement one.
+#[test]
+fn a_reused_media_coordinate_follows_the_last_taken_sdp_at_any_shard_count() {
+    let pools = [1, 2, 4, 8].map(|shards| pool(shards, 1));
+    let phone = Address::new(10, 2, 0, 90, 5060);
+    let mut calls = Vec::new();
+    dialog(
+        &mut calls,
+        "reuse-a",
+        (Address::new(10, 1, 0, 90, 5060), phone),
+        None,
+        0,
+    );
+    dialog(
+        &mut calls,
+        "reuse-b",
+        (Address::new(10, 1, 0, 91, 5060), phone),
+        None,
+        1_000,
+    );
+    // Each call is 26 datagrams; the first ends with its BYE's 200 (25),
+    // the second's answer is its third datagram (28).
+    for (moved, ms) in [(25, 1_070), (28, 999)] {
+        let mut trace = calls.clone();
+        trace[moved] = arrive(&trace[moved].0, ms);
+        trace.sort_by_key(|(_, at)| *at);
+        let out = check(&trace, 1, &pools);
+        let in_order = moved == 25;
+        assert_eq!(out.has("rtp-after-bye"), !in_order, "datagram {moved}");
+    }
+}
+
+/// A 200 OK for a call no engine tracks, its SDP naming the BYE-DoS victim's
+/// media coordinate (10.2.0.7:32000), ahead of `mixed_trace`'s spoofed BYE.
+/// No call takes the answer, so it moves nothing: the media after the BYE
+/// still reaches the victim's call and raises `rtp-after-bye`, at any shard
+/// count, batch size and Call-ID of the forgery.
+///
+/// Pre-fix, a pool routed the coordinate to the forged Call-ID's engine,
+/// where the victim's media missed and raised `unassociated-rtp` instead;
+/// an interim rule that let an SDP no call took detach the coordinate did
+/// the same in one engine.
+#[test]
+fn a_forged_answer_cannot_detach_a_live_calls_media() {
+    let trace = mixed_trace();
+    let spoof = trace.iter().position(|(_, at)| at.as_millis() >= 3_500);
+    let singly = [plain(), pool(1, 1), pool(2, 1), pool(4, 1), pool(8, 1)];
+    let batched = [pool(1, 1), pool(4, 1), pool(8, 1), pipeline(4, 1)];
+    let attacker = Address::new(172, 16, 0, 66, 5060);
+    let victim = Address::new(10, 1, 0, 7, 5060);
+    for forged in 0..8 {
+        let inv = invite(&format!("forged-{forged}"), "172.16.0.66", 26_000);
+        let mut attacked = trace.clone();
+        let ok = answer(&inv, "10.2.0.7", 32_000);
+        attacked.insert(spoof.unwrap(), pkt(attacker, victim, ok, 3_450));
+        for (batch, placements) in [(1, &singly[..]), (25, &batched[..])] {
+            let out = check(&attacked, batch, placements);
+            assert!(out.has("rtp-after-bye"), "forged-{forged}, batch {batch}");
+            let strays = unassociated_rtp(&out).len();
+            assert_eq!(strays, 1, "only mixed_trace's stray");
+        }
+    }
 }

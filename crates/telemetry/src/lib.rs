@@ -23,8 +23,6 @@
 //!   plus a pool-level slab, merged deterministically at snapshot time.
 //! * [`snapshot::Snapshot`] — point-in-time export, serialized by hand as
 //!   JSON-lines or CSV (no serialization dependency on the hot path).
-//! * [`sampler::Sampler`] — a SimTime-friendly periodic due-checker for
-//!   driving snapshots off the simulated clock.
 //!
 //! ```
 //! use vids_telemetry::metrics::Counter;
@@ -41,7 +39,6 @@ pub mod hist;
 pub mod metrics;
 pub mod registry;
 pub mod ring;
-pub mod sampler;
 pub mod slab;
 pub mod snapshot;
 
@@ -51,6 +48,5 @@ pub use hist::{
 pub use metrics::{Counter, Gauge, HistId};
 pub use registry::Registry;
 pub use ring::{TransitionRecord, TransitionRing};
-pub use sampler::Sampler;
 pub use slab::ShardSlab;
 pub use snapshot::{SlabSnapshot, Snapshot};

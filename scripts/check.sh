@@ -86,14 +86,6 @@ awk '
     exit 1
 }
 
-# Cluster differential: cluster(1 node) == plain pool and node-count
-# invariance, byte-compared on alerts, counters and merged telemetry;
-# README's tenant map == one tenant on the mixed trace (a call is never
-# split across tenants); the tenant threshold/quota/flood isolation gates
-# and rebalance checks (state, verdicts and telemetry slabs).
-echo "==> cluster determinism (node and tenant groups vs pool, tenant isolation)"
-cargo test --offline --test cluster_determinism -q
-
 # Scanning substrate: exhaustive 0..=64 alignment/tail unit tests plus
 # the proptest oracle asserting every SWAR finder agrees with its naive
 # scalar twin on arbitrary bytes.
@@ -147,18 +139,33 @@ cargo test --release --offline --test interner_full -q -- --ignored
 echo "==> alloc budget (record tap steady state, telemetry off and on)"
 cargo test --offline --test record_alloc -q
 
-# Forensic determinism: a ≥100-packet recorded flood's .vdump must
-# replay byte-identically (alert, counters, snapshot) on a fresh engine.
-echo "==> record roundtrip (dump -> fresh-engine replay, byte-identical)"
-cargo test --offline --test record_roundtrip -q
-
 # Adversarial correctness harness (crates/harness): structure-aware wire
 # fuzzing, differential oracles, the exhaustive epoch-ring (lane) model
 # checker, and the pinned regression tests — at the 10k-iteration smoke
 # budget (VIDS_FUZZ_ITERS in the environment overrides it for deep runs).
+# The placement matrix over the seeded corpus is the next step's.
 echo "==> correctness harness (fuzz + oracles + lane model checker)"
 VIDS_FUZZ_ITERS="${VIDS_FUZZ_ITERS:-10000}" \
-    cargo test --offline -p vids-harness -q
+    cargo test --offline -p vids-harness -q -- --skip every_placement
+
+# Placement matrix (crates/harness/src/matrix.rs): the curated mixed trace
+# and the generated corpus of seeds 1-4 (reordered calls, proxied calls
+# under tenant maps, a reused media coordinate, media past eviction,
+# junk) at batch sizes 1, 7 and 25, through a plain engine, the pool at
+# {1, 2, 4} shards x {1, 2, 3, 5} nodes, the pipeline session, parallel
+# pcap replay, the flight recorder (every dump replayed), the Cluster shim
+# and set_nodes rebalances, under one tenant and two tenant maps; one
+# canonical output (alerts, counters, monitored calls, deterministic
+# telemetry) per run, compared under the written exceptions in matrix.rs.
+# The root suites are its curated cases (pool, wire, cluster and tenancy,
+# recorder round trip). Wall time with a warm debug build on a 2-vCPU
+# Xeon guest: 24-27 s; the four per-driver steps it replaced (cluster
+# determinism, pool determinism stress, replay differential, record
+# roundtrip) took 0.6 s together on the same host.
+echo "==> placement matrix (seeded corpus, every deployment shape)"
+cargo test --offline -p vids-harness --test differential -q every_placement
+cargo test --offline -q --test pool_determinism --test replay_differential \
+    --test cluster_determinism --test record_roundtrip
 
 # One runtime, and it owns every thread: a pool spawns none at
 # construction, a pipeline session exactly one per shard, all joined when
@@ -185,19 +192,6 @@ if [ -n "$placement" ]; then
     echo "$placement" >&2
     exit 1
 fi
-
-# Batch-boundary stress: one long-lived pool, randomized batch sizes,
-# byte-compared against the plain engine at 1/4/8 shards.
-echo "==> pool determinism stress"
-cargo test --offline --test pool_determinism -q \
-    randomized_batch_sizes_match_the_plain_engine
-
-# Wire-tier oracle: pcap replay byte-compared against the in-process
-# engine (alerts, log, counters) at 1/4/8 shards, plus the replay
-# at 2/4 classifier threads byte-compared against one thread at 1/4/8
-# shards, including the recorder ring layout and every .vdump it writes.
-echo "==> replay differential (sequential + parallel drivers)"
-cargo test --offline --test replay_differential -q
 
 # Count gate (ROADMAP 1a): the benchmark's own allocation counts and peak
 # RSS on all four workloads, through the command BENCHMARK.json declares,

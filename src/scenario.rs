@@ -19,7 +19,7 @@ use vids_core::cost::CostModel;
 use vids_core::sink::CollectSink;
 use vids_core::tap::VidsTap;
 use vids_core::telemetry::{Registry, Snapshot};
-use vids_core::{Config, Monitor};
+use vids_core::Config;
 use vids_netsim::engine::NodeId;
 use vids_netsim::node::{Host, PassiveTap, Tap, TapNode};
 use vids_netsim::packet::Address;
@@ -284,14 +284,13 @@ impl Testbed {
     }
 
     /// Flushes vids' idle timers at simulated time `now`, returning the
-    /// timer-driven alerts. Goes through the shared [`Monitor`] interface —
-    /// callers no longer reach into `vids_mut().vids_mut()` by hand at the
-    /// end of a run. No-op without vids.
+    /// timer-driven alerts through [`VidsTap::tick`], so they also land in
+    /// the tap's record. No-op without vids.
     pub fn flush_vids(&mut self, now: SimTime) -> Vec<Alert> {
         match self.vids_mut() {
             Some(tap) => {
                 let mut sink = CollectSink::new();
-                Monitor::tick(tap, now, &mut sink);
+                tap.tick(now, &mut sink);
                 sink.into_alerts()
             }
             None => Vec::new(),

@@ -8,8 +8,6 @@
 //! Cargo's target temp directory; copying that over the pin is for a
 //! change that means to alter what alerts say.
 
-mod common;
-
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -19,7 +17,7 @@ use vids::core::alert::Alert;
 use vids::core::engine::VidsCounters;
 use vids::core::report::AlertReport;
 use vids::core::{CollectSink, Config, CostModel, Vids};
-use vids::netsim::packet::{Address, Packet, Payload};
+use vids::netsim::packet::{Address, Payload};
 use vids::netsim::time::SimTime;
 use vids::netsim::topology::{ua_addr, SITE_A, SITE_B};
 use vids::record::{DumpCounters, Vdump};
@@ -27,6 +25,8 @@ use vids::rtp::packet::RtpPacket;
 use vids::scenario::{Testbed, TestbedConfig};
 use vids::sdp::{Codec, SessionDescription};
 use vids::sip::{Method, Request, SipUri, StatusCode};
+use vids_harness::matrix::{plain, run};
+use vids_harness::traffic::{invite, mixed_trace, pkt};
 
 fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -61,19 +61,14 @@ fn render(out: &mut String, run: &str, alerts: &[Alert]) {
     }
 }
 
+/// The mixed trace through a plain engine, one datagram at a time.
 fn mixed_trace_alerts(telemetry: bool) -> Vec<Alert> {
-    let mut vids = Vids::with_cost(Config::default(), CostModel::free());
-    if telemetry {
-        vids.enable_telemetry(64);
-    }
-    let mut sink = CollectSink::new();
-    let mut last = SimTime::ZERO;
-    for (packet, at) in common::mixed_trace() {
-        vids.process(&packet, at, &mut sink);
-        last = at;
-    }
-    vids.tick(last + vids.config().replay_grace, &mut sink);
-    sink.into_alerts()
+    let engine = if telemetry {
+        plain().telemetry()
+    } else {
+        plain()
+    };
+    run(&mixed_trace(), 1, &engine).untagged()
 }
 
 fn attackable(seed: u64) -> Testbed {
@@ -203,13 +198,6 @@ fn e7_bye_dos(t_ms: u64) -> Vec<Alert> {
     let mut sink = CollectSink::new();
     let a = Address::new(10, 1, 0, 10, 5060);
     let b = Address::new(10, 2, 0, 10, 5060);
-    let packet = |src: Address, dst: Address, payload: Payload| Packet {
-        src,
-        dst,
-        payload,
-        id: 0,
-        sent_at: SimTime::ZERO,
-    };
     let offer = SessionDescription::audio_offer("alice", "10.1.0.10", 20_000, &[Codec::G729]);
     let inv = Request::invite(
         &SipUri::new("alice", "a.example.com"),
@@ -217,42 +205,29 @@ fn e7_bye_dos(t_ms: u64) -> Vec<Alert> {
         "sens-call",
     )
     .with_body(vids::sdp::MIME_TYPE, offer.to_string());
-    vids.process(
-        &packet(a, b, Payload::Sip(inv.to_string())),
-        SimTime::ZERO,
-        &mut sink,
-    );
     let answer = SessionDescription::audio_offer("bob", "10.2.0.10", 30_000, &[Codec::G729]);
     let ok = inv
         .response(StatusCode::OK)
         .with_to_tag("tt")
         .with_body(vids::sdp::MIME_TYPE, answer.to_string());
-    vids.process(
-        &packet(b, a, Payload::Sip(ok.to_string())),
-        SimTime::from_millis(50),
-        &mut sink,
-    );
+    let sip = |text: String| Payload::Sip(text);
+    let mut trace = vec![
+        pkt(a, b, sip(inv.to_string()), 0),
+        pkt(b, a, sip(ok.to_string()), 50),
+    ];
     let (mut seq, mut ts) = (100u16, 0u32);
     for t in (100..3_000u64).step_by(10) {
         if t == 1_000 {
             let bye = Request::in_dialog(Method::Bye, &inv, 2, Some("tt"));
-            vids.process(
-                &packet(a, b, Payload::Sip(bye.to_string())),
-                SimTime::from_millis(t),
-                &mut sink,
-            );
+            trace.push(pkt(a, b, sip(bye.to_string()), t));
         }
         let rtp = RtpPacket::new(18, seq, ts, 7).with_payload(vec![0; 10]);
         (seq, ts) = (seq.wrapping_add(1), ts.wrapping_add(80));
-        vids.process(
-            &packet(
-                a.with_port(20_000),
-                b.with_port(30_000),
-                Payload::Rtp(rtp.to_bytes()),
-            ),
-            SimTime::from_millis(t),
-            &mut sink,
-        );
+        let media = Payload::Rtp(rtp.to_bytes());
+        trace.push(pkt(a.with_port(20_000), b.with_port(30_000), media, t));
+    }
+    for (packet, at) in &trace {
+        vids.process(packet, *at, &mut sink);
     }
     vids.tick(SimTime::from_secs(40), &mut sink);
     sink.into_alerts()
@@ -265,14 +240,7 @@ fn deviations() -> Vec<Alert> {
     let mut sink = CollectSink::new();
     let a = Address::new(10, 1, 0, 10, 5060);
     let b = Address::new(10, 2, 0, 10, 5060);
-    let packet = |src: Address, dst: Address, text: String| Packet {
-        src,
-        dst,
-        payload: Payload::Sip(text),
-        id: 0,
-        sent_at: SimTime::ZERO,
-    };
-    let inv = common::invite("dev-call", "10.1.0.10", 24_000);
+    let inv = invite("dev-call", "10.1.0.10", 24_000);
     let ack = Request::in_dialog(Method::Ack, &inv, 1, Some("tt"));
     let ok = inv.response(StatusCode::OK).with_to_tag("tt");
     let bye = Request::in_dialog(Method::Bye, &inv, 2, Some("tt"));
@@ -285,11 +253,8 @@ fn deviations() -> Vec<Alert> {
         (a, b, inv.to_string()),
     ];
     for (i, (src, dst, text)) in steps.into_iter().enumerate() {
-        vids.process(
-            &packet(src, dst, text),
-            SimTime::from_millis(10 * i as u64),
-            &mut sink,
-        );
+        let (packet, at) = pkt(src, dst, Payload::Sip(text), 10 * i as u64);
+        vids.process(&packet, at, &mut sink);
     }
     vids.tick(SimTime::from_secs(60), &mut sink);
     sink.into_alerts()

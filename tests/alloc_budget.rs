@@ -50,8 +50,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-mod common;
-
 use vids::core::alert::{labels, Alert};
 use vids::core::classify::{classify, Classified};
 use vids::core::config::Config;

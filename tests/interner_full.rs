@@ -32,6 +32,7 @@ use vids::rtp::packet::RtpPacket;
 use vids::sdp::{Codec, SessionDescription};
 use vids::sip::message::Request;
 use vids::sip::{Method, SipUri, StatusCode};
+use vids_harness::traffic::pkt;
 
 const CALLER: Address = Address::new(10, 1, 0, 10, 5060);
 const CALLEE: Address = Address::new(10, 2, 0, 10, 5060);
@@ -65,13 +66,7 @@ fn bye(call_id: &str, to_tag: &str) -> String {
 /// An established call with SDP on both sides: the caller's media at
 /// `10.1.0.10:20000`, the callee's at `10.2.0.10:30000`.
 fn established_call(call_id: &str) -> Vec<Packet> {
-    let sip = |src, dst, text: String| Packet {
-        src,
-        dst,
-        payload: Payload::Sip(text),
-        id: 0,
-        sent_at: SimTime::ZERO,
-    };
+    let sip = |src, dst, text: String| pkt(src, dst, Payload::Sip(text), 0).0;
     let offer = SessionDescription::audio_offer("alice", "10.1.0.10", 20_000, &[Codec::G729]);
     let inv = Request::invite(
         &SipUri::new("alice", "a.example.com"),
@@ -197,13 +192,7 @@ fn a_full_symbol_table_sheds_new_calls_and_keeps_known_ones() {
 
     // Through the engine: the known call is set up, the fresh one is one
     // deduplicated `malformed-sip` alert, counted, never tracked.
-    let packet = |text: String| Packet {
-        src: CALLER,
-        dst: CALLEE,
-        payload: Payload::Sip(text),
-        id: 0,
-        sent_at: SimTime::ZERO,
-    };
+    let packet = |text: String| pkt(CALLER, CALLEE, Payload::Sip(text), 0).0;
     vids.process(&packet(known), SimTime::from_millis(1), &mut sink);
     assert_eq!(vids.monitored_calls(), 1);
     assert!(sink.alerts().is_empty(), "{:?}", sink.alerts());
@@ -266,13 +255,8 @@ fn a_full_symbol_table_sheds_new_calls_and_keeps_known_ones() {
     // Media from a source nobody has seen, sent to the established call's
     // negotiated coordinates: checked against the call, not shed.
     let foreign = RtpPacket::new(18, 1, 160, 66).with_payload(vec![0; 10]);
-    let foreign = Packet {
-        src: Address::new(10, 9, 9, 7, 20_000),
-        dst: CALLEE.with_port(30_000),
-        payload: Payload::Rtp(foreign.to_bytes()),
-        id: 0,
-        sent_at: SimTime::ZERO,
-    };
+    let (src, dst) = (Address::new(10, 9, 9, 7, 20_000), CALLEE.with_port(30_000));
+    let foreign = pkt(src, dst, Payload::Rtp(foreign.to_bytes()), 0).0;
     media.process(&foreign, SimTime::from_millis(10), &mut media_sink);
     assert_eq!(media.counters().malformed, 0);
     let raised: Vec<_> = media_sink.alerts().iter().map(|a| &*a.label).collect();

@@ -9,10 +9,10 @@
 //! check is by lookup, not by counting symbols, so other tests interning
 //! in the same process cannot disturb it.
 
-use vids::core::{CollectSink, Config, CostModel, Vids, VidsPool};
 use vids::efsm::Sym;
-use vids::netsim::packet::{Address, Packet, Payload};
-use vids::netsim::time::SimTime;
+use vids::netsim::packet::{Address, Payload};
+use vids_harness::matrix::{plain, pool, run, Placement};
+use vids_harness::traffic::{pkt, Trace};
 
 const CALLER: Address = Address::new(10, 1, 0, 10, 5060);
 const CALLEE: Address = Address::new(10, 2, 0, 10, 5060);
@@ -62,20 +62,10 @@ fn message(
     )
 }
 
-/// INVITE, 180, 200, ACK, BYE and its 200, then a REGISTER: every message
-/// with its own tags and branches.
-fn traffic(run: &str) -> Vec<Packet> {
+/// INVITE, 180, 200, ACK, BYE and its 200, then a REGISTER, 10 ms apart:
+/// every message with its own tags and branches.
+fn traffic(run: &str) -> Trace {
     let ([call, reg, aor], [from, to, b_inv, b_ack, b_bye, reg_tag, b_reg]) = identifiers(run);
-    let invite = "INVITE sip:bob@b.example.com SIP/2.0";
-    let bye = "BYE sip:bob@b.example.com SIP/2.0";
-    let ack = "ACK sip:bob@b.example.com SIP/2.0";
-    let sip = |src, dst, text: String| Packet {
-        src,
-        dst,
-        payload: Payload::Sip(text),
-        id: 0,
-        sent_at: SimTime::ZERO,
-    };
     let (user, host) = aor.split_once('@').expect("user@host");
     let register = format!(
         "REGISTER sip:{host} SIP/2.0\r\n\
@@ -88,39 +78,23 @@ fn traffic(run: &str) -> Vec<Packet> {
          Expires: 600\r\n\
          Content-Length: 0\r\n\r\n"
     );
-    vec![
-        sip(
-            CALLER,
-            CALLEE,
-            message(invite, &b_inv, &from, "", &call, "1 INVITE"),
-        ),
-        sip(
-            CALLEE,
-            CALLER,
-            message("SIP/2.0 180 Ringing", &b_inv, &from, &to, &call, "1 INVITE"),
-        ),
-        sip(
-            CALLEE,
-            CALLER,
-            message("SIP/2.0 200 OK", &b_inv, &from, &to, &call, "1 INVITE"),
-        ),
-        sip(
-            CALLER,
-            CALLEE,
-            message(ack, &b_ack, &from, &to, &call, "1 ACK"),
-        ),
-        sip(
-            CALLER,
-            CALLEE,
-            message(bye, &b_bye, &from, &to, &call, "2 BYE"),
-        ),
-        sip(
-            CALLEE,
-            CALLER,
-            message("SIP/2.0 200 OK", &b_bye, &from, &to, &call, "2 BYE"),
-        ),
-        sip(Address::new(10, 1, 0, 20, 5060), CALLEE, register),
-    ]
+    let (forward, back) = ((CALLER, CALLEE), (CALLEE, CALLER));
+    let request = |method| format!("{method} sip:bob@b.example.com SIP/2.0");
+    let (invite, ack, bye) = (request("INVITE"), request("ACK"), request("BYE"));
+    let (ringing, ok) = ("SIP/2.0 180 Ringing", "SIP/2.0 200 OK");
+    let in_call = |start, branch, to, cseq| message(start, branch, &from, to, &call, cseq);
+    let messages = [
+        (forward, in_call(&invite, &b_inv, "", "1 INVITE")),
+        (back, in_call(ringing, &b_inv, &to, "1 INVITE")),
+        (back, in_call(ok, &b_inv, &to, "1 INVITE")),
+        (forward, in_call(&ack, &b_ack, &to, "1 ACK")),
+        (forward, in_call(&bye, &b_bye, &to, "2 BYE")),
+        (back, in_call(ok, &b_bye, &to, "2 BYE")),
+        ((Address::new(10, 1, 0, 20, 5060), CALLEE), register),
+    ];
+    let timed = messages.into_iter().zip(0..);
+    let packet = |(((src, dst), text), t): (_, u64)| pkt(src, dst, Payload::Sip(text), 10 * t);
+    timed.map(packet).collect()
 }
 
 fn assert_only_keys_are_symbols(run: &str) {
@@ -136,40 +110,21 @@ fn assert_only_keys_are_symbols(run: &str) {
     }
 }
 
+/// The run's traffic through one placement: a clean call and a
+/// registration raise nothing, and only their keys are symbols.
+fn interns_only_keys(run_name: &str, placement: Placement) {
+    let out = run(&traffic(run_name), 1, &placement);
+    assert!(out.alerts.is_empty(), "a clean call: {:?}", out.alerts);
+    assert_eq!(out.counters.malformed, 0);
+    assert_only_keys_are_symbols(run_name);
+}
+
 #[test]
 fn a_plain_engine_interns_no_tag_or_branch() {
-    let mut vids = Vids::new(Config::default());
-    let mut sink = CollectSink::new();
-    for (t, packet) in traffic("plain").iter().enumerate() {
-        vids.process(packet, SimTime::from_millis(10 * t as u64), &mut sink);
-    }
-    assert!(
-        sink.alerts().is_empty(),
-        "a clean call: {:?}",
-        sink.alerts()
-    );
-    assert_eq!(vids.counters().malformed, 0);
-    assert_only_keys_are_symbols("plain");
+    interns_only_keys("plain", plain());
 }
 
 #[test]
 fn a_two_shard_pool_interns_no_tag_or_branch() {
-    let config = Config::builder().shards(2).build().unwrap();
-    let mut pool = VidsPool::with_cost(config, CostModel::free());
-    let mut sink = CollectSink::new();
-    for (t, packet) in traffic("pool").iter().enumerate() {
-        pool.process_batch(
-            std::slice::from_ref(packet),
-            SimTime::from_millis(10 * t as u64),
-            &mut sink,
-        );
-    }
-    pool.tick(SimTime::from_secs(30), &mut sink);
-    assert!(
-        sink.alerts().is_empty(),
-        "a clean call: {:?}",
-        sink.alerts()
-    );
-    assert_eq!(pool.counters().malformed, 0);
-    assert_only_keys_are_symbols("pool");
+    interns_only_keys("pool", pool(2, 1));
 }

@@ -48,8 +48,9 @@ pub struct Config {
     pub response_flood_n: u64,
     /// The response-flood counting window.
     pub response_flood_window: SimTime,
-    /// Teardown linger: a call whose BYE's 200 never appears is force-
-    /// terminated after this long so its machines can be evicted.
+    /// Teardown linger: a call whose BYE's 200 (or whose failure
+    /// response's ACK) never appears is force-terminated after this long
+    /// so its machines can be evicted.
     pub teardown_linger: SimTime,
     /// How long a terminated call's machines stay in memory to absorb
     /// retransmissions before eviction (§7.3: "once the calls have

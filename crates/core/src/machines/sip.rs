@@ -179,8 +179,8 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         .label("answered without ringing");
     def.add_transition(invite_rcvd, "SIP.failure", failed)
         .predicate(is_invite_cseq)
-        .action(|ctx| {
-            ctx.set_timer(TIMER_LINGER, 8_000);
+        .action(move |ctx| {
+            ctx.set_timer(TIMER_LINGER, linger_ms);
             ctx.send_sync(RTP_MACHINE, Event::sync(DELTA_BYE));
         })
         .label("call rejected");
@@ -206,8 +206,8 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         .label("call answered");
     def.add_transition(proceeding, "SIP.failure", failed)
         .predicate(is_invite_cseq)
-        .action(|ctx| {
-            ctx.set_timer(TIMER_LINGER, 8_000);
+        .action(move |ctx| {
+            ctx.set_timer(TIMER_LINGER, linger_ms);
             ctx.send_sync(RTP_MACHINE, Event::sync(DELTA_BYE));
         })
         .label("call rejected");
@@ -227,8 +227,8 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
         .label("CANCEL retransmission");
     def.add_transition(cancelling, "SIP.failure", failed)
         .predicate(is_invite_cseq)
-        .action(|ctx| {
-            ctx.set_timer(TIMER_LINGER, 8_000);
+        .action(move |ctx| {
+            ctx.set_timer(TIMER_LINGER, linger_ms);
             ctx.send_sync(RTP_MACHINE, Event::sync(DELTA_BYE));
         })
         .label("487 for cancelled INVITE");
@@ -269,9 +269,9 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
     // synchronized *before* the transition (Fig. 5).
     def.add_transition(established, "SIP.BYE", teardown)
         .predicate(move |ctx| tags_consistent(ctx, v))
-        .action(|ctx| {
+        .action(move |ctx| {
             ctx.send_sync(RTP_MACHINE, Event::sync(DELTA_BYE));
-            ctx.set_timer(TIMER_LINGER, 8_000);
+            ctx.set_timer(TIMER_LINGER, linger_ms);
         })
         .label("call tear-down begins");
     def.add_transition(established, "SIP.BYE", spoofed_bye)
@@ -317,8 +317,6 @@ pub fn sip_call_machine(config: &Config) -> MachineDef {
     def.add_transition(hijack, "*", hijack);
     def.add_transition(spoofed_bye, "*", spoofed_bye);
     def.add_transition(spoofed_cancel, "*", spoofed_cancel);
-
-    let _ = linger_ms; // linger currently fixed at 8 s in the actions above
 
     // Predicates partition on dialog/CSeq ownership per state; verified by
     // the busy-call determinism test and the debug-build exhaustive scan.
@@ -538,6 +536,26 @@ mod tests {
         let out = net.advance_time(20 + 8_000);
         assert_eq!(out.transitions, 1);
         assert!(net.all_final());
+    }
+
+    /// `Config::teardown_linger` is the force-termination delay: at 2 s, a
+    /// BYE never answered ends the call 2 s after it, not at the 8 s
+    /// default.
+    #[test]
+    fn configured_linger_ends_an_unanswered_teardown() {
+        let linger = vids_netsim::time::SimTime::from_secs(2);
+        let config = Config::builder().teardown_linger(linger).build().unwrap();
+        let mut net = Network::new();
+        net.enable_trace();
+        let id = net.add_machine(Arc::new(sip_call_machine(&config)));
+        net.deliver(id, invite_event(), 0);
+        net.deliver(id, ok_event("INVITE"), 10);
+        net.deliver(id, bye_event("ft", "tt"), 20);
+        net.advance_time(20 + 1_900);
+        assert!(!net.all_final(), "ended before the linger");
+        net.advance_time(20 + 2_100);
+        let path = net.trace().unwrap().path_of(SIP_MACHINE);
+        assert_eq!(path[path.len() - 2..], ["CALL_TEARDOWN", "TERMINATED"]);
     }
 
     #[test]

@@ -705,19 +705,30 @@ impl VidsPool {
 
     /// A snapshot of the pool's registry at monitor time `now`, when
     /// telemetry is enabled. Refreshes the per-shard gauges (live calls,
-    /// fact-base memory) and the pool slab's routing-index memory gauge
-    /// before copying; the pool gauge plus the shard gauges is
+    /// fact-base memory) and the pool slab's routing memory gauge before
+    /// copying; the pool gauge plus the shard gauges is
     /// [`VidsPool::memory_bytes`].
     pub fn telemetry_snapshot(&self, now: SimTime) -> Option<Snapshot> {
         let registry = self.telemetry.as_ref()?;
         for shard in &self.shards {
             shard.refresh_telemetry_gauges();
         }
-        let index_bytes = crate::factbase::index_bytes(&self.media_to_shard);
         registry
             .pool()
-            .set_gauge(Gauge::MemoryBytes, index_bytes as u64);
+            .set_gauge(Gauge::MemoryBytes, self.routing_bytes() as u64);
         Some(registry.snapshot(now.as_millis()))
+    }
+
+    /// Bytes of the pool's own routing state: the media routing index and
+    /// the waiting claims (their coordinates, their claimant lists and the
+    /// ids of the claims taken).
+    fn routing_bytes(&self) -> usize {
+        use crate::factbase::index_bytes;
+        let claimants: usize = self.claims.values().map(Vec::len).sum();
+        index_bytes(&self.media_to_shard)
+            + index_bytes(&self.claims)
+            + claimants * size_of::<(ClaimId, usize)>()
+            + self.taken.len() * size_of::<ClaimId>()
     }
 
     /// The active configuration.
@@ -779,10 +790,10 @@ impl VidsPool {
     }
 
     /// Fact-base memory footprint summed across shards, plus the pool's own
-    /// media routing index.
+    /// routing state: the media routing index and the waiting claims.
     pub fn memory_bytes(&self) -> usize {
         let shard_bytes: usize = self.shards.iter().map(Vids::memory_bytes).sum();
-        shard_bytes + crate::factbase::index_bytes(&self.media_to_shard)
+        shard_bytes + self.routing_bytes()
     }
 
     /// CPU busy time accumulated by the central cost account.
@@ -1973,6 +1984,28 @@ mod tests {
                 "only a sharded pool keeps a routing index"
             );
         }
+        // Two calls on different engines whose SDPs name one coordinate:
+        // the second call's claim waits until a sweep or the coordinate's
+        // next RTP, and its bytes count meanwhile.
+        let mut pool = VidsPool::new(shards(4));
+        pool.enable_telemetry(16);
+        let engine = |id: &String| pool.shard_of(0, id.as_bytes());
+        let ids: Vec<String> = (0..8).map(|i| format!("claim-{i}")).collect();
+        let other = ids.iter().find(|id| engine(id) != engine(&ids[0])).unwrap();
+        let batch =
+            [&ids[0], other].map(|id| pkt(CALLER, CALLEE, Payload::Sip(invite(id).to_string())));
+        pool.process_batch(&batch, SimTime::ZERO, &mut NullSink);
+        assert_eq!(pool.claims.len(), 1, "no claim waits");
+        let snap = pool.telemetry_snapshot(SimTime::ZERO).unwrap();
+        let routing = snap.pool.gauge(Gauge::MemoryBytes);
+        let engines: u64 = snap
+            .shards
+            .iter()
+            .map(|s| s.gauge(Gauge::MemoryBytes))
+            .sum();
+        assert_eq!(routing + engines, pool.memory_bytes() as u64);
+        let index = crate::factbase::index_bytes(&pool.media_to_shard) as u64;
+        assert!(routing > index, "the waiting claim is not counted");
     }
 
     #[test]

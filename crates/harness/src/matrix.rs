@@ -69,18 +69,18 @@ pub const PROXY_TENANTS: &str = "tenant lab 10.1.0.0/24 bye_dos_t_ms=500\n\
 pub enum Shape {
     /// A plain `Vids`, one datagram at a time.
     Plain,
-    /// `VidsPool::process_batch` over `nodes` node groups of `shards`.
-    Pool { shards: usize, nodes: usize },
+    /// `VidsPool::process_batch`.
+    Pool { shards: usize },
     /// A `with_pipeline` session, one `submit` per batch, read quiesced
     /// halfway through.
-    Pipeline { shards: usize, nodes: usize },
+    Pipeline { shards: usize },
     /// The trace rendered to pcap through `replay_pcap_parallel`.
     Replay { shards: usize, threads: usize },
     /// Replay with the flight recorder dumping every alert, at one and at
     /// `threads` classifier threads: both must leave the same recorder
     /// layout and dump bytes, and every dump must replay identically.
     Recorded { shards: usize, threads: usize },
-    /// The `Cluster` shim.
+    /// The `Cluster` shim over `nodes` node groups of `shards`.
     Cluster { shards: usize, nodes: usize },
     /// `process_batch` starting at `path[0]` nodes, rebalanced to
     /// `path[1]` and `path[2]` at the first and second third of the trace.
@@ -120,12 +120,12 @@ pub fn plain() -> Placement {
     at(Shape::Plain)
 }
 
-pub fn pool(shards: usize, nodes: usize) -> Placement {
-    at(Shape::Pool { shards, nodes })
+pub fn pool(shards: usize) -> Placement {
+    at(Shape::Pool { shards })
 }
 
-pub fn pipeline(shards: usize, nodes: usize) -> Placement {
-    at(Shape::Pipeline { shards, nodes })
+pub fn pipeline(shards: usize) -> Placement {
+    at(Shape::Pipeline { shards })
 }
 
 pub fn replay(shards: usize, threads: usize) -> Placement {
@@ -215,12 +215,11 @@ fn tenant_map(p: &Placement, shards: usize) -> TenantMap {
 }
 
 /// The pool a placement runs on, before any traffic.
-fn new_pool(p: &Placement, shards: usize, nodes: usize) -> VidsPool {
+fn new_pool(p: &Placement, shards: usize) -> VidsPool {
     let mut pool = match p.tenants {
         Some(_) => VidsPool::with_tenants(tenant_map(p, shards), CostModel::default()),
         None => VidsPool::with_cost(config(shards), CostModel::default()),
     };
-    pool.set_nodes(nodes);
     if p.telemetry {
         pool.enable_telemetry(64);
     }
@@ -298,16 +297,12 @@ pub fn run(trace: &[(Packet, SimTime)], batch: usize, p: &Placement) -> Output {
                 recording: None,
             };
         }
-        Shape::Pool { shards, nodes }
-        | Shape::Rebalance {
-            shards,
-            path: [nodes, ..],
-        } => {
-            let mut pool = new_pool(p, shards, nodes);
+        Shape::Pool { shards } | Shape::Rebalance { shards, .. } => {
+            let mut pool = new_pool(p, shards);
             let batches = schedule(trace.len(), batch);
             for (i, (range, sweep)) in batches.iter().enumerate() {
                 if let Shape::Rebalance { path, .. } = p.shape {
-                    for step in (1..3).filter(|step| i == batches.len() * step / 3) {
+                    for step in (0..3).filter(|step| i == batches.len() * step / 3) {
                         pool.set_nodes(path[step]);
                     }
                 }
@@ -319,8 +314,8 @@ pub fn run(trace: &[(Packet, SimTime)], batch: usize, p: &Placement) -> Output {
             }
             pool
         }
-        Shape::Pipeline { shards, nodes } => {
-            let mut pool = new_pool(p, shards, nodes);
+        Shape::Pipeline { shards } => {
+            let mut pool = new_pool(p, shards);
             let halfway = trace.len() / batch / 2;
             pool.with_pipeline(|session| {
                 for (i, chunk) in trace.chunks(batch).enumerate() {
@@ -341,7 +336,7 @@ pub fn run(trace: &[(Packet, SimTime)], batch: usize, p: &Placement) -> Output {
             pool
         }
         Shape::Replay { shards, threads } => {
-            let mut pool = new_pool(p, shards, 1);
+            let mut pool = new_pool(p, shards);
             let cap = pcap(trace, false, LINKTYPE_RAW);
             replay_checked(trace, cap, &mut pool, (batch, threads), None, &mut log);
             return pool_output(&pool, log, end, p.telemetry);
@@ -430,7 +425,7 @@ fn record(
     let thread = std::thread::current().id();
     let dir = std::env::temp_dir().join(format!("vids-matrix-{}-{thread:?}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let mut pool = new_pool(p, shards, 1);
+    let mut pool = new_pool(p, shards);
     let rec = Recorder::with_defaults(1);
     let mut tap = RecordTap::new(&rec, Some(&dir));
     let mut log = Log::default();
@@ -525,18 +520,17 @@ pub fn check(trace: &[(Packet, SimTime)], batch: usize, placements: &[Placement]
 }
 
 /// The full matrix for one tenant setting, reference first: the pool at
-/// {1, 2, 4} shards × {1, 2, 3, 5} nodes with telemetry and once without,
-/// the pipeline, parallel replay, the recorder, the shim and two rebalance
-/// paths.
+/// {1, 2, 3, 4, 5, 8} shards with telemetry and once without, the
+/// pipeline, parallel replay, the recorder, the shim at three node layouts
+/// and two rebalance paths.
 pub fn matrix(tenants: Option<&'static str>) -> Vec<Placement> {
-    let mut out = Vec::new();
-    for nodes in [1, 2, 3, 5] {
-        out.extend([1, 2, 4].map(|shards| pool(shards, nodes).telemetry()));
-    }
-    out.extend([pool(4, 1), pipeline(2, 2).telemetry()]);
+    let mut out: Vec<_> = [1, 2, 3, 4, 5, 8]
+        .map(|shards| pool(shards).telemetry())
+        .into();
+    out.extend([pool(4), pipeline(3).telemetry()]);
     out.extend([replay(4, 1), replay(4, 2), recorded(2, 2).telemetry()]);
-    out.extend([cluster(2, 3).telemetry(), rebalance(2, [2, 3, 2])]);
-    out.push(rebalance(4, [3, 5, 1]));
+    out.extend([cluster(2, 3).telemetry(), cluster(1, 5), cluster(4, 2)]);
+    out.extend([rebalance(2, [2, 3, 2]), rebalance(4, [3, 5, 1])]);
     out.iter_mut().for_each(|p| p.tenants = tenants);
     out
 }

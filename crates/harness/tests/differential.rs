@@ -13,11 +13,11 @@
 //!   and counters whatever the shard count or batch boundaries.
 //! * **telemetry on vs off**: recording must never change detection.
 //! * **the placement matrix** (`vids_harness::matrix`) over the seeded
-//!   corpus: every deployment shape, shard, node and tenant layout gives
+//!   corpus: every deployment shape, shard count and tenant layout gives
 //!   the same canonical output.
 
 use vids_harness::corpus;
-use vids_harness::matrix::{check, matrix, plain, pool, PROXY_TENANTS, README_TENANTS};
+use vids_harness::matrix::{check, matrix, plain, pool, Shape, PROXY_TENANTS, README_TENANTS};
 use vids_harness::mutate::mutate_sip;
 use vids_harness::rng::XorShift64;
 use vids_harness::traffic::{fuzzed, generated, mixed_trace};
@@ -101,7 +101,7 @@ fn view_and_owned_parser_agree_on_monitored_fields() {
 }
 
 /// The fixed seed set of the generated corpus.
-pub const SEEDS: [u64; 4] = [1, 2, 3, 4];
+pub const SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
 /// Batches of one and random batches of 1–32 with forced sweeps (`batch`
 /// 0), as the plain engine replays them.
@@ -109,7 +109,7 @@ pub const SEEDS: [u64; 4] = [1, 2, 3, 4];
 fn pool_matches_plain_engine_on_fuzzed_traffic_at_every_shard_count() {
     let iters = vids_harness::fuzz_iterations() as usize;
     let trace = fuzzed(0xD1FF_0003, iters.max(10_000));
-    let placements = [plain(), pool(1, 1), pool(4, 1), pool(8, 1)];
+    let placements = [plain(), pool(1), pool(4), pool(8)];
     for batch in [1, 0] {
         assert!(!check(&trace, batch, &placements).alerts.is_empty());
     }
@@ -125,19 +125,27 @@ fn telemetry_recording_never_changes_detection() {
     assert!(!out.alerts.is_empty(), "a vacuous oracle");
 }
 
-/// The seeded corpus: the curated mixed trace and generated reordered
-/// traffic (`vids_harness::traffic::generated`), at several batch sizes,
-/// through the whole placement matrix under one tenant and under two
-/// tenant maps, and through a plain engine where it must match.
-#[test]
-fn every_placement_gives_the_same_verdict_on_the_seeded_corpus() {
-    let corpus = [(0, mixed_trace())]
-        .into_iter()
-        .chain(SEEDS.map(|seed| (seed, generated(seed))));
-    for (seed, trace) in corpus {
-        for batch in [1, 7, 25] {
-            for tenants in [None, Some(README_TENANTS), Some(PROXY_TENANTS)] {
+/// The seeded corpus: the curated mixed trace (seed 0) and generated
+/// reordered traffic (`vids_harness::traffic::generated`), at several batch
+/// sizes, through the whole placement matrix under `tenants`, and through a
+/// plain engine where it must match. The flight recorder, which replays
+/// every dump it writes (most of a cell's time), records `mixed_trace` and
+/// seeds 1–4 at every batch size and seeds 5–8 at one size each in turn.
+/// One test per tenant setting, each running alternate traces on two
+/// threads, so the cores stay busy while the last test runs alone.
+fn every_placement_on_the_seeded_corpus(tenants: Option<&'static str>) {
+    let traces = |half: u64| {
+        for seed in [0].into_iter().chain(SEEDS).filter(|seed| seed % 2 == half) {
+            let trace = if seed == 0 {
+                mixed_trace()
+            } else {
+                generated(seed)
+            };
+            for (i, batch) in [1, 7, 25].into_iter().enumerate() {
                 let mut placements = matrix(tenants);
+                if seed > 4 && i != seed as usize % 3 {
+                    placements.retain(|p| !matches!(p.shape, Shape::Recorded { .. }));
+                }
                 if tenants.is_none() && (batch == 1 || seed == 0) {
                     placements.push(plain().telemetry());
                 }
@@ -145,5 +153,24 @@ fn every_placement_gives_the_same_verdict_on_the_seeded_corpus() {
                 check(&trace, batch, &placements);
             }
         }
-    }
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| traces(1));
+        traces(0);
+    });
+}
+
+#[test]
+fn every_placement_gives_the_same_verdict_under_one_tenant() {
+    every_placement_on_the_seeded_corpus(None);
+}
+
+#[test]
+fn every_placement_gives_the_same_verdict_under_readmes_tenant_map() {
+    every_placement_on_the_seeded_corpus(Some(README_TENANTS));
+}
+
+#[test]
+fn every_placement_gives_the_same_verdict_under_the_proxy_tenant_map() {
+    every_placement_on_the_seeded_corpus(Some(PROXY_TENANTS));
 }

@@ -197,7 +197,7 @@ fn unassociated_rtp(out: &Output) -> Vec<u64> {
 /// the coordinate's one dedup home.
 #[test]
 fn an_answer_ahead_of_its_invite_raises_one_unassociated_rtp_at_any_shard_count() {
-    let pools = [1, 2, 4, 8].map(|shards| pool(shards, 1));
+    let pools = [1, 2, 4, 8].map(pool);
     // INVITE, 180, 200, ACK, then media caller→callee at 4, 6, 8, ...
     let (order, times) = (
         [2, 1, 0, 4, 3, 6, 8],
@@ -233,7 +233,7 @@ fn an_answer_ahead_of_its_invite_raises_one_unassociated_rtp_at_any_shard_count(
 /// item 19), not a placement one.
 #[test]
 fn a_reused_media_coordinate_follows_the_last_taken_sdp_at_any_shard_count() {
-    let pools = [1, 2, 4, 8].map(|shards| pool(shards, 1));
+    let pools = [1, 2, 4, 8].map(pool);
     let phone = Address::new(10, 2, 0, 90, 5060);
     let mut calls = Vec::new();
     dialog(
@@ -276,8 +276,8 @@ fn a_reused_media_coordinate_follows_the_last_taken_sdp_at_any_shard_count() {
 fn a_forged_answer_cannot_detach_a_live_calls_media() {
     let trace = mixed_trace();
     let spoof = trace.iter().position(|(_, at)| at.as_millis() >= 3_500);
-    let singly = [plain(), pool(1, 1), pool(2, 1), pool(4, 1), pool(8, 1)];
-    let batched = [pool(1, 1), pool(4, 1), pool(8, 1), pipeline(4, 1)];
+    let singly = [plain(), pool(1), pool(2), pool(4), pool(8)];
+    let batched = [pool(1), pool(4), pool(8), pipeline(4)];
     let attacker = Address::new(172, 16, 0, 66, 5060);
     let victim = Address::new(10, 1, 0, 7, 5060);
     for forged in 0..8 {

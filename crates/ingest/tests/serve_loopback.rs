@@ -32,20 +32,20 @@ fn can_bind_loopback() -> bool {
 
 const FLOOD: usize = 30;
 
-/// One node and two: `--nodes 2` is the same daemon over two node groups
-/// of two shards, four pipeline workers.
+/// Two shards and four: the same daemon over two and four pipeline
+/// workers.
 #[test]
 fn serve_detects_an_invite_flood_over_real_udp() {
     if !can_bind_loopback() {
         eprintln!("skipping: cannot bind 127.0.0.1 in this environment");
         return;
     }
-    for nodes in [1usize, 2] {
-        serve_an_invite_flood(nodes);
+    for shards in [2usize, 4] {
+        serve_an_invite_flood(shards);
     }
 }
 
-fn serve_an_invite_flood(nodes: usize) {
+fn serve_an_invite_flood(shards: usize) {
     let udp = UdpPool::bind("127.0.0.1:0".parse().unwrap(), 2).unwrap();
     let target = udp.local_addr();
     let opts = ServeOptions {
@@ -55,16 +55,15 @@ fn serve_an_invite_flood(nodes: usize) {
         tick_interval: Duration::from_millis(50),
         snapshot_flag: None,
     };
-    let config = Config::builder().shards(2).build().unwrap();
+    let config = Config::builder().shards(shards).build().unwrap();
     let mut pool = VidsPool::with_cost(config, CostModel::free());
-    pool.set_nodes(nodes);
-    assert_eq!(pool.shards(), 2 * nodes);
+    assert_eq!(pool.shards(), shards);
     let mut sink = CollectSink::new();
     let stop = AtomicBool::new(false);
 
     // Flight recorder riding along: one ring per receiver, dumps into a
     // scratch directory.
-    let dump_dir = std::env::temp_dir().join(format!("vids-serve-loopback-dumps-{nodes}"));
+    let dump_dir = std::env::temp_dir().join(format!("vids-serve-loopback-dumps-{shards}"));
     std::fs::remove_dir_all(&dump_dir).ok();
     let recorder = Recorder::with_defaults(2);
     let mut serve_rec = RecordTap::new(&recorder, Some(&dump_dir));
@@ -155,11 +154,10 @@ fn serve_detects_and_records_a_tenant_flood_over_real_udp() {
         tick_interval: Duration::from_millis(50),
         snapshot_flag: None,
     };
-    let base = Config::builder().shards(2).build().unwrap();
+    let base = Config::builder().shards(6).build().unwrap();
     let tenants = TenantMap::parse("tenant local 127.0.0.0/8 invite_flood_n=5", base).unwrap();
     let mut pool = VidsPool::with_tenants(tenants, CostModel::free());
-    pool.set_nodes(3);
-    assert_eq!(pool.shards(), 3 * 2 * 2, "nodes x tenants x shards");
+    assert_eq!(pool.shards(), 2 * 6, "tenants x shards");
     let registry = pool.enable_telemetry(64);
     let mut sink = Tenanted::default();
     let stop = AtomicBool::new(false);

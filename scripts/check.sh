@@ -149,19 +149,21 @@ VIDS_FUZZ_ITERS="${VIDS_FUZZ_ITERS:-10000}" \
     cargo test --offline -p vids-harness -q -- --skip every_placement
 
 # Placement matrix (crates/harness/src/matrix.rs): the curated mixed trace
-# and the generated corpus of seeds 1-4 (reordered calls, proxied calls
+# and the generated corpus of seeds 1-8 (reordered calls, proxied calls
 # under tenant maps, a reused media coordinate, media past eviction,
 # junk) at batch sizes 1, 7 and 25, through a plain engine, the pool at
-# {1, 2, 4} shards x {1, 2, 3, 5} nodes, the pipeline session, parallel
-# pcap replay, the flight recorder (every dump replayed), the Cluster shim
-# and set_nodes rebalances, under one tenant and two tenant maps; one
+# {1, 2, 3, 4, 5, 8} shards, the pipeline session, parallel pcap replay,
+# the flight recorder (every dump replayed; the mixed trace and seeds 1-4
+# recorded at every batch size, seeds 5-8 at one each), the Cluster shim
+# at three node layouts and set_nodes rebalances, under one tenant and
+# two tenant maps, one test per tenant setting on two threads each; one
 # canonical output (alerts, counters, monitored calls, deterministic
-# telemetry) per run, compared under the written exceptions in matrix.rs.
-# The root suites are its curated cases (pool, wire, cluster and tenancy,
-# recorder round trip). Wall time with a warm debug build on a 2-vCPU
-# Xeon guest: 24-27 s; the four per-driver steps it replaced (cluster
-# determinism, pool determinism stress, replay differential, record
-# roundtrip) took 0.6 s together on the same host.
+# telemetry) per run, compared under the written exceptions in
+# matrix.rs. The root suites are its curated cases (pool, wire, cluster
+# and tenancy, recorder round trip). Wall time of the matrix with a warm
+# debug build on a 2-vCPU Xeon guest: 31-34 s (the earlier seeds 1-4
+# matrix, one test with a node axis on the pool: 34-35 s on the same
+# host in the same hour).
 echo "==> placement matrix (seeded corpus, every deployment shape)"
 cargo test --offline -p vids-harness --test differential -q every_placement
 cargo test --offline -q --test pool_determinism --test replay_differential \

@@ -4,7 +4,7 @@
 //! ```text
 //! vids simulate [--minutes N] [--seed S] [--uas N] [--no-vids] [--auth] [--csv FILE]
 //!               [--telemetry FILE] [--telemetry-interval SECS]
-//! vids serve --listen ADDR [--shards N] [--nodes N] [--tenants FILE]
+//! vids serve --listen ADDR [--shards N] [--tenants FILE]
 //!            [--telemetry FILE] [--record DIR]
 //! vids replay FILE.pcap [--shards N] [--threads N] [--telemetry FILE] [--record DIR]
 //! vids replay FILE.vdump
@@ -76,7 +76,7 @@ fn usage() {
          \x20     run the Fig. 7 enterprise testbed and print the evaluation summary;\n\
          \x20     --telemetry samples monitor metrics every SECS (default 10) of sim\n\
          \x20     time into FILE (JSON lines, or CSV when FILE ends in .csv)\n\
-         \x20 vids serve --listen ADDR [--shards N] [--nodes N] [--tenants FILE]\n\
+         \x20 vids serve --listen ADDR [--shards N] [--tenants FILE]\n\
          \x20            [--telemetry FILE] [--record DIR]\n\
          \x20     monitor live SIP/RTP traffic on UDP socket ADDR (e.g. 0.0.0.0:5060)\n\
          \x20     with N receiver shards; alerts stream to stdout; Ctrl-C drains,\n\
@@ -85,12 +85,10 @@ fn usage() {
          \x20     dumps the window around every alert into DIR as .vdump forensic\n\
          \x20     captures; with --record, SIGUSR1 snapshots the live rings into\n\
          \x20     DIR on demand without stopping the daemon;\n\
-         \x20     --nodes N groups the engine into N in-process cluster nodes of\n\
-         \x20     --shards shards each, N x --shards pipeline workers in all\n\
-         \x20     (byte-identical alerts, rendezvous-routed); --tenants FILE maps\n\
-         \x20     address prefixes to per-tenant thresholds and call quotas, one\n\
-         \x20     engine group per tenant; a datagram belongs to the longest\n\
-         \x20     prefix matching its source or destination\n\
+         \x20     --tenants FILE maps address prefixes to per-tenant thresholds\n\
+         \x20     and call quotas, one engine group of N shards per tenant; a\n\
+         \x20     datagram belongs to the longest prefix matching its source or\n\
+         \x20     destination\n\
          \x20     (lines: tenant NAME A.B.C.D/LEN [invite_flood_n=.. max_calls=..])\n\
          \x20 vids replay FILE.pcap [--shards N] [--threads N] [--telemetry FILE] [--record DIR]\n\
          \x20     replay a classic pcap capture through the identical wire pipeline\n\
@@ -299,7 +297,6 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
         .parsed("--listen")?
         .ok_or("serve needs --listen ADDR (e.g. --listen 0.0.0.0:5060)")?;
     let shards: usize = flags.parsed("--shards")?.unwrap_or(4);
-    let nodes: usize = flags.parsed("--nodes")?.filter(|&n| n > 0).unwrap_or(1);
     let tenants_path = flags.value("--tenants")?;
     let telemetry_path = flags.value("--telemetry")?;
     let record_dir = flags.value("--record")?;
@@ -321,7 +318,6 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
         }
         None => VidsPool::with_cost(cfg, CostModel::free()),
     };
-    pool.set_nodes(nodes);
     let registry = pool.enable_telemetry(256);
     let mut opts = ServeOptions::from_config(&cfg);
     let stop = stop_flag_on_sigint();

@@ -48,7 +48,7 @@ fn strict_flood(cluster: &Cluster, nodes: usize) {
 #[test]
 fn one_node_cluster_matches_the_plain_pool() {
     for shards in [1, 4] {
-        let placements = [pool(shards, 1).telemetry(), cluster(shards, 1).telemetry()];
+        let placements = [pool(shards).telemetry(), cluster(shards, 1).telemetry()];
         check(&mixed_trace(), 25, &placements).covers(&[INVITE_FLOOD]);
     }
 }

@@ -12,13 +12,13 @@ use vids_harness::traffic::{mixed_trace, MIXED_LABELS};
 
 #[test]
 fn shard_count_never_changes_the_alert_sequence() {
-    let pools = [1, 4, 8].map(|shards| pool(shards, 1));
+    let pools = [1, 4, 8].map(pool);
     check(&mixed_trace(), 25, &pools).covers(&MIXED_LABELS);
 }
 
 #[test]
 fn telemetry_snapshot_is_shard_count_invariant() {
-    let traced = [1, 4, 8].map(|shards| pool(shards, 1).telemetry());
+    let traced = [1, 4, 8].map(|shards| pool(shards).telemetry());
     let out = check(&mixed_trace(), 25, &traced);
     let snap = out.telemetry.as_ref().expect("telemetry on");
     assert!(snap.counter(Counter::Transitions) > 0);
@@ -37,16 +37,16 @@ fn telemetry_snapshot_is_shard_count_invariant() {
 #[test]
 fn batch_boundaries_never_change_the_alert_sequence() {
     let trace = mixed_trace();
-    let reference = run(&trace, 25, &pool(4, 1));
+    let reference = run(&trace, 25, &pool(4));
     for batch in [1, 7, 1_000] {
-        let out = run(&trace, batch, &pool(4, 1));
+        let out = run(&trace, batch, &pool(4));
         assert_eq!(out.alerts, reference.alerts, "batch size {batch}");
     }
 }
 
 #[test]
 fn pool_matches_the_plain_engine_packet_at_a_time() {
-    let out = check(&mixed_trace(), 1, &[plain(), pool(4, 1)]);
+    let out = check(&mixed_trace(), 1, &[plain(), pool(4)]);
     let bye_dos = |(_, a): &(_, Alert)| a.kind == AlertKind::Attack && a.label == RTP_AFTER_BYE;
     assert!(out.alerts.iter().any(bye_dos));
 }
@@ -59,9 +59,9 @@ fn one_pool_reused_across_fifty_batches_is_byte_identical() {
     let trace = mixed_trace();
     let batch = (trace.len() / 50).max(1);
     assert!(trace.chunks(batch).count() >= 50, "too short");
-    let first = run(&trace, batch, &pool(4, 1));
-    assert_eq!(first, run(&trace, batch, &pool(4, 1)), "two runs diverged");
-    let reference = run(&trace, 25, &pool(4, 1));
+    let first = run(&trace, batch, &pool(4));
+    assert_eq!(first, run(&trace, batch, &pool(4)), "two runs diverged");
+    let reference = run(&trace, 25, &pool(4));
     assert_eq!(first.alerts, reference.alerts);
     assert_eq!(first.counters, reference.counters);
 }
@@ -70,7 +70,7 @@ fn one_pool_reused_across_fifty_batches_is_byte_identical() {
 /// mid-stream sweeps (`batch` 0: the seeded schedule), at every shard count.
 #[test]
 fn interleaved_apis_are_shard_count_invariant() {
-    let pools = [1, 4, 8].map(|shards| pool(shards, 1));
+    let pools = [1, 4, 8].map(pool);
     check(&mixed_trace(), 0, &pools).covers(&[INVITE_FLOOD, RTP_AFTER_BYE]);
 }
 
@@ -80,6 +80,6 @@ fn interleaved_apis_are_shard_count_invariant() {
 /// counters, same calls (`batch` 0 is that seeded schedule).
 #[test]
 fn randomized_batch_sizes_match_the_plain_engine() {
-    let placements = [plain(), pool(1, 1), pool(4, 1), pool(8, 1)];
+    let placements = [plain(), pool(1), pool(4), pool(8)];
     assert!(!check(&mixed_trace(), 0, &placements).alerts.is_empty());
 }

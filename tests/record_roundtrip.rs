@@ -25,7 +25,7 @@ fn recorded_flood_dump_replays_byte_identically_on_a_fresh_engine() {
     let trace: Vec<_> = flood.into_iter().map(|p| (p.clone(), p.sent_at)).collect();
     let batch = Config::default().batch_flush_packets;
     let out = run(&trace, batch, &recorded(1, 2).telemetry());
-    compare(&run(&trace, batch, &pool(1, 1).telemetry()), &out).unwrap();
+    compare(&run(&trace, batch, &pool(1).telemetry()), &out).unwrap();
     out.covers(&[labels::INVITE_FLOOD]);
     let dumps = out.recording.expect("recorded").dumps;
     let (_, bytes) = dumps.first().expect("the alert must trigger a dump");

@@ -17,7 +17,7 @@ use vids_harness::traffic::wire_safe_trace;
 fn replay_is_byte_identical_to_in_process_at_1_4_8_shards() {
     let trace = wire_safe_trace();
     for shards in [1, 4, 8] {
-        let out = check(&trace, 256, &[pool(shards, 1), replay(shards, 1)]);
+        let out = check(&trace, 256, &[pool(shards), replay(shards, 1)]);
         out.covers(&[labels::INVITE_FLOOD, labels::RTP_AFTER_BYE]);
     }
 }
@@ -25,7 +25,7 @@ fn replay_is_byte_identical_to_in_process_at_1_4_8_shards() {
 #[test]
 fn capture_format_never_changes_the_verdict() {
     let trace = wire_safe_trace();
-    let want = run(&trace, 256, &pool(4, 1));
+    let want = run(&trace, 256, &pool(4));
     for swapped in [false, true] {
         for linktype in [LINKTYPE_RAW, LINKTYPE_ETHERNET] {
             let config = Config::builder().shards(4).build().unwrap();
@@ -44,7 +44,7 @@ fn capture_format_never_changes_the_verdict() {
 #[test]
 fn replay_batch_size_never_changes_the_verdict() {
     let trace = wire_safe_trace();
-    let want = run(&trace, trace.len(), &pool(4, 1));
+    let want = run(&trace, trace.len(), &pool(4));
     for flush in [1, 7, 10_000] {
         let out = run(&trace, flush, &replay(4, 1));
         assert_eq!(want.alerts, out.alerts, "flush_packets={flush}");
@@ -75,7 +75,7 @@ fn parallel_replay_is_byte_identical_across_thread_and_shard_counts() {
 fn parallel_replay_preserves_the_recorder_layout() {
     let trace = wire_safe_trace();
     for shards in [1, 4] {
-        let want = run(&trace, 7, &pool(shards, 1));
+        let want = run(&trace, 7, &pool(shards));
         for threads in [2, 4] {
             let out = run(&trace, 7, &recorded(shards, threads));
             compare(&want, &out).unwrap();

@@ -126,5 +126,5 @@ fn a_plain_engine_interns_no_tag_or_branch() {
 
 #[test]
 fn a_two_shard_pool_interns_no_tag_or_branch() {
-    interns_only_keys("pool", pool(2, 1));
+    interns_only_keys("pool", pool(2));
 }

@@ -1,8 +1,6 @@
 //! Detection thresholds and timers (§6 and §7.5), plus the live-ingestion
 //! knobs the `vids-ingest` receiver pool reads.
 
-use std::net::SocketAddr;
-
 use vids_netsim::time::SimTime;
 
 /// Tunable parameters of the attack-detection patterns.
@@ -64,10 +62,6 @@ pub struct Config {
     /// partitions monitored calls across. A plain [`crate::engine::Vids`]
     /// ignores this.
     pub shards: usize,
-    /// Address the live-ingestion receiver pool binds (`vids serve
-    /// --listen`). `None` outside of live capture; the in-process and
-    /// replay paths ignore it.
-    pub listen: Option<SocketAddr>,
     /// Live ingestion: a receiver hands its batch over as soon as its
     /// socket drains, or once the batch holds this many datagrams while
     /// the socket stays busy. While the hand-off is full the batch grows
@@ -105,7 +99,6 @@ impl Default for Config {
             eviction_delay: SimTime::from_secs(5),
             cross_protocol_sync: true,
             shards: 1,
-            listen: None,
             batch_flush_packets: 256,
             batch_flush_interval: SimTime::from_millis(10),
             replay_grace: SimTime::from_secs(30),
@@ -247,12 +240,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Address the live-ingestion receiver pool binds (`vids serve`).
-    pub fn listen(mut self, addr: SocketAddr) -> Self {
-        self.config.listen = Some(addr);
-        self
-    }
-
     /// Live ingestion: the largest batch a receiver accumulates while its
     /// socket stays busy or the hand-off is full.
     pub fn batch_flush_packets(mut self, packets: usize) -> Self {
@@ -338,7 +325,6 @@ mod tests {
             "must exceed one G.729 second"
         );
         assert!(c.cross_protocol_sync);
-        assert!(c.listen.is_none());
         assert!(c.batch_flush_packets > 0);
         assert!(!c.batch_flush_interval.is_zero());
         assert_eq!(c.replay_grace, SimTime::from_secs(30));
@@ -347,12 +333,10 @@ mod tests {
     #[test]
     fn ingestion_knobs_validate_like_shards() {
         let built = Config::builder()
-            .listen("127.0.0.1:5060".parse().unwrap())
             .batch_flush_packets(64)
             .batch_flush_interval(SimTime::from_millis(5))
             .build()
             .unwrap();
-        assert_eq!(built.listen, Some("127.0.0.1:5060".parse().unwrap()));
         assert_eq!(built.batch_flush_packets, 64);
         assert_eq!(built.batch_flush_interval, SimTime::from_millis(5));
 

@@ -31,7 +31,8 @@ use crate::factbase::{FactBase, FactBaseStats};
 use crate::machines::{MediaKey, RtpArgs, SipArgs};
 use crate::sink::AlertSink;
 
-/// Traffic counters the engine maintains beside the alerts it raises.
+/// Traffic counters the engine keeps beside the alerts it raises: a
+/// read-out of the engines' telemetry slabs, which are the one store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VidsCounters {
     /// SIP messages processed.
@@ -50,15 +51,19 @@ pub struct VidsCounters {
     pub unassociated_sip_responses: u64,
 }
 
-impl std::ops::AddAssign for VidsCounters {
-    fn add_assign(&mut self, rhs: VidsCounters) {
-        self.sip_packets += rhs.sip_packets;
-        self.rtp_packets += rhs.rtp_packets;
-        self.malformed += rhs.malformed;
-        self.ignored += rhs.ignored;
-        self.unassociated_rtp += rhs.unassociated_rtp;
-        self.unassociated_sip_requests += rhs.unassociated_sip_requests;
-        self.unassociated_sip_responses += rhs.unassociated_sip_responses;
+impl VidsCounters {
+    /// The counts `slabs` hold between them.
+    pub(crate) fn sum<'a>(slabs: impl Iterator<Item = &'a ShardSlab> + Clone) -> Self {
+        let sum = |c: Counter| slabs.clone().map(|s| s.get(c)).sum();
+        VidsCounters {
+            sip_packets: sum(Counter::SipPackets),
+            rtp_packets: sum(Counter::RtpPackets),
+            malformed: sum(Counter::Malformed),
+            ignored: sum(Counter::Ignored),
+            unassociated_rtp: sum(Counter::UnassociatedRtp),
+            unassociated_sip_requests: sum(Counter::UnassociatedSipRequests),
+            unassociated_sip_responses: sum(Counter::UnassociatedSipResponses),
+        }
     }
 }
 
@@ -193,25 +198,12 @@ enum Said<'a> {
     Event(&'a Event),
 }
 
-/// The engine's telemetry attachment: one shard slab plus a transition
-/// ring. Recording is relaxed-atomic (slab) or overwrite-in-place (ring),
-/// so the warm packet path stays allocation-free with telemetry on.
-pub(crate) struct Telemetry {
-    /// Metric slot block shared with the owning [`Registry`].
-    slab: Arc<ShardSlab>,
-    /// Recent transitions, tagged by scope for alert forensics.
-    ring: TransitionRing,
-    /// Present only when this engine owns its registry (standalone use);
-    /// pool shards record into slabs owned by the pool's registry.
-    registry: Option<Arc<Registry>>,
-}
-
 /// Observer wired into the EFSM network for one ingest: counts transitions
-/// on the slab and pushes scope-tagged records into the ring. Holding the
-/// `Option` (rather than requiring telemetry) keeps the telemetry-off path
-/// a single branch.
+/// on the slab and, with telemetry on, pushes scope-tagged records into
+/// the ring.
 struct RingObserver<'a> {
-    tel: Option<&'a mut Telemetry>,
+    slab: &'a ShardSlab,
+    ring: Option<&'a mut TransitionRing>,
     /// [`Scope::key`] of the delivery.
     scope: u64,
 }
@@ -227,9 +219,9 @@ impl TransitionObserver for RingObserver<'_> {
         to: Sym,
         label: Option<Sym>,
     ) {
-        if let Some(tel) = self.tel.as_deref_mut() {
-            tel.slab.inc(Counter::Transitions);
-            tel.ring.push(TransitionRecord {
+        self.slab.add_owned(Counter::Transitions, 1);
+        if let Some(ring) = self.ring.as_deref_mut() {
+            ring.push(TransitionRecord {
                 time_ms,
                 scope: self.scope,
                 machine,
@@ -251,10 +243,19 @@ pub struct Vids {
     cost: CostModel,
     factbase: FactBase,
     dedup: HashSet<(Subject, Label)>,
-    counters: VidsCounters,
+    /// Every count this engine keeps. Written by one thread at a time: the
+    /// caller, a pool's ring worker, or its coordinator while the ring is
+    /// quiesced.
+    slab: Arc<ShardSlab>,
     cpu: CpuAccount,
     last_sweep_ms: u64,
-    telemetry: Option<Telemetry>,
+    /// What telemetry adds beyond the counts: recent transitions, tagged by
+    /// scope for alert forensics and overwritten in place, so the warm
+    /// packet path stays allocation-free with telemetry on.
+    ring: Option<TransitionRing>,
+    /// Present only when this engine owns its registry (standalone use);
+    /// pool shards' slabs belong to the pool's registry.
+    registry: Option<Arc<Registry>>,
 }
 
 impl Vids {
@@ -265,80 +266,74 @@ impl Vids {
 
     /// Creates a monitor with an explicit cost model.
     pub fn with_cost(config: Config, cost: CostModel) -> Self {
+        Vids::counting_into(config, cost, Arc::new(ShardSlab::new()))
+    }
+
+    /// An engine that counts into `slab`: a pool hands each engine its
+    /// registry's shard slab.
+    pub(crate) fn counting_into(config: Config, cost: CostModel, slab: Arc<ShardSlab>) -> Self {
         Vids {
             factbase: FactBase::new(config),
             config,
             cost,
             dedup: HashSet::new(),
-            counters: VidsCounters::default(),
+            slab,
             cpu: CpuAccount::new(),
             last_sweep_ms: 0,
-            telemetry: None,
+            ring: None,
+            registry: None,
         }
     }
 
-    /// Enables telemetry on this standalone engine: allocates a one-shard
-    /// [`Registry`] plus a transition ring of `ring_capacity` records and
-    /// returns the registry for snapshotting. All storage is allocated
-    /// here, up front; subsequent recording is allocation-free.
+    /// Enables telemetry on this standalone engine: a transition ring of
+    /// `ring_capacity` records, and a one-shard [`Registry`] over the
+    /// engine's own slab, returned for snapshotting. The counts are kept
+    /// with telemetry off too; the ring is what this adds. All storage is
+    /// allocated here, up front; subsequent recording is allocation-free.
     pub fn enable_telemetry(&mut self, ring_capacity: usize) -> Arc<Registry> {
-        let registry = Arc::new(Registry::new(1));
-        self.telemetry = Some(Telemetry {
-            slab: registry.shard_slab(0),
-            ring: TransitionRing::new(ring_capacity),
-            registry: Some(Arc::clone(&registry)),
-        });
+        let registry = Arc::new(Registry::over(vec![Arc::clone(&self.slab)]));
+        self.enable_ring(ring_capacity);
+        self.registry = Some(Arc::clone(&registry));
         registry
     }
 
-    /// Attaches a pool-owned slab (shard engines record into the pool's
-    /// registry; snapshots are taken by the pool, not per shard).
-    pub(crate) fn attach_telemetry(&mut self, slab: Arc<ShardSlab>, ring_capacity: usize) {
-        self.telemetry = Some(Telemetry {
-            slab,
-            ring: TransitionRing::new(ring_capacity),
-            registry: None,
-        });
+    /// Gives a pool's engine its transition ring (its slab is the pool
+    /// registry's already; snapshots are taken by the pool, not per shard).
+    pub(crate) fn enable_ring(&mut self, ring_capacity: usize) {
+        self.ring = Some(TransitionRing::new(ring_capacity));
+    }
+
+    /// The slab this engine counts into.
+    pub(crate) fn slab(&self) -> &ShardSlab {
+        &self.slab
     }
 
     /// The transition ring's capacity; 0 when telemetry is off.
     pub(crate) fn telemetry_ring(&self) -> usize {
-        self.telemetry.as_ref().map_or(0, |t| t.ring.capacity())
+        self.ring.as_ref().map_or(0, TransitionRing::capacity)
     }
 
     /// Refreshes the gauges (live calls, memory) on this engine's slab.
     pub(crate) fn refresh_telemetry_gauges(&self) {
-        if let Some(tel) = &self.telemetry {
-            tel.slab
-                .set_gauge(Gauge::LiveCalls, self.factbase.call_count() as u64);
-            tel.slab
-                .set_gauge(Gauge::MemoryBytes, self.factbase.memory_bytes() as u64);
-        }
+        self.slab
+            .set_gauge(Gauge::LiveCalls, self.factbase.call_count() as u64);
+        self.slab
+            .set_gauge(Gauge::MemoryBytes, self.factbase.memory_bytes() as u64);
     }
 
     /// A snapshot of this engine's registry at engine time `now`, when
     /// telemetry was enabled via [`Vids::enable_telemetry`]. Engines inside
     /// a pool return `None`; snapshot through the pool instead.
     pub fn telemetry_snapshot(&self, now: SimTime) -> Option<Snapshot> {
-        let registry = self.telemetry.as_ref()?.registry.as_ref()?;
+        let registry = self.registry.as_ref()?;
         self.refresh_telemetry_gauges();
         Some(registry.snapshot(now.as_millis()))
     }
 
-    /// One-branch counter mirror; a no-op with telemetry off.
+    /// Counts one event on the engine's slab.
     #[inline]
-    fn tel_inc(&self, c: Counter) {
-        if let Some(tel) = &self.telemetry {
-            tel.slab.inc(c);
-        }
-    }
-
-    /// Like [`Vids::tel_inc`] for bulk increments.
-    #[inline]
-    fn tel_add(&self, c: Counter, n: u64) {
-        if let Some(tel) = &self.telemetry {
-            tel.slab.add(c, n);
-        }
+    fn count(&self, c: Counter) {
+        self.slab.add_owned(c, 1);
     }
 
     /// Renders the ring records belonging to `scope`, oldest → newest.
@@ -346,9 +341,8 @@ impl Vids {
     /// for clean warm packets.
     fn render_trace(&self, scope: Scope) -> Vec<String> {
         let key = scope.key();
-        match &self.telemetry {
-            Some(tel) => tel
-                .ring
+        match &self.ring {
+            Some(ring) => ring
                 .iter()
                 .filter(|r| r.scope == key)
                 .map(TransitionRecord::render)
@@ -367,9 +361,9 @@ impl Vids {
         &self.cost
     }
 
-    /// Traffic counters.
+    /// Traffic counters, read from the engine's slab.
     pub fn counters(&self) -> VidsCounters {
-        self.counters
+        VidsCounters::sum(std::iter::once(&*self.slab))
     }
 
     /// The number of calls currently monitored.
@@ -486,11 +480,11 @@ impl Vids {
         now_ms: u64,
         sink: &mut S,
     ) {
-        self.counters.sip_packets += 1;
-        self.tel_inc(Counter::SipPackets);
+        self.count(Counter::SipPackets);
         let aor = event.get(SipArgs::get().aor).unwrap_or_default();
         let mut obs = RingObserver {
-            tel: self.telemetry.as_mut(),
+            slab: &self.slab,
+            ring: self.ring.as_mut(),
             scope: Scope::Aor(aor).key(),
         };
         let net = self.factbase.registration_mut(aor);
@@ -513,7 +507,8 @@ impl Vids {
     ) {
         let scope = Scope::Dst(dst_ip);
         let mut obs = RingObserver {
-            tel: self.telemetry.as_mut(),
+            slab: &self.slab,
+            ring: self.ring.as_mut(),
             scope: scope.key(),
         };
         let net = self.factbase.invite_flood_mut(dst_ip);
@@ -537,8 +532,7 @@ impl Vids {
         now_ms: u64,
         sink: &mut S,
     ) -> (Option<ResponseMiss>, bool) {
-        self.counters.sip_packets += 1;
-        self.tel_inc(Counter::SipPackets);
+        self.count(Counter::SipPackets);
         let known = self.factbase.call_idx(call_id);
         // Per-engine state budget: at quota, new dialogs are refused (and
         // counted) while packets for already-tracked calls keep flowing.
@@ -549,20 +543,21 @@ impl Vids {
             && self.config.max_tracked_calls > 0
             && self.factbase.call_count() >= self.config.max_tracked_calls
         {
-            self.tel_inc(Counter::CallQuotaDrops);
+            self.count(Counter::CallQuotaDrops);
             return (None, false);
         }
         if known.is_some() || is_initial_invite {
             let idx = match known {
                 Some(idx) => idx,
                 None => {
-                    self.tel_inc(Counter::CallsCreated);
+                    self.count(Counter::CallsCreated);
                     self.factbase.create_call_idx(call_id, now_ms)
                 }
             };
             let sip = self.factbase.sip_machine();
             let mut obs = RingObserver {
-                tel: self.telemetry.as_mut(),
+                slab: &self.slab,
+                ring: self.ring.as_mut(),
                 scope: Scope::Call(call_id).key(),
             };
             let sdp = SipArgs::get().sdp_media(&event);
@@ -588,8 +583,7 @@ impl Vids {
         } else if is_request {
             // A non-dialog-forming request for an unknown call:
             // a specification anomaly worth an alert.
-            self.counters.unassociated_sip_requests += 1;
-            self.tel_inc(Counter::UnassociatedSipRequests);
+            self.count(Counter::UnassociatedSipRequests);
             self.raise(
                 Finding {
                     subject: Subject::Scope(Scope::Call(call_id)),
@@ -606,8 +600,7 @@ impl Vids {
         } else {
             // A response matching no monitored call: DRDoS reflection
             // evidence, counted against its destination.
-            self.counters.unassociated_sip_responses += 1;
-            self.tel_inc(Counter::UnassociatedSipResponses);
+            self.count(Counter::UnassociatedSipResponses);
             let src_ip = event.get(SipArgs::get().src_ip);
             return (Some(ResponseMiss { src_ip }), false);
         }
@@ -625,7 +618,8 @@ impl Vids {
     ) {
         let scope = Scope::Dst(dst_ip);
         let mut obs = RingObserver {
-            tel: self.telemetry.as_mut(),
+            slab: &self.slab,
+            ring: self.ring.as_mut(),
             scope: scope.key(),
         };
         let net = self.factbase.response_flood_mut(dst_ip);
@@ -648,15 +642,15 @@ impl Vids {
         now_ms: u64,
         sink: &mut S,
     ) -> Option<MediaKey> {
-        self.counters.rtp_packets += 1;
-        self.tel_inc(Counter::RtpPackets);
+        self.count(Counter::RtpPackets);
         let dst = RtpArgs::get().dst(&event);
         match self.factbase.media_lookup_idx(dst) {
             Some(idx) => {
                 let call_id = self.factbase.id_of(idx);
                 let rtp = self.factbase.rtp_machine();
                 let mut obs = RingObserver {
-                    tel: self.telemetry.as_mut(),
+                    slab: &self.slab,
+                    ring: self.ring.as_mut(),
                     scope: Scope::Call(call_id).key(),
                 };
                 let record = self.factbase.record_mut(idx);
@@ -680,8 +674,7 @@ impl Vids {
                 None
             }
             None => {
-                self.counters.unassociated_rtp += 1;
-                self.tel_inc(Counter::UnassociatedRtp);
+                self.count(Counter::UnassociatedRtp);
                 Some(dst)
             }
         }
@@ -721,8 +714,7 @@ impl Vids {
         now_ms: u64,
         sink: &mut S,
     ) {
-        self.counters.malformed += 1;
-        self.tel_inc(Counter::Malformed);
+        self.count(Counter::Malformed);
         self.raise(
             Finding {
                 subject: Subject::Reason(reason),
@@ -740,8 +732,7 @@ impl Vids {
 
     /// A datagram the classifier set aside (neither SIP nor RTP).
     pub(crate) fn ingest_ignored(&mut self) {
-        self.counters.ignored += 1;
-        self.tel_inc(Counter::Ignored);
+        self.count(Counter::Ignored);
     }
 
     /// Forced sweep regardless of the interval gate; the pool applies its
@@ -759,7 +750,7 @@ impl Vids {
         // Pool shards are swept through `force_maintain`, where the pool
         // counts one batch-level sweep on its own slab; counting here would
         // make the total vary with shard count.
-        self.tel_inc(Counter::TimerSweeps);
+        self.count(Counter::TimerSweeps);
         self.sweep_calls(now_ms, sink);
     }
 
@@ -777,7 +768,8 @@ impl Vids {
         for &idx in &due {
             let id = self.factbase.id_of(idx);
             let mut obs = RingObserver {
-                tel: self.telemetry.as_mut(),
+                slab: &self.slab,
+                ring: self.ring.as_mut(),
                 scope: Scope::Call(id).key(),
             };
             let record = self.factbase.record_mut(idx);
@@ -787,7 +779,7 @@ impl Vids {
             }
         }
         let evicted = self.factbase.sweep_due(due, now_ms);
-        self.tel_add(Counter::CallsEvicted, evicted as u64);
+        self.slab.add_owned(Counter::CallsEvicted, evicted as u64);
     }
 
     /// Converts a network outcome into deduplicated alerts.
@@ -798,7 +790,8 @@ impl Vids {
         now_ms: u64,
         sink: &mut S,
     ) {
-        self.tel_add(Counter::SyncDeliveries, outcome.sync_deliveries as u64);
+        self.slab
+            .add_owned(Counter::SyncDeliveries, outcome.sync_deliveries as u64);
         if !outcome.is_suspicious() && !outcome.nondeterministic {
             return; // the common clean path
         }
@@ -893,7 +886,7 @@ impl Vids {
             return;
         }
         self.dedup.insert(key);
-        self.tel_inc(match finding.kind {
+        self.count(match finding.kind {
             AlertKind::Attack => Counter::AlertsAttack,
             AlertKind::Deviation => Counter::AlertsDeviation,
             AlertKind::Nondeterminism => Counter::AlertsNondeterminism,
@@ -1436,5 +1429,6 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert!(alerts[0].trace.is_empty());
         assert!(vids.telemetry_snapshot(SimTime::ZERO).is_none());
+        assert_eq!(vids.counters().malformed, 1, "counts need no telemetry");
     }
 }

@@ -396,7 +396,7 @@ struct Slot {
 
 // Sizes are facts (§7.3 argues capacity from the per-call cost): the next
 // field someone adds to a call has to argue with this number.
-const _: () = assert!(size_of::<Slot>() <= 392);
+const _: () = assert!(size_of::<Slot>() <= 384);
 
 /// One monitored call: its EFSM network plus bookkeeping.
 pub struct CallRecord {

@@ -32,10 +32,14 @@
 //!   group.
 //!
 //! Observability comes from the `vids-telemetry` crate (re-exported here as
-//! [`telemetry`]): enable it with [`engine::Vids::enable_telemetry`] /
-//! [`pool::VidsPool::enable_telemetry`] and read back merged snapshots of
-//! per-shard counters, gauges and histograms; alerts then also carry the
-//! recent EFSM transitions of their call (the `trace` field).
+//! [`telemetry`]), whose slabs are the one store of every count: an engine
+//! counts into its own from construction, a pool into its registry
+//! ([`pool::VidsPool::registry`]). [`engine::Vids::enable_telemetry`] /
+//! [`pool::VidsPool::enable_telemetry`] add what costs more than a count
+//! (transition rings; on a pool, the merge clock and the histograms) and
+//! let you read back merged snapshots of per-shard counters,
+//! gauges and histograms; alerts then also carry the recent EFSM
+//! transitions of their call (the `trace` field).
 //!
 //! ```
 //! use vids_core::prelude::*;

@@ -329,6 +329,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use vids_efsm::network::Network;
+    use vids_efsm::Trace;
 
     fn ip(text: &str) -> Ipv4Addr {
         text.parse().unwrap()
@@ -337,7 +338,6 @@ mod tests {
     fn sip_only_network() -> (Network, vids_efsm::network::MachineId) {
         let def = Arc::new(sip_call_machine(&Config::default()));
         let mut net = Network::new();
-        net.enable_trace();
         let id = net.add_machine(def);
         (net, id)
     }
@@ -381,6 +381,7 @@ mod tests {
     #[test]
     fn normal_call_walks_to_terminated() {
         let (mut net, id) = sip_only_network();
+        let mut trace = Trace::new();
         let ringing = SipArgs::event("SIP.1xx")
             .with_named("to_tag", "tt")
             .with_named("cseq_method", "INVITE");
@@ -397,11 +398,11 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            let out = net.deliver(id, ev, i as u64 * 100);
+            let out = net.deliver_observed(id, ev, i as u64 * 100, &mut trace);
             assert!(!out.is_suspicious(), "step {i}: {out:?}");
         }
         assert!(net.all_final());
-        let path = net.trace().unwrap().path_of(SIP_MACHINE);
+        let path = trace.path_of(SIP_MACHINE);
         assert_eq!(
             path,
             vec![
@@ -546,15 +547,15 @@ mod tests {
         let linger = vids_netsim::time::SimTime::from_secs(2);
         let config = Config::builder().teardown_linger(linger).build().unwrap();
         let mut net = Network::new();
-        net.enable_trace();
+        let mut trace = Trace::new();
         let id = net.add_machine(Arc::new(sip_call_machine(&config)));
-        net.deliver(id, invite_event(), 0);
-        net.deliver(id, ok_event("INVITE"), 10);
-        net.deliver(id, bye_event("ft", "tt"), 20);
-        net.advance_time(20 + 1_900);
+        net.deliver_observed(id, invite_event(), 0, &mut trace);
+        net.deliver_observed(id, ok_event("INVITE"), 10, &mut trace);
+        net.deliver_observed(id, bye_event("ft", "tt"), 20, &mut trace);
+        net.advance_time_observed(20 + 1_900, &mut trace);
         assert!(!net.all_final(), "ended before the linger");
-        net.advance_time(20 + 2_100);
-        let path = net.trace().unwrap().path_of(SIP_MACHINE);
+        net.advance_time_observed(20 + 2_100, &mut trace);
+        let path = trace.path_of(SIP_MACHINE);
         assert_eq!(path[path.len() - 2..], ["CALL_TEARDOWN", "TERMINATED"]);
     }
 

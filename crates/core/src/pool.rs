@@ -531,9 +531,14 @@ pub struct VidsPool {
     /// non-decreasing time, so a late-stamped packet is processed at the
     /// batch high-water mark, exactly as a single engine would see it.
     last_packet_ms: u64,
-    /// Telemetry registry when enabled: one slab per shard (wired into the
-    /// shard engines) plus a pool-level slab for batch/merge metrics.
-    telemetry: Option<Arc<Registry>>,
+    /// The one store of the pool's counts: one slab per engine (each
+    /// engine counts into its own) plus a pool-level slab for batch, merge
+    /// and ingest counts. Allocated when the pool is built.
+    registry: Arc<Registry>,
+    /// Whether [`VidsPool::enable_telemetry`] turned on what costs more
+    /// than a count: the engines' transition rings, the merge clock and
+    /// the histograms.
+    traced: bool,
     /// Reusable per-shard routing queues, filled only by a pipeline
     /// session. Their capacity shuttles between here and the ring slots (a
     /// publish swaps `Vec`s), so steady-state routing allocates nothing.
@@ -588,7 +593,8 @@ impl VidsPool {
             alerts_merged: 0,
             last_sweep_ms: 0,
             last_packet_ms: 0,
-            telemetry: None,
+            registry: Arc::new(Registry::new(n)),
+            traced: false,
             queues: (0..n).map(|_| Vec::new()).collect(),
             scratch_tagged: Vec::new(),
             scratch_misses: Vec::new(),
@@ -603,21 +609,26 @@ impl VidsPool {
             Some(map) => map.get(self.placement.tenant(engine)).config,
             None => self.config,
         };
-        Vids::with_cost(config, self.cost)
+        Vids::counting_into(config, self.cost, self.registry.shard_slab(engine))
     }
 
-    /// Enables telemetry: allocates a [`Registry`] with one slab per shard
-    /// plus a pool slab, attaches each shard engine to its slab (with a
-    /// transition ring of `ring_capacity` records per shard), and returns
-    /// the registry. Call before feeding traffic; recording from then on is
-    /// allocation-free.
+    /// Enables telemetry: a transition ring of `ring_capacity` records per
+    /// shard, the merge clock and the batch-size and merge-time
+    /// histograms. Returns the pool's [`Registry`], whose slabs hold every
+    /// count with telemetry off too. Call before feeding traffic;
+    /// recording from then on is allocation-free.
     pub fn enable_telemetry(&mut self, ring_capacity: usize) -> Arc<Registry> {
-        let registry = Arc::new(Registry::new(self.shards.len()));
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.attach_telemetry(registry.shard_slab(i), ring_capacity);
+        for shard in &mut self.shards {
+            shard.enable_ring(ring_capacity);
         }
-        self.telemetry = Some(Arc::clone(&registry));
-        registry
+        self.traced = true;
+        Arc::clone(&self.registry)
+    }
+
+    /// The registry every count of this pool lives in: the engines' shard
+    /// slabs and the pool slab, which the ingest tier counts into too.
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.registry
     }
 
     /// Makes the pool's engines `nodes` groups of `config.shards` per
@@ -643,13 +654,11 @@ impl VidsPool {
         let engines = nodes * self.placement.tenants * self.placement.shards;
         let ring = self.telemetry_ring();
         self.shards.truncate(engines);
-        if let Some(registry) = &mut self.telemetry {
-            *registry = Arc::new(registry.resized(engines));
-        }
+        self.registry = Arc::new(self.registry.resized(engines));
         while self.shards.len() < engines {
             let mut engine = self.new_engine(self.shards.len());
-            if let Some(registry) = &self.telemetry {
-                engine.attach_telemetry(registry.shard_slab(self.shards.len()), ring);
+            if self.traced {
+                engine.enable_ring(ring);
             }
             self.shards.push(engine);
         }
@@ -677,10 +686,7 @@ impl VidsPool {
 
     /// Traffic counters of one tenant's engines.
     pub fn tenant_counters(&self, tenant: TenantId) -> VidsCounters {
-        let mut total = VidsCounters::default();
-        self.tenant_engines(tenant)
-            .for_each(|s| total += s.counters());
-        total
+        VidsCounters::sum(self.tenant_engines(tenant).map(Vids::slab))
     }
 
     /// Calls one tenant's engines currently monitor.
@@ -688,7 +694,7 @@ impl VidsPool {
         self.tenant_engines(tenant).map(Vids::monitored_calls).sum()
     }
 
-    fn tenant_engines(&self, tenant: TenantId) -> impl Iterator<Item = &Vids> {
+    fn tenant_engines(&self, tenant: TenantId) -> impl Iterator<Item = &Vids> + Clone {
         let placement = self.placement;
         self.shards
             .iter()
@@ -709,14 +715,16 @@ impl VidsPool {
     /// copying; the pool gauge plus the shard gauges is
     /// [`VidsPool::memory_bytes`].
     pub fn telemetry_snapshot(&self, now: SimTime) -> Option<Snapshot> {
-        let registry = self.telemetry.as_ref()?;
+        if !self.traced {
+            return None;
+        }
         for shard in &self.shards {
             shard.refresh_telemetry_gauges();
         }
-        registry
+        self.registry
             .pool()
             .set_gauge(Gauge::MemoryBytes, self.routing_bytes() as u64);
-        Some(registry.snapshot(now.as_millis()))
+        Some(self.registry.snapshot(now.as_millis()))
     }
 
     /// Bytes of the pool's own routing state: the media routing index and
@@ -763,11 +771,7 @@ impl VidsPool {
 
     /// Aggregate traffic counters across all shards.
     pub fn counters(&self) -> VidsCounters {
-        let mut total = VidsCounters::default();
-        for shard in &self.shards {
-            total += shard.counters();
-        }
-        total
+        VidsCounters::sum(self.shards.iter().map(Vids::slab))
     }
 
     /// Calls currently monitored, summed across shards.
@@ -919,10 +923,11 @@ impl VidsPool {
     /// or park until the epoch is harvested — is the caller's, as is
     /// quiescing a pipeline before a due sweep.
     fn open_batch(&mut self, len: usize, now_ms: u64, tagged: &mut Vec<TaggedAlert>) {
-        if let Some(reg) = &self.telemetry {
-            reg.pool().inc(Counter::BatchesIngested);
-            reg.pool().add(Counter::PacketsIngested, len as u64);
-            reg.pool().record(HistId::BatchSize, len as u64);
+        let slab = self.registry.pool();
+        slab.inc(Counter::BatchesIngested);
+        slab.add(Counter::PacketsIngested, len as u64);
+        if self.traced {
+            slab.record(HistId::BatchSize, len as u64);
         }
         if self.sweep_due(now_ms) {
             self.sweep(now_ms, tagged);
@@ -1149,16 +1154,16 @@ impl VidsPool {
     /// its tenant, leaving `tagged` empty. The key makes this order
     /// independent of shard count and thread scheduling.
     fn merge_into<S: AlertSink + ?Sized>(&mut self, tagged: &mut Vec<TaggedAlert>, sink: &mut S) {
-        let merge_started = self.telemetry.as_ref().map(|_| Instant::now());
+        let merge_started = self.traced.then(Instant::now);
         tagged.sort_unstable_by(TaggedAlert::merge_order);
         self.alerts_merged += tagged.len() as u64;
         for entry in tagged.drain(..) {
             sink.accept_from(entry.tenant, entry.alert);
         }
-        if let (Some(reg), Some(started)) = (&self.telemetry, merge_started) {
+        if let Some(started) = merge_started {
             let nanos = started.elapsed().as_nanos() as u64;
-            reg.pool().add(Counter::MergeNanos, nanos);
-            reg.pool().record(HistId::MergeNanos, nanos);
+            self.registry.pool().add(Counter::MergeNanos, nanos);
+            self.registry.pool().record(HistId::MergeNanos, nanos);
         }
     }
 
@@ -1178,9 +1183,7 @@ impl VidsPool {
         self.settle();
         // Counted once, on the pool slab: per-shard force_maintain does not
         // count, so the total is the same whatever the shard count.
-        if let Some(reg) = &self.telemetry {
-            reg.pool().inc(Counter::TimerSweeps);
-        }
+        self.registry.pool().inc(Counter::TimerSweeps);
         // One sink across the engines: a Call-ID that a rebalance left on
         // two engines still gets distinct keys, in engine order.
         let mut sink = TaggedSink::sweep(tagged);
@@ -1780,9 +1783,7 @@ impl PipelineIngress<'_, '_> {
         // Backpressure: when the rings are full, merge the oldest epoch
         // (blocking on its workers) before publishing this one.
         while !lane::may_publish(self.next_epoch, self.harvested, EPOCH_RING_DEPTH) {
-            if let Some(reg) = &self.pool.telemetry {
-                reg.pool().inc(Counter::PipelineStalls);
-            }
+            self.pool.registry.pool().inc(Counter::PipelineStalls);
             self.harvest_one(sink);
         }
 
@@ -1804,9 +1805,10 @@ impl PipelineIngress<'_, '_> {
         self.pool.queues = queues;
         self.coord.push_back(coord_tagged);
         self.next_epoch = e + 1;
-        if let Some(reg) = &self.pool.telemetry {
-            reg.pool().set_gauge(Gauge::PipelineDepth, self.in_flight());
-        }
+        self.pool
+            .registry
+            .pool()
+            .set_gauge(Gauge::PipelineDepth, self.in_flight());
     }
 
     /// Merges the oldest in-flight epoch: waits for every worker to finish
@@ -1834,6 +1836,10 @@ impl PipelineIngress<'_, '_> {
         self.pool.merge_into(&mut tagged, sink);
         self.spare.push(tagged);
         self.harvested = e + 1;
+        self.pool
+            .registry
+            .pool()
+            .set_gauge(Gauge::PipelineDepth, self.in_flight());
     }
 
     /// Whether every lane's worker has finished `epoch`, so the coordinator
@@ -1874,9 +1880,6 @@ impl PipelineIngress<'_, '_> {
         }
         while self.harvested < self.next_epoch {
             self.harvest_one(sink);
-        }
-        if let Some(reg) = &self.pool.telemetry {
-            reg.pool().set_gauge(Gauge::PipelineDepth, 0);
         }
     }
 

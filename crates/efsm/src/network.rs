@@ -24,7 +24,6 @@ use crate::event::Event;
 use crate::instance::MachineInstance;
 use crate::intern::Sym;
 use crate::machine::MachineDef;
-use crate::trace::{Trace, TraceEntry};
 use crate::value::InlineVec;
 use crate::vars::{Frame, Schema, Slots, Var, VarType, Vars, NO_VARS};
 
@@ -117,10 +116,10 @@ impl NetworkOutcome {
 
 /// Hook invoked for every transition a network takes.
 ///
-/// Unlike [`Trace`], which renders strings and is meant for offline
-/// debugging, the observer receives only interned symbols and a clock —
-/// an implementation can record telemetry or fill a ring buffer without
-/// allocating, keeping the hot path on its zero-allocation budget.
+/// The observer receives only interned symbols and a clock — an
+/// implementation can record telemetry or fill a ring buffer without
+/// allocating, keeping the hot path on its zero-allocation budget. The
+/// debugging [`crate::Trace`] is one that renders strings.
 pub trait TransitionObserver {
     /// Called once per taken transition, after the step is applied.
     fn on_transition(
@@ -307,7 +306,6 @@ struct Run<'a> {
     frame: Slots<'a>,
     globals: usize,
     timers: &'a mut Timers,
-    trace: Option<&'a mut Trace>,
     sync_enabled: bool,
     obs: &'a mut dyn TransitionObserver,
     pending: Pending,
@@ -368,16 +366,6 @@ impl Run<'_> {
                 def.state_sym(to),
                 label,
             );
-            if let Some(trace) = &mut self.trace {
-                trace.push(TraceEntry {
-                    time_ms: now_ms,
-                    machine: def.name().to_owned(),
-                    event: event.to_string(),
-                    from: def.state_name(from).to_owned(),
-                    to: def.state_name(to).to_owned(),
-                    label: label.map(String::from),
-                });
-            }
         }
         if let Some(label) = step.attack {
             self.outcome.alerts.push(AttackAlert {
@@ -431,8 +419,6 @@ pub struct Network {
     instances: [MachineInstance; MAX_MACHINES],
     frame: Frame<NETWORK_WORDS>,
     timers: Timers,
-    /// Debugging aid; boxed so the networks that never trace pay one word.
-    trace: Option<Box<Trace>>,
     /// Ablation switch (experiment E8): when true, δ messages are dropped
     /// instead of delivered, turning the cross-protocol monitor into a set
     /// of isolated single-protocol machines.
@@ -450,21 +436,11 @@ impl fmt::Debug for Network {
 }
 
 impl Network {
-    /// Creates an empty network with synchronization enabled and no tracing.
+    /// Creates an empty network with synchronization enabled. To trace
+    /// it, pass a [`crate::Trace`] to [`Network::deliver_observed`] and
+    /// [`Network::advance_time_observed`].
     pub fn new() -> Self {
         Network::default()
-    }
-
-    /// Enables transition tracing.
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Box::default());
-        }
-    }
-
-    /// The recorded trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_deref()
     }
 
     /// Disables the synchronization channels (ablation experiment E8).
@@ -584,8 +560,8 @@ impl Network {
 
     /// Heap bytes this network owns beyond its own `size_of`: a frame too
     /// wide to stay inline and timers past the fourth. Zero for a call
-    /// running the shipped machines. The shared definitions and the
-    /// debugging [`Trace`] are not charged.
+    /// running the shipped machines. The shared definitions are not
+    /// charged.
     pub fn heap_bytes(&self) -> usize {
         self.frame.heap_bytes() + self.timers.0.heap_bytes()
     }
@@ -605,7 +581,6 @@ impl Network {
             frame: self.frame.slots(0),
             globals: shape.globals().len(),
             timers: &mut self.timers,
-            trace: self.trace.as_deref_mut(),
             sync_enabled: !self.sync_disabled,
             obs,
             pending: Pending::default(),
@@ -718,7 +693,6 @@ impl SoloNetwork {
             frame: self.frame.slots(0),
             globals: self.def.globals().len(),
             timers: &mut self.timers,
-            trace: None,
             sync_enabled: true,
             obs,
             pending: Pending::default(),
@@ -750,13 +724,14 @@ impl SoloNetwork {
 // destination, so a field added here has to argue with a number. The call
 // slot that embeds a `Network` is pinned where it is defined
 // (`vids-core::factbase`).
-const _: () = assert!(std::mem::size_of::<Network>() <= 296);
+const _: () = assert!(std::mem::size_of::<Network>() <= 288);
 const _: () = assert!(std::mem::size_of::<SoloNetwork>() <= 144);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::MachineDef;
+    use crate::trace::Trace;
 
     /// Two-machine network mirroring Fig. 2: the "sip" machine receives an
     /// INVITE and synchronizes the "rtp" machine, which opens using the
@@ -819,7 +794,6 @@ mod tests {
         let rtp = Arc::new(rtp.build().unwrap());
 
         let mut net = Network::new();
-        net.enable_trace();
         let sid = net.add_machine(sip);
         let rid = net.add_machine(rtp);
         (net, sid, rid)
@@ -828,7 +802,8 @@ mod tests {
     #[test]
     fn sync_message_propagates_global_state() {
         let (mut net, sid, rid) = fig2_network();
-        let outcome = net.deliver(sid, invite("c1", 49170), 5);
+        let mut trace = Trace::new();
+        let outcome = net.deliver_observed(sid, invite("c1", 49170), 5, &mut trace);
         assert_eq!(outcome.transitions, 2); // sip step + rtp sync step
         assert!(!outcome.is_suspicious());
         assert_eq!(net.locals(rid).uint("l_port"), Some(49170));
@@ -838,7 +813,6 @@ mod tests {
             net.instance(rid).state_name(net.definition(rid)),
             "RTP_OPEN"
         );
-        let trace = net.trace().unwrap();
         assert_eq!(trace.path_of("sip"), vec!["INIT", "INVITE_RCVD"]);
         assert_eq!(trace.path_of("rtp"), vec!["INIT", "RTP_OPEN"]);
     }

@@ -1,9 +1,13 @@
 //! Execution traces: a replayable record of every transition a network of
-//! communicating EFSMs takes. Used by tests, by the examples for narration,
-//! and by the analysis engine's alert reports ("the paths along the
-//! transitions from s_i to s_attack constitute attack patterns", §4.2).
+//! communicating EFSMs takes, kept by a [`TransitionObserver`] the caller
+//! owns and passes to each delivery. Used by tests to check the paths
+//! machines walk ("the paths along the transitions from s_i to s_attack
+//! constitute attack patterns", §4.2).
 
 use std::fmt;
+
+use crate::intern::Sym;
+use crate::network::TransitionObserver;
 
 /// One recorded step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,7 +16,7 @@ pub struct TraceEntry {
     pub time_ms: u64,
     /// Machine that stepped.
     pub machine: String,
-    /// The event that triggered the step (display form).
+    /// The name of the event that triggered the step.
     pub event: String,
     /// State name before the transition.
     pub from: String,
@@ -36,10 +40,34 @@ impl fmt::Display for TraceEntry {
     }
 }
 
-/// An append-only transition log.
+/// An append-only transition log. Pass it to
+/// [`crate::network::Network::deliver_observed`] and
+/// [`crate::network::Network::advance_time_observed`] to record what they
+/// step; it renders strings, so it is a debugging aid, not a hot-path one.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
+}
+
+impl TransitionObserver for Trace {
+    fn on_transition(
+        &mut self,
+        time_ms: u64,
+        machine: Sym,
+        event: Sym,
+        from: Sym,
+        to: Sym,
+        label: Option<Sym>,
+    ) {
+        self.push(TraceEntry {
+            time_ms,
+            machine: machine.as_str().to_owned(),
+            event: event.as_str().to_owned(),
+            from: from.as_str().to_owned(),
+            to: to.as_str().to_owned(),
+            label: label.map(|l| l.as_str().to_owned()),
+        });
+    }
 }
 
 impl Trace {

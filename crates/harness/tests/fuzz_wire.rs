@@ -9,12 +9,13 @@
 //! The owned `parse_message` allocates by design (it builds an owned
 //! message for the UA simulators), so it gets the no-panic assertion only.
 //!
-//! Everything lives in one `#[test]` because the allocation counter is
-//! global: parallel tests would interleave counts.
+//! The counter is armed per thread, so an allocation on any other thread
+//! of the test binary does not land in its counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use vids_harness::mutate::{mutate_sip, mutate_wire};
 use vids_harness::rng::XorShift64;
@@ -27,27 +28,30 @@ use vids_sip::view::parse_view;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_one() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -59,12 +63,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with the counter armed; returns (result, allocations made).
+/// Runs `f` with the counter armed on this thread; returns (result,
+/// allocations made).
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let start = ALLOCS.load(Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.with(|a| a.set(true));
     let r = f();
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.with(|a| a.set(false));
     (r, ALLOCS.load(Ordering::SeqCst) - start)
 }
 

@@ -22,12 +22,12 @@
 //! raised.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use vids_core::classify::Classified;
 use vids_core::pool::{PipelineIngress, PreRouted, VidsPool, WireEvent};
 use vids_core::sink::AlertSink;
-use vids_core::telemetry::{Counter, Registry};
+use vids_core::telemetry::{Counter, Registry, ShardSlab};
 use vids_netsim::time::SimTime;
 
 use crate::datagram::Datagram;
@@ -41,7 +41,8 @@ use crate::source::IngestError;
 /// constant remains for callers that need the value without a config.
 pub const REPLAY_GRACE: SimTime = SimTime::from_secs(30);
 
-/// What a replay processed.
+/// What a replay processed: the pool slab's counts across the call, so a
+/// pool that replays twice reports each capture on its own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayReport {
     /// UDP datagrams decoded from the capture.
@@ -58,7 +59,8 @@ pub struct ReplayReport {
 
 /// Replays classic pcap capture bytes (see [`crate::pcap::PcapReader`]
 /// for the supported formats) on the calling thread:
-/// [`replay_pcap_parallel`] at one thread.
+/// [`replay_pcap_parallel`] at one thread. `telemetry` is redundant, as
+/// there.
 pub fn replay_pcap<S: AlertSink + ?Sized>(
     capture: Vec<u8>,
     pool: &mut VidsPool,
@@ -90,19 +92,26 @@ pub fn replay_pcap<S: AlertSink + ?Sized>(
 /// alert's own batch; at more than one thread the replay therefore drains
 /// the pipeline after every batch — classification stays parallel, only
 /// the engine-side overlap is given up.
+///
+/// The replay counts datagrams, demux misses and IPv6 drops into the pool
+/// slab of [`VidsPool::registry`]; `telemetry` is redundant, kept only for
+/// existing callers (ROADMAP item 12 deletes it).
 pub fn replay_pcap_parallel<S: AlertSink + ?Sized>(
     capture: Vec<u8>,
     pool: &mut VidsPool,
     flush_packets: usize,
     threads: usize,
-    telemetry: Option<&Registry>,
+    _telemetry: Option<&Registry>,
     tap: Option<&mut RecordTap<'_>>,
     sink: &mut S,
 ) -> Result<ReplayReport, IngestError> {
+    let registry = Arc::clone(pool.registry());
+    let before = registry.pool().counts();
     let mut run = Run {
         reader: PcapReader::new(&capture)?,
         flush_packets: flush_packets.max(1),
-        report: ReplayReport::default(),
+        slab: registry.pool(),
+        last_at: SimTime::ZERO,
         tap,
     };
     if threads <= 1 {
@@ -116,32 +125,35 @@ pub fn replay_pcap_parallel<S: AlertSink + ?Sized>(
             fanned
         })?;
     }
-    let end = run.report.last_at + pool.config().replay_grace;
+    let end = run.last_at + pool.config().replay_grace;
     pool.tick(end, &mut teed(&mut run.tap, sink));
     run.dump(pool);
-    let report = run.report;
-    if let Some(reg) = telemetry {
-        let slab = reg.pool();
-        slab.add(Counter::DatagramsRx, report.datagrams);
-        slab.add(Counter::DemuxUnknown, report.demux_unknown);
-        slab.add(Counter::DatagramsIpv6, report.datagrams_ipv6);
-    }
-    Ok(report)
+    let count = |c: Counter| run.slab.get(c) - before[c as usize];
+    Ok(ReplayReport {
+        datagrams: count(Counter::DatagramsRx),
+        demux_unknown: count(Counter::DemuxUnknown),
+        datagrams_ipv6: count(Counter::DatagramsIpv6),
+        batches: count(Counter::BatchesIngested),
+        last_at: run.last_at,
+    })
 }
 
 /// A batch back from a classifier thread: its position in capture order,
-/// the datagrams, their engine events and the demux counts.
-type Done<'c> = (u64, Vec<Datagram<'c>>, Vec<PreRouted>, ReplayReport);
+/// the datagrams and their engine events.
+type Done<'c> = (u64, Vec<Datagram<'c>>, Vec<PreRouted>);
 
 /// One replay in progress.
-struct Run<'c, 't, 'a> {
+struct Run<'c, 't, 'a, 'r> {
     reader: PcapReader<'c>,
     flush_packets: usize,
-    report: ReplayReport,
+    /// The pool slab the replay counts into.
+    slab: &'r ShardSlab,
+    /// Timestamp of the last datagram so far.
+    last_at: SimTime,
     tap: Option<&'t mut RecordTap<'a>>,
 }
 
-impl<'c> Run<'c, '_, '_> {
+impl<'c> Run<'c, '_, '_, '_> {
     /// The single-thread body: decode, classify and record datagram by
     /// datagram, hand each full batch to the engine.
     fn inline<S: AlertSink + ?Sized>(
@@ -157,7 +169,7 @@ impl<'c> Run<'c, '_, '_> {
                     exhausted = true;
                     break;
                 };
-                let (class, classified) = classify(&d, &mut self.report);
+                let (class, classified) = classify(&d, self.slab);
                 self.record(&d, class);
                 events.push(WireEvent {
                     classified,
@@ -171,9 +183,9 @@ impl<'c> Run<'c, '_, '_> {
             // clamps each event's time up to at least the clock, so a later
             // time would collapse the intra-batch timing the window and
             // timer machines depend on.
-            let now = events[0].at;
+            let (now, len) = (events[0].at, events.len());
             pool.process_wire_batch(&mut events, now, &mut teed(&mut self.tap, sink));
-            self.batch_done();
+            self.batch_done(len);
             self.dump(pool);
         }
         Ok(())
@@ -195,18 +207,18 @@ impl<'c> Run<'c, '_, '_> {
             // unbounded, while the bounded work queues cap what is in
             // flight.
             let (done_tx, done_rx) = mpsc::channel::<Done<'c>>();
+            let slab = self.slab;
             let mut work: Vec<_> = (0..threads)
                 .map(|_| {
                     let (tx, rx) = mpsc::sync_channel::<(u64, Vec<Datagram<'c>>)>(2);
                     let done = done_tx.clone();
                     scope.spawn(move || {
                         for (id, chunk) in rx {
-                            let mut counts = ReplayReport::default();
                             let out = chunk
                                 .iter()
-                                .map(|d| PreRouted::new(classify(d, &mut counts).1, d.at))
+                                .map(|d| PreRouted::new(classify(d, slab).1, d.at))
                                 .collect();
-                            if done.send((id, chunk, out, counts)).is_err() {
+                            if done.send((id, chunk, out)).is_err() {
                                 break;
                             }
                         }
@@ -249,7 +261,7 @@ impl<'c> Run<'c, '_, '_> {
                     break;
                 }
                 // Re-sequence: wait for the oldest outstanding batch.
-                let (_, chunk, mut events, counts) = loop {
+                let (_, chunk, mut events) = loop {
                     if let Some(done) = ready.remove(&submitted) {
                         break done;
                     }
@@ -257,15 +269,13 @@ impl<'c> Run<'c, '_, '_> {
                     ready.insert(done.0, done);
                 };
                 submitted += 1;
-                self.report.demux_unknown += counts.demux_unknown;
-                self.report.datagrams_ipv6 += counts.datagrams_ipv6;
                 if self.tap.is_some() {
                     for d in &chunk {
                         self.record(d, demux(d.src.port(), d.dst.port(), d.payload));
                     }
                 }
                 p.submit(&mut events, chunk[0].at, &mut teed(&mut self.tap, sink));
-                self.batch_done();
+                self.batch_done(chunk.len());
                 if dumping {
                     // A dump freezes window and counters at the alert's own
                     // batch, so the pipeline drains before the next batch
@@ -281,8 +291,7 @@ impl<'c> Run<'c, '_, '_> {
     fn next_datagram(&mut self) -> Result<Option<Datagram<'c>>, IngestError> {
         let d = self.reader.next_datagram()?;
         if let Some(d) = &d {
-            self.report.datagrams += 1;
-            self.report.last_at = self.report.last_at.max(d.at);
+            self.last_at = self.last_at.max(d.at);
         }
         Ok(d)
     }
@@ -294,9 +303,9 @@ impl<'c> Run<'c, '_, '_> {
         }
     }
 
-    /// Closes a batch the engine has taken.
-    fn batch_done(&mut self) {
-        self.report.batches += 1;
+    /// Closes a batch of `len` datagrams the engine has taken.
+    fn batch_done(&mut self, len: usize) {
+        self.slab.add(Counter::DatagramsRx, len as u64);
         if let Some(t) = &self.tap {
             t.recorder.mark_batch();
         }
@@ -314,13 +323,13 @@ impl<'c> Run<'c, '_, '_> {
     }
 }
 
-/// Demuxes and classifies one datagram, counting in `counts` what the
+/// Demuxes and classifies one datagram, counting on `slab` what the
 /// engine will not use.
-fn classify(d: &Datagram<'_>, counts: &mut ReplayReport) -> (WireClass, Classified) {
+fn classify(d: &Datagram<'_>, slab: &ShardSlab) -> (WireClass, Classified) {
     let (class, classified) = classify_datagram(d);
     match class {
-        WireClass::Unknown => counts.demux_unknown += 1,
-        WireClass::Ipv6 => counts.datagrams_ipv6 += 1,
+        WireClass::Unknown => slab.inc(Counter::DemuxUnknown),
+        WireClass::Ipv6 => slab.inc(Counter::DatagramsIpv6),
         _ => {}
     }
     (class, classified)

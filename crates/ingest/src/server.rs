@@ -55,9 +55,9 @@
 //! [`dump_flag_on_sigusr1`] wired into [`ServeOptions::snapshot_flag`],
 //! `SIGUSR1` requests an on-demand `.vdump` of the live rings.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use vids_core::config::Config;
@@ -118,7 +118,9 @@ impl ServeOptions {
     }
 }
 
-/// What a serve session did, reported after shutdown.
+/// What a serve session did, reported after shutdown: the pool slab's
+/// counts across the call, so a pool that serves twice reports each
+/// session on its own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeReport {
     /// Datagrams received and classified.
@@ -136,20 +138,13 @@ pub struct ServeReport {
     pub ended_at: SimTime,
 }
 
-/// Shared ingest-side counters, updated by receivers, read by the
-/// coordinator (and mirrored into telemetry when enabled).
-#[derive(Default)]
-struct IngestStats {
-    rx: AtomicU64,
-    dropped: AtomicU64,
-    unknown: AtomicU64,
-    ipv6: AtomicU64,
-    backlog: Vec<AtomicU64>,
-}
-
 /// Binds `opts.receivers` sockets to `listen` and runs the serve loop
 /// until `stop` becomes true. Blocks the calling thread; alerts stream
 /// into `sink` in deterministic merge order.
+///
+/// `telemetry` is redundant: receivers count into the pool's own
+/// registry ([`VidsPool::registry`]) whether it is given or not. It is
+/// kept only for existing callers (ROADMAP item 12 deletes it).
 pub fn serve<S: AlertSink + ?Sized>(
     pool: &mut VidsPool,
     listen: std::net::SocketAddr,
@@ -167,27 +162,25 @@ pub fn serve<S: AlertSink + ?Sized>(
 /// tests that need the resolved port before traffic starts. The one serve
 /// loop: a receiver thread per socket batching [`PreRouted`] events over
 /// a channel, the calling thread as coordinator driving the pool's
-/// pipeline session. The socket-side counters are mirrored into
-/// `telemetry`'s pool slab when given.
+/// pipeline session. Receivers count datagrams, demux misses, IPv6 drops,
+/// shed datagrams and their socket backlog straight into the pool slab of
+/// [`VidsPool::registry`]; `telemetry` is redundant, as in [`serve`].
 pub fn serve_on<S: AlertSink + ?Sized>(
     pool: &mut VidsPool,
     udp: UdpPool,
     opts: &ServeOptions,
-    telemetry: Option<&Registry>,
+    _telemetry: Option<&Registry>,
     stop: &AtomicBool,
     tap: Option<&mut RecordTap<'_>>,
     sink: &mut S,
 ) -> Result<ServeReport, IngestError> {
-    let slab = telemetry.map(Registry::pool);
+    let registry = Arc::clone(pool.registry());
+    let slab = registry.pool();
+    let before = slab.counts();
     let mode = udp.mode();
     let epoch = Instant::now();
     let sources = udp.into_sources(epoch, opts.read_timeout);
     debug_assert!(mode != PoolMode::Single || sources.len() == 1);
-
-    let stats = IngestStats {
-        backlog: (0..sources.len()).map(|_| AtomicU64::new(0)).collect(),
-        ..Default::default()
-    };
     // Both channels are bounded, so neither allocates per message. Every
     // recycled `Vec` is one a receiver handed over, so the recycle channel
     // fills only if the receivers stop taking buffers back; the coordinator
@@ -202,15 +195,14 @@ pub fn serve_on<S: AlertSink + ?Sized>(
     // the coordinator keeps the tap for batch marks and dumps.
     let recorder: Option<&Recorder> = tap.as_deref().map(|t| t.recorder);
 
-    let report = pool.with_pipeline(|ingress| {
+    let ended_at = pool.with_pipeline(|ingress| {
         std::thread::scope(|scope| {
             for (i, source) in sources.into_iter().enumerate() {
                 let tx = batch_tx.clone();
                 let recycle = &recycle_rx;
-                let stats = &stats;
                 let opts = *opts;
                 scope.spawn(move || {
-                    receiver_loop(source, i, tx, recycle, stats, &opts, stop, recorder)
+                    receiver_loop(source, i, tx, recycle, slab, &opts, stop, recorder)
                 });
             }
             // The receivers hold the only senders now; `Disconnected` on the
@@ -218,20 +210,18 @@ pub fn serve_on<S: AlertSink + ?Sized>(
             // last batch and exited.
             drop(batch_tx);
 
-            coordinator_loop(
-                ingress,
-                slab,
-                &batch_rx,
-                &recycle_tx,
-                &stats,
-                opts,
-                epoch,
-                tap,
-                sink,
-            )
+            coordinator_loop(ingress, &batch_rx, &recycle_tx, opts, epoch, tap, sink)
         })
     });
-    Ok(report)
+    let count = |c: Counter| slab.get(c) - before[c as usize];
+    Ok(ServeReport {
+        datagrams_rx: count(Counter::DatagramsRx),
+        datagrams_dropped: count(Counter::DatagramsDropped),
+        demux_unknown: count(Counter::DemuxUnknown),
+        datagrams_ipv6: count(Counter::DatagramsIpv6),
+        batches: count(Counter::BatchesIngested),
+        ended_at,
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -240,7 +230,7 @@ fn receiver_loop(
     index: usize,
     tx: SyncSender<Vec<PreRouted>>,
     recycle: &Mutex<Receiver<Vec<PreRouted>>>,
-    stats: &IngestStats,
+    slab: &ShardSlab,
     opts: &ServeOptions,
     stop: &AtomicBool,
     recorder: Option<&Recorder>,
@@ -248,11 +238,14 @@ fn receiver_loop(
     let mut batcher = Batcher::default();
     let slots = source.poll_slots();
     let mut polls: u32 = 0;
+    // This receiver's share of the pool's socket-backlog gauge.
+    let mut backlog = 0;
     while !stop.load(Ordering::Relaxed) {
         polls = polls.wrapping_add(1);
         if polls.is_multiple_of(BACKLOG_EVERY) {
             if let Some(b) = source.backlog_bytes() {
-                stats.backlog[index].store(b, Ordering::Relaxed);
+                slab.shift_gauge(Gauge::SocketBacklog, backlog, b);
+                backlog = b;
             }
         }
         let polled = source.poll_batch(&mut |d| {
@@ -264,11 +257,11 @@ fn receiver_loop(
             if let Some(rec) = recorder {
                 rec.record(index, d.at, d.src, d.dst, recorded_class(class), d.payload);
             }
-            stats.rx.fetch_add(1, Ordering::Relaxed);
+            slab.inc(Counter::DatagramsRx);
             if class == WireClass::Unknown {
-                stats.unknown.fetch_add(1, Ordering::Relaxed);
+                slab.inc(Counter::DemuxUnknown);
             } else if class == WireClass::Ipv6 {
-                stats.ipv6.fetch_add(1, Ordering::Relaxed);
+                slab.inc(Counter::DatagramsIpv6);
             }
             batcher.push(PreRouted::new(classified, d.at));
         });
@@ -289,17 +282,13 @@ fn receiver_loop(
                             room = false;
                         }
                         Err(TrySendError::Disconnected(batch)) => {
-                            stats
-                                .dropped
-                                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                            slab.add(Counter::DatagramsDropped, batch.len() as u64);
                             break;
                         }
                     }
                 }
                 Flush::Shed => {
-                    stats
-                        .dropped
-                        .fetch_add(batcher.shed() as u64, Ordering::Relaxed);
+                    slab.add(Counter::DatagramsDropped, batcher.shed() as u64);
                     break;
                 }
             }
@@ -311,10 +300,10 @@ fn receiver_loop(
         let batch = batcher.take(|| recycled(recycle));
         let len = batch.len() as u64;
         if tx.send(batch).is_err() {
-            stats.dropped.fetch_add(len, Ordering::Relaxed);
+            slab.add(Counter::DatagramsDropped, len);
         }
     }
-    stats.backlog[index].store(0, Ordering::Relaxed);
+    slab.shift_gauge(Gauge::SocketBacklog, backlog, 0);
 }
 
 /// A batch buffer the coordinator has sent back, if one is waiting.
@@ -326,20 +315,17 @@ fn recycled<T>(recycle: &Mutex<Receiver<Vec<T>>>) -> Option<Vec<T>> {
         .ok()
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Submits batches and ticks until every receiver has gone; returns the
+/// time of the final tick.
 fn coordinator_loop<S: AlertSink + ?Sized>(
     ingress: &mut PipelineIngress<'_, '_>,
-    slab: Option<&ShardSlab>,
     batch_rx: &Receiver<Vec<PreRouted>>,
     recycle_tx: &SyncSender<Vec<PreRouted>>,
-    stats: &IngestStats,
     opts: &ServeOptions,
     epoch: Instant,
     mut tap: Option<&mut RecordTap<'_>>,
     sink: &mut S,
-) -> ServeReport {
-    let mut batches = 0u64;
-    let mut published = ServeReport::default();
+) -> SimTime {
     let mut last_tick = Instant::now();
     loop {
         match batch_rx.recv_timeout(opts.tick_interval) {
@@ -356,7 +342,6 @@ fn coordinator_loop<S: AlertSink + ?Sized>(
                 if let Some(t) = &tap {
                     t.recorder.mark_batch();
                 }
-                batches += 1;
                 let _ = recycle_tx.try_send(events);
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -384,7 +369,6 @@ fn coordinator_loop<S: AlertSink + ?Sized>(
                 }
             }
         }
-        publish(stats, slab, batches, &mut published, ingress.in_flight());
     }
     // All receivers flushed and exited; every batch has been submitted.
     // One final tick drains what is in flight and fires any pending timers.
@@ -393,61 +377,11 @@ fn coordinator_loop<S: AlertSink + ?Sized>(
     if let Some(t) = tap {
         t.dump_new(ingress.pool());
     }
-    publish(stats, slab, batches, &mut published, 0);
-    ServeReport {
-        ended_at,
-        ..published
-    }
+    ended_at
 }
 
 fn wall(epoch: Instant) -> SimTime {
     SimTime::from_nanos(epoch.elapsed().as_nanos() as u64)
-}
-
-/// Mirrors the ingest-side counters into the engine's telemetry slab as
-/// deltas, so its `datagrams_rx` / `demux_unknown` / `datagrams_dropped`
-/// counters and the `socket_backlog` gauge stay current.
-fn publish(
-    stats: &IngestStats,
-    slab: Option<&ShardSlab>,
-    batches: u64,
-    published: &mut ServeReport,
-    in_flight: u64,
-) {
-    let now = ServeReport {
-        datagrams_rx: stats.rx.load(Ordering::Relaxed),
-        datagrams_dropped: stats.dropped.load(Ordering::Relaxed),
-        demux_unknown: stats.unknown.load(Ordering::Relaxed),
-        datagrams_ipv6: stats.ipv6.load(Ordering::Relaxed),
-        batches,
-        ended_at: published.ended_at,
-    };
-    if let Some(slab) = slab {
-        slab.add(
-            Counter::DatagramsRx,
-            now.datagrams_rx - published.datagrams_rx,
-        );
-        slab.add(
-            Counter::DatagramsDropped,
-            now.datagrams_dropped - published.datagrams_dropped,
-        );
-        slab.add(
-            Counter::DemuxUnknown,
-            now.demux_unknown - published.demux_unknown,
-        );
-        slab.add(
-            Counter::DatagramsIpv6,
-            now.datagrams_ipv6 - published.datagrams_ipv6,
-        );
-        let backlog: u64 = stats
-            .backlog
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum();
-        slab.set_gauge(Gauge::SocketBacklog, backlog);
-        slab.set_gauge(Gauge::PipelineDepth, in_flight);
-    }
-    *published = now;
 }
 
 /// `SIGINT` is 2 on every Unix.

@@ -107,6 +107,8 @@ fn serve_an_invite_flood(shards: usize) {
     assert_eq!(report.datagrams_dropped, 0);
     assert_eq!(report.demux_unknown, 0, "INVITEs must demux as signaling");
     assert!(report.batches >= 1);
+    // Telemetry is off: the counts are in the pool slab all the same.
+    assert_conserved(&pool);
     assert!(
         sink.alerts()
             .iter()
@@ -441,5 +443,22 @@ fn a_stalled_coordinator_sheds_whole_batches_and_counts_them() {
         processed + report.datagrams_dropped,
         report.datagrams_rx,
         "every datagram processed or counted as dropped: {report:?}, {c:?}"
+    );
+    assert_conserved(&pool);
+}
+
+/// Every datagram a served pool received was ingested or counted as
+/// dropped, in the pool slab that is the one store of the counts.
+fn assert_conserved(pool: &VidsPool) {
+    let slab = pool.registry().pool();
+    let (rx, ingested, dropped) = (
+        slab.get(Counter::DatagramsRx),
+        slab.get(Counter::PacketsIngested),
+        slab.get(Counter::DatagramsDropped),
+    );
+    assert_eq!(
+        rx,
+        ingested + dropped,
+        "received {rx}, ingested {ingested}, dropped {dropped}"
     );
 }

@@ -10,7 +10,8 @@
 //!   [`metrics::Gauge`] and [`metrics::HistId`] name every slot at compile
 //!   time, so recording is an array index, never a hash lookup.
 //! * [`slab::ShardSlab`] — one cache-friendly block of relaxed atomics per
-//!   shard, allocated once at startup. The record path is wait-free and
+//!   shard, allocated once when its engine or pool is built: the one store
+//!   of every count, telemetry on or off. The record path is wait-free and
 //!   allocation-free, preserving the engine's warm-packet allocation budget
 //!   (see `tests/alloc_budget.rs` in the workspace root).
 //! * [`hist::AtomicHistogram`] — log₂-bucketed histograms recorded with one

@@ -1,7 +1,7 @@
 //! The fixed metric inventory.
 //!
 //! Every metric the engine records has a compile-time slot here. Recording
-//! is `slab.counters[c as usize].fetch_add(1, Relaxed)` — no hash lookup,
+//! is one relaxed write to `slab.counters[c as usize]` — no hash lookup,
 //! no registration protocol, no allocation. Adding a metric means adding a
 //! variant, a name, and an `ALL` entry; the slab arrays size themselves
 //! from `COUNT`.
@@ -48,8 +48,9 @@ pub enum Counter {
     MergeNanos,
     /// Datagrams received from a wire source (socket or pcap replay).
     DatagramsRx,
-    /// Datagrams the ingestion tier dropped before classification (socket
-    /// errors, oversized payloads, receiver backpressure).
+    /// Datagrams the ingestion tier received but never handed to the
+    /// engine: batches a receiver shed, already classified, because the
+    /// hand-off to the coordinator stayed full or was gone.
     DatagramsDropped,
     /// Datagrams the demultiplexer declined to map to SIP or RTP/RTCP.
     DemuxUnknown,

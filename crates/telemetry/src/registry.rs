@@ -1,5 +1,6 @@
 //! The per-process telemetry handle: one slab per shard plus one
-//! pool-level slab, all allocated up front.
+//! pool-level slab, all allocated up front. It is the one store of every
+//! count the engines, the pool and the ingest tier keep.
 
 use std::sync::Arc;
 
@@ -21,9 +22,18 @@ impl Registry {
     /// # Panics
     /// If `shards == 0`.
     pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "registry needs at least one shard slab");
+        Self::over((0..shards).map(|_| Arc::new(ShardSlab::new())).collect())
+    }
+
+    /// A registry over shard slabs that already exist (a standalone
+    /// engine's own slab), plus a fresh pool-level slab.
+    ///
+    /// # Panics
+    /// If `shards` is empty.
+    pub fn over(shards: Vec<Arc<ShardSlab>>) -> Self {
+        assert!(!shards.is_empty(), "registry needs at least one shard slab");
         Self {
-            shards: (0..shards).map(|_| Arc::new(ShardSlab::new())).collect(),
+            shards,
             pool: Arc::new(ShardSlab::new()),
         }
     }

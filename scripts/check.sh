@@ -86,6 +86,20 @@ awk '
     exit 1
 }
 
+# One set of counters: every count lives in a telemetry slab (the engine's
+# own, the pool's registry), and a report is a reading of it. An engine
+# that bumps a `counters.<field>` of its own, or a serve or replay loop
+# that declares an `AtomicU64` tally, keeps a second store that the slab
+# then has to be kept in step with.
+echo "==> one store of counts (telemetry slabs)"
+tallies="$( (grep -rnE 'counters\.[a-z_]+[[:space:]]*\+=' crates/core/src
+    grep -nE 'AtomicU64' crates/ingest/src/server.rs crates/ingest/src/replay.rs) || true)"
+if [ -n "$tallies" ]; then
+    echo "a count kept outside the telemetry slabs:" >&2
+    echo "$tallies" >&2
+    exit 1
+fi
+
 # Scanning substrate: exhaustive 0..=64 alignment/tail unit tests plus
 # the proptest oracle asserting every SWAR finder agrees with its naive
 # scalar twin on arbitrary bytes.

@@ -304,7 +304,6 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
 
     let cfg = Config::builder()
         .shards(shards)
-        .listen(listen)
         .build()
         .map_err(|e| format!("bad --shards {shards}: {e}"))?;
     // Live serving measures real wall-clock cost; the simulated per-packet

@@ -186,8 +186,8 @@ fn memory_bytes_agrees_with_the_allocator() {
 }
 
 /// E5's ceilings, bytes per call: what this layout measures plus 1 %.
-const E5_HALF_OPEN_CEILING: usize = 418;
-const E5_ESTABLISHED_CEILING: usize = 431;
+const E5_HALF_OPEN_CEILING: usize = 410;
+const E5_ESTABLISHED_CEILING: usize = 423;
 
 /// E5's traffic for call `i`: one caller dials one callee with an SDP
 /// offer; an established call also gets the callee's SDP answer.

@@ -7,11 +7,10 @@ use std::sync::Arc;
 use vids::core::machines::{rtp::rtp_session_machine, sip::sip_call_machine, RtpArgs, SipArgs};
 use vids::core::Config;
 use vids::efsm::network::Network;
-use vids::efsm::Event;
+use vids::efsm::{Event, Trace};
 
 fn fig2_network() -> Network {
     let mut net = Network::new();
-    net.enable_trace();
     net.add_machine(Arc::new(sip_call_machine(&Config::default())));
     net.add_machine(Arc::new(rtp_session_machine(&Config::default())));
     net
@@ -45,11 +44,11 @@ fn invite_event() -> Event {
 fn fig2_invite_synchronizes_both_machines() {
     let mut net = fig2_network();
     let sip = net.machine_by_name("sip").unwrap();
-    let out = net.deliver(sip, invite_event(), 0);
+    let mut trace = Trace::new();
+    let out = net.deliver_observed(sip, invite_event(), 0, &mut trace);
     assert!(!out.is_suspicious());
     assert_eq!(out.transitions, 2, "SIP step plus the δ-driven RTP step");
 
-    let trace = net.trace().unwrap();
     assert_eq!(trace.path_of("sip"), vec!["INIT", "INVITE_RCVD"]);
     assert_eq!(trace.path_of("rtp"), vec!["INIT", "RTP_OPEN"]);
 
@@ -70,7 +69,8 @@ fn sync_events_outrank_data_events() {
     let mut net = fig2_network();
     let sip = net.machine_by_name("sip").unwrap();
     let rtp = net.machine_by_name("rtp").unwrap();
-    net.deliver(sip, invite_event(), 0);
+    let mut trace = Trace::new();
+    net.deliver_observed(sip, invite_event(), 0, &mut trace);
 
     // Answer publishes callee media and syncs δ.update...
     let ok = SipArgs::event("SIP.2xx")
@@ -79,7 +79,7 @@ fn sync_events_outrank_data_events() {
         .with_named("has_sdp", true)
         .with_named("sdp_ip", ip("10.2.0.10"))
         .with_named("sdp_port", 30_000u64);
-    net.deliver(sip, ok, 10);
+    net.deliver_observed(sip, ok, 10, &mut trace);
 
     // ...then an RTP data packet arrives. In the trace, the δ.update step
     // must precede the RTP.Packet step even though both touch the RTP
@@ -94,15 +94,10 @@ fn sync_events_outrank_data_events() {
         .with_named("ts", 0u64)
         .with_named("pt", 18u64)
         .with_named("size", 50u64);
-    let out = net.deliver(rtp, media, 10);
+    let out = net.deliver_observed(rtp, media, 10, &mut trace);
     assert!(!out.is_suspicious());
 
-    let rtp_steps: Vec<String> = net
-        .trace()
-        .unwrap()
-        .for_machine("rtp")
-        .map(|e| e.event.clone())
-        .collect();
+    let rtp_steps: Vec<String> = trace.for_machine("rtp").map(|e| e.event.clone()).collect();
     let update_pos = rtp_steps
         .iter()
         .position(|e| e.contains("δ.update"))

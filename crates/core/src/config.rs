@@ -1,5 +1,5 @@
-//! Detection thresholds and timers (§6 and §7.5), plus the live-ingestion
-//! knobs the `vids-ingest` receiver pool reads.
+//! Detection thresholds and timers (§6 and §7.5), plus the placement
+//! knobs a pool and an offline replay read.
 
 use vids_netsim::time::SimTime;
 
@@ -62,14 +62,6 @@ pub struct Config {
     /// partitions monitored calls across. A plain [`crate::engine::Vids`]
     /// ignores this.
     pub shards: usize,
-    /// Live ingestion: a receiver hands its batch over as soon as its
-    /// socket drains, or once the batch holds this many datagrams while
-    /// the socket stays busy. While the hand-off is full the batch grows
-    /// to this size and is then shed (counted as dropped).
-    pub batch_flush_packets: usize,
-    /// Live ingestion: the receivers' read timeout, and so the longest a
-    /// batch waits on a quiet socket. Recorded in every `.vdump`.
-    pub batch_flush_interval: SimTime,
     /// Offline replay: how far past the last captured packet the final
     /// timer sweep runs, so hanging-call and media-silence timers near the
     /// end of a capture still fire. The historical hard-coded value (30 s)
@@ -99,8 +91,6 @@ impl Default for Config {
             eviction_delay: SimTime::from_secs(5),
             cross_protocol_sync: true,
             shards: 1,
-            batch_flush_packets: 256,
-            batch_flush_interval: SimTime::from_millis(10),
             replay_grace: SimTime::from_secs(30),
             max_tracked_calls: 0,
         }
@@ -240,20 +230,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Live ingestion: the largest batch a receiver accumulates while its
-    /// socket stays busy or the hand-off is full.
-    pub fn batch_flush_packets(mut self, packets: usize) -> Self {
-        self.config.batch_flush_packets = packets;
-        self
-    }
-
-    /// Live ingestion: longest one receiver read blocks, and so the longest
-    /// a batch waits on a quiet socket.
-    pub fn batch_flush_interval(mut self, interval: SimTime) -> Self {
-        self.config.batch_flush_interval = interval;
-        self
-    }
-
     /// Offline replay: grace period the final timer sweep runs past the
     /// last captured packet.
     pub fn replay_grace(mut self, grace: SimTime) -> Self {
@@ -297,12 +273,6 @@ impl ConfigBuilder {
         if c.shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
-        if c.batch_flush_packets == 0 {
-            return Err(ConfigError::ZeroThreshold("batch_flush_packets"));
-        }
-        if c.batch_flush_interval.is_zero() {
-            return Err(ConfigError::ZeroWindow("batch_flush_interval"));
-        }
         if c.replay_grace.is_zero() {
             return Err(ConfigError::ZeroWindow("replay_grace"));
         }
@@ -325,30 +295,14 @@ mod tests {
             "must exceed one G.729 second"
         );
         assert!(c.cross_protocol_sync);
-        assert!(c.batch_flush_packets > 0);
-        assert!(!c.batch_flush_interval.is_zero());
         assert_eq!(c.replay_grace, SimTime::from_secs(30));
     }
 
     #[test]
     fn ingestion_knobs_validate_like_shards() {
-        let built = Config::builder()
-            .batch_flush_packets(64)
-            .batch_flush_interval(SimTime::from_millis(5))
-            .build()
-            .unwrap();
-        assert_eq!(built.batch_flush_packets, 64);
-        assert_eq!(built.batch_flush_interval, SimTime::from_millis(5));
-
         assert_eq!(
-            Config::builder().batch_flush_packets(0).build(),
-            Err(ConfigError::ZeroThreshold("batch_flush_packets"))
-        );
-        assert_eq!(
-            Config::builder()
-                .batch_flush_interval(SimTime::ZERO)
-                .build(),
-            Err(ConfigError::ZeroWindow("batch_flush_interval"))
+            Config::builder().shards(0).build(),
+            Err(ConfigError::ZeroShards)
         );
         assert_eq!(
             Config::builder()

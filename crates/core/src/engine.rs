@@ -2,9 +2,8 @@
 //! machines, collects attack-state entries and specification deviations,
 //! and raises [`Alert`]s.
 //!
-//! Alerts flow through the push-based [`AlertSink`] API ([`Vids::process`]);
-//! the legacy collect-into-a-`Vec` entry point ([`Vids::process`]) remains as a
-//! deprecated shim. The packet path is decomposed into `ingest_*` parts so the
+//! Alerts flow through the push-based [`AlertSink`] API ([`Vids::process`]).
+//! The packet path is decomposed into `ingest_*` parts so the
 //! sharded [`crate::pool::VidsPool`] can route each part of a packet (per-call
 //! machine, per-destination flood machine) to a different shard while reusing
 //! exactly this engine's semantics.

@@ -523,9 +523,6 @@ pub struct VidsPool {
     config: Config,
     cost: CostModel,
     cpu: CpuAccount,
-    /// Alerts merged and handed to a sink so far. The pool keeps no copy
-    /// of them: the sink is the record.
-    alerts_merged: u64,
     last_sweep_ms: u64,
     /// Monotonic clamp over packet timestamps: EFSM networks require
     /// non-decreasing time, so a late-stamped packet is processed at the
@@ -590,7 +587,6 @@ impl VidsPool {
             config,
             cost,
             cpu: CpuAccount::new(),
-            alerts_merged: 0,
             last_sweep_ms: 0,
             last_packet_ms: 0,
             registry: Arc::new(Registry::new(n)),
@@ -766,7 +762,7 @@ impl VidsPool {
     /// tenant-mapped pool hands each one over with its tenant
     /// ([`AlertSink::accept_from`]).
     pub fn alerts_merged(&self) -> u64 {
-        self.alerts_merged
+        self.registry.pool().get(Counter::AlertsMerged)
     }
 
     /// Aggregate traffic counters across all shards.
@@ -1156,7 +1152,9 @@ impl VidsPool {
     fn merge_into<S: AlertSink + ?Sized>(&mut self, tagged: &mut Vec<TaggedAlert>, sink: &mut S) {
         let merge_started = self.traced.then(Instant::now);
         tagged.sort_unstable_by(TaggedAlert::merge_order);
-        self.alerts_merged += tagged.len() as u64;
+        // Their count, not a copy (the sink is the record); one writer.
+        let pool = self.registry.pool();
+        pool.add_owned(Counter::AlertsMerged, tagged.len() as u64);
         for entry in tagged.drain(..) {
             sink.accept_from(entry.tenant, entry.alert);
         }
@@ -1262,10 +1260,11 @@ impl VidsPool {
             let result = f(&mut ingress);
             // Quiesce the engines. Drivers flush (tick) into their own sink
             // before returning, so this merges no alert.
-            let merged = ingress.pool.alerts_merged;
+            let merged = ingress.pool.alerts_merged();
             ingress.flush(&mut crate::sink::NullSink);
             debug_assert_eq!(
-                ingress.pool.alerts_merged, merged,
+                ingress.pool.alerts_merged(),
+                merged,
                 "a pipeline session ended with alerts in flight"
             );
             result

@@ -8,6 +8,8 @@
 //! calls whose datagrams arrive out of protocol order, calls relayed by an
 //! address-rewriting proxy, a media coordinate reused by a later call,
 //! media that outlives its call's eviction, and [`fuzzed`] junk.
+//! [`knob_traces`] adds one trace per §6 pattern knob the other two never
+//! move.
 
 use vids_attacks::craft::{self, DialogSnapshot, Target};
 use vids_core::alert::labels;
@@ -49,11 +51,13 @@ fn push(trace: &mut Trace, (src, dst): (Address, Address), payload: Payload, at_
     trace.push(pkt(src, dst, payload, at_ms));
 }
 
-fn sip(message: impl std::fmt::Display) -> Payload {
+/// A SIP payload carrying `message`'s text.
+pub fn sip(message: impl std::fmt::Display) -> Payload {
     Payload::Sip(message.to_string())
 }
 
-fn rtp(seq: u16, ts: u32, ssrc: u32) -> Payload {
+/// A G.729 RTP payload (type 18) with 10 bytes of audio.
+pub fn rtp(seq: u16, ts: u32, ssrc: u32) -> Payload {
     let packet = RtpPacket::new(18, seq, ts, ssrc).with_payload(vec![0; 10]);
     Payload::Rtp(packet.to_bytes())
 }
@@ -76,9 +80,13 @@ pub fn answer(inv: &Request, ip: &str, port: u16) -> Payload {
 /// A full clean call `k` starting at `t0`, with distinct endpoints and media
 /// coordinates per call so calls land on different shards.
 pub fn clean_call(trace: &mut Trace, k: u8, t0: u64) {
-    let caller = Address::new(10, 1, 0, k, 5060);
-    let callee = Address::new(10, 2, 0, k, 5060);
-    dialog(trace, &format!("det-clean-{k}"), (caller, callee), None, t0);
+    dialog(trace, &format!("det-clean-{k}"), parties(k), None, t0);
+}
+
+/// The SIP addresses of call `k`'s parties: 10.1.0.k and 10.2.0.k.
+fn parties(k: u8) -> (Address, Address) {
+    let at = |net| Address::new(10, net, 0, k, 5060);
+    (at(1), at(2))
 }
 
 /// INVITE, 180, 200 with SDP, ACK, ten media packets each way, BYE and its
@@ -233,12 +241,9 @@ pub fn mixed_trace() -> Trace {
     let (setup, attack) = bye_dos("det-victim", 3_000, 3_500);
     trace.extend(timed(setup).chain(timed(attack)));
     // DRDoS reflection: responses to a call nobody monitored.
-    let ghost_ok = invite("det-ghost", "10.9.9.9", 24_000).response(StatusCode::OK);
     let reflector = Address::new(172, 16, 0, 80, 5060);
     let ends = (reflector, Address::new(10, 2, 0, 5, 5060));
-    for i in 0..12u64 {
-        push(&mut trace, ends, sip(&ghost_ok), 5_000 + i * 5);
-    }
+    reflection(&mut trace, "det-ghost", ends, (5_000, 5));
     // Strays: unassociated RTP, malformed SIP and RTP, raw background noise.
     let src = Address::new(172, 16, 0, 90, 40_000);
     let dst = Address::new(10, 2, 0, 2, 41_000);
@@ -255,6 +260,62 @@ pub fn mixed_trace() -> Trace {
     let hijack = register_packet(attacker, "172.16.0.66", 3_600);
     push(&mut trace, (attacker, registrar), hijack, 5_500);
     seal(trace)
+}
+
+/// Twelve 200 OKs to `id`, a call nobody monitored, from a reflector to
+/// its victim, `gap_ms` apart from `t0`.
+fn reflection(trace: &mut Trace, id: &str, ends: (Address, Address), (t0, gap_ms): (u64, u64)) {
+    let ghost_ok = invite(id, "10.9.9.9", 24_000).response(StatusCode::OK);
+    for i in 0..12u64 {
+        push(trace, ends, sip(&ghost_ok), t0 + i * gap_ms);
+    }
+}
+
+/// INVITE, 200 OK and ACK of call `id` between `ends` from `t0`, media
+/// caller:20000 ↔ callee:30000. Returns the INVITE.
+pub fn setup(trace: &mut Trace, id: &str, ends: (Address, Address), t0: u64) -> Request {
+    let inv = invite(id, &ends.0.ip_string(), 20_000);
+    push(trace, ends, sip(&inv), t0);
+    let answered = answer(&inv, &ends.1.ip_string(), 30_000);
+    push(trace, (ends.1, ends.0), answered, t0 + 30);
+    let ack = Request::in_dialog(Method::Ack, &inv, 1, Some("tt"));
+    push(trace, ends, sip(ack), t0 + 60);
+    inv
+}
+
+/// One trace per §6 pattern knob the other corpus traces never move: an
+/// RTP flood (350 packets 2 ms apart in one call), a reflection of 12
+/// responses 60 ms apart (more than 10 a 1 s window, at most six a 300 ms
+/// one), and a finished call's BYE retransmitted 3 s and 7 s after its 200
+/// (either side of the 5 s eviction delay), raw datagrams every 200 ms
+/// driving the sweeps.
+pub fn knob_traces() -> [Trace; 3] {
+    let mut flood = Vec::new();
+    let (caller, callee) = parties(60);
+    let inv = setup(&mut flood, "knob-rtp-flood", (caller, callee), 0);
+    let media = (caller.with_port(20_000), callee.with_port(30_000));
+    for i in 0..350u16 {
+        let at = 100 + u64::from(i) * 2;
+        push(&mut flood, media, rtp(1_000 + i, u32::from(i) * 80, 11), at);
+    }
+    let bye = Request::in_dialog(Method::Bye, &inv, 2, Some("tt"));
+    push(&mut flood, (caller, callee), sip(&bye), 900);
+    let mut reflected = Vec::new();
+    let reflector = Address::new(172, 16, 0, 81, 5060);
+    let ends = (reflector, Address::new(10, 2, 0, 61, 5060));
+    reflection(&mut reflected, "knob-ghost", ends, (0, 60));
+    let mut evicted = Vec::new();
+    dialog(&mut evicted, "knob-eviction", parties(62), None, 0);
+    let inv = invite("knob-eviction", &parties(62).0.ip_string(), 20_000);
+    let bye = sip(Request::in_dialog(Method::Bye, &inv, 2, Some("tt")));
+    push(&mut evicted, parties(62), bye.clone(), 3_290);
+    push(&mut evicted, parties(62), bye, 7_290);
+    let noise = Address::new(172, 16, 0, 91, 40_002);
+    let noise = (noise, Address::new(10, 2, 0, 3, 1_001));
+    for i in 0..40u64 {
+        push(&mut evicted, noise, Payload::Raw(vec![7; 4]), 300 + i * 200);
+    }
+    [flood, reflected, evicted].map(seal)
 }
 
 /// Whether a packet classifies on the wire exactly as in process: SIP on

@@ -20,7 +20,7 @@ use vids_harness::corpus;
 use vids_harness::matrix::{check, matrix, plain, pool, Shape, PROXY_TENANTS, README_TENANTS};
 use vids_harness::mutate::mutate_sip;
 use vids_harness::rng::XorShift64;
-use vids_harness::traffic::{fuzzed, generated, mixed_trace};
+use vids_harness::traffic::{fuzzed, generated, knob_traces, mixed_trace, Trace};
 use vids_sip::parse::parse_message;
 use vids_sip::view::parse_view;
 
@@ -125,22 +125,29 @@ fn telemetry_recording_never_changes_detection() {
     assert!(!out.alerts.is_empty(), "a vacuous oracle");
 }
 
-/// The seeded corpus: the curated mixed trace (seed 0) and generated
-/// reordered traffic (`vids_harness::traffic::generated`), at several batch
-/// sizes, through the whole placement matrix under `tenants`, and through a
-/// plain engine where it must match. The flight recorder, which replays
-/// every dump it writes (most of a cell's time), records `mixed_trace` and
-/// seeds 1–4 at every batch size and seeds 5–8 at one size each in turn.
+/// Case `seed` of the seeded corpus: the curated mixed trace (0),
+/// generated reordered traffic (`SEEDS`) and, past them, the traces of
+/// the §6 pattern knobs nothing else moves (`knob_traces`).
+fn corpus_case(seed: u64) -> Trace {
+    match seed {
+        0 => mixed_trace(),
+        1..=8 => generated(seed),
+        _ => knob_traces()[seed as usize - SEEDS.len() - 1].clone(),
+    }
+}
+
+/// The seeded corpus (`corpus_case`, cases 0–11) at several batch sizes,
+/// through the whole placement matrix under `tenants`, and through a plain
+/// engine where it must match. The flight recorder, which replays every
+/// dump it writes (most of a cell's time), records `mixed_trace` and seeds
+/// 1–4 at every batch size and every later case at one size each in turn.
 /// One test per tenant setting, each running alternate traces on two
 /// threads, so the cores stay busy while the last test runs alone.
 fn every_placement_on_the_seeded_corpus(tenants: Option<&'static str>) {
+    let cases = SEEDS.len() as u64 + knob_traces().len() as u64;
     let traces = |half: u64| {
-        for seed in [0].into_iter().chain(SEEDS).filter(|seed| seed % 2 == half) {
-            let trace = if seed == 0 {
-                mixed_trace()
-            } else {
-                generated(seed)
-            };
+        for seed in (0..=cases).filter(|seed| seed % 2 == half) {
+            let trace = corpus_case(seed);
             for (i, batch) in [1, 7, 25].into_iter().enumerate() {
                 let mut placements = matrix(tenants);
                 if seed > 4 && i != seed as usize % 3 {

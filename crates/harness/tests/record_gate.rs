@@ -23,6 +23,7 @@ use vids_harness::traffic::pkt;
 use vids_ingest::pcap::LINKTYPE_RAW;
 use vids_ingest::record_tap::RecordTap;
 use vids_ingest::replay::replay_pcap;
+use vids_ingest::FLUSH_PACKETS;
 use vids_netsim::packet::{Address, Packet, Payload};
 use vids_netsim::time::SimTime;
 use vids_record::{minimize, replay_vdump, Recorder, Vdump};
@@ -67,7 +68,7 @@ fn flood_capture() -> Vec<u8> {
 /// the recorder attached gives the alerts and counters it gives without.
 #[test]
 fn record_tap_never_changes_detection() {
-    let batch = Config::default().batch_flush_packets;
+    let batch = FLUSH_PACKETS;
     let out = check(&flood_trace(), batch, &[replay(1, 1), recorded(1, 2)]);
     out.covers(&[labels::INVITE_FLOOD]);
     let recorded = run(&flood_trace(), batch, &recorded(1, 1))
@@ -90,7 +91,7 @@ fn regenerate_corpus() {
     replay_pcap(
         flood_capture(),
         &mut pool,
-        config.batch_flush_packets,
+        FLUSH_PACKETS,
         None,
         Some(&mut tap),
         &mut sink,

@@ -63,6 +63,7 @@ pub use record_tap::{recorded_class, RecordTap};
 pub use replay::{replay_pcap, replay_pcap_parallel, ReplayReport};
 pub use server::{
     dump_flag_on_sigusr1, serve, serve_on, stop_flag_on_sigint, ServeOptions, ServeReport,
+    FLUSH_PACKETS, READ_TIMEOUT,
 };
 pub use source::{IngestError, Polled, WireSource};
 pub use udp::{PoolMode, UdpPool, UdpSource};

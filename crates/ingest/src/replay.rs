@@ -36,11 +36,6 @@ use crate::pcap::PcapReader;
 use crate::record_tap::{recorded_class, teed, RecordTap};
 use crate::source::IngestError;
 
-/// The historical hard-coded grace period. The pipeline now reads
-/// [`vids_core::config::Config::replay_grace`] (same default); this
-/// constant remains for callers that need the value without a config.
-pub const REPLAY_GRACE: SimTime = SimTime::from_secs(30);
-
 /// What a replay processed: the pool slab's counts across the call, so a
 /// pool that replays twice reports each capture on its own.
 #[derive(Debug, Clone, Copy, Default)]

@@ -80,8 +80,14 @@ const BACKLOG_EVERY: u32 = 64;
 /// start growing their batches and, once full, shedding them.
 const HANDOFF_BATCHES: usize = 64;
 
-/// Tuning for one serve session, lifted from [`Config`]'s ingestion
-/// knobs plus wall-clock cadences the engine does not care about.
+/// The batch size a receiver hands over at while its socket stays busy,
+/// and sheds at while the hand-off is full; an offline replay's too.
+pub const FLUSH_PACKETS: usize = 256;
+/// The longest one receiver read blocks: a batch's wait on a quiet socket.
+pub const READ_TIMEOUT: Duration = Duration::from_millis(10);
+
+/// Tuning for one serve session: the receiver count a pool's shards set,
+/// plus wall-clock cadences the engine does not care about.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Receiver thread / socket count.
@@ -102,16 +108,13 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Derives serve tuning from the engine config: `shards` receiver
-    /// threads, `batch_flush_packets` as the batch size, and
-    /// `batch_flush_interval` (at least 1 ms) as the read timeout, which
-    /// makes it the longest a batch waits on a quiet socket.
+    /// Serve tuning for a pool built on `config`: `shards` receivers,
+    /// [`FLUSH_PACKETS`] and [`READ_TIMEOUT`].
     pub fn from_config(config: &Config) -> Self {
-        let flush = Duration::from_nanos(config.batch_flush_interval.as_nanos());
         ServeOptions {
             receivers: config.shards,
-            flush_packets: config.batch_flush_packets,
-            read_timeout: flush.max(Duration::from_millis(1)),
+            flush_packets: FLUSH_PACKETS,
+            read_timeout: READ_TIMEOUT,
             tick_interval: Duration::from_millis(100),
             snapshot_flag: None,
         }

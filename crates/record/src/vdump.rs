@@ -10,28 +10,26 @@
 //! terminated by the END section (len 0)
 //! ```
 //!
-//! Sections of version 1:
+//! Sections of version 2:
 //!
 //! | tag    | payload                                                     |
 //! |--------|-------------------------------------------------------------|
-//! | `CONF` | every detection/ingestion knob of [`Config`] + ring size,   |
-//! |        | then the call quota when one is set                         |
-//! | `TNTS` | per tenant: name, prefix, `CONF` and call quota (optional)  |
+//! | `CONF` | every [`Config`] field, in field order, + the ring size     |
+//! | `TNTS` | per tenant: name, prefix and its [`Config`] (optional)      |
 //! | `PKTS` | the captured datagram window, oldest → newest               |
 //! | `ALRT` | the triggering [`Alert`], via [`encode_alert`]              |
 //! | `SNAP` | states and variables of the triggering call (optional)      |
 //! | `CTRS` | engine counters + total alerts at dump time                 |
 //! | `END`  | empty terminator                                            |
 //!
-//! Unknown tags are skipped (their CRC is still verified), so later
-//! versions can append sections without breaking old readers. `TNTS` is
-//! such a section: it is written only by a pool with more than one tenant,
-//! and a reader that predates it replays the dump untenanted. The call
-//! quota rides the same way at the end of `CONF`: written only when set,
-//! so a default dump is byte-identical to one written before quotas, and a
-//! reader that predates it replays the dump unbounded. Every decode
-//! failure is a [`VdumpError`] carrying the byte offset where parsing
-//! stopped, pcap-reader style.
+//! `CONF` has one fixed layout: exactly the knobs a replay rebuilds its
+//! pool from (the call quota included, `0` when unbounded), then the
+//! telemetry ring. `TNTS` is written only by a pool with more than one
+//! tenant. Unknown tags are skipped (their CRC is still verified), so a
+//! later version can append sections. A dump of another version is
+//! refused at byte 4: its verdict is reproducible only on the engine that
+//! wrote it. Every decode failure is a [`VdumpError`] carrying the byte
+//! offset where parsing stopped, pcap-reader style.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -49,8 +47,11 @@ use crate::ring::{RecordedClass, SlotMeta};
 
 /// Format magic.
 pub const MAGIC: &[u8; 4] = b"VDMP";
-/// Current format version.
-pub const VERSION: u16 = 1;
+/// Current format version. Version 2 gave `CONF` its one fixed layout
+/// (the call quota a fixed word, no ingestion knobs); a version-1 dump is
+/// refused, since its verdict is reproducible only on the engine that
+/// wrote it.
+pub const VERSION: u16 = 2;
 
 /// One captured datagram inside a dump: the ring's [`SlotMeta`] plus the
 /// raw wire bytes.
@@ -152,8 +153,10 @@ fn section(out: &mut Vec<u8>, tag: &[u8; 4], payload: &[u8]) {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
-fn encode_config(c: &Config, telemetry_ring: u32) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::new() };
+/// The knobs a replay rebuilds its pool from, in [`Config`]'s field
+/// order: `CONF` is these plus the telemetry ring, and each `TNTS` tenant
+/// carries them for its own engine group.
+fn encode_config(e: &mut Enc, c: &Config) {
     e.u64(c.invite_flood_n);
     e.u64(c.invite_flood_t1.as_nanos());
     e.u64(c.bye_dos_t.as_nanos());
@@ -167,11 +170,8 @@ fn encode_config(c: &Config, telemetry_ring: u32) -> Vec<u8> {
     e.u64(c.eviction_delay.as_nanos());
     e.u8(c.cross_protocol_sync as u8);
     e.u64(c.shards as u64);
-    e.u64(c.batch_flush_packets as u64);
-    e.u64(c.batch_flush_interval.as_nanos());
     e.u64(c.replay_grace.as_nanos());
-    e.u32(telemetry_ring);
-    e.buf
+    e.u64(c.max_tracked_calls as u64);
 }
 
 fn encode_tenants(tenants: &TenantMap) -> Vec<u8> {
@@ -181,9 +181,7 @@ fn encode_tenants(tenants: &TenantMap) -> Vec<u8> {
         e.str(&t.name);
         e.u32(t.prefix);
         e.u8(t.prefix_len);
-        e.buf.extend_from_slice(&encode_config(&t.config, 0));
-        // `CONF` predates call quotas; a tenant's is part of its policy.
-        e.u64(t.config.max_tracked_calls as u64);
+        encode_config(&mut e, &t.config);
     }
     e.buf
 }
@@ -273,12 +271,10 @@ impl Vdump {
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes());
-        let mut conf = encode_config(&self.config, self.telemetry_ring);
-        if self.config.max_tracked_calls > 0 {
-            // `CONF` predates call quotas; a set one follows it.
-            conf.extend_from_slice(&(self.config.max_tracked_calls as u64).to_le_bytes());
-        }
-        section(&mut out, b"CONF", &conf);
+        let mut conf = Enc { buf: Vec::new() };
+        encode_config(&mut conf, &self.config);
+        conf.u32(self.telemetry_ring);
+        section(&mut out, b"CONF", &conf.buf);
         if let Some(tenants) = &self.tenants {
             section(&mut out, b"TNTS", &encode_tenants(tenants));
         }
@@ -340,12 +336,8 @@ impl Vdump {
             let mut s = Dec::at(payload, payload_off);
             match &tag {
                 b"CONF" => {
-                    let (mut c, ring) = parse_config(&mut s)?;
-                    if !s.is_done() {
-                        c.max_tracked_calls = s.u64()? as usize;
-                    }
-                    config = Some(c);
-                    telemetry_ring = ring;
+                    config = Some(parse_config(&mut s)?);
+                    telemetry_ring = s.u32()?;
                 }
                 b"TNTS" => tenants = Some(parse_tenants(&mut s)?),
                 b"PKTS" => packets = Some(parse_packets(&mut s)?),
@@ -413,8 +405,8 @@ impl Vdump {
         .unwrap();
         writeln!(
             out,
-            "engine:   {} shard(s), flush {} pkts, telemetry ring {}",
-            self.config.shards, self.config.batch_flush_packets, self.telemetry_ring
+            "engine:   {} shard(s), telemetry ring {}",
+            self.config.shards, self.telemetry_ring
         )
         .unwrap();
         if let Some(tenants) = &self.tenants {
@@ -514,11 +506,6 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// Whether every byte has been read.
-    fn is_done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
     fn err(&self, reason: &'static str) -> VdumpError {
         VdumpError {
             offset: self.off,
@@ -555,6 +542,9 @@ impl<'a> Dec<'a> {
     fn i64(&mut self) -> Result<i64, VdumpError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    fn time(&mut self) -> Result<SimTime, VdumpError> {
+        Ok(SimTime::from_nanos(self.u64()?))
+    }
 
     fn blob(&mut self) -> Result<&'a [u8], VdumpError> {
         let len = self.u32()? as usize;
@@ -571,48 +561,29 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn parse_config(d: &mut Dec) -> Result<(Config, u32), VdumpError> {
-    let invite_flood_n = d.u64()?;
-    let invite_flood_t1 = SimTime::from_nanos(d.u64()?);
-    let bye_dos_t = SimTime::from_nanos(d.u64()?);
-    let spam_seq_gap = d.i64()?;
-    let spam_ts_gap = d.i64()?;
-    let rtp_flood_max_packets = d.u64()?;
-    let rtp_flood_window = SimTime::from_nanos(d.u64()?);
-    let response_flood_n = d.u64()?;
-    let response_flood_window = SimTime::from_nanos(d.u64()?);
-    let teardown_linger = SimTime::from_nanos(d.u64()?);
-    let eviction_delay = SimTime::from_nanos(d.u64()?);
-    let cross_protocol_sync = d.u8()? != 0;
-    let shards = d.u64()? as usize;
-    let batch_flush_packets = d.u64()? as usize;
-    let batch_flush_interval = SimTime::from_nanos(d.u64()?);
-    let replay_grace = SimTime::from_nanos(d.u64()?);
-    let telemetry_ring = d.u32()?;
-    let at = d.off;
+/// Reads [`encode_config`]'s layout through the validating builder.
+fn parse_config(d: &mut Dec) -> Result<Config, VdumpError> {
     let config = Config::builder()
-        .invite_flood_threshold(invite_flood_n)
-        .invite_flood_window(invite_flood_t1)
-        .bye_dos_linger(bye_dos_t)
-        .spam_seq_gap(spam_seq_gap)
-        .spam_ts_gap(spam_ts_gap)
-        .rtp_flood_max_packets(rtp_flood_max_packets)
-        .rtp_flood_window(rtp_flood_window)
-        .response_flood_threshold(response_flood_n)
-        .response_flood_window(response_flood_window)
-        .teardown_linger(teardown_linger)
-        .eviction_delay(eviction_delay)
-        .cross_protocol_sync(cross_protocol_sync)
-        .shards(shards)
-        .batch_flush_packets(batch_flush_packets)
-        .batch_flush_interval(batch_flush_interval)
-        .replay_grace(replay_grace)
-        .build()
-        .map_err(|_| VdumpError {
-            offset: at,
-            reason: "recorded configuration fails validation",
-        })?;
-    Ok((config, telemetry_ring))
+        .invite_flood_threshold(d.u64()?)
+        .invite_flood_window(d.time()?)
+        .bye_dos_linger(d.time()?)
+        .spam_seq_gap(d.i64()?)
+        .spam_ts_gap(d.i64()?)
+        .rtp_flood_max_packets(d.u64()?)
+        .rtp_flood_window(d.time()?)
+        .response_flood_threshold(d.u64()?)
+        .response_flood_window(d.time()?)
+        .teardown_linger(d.time()?)
+        .eviction_delay(d.time()?)
+        .cross_protocol_sync(d.u8()? != 0)
+        .shards(d.u64()? as usize)
+        .replay_grace(d.time()?)
+        .max_tracked_calls(d.u64()? as usize);
+    let at = d.off;
+    config.build().map_err(|_| VdumpError {
+        offset: at,
+        reason: "recorded configuration fails validation",
+    })
 }
 
 fn parse_tenants(d: &mut Dec) -> Result<TenantMap, VdumpError> {
@@ -625,8 +596,7 @@ fn parse_tenants(d: &mut Dec) -> Result<TenantMap, VdumpError> {
         if prefix_len > 32 {
             return Err(d.err("tenant prefix longer than 32 bits"));
         }
-        let (mut config, _) = parse_config(d)?;
-        config.max_tracked_calls = d.u64()? as usize;
+        let config = parse_config(d)?;
         tenants.push(Tenant {
             name,
             prefix,
@@ -862,6 +832,15 @@ mod tests {
         let err = Vdump::parse(&bytes).unwrap_err();
         assert_eq!(err.offset, 0);
         assert!(err.reason.contains("magic"));
+    }
+
+    #[test]
+    fn a_version_1_dump_is_refused_at_its_version() {
+        let mut bytes = sample().encode();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let err = Vdump::parse(&bytes).unwrap_err();
+        assert_eq!(err.offset, 4);
+        assert_eq!(err.reason, "unsupported version");
     }
 
     #[test]

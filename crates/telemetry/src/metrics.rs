@@ -69,11 +69,13 @@ pub enum Counter {
     /// INVITEs refused a new call-table entry because the fact base was at
     /// its configured `max_tracked_calls` quota.
     CallQuotaDrops,
+    /// Alerts the pool's deterministic merge handed to a sink.
+    AlertsMerged,
 }
 
 impl Counter {
     /// Number of counter slots; sizes the slab arrays.
-    pub const COUNT: usize = 26;
+    pub const COUNT: usize = 27;
 
     /// Every variant, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -103,6 +105,7 @@ impl Counter {
         Counter::PipelineStalls,
         Counter::DatagramsIpv6,
         Counter::CallQuotaDrops,
+        Counter::AlertsMerged,
     ];
 
     /// Stable snake_case name used in JSON/CSV export.
@@ -134,6 +137,7 @@ impl Counter {
             Counter::PipelineStalls => "pipeline_stalls",
             Counter::DatagramsIpv6 => "datagrams_ipv6",
             Counter::CallQuotaDrops => "call_quota_drops",
+            Counter::AlertsMerged => "alerts_merged",
         }
     }
 

@@ -162,22 +162,23 @@ echo "==> correctness harness (fuzz + oracles + lane model checker)"
 VIDS_FUZZ_ITERS="${VIDS_FUZZ_ITERS:-10000}" \
     cargo test --offline -p vids-harness -q -- --skip every_placement
 
-# Placement matrix (crates/harness/src/matrix.rs): the curated mixed trace
-# and the generated corpus of seeds 1-8 (reordered calls, proxied calls
+# Placement matrix (crates/harness/src/matrix.rs): the curated mixed trace,
+# the generated corpus of seeds 1-8 (reordered calls, proxied calls
 # under tenant maps, a reused media coordinate, media past eviction,
-# junk) at batch sizes 1, 7 and 25, through a plain engine, the pool at
+# junk) and the knob traces (an RTP flood, a response flood spread over
+# its window, BYE retransmissions either side of eviction) at batch sizes
+# 1, 7 and 25, through a plain engine, the pool at
 # {1, 2, 3, 4, 5, 8} shards, the pipeline session, parallel pcap replay,
 # the flight recorder (every dump replayed; the mixed trace and seeds 1-4
-# recorded at every batch size, seeds 5-8 at one each), the Cluster shim
+# recorded at every batch size, every later case at one each), the Cluster shim
 # at three node layouts and set_nodes rebalances, under one tenant and
 # two tenant maps, one test per tenant setting on two threads each; one
 # canonical output (alerts, counters, monitored calls, deterministic
 # telemetry) per run, compared under the written exceptions in
 # matrix.rs. The root suites are its curated cases (pool, wire, cluster
 # and tenancy, recorder round trip). Wall time of the matrix with a warm
-# debug build on a 2-vCPU Xeon guest: 31-34 s (the earlier seeds 1-4
-# matrix, one test with a node axis on the pool: 34-35 s on the same
-# host in the same hour).
+# debug build on a 2-vCPU Xeon guest: 27.6-28.8 s (27.1-28.9 s without
+# the knob traces, on the same host in the same hour).
 echo "==> placement matrix (seeded corpus, every deployment shape)"
 cargo test --offline -p vids-harness --test differential -q every_placement
 cargo test --offline -q --test pool_determinism --test replay_differential \
@@ -208,6 +209,34 @@ if [ -n "$placement" ]; then
     echo "$placement" >&2
     exit 1
 fi
+
+# Every knob earns its place (tests/knobs.rs): a Config field without a
+# row fails that suite's `every_config_field_has_a_row`; here, each
+# tenants.conf key `apply_override` accepts and each flag `vids serve` and
+# `vids replay` parse must be listed in its TENANT_ROWS or FLAGS table,
+# and each listed one must still be parsed.
+echo "==> every tenant key and serve/replay flag has a knob row"
+knob_lists="$(mktemp -d)"
+awk '/^fn apply_override/,/^}/' crates/core/src/tenant.rs |
+    sed -n 's/^[[:space:]]*"\([a-z0-9_]*\)" =>.*/\1/p' | sort >"$knob_lists/keys"
+awk '/^const TENANT_ROWS/,/^\];/' tests/knobs.rs |
+    sed -n 's/^[[:space:]]*("\([a-z0-9_]*\)",.*/\1/p' | sort >"$knob_lists/key_rows"
+awk '/^fn (serve|replay)\(/,/^}/' src/main.rs |
+    grep -oE '\.(parsed|value|flag)\("--[a-z-]+"' | grep -oE -- '--[a-z-]+' |
+    sort -u >"$knob_lists/flags"
+awk '/^const FLAGS/,/^\];/' tests/knobs.rs |
+    sed -n 's/^[[:space:]]*("\(--[a-z-]*\)",.*/\1/p' | sort >"$knob_lists/flag_rows"
+rows_ok=true
+diff -u "$knob_lists/keys" "$knob_lists/key_rows" >&2 || rows_ok=false
+diff -u "$knob_lists/flags" "$knob_lists/flag_rows" >&2 || rows_ok=false
+[ -s "$knob_lists/keys" ] && [ -s "$knob_lists/flags" ] || rows_ok=false
+if [ "$rows_ok" = false ]; then
+    echo "parsed (-) and listed in tests/knobs.rs (+) differ: give each key and flag a row" >&2
+    rm -rf "$knob_lists"
+    exit 1
+fi
+echo "    $(wc -l <"$knob_lists/keys") tenant keys, $(wc -l <"$knob_lists/flags") flags"
+rm -rf "$knob_lists"
 
 # Count gate (ROADMAP 1a): the benchmark's own allocation counts and peak
 # RSS on all four workloads, through the command BENCHMARK.json declares,

@@ -405,9 +405,10 @@ fn serve(flags: &mut Flags) -> Result<i32, String> {
 /// daemon uses, at full speed, on the capture's own clock — or, given a
 /// `.vdump` forensic dump, deterministically verify its recorded alert.
 fn replay(flags: &mut Flags) -> Result<i32, String> {
-    use vids::core::{CollectSink, Config, VidsPool};
+    use vids::core::{CollectSink, Config, CostModel, VidsPool};
     use vids::ingest::record_tap::RecordTap;
     use vids::ingest::replay::replay_pcap_parallel;
+    use vids::ingest::server::FLUSH_PACKETS;
     use vids::record::Recorder;
 
     let file = flags
@@ -429,7 +430,7 @@ fn replay(flags: &mut Flags) -> Result<i32, String> {
         .map_err(|e| format!("bad --shards {shards}: {e}"))?;
     let capture = std::fs::read(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
 
-    let mut pool = VidsPool::new(cfg);
+    let mut pool = VidsPool::with_cost(cfg, CostModel::free());
     let registry = pool.enable_telemetry(256);
     let recorder = record_dir.as_ref().map(|_| {
         let mut rec = Recorder::with_defaults(1);
@@ -444,7 +445,7 @@ fn replay(flags: &mut Flags) -> Result<i32, String> {
     let report = replay_pcap_parallel(
         capture,
         &mut pool,
-        cfg.batch_flush_packets,
+        FLUSH_PACKETS,
         threads,
         Some(&registry),
         tap.as_mut(),
@@ -572,7 +573,7 @@ fn top(flags: &mut Flags) -> Result<i32, String> {
         end = chunk.last().map(|p| p.sent_at).unwrap_or(end);
         pool.process_batch(chunk, end, &mut NullSink);
     }
-    end += SimTime::from_secs(30);
+    end += pool.config().replay_grace;
     pool.tick(end, &mut NullSink);
     let snap = pool
         .telemetry_snapshot(end)

@@ -9,7 +9,7 @@
 //! re-encode to its own bytes.
 
 use vids::core::alert::labels;
-use vids::core::Config;
+use vids::ingest::FLUSH_PACKETS;
 use vids::netsim::packet::Address;
 use vids::record::Vdump;
 use vids_harness::matrix::*;
@@ -23,7 +23,7 @@ fn recorded_flood_dump_replays_byte_identically_on_a_fresh_engine() {
     );
     let flood = invite_flood((src, dst), "bob", "roundtrip-flood", 120, (10, 5));
     let trace: Vec<_> = flood.into_iter().map(|p| (p.clone(), p.sent_at)).collect();
-    let batch = Config::default().batch_flush_packets;
+    let batch = FLUSH_PACKETS;
     let out = run(&trace, batch, &recorded(1, 2).telemetry());
     compare(&run(&trace, batch, &pool(1).telemetry()), &out).unwrap();
     out.covers(&[labels::INVITE_FLOOD]);

@@ -10,6 +10,12 @@
 //! SIP, negotiated media coordinates for RTP) happens in the engine against
 //! the fact base.
 //!
+//! There is one classifier, and the bytes decide. [`classify_payload`]
+//! demultiplexes a datagram by its ports and payload ([`demux`]) and
+//! classifies what that names; a live socket, a pcap replay and an
+//! in-process [`Packet`] (whose payload tag is never read) all go through
+//! it, so one datagram classifies one way wherever it comes from.
+//!
 //! This is the engine's interning boundary. Of the SIP identifiers, only
 //! the two the engine keys on — the Call-ID, which groups a call, and a
 //! REGISTER's address-of-record, which keys a binding — are borrowed as
@@ -33,7 +39,7 @@ use std::net::Ipv4Addr;
 
 use vids_efsm::intern::{sym, InternError, MAX_SYMBOL_LEN};
 use vids_efsm::{Event, Fingerprint, Sym};
-use vids_netsim::packet::{Address, Packet, Payload, UDP_IP_OVERHEAD};
+use vids_netsim::packet::{Address, Packet, UDP_IP_OVERHEAD};
 use vids_rtp::packet::{ParseRtpError, RtpHeader};
 use vids_sip::view::{parse_view, SipView, StartLine};
 use vids_sip::Method;
@@ -69,26 +75,125 @@ pub enum Classified {
         /// Parser diagnosis; static so flagging damage never allocates.
         reason: &'static str,
     },
-    /// Traffic vids does not monitor (raw background payloads).
+    /// Traffic vids does not monitor: RTCP, and whatever the demux
+    /// recognises as neither SIP nor RTP.
     Ignored,
 }
 
 // Sizes are facts: one of these crosses the shard hand-off per datagram.
 const _: () = assert!(std::mem::size_of::<Classified>() <= 160);
 
-/// Classifies one packet into an EFSM event.
+/// Classifies one in-process packet: its payload's bytes through
+/// [`classify_payload`]. The payload's tag plays no part.
 pub fn classify(packet: &Packet) -> Classified {
-    match &packet.payload {
-        Payload::Sip(text) => classify_sip_text(text, packet.src, packet.dst),
-        Payload::Rtp(bytes) => classify_rtp_bytes(bytes, packet.src, packet.dst),
-        Payload::Raw(_) => Classified::Ignored,
+    let payload = packet.payload.as_bytes();
+    let class = demux(packet.src.port, packet.dst.port, payload);
+    classify_as(class, payload, packet.src, packet.dst)
+}
+
+/// The well-known SIP signaling port.
+pub const SIP_PORT: u16 = 5060;
+
+/// What the demultiplexer decided a datagram carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum WireClass {
+    /// SIP signaling (port 5060 on either side).
+    Sip,
+    /// RTP media (version-2 header, non-RTCP payload type).
+    Rtp,
+    /// RTCP control (version-2 header, packet type in RFC 5761's reserved
+    /// 192–223 range). Monitored implicitly through RTP; the engine
+    /// ignores it.
+    Rtcp,
+    /// An address family the engine does not model: plain IPv6 without an
+    /// IPv4-mapped form. Never produced by [`demux`] (which sees only the
+    /// payload); only the ingest tier's `classify_datagram` returns it, so
+    /// it can count v6 drops separately from payload junk.
+    Ipv6,
+    /// Anything else; the engine ignores it, the ingest tier counts it.
+    Unknown,
+}
+
+/// Decides the protocol of one UDP payload. Total and allocation-free.
+///
+/// Port 5060 claims the datagram for SIP outright; otherwise the RTP
+/// version bits are probed first (media vastly outnumbers signaling),
+/// then a SIP start-line prefix — so a daemon listening on a
+/// non-standard port still sees its signaling.
+#[inline]
+pub fn demux(src_port: u16, dst_port: u16, payload: &[u8]) -> WireClass {
+    if src_port == SIP_PORT || dst_port == SIP_PORT {
+        return WireClass::Sip;
+    }
+    // An RTP fixed header is 12 bytes and starts with version 2 in the
+    // top two bits. RTCP shares the version bits; its second byte is the
+    // packet type, and RFC 5761 §4 reserves the whole 192–223 range for
+    // RTCP when multiplexed with RTP (192–195 legacy FIR/NACK/SMPTETC/IJ,
+    // 200–204 SR through APP, 205–207 RTPFB/PSFB/XR, the rest unassigned
+    // but reserved). Those values collide with RTP payload types 64–95
+    // only when the marker bit is set, which real codecs do not combine
+    // with payload types in that band.
+    if payload.len() >= 12 && payload[0] >> 6 == 2 {
+        if (192..=223).contains(&payload[1]) {
+            return WireClass::Rtcp;
+        }
+        return WireClass::Rtp;
+    }
+    if starts_like_sip(payload) {
+        return WireClass::Sip;
+    }
+    WireClass::Unknown
+}
+
+/// RFC 3261 start-line prefixes: a response status line or a request
+/// method followed by a space.
+///
+/// Instead of fourteen prefix compares this does one 8-byte magic compare
+/// for the status line, then scans the leading token run (clamped to the
+/// longest method plus one, so hostile all-token payloads cost O(1)) and
+/// resolves it with [`Method::from_token`]'s length dispatch. A token
+/// that isn't followed by exactly one space, or that isn't a known
+/// method, is not a start line — same decisions as the prefix table.
+fn starts_like_sip(payload: &[u8]) -> bool {
+    const STATUS_MAGIC: &[u8; 8] = b"SIP/2.0 ";
+    if payload.len() >= 8 && &payload[..8] == STATUS_MAGIC {
+        return true;
+    }
+    // No known method is longer than SUBSCRIBE (9 bytes); a 10-byte run
+    // can't resolve, so nothing past byte 9 needs scanning.
+    let head = &payload[..payload.len().min(10)];
+    let run = vids_scan::token_run(head);
+    if run == 0 || run >= payload.len() || payload[run] != b' ' {
+        return false;
+    }
+    Method::from_token(&payload[..run]).is_some()
+}
+
+/// The Packet Classifier: demultiplexes one datagram between `src` and
+/// `dst` ([`demux`]) and classifies its payload as what that names. RTCP
+/// and unknown payloads are [`Classified::Ignored`]. Returns the demux
+/// decision alongside, so the ingest tier can count `DemuxUnknown`. Total:
+/// any bytes classify, and none panic.
+#[inline]
+pub fn classify_payload(src: Address, dst: Address, payload: &[u8]) -> (WireClass, Classified) {
+    let class = demux(src.port, dst.port, payload);
+    (class, classify_as(class, payload, src, dst))
+}
+
+/// [`classify_payload`]'s second half, shared with [`classify`], which
+/// builds its result in place rather than moving it out of a pair (a
+/// copy of one `Classified` per packet).
+#[inline]
+fn classify_as(class: WireClass, payload: &[u8], src: Address, dst: Address) -> Classified {
+    match class {
+        WireClass::Sip => classify_wire(WireProto::Sip, payload, src, dst),
+        WireClass::Rtp => classify_wire(WireProto::Rtp, payload, src, dst),
+        WireClass::Rtcp | WireClass::Ipv6 | WireClass::Unknown => Classified::Ignored,
     }
 }
 
-/// The protocol the wire demultiplexer decided a datagram carries. The
-/// third demux outcome — traffic vids does not monitor — never reaches
-/// classification; the ingest layer maps it to [`Classified::Ignored`]
-/// directly, mirroring [`Payload::Raw`].
+/// The protocol a datagram's payload is parsed as: what [`demux`] decided,
+/// or what a recorded dump says it decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireProto {
     /// Treat the payload as a SIP message (UTF-8 text).
@@ -97,16 +202,13 @@ pub enum WireProto {
     Rtp,
 }
 
-/// Classifies one datagram payload straight off the wire, without
-/// materializing a [`Packet`]. Produces exactly what [`classify`] would
-/// for the equivalent `Payload::Sip`/`Payload::Rtp` packet — the replay
-/// differential tests depend on that equivalence byte for byte.
+/// Parses one datagram payload as `proto`, without materializing a
+/// [`Packet`]. [`classify_payload`] calls it with the demux's decision;
+/// a `.vdump` replay calls it with the decision the dump recorded.
 pub fn classify_wire(proto: WireProto, payload: &[u8], src: Address, dst: Address) -> Classified {
     match proto {
         WireProto::Sip => match std::str::from_utf8(payload) {
             Ok(text) => classify_sip_text(text, src, dst),
-            // `Payload::Sip` holds a `String`, so the in-process path can
-            // never see this reason; real sockets can.
             Err(_) => Classified::Malformed {
                 protocol: "SIP",
                 reason: "SIP datagram is not valid UTF-8",
@@ -349,7 +451,7 @@ fn rtp_event(header: &RtpHeader, src: Address, dst: Address, wire_bytes: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vids_netsim::packet::Address;
+    use vids_netsim::packet::{Address, Payload};
     use vids_netsim::time::SimTime;
     use vids_rtp::packet::RtpPacket;
     use vids_sdp::{Codec, SessionDescription};
@@ -463,14 +565,18 @@ mod tests {
                 ..
             }
         ));
-        let pkt = packet(Payload::Rtp(vec![0x00, 0x01]));
-        assert!(matches!(
+        // A version-2 header with a CSRC list: RTP to the demux, more than
+        // the parser models.
+        let mut pkt = packet(Payload::Rtp(vec![0x81, 18, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]));
+        pkt.src.port = 20_000;
+        pkt.dst.port = 30_000;
+        assert_eq!(
             classify(&pkt),
             Classified::Malformed {
                 protocol: "RTP",
-                ..
+                reason: "unsupported CSRC count",
             }
-        ));
+        );
     }
 
     #[test]
@@ -557,7 +663,9 @@ mod tests {
 
     #[test]
     fn raw_traffic_is_ignored() {
-        let pkt = packet(Payload::Raw(vec![1, 2, 3]));
+        let mut pkt = packet(Payload::Raw(vec![1, 2, 3]));
+        pkt.src.port = 20_000;
+        pkt.dst.port = 30_000;
         assert_eq!(classify(&pkt), Classified::Ignored);
     }
 
@@ -586,10 +694,81 @@ mod tests {
             classify_wire(WireProto::Sip, b"NOT SIP AT ALL", src, dst),
             classify(&packet(Payload::Sip("NOT SIP AT ALL".to_owned())))
         );
+        // Two bytes on port 5060 are SIP to the demux, whatever the tag.
         assert_eq!(
-            classify_wire(WireProto::Rtp, &[0x00, 0x01], src, dst),
+            classify_wire(WireProto::Sip, &[0x00, 0x01], src, dst),
             classify(&packet(Payload::Rtp(vec![0x00, 0x01])))
         );
+    }
+
+    #[test]
+    fn port_5060_wins_over_payload_shape() {
+        let rtp_looking = [0x80u8; 12];
+        assert_eq!(demux(5060, 40_000, &rtp_looking), WireClass::Sip);
+        assert_eq!(demux(40_000, 5060, &rtp_looking), WireClass::Sip);
+        assert_eq!(demux(40_000, 40_001, &rtp_looking), WireClass::Rtp);
+    }
+
+    #[test]
+    fn rtcp_packet_types_split_from_rtp() {
+        let mut pkt = [0x80u8; 12];
+        for pt in 192..=223u8 {
+            pkt[1] = pt;
+            assert_eq!(
+                demux(40_000, 40_001, &pkt),
+                WireClass::Rtcp,
+                "packet type {pt} is in RFC 5761's reserved RTCP range"
+            );
+        }
+        pkt[1] = 18; // G.729
+        assert_eq!(demux(40_000, 40_001, &pkt), WireClass::Rtp);
+    }
+
+    /// Regression pins for the 200–204 → 192–223 widening: the boundary
+    /// values on both sides, plus the RTPFB/PSFB types (205/206) that used
+    /// to reach the RTP machine as a phantom media stream.
+    #[test]
+    fn rtcp_range_boundaries_pin_rfc_5761() {
+        let mut pkt = [0x80u8; 12];
+        for (pt, want) in [
+            (191u8, WireClass::Rtp), // marker + PT 63: below the range
+            (192, WireClass::Rtcp),  // legacy FIR (RFC 2032)
+            (205, WireClass::Rtcp),  // RTPFB (RFC 4585)
+            (206, WireClass::Rtcp),  // PSFB (RFC 4585)
+            (223, WireClass::Rtcp),  // top of the reserved range
+            (224, WireClass::Rtp),   // marker + PT 96: dynamic payload
+        ] {
+            pkt[1] = pt;
+            assert_eq!(demux(40_000, 40_001, &pkt), want, "packet type {pt}");
+        }
+    }
+
+    #[test]
+    fn sip_start_lines_are_signaling_on_any_port() {
+        let invite = b"INVITE sip:bob@10.2.0.10 SIP/2.0\r\n\r\n";
+        assert_eq!(demux(44_000, 15_060, invite), WireClass::Sip);
+        let resp = b"SIP/2.0 200 OK\r\n\r\n";
+        assert_eq!(demux(15_060, 44_000, resp), WireClass::Sip);
+        // A bare method name without the trailing space is not a
+        // start line.
+        assert_eq!(demux(44_000, 15_060, b"INVITE"), WireClass::Unknown);
+    }
+
+    #[test]
+    fn short_or_versionless_payloads_are_unknown() {
+        assert_eq!(demux(40_000, 40_001, &[0x80; 11]), WireClass::Unknown);
+        assert_eq!(demux(40_000, 40_001, &[0x00; 12]), WireClass::Unknown);
+        assert_eq!(demux(40_000, 40_001, b""), WireClass::Unknown);
+    }
+
+    #[test]
+    fn rtcp_in_an_rtp_tagged_packet_is_ignored() {
+        let mut sender_report = vec![0x80u8; 28];
+        sender_report[1] = 200;
+        let mut pkt = packet(Payload::Rtp(sender_report));
+        pkt.src.port = 20_001;
+        pkt.dst.port = 30_001;
+        assert_eq!(classify(&pkt), Classified::Ignored);
     }
 
     #[test]

@@ -67,20 +67,9 @@ impl CostModel {
         }
     }
 
-    /// The CPU time a packet consumes.
-    pub fn cpu_for(&self, packet: &Packet) -> SimTime {
-        match packet.payload {
-            Payload::Sip(_) => self.sip_cpu,
-            Payload::Rtp(_) => self.rtp_cpu,
-            Payload::Raw(_) => SimTime::ZERO,
-        }
-    }
-
-    /// The CPU time a wire-classified datagram consumes. Matches
-    /// [`CostModel::cpu_for`] on the equivalent `Packet`: malformed
-    /// traffic is charged as the protocol it claimed to be, unmonitored
-    /// traffic is free — the replay differential tests depend on the two
-    /// accountings agreeing exactly.
+    /// The CPU time a classified datagram consumes: malformed traffic is
+    /// charged as the protocol the demux took it for, unmonitored traffic
+    /// is free.
     pub fn cpu_for_classified(&self, c: &Classified) -> SimTime {
         match c {
             Classified::Sip { .. } => self.sip_cpu,
@@ -167,10 +156,10 @@ mod tests {
         let m = CostModel::default();
         let mut acct = CpuAccount::new();
         for _ in 0..4_000 {
-            acct.charge(m.cpu_for(&pkt(Payload::Rtp(vec![0; 50]))));
+            acct.charge(m.rtp_cpu);
         }
         for _ in 0..10 {
-            acct.charge(m.cpu_for(&pkt(Payload::Sip("INVITE".into()))));
+            acct.charge(m.sip_cpu);
         }
         let overhead = acct.overhead_fraction(SimTime::from_secs(1));
         assert!(
@@ -183,7 +172,11 @@ mod tests {
     fn free_model_costs_nothing() {
         let m = CostModel::free();
         assert_eq!(m.hold_for(&pkt(Payload::Sip("x".into()))), SimTime::ZERO);
-        assert_eq!(m.cpu_for(&pkt(Payload::Rtp(vec![]))), SimTime::ZERO);
+        let rtp = Classified::Malformed {
+            protocol: "RTP",
+            reason: "",
+        };
+        assert_eq!(m.cpu_for_classified(&rtp), SimTime::ZERO);
     }
 
     #[test]

@@ -410,9 +410,10 @@ impl Vids {
     /// raises into `sink`.
     pub fn process<S: AlertSink + ?Sized>(&mut self, packet: &Packet, now: SimTime, sink: &mut S) {
         let now_ms = now.as_millis();
-        self.cpu.charge(self.cost.cpu_for(packet));
+        let classified = classify(packet);
+        self.cpu.charge(self.cost.cpu_for_classified(&classified));
         self.maintain(now_ms, sink);
-        self.dispatch(classify(packet), now_ms, sink);
+        self.dispatch(classified, now_ms, sink);
     }
 
     /// Advances idle timers and evicts finished calls, pushing timer-driven

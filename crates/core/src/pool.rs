@@ -813,10 +813,7 @@ impl VidsPool {
     }
 
     /// Processes a batch of packets, pushing alerts into `sink`.
-    /// Classifies each packet, then takes exactly
-    /// the wire path: [`CostModel::cpu_for`] and
-    /// [`CostModel::cpu_for_classified`] charge the same, so the two calls
-    /// differ only in who ran the classifier.
+    /// Classifies each packet, then takes exactly the wire path.
     pub fn process_batch<S: AlertSink + ?Sized>(
         &mut self,
         packets: &[Packet],

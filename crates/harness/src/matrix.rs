@@ -28,8 +28,6 @@
 //!   a rebalanced run differs from one that never rebalanced. It is
 //!   compared with the same node path at one shard per node: which calls
 //!   move depends on the nodes alone.
-//! * **Wire shapes** see the trace rendered to pcap, so they run on its
-//!   [`wire_safe`] packets against an in-process reference over the same.
 //! * **Batches are input, not placement.** A pool sweeps timers once per
 //!   batch and a plain engine once per 100 ms of packets, so a plain `Vids`
 //!   matches pools fed one datagram per batch, and on traffic with no timer
@@ -41,20 +39,19 @@ use std::ops::Range;
 use std::path::PathBuf;
 
 use vids_cluster::{Cluster, ClusterAlert};
-use vids_core::classify::classify;
+use vids_core::classify::{classify, demux, WireClass};
 use vids_core::pool::PreRouted;
 use vids_core::tenant::{TenantId, TenantMap};
 use vids_core::{Alert, AlertSink, Config, CostModel, Vids, VidsCounters, VidsPool};
 use vids_ingest::pcap::{PcapWriter, LINKTYPE_RAW};
 use vids_ingest::record_tap::RecordTap;
 use vids_ingest::replay::replay_pcap_parallel;
-use vids_netsim::packet::{Address, Packet, Payload};
+use vids_netsim::packet::{Address, Packet};
 use vids_netsim::time::SimTime;
 use vids_record::{replay_vdump, RecordedPacket, Recorder, RecorderStats, Vdump};
 use vids_telemetry::{Counter, SlabSnapshot};
 
 use crate::rng::XorShift64;
-use crate::traffic::wire_safe;
 
 /// README's `tenants.conf`: the two parties of most calls sit under
 /// different tenants' prefixes.
@@ -384,18 +381,14 @@ pub fn pcap(trace: &[(Packet, SimTime)], swapped: bool, linktype: u32) -> Vec<u8
     let socket = |a: Address| SocketAddrV4::new(Ipv4Addr::from(a.ip), a.port);
     let mut w = PcapWriter::with_format(swapped, linktype);
     for (p, at) in trace {
-        let payload = match &p.payload {
-            Payload::Sip(text) => text.as_bytes(),
-            Payload::Rtp(bytes) | Payload::Raw(bytes) => bytes,
-        };
-        w.push_udp(*at, socket(p.src), socket(p.dst), payload);
+        w.push_udp(*at, socket(p.src), socket(p.dst), p.payload.as_bytes());
     }
     w.into_bytes()
 }
 
 /// Replays `capture`, the rendering of `trace`, and checks the report: every
-/// datagram decoded, only raw noise unknown to the demux, the capture clock
-/// ending at the trace's last time.
+/// datagram decoded, each of the trace's payloads the demux calls unknown
+/// counted, the capture clock ending at the trace's last time.
 pub fn replay_checked<S: AlertSink + ?Sized>(
     trace: &[(Packet, SimTime)],
     capture: Vec<u8>,
@@ -406,13 +399,14 @@ pub fn replay_checked<S: AlertSink + ?Sized>(
 ) {
     let report = replay_pcap_parallel(capture, pool, batch, threads, None, tap, sink);
     let report = report.expect("replay");
-    let raw = |(p, _): &&(Packet, SimTime)| matches!(p.payload, Payload::Raw(_));
-    let unknown = report.demux_unknown as usize;
+    let unknown = |(p, _): &&(Packet, SimTime)| {
+        demux(p.src.port, p.dst.port, p.payload.as_bytes()) == WireClass::Unknown
+    };
     assert_eq!(report.datagrams as usize, trace.len());
     assert_eq!(
-        unknown,
-        trace.iter().filter(raw).count(),
-        "only raw noise is unknown"
+        report.demux_unknown as usize,
+        trace.iter().filter(unknown).count(),
+        "datagrams unknown to the demux"
     );
     assert_eq!(Some(report.last_at), trace.last().map(|(_, at)| *at));
 }
@@ -497,31 +491,23 @@ pub fn compare(want: &Output, got: &Output) -> Result<(), String> {
 }
 
 /// Runs every placement over `trace` at `batch` datagrams per batch and
-/// requires each to match the first. Wire placements run on the trace's
-/// wire-safe packets against the first placement re-run on those, and a
-/// rebalance against its own node path at one shard per node. Returns the
-/// first placement's output.
+/// requires each to match the first, except a rebalance, which must match
+/// its own node path at one shard per node. Returns the first placement's
+/// output.
 pub fn check(trace: &[(Packet, SimTime)], batch: usize, placements: &[Placement]) -> Output {
     let first = placements[0];
     let reference = run(trace, batch, &first);
-    let mut wire_trace = trace.to_vec();
-    wire_trace.retain(|(p, _)| wire_safe(p));
-    let mut wire_reference = None;
     let mut failures = Vec::new();
     for p in &placements[1..] {
         let own;
-        let (trace, want, against) = match p.shape {
+        let (want, against) = match p.shape {
             Shape::Rebalance { path, .. } => {
                 let mut one = *p;
                 one.shape = Shape::Rebalance { shards: 1, path };
                 own = run(trace, batch, &one);
-                (trace, &own, one)
+                (&own, one)
             }
-            Shape::Replay { .. } | Shape::Recorded { .. } => {
-                let want = wire_reference.get_or_insert_with(|| run(&wire_trace, batch, &first));
-                (&wire_trace[..], &*want, first)
-            }
-            _ => (trace, &reference, first),
+            _ => (&reference, first),
         };
         if let Err(e) = compare(want, &run(trace, batch, p)) {
             failures.push(format!("{p:?} (batch {batch}) vs {against:?}: {e}"));

@@ -2,9 +2,11 @@
 //! the one store of counts (the pool's telemetry registry), and the
 //! report a replay returns is that store read across the call.
 //!
-//! A replay of the curated mixed trace and generated seeds 1–4, through
-//! the placement matrix's replay shape at one classifier thread on one
-//! and four shards and at two threads on four shards, must satisfy
+//! A replay of every datagram of the curated mixed trace, generated seeds
+//! 1–4 and a fuzzed trace of 500 (RTCP, short and malformed RTP among
+//! them), through the placement matrix's replay shape at one classifier
+//! thread on one and four shards and at two threads on four shards, must
+//! satisfy
 //! `DatagramsRx == PacketsIngested`, and the engines must classify each
 //! ingested datagram once: as SIP, RTP, malformed or ignored. The live
 //! twin, `DatagramsRx == PacketsIngested + DatagramsDropped`, is asserted
@@ -14,7 +16,7 @@ use vids_core::sink::CollectSink;
 use vids_core::telemetry::Counter;
 use vids_core::{Config, CostModel, VidsPool};
 use vids_harness::matrix::{pcap, replay, run};
-use vids_harness::traffic::{generated, mixed_trace, wire_safe, Trace};
+use vids_harness::traffic::{fuzzed, generated, mixed_trace, Trace};
 use vids_ingest::pcap::LINKTYPE_RAW;
 use vids_ingest::replay::replay_pcap_parallel;
 
@@ -27,13 +29,8 @@ const PLACEMENTS: [(usize, usize); 3] = [(1, 1), (4, 1), (4, 2)];
 fn corpus() -> Vec<(String, Trace)> {
     let mut traces = vec![("mixed_trace".to_owned(), mixed_trace())];
     traces.extend((1..=4).map(|seed| (format!("generated({seed})"), generated(seed))));
+    traces.push(("fuzzed(1, 500)".to_owned(), fuzzed(1, 500)));
     traces
-        .into_iter()
-        .map(|(name, mut trace)| {
-            trace.retain(|(p, _)| wire_safe(p));
-            (name, trace)
-        })
-        .collect()
 }
 
 #[test]

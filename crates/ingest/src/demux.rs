@@ -1,100 +1,22 @@
-//! Port + heuristic demultiplexing of SIP vs RTP/RTCP.
+//! Port + heuristic demultiplexing of SIP vs RTP/RTCP, applied to a
+//! socket address pair.
 //!
 //! The paper's monitor sits inline on the perimeter and sees every UDP
 //! datagram; the first decision is which protocol machine the bytes are
-//! for. Port 5060 on either side marks signaling; everything else is
-//! probed with the RTP version bits, with the RTCP packet-type range
-//! separating control from media.
+//! for. That decision and the classification after it are the engine's
+//! one classifier, [`vids_core::classify::classify_payload`], re-exported
+//! here: an in-process `Packet`, a pcap record and a live datagram
+//! classify the same way. This module adds only the address mapping:
+//! plain IPv6 is counted as [`WireClass::Ipv6`] before the demux runs.
 //!
 //! The decision is *total*: every payload maps to exactly one
 //! [`WireClass`], and classification never panics on arbitrary bytes (a
-//! proptest enforces both). Traffic that demuxes to `Rtcp` or `Unknown`
-//! is handed to the engine as [`Classified::Ignored`] — exactly how the
-//! in-process path treats `Payload::Raw` — so a replayed capture and the
-//! simulation produce identical counters.
+//! proptest enforces both).
 
-use vids_core::classify::{classify_wire, Classified, WireProto};
-use vids_sip::Method;
+use vids_core::classify::{classify_payload, Classified};
+pub use vids_core::classify::{demux, WireClass, SIP_PORT};
 
 use crate::datagram::Datagram;
-
-/// The well-known SIP signaling port.
-pub const SIP_PORT: u16 = 5060;
-
-/// What the demultiplexer decided a datagram carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireClass {
-    /// SIP signaling (port 5060 on either side).
-    Sip,
-    /// RTP media (version-2 header, non-RTCP payload type).
-    Rtp,
-    /// RTCP control (version-2 header, packet type in RFC 5761's reserved
-    /// 192–223 range). Monitored implicitly through RTP; the engine
-    /// ignores it.
-    Rtcp,
-    /// An address family the engine does not model: plain IPv6 without an
-    /// IPv4-mapped form. Never produced by [`demux`] (which sees only the
-    /// payload); only [`classify_datagram`] returns it, so the ingest tier
-    /// can count v6 drops separately from payload junk.
-    Ipv6,
-    /// Anything else; the engine ignores it, the ingest tier counts it.
-    Unknown,
-}
-
-/// Decides the protocol of one UDP payload. Total and allocation-free.
-///
-/// Port 5060 claims the datagram for SIP outright; otherwise the RTP
-/// version bits are probed first (media vastly outnumbers signaling),
-/// then a SIP start-line prefix — so a daemon listening on a
-/// non-standard port still sees its signaling, matching the in-process
-/// classifier which keys on payload kind, never port.
-pub fn demux(src_port: u16, dst_port: u16, payload: &[u8]) -> WireClass {
-    if src_port == SIP_PORT || dst_port == SIP_PORT {
-        return WireClass::Sip;
-    }
-    // An RTP fixed header is 12 bytes and starts with version 2 in the
-    // top two bits. RTCP shares the version bits; its second byte is the
-    // packet type, and RFC 5761 §4 reserves the whole 192–223 range for
-    // RTCP when multiplexed with RTP (192–195 legacy FIR/NACK/SMPTETC/IJ,
-    // 200–204 SR through APP, 205–207 RTPFB/PSFB/XR, the rest unassigned
-    // but reserved). Those values collide with RTP payload types 64–95
-    // only when the marker bit is set, which real codecs do not combine
-    // with payload types in that band.
-    if payload.len() >= 12 && payload[0] >> 6 == 2 {
-        if (192..=223).contains(&payload[1]) {
-            return WireClass::Rtcp;
-        }
-        return WireClass::Rtp;
-    }
-    if starts_like_sip(payload) {
-        return WireClass::Sip;
-    }
-    WireClass::Unknown
-}
-
-/// RFC 3261 start-line prefixes: a response status line or a request
-/// method followed by a space.
-///
-/// Instead of fourteen prefix compares this does one 8-byte magic compare
-/// for the status line, then scans the leading token run (clamped to the
-/// longest method plus one, so hostile all-token payloads cost O(1)) and
-/// resolves it with [`Method::from_token`]'s length dispatch. A token
-/// that isn't followed by exactly one space, or that isn't a known
-/// method, is not a start line — same decisions as the prefix table.
-fn starts_like_sip(payload: &[u8]) -> bool {
-    const STATUS_MAGIC: &[u8; 8] = b"SIP/2.0 ";
-    if payload.len() >= 8 && &payload[..8] == STATUS_MAGIC {
-        return true;
-    }
-    // No known method is longer than SUBSCRIBE (9 bytes); a 10-byte run
-    // can't resolve, so nothing past byte 9 needs scanning.
-    let head = &payload[..payload.len().min(10)];
-    let run = vids_scan::token_run(head);
-    if run == 0 || run >= payload.len() || payload[run] != b' ' {
-        return false;
-    }
-    Method::from_token(&payload[..run]).is_some()
-}
 
 /// Demultiplexes and classifies one datagram straight off the receive
 /// buffer. Returns the demux decision (so callers can count
@@ -106,13 +28,7 @@ pub fn classify_datagram(d: &Datagram<'_>) -> (WireClass, Classified) {
         // see the drop in `datagrams_ipv6` instead of silence.
         return (WireClass::Ipv6, Classified::Ignored);
     };
-    let class = demux(d.src.port(), d.dst.port(), d.payload);
-    let classified = match class {
-        WireClass::Sip => classify_wire(WireProto::Sip, d.payload, src, dst),
-        WireClass::Rtp => classify_wire(WireProto::Rtp, d.payload, src, dst),
-        WireClass::Rtcp | WireClass::Ipv6 | WireClass::Unknown => Classified::Ignored,
-    };
-    (class, classified)
+    classify_payload(src, dst, d.payload)
 }
 
 #[cfg(test)]
@@ -127,66 +43,6 @@ mod tests {
             at: SimTime::ZERO,
             payload,
         }
-    }
-
-    #[test]
-    fn port_5060_wins_over_payload_shape() {
-        let rtp_looking = [0x80u8; 12];
-        assert_eq!(demux(5060, 40_000, &rtp_looking), WireClass::Sip);
-        assert_eq!(demux(40_000, 5060, &rtp_looking), WireClass::Sip);
-        assert_eq!(demux(40_000, 40_001, &rtp_looking), WireClass::Rtp);
-    }
-
-    #[test]
-    fn rtcp_packet_types_split_from_rtp() {
-        let mut pkt = [0x80u8; 12];
-        for pt in 192..=223u8 {
-            pkt[1] = pt;
-            assert_eq!(
-                demux(40_000, 40_001, &pkt),
-                WireClass::Rtcp,
-                "packet type {pt} is in RFC 5761's reserved RTCP range"
-            );
-        }
-        pkt[1] = 18; // G.729
-        assert_eq!(demux(40_000, 40_001, &pkt), WireClass::Rtp);
-    }
-
-    /// Regression pins for the 200–204 → 192–223 widening: the boundary
-    /// values on both sides, plus the RTPFB/PSFB types (205/206) that used
-    /// to reach the RTP machine as a phantom media stream.
-    #[test]
-    fn rtcp_range_boundaries_pin_rfc_5761() {
-        let mut pkt = [0x80u8; 12];
-        for (pt, want) in [
-            (191u8, WireClass::Rtp), // marker + PT 63: below the range
-            (192, WireClass::Rtcp),  // legacy FIR (RFC 2032)
-            (205, WireClass::Rtcp),  // RTPFB (RFC 4585)
-            (206, WireClass::Rtcp),  // PSFB (RFC 4585)
-            (223, WireClass::Rtcp),  // top of the reserved range
-            (224, WireClass::Rtp),   // marker + PT 96: dynamic payload
-        ] {
-            pkt[1] = pt;
-            assert_eq!(demux(40_000, 40_001, &pkt), want, "packet type {pt}");
-        }
-    }
-
-    #[test]
-    fn sip_start_lines_are_signaling_on_any_port() {
-        let invite = b"INVITE sip:bob@10.2.0.10 SIP/2.0\r\n\r\n";
-        assert_eq!(demux(44_000, 15_060, invite), WireClass::Sip);
-        let resp = b"SIP/2.0 200 OK\r\n\r\n";
-        assert_eq!(demux(15_060, 44_000, resp), WireClass::Sip);
-        // A bare method name without the trailing space is not a
-        // start line.
-        assert_eq!(demux(44_000, 15_060, b"INVITE"), WireClass::Unknown);
-    }
-
-    #[test]
-    fn short_or_versionless_payloads_are_unknown() {
-        assert_eq!(demux(40_000, 40_001, &[0x80; 11]), WireClass::Unknown);
-        assert_eq!(demux(40_000, 40_001, &[0x00; 12]), WireClass::Unknown);
-        assert_eq!(demux(40_000, 40_001, b""), WireClass::Unknown);
     }
 
     #[test]

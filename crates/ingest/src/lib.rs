@@ -12,7 +12,9 @@
 //!   sharding with a portable fallback) and [`udp::UdpSource`].
 //! * [`pcap`] — hand-rolled classic libpcap reader/writer, both byte
 //!   orders, Ethernet and raw-IPv4 link types.
-//! * [`demux`] — port + heuristic SIP vs RTP/RTCP demultiplexing.
+//! * [`demux`] — the engine's one classifier (port + heuristic SIP vs
+//!   RTP/RTCP demultiplexing, then SIP or RTP parsing) applied to a
+//!   datagram's socket addresses.
 //! * [`batch`] — per-receiver batch accumulation and the flush rule: a
 //!   batch is handed over when the socket drains or it reaches the batch
 //!   size, grows while the hand-off is full, and is shed (counted) when
@@ -50,7 +52,7 @@ pub mod prelude {
     pub use crate::pcap::{PcapError, PcapReader, PcapRecord, PcapWriter};
     pub use crate::record_tap::{recorded_class, RecordTap};
     pub use crate::replay::{replay_pcap, replay_pcap_parallel, ReplayReport};
-    pub use crate::server::{serve, serve_on, ServeOptions, ServeReport};
+    pub use crate::server::{serve_on, ServeOptions, ServeReport};
     pub use crate::source::{IngestError, Polled, WireSource};
     pub use crate::udp::{PoolMode, UdpPool, UdpSource};
 }
@@ -62,8 +64,8 @@ pub use pcap::{PcapError, PcapReader, PcapRecord, PcapWriter};
 pub use record_tap::{recorded_class, RecordTap};
 pub use replay::{replay_pcap, replay_pcap_parallel, ReplayReport};
 pub use server::{
-    dump_flag_on_sigusr1, serve, serve_on, stop_flag_on_sigint, ServeOptions, ServeReport,
-    FLUSH_PACKETS, READ_TIMEOUT,
+    dump_flag_on_sigusr1, serve_on, stop_flag_on_sigint, ServeOptions, ServeReport, FLUSH_PACKETS,
+    READ_TIMEOUT,
 };
 pub use source::{IngestError, Polled, WireSource};
 pub use udp::{PoolMode, UdpPool, UdpSource};

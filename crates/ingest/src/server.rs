@@ -141,33 +141,17 @@ pub struct ServeReport {
     pub ended_at: SimTime,
 }
 
-/// Binds `opts.receivers` sockets to `listen` and runs the serve loop
-/// until `stop` becomes true. Blocks the calling thread; alerts stream
-/// into `sink` in deterministic merge order.
+/// Runs the serve loop over an already-bound socket pool until `stop`
+/// becomes true. Blocks the calling thread; alerts stream into `sink` in
+/// deterministic merge order. The one serve loop: a receiver thread per
+/// socket batching [`PreRouted`] events over a channel, the calling
+/// thread as coordinator driving the pool's pipeline session. Receivers
+/// count datagrams, demux misses, IPv6 drops, shed datagrams and their
+/// socket backlog straight into the pool slab of [`VidsPool::registry`].
 ///
 /// `telemetry` is redundant: receivers count into the pool's own
-/// registry ([`VidsPool::registry`]) whether it is given or not. It is
-/// kept only for existing callers (ROADMAP item 12 deletes it).
-pub fn serve<S: AlertSink + ?Sized>(
-    pool: &mut VidsPool,
-    listen: std::net::SocketAddr,
-    opts: &ServeOptions,
-    telemetry: Option<&Registry>,
-    stop: &AtomicBool,
-    tap: Option<&mut RecordTap<'_>>,
-    sink: &mut S,
-) -> Result<ServeReport, IngestError> {
-    let udp = UdpPool::bind(listen, opts.receivers)?;
-    serve_on(pool, udp, opts, telemetry, stop, tap, sink)
-}
-
-/// [`serve`] over an already-bound socket pool — the entry point for
-/// tests that need the resolved port before traffic starts. The one serve
-/// loop: a receiver thread per socket batching [`PreRouted`] events over
-/// a channel, the calling thread as coordinator driving the pool's
-/// pipeline session. Receivers count datagrams, demux misses, IPv6 drops,
-/// shed datagrams and their socket backlog straight into the pool slab of
-/// [`VidsPool::registry`]; `telemetry` is redundant, as in [`serve`].
+/// registry whether it is given or not. It is kept only for existing
+/// callers (ROADMAP item 12 deletes it).
 pub fn serve_on<S: AlertSink + ?Sized>(
     pool: &mut VidsPool,
     udp: UdpPool,

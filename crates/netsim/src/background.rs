@@ -11,6 +11,9 @@ use crate::packet::{Address, Packet, Payload};
 use crate::time::SimTime;
 use crate::workload::exponential;
 
+/// The port bulk datagrams leave from.
+const DISCARD_PORT: u16 = 9;
+
 /// Parameters of one background traffic source.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackgroundSpec {
@@ -96,8 +99,11 @@ impl Application for BackgroundSource {
         }
         if ctx.now() >= self.spec.start {
             let size = self.spec.packet_bytes;
-            // Payload content irrelevant: fill with a recognizable byte.
-            ctx.send_to(self.spec.sink, Payload::Raw(vec![0xBB; size]));
+            // Neither signaling nor media to a monitor that reads the
+            // bytes: zeros (no RTP version), sent from the discard port
+            // (RFC 863) rather than the host's SIP port.
+            let payload = Payload::Raw(vec![0; size]);
+            ctx.send_from_port(DISCARD_PORT, self.spec.sink, payload);
             self.sent_packets += 1;
             self.sent_bytes += size as u64;
         }

@@ -76,12 +76,17 @@ pub enum Payload {
 }
 
 impl Payload {
+    /// The bytes on the wire: what a monitor reads, whatever the tag says.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            Payload::Sip(s) => s.as_bytes(),
+            Payload::Rtp(b) | Payload::Raw(b) => b,
+        }
+    }
+
     /// Application-layer length in bytes.
     pub fn len(&self) -> usize {
-        match self {
-            Payload::Sip(s) => s.len(),
-            Payload::Rtp(b) | Payload::Raw(b) => b.len(),
-        }
+        self.as_bytes().len()
     }
 
     /// Whether the payload is empty.

@@ -200,10 +200,7 @@ pub fn to_pcap_bytes(captured: &[CapturedPacket]) -> Vec<u8> {
     out.extend_from_slice(&1u32.to_le_bytes()); // linktype: Ethernet
 
     for c in captured {
-        let payload: &[u8] = match &c.packet.payload {
-            Payload::Sip(s) => s.as_bytes(),
-            Payload::Rtp(b) | Payload::Raw(b) => b,
-        };
+        let payload = c.packet.payload.as_bytes();
         let udp_len = 8 + payload.len();
         let ip_len = 20 + udp_len;
         let frame_len = 14 + ip_len;

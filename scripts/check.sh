@@ -86,6 +86,28 @@ awk '
     exit 1
 }
 
+# The bytes decide: one classifier for the testbed and the wire. A
+# datagram classifies from its ports and bytes (`classify_payload`), never
+# from the testbed's `Payload` tag, so no filter of the packets on which
+# the two could disagree (`wire_safe`) comes back, and vids-core's non-test
+# code names a `Payload::` variant only in cost.rs and tap.rs, the
+# testbed-side pieces ROADMAP item 8 moves out.
+echo "==> the bytes decide (no classification by payload tag)"
+tagged="$( (grep -rn 'wire_safe' crates tests src || true
+    for f in crates/core/src/*.rs crates/core/src/machines/*.rs; do
+        case "$f" in */cost.rs | */tap.rs) continue ;; esac
+        awk '
+            /^#\[cfg\(test\)\]/ { exit }
+            { line = $0; sub(/\/\/.*/, "", line) }
+            line ~ /Payload::(Sip|Rtp|Raw)/ { print FILENAME ":" FNR ":" $0 }
+        ' "$f"
+    done) )"
+if [ -n "$tagged" ]; then
+    echo "classification by payload tag:" >&2
+    echo "$tagged" >&2
+    exit 1
+fi
+
 # One set of counters: every count lives in a telemetry slab (the engine's
 # own, the pool's registry), and a report is a reading of it. An engine
 # that bumps a `counters.<field>` of its own, or a serve or replay loop

@@ -181,19 +181,37 @@ proptest! {
         prop_assert_eq!(m.locals().uint("n").unwrap_or(0), expected);
     }
 
+    /// The bytes decide, not the tag: on a SIP and on a media port pair,
+    /// the same bytes tagged `Rtp`, `Raw` or (when UTF-8) `Sip` classify
+    /// alike, and as the wire path classifies the same datagram.
     #[test]
     fn classifier_never_panics_on_random_payloads(sip in ".{0,200}", rtp in proptest::collection::vec(any::<u8>(), 0..100)) {
+        use vids::core::classify::classify;
+        use vids::ingest::datagram::Datagram;
+        use vids::ingest::demux::classify_datagram;
         use vids::netsim::packet::{Address, Packet, Payload};
         use vids::netsim::time::SimTime;
-        for payload in [Payload::Sip(sip.clone()), Payload::Rtp(rtp.clone()), Payload::Raw(rtp.clone())] {
-            let pkt = Packet {
-                src: Address::new(10, 0, 0, 1, 5060),
-                dst: Address::new(10, 2, 0, 1, 5060),
-                payload,
-                id: 0,
-                sent_at: SimTime::ZERO,
-            };
-            let _ = vids::core::classify::classify(&pkt);
+        let ends = [(5060, 5060), (20_000, 30_000)];
+        for bytes in [sip.clone().into_bytes(), rtp.clone()] {
+            for (sport, dport) in ends {
+                let src = Address::new(10, 0, 0, 1, sport);
+                let dst = Address::new(10, 2, 0, 1, dport);
+                let classified = |payload| {
+                    classify(&Packet { src, dst, payload, id: 0, sent_at: SimTime::ZERO })
+                };
+                let wire = Datagram {
+                    src: src.to_string().parse().unwrap(),
+                    dst: dst.to_string().parse().unwrap(),
+                    at: SimTime::ZERO,
+                    payload: &bytes,
+                };
+                let want = classify_datagram(&wire).1;
+                prop_assert_eq!(&classified(Payload::Rtp(bytes.clone())), &want);
+                prop_assert_eq!(&classified(Payload::Raw(bytes.clone())), &want);
+                if let Ok(text) = String::from_utf8(bytes.clone()) {
+                    prop_assert_eq!(&classified(Payload::Sip(text)), &want);
+                }
+            }
         }
     }
 

@@ -11,11 +11,11 @@ use vids::core::{CollectSink, Config, CostModel, VidsPool};
 use vids::ingest::pcap::{LINKTYPE_ETHERNET, LINKTYPE_RAW};
 use vids::record::Vdump;
 use vids_harness::matrix::*;
-use vids_harness::traffic::wire_safe_trace;
+use vids_harness::traffic::mixed_trace;
 
 #[test]
 fn replay_is_byte_identical_to_in_process_at_1_4_8_shards() {
-    let trace = wire_safe_trace();
+    let trace = mixed_trace();
     for shards in [1, 4, 8] {
         let out = check(&trace, 256, &[pool(shards), replay(shards, 1)]);
         out.covers(&[labels::INVITE_FLOOD, labels::RTP_AFTER_BYE]);
@@ -24,7 +24,7 @@ fn replay_is_byte_identical_to_in_process_at_1_4_8_shards() {
 
 #[test]
 fn capture_format_never_changes_the_verdict() {
-    let trace = wire_safe_trace();
+    let trace = mixed_trace();
     let want = run(&trace, 256, &pool(4));
     for swapped in [false, true] {
         for linktype in [LINKTYPE_RAW, LINKTYPE_ETHERNET] {
@@ -43,7 +43,7 @@ fn capture_format_never_changes_the_verdict() {
 
 #[test]
 fn replay_batch_size_never_changes_the_verdict() {
-    let trace = wire_safe_trace();
+    let trace = mixed_trace();
     let want = run(&trace, trace.len(), &pool(4));
     for flush in [1, 7, 10_000] {
         let out = run(&trace, flush, &replay(4, 1));
@@ -62,7 +62,7 @@ fn parallel_replay_is_byte_identical_across_thread_and_shard_counts() {
     for shards in [1, 4, 8] {
         placements.extend([1, 2, 4].map(|threads| replay(shards, threads)));
     }
-    let out = check(&wire_safe_trace(), 7, &placements);
+    let out = check(&mixed_trace(), 7, &placements);
     out.covers(&[labels::INVITE_FLOOD]);
 }
 
@@ -73,7 +73,7 @@ fn parallel_replay_is_byte_identical_across_thread_and_shard_counts() {
 /// engine: the `Recorded` shape checks all of that.
 #[test]
 fn parallel_replay_preserves_the_recorder_layout() {
-    let trace = wire_safe_trace();
+    let trace = mixed_trace();
     for shards in [1, 4] {
         let want = run(&trace, 7, &pool(shards));
         for threads in [2, 4] {

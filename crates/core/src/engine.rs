@@ -487,9 +487,10 @@ impl Vids {
             ring: self.ring.as_mut(),
             scope: Scope::Aor(aor).key(),
         };
-        let net = self.factbase.registration_mut(aor);
-        net.advance_time_observed(now_ms, &mut obs);
-        let outcome = net.deliver_observed(event, now_ms, &mut obs);
+        let outcome = self.factbase.registration(aor, |net| {
+            net.advance_time_observed(now_ms, &mut obs);
+            net.deliver_observed(event, now_ms, &mut obs)
+        });
         self.absorb(outcome, Scope::Aor(aor), now_ms, sink);
     }
 
@@ -511,9 +512,10 @@ impl Vids {
             ring: self.ring.as_mut(),
             scope: scope.key(),
         };
-        let net = self.factbase.invite_flood_mut(dst_ip);
-        net.advance_time_observed(now_ms, &mut obs);
-        let outcome = net.deliver_observed(Event::data(sym::SIP_INVITE), now_ms, &mut obs);
+        let outcome = self.factbase.invite_flood(dst_ip, |net| {
+            net.advance_time_observed(now_ms, &mut obs);
+            net.deliver_observed(Event::data(sym::SIP_INVITE), now_ms, &mut obs)
+        });
         self.absorb(outcome, scope, now_ms, sink);
     }
 
@@ -622,13 +624,14 @@ impl Vids {
             ring: self.ring.as_mut(),
             scope: scope.key(),
         };
-        let net = self.factbase.response_flood_mut(dst_ip);
-        net.advance_time_observed(now_ms, &mut obs);
         let mut synthetic = SipArgs::event(sym::SIP_RESPONSE_UNASSOCIATED);
         if let Some(src_ip) = src_ip {
             synthetic.set(SipArgs::get().src_ip, src_ip);
         }
-        let outcome = net.deliver_observed(synthetic, now_ms, &mut obs);
+        let outcome = self.factbase.response_flood(dst_ip, |net| {
+            net.advance_time_observed(now_ms, &mut obs);
+            net.deliver_observed(synthetic, now_ms, &mut obs)
+        });
         self.absorb(outcome, scope, now_ms, sink);
     }
 
@@ -780,6 +783,20 @@ impl Vids {
         }
         let evicted = self.factbase.sweep_due(due, now_ms);
         self.slab.add_owned(Counter::CallsEvicted, evicted as u64);
+        // Flood windows whose T1 fell due close here, as a call's timers
+        // fire, and the fact base drops each counter the firing left fresh.
+        // The outcome is dropped as the lazy fire before a delivery drops
+        // it: a window closing raises nothing, and a flagged destination's
+        // absorbing step repeats an alert its dedup entry already holds.
+        let (slab, ring) = (&*self.slab, &mut self.ring);
+        self.factbase.expire_windows(now_ms, |dst_ip, net| {
+            let mut obs = RingObserver {
+                slab,
+                ring: ring.as_mut(),
+                scope: Scope::Dst(dst_ip).key(),
+            };
+            net.advance_time_observed(now_ms, &mut obs);
+        });
     }
 
     /// Converts a network outcome into deduplicated alerts.

@@ -6,12 +6,17 @@
 //! machine) exists per monitored call; per-destination flood machines live
 //! beside them. Calls whose machines all reached final states are evicted
 //! after a grace period (§7.3), keeping memory proportional to *ongoing*
-//! calls only.
+//! calls only. A flood counter ends with its window: the sweep that fires
+//! its T1 returns it to INIT with no count, a machine equal to a fresh one,
+//! and drops it; a registration its owner unbinds is dropped at that
+//! delivery. What stays is what carries information — an open window, a
+//! binding, an attack state.
 //!
 //! Every record — a call, a destination's flood counter, an AOR's
-//! registration — is one slot of a chunked slab and owns no heap block of
-//! its own: creating one writes a slot, and the allocator is touched only
-//! when a slab or an index grows.
+//! registration — is one cell of a chunked slab and owns no heap block of
+//! its own: creating one writes a cell, a freed cell joins a free list
+//! threaded through the free cells, and the allocator is touched only when
+//! a slab or an index grows.
 
 use std::hash::Hash;
 use std::mem::size_of;
@@ -70,6 +75,19 @@ fn bucket_of(ms: u64) -> u64 {
 /// holds at every growth step.
 const CHUNK_SLOTS: usize = 64;
 
+/// End of a chain of slot numbers: a slab's free list, the armed FIFO of a
+/// [`Solos`] table.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One cell of a slab: a live record, or a free cell naming the next free
+/// one ([`NO_SLOT`] ends the list). The free list is threaded through the
+/// cells it lists, as the wheel's through its filings, so freeing and
+/// reusing a slot never touches the allocator.
+enum Cell<T> {
+    Live(T),
+    Free(u32),
+}
+
 /// A keyed slab: a hash index from key to a dense slot number, and the
 /// slots themselves in fixed-size chunks. Fx-hashed: the keys are interned
 /// symbols or address words, not attacker-chosen strings — HashDoS
@@ -81,8 +99,9 @@ const CHUNK_SLOTS: usize = 64;
 /// wheel are).
 struct Table<K, T> {
     index: FxHashMap<K, u32>,
-    chunks: Vec<Vec<Option<T>>>,
-    free: Vec<u32>,
+    chunks: Vec<Vec<Cell<T>>>,
+    /// First free cell, the rest chained through [`Cell::Free`].
+    free: u32,
 }
 
 impl<K: Hash + Eq + Copy, T> Table<K, T> {
@@ -90,7 +109,7 @@ impl<K: Hash + Eq + Copy, T> Table<K, T> {
         Table {
             index: FxHashMap::default(),
             chunks: Vec::new(),
-            free: Vec::new(),
+            free: NO_SLOT,
         }
     }
 
@@ -103,18 +122,15 @@ impl<K: Hash + Eq + Copy, T> Table<K, T> {
         self.index.get(&key).copied()
     }
 
+    /// The storage cell behind a slot number, live or free.
     #[inline]
-    fn get(&self, slot: u32) -> Option<&T> {
+    fn cell(&self, slot: u32) -> Option<&Cell<T>> {
         let slot = slot as usize;
-        self.chunks
-            .get(slot / CHUNK_SLOTS)?
-            .get(slot % CHUNK_SLOTS)?
-            .as_ref()
+        self.chunks.get(slot / CHUNK_SLOTS)?.get(slot % CHUNK_SLOTS)
     }
 
-    /// The storage cell behind a slot number, occupied or not.
     #[inline]
-    fn cell_mut(&mut self, slot: u32) -> Option<&mut Option<T>> {
+    fn cell_mut(&mut self, slot: u32) -> Option<&mut Cell<T>> {
         let slot = slot as usize;
         self.chunks
             .get_mut(slot / CHUNK_SLOTS)?
@@ -122,18 +138,25 @@ impl<K: Hash + Eq + Copy, T> Table<K, T> {
     }
 
     #[inline]
+    fn get(&self, slot: u32) -> Option<&T> {
+        match self.cell(slot)? {
+            Cell::Live(value) => Some(value),
+            Cell::Free(_) => None,
+        }
+    }
+
+    #[inline]
     fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
-        self.cell_mut(slot)?.as_mut()
+        match self.cell_mut(slot)? {
+            Cell::Live(value) => Some(value),
+            Cell::Free(_) => None,
+        }
     }
 
     /// Files `value` under `key`, which must not be present.
     fn insert(&mut self, key: K, value: T) -> u32 {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                *self.cell_mut(slot).expect("a freed slot exists") = Some(value);
-                slot
-            }
-            None => {
+        let slot = match self.free {
+            NO_SLOT => {
                 if self
                     .chunks
                     .last()
@@ -143,8 +166,17 @@ impl<K: Hash + Eq + Copy, T> Table<K, T> {
                 }
                 let base = (self.chunks.len() - 1) * CHUNK_SLOTS;
                 let chunk = self.chunks.last_mut().expect("a chunk with room");
-                chunk.push(Some(value));
+                chunk.push(Cell::Live(value));
                 (base + chunk.len() - 1) as u32
+            }
+            slot => {
+                let cell = self.cell_mut(slot).expect("a freed slot exists");
+                let Cell::Free(next) = *cell else {
+                    unreachable!("the free list holds only free cells")
+                };
+                *cell = Cell::Live(value);
+                self.free = next;
+                slot
             }
         };
         let previous = self.index.insert(key, slot);
@@ -154,29 +186,182 @@ impl<K: Hash + Eq + Copy, T> Table<K, T> {
 
     fn remove(&mut self, key: K) -> Option<T> {
         let slot = self.index.remove(&key)?;
-        self.free.push(slot);
-        self.cell_mut(slot)?.take()
+        let next = self.free;
+        let cell = self.cell_mut(slot)?;
+        match std::mem::replace(cell, Cell::Free(next)) {
+            Cell::Live(value) => {
+                self.free = slot;
+                Some(value)
+            }
+            Cell::Free(_) => unreachable!("an indexed slot is live"),
+        }
     }
 
-    fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> T) -> &mut T {
-        let slot = match self.slot_of(key) {
+    fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> T) -> u32 {
+        match self.slot_of(key) {
             Some(slot) => slot,
             None => self.insert(key, make()),
-        };
-        self.get_mut(slot).expect("slot just resolved")
+        }
     }
 
     fn values(&self) -> impl Iterator<Item = &T> {
-        self.chunks.iter().flatten().flatten()
+        self.chunks.iter().flatten().filter_map(|cell| match cell {
+            Cell::Live(value) => Some(value),
+            Cell::Free(_) => None,
+        })
     }
 
-    /// What the live records cost: their slots, whatever heap `heap_of`
+    /// What the live records cost: their cells, whatever heap `heap_of`
     /// says each owns, and their index entries. Reserved-but-unused room
-    /// (a chunk's tail, freed slots, hash-table slack) is not charged.
+    /// (a chunk's tail, freed cells, hash-table slack) is not charged.
     fn memory_bytes(&self, heap_of: impl Fn(&T) -> usize) -> usize {
-        self.len() * size_of::<Option<T>>()
+        self.len() * size_of::<Cell<T>>()
             + self.values().map(heap_of).sum::<usize>()
             + index_bytes(&self.index)
+    }
+}
+
+/// One solo machine in a [`Solos`] table: the network, the key it is filed
+/// under (the sweep that drops it reaches it by slot), and its neighbours
+/// in the table's FIFO of armed records ([`NO_SLOT`] at either end, and in
+/// both while unlinked).
+struct Solo<K> {
+    key: K,
+    prev: u32,
+    next: u32,
+    net: SoloNetwork,
+}
+
+// Sizes are facts: a flooded or swept address space costs one of these per
+// destination with a window open, so a field added here has to argue with
+// a number.
+const _: () = assert!(size_of::<Cell<Solo<u32>>>() <= 112);
+
+/// The solo machines of one kind — each destination's INVITE-flood or
+/// response-flood counter, each address-of-record's registration — in a
+/// slab, and a FIFO of the records with an armed timer, threaded through
+/// the records themselves.
+///
+/// A record that is back where a fresh one starts ([`SoloNetwork::is_fresh`])
+/// carries no information, so it is dropped rather than kept: after the
+/// delivery that returned it there (a registration unbound by its owner),
+/// or after the sweep fired the timer that did (a flood window whose T1
+/// closed with the counter under N). The next event for its key makes a
+/// fresh one, which steps exactly as the dropped one would have.
+///
+/// Every timer a shipped solo machine arms has one fixed delay per table —
+/// a flood counter's T1 — so arming order is deadline order and the sweep
+/// pops due records off the head: O(due), not O(records). A record whose
+/// deadline changed (a window the lazy fire-then-deliver path closed and
+/// re-opened before a sweep reached it) moves to the tail. A machine
+/// arming timers of different delays would be swept late, never early:
+/// its timers still fire before its next delivery, as every timer does.
+struct Solos<K> {
+    def: Arc<MachineDef>,
+    table: Table<K, Solo<K>>,
+    /// Oldest and newest armed record.
+    head: u32,
+    tail: u32,
+}
+
+impl<K: Hash + Eq + Copy> Solos<K> {
+    fn new(def: MachineDef) -> Self {
+        Solos {
+            def: Arc::new(def),
+            table: Table::new(),
+            head: NO_SLOT,
+            tail: NO_SLOT,
+        }
+    }
+
+    fn solo_mut(&mut self, slot: u32) -> &mut Solo<K> {
+        self.table.get_mut(slot).expect("live solo slot")
+    }
+
+    /// Runs `f` on `key`'s machine, made fresh if absent, then files the
+    /// record by what `f` left: dropped when fresh again, re-queued when its
+    /// deadline moved.
+    fn with<R>(&mut self, key: K, f: impl FnOnce(&mut SoloNetwork) -> R) -> R {
+        let def = &self.def;
+        let slot = self.table.get_or_insert_with(key, || Solo {
+            key,
+            prev: NO_SLOT,
+            next: NO_SLOT,
+            net: SoloNetwork::new(Arc::clone(def)),
+        });
+        let net = &mut self.solo_mut(slot).net;
+        let armed = net.next_timer_deadline();
+        let out = f(net);
+        self.refile(slot, armed);
+        out
+    }
+
+    /// Fires the timers of every record due at or before `now_ms`, oldest
+    /// arming first, handing each to `fire` with its key, and files it by
+    /// what the firing left — a closed window is dropped.
+    fn expire(&mut self, now_ms: u64, mut fire: impl FnMut(K, &mut SoloNetwork)) {
+        while self.head != NO_SLOT {
+            let slot = self.head;
+            let solo = self.solo_mut(slot);
+            let armed = solo.net.next_timer_deadline();
+            debug_assert!(armed.is_some(), "a queued record has a timer armed");
+            if armed.is_some_and(|due| due > now_ms) {
+                break;
+            }
+            fire(solo.key, &mut solo.net);
+            self.refile(slot, armed);
+        }
+    }
+
+    /// Files `slot` by its network after a step: `armed` is the deadline it
+    /// was queued under (`None`: not queued).
+    fn refile(&mut self, slot: u32, armed: Option<u64>) {
+        let solo = self.solo_mut(slot);
+        let (key, now_armed, fresh) = (
+            solo.key,
+            solo.net.next_timer_deadline(),
+            solo.net.is_fresh(),
+        );
+        if now_armed != armed {
+            if armed.is_some() {
+                self.unlink(slot);
+            }
+            if now_armed.is_some() {
+                self.push_back(slot);
+            }
+        }
+        if fresh {
+            self.table.remove(key);
+        }
+    }
+
+    fn push_back(&mut self, slot: u32) {
+        let tail = self.tail;
+        let solo = self.solo_mut(slot);
+        (solo.prev, solo.next) = (tail, NO_SLOT);
+        match tail {
+            NO_SLOT => self.head = slot,
+            tail => self.solo_mut(tail).next = slot,
+        }
+        self.tail = slot;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let solo = self.solo_mut(slot);
+        let (prev, next) = (solo.prev, solo.next);
+        (solo.prev, solo.next) = (NO_SLOT, NO_SLOT);
+        match prev {
+            NO_SLOT => self.head = next,
+            prev => self.solo_mut(prev).next = next,
+        }
+        match next {
+            NO_SLOT => self.tail = prev,
+            next => self.solo_mut(next).prev = prev,
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.table.memory_bytes(|solo| solo.net.heap_bytes())
     }
 }
 
@@ -396,7 +581,7 @@ struct Slot {
 
 // Sizes are facts (§7.3 argues capacity from the per-call cost): the next
 // field someone adds to a call has to argue with this number.
-const _: () = assert!(size_of::<Slot>() <= 384);
+const _: () = assert!(size_of::<Cell<Slot>>() <= 384);
 
 /// One monitored call: its EFSM network plus bookkeeping.
 pub struct CallRecord {
@@ -443,9 +628,6 @@ pub struct FactBase {
     call_proto: Network,
     /// Handles of the call globals the media index reads.
     call_globals: CallGlobals,
-    invite_flood_def: Arc<MachineDef>,
-    response_flood_def: Arc<MachineDef>,
-    registration_def: Arc<MachineDef>,
     /// Call-ID → call slot. Dense and index-stable: a call keeps its slot
     /// for its whole life, so the hot paths re-touch the same cache lines
     /// instead of re-probing a hash table per packet.
@@ -454,9 +636,9 @@ pub struct FactBase {
     /// variables the SIP machine publishes. Keys are values: probing on the
     /// RTP hot path hashes six bytes and never touches the interner.
     media_index: FxHashMap<MediaKey, CallIdx>,
-    invite_flood: Table<u32, SoloNetwork>,
-    response_flood: Table<u32, SoloNetwork>,
-    registrations: Table<Sym, SoloNetwork>,
+    invite_flood: Solos<u32>,
+    response_flood: Solos<u32>,
+    registrations: Solos<Sym>,
     /// Call wake deadlines, by 100 ms bucket.
     wheel: Wheel,
     /// The due calls of the sweep in progress: lent out by
@@ -490,15 +672,12 @@ impl FactBase {
         FactBase {
             call_proto,
             call_globals: CallGlobals::declare().1,
-            invite_flood_def: Arc::new(invite_flood_machine(&config)),
-            response_flood_def: Arc::new(response_flood_machine(&config)),
-            registration_def: Arc::new(registration_machine()),
+            invite_flood: Solos::new(invite_flood_machine(&config)),
+            response_flood: Solos::new(response_flood_machine(&config)),
+            registrations: Solos::new(registration_machine()),
             config,
             calls: Table::new(),
             media_index: FxHashMap::default(),
-            invite_flood: Table::new(),
-            response_flood: Table::new(),
-            registrations: Table::new(),
             wheel: Wheel::new(),
             due: Vec::new(),
             evicted: Vec::new(),
@@ -667,27 +846,56 @@ impl FactBase {
         self.media_index.get(&key).copied()
     }
 
-    /// The per-destination INVITE-flood machine (Fig. 4), created on first
-    /// use.
-    pub fn invite_flood_mut(&mut self, dst_ip: u32) -> &mut SoloNetwork {
-        let def = &self.invite_flood_def;
-        self.invite_flood
-            .get_or_insert_with(dst_ip, || SoloNetwork::new(Arc::clone(def)))
+    /// Steps the per-destination INVITE-flood machine (Fig. 4) with `f`,
+    /// made fresh if the destination has none; a machine `f` leaves fresh
+    /// is dropped.
+    pub(crate) fn invite_flood<R>(
+        &mut self,
+        dst_ip: u32,
+        f: impl FnOnce(&mut SoloNetwork) -> R,
+    ) -> R {
+        self.invite_flood.with(dst_ip, f)
     }
 
-    /// The per-destination response-flood machine (DRDoS), created on first
-    /// use.
-    pub fn response_flood_mut(&mut self, dst_ip: u32) -> &mut SoloNetwork {
-        let def = &self.response_flood_def;
-        self.response_flood
-            .get_or_insert_with(dst_ip, || SoloNetwork::new(Arc::clone(def)))
+    /// Steps the per-destination response-flood machine (DRDoS), as
+    /// [`FactBase::invite_flood`].
+    pub(crate) fn response_flood<R>(
+        &mut self,
+        dst_ip: u32,
+        f: impl FnOnce(&mut SoloNetwork) -> R,
+    ) -> R {
+        self.response_flood.with(dst_ip, f)
     }
 
-    /// The per-AOR registration machine (extension), created on first use.
-    pub fn registration_mut(&mut self, aor: impl SymKey) -> &mut SoloNetwork {
-        let def = &self.registration_def;
-        self.registrations
-            .get_or_insert_with(aor.to_sym(), || SoloNetwork::new(Arc::clone(def)))
+    /// Steps the per-AOR registration machine (extension), as
+    /// [`FactBase::invite_flood`]: an address-of-record back in `UNBOUND`
+    /// with no binding left is dropped.
+    pub(crate) fn registration<R>(&mut self, aor: Sym, f: impl FnOnce(&mut SoloNetwork) -> R) -> R {
+        self.registrations.with(aor, f)
+    }
+
+    /// Fires every flood window's T1 due at or before `now_ms` through
+    /// `fire`, which gets the destination, and drops the windows it closed:
+    /// INVITE windows first, then response windows, each in the order they
+    /// opened.
+    pub(crate) fn expire_windows(
+        &mut self,
+        now_ms: u64,
+        mut fire: impl FnMut(u32, &mut SoloNetwork),
+    ) {
+        self.invite_flood.expire(now_ms, &mut fire);
+        self.response_flood.expire(now_ms, &mut fire);
+    }
+
+    /// Destinations holding an INVITE-flood and a response-flood record,
+    /// and addresses-of-record holding a registration.
+    #[cfg(test)]
+    fn solo_counts(&self) -> (usize, usize, usize) {
+        (
+            self.invite_flood.table.len(),
+            self.response_flood.table.len(),
+            self.registrations.table.len(),
+        )
     }
 
     /// Re-files a call under its next wake deadline: the earliest armed
@@ -836,9 +1044,9 @@ impl FactBase {
         calls
             + index_bytes(&self.media_index)
             + self.wheel.memory_bytes()
-            + self.invite_flood.memory_bytes(SoloNetwork::heap_bytes)
-            + self.response_flood.memory_bytes(SoloNetwork::heap_bytes)
-            + self.registrations.memory_bytes(SoloNetwork::heap_bytes)
+            + self.invite_flood.memory_bytes()
+            + self.response_flood.memory_bytes()
+            + self.registrations.memory_bytes()
     }
 }
 
@@ -847,7 +1055,7 @@ impl FactBase {
 mod tests {
     use super::*;
     use std::collections::{BTreeMap, HashMap};
-    use vids_efsm::Event;
+    use vids_efsm::{Event, NetworkOutcome, NoopObserver};
 
     fn ip(text: &str) -> Ipv4Addr {
         text.parse().unwrap()
@@ -1152,14 +1360,124 @@ mod tests {
         }
     }
 
+    /// One INVITE to `dst` through the fact base, as the engine delivers
+    /// it: due timers first, then the event.
+    fn invite_at(fb: &mut FactBase, dst: u32, now: u64) -> NetworkOutcome {
+        fb.invite_flood(dst, |net| {
+            net.advance_time_observed(now, &mut NoopObserver);
+            net.deliver_observed(Event::data("SIP.INVITE"), now, &mut NoopObserver)
+        })
+    }
+
+    /// A sweep of the flood windows at `now`; returns the destinations it
+    /// fired a timer of, in order.
+    fn expire_at(fb: &mut FactBase, now: u64) -> Vec<u32> {
+        let mut fired = Vec::new();
+        fb.expire_windows(now, |dst, net| {
+            fired.push(dst);
+            net.advance_time_observed(now, &mut NoopObserver);
+        });
+        fired
+    }
+
+    #[test]
+    fn a_closed_window_is_dropped_and_an_attack_is_kept() {
+        let mut fb = FactBase::new(Config::default());
+        let n = Config::default().invite_flood_n;
+        invite_at(&mut fb, 1, 0);
+        invite_at(&mut fb, 2, 10);
+        for t in 0..=n {
+            invite_at(&mut fb, 3, 20 + t);
+        }
+        assert_eq!(fb.solo_counts(), (3, 0, 0));
+        assert!(expire_at(&mut fb, 999).is_empty(), "no window is due yet");
+
+        // Destination 1's window closes on the lazy path and opens again
+        // before any sweep reached it, so it goes to the back of the queue.
+        invite_at(&mut fb, 1, 1_005);
+        assert_eq!(expire_at(&mut fb, 1_100), vec![2, 3]);
+        assert_eq!(fb.solo_counts(), (2, 0, 0), "2 closed; 3 is flagged");
+        assert_eq!(expire_at(&mut fb, 2_004), Vec::<u32>::new());
+        assert_eq!(expire_at(&mut fb, 2_005), vec![1]);
+        assert_eq!(fb.solo_counts(), (1, 0, 0));
+
+        // The flagged destination stays flagged, with nothing left queued.
+        assert!(expire_at(&mut fb, 60_000).is_empty());
+        let again = invite_at(&mut fb, 3, 60_000);
+        assert_eq!(again.alerts.len(), 1, "the absorbing state reports again");
+        assert_eq!(fb.solo_counts(), (1, 0, 0));
+
+        // A dropped destination starts over like one never seen: N INVITEs
+        // in one window pass, the next one is the flood.
+        for t in 0..n {
+            assert!(invite_at(&mut fb, 2, 61_000 + t).alerts.is_empty());
+        }
+        assert_eq!(invite_at(&mut fb, 2, 61_000 + n).alerts.len(), 1);
+    }
+
+    #[test]
+    fn window_slots_are_reused_as_windows_close() {
+        // 200 fresh destinations a second for 20 s, a sweep every 100 ms:
+        // about 200 windows are open at once, and the slab never holds more
+        // than that plus a chunk.
+        let mut fb = FactBase::new(Config::default());
+        for t in 0..20_000u64 {
+            if t % 100 == 0 {
+                expire_at(&mut fb, t);
+            }
+            if t % 5 == 0 {
+                invite_at(&mut fb, t as u32, t);
+            }
+            assert!(fb.solo_counts().0 <= 220, "{t}: {:?}", fb.solo_counts());
+        }
+        let table = &fb.invite_flood.table;
+        assert!(table.chunks.len() * CHUNK_SLOTS <= 220 + CHUNK_SLOTS);
+    }
+
+    fn register(src: &str, expires: u64) -> Event {
+        crate::machines::SipArgs::event("SIP.REGISTER")
+            .with_named("src_ip", ip(src))
+            .with_named("contact_ip", ip(src))
+            .with_named("expires", expires)
+    }
+
+    #[test]
+    fn an_unbound_registration_is_dropped_and_a_binding_is_kept() {
+        let mut fb = FactBase::new(Config::default());
+        let aor = Sym::intern("alice@example.com");
+        let deliver = |fb: &mut FactBase, event: Event| {
+            fb.registration(aor, |net| net.deliver_observed(event, 0, &mut NoopObserver))
+        };
+        deliver(&mut fb, register("10.0.5.1", 0));
+        assert_eq!(fb.solo_counts(), (0, 0, 0), "de-register while unbound");
+        deliver(&mut fb, register("10.0.5.1", 3_600));
+        assert_eq!(fb.solo_counts(), (0, 0, 1), "bound");
+        deliver(&mut fb, register("10.0.5.1", 0));
+        assert_eq!(fb.solo_counts(), (0, 0, 0), "the owner de-registered");
+
+        // A fresh record judges as the dropped one would have: a foreign
+        // de-register of a new binding is still the hijack.
+        deliver(&mut fb, register("10.0.5.1", 3_600));
+        let out = deliver(&mut fb, register("10.0.66.6", 0));
+        assert!(out.is_suspicious());
+        assert_eq!(fb.solo_counts(), (0, 0, 1), "the hijack is kept");
+    }
+
     #[test]
     fn flood_machines_are_per_destination() {
         let mut fb = FactBase::new(Config::default());
-        let a = fb.invite_flood_mut(1) as *const SoloNetwork;
-        let b = fb.invite_flood_mut(2) as *const SoloNetwork;
+        let invite = |net: &mut SoloNetwork| {
+            net.deliver_observed(Event::data("SIP.INVITE"), 0, &mut NoopObserver);
+            net as *const SoloNetwork
+        };
+        let a = fb.invite_flood(1, invite);
+        let b = fb.invite_flood(2, invite);
         assert_ne!(a, b);
-        // Re-fetch returns the same machine.
-        let a2 = fb.invite_flood_mut(1) as *const SoloNetwork;
-        assert_eq!(a, a2);
+        let a2 = fb.invite_flood(1, |net| net as *const SoloNetwork);
+        assert_eq!(a, a2, "re-fetch returns the same machine");
+        assert_eq!(fb.solo_counts(), (2, 0, 0));
+        // A machine left fresh is not kept.
+        fb.response_flood(1, |_| ());
+        assert_eq!(fb.solo_counts(), (2, 0, 0));
     }
 }

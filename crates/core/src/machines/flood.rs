@@ -58,15 +58,21 @@ pub fn window_counter_machine(
         .predicate(move |ctx| ctx.get(counter).unwrap_or(0) + 1 > n)
         .label("threshold N exceeded within T1");
 
-    // Window expired: back to INIT (the next event re-opens it).
+    // Window expired: back to INIT with no counter and no timer, a machine
+    // equal to a fresh one — which is what lets the fact base drop the
+    // destination's record at the sweep that fires T1 (the next event
+    // opens a fresh window).
     def.add_transition(counting, TIMER_T1, init)
-        .action(move |ctx| ctx.set(counter, 0))
+        .action(move |ctx| {
+            ctx.remove(counter);
+        })
         .label("window expired");
 
-    // After detection: absorb. Nothing re-arms the machine: no engine or
-    // operator path resets it, so a destination flooded once stays in this
-    // state, and the engine's dedup set keeps it silent, for the life of
-    // the process. Re-arming after a stated interval is ROADMAP item 3c.
+    // After detection: absorb. Idle windows end, attack states do not:
+    // nothing re-arms the machine — no engine or operator path resets it —
+    // so a destination flooded once keeps its record in this state, and
+    // the engine's dedup set keeps it silent, for the life of the process.
+    // Re-arming after a stated interval is ROADMAP item 3c.
     def.add_transition(attack, "*", attack);
 
     // Predicates partition on the counter value; verified by the busy-call
@@ -103,7 +109,7 @@ pub fn response_flood_machine(config: &Config) -> MachineDef {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use vids_efsm::network::Network;
+    use vids_efsm::network::{Network, SoloNetwork};
     use vids_efsm::Event;
 
     fn flood_net(n: u64, window: u64) -> (Network, vids_efsm::network::MachineId) {
@@ -153,14 +159,44 @@ mod tests {
         for i in 0..5u64 {
             net.deliver(id, Event::data("SIP.INVITE"), i);
         }
-        // Window expires.
+        // Window expires: the counter goes with it.
         net.advance_time(1_100);
         assert_eq!(net.instance(id).state_name(net.definition(id)), "INIT");
+        assert_eq!(net.locals(id).uint(sym::PCK_COUNTER), None);
+        assert_eq!(net.next_timer_deadline(), None);
         // Fresh window: another 5 are fine again.
         for i in 0..5u64 {
             let out = net.deliver(id, Event::data("SIP.INVITE"), 2_000 + i);
             assert!(out.alerts.is_empty());
         }
+    }
+
+    #[test]
+    fn an_expired_window_is_a_fresh_machine_and_an_attack_is_not() {
+        let def = Arc::new(window_counter_machine(
+            "flood",
+            "SIP.INVITE",
+            2,
+            1_000,
+            "flood",
+        ));
+        let mut obs = vids_efsm::NoopObserver;
+        let mut solo = SoloNetwork::new(Arc::clone(&def));
+        assert!(solo.is_fresh());
+        solo.deliver_observed(Event::data("SIP.INVITE"), 0, &mut obs);
+        assert!(!solo.is_fresh(), "a window is open");
+        solo.advance_time_observed(1_000, &mut obs);
+        assert!(solo.is_fresh(), "T1 closed the window");
+
+        // Past the threshold the machine absorbs; T1 still fires there, but
+        // the destination stays flagged.
+        for t in 0..3 {
+            solo.deliver_observed(Event::data("SIP.INVITE"), 2_000 + t, &mut obs);
+        }
+        solo.advance_time_observed(5_000, &mut obs);
+        assert!(solo.instance().is_attack(&def));
+        assert_eq!(solo.next_timer_deadline(), None);
+        assert!(!solo.is_fresh());
     }
 
     #[test]

@@ -193,17 +193,24 @@ struct Timer {
     machine: u32,
 }
 
-/// Every armed timer of one network: four inline (a call arms at most
-/// three at once — the SIP linger, the RTP drain window and the RTP rate
-/// window), more on the heap.
+/// Every armed timer of one network: `N` inline, more on the heap. A
+/// [`Network`] holds [`CALL_TIMERS`], a [`SoloNetwork`] [`SOLO_TIMERS`].
 ///
 /// Firing order is part of the contract (alert order depends on it):
 /// earliest deadline first; on a tie the lower machine index, then the
 /// lower timer symbol.
 #[derive(Default, Clone)]
-struct Timers(InlineVec<Timer, 4>);
+struct Timers<const N: usize>(InlineVec<Timer, N>);
 
-impl Timers {
+/// Timers a [`Network`] holds inline: a call arms at most three at once —
+/// the SIP linger, the RTP drain window and the RTP rate window.
+const CALL_TIMERS: usize = 4;
+
+/// Timers a [`SoloNetwork`] holds inline: a flood counter arms one, its
+/// window T1, and a registration none.
+const SOLO_TIMERS: usize = 1;
+
+impl<const N: usize> Timers<N> {
     fn position(&self, machine: usize, name: Sym) -> Option<usize> {
         self.0
             .iter()
@@ -230,6 +237,10 @@ impl Timers {
 
     fn next_deadline(&self) -> Option<u64> {
         self.0.iter().map(|t| t.deadline).min()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 
     /// Disarms and returns the next timer due at or before `now_ms`.
@@ -298,21 +309,21 @@ impl Pending {
 /// One entry-point call in flight: the pieces borrowed from whichever
 /// shape owns them, the δ events still to deliver, and what was observed
 /// so far.
-struct Run<'a> {
+struct Run<'a, const N: usize> {
     defs: &'a [Arc<MachineDef>],
     instances: &'a mut [MachineInstance],
     /// The whole frame; each step views it from the stepping machine's
     /// locals.
     frame: Slots<'a>,
     globals: usize,
-    timers: &'a mut Timers,
+    timers: &'a mut Timers<N>,
     sync_enabled: bool,
     obs: &'a mut dyn TransitionObserver,
     pending: Pending,
     outcome: NetworkOutcome,
 }
 
-impl Run<'_> {
+impl<const N: usize> Run<'_, N> {
     /// A data event, then the sync cascade it triggers.
     fn deliver(mut self, target: usize, event: &Event, now_ms: u64) -> NetworkOutcome {
         self.step(target, event, now_ms);
@@ -418,7 +429,7 @@ pub struct Network {
     shape: Arc<Shape>,
     instances: [MachineInstance; MAX_MACHINES],
     frame: Frame<NETWORK_WORDS>,
-    timers: Timers,
+    timers: Timers<CALL_TIMERS>,
     /// Ablation switch (experiment E8): when true, δ messages are dropped
     /// instead of delivered, turning the cross-protocol monitor into a set
     /// of isolated single-protocol machines.
@@ -573,7 +584,7 @@ impl Network {
         std::mem::size_of::<Self>() + self.heap_bytes()
     }
 
-    fn run<'a>(&'a mut self, obs: &'a mut dyn TransitionObserver) -> Run<'a> {
+    fn run<'a>(&'a mut self, obs: &'a mut dyn TransitionObserver) -> Run<'a, CALL_TIMERS> {
         let shape = &*self.shape;
         Run {
             defs: &shape.defs,
@@ -630,14 +641,15 @@ impl Network {
 
 /// One machine with its timers and no peer: the per-destination flood
 /// counters and the per-AOR registration machine. It steps exactly as a
-/// one-machine [`Network`] does, but is half the size — it holds its
-/// definition directly instead of a shared list, and a frame sized for a
-/// machine rather than a call.
+/// one-machine [`Network`] does, but is a third of the size — it holds its
+/// definition directly instead of a shared list, a frame sized for a
+/// machine rather than a call, and room for one armed timer rather than
+/// four.
 pub struct SoloNetwork {
     def: Arc<MachineDef>,
     instance: MachineInstance,
     frame: Frame<SOLO_WORDS>,
-    timers: Timers,
+    timers: Timers<SOLO_TIMERS>,
 }
 
 impl fmt::Debug for SoloNetwork {
@@ -686,7 +698,21 @@ impl SoloNetwork {
         self.frame.heap_bytes() + self.timers.0.heap_bytes()
     }
 
-    fn run<R>(&mut self, obs: &mut dyn TransitionObserver, f: impl FnOnce(Run<'_>) -> R) -> R {
+    /// Whether the machine is back where [`SoloNetwork::new`] put it: in
+    /// its initial state, no variable set, no timer armed. Such a network
+    /// steps exactly as a fresh one would, so its holder may drop it and
+    /// make a new one when the next event comes.
+    pub fn is_fresh(&self) -> bool {
+        self.instance.state() == self.def.initial_state()
+            && self.frame.is_empty()
+            && self.timers.is_empty()
+    }
+
+    fn run<R>(
+        &mut self,
+        obs: &mut dyn TransitionObserver,
+        f: impl FnOnce(Run<'_, SOLO_TIMERS>) -> R,
+    ) -> R {
         f(Run {
             defs: std::slice::from_ref(&self.def),
             instances: std::slice::from_mut(&mut self.instance),
@@ -725,7 +751,7 @@ impl SoloNetwork {
 // slot that embeds a `Network` is pinned where it is defined
 // (`vids-core::factbase`).
 const _: () = assert!(std::mem::size_of::<Network>() <= 288);
-const _: () = assert!(std::mem::size_of::<SoloNetwork>() <= 144);
+const _: () = assert!(std::mem::size_of::<SoloNetwork>() <= 96);
 
 #[cfg(test)]
 mod tests {
@@ -1100,6 +1126,7 @@ mod tests {
         let mut net = Network::new();
         let id = net.add_machine(def());
         let mut solo = SoloNetwork::new(def());
+        assert!(solo.is_fresh());
         // Two packets, the window expires, then a burst of five: the
         // fourth of the burst enters ATTACK and the fifth re-enters it.
         for t in [0, 10, 200, 201, 202, 203, 204] {
@@ -1113,6 +1140,7 @@ mod tests {
             assert_eq!(solo.locals().uint("n"), net.locals(id).uint("n"));
         }
         assert!(solo.instance().is_attack(solo.definition()));
+        assert!(!solo.is_fresh());
         assert_eq!(solo.heap_bytes(), 0);
     }
 }

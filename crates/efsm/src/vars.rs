@@ -464,6 +464,11 @@ impl<const N: usize> Frame<N> {
         }
     }
 
+    /// Whether no word holds a value.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.present == 0
+    }
+
     /// Heap bytes beyond `size_of` (the spill block, once needed).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.spill

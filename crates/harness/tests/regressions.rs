@@ -6,12 +6,16 @@
 //! rather than as module unit tests, so a refactor of the internals
 //! cannot silently retire them.
 
-use vids_harness::matrix::{check, pipeline, plain, pool, Output};
-use vids_harness::traffic::{answer, arrive, clean_call, dialog, invite, mixed_trace, pkt};
-use vids_netsim::packet::Address;
+use vids_core::alert::Detail;
+use vids_harness::matrix::{check, matrix, pipeline, plain, pool, Output};
+use vids_harness::traffic::{
+    answer, arrive, clean_call, dialog, invite, mixed_trace, pkt, sip, Trace,
+};
+use vids_netsim::packet::{Address, Payload};
 use vids_rtp::jitter::JitterEstimator;
 use vids_rtp::seq::{seq_distance, ExtendedSeq};
 use vids_sip::parse::parse_message;
+use vids_sip::StatusCode;
 
 /// Satellite (a): a late packet that *straddles* the wrap — raw value
 /// above the high-water mark but older in serial order — must extend into
@@ -291,5 +295,81 @@ fn a_forged_answer_cannot_detach_a_live_calls_media() {
             let strays = unassociated_rtp(&out).len();
             assert_eq!(strays, 1, "only mixed_trace's stray");
         }
+    }
+}
+
+/// The `label` alerts `out` raised against destination `dst`.
+fn against(out: &Output, label: &str, dst: Address) -> usize {
+    let ip = std::net::Ipv4Addr::from(dst.ip);
+    let hits = out.alerts.iter().filter(|(_, a)| a.label == label);
+    hits.filter(|(_, a)| matches!(a.detail, Detail::Dst(d) if d == ip))
+        .count()
+}
+
+/// Flood windows that close and open again, on the INVITE and the response
+/// counter of one destination, with raw datagrams every 50 ms driving the
+/// sweeps:
+///
+/// * 10.2.0.71's INVITE window opens at 0 and takes another INVITE at
+///   1 005, 5 ms after T1, before or after the sweep that closes it as the
+///   batching falls: closed there, or closed and re-opened by the lazy
+///   fire-then-deliver path, inside one sweep interval. Its response
+///   window does the same at 200 and 1 210, and a third at 2 600 meets a
+///   record the sweep already dropped.
+/// * 10.2.0.72's window opens at 50 and its second INVITE at 2 500 finds
+///   it dropped, sweeps later.
+/// * 10.2.0.73 is flooded at 3 000 and keeps its flagged record when T1
+///   fires at the 4 000 sweep: its INVITE at 4 500 raises nothing new.
+/// * 10.2.0.71 is flooded at 5 000, long after both of its windows ended,
+///   and 10.2.0.74 takes a reflection flood at 6 000.
+///
+/// Every placement raises the same alerts with the same traces and counts
+/// the same transitions.
+#[test]
+fn flood_windows_close_and_reopen_alike_at_every_placement() {
+    let caller = Address::new(10, 1, 0, 70, 5060);
+    let reflector = Address::new(172, 16, 0, 71, 5060);
+    let victim = |k| Address::new(10, 2, 0, k, 5060);
+    let mut trace: Trace = Vec::new();
+    let mut calls = 0;
+    let mut invite_at = |trace: &mut Trace, dst: Address, at: u64| {
+        calls += 1;
+        let inv = invite(&format!("window-{calls}"), "10.1.0.70", 20_000);
+        trace.push(pkt(caller, dst, sip(inv), at));
+    };
+    let ghost = invite("window-ghost", "10.9.9.9", 24_000).response(StatusCode::OK);
+    let reflect_at = |trace: &mut Trace, dst: Address, at: u64| {
+        trace.push(pkt(reflector, dst, sip(&ghost), at));
+    };
+    for at in [0, 1_005] {
+        invite_at(&mut trace, victim(71), at);
+    }
+    for at in [200, 1_210, 2_600] {
+        reflect_at(&mut trace, victim(71), at);
+    }
+    for at in [50, 2_500] {
+        invite_at(&mut trace, victim(72), at);
+    }
+    for i in 0..11 {
+        invite_at(&mut trace, victim(73), 3_000 + 10 * i);
+        invite_at(&mut trace, victim(71), 5_000 + 10 * i);
+        reflect_at(&mut trace, victim(74), 6_000 + 10 * i);
+    }
+    invite_at(&mut trace, victim(73), 4_500);
+    let noise = (
+        Address::new(172, 16, 0, 91, 40_002),
+        Address::new(10, 2, 0, 3, 1_001),
+    );
+    for i in 0..160 {
+        trace.push(pkt(noise.0, noise.1, Payload::Raw(vec![7; 4]), 25 + i * 50));
+    }
+    trace.sort_by_key(|(_, at)| *at);
+
+    for batch in [1, 7, 25] {
+        let out = check(&trace, batch, &matrix(None));
+        let floods = [71, 72, 73, 74].map(|k| against(&out, "invite-flood", victim(k)));
+        assert_eq!(floods, [1, 0, 1, 0], "batch {batch}: {:?}", out.alerts);
+        let reflections = [71, 74].map(|k| against(&out, "response-flood", victim(k)));
+        assert_eq!(reflections, [0, 1], "batch {batch}");
     }
 }

@@ -161,6 +161,12 @@ cargo test --offline --test alloc_budget -q
 echo "==> memory meter (memory_bytes vs live allocator bytes)"
 cargo test --offline --test memory_meter -q
 
+# 60 s of INVITEs at 2 000/s, each to a fresh destination: the fact base
+# holds only the windows open in the last T1, `memory_bytes()` plateaus
+# within a slab chunk and a warm INVITE allocates nothing.
+echo "==> window bound (idle flood windows end at the sweep)"
+cargo test --offline --test window_bound -q
+
 # A full symbol table sheds new calls and keeps known ones, and media from
 # a never-seen source is still checked against them (addresses are values):
 # fills all 4 194 304 slots (≈ 150 MB, a few seconds in release), so it is
